@@ -2,7 +2,7 @@
 // evaluation section. Run with no arguments for the full suite, or name
 // specific experiments:
 //
-//	experiments [flags] [toy fig6 gzip table3 fig8 fig9 fig10 table4 kopt sampling viz cube parallel server query trace randsvd ingest load cluster obstrace]
+//	experiments [flags] [toy fig6 gzip table3 fig8 fig9 fig10 table4 kopt sampling viz spectral robust cube]
 //
 // Flags:
 //
@@ -13,38 +13,9 @@
 //	-csv dir          also write raw experiment data as CSV files into dir
 //	-workers int      worker goroutines for the compression passes
 //	                  (0 = all CPUs, 1 = serial)
-//	-parallel-out p   where the "parallel" harness writes its JSON speedup
-//	                  record (default results/bench_parallel.json)
-//	-server-out p     where the "server" harness writes its JSON throughput/
-//	                  latency record (default results/bench_server.json)
-//	-query-out p      where the "query" harness writes its JSON engine
-//	                  speedup record (default results/bench_query.json)
-//	-trace-out p      where the "trace" harness writes its JSON tracing-
-//	                  overhead record (default results/bench_trace.json)
-//	-randsvd-out p    where the "randsvd" harness writes its JSON sketch-vs-
-//	                  Gram record (default results/bench_randsvd.json)
-//	-randsvd-synth-n/-randsvd-synth-m
-//	                  size of the randsvd synthetic wide matrix (0 = harness
-//	                  defaults, 400×5000)
-//	-ingest-out p     where the "ingest" harness writes its JSON write-path
-//	                  record (default results/bench_ingest.json)
-//	-ingest-cold-n/-ingest-batches
-//	                  cold-segment size and bulk batches per writer for the
-//	                  ingest harness (0 = harness defaults, 500/24)
-//	-load-out p       where the "load" harness writes its JSON closed-/open-
-//	                  loop throughput record (default results/bench_load.json)
-//	-load-requests    requests per client per closed-loop load run
-//	                  (0 = harness default, 300)
-//	-cluster-out p    where the "cluster" harness writes its JSON
-//	                  distributed-tier record (default
-//	                  results/bench_cluster.json)
-//	-cluster-requests requests per client per cluster run (0 = harness
-//	                  default, 300)
-//	-obstrace-out p   where the "obstrace" harness writes its JSON
-//	                  cross-process tracing-overhead record (default
-//	                  results/bench_obstrace.json)
-//	-obstrace-iters   requests per timed batch in the obstrace harness
-//	                  (0 = harness default, 40)
+//
+// Performance is measured by the benchmark in bench/ (see bench/README.md),
+// not here.
 package main
 
 import (
@@ -72,41 +43,6 @@ func run(args []string) error {
 	large := fs.Bool("large", false, "paper-scale scale-up sweep (N up to 100,000)")
 	csvDir := fs.String("csv", "", "directory to write raw CSV data (optional)")
 	workers := fs.Int("workers", 0, "worker goroutines for the compression passes: 0 = all CPUs, 1 = serial")
-	parallelOut := fs.String("parallel-out", filepath.Join("results", "bench_parallel.json"),
-		"output path for the 'parallel' speedup harness")
-	serverOut := fs.String("server-out", filepath.Join("results", "bench_server.json"),
-		"output path for the 'server' serving-layer harness")
-	queryOut := fs.String("query-out", filepath.Join("results", "bench_query.json"),
-		"output path for the 'query' engine harness")
-	traceOut := fs.String("trace-out", filepath.Join("results", "bench_trace.json"),
-		"output path for the 'trace' instrumentation-overhead harness")
-	randsvdOut := fs.String("randsvd-out", filepath.Join("results", "bench_randsvd.json"),
-		"output path for the 'randsvd' sketch-compressor harness")
-	randsvdSynthN := fs.Int("randsvd-synth-n", 0,
-		"rows of the randsvd synthetic wide matrix (0 = harness default)")
-	randsvdSynthM := fs.Int("randsvd-synth-m", 0,
-		"columns of the randsvd synthetic wide matrix (0 = harness default 5000)")
-	ingestOut := fs.String("ingest-out", filepath.Join("results", "bench_ingest.json"),
-		"output path for the 'ingest' write-path harness")
-	ingestColdN := fs.Int("ingest-cold-n", 0,
-		"cold-segment customers for the ingest harness (0 = harness default)")
-	ingestBatches := fs.Int("ingest-batches", 0,
-		"bulk batches per writer for the ingest harness (0 = harness default)")
-	loadOut := fs.String("load-out", filepath.Join("results", "bench_load.json"),
-		"output path for the 'load' closed-/open-loop harness")
-	loadRequests := fs.Int("load-requests", 0,
-		"requests per client per closed-loop load run (0 = harness default)")
-	clusterOut := fs.String("cluster-out", filepath.Join("results", "bench_cluster.json"),
-		"output path for the 'cluster' distributed-tier harness")
-	clusterRequests := fs.Int("cluster-requests", 0,
-		"requests per client per cluster run (0 = harness default)")
-	obstraceOut := fs.String("obstrace-out", filepath.Join("results", "bench_obstrace.json"),
-		"output path for the 'obstrace' cross-process tracing-overhead harness")
-	obstraceIters := fs.Int("obstrace-iters", 0,
-		"requests per timed batch in the obstrace harness (0 = harness default)")
-	obstraceAssert := fs.Bool("obstrace-assert", false,
-		"fail unless the obstrace harness lands under its overhead target "+
-			"(retried up to 3 runs; contention noise is one-sided)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -115,20 +51,10 @@ func run(args []string) error {
 	if len(names) == 0 {
 		names = []string{"toy", "fig6", "gzip", "table3", "fig8", "fig9",
 			"fig10", "table4", "kopt", "sampling", "viz", "spectral", "robust",
-			"cube", "parallel", "server", "query", "trace", "randsvd", "ingest", "load",
-			"cluster", "obstrace"}
+			"cube"}
 	}
 
-	r := &runner{phoneN: *phoneN, large: *large, csvDir: *csvDir,
-		parallelOut: *parallelOut, serverOut: *serverOut, queryOut: *queryOut,
-		traceOut: *traceOut, randsvdOut: *randsvdOut,
-		randsvdSynthN: *randsvdSynthN, randsvdSynthM: *randsvdSynthM,
-		ingestOut: *ingestOut, ingestColdN: *ingestColdN, ingestBatches: *ingestBatches,
-		loadOut: *loadOut, loadRequests: *loadRequests,
-		clusterOut: *clusterOut, clusterRequests: *clusterRequests,
-		obstraceOut: *obstraceOut, obstraceIters: *obstraceIters,
-		obstraceAssert: *obstraceAssert,
-		workers:        *workers}
+	r := &runner{phoneN: *phoneN, large: *large, csvDir: *csvDir}
 	for _, name := range names {
 		start := time.Now()
 		if err := r.runOne(name); err != nil {
@@ -140,27 +66,9 @@ func run(args []string) error {
 }
 
 type runner struct {
-	phoneN          int
-	large           bool
-	csvDir          string
-	parallelOut     string
-	serverOut       string
-	queryOut        string
-	traceOut        string
-	randsvdOut      string
-	randsvdSynthN   int
-	randsvdSynthM   int
-	ingestOut       string
-	ingestColdN     int
-	ingestBatches   int
-	loadOut         string
-	loadRequests    int
-	clusterOut      string
-	clusterRequests int
-	obstraceOut     string
-	obstraceIters   int
-	obstraceAssert  bool
-	workers         int
+	phoneN int
+	large  bool
+	csvDir string
 
 	phone  *linalg.Matrix // lazily built
 	stocks *linalg.Matrix
@@ -336,162 +244,6 @@ func (r *runner) runOne(name string) error {
 			Products: 100, Stores: 16, Weeks: 52, Seed: 1,
 		}, 0.10, out)
 		return err
-
-	case "parallel":
-		res, err := experiments.BenchParallel(experiments.DefaultParallelConfig(), out)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(r.parallelOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.parallelOut)
-		return nil
-
-	case "server":
-		cfg := experiments.DefaultServerConfig()
-		cfg.N = r.phoneN
-		res, err := experiments.BenchServer(cfg, out)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(r.serverOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.serverOut)
-		return nil
-
-	case "query":
-		res, err := experiments.BenchQuery(experiments.DefaultQueryConfig(), out)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(r.queryOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.queryOut)
-		return nil
-
-	case "randsvd":
-		cfg := experiments.DefaultRandSVDConfig()
-		cfg.Workers = r.workers
-		if r.randsvdSynthN > 0 {
-			cfg.SynthN = r.randsvdSynthN
-		}
-		if r.randsvdSynthM > 0 {
-			cfg.SynthM = r.randsvdSynthM
-		}
-		res, err := experiments.BenchRandSVD(cfg, out)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(r.randsvdOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.randsvdOut)
-		return nil
-
-	case "trace":
-		res, err := experiments.BenchTrace(experiments.DefaultTraceConfig(), out)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(r.traceOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.traceOut)
-		return nil
-
-	case "ingest":
-		cfg := experiments.DefaultIngestConfig()
-		if r.ingestColdN > 0 {
-			cfg.ColdN = r.ingestColdN
-		}
-		if r.ingestBatches > 0 {
-			cfg.Batches = r.ingestBatches
-		}
-		res, err := experiments.BenchIngest(cfg, out)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(r.ingestOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.ingestOut)
-		return nil
-
-	case "cluster":
-		cfg := experiments.DefaultClusterConfig()
-		cfg.N = r.phoneN
-		cfg.Workers = r.workers
-		if r.clusterRequests > 0 {
-			cfg.Requests = r.clusterRequests
-		}
-		res, err := experiments.BenchCluster(cfg, out)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(r.clusterOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.clusterOut)
-		return nil
-
-	case "obstrace":
-		cfg := experiments.DefaultObsTraceConfig()
-		cfg.N = r.phoneN
-		if r.obstraceIters > 0 {
-			cfg.Iters = r.obstraceIters
-		}
-		// Under -obstrace-assert, rerun up to 3 times and keep the best run:
-		// contention noise only ever inflates the measured overhead, so the
-		// minimum across runs is the honest estimate of the plane's cost.
-		attempts := 1
-		if r.obstraceAssert {
-			attempts = 3
-		}
-		var best *experiments.ObsTraceResult
-		for a := 0; a < attempts; a++ {
-			res, err := experiments.BenchObsTrace(cfg, out)
-			if err != nil {
-				return err
-			}
-			if !res.ExplainEstimateExact || res.ExplainExtraDisk != 0 {
-				return fmt.Errorf("obstrace: explain invariants violated: extra disk %d, estimate exact %v",
-					res.ExplainExtraDisk, res.ExplainEstimateExact)
-			}
-			if best == nil || res.MaxOverheadPct < best.MaxOverheadPct {
-				best = res
-			}
-			if best.MaxOverheadPct < best.TargetPct {
-				break
-			}
-		}
-		if r.obstraceAssert && best.MaxOverheadPct >= best.TargetPct {
-			return fmt.Errorf("obstrace: tracing overhead %.2f%% exceeds the %.0f%% target in %d runs",
-				best.MaxOverheadPct, best.TargetPct, attempts)
-		}
-		if err := best.WriteJSON(r.obstraceOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.obstraceOut)
-		return nil
-
-	case "load":
-		cfg := experiments.DefaultLoadConfig()
-		cfg.N = r.phoneN
-		if r.loadRequests > 0 {
-			cfg.Requests = r.loadRequests
-		}
-		res, err := experiments.BenchLoad(cfg, out)
-		if err != nil {
-			return err
-		}
-		if err := res.WriteJSON(r.loadOut); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", r.loadOut)
-		return nil
 
 	default:
 		return fmt.Errorf("unknown experiment %q", name)

@@ -1,14 +1,20 @@
-// Package api is the typed /v1 wire contract shared by every process that
-// speaks it: the single-node server's handlers, the distributed proxy's
-// client and front door, and the httptest suites. One struct per
-// request/response body replaces the handler-local JSON literals that used
-// to be duplicated (and to drift) between the server and its tests; the
-// proxy can round-trip a store node's response through these types without
-// re-marshalling surprises.
+// Package api is the shared half of the /v1 serving stack: the typed wire
+// contract, the Backend interface that answers it, and the one HTTP layer
+// (Handler) over that interface.
 //
-// Values that may be NaN/±Inf — which encoding/json rejects — travel as a
-// null value plus a "nonfinite" marker naming the class; Float and
-// RowValues build that form, NumValue reads it back.
+// The contract is one struct per request/response body, shared by both
+// backends, the proxy's shard client and the test suites, so the proxy can
+// round-trip a store node's response through these types without
+// re-marshalling surprises. Values that may be NaN/±Inf — which
+// encoding/json rejects — travel as a null value plus a "nonfinite" marker
+// naming the class; Float and RowValues build that form, NumValue reads it
+// back.
+//
+// Handler owns everything about serving /v1 that does not depend on where
+// the data lives: routing, the request middleware, parsing and limits, the
+// error envelope, metrics, health and traces. Backend is the rest, and has
+// two implementations: the local store (internal/server) and the
+// scatter/gather proxy (internal/cluster).
 package api
 
 import (
@@ -118,7 +124,7 @@ type ShardExplain struct {
 	Explain
 }
 
-// AggregateResponse is the /v1/agg and POST /v1/aggregate body. Rows/Cols
+// AggregateResponse is the POST /v1/aggregate body. Rows/Cols
 // report the selection sizes. For Partial requests, Value is absent and
 // Partial carries the base64-encoded mergeable state.
 type AggregateResponse struct {

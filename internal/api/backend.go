@@ -1,0 +1,108 @@
+package api
+
+import (
+	"context"
+	"io"
+
+	"seqstore/internal/query"
+)
+
+// Backend is what answers a /v1 request once the HTTP layer (Handler) has
+// parsed and validated it: typed requests in, typed wire responses and an
+// error out. The request's trace and cost ledger travel in ctx. There are
+// two implementations — the local store behind internal/server and the
+// scatter/gather proxy in internal/cluster — and the HTTP layer knows
+// neither: a capability only one of them has (label addressing, partial
+// aggregates) is refused by the other with an *Error.
+//
+// A returned error is rendered through Classify, so backends return store,
+// query and ingest errors as they are and build an *Error only where they
+// need a particular status, code or shard detail on the wire.
+type Backend interface {
+	// Dims is the current global shape, against which the HTTP layer
+	// resolves index specs and validates selections.
+	Dims(ctx context.Context) (rows, cols int, err error)
+	Info(ctx context.Context) (InfoResponse, error)
+
+	Cell(ctx context.Context, req CellRequest) (CellResponse, error)
+	Row(ctx context.Context, i int) (RowResponse, error)
+	// Cells and Rows answer in request order; a failing element fails the
+	// request.
+	Cells(ctx context.Context, coords [][2]int) ([]CellResponse, error)
+	Rows(ctx context.Context, idx []int) ([]RowResponse, error)
+
+	Aggregate(ctx context.Context, q AggregateQuery) (AggregateResponse, error)
+	// AggregateBatch returns one item per query, in order. A query that
+	// fails costs its item a non-200 status; an error fails the batch.
+	AggregateBatch(ctx context.Context, b BatchQuery) ([]BatchAggregateItem, error)
+
+	// Bulk takes the raw NDJSON body: the local backend parses it, the
+	// proxy forwards the bytes to the open shard unparsed.
+	Bulk(ctx context.Context, body io.Reader) (BulkResponse, error)
+
+	// Health is the backend's part of /v1/healthz; the HTTP layer adds the
+	// SLO block.
+	Health(ctx context.Context) HealthzResponse
+	// Metrics is the backend's part of /v1/metrics.
+	Metrics(ctx context.Context, req MetricsRequest) (MetricsResponse, error)
+}
+
+// CellRequest addresses one cell by index, or — when Row or Col is set —
+// by axis labels.
+type CellRequest struct {
+	I, J     int
+	Row, Col string
+}
+
+// ByLabel reports whether the request is label-addressed.
+func (c CellRequest) ByLabel() bool { return c.Row != "" || c.Col != "" }
+
+// AggregateQuery is one parsed aggregate: F is the canonical function name
+// echoed in responses, Sel is validated against Backend.Dims.
+type AggregateQuery struct {
+	F       string
+	Agg     query.Aggregate
+	Sel     query.Selection
+	Partial bool
+	Explain bool
+}
+
+// Item starts the query's batch item: status 200 with the echoed fields
+// filled in, the result left to the backend.
+func (q AggregateQuery) Item() BatchAggregateItem {
+	return BatchAggregateItem{Status: 200, F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}
+}
+
+// BatchQuery is the valid queries of one /v1/aggregate/batch request
+// (items that failed to parse never reach the backend). Partial applies to
+// the whole batch; the batch-wide explain flag is already folded into each
+// query's.
+type BatchQuery struct {
+	Queries []AggregateQuery
+	Partial bool
+}
+
+// ErrorItem is the batch item of a query that failed with err.
+func ErrorItem(err error) BatchAggregateItem {
+	status, _ := Classify(err)
+	return BatchAggregateItem{Status: status, Error: err.Error()}
+}
+
+// MetricsRequest selects the /v1/metrics view: Scope is the ?scope=
+// parameter ("" is this process), Prom asks for Prometheus text.
+type MetricsRequest struct {
+	Scope string
+	Prom  bool
+}
+
+// MetricsResponse is a backend's contribution to /v1/metrics. Sections are
+// merged into the JSON body beside the HTTP layer's own (uptime,
+// endpoints, runtime, traces); Prom is exposition text written after the
+// registry's. With Whole set the contribution is the entire view — the
+// proxy's ?scope=cluster, which reports the store nodes, not this process —
+// and the layer adds nothing of its own.
+type MetricsResponse struct {
+	Sections map[string]interface{}
+	Prom     []byte
+	Whole    bool
+}

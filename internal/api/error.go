@@ -77,10 +77,35 @@ var errTable = []struct {
 	{context.DeadlineExceeded, http.StatusGatewayTimeout, CodeTimeout},
 }
 
-// Classify maps an error to its HTTP status and stable code via the
-// taxonomy table. Unrecognized errors — a failing disk read, an encoding
-// bug — are internal failures (500).
+// Error is a failure whose wire form is already decided: a parse or
+// validation refusal (Invalid), a capability this backend does not have,
+// or a shard-visible failure from the proxy — which carries the failing
+// shards and, when every shard answered with the same kind of verdict, the
+// first shard's status and code verbatim.
+type Error struct {
+	Status  int
+	Code    string
+	Message string
+	Shards  []ShardError
+}
+
+func (e *Error) Error() string { return e.Message }
+
+// Invalid is a 400 bad_request for input that never produced a
+// classifiable error value.
+func Invalid(format string, args ...interface{}) *Error {
+	return &Error{Status: http.StatusBadRequest, Code: CodeBadRequest, Message: fmt.Sprintf(format, args...)}
+}
+
+// Classify maps an error to its HTTP status and stable code: an *Error
+// names its own, everything else goes through the taxonomy table.
+// Unrecognized errors — a failing disk read, an encoding bug — are internal
+// failures (500).
 func Classify(err error) (status int, code string) {
+	var e *Error
+	if errors.As(err, &e) {
+		return e.Status, e.Code
+	}
 	for _, e := range errTable {
 		if errors.Is(err, e.class) {
 			return e.status, e.code
@@ -90,40 +115,25 @@ func Classify(err error) (status int, code string) {
 }
 
 // WriteError classifies err and writes the error envelope, stamping the
-// request ID from the request's trace context.
+// request ID from the request's trace context and the shard detail of an
+// *Error.
 func WriteError(w http.ResponseWriter, r *http.Request, err error) {
 	status, code := Classify(err)
-	WriteErrorDetail(w, status, ErrorDetail{
+	detail := ErrorDetail{
 		Code:      code,
 		Message:   err.Error(),
-		RequestID: requestID(r),
-	})
+		RequestID: trace.FromContext(r.Context()).ID(),
+	}
+	var e *Error
+	if errors.As(err, &e) {
+		detail.Shards = e.Shards
+	}
+	WriteErrorDetail(w, status, detail)
 }
 
-// WriteInvalid writes a 400 bad_request envelope for parse/validation
-// failures that never produced a classifiable error value.
-func WriteInvalid(w http.ResponseWriter, r *http.Request, msg string) {
-	WriteErrorDetail(w, http.StatusBadRequest, ErrorDetail{
-		Code:      CodeBadRequest,
-		Message:   msg,
-		RequestID: requestID(r),
-	})
-}
-
-// WriteErrorDetail writes a fully specified error envelope — the escape
-// hatch for callers that need a particular status/code pairing (405 with
-// Allow, the proxy's 503 with shard details).
+// WriteErrorDetail writes a fully specified error envelope.
 func WriteErrorDetail(w http.ResponseWriter, status int, detail ErrorDetail) {
 	WriteJSON(w, status, ErrorEnvelope{Error: detail})
-}
-
-// requestID extracts the trace request ID from the request context ("" for
-// untraced requests, which omits the field).
-func requestID(r *http.Request) string {
-	if r == nil {
-		return ""
-	}
-	return trace.FromContext(r.Context()).ID()
 }
 
 // WriteJSON encodes body to a buffer first and only then commits the

@@ -1,0 +1,734 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/base64"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+
+	"seqstore/internal/api"
+	"seqstore/internal/query"
+	"seqstore/internal/telemetry"
+	"seqstore/internal/trace"
+)
+
+// maxBulkBody bounds a /v1/bulk body: the proxy buffers it once so a shard
+// hiccup never leaves a half-consumed stream.
+const maxBulkBody = 1 << 26
+
+// renderSpec renders shard-local row/column indices back into the
+// index-spec wire syntax, packing consecutive runs into lo:hi ranges.
+// Order and duplicates survive the round trip, so the fragment a store
+// node parses is exactly the multiset SplitSelection produced.
+func renderSpec(idx []int) string {
+	var b strings.Builder
+	for run := 0; run < len(idx); {
+		end := run + 1
+		for end < len(idx) && idx[end] == idx[end-1]+1 {
+			end++
+		}
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		if end-run >= 2 {
+			fmt.Fprintf(&b, "%d:%d", idx[run], idx[end-1]+1)
+		} else {
+			fmt.Fprintf(&b, "%d", idx[run])
+		}
+		run = end
+	}
+	return b.String()
+}
+
+// decodePartial inverts the store node's base64(SQP1) partial encoding.
+func decodePartial(enc string) (*query.Partial, error) {
+	raw, err := base64.StdEncoding.DecodeString(enc)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: undecodable partial: %v", err)
+	}
+	p := new(query.Partial)
+	if err := p.UnmarshalBinary(raw); err != nil {
+		return nil, fmt.Errorf("cluster: %v", err)
+	}
+	return p, nil
+}
+
+// outOfRange is the 400 for a row no shard owns.
+func outOfRange(i int) error {
+	return &api.Error{
+		Status:  http.StatusBadRequest,
+		Code:    api.CodeOutOfRange,
+		Message: fmt.Sprintf("row %d is outside every shard's range", i),
+	}
+}
+
+// errPartial refuses the shard-internal aggregate form at the front door.
+var errPartial = api.Invalid("partial evaluation is the shard-internal wire form; the proxy returns finished values")
+
+// --- Info, health, metrics ---------------------------------------------------
+
+// Info composes the cluster-wide /v1/info from live per-shard infos:
+// global dimensions, summed stored numbers, a row-weighted space ratio,
+// and the shard map itself.
+func (p *Proxy) Info(ctx context.Context) (api.InfoResponse, error) {
+	topo, shards := p.view()
+	infos, err := p.fetchInfos(ctx, shards)
+	if err != nil {
+		return api.InfoResponse{}, err
+	}
+	n, m, err := composeDims(topo, infos)
+	if err != nil {
+		return api.InfoResponse{}, err
+	}
+	body := api.InfoResponse{
+		Method:    infos[0].Method,
+		Rows:      n,
+		Cols:      m,
+		RowLabels: true,
+		ColLabels: true,
+		Shards:    make([]api.ShardInfo, len(shards)),
+	}
+	var weighted float64
+	for s, info := range infos {
+		if info.Method != body.Method {
+			body.Method = "mixed"
+		}
+		body.StoredNumbers += info.StoredNumbers
+		body.RowLabels = body.RowLabels && info.RowLabels
+		body.ColLabels = body.ColLabels && info.ColLabels
+		body.Writable = body.Writable || info.Writable
+		weighted += info.SpaceRatio * float64(info.Rows)
+		body.Shards[s] = api.ShardInfo{
+			Shard: s,
+			Addr:  topo.Shards[s].Addr,
+			Lo:    topo.Shards[s].Lo,
+			Hi:    topo.Shards[s].Hi,
+			Rows:  info.Rows,
+		}
+	}
+	if n > 0 {
+		body.SpaceRatio = weighted / float64(n)
+	}
+	return body, nil
+}
+
+// Health probes every shard concurrently and reports per-shard liveness.
+// The proxy itself is healthy as long as it can answer, so the status
+// degrades rather than fails when shards are down.
+func (p *Proxy) Health(ctx context.Context) api.HealthzResponse {
+	topo, shards := p.view()
+	body := api.HealthzResponse{Status: "ok", Shards: make([]api.ShardHealth, len(shards))}
+	scatter(shards, allShards(shards), func(c *shardClient) error {
+		h := api.ShardHealth{Shard: c.shard, Addr: topo.Shards[c.shard].Addr}
+		if err := c.check(ctx); err != nil {
+			h.Error = err.Error()
+		} else {
+			h.Healthy = true
+		}
+		body.Shards[c.shard] = h
+		return nil
+	})
+	for _, h := range body.Shards {
+		if !h.Healthy {
+			body.Status = "degraded"
+		}
+	}
+	return body
+}
+
+// Metrics is the proxy's part of the metrics plane: the topology and the
+// per-shard client gauges (JSON sections, or Prometheus families after the
+// registry's). ?scope=cluster widens the view to the store nodes
+// themselves: the proxy scrapes every shard's /v1/metrics and fans the
+// registries in, labelled per shard — one scrape for the whole cluster.
+func (p *Proxy) Metrics(ctx context.Context, req api.MetricsRequest) (api.MetricsResponse, error) {
+	topo, shards := p.view()
+	switch {
+	case req.Scope == "cluster" && req.Prom:
+		text, err := p.clusterProm(ctx, shards)
+		return api.MetricsResponse{Prom: text, Whole: true}, err
+	case req.Scope == "cluster":
+		body, err := p.clusterJSON(ctx, topo, shards)
+		return api.MetricsResponse{Sections: body, Whole: true}, err
+	case req.Prom:
+		var buf bytes.Buffer
+		writeShardGauges(&buf, topo, shards)
+		return api.MetricsResponse{Prom: buf.Bytes()}, nil
+	}
+	perShard := make([]map[string]interface{}, len(shards))
+	for s, c := range shards {
+		lat := c.lat.Snapshot()
+		perShard[s] = map[string]interface{}{
+			"shard":          s,
+			"addr":           topo.Shards[s].Addr,
+			"healthy":        c.healthy.Load(),
+			"last_error":     c.lastErr.Load(),
+			"inflight":       c.inflight.Load(),
+			"requests_total": c.requests.Load(),
+			"errors_total":   c.errors.Load(),
+			"hedges_total":   c.hedges.Load(),
+			"p99_ms":         lat.P99Ms,
+			"latency":        lat,
+		}
+	}
+	return api.MetricsResponse{Sections: map[string]interface{}{
+		"topology": map[string]interface{}{
+			"shards":     len(shards),
+			"open_shard": topo.OpenShard(),
+		},
+		"shards": perShard,
+	}}, nil
+}
+
+// writeShardGauges renders the proxy's per-shard client view — health,
+// inflight, request/error/hedge totals and observed p99 — one family per
+// metric with shard/addr labels.
+func writeShardGauges(w *bytes.Buffer, topo *Topology, shards []*shardClient) {
+	type fam struct {
+		name, typ, help string
+		value           func(c *shardClient) float64
+	}
+	boolGauge := func(b bool) float64 {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	fams := []fam{
+		{"seqstore_shard_healthy", "gauge", "Whether the last exchange with the shard succeeded.",
+			func(c *shardClient) float64 { return boolGauge(c.healthy.Load()) }},
+		{"seqstore_shard_inflight", "gauge", "Requests currently in flight to the shard.",
+			func(c *shardClient) float64 { return float64(c.inflight.Load()) }},
+		{"seqstore_shard_requests_total", "counter", "Requests sent to the shard.",
+			func(c *shardClient) float64 { return float64(c.requests.Load()) }},
+		{"seqstore_shard_errors_total", "counter", "Failed exchanges with the shard.",
+			func(c *shardClient) float64 { return float64(c.errors.Load()) }},
+		{"seqstore_shard_hedges_total", "counter", "Hedged attempts launched against the shard.",
+			func(c *shardClient) float64 { return float64(c.hedges.Load()) }},
+		{"seqstore_shard_latency_p99_seconds", "gauge", "Observed p99 latency of the shard from this proxy.",
+			func(c *shardClient) float64 { return c.lat.Snapshot().P99Ms / 1e3 }},
+	}
+	for _, f := range fams {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for s, c := range shards {
+			fmt.Fprintf(w, "%s{shard=\"%d\",addr=%q} %g\n", f.name, s, topo.Shards[s].Addr, f.value(c))
+		}
+	}
+}
+
+// scrape fetches one metrics view from every shard, handing each 200 body
+// to keep.
+func (p *Proxy) scrape(ctx context.Context, shards []*shardClient, path string, keep func(c *shardClient, body []byte) error) error {
+	fails := scatter(shards, allShards(shards), func(c *shardClient) error {
+		resp, err := c.do(ctx, http.MethodGet, path, nil, true)
+		if err != nil {
+			return err
+		}
+		if resp.status != http.StatusOK {
+			return fmt.Errorf("shard %d: metrics scrape returned %d", c.shard, resp.status)
+		}
+		return keep(c, resp.body)
+	})
+	if len(fails) > 0 {
+		return p.scatterError(fails)
+	}
+	return nil
+}
+
+// clusterProm scrapes every shard's /v1/metrics?format=prom, parses the
+// expositions (structural validation included) and re-renders them as one
+// merged exposition with a shard label on every sample. A scrape pointed
+// at the proxy therefore sees the whole cluster's registries without
+// knowing the store nodes exist.
+func (p *Proxy) clusterProm(ctx context.Context, shards []*shardClient) ([]byte, error) {
+	parts := make([]telemetry.LabeledMetrics, len(shards))
+	err := p.scrape(ctx, shards, "/v1/metrics?format=prom", func(c *shardClient, body []byte) error {
+		m, err := telemetry.ParsePrometheus(bytes.NewReader(body))
+		if err != nil {
+			return fmt.Errorf("shard %d: unparseable exposition: %v", c.shard, err)
+		}
+		parts[c.shard] = telemetry.LabeledMetrics{
+			Labels: map[string]string{"shard": strconv.Itoa(c.shard)},
+			M:      m,
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := telemetry.WriteMergedPrometheus(&buf, parts); err != nil {
+		return nil, fmt.Errorf("cluster: prometheus render: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// clusterJSON scrapes every shard's JSON metrics body and embeds them
+// verbatim under per-shard entries.
+func (p *Proxy) clusterJSON(ctx context.Context, topo *Topology, shards []*shardClient) (map[string]interface{}, error) {
+	type shardMetrics struct {
+		Shard   int             `json:"shard"`
+		Addr    string          `json:"addr"`
+		Metrics json.RawMessage `json:"metrics"`
+	}
+	out := make([]shardMetrics, len(shards))
+	err := p.scrape(ctx, shards, "/v1/metrics", func(c *shardClient, body []byte) error {
+		if !json.Valid(body) {
+			return fmt.Errorf("shard %d: metrics body is not valid JSON", c.shard)
+		}
+		out[c.shard] = shardMetrics{Shard: c.shard, Addr: topo.Shards[c.shard].Addr, Metrics: body}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return map[string]interface{}{"scope": "cluster", "shards": out}, nil
+}
+
+// --- Point reads -------------------------------------------------------------
+
+// Cell routes one cell lookup to the shard owning its row, rewriting the
+// row index to shard-local on the way out and back to global on the way
+// in. Label addressing needs the label → index maps the shards hold, so
+// the proxy (which holds no data) rejects it.
+func (p *Proxy) Cell(ctx context.Context, req api.CellRequest) (api.CellResponse, error) {
+	var body api.CellResponse
+	if req.ByLabel() {
+		return body, api.Invalid("the proxy is index-addressed: use integer i and j (label maps live on the store nodes)")
+	}
+	topo, shards := p.view()
+	s := topo.Locate(req.I)
+	if s < 0 {
+		return body, outOfRange(req.I)
+	}
+	c := shards[s]
+	path := fmt.Sprintf("/v1/cell?i=%d&j=%d", req.I-topo.Shards[s].Lo, req.J)
+	if err := c.doJSON(ctx, http.MethodGet, path, nil, &body, true); err != nil {
+		return api.CellResponse{}, shardError(c, err)
+	}
+	body.I = req.I
+	return body, nil
+}
+
+// Row routes one row reconstruction to its shard.
+func (p *Proxy) Row(ctx context.Context, i int) (api.RowResponse, error) {
+	var body api.RowResponse
+	topo, shards := p.view()
+	s := topo.Locate(i)
+	if s < 0 {
+		return body, outOfRange(i)
+	}
+	c := shards[s]
+	path := fmt.Sprintf("/v1/row?i=%d", i-topo.Shards[s].Lo)
+	if err := c.doJSON(ctx, http.MethodGet, path, nil, &body, true); err != nil {
+		return api.RowResponse{}, shardError(c, err)
+	}
+	body.I = i
+	return body, nil
+}
+
+// fanOut groups the rows of a batched point read by owning shard, runs
+// fetch once per touched shard, and leaves result placement to fetch: it
+// receives the shard's local row indices and the request positions they
+// answer, in per-shard request order.
+func (p *Proxy) fanOut(rows []int, fetch func(c *shardClient, lo int, local, pos []int) error) error {
+	topo, shards := p.view()
+	type group struct{ local, pos []int }
+	groups := make([]group, len(shards))
+	var targets []int
+	for pos, i := range rows {
+		s := topo.Locate(i)
+		if s < 0 {
+			return outOfRange(i)
+		}
+		if len(groups[s].pos) == 0 {
+			targets = append(targets, s)
+		}
+		groups[s].local = append(groups[s].local, i-topo.Shards[s].Lo)
+		groups[s].pos = append(groups[s].pos, pos)
+	}
+	fails := scatter(shards, targets, func(c *shardClient) error {
+		g := groups[c.shard]
+		return fetch(c, topo.Shards[c.shard].Lo, g.local, g.pos)
+	})
+	if len(fails) > 0 {
+		return p.scatterError(fails)
+	}
+	return nil
+}
+
+// Cells fans a batched cell lookup out to the owning shards — one
+// /v1/cells per shard carrying its cells — and reassembles the responses
+// in the original request order.
+func (p *Proxy) Cells(ctx context.Context, coords [][2]int) ([]api.CellResponse, error) {
+	rows := make([]int, len(coords))
+	for k, c := range coords {
+		rows[k] = c[0]
+	}
+	out := make([]api.CellResponse, len(coords))
+	err := p.fanOut(rows, func(c *shardClient, lo int, local, pos []int) error {
+		var spec strings.Builder
+		for k, i := range local {
+			if k > 0 {
+				spec.WriteByte(',')
+			}
+			fmt.Fprintf(&spec, "%d:%d", i, coords[pos[k]][1])
+		}
+		var body api.CellsResponse
+		if err := c.doJSON(ctx, http.MethodGet, "/v1/cells?at="+spec.String(), nil, &body, true); err != nil {
+			return err
+		}
+		if len(body.Cells) != len(pos) {
+			return fmt.Errorf("shard %d returned %d cells, expected %d", c.shard, len(body.Cells), len(pos))
+		}
+		for k, cell := range body.Cells {
+			cell.I += lo
+			out[pos[k]] = cell
+		}
+		return nil
+	})
+	return out, err
+}
+
+// Rows fans a batched row reconstruction out by shard and reassembles in
+// request order, re-mapping row indices to global.
+func (p *Proxy) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error) {
+	out := make([]api.RowResponse, len(idx))
+	err := p.fanOut(idx, func(c *shardClient, lo int, local, pos []int) error {
+		var body api.RowsResponse
+		if err := c.doJSON(ctx, http.MethodGet, "/v1/rows?i="+renderSpec(local), nil, &body, true); err != nil {
+			return err
+		}
+		if len(body.Rows) != len(pos) {
+			return fmt.Errorf("shard %d returned %d rows, expected %d", c.shard, len(body.Rows), len(pos))
+		}
+		for k, row := range body.Rows {
+			row.I += lo
+			out[pos[k]] = row
+		}
+		return nil
+	})
+	return out, err
+}
+
+// --- Aggregates (scatter/gather) ---------------------------------------------
+
+// countExplain is the explain block of a count, which is selection
+// arithmetic the proxy answers without touching a shard.
+func countExplain(ctx context.Context, q api.AggregateQuery) *api.Explain {
+	return &api.Explain{
+		Plan:  query.PlanCount,
+		Cells: int64(q.Sel.NumCells()),
+		Cost:  trace.LedgerFrom(ctx).Snapshot(),
+	}
+}
+
+// Aggregate is the tentpole path: split the validated selection by shard
+// row ranges, evaluate each fragment remotely into an exact partial, and
+// merge in shard order. Because every partial carries exact accumulator
+// state and the final rounding runs through the same finalize code a store
+// node uses, the result is bit-identical to a single node evaluating the
+// unsplit selection — for every aggregate, any shard count, any per-shard
+// worker count.
+func (p *Proxy) Aggregate(ctx context.Context, q api.AggregateQuery) (api.AggregateResponse, error) {
+	if q.Partial {
+		return api.AggregateResponse{}, errPartial
+	}
+	body := api.AggregateResponse{F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}
+	if q.Agg == query.Count {
+		body.Value, body.Nonfinite = api.Float(float64(q.Sel.NumCells()))
+		if q.Explain {
+			body.Explain = countExplain(ctx, q)
+		}
+		return body, nil
+	}
+	v, shardEx, err := p.gather(ctx, q)
+	if err != nil {
+		return api.AggregateResponse{}, err
+	}
+	body.Value, body.Nonfinite = api.Float(v)
+	if q.Explain {
+		body.Explain = mergeShardExplains(ctx, shardEx)
+	}
+	return body, nil
+}
+
+// mergeShardExplains folds per-shard explain blocks into the proxy's
+// top-level view: numeric fields sum across shards (the scattered fragments
+// partition the selection, so the sums describe the whole query), the plan
+// and plan-cache labels survive when the shards agree and degrade to
+// "mixed" otherwise, Workers reports the widest shard, and Cost is the
+// proxy's own ledger — the fold of every winning attempt's cost headers.
+func mergeShardExplains(ctx context.Context, shards []api.ShardExplain) *api.Explain {
+	e := &api.Explain{Shards: shards}
+	for k, se := range shards {
+		if k == 0 {
+			e.Plan, e.PlanCache, e.ChunkRows = se.Plan, se.PlanCache, se.ChunkRows
+		} else {
+			if se.Plan != e.Plan {
+				e.Plan = "mixed"
+			}
+			if se.PlanCache != e.PlanCache {
+				e.PlanCache = "mixed"
+			}
+			if se.ChunkRows != e.ChunkRows {
+				e.ChunkRows = 0 // per-shard; see Shards
+			}
+		}
+		if se.Workers > e.Workers {
+			e.Workers = se.Workers
+		}
+		e.Cells += se.Cells
+		e.Chunks += se.Chunks
+		e.Runs += se.Runs
+		e.CoalescedScans += se.CoalescedScans
+		e.ScanRows += se.ScanRows
+		e.PointRows += se.PointRows
+		e.ZeroRows += se.ZeroRows
+		e.EstRowsRead += se.EstRowsRead
+		e.EstDiskAccesses += se.EstDiskAccesses
+		e.EstPagesTouched += se.EstPagesTouched
+		e.EstDeltasProbed += se.EstDeltasProbed
+	}
+	e.Cost = trace.LedgerFrom(ctx).Snapshot()
+	return e
+}
+
+// shardExplains keeps the explain blocks the shards returned, in shard
+// order.
+func shardExplains(exs []*api.Explain) []api.ShardExplain {
+	var out []api.ShardExplain
+	for s, ex := range exs {
+		if ex != nil {
+			out = append(out, api.ShardExplain{Shard: s, Explain: *ex})
+		}
+	}
+	return out
+}
+
+// gather scatters one aggregate and merges the shard partials. With
+// q.Explain, each fragment request also asks its shard for an explain
+// block; the blocks come back in shard order.
+func (p *Proxy) gather(ctx context.Context, q api.AggregateQuery) (float64, []api.ShardExplain, error) {
+	topo, shards := p.view()
+	frags, err := query.SplitSelection(q.Sel, topo.Ranges())
+	if err != nil {
+		return 0, nil, err
+	}
+	var targets []int
+	for s := range frags {
+		if len(frags[s].Rows) > 0 {
+			targets = append(targets, s)
+		}
+	}
+	parts := make([]*query.Partial, len(shards))
+	exs := make([]*api.Explain, len(shards))
+	fails := scatter(shards, targets, func(c *shardClient) error {
+		frag := frags[c.shard]
+		reqBody := api.AggregateRequest{
+			F:       q.F,
+			Rows:    renderSpec(frag.Rows),
+			Cols:    renderSpec(frag.Cols),
+			Partial: true,
+			Explain: q.Explain,
+		}
+		var resp api.AggregateResponse
+		if err := c.doJSON(ctx, http.MethodPost, "/v1/aggregate", reqBody, &resp, true); err != nil {
+			return err
+		}
+		part, err := decodePartial(resp.Partial)
+		if err != nil {
+			return err
+		}
+		parts[c.shard] = part
+		exs[c.shard] = resp.Explain
+		return nil
+	})
+	if len(fails) > 0 {
+		return 0, nil, p.scatterError(fails)
+	}
+	// parts is indexed by shard, so the merge order is the deterministic
+	// shard order regardless of response arrival (merge order doesn't
+	// change the bits — the accumulators are exact — but determinism makes
+	// that property testable).
+	v, err := query.MergePartials(q.Agg, parts)
+	return v, shardExplains(exs), err
+}
+
+// AggregateBatch scatters a whole aggregate batch: each shard receives one
+// /v1/aggregate/batch carrying the fragments of every query that touches
+// it (keeping the store nodes' scan-sharing across queries), and each
+// query's partials merge in shard order. Per-query failures cost that item
+// its status, mirroring the single-node batch contract; a shard-level
+// failure fails the request with 503 and the shard detail.
+func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.BatchAggregateItem, error) {
+	if b.Partial {
+		return nil, errPartial
+	}
+	topo, shards := p.view()
+	ranges := topo.Ranges()
+	out := make([]api.BatchAggregateItem, len(b.Queries))
+
+	// Per-shard batch under construction: the fragment requests plus the
+	// query index each one answers.
+	type shardBatch struct {
+		queries []api.AggregateRequest
+		qi      []int
+	}
+	batches := make([]shardBatch, len(shards))
+	for qi, q := range b.Queries {
+		if q.Agg == query.Count {
+			continue // answered locally, like the single-query path
+		}
+		frags, err := query.SplitSelection(q.Sel, ranges)
+		if err != nil {
+			out[qi] = api.ErrorItem(err)
+			continue
+		}
+		for s := range frags {
+			if len(frags[s].Rows) == 0 {
+				continue
+			}
+			batches[s].queries = append(batches[s].queries, api.AggregateRequest{
+				F:       q.F,
+				Rows:    renderSpec(frags[s].Rows),
+				Cols:    renderSpec(frags[s].Cols),
+				Explain: q.Explain,
+			})
+			batches[s].qi = append(batches[s].qi, qi)
+		}
+	}
+	var targets []int
+	for s := range batches {
+		if len(batches[s].queries) > 0 {
+			targets = append(targets, s)
+		}
+	}
+
+	// partials[qi][s] is query qi's partial from shard s; itemErrs[qi][s]
+	// records a per-item remote failure (each slot is written by at most
+	// one scatter goroutine per shard, so placement is race-free; the
+	// merge below runs after the barrier).
+	partials := make([][]*query.Partial, len(b.Queries))
+	explains := make([][]*api.Explain, len(b.Queries))
+	itemErrs := make([][]*remoteError, len(b.Queries))
+	for qi := range b.Queries {
+		partials[qi] = make([]*query.Partial, len(shards))
+		explains[qi] = make([]*api.Explain, len(shards))
+		itemErrs[qi] = make([]*remoteError, len(shards))
+	}
+	fails := scatter(shards, targets, func(c *shardClient) error {
+		sb := &batches[c.shard]
+		var resp api.BatchAggregateResponse
+		err := c.doJSON(ctx, http.MethodPost, "/v1/aggregate/batch",
+			api.BatchAggregateRequest{Queries: sb.queries, Partial: true}, &resp, true)
+		if err != nil {
+			return err
+		}
+		if len(resp.Items) != len(sb.queries) {
+			return fmt.Errorf("shard %d returned %d items, expected %d", c.shard, len(resp.Items), len(sb.queries))
+		}
+		for k, item := range resp.Items {
+			qi := sb.qi[k]
+			if item.Status != http.StatusOK {
+				itemErrs[qi][c.shard] = &remoteError{status: item.Status, msg: item.Error}
+				continue
+			}
+			part, err := decodePartial(item.Partial)
+			if err != nil {
+				return err
+			}
+			partials[qi][c.shard] = part
+			explains[qi][c.shard] = item.Explain
+		}
+		return nil
+	})
+	if len(fails) > 0 {
+		return nil, p.scatterError(fails)
+	}
+
+items:
+	for qi, q := range b.Queries {
+		if out[qi].Status != 0 {
+			continue // failed to split
+		}
+		for _, re := range itemErrs[qi] {
+			if re != nil {
+				out[qi] = api.BatchAggregateItem{Status: re.status, Error: re.msg}
+				continue items
+			}
+		}
+		it := q.Item()
+		if q.Agg == query.Count {
+			it.Value, it.Nonfinite = api.Float(float64(q.Sel.NumCells()))
+			if q.Explain {
+				it.Explain = countExplain(ctx, q)
+			}
+			out[qi] = it
+			continue
+		}
+		v, err := query.MergePartials(q.Agg, partials[qi])
+		if err != nil {
+			out[qi] = api.ErrorItem(err)
+			continue
+		}
+		it.Value, it.Nonfinite = api.Float(v)
+		if q.Explain {
+			it.Explain = mergeShardExplains(ctx, shardExplains(explains[qi]))
+		}
+		out[qi] = it
+	}
+	return out, nil
+}
+
+// --- Writes ------------------------------------------------------------------
+
+// Bulk forwards the raw NDJSON append to the open-ended shard — the one
+// whose range absorbs new rows — and re-maps the assigned row indices to
+// global. The body is never parsed here: validation belongs to the store
+// node that owns the rows. Appends are not idempotent, so they are never
+// hedged.
+func (p *Proxy) Bulk(ctx context.Context, body io.Reader) (api.BulkResponse, error) {
+	var none api.BulkResponse
+	topo, shards := p.view()
+	open := topo.OpenShard()
+	if open < 0 {
+		return none, &api.Error{
+			Status:  http.StatusForbidden,
+			Code:    api.CodeNotWritable,
+			Message: "topology has no open-ended shard: every row range is closed, so the cluster cannot absorb appends",
+		}
+	}
+	raw, err := io.ReadAll(io.LimitReader(body, maxBulkBody+1))
+	if err != nil {
+		return none, api.Invalid("bulk: reading body: %v", err)
+	}
+	if len(raw) > maxBulkBody {
+		return none, api.Invalid("bulk: body exceeds %d bytes", maxBulkBody)
+	}
+	c := shards[open]
+	resp, err := c.do(ctx, http.MethodPost, "/v1/bulk", raw, false)
+	if err != nil {
+		return none, shardError(c, err)
+	}
+	if resp.status/100 != 2 {
+		return none, shardError(c, decodeRemote(resp))
+	}
+	var out api.BulkResponse
+	if err := json.Unmarshal(resp.body, &out); err != nil {
+		return none, shardError(c, fmt.Errorf("shard %d (%s): undecodable bulk response: %v", c.shard, c.addr, err))
+	}
+	lo := topo.Shards[open].Lo
+	for k := range out.Items {
+		if out.Items[k].Create.Status == http.StatusCreated {
+			out.Items[k].Create.Row += lo
+		}
+	}
+	p.markDimsStale()
+	return out, nil
+}

@@ -114,8 +114,15 @@ func startCluster(t *testing.T, full *core.Store, shardCount, workers int, opts 
 	return tc
 }
 
+// get issues a GET — except for the shorthand "/v1/aggregate?f=sum&rows=0:8",
+// whose query parameters it POSTs as the JSON body.
 func (tc *testCluster) get(t *testing.T, path string) *httptest.ResponseRecorder {
 	t.Helper()
+	if u, err := url.Parse(path); err == nil && u.Path == "/v1/aggregate" {
+		q := u.Query()
+		raw, _ := json.Marshal(api.AggregateRequest{F: q.Get("f"), Rows: q.Get("rows"), Cols: q.Get("cols")})
+		return tc.post(t, u.Path, string(raw))
+	}
 	w := httptest.NewRecorder()
 	tc.proxy.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
 	return w
@@ -204,7 +211,7 @@ func TestClusterAggregatesBitIdentical(t *testing.T) {
 					for _, f := range aggs {
 						key := f + "|" + sel.rows + "|" + sel.cols
 						tc.rec.disk.Store(0)
-						w := tc.get(t, "/v1/agg?f="+f+
+						w := tc.get(t, "/v1/aggregate?f="+f+
 							"&rows="+url.QueryEscape(sel.rows)+"&cols="+url.QueryEscape(sel.cols))
 						if w.Code != http.StatusOK {
 							t.Fatalf("%s: status %d: %s", key, w.Code, w.Body.String())
@@ -358,13 +365,13 @@ func TestClusterDeadShard(t *testing.T) {
 	full := compressStore(t, x)
 	tc := startCluster(t, full, 2, 1, Options{Timeout: 2 * time.Second}, nil)
 	// Warm the dims cache while both shards are alive, then kill shard 1.
-	if w := tc.get(t, "/v1/agg?f=sum"); w.Code != http.StatusOK {
+	if w := tc.get(t, "/v1/aggregate?f=sum"); w.Code != http.StatusOK {
 		t.Fatalf("warmup failed: %d %s", w.Code, w.Body.String())
 	}
 	tc.servers[1].Close()
 
 	start := time.Now()
-	w := tc.get(t, "/v1/agg?f=sum")
+	w := tc.get(t, "/v1/aggregate?f=sum")
 	elapsed := time.Since(start)
 	d := envelope(t, w)
 	if w.Code != http.StatusServiceUnavailable || d.Code != api.CodeUnavailable {
@@ -431,7 +438,7 @@ func TestClusterStalledShard(t *testing.T) {
 	tc := startCluster(t, full, 2, 1, Options{Timeout: 300 * time.Millisecond}, stall)
 
 	start := time.Now()
-	w := tc.get(t, "/v1/agg?f=avg")
+	w := tc.get(t, "/v1/aggregate?f=avg")
 	elapsed := time.Since(start)
 	d := envelope(t, w)
 	if w.Code != http.StatusServiceUnavailable || d.Code != api.CodeUnavailable {
@@ -564,7 +571,7 @@ func TestClusterBulkAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w = tc.get(t, fmt.Sprintf("/v1/agg?f=sum&rows=%d", n))
+	w = tc.get(t, fmt.Sprintf("/v1/aggregate?f=sum&rows=%d", n))
 	if w.Code != http.StatusOK {
 		t.Fatalf("aggregate over appended row: %d %s", w.Code, w.Body.String())
 	}
@@ -624,7 +631,7 @@ func TestClusterInfoAndMetrics(t *testing.T) {
 	}
 
 	// Drive a request, then check the per-shard gauge block.
-	if w := tc.get(t, "/v1/agg?f=sum"); w.Code != http.StatusOK {
+	if w := tc.get(t, "/v1/aggregate?f=sum"); w.Code != http.StatusOK {
 		t.Fatal("aggregate for metrics warmup failed")
 	}
 	w = tc.get(t, "/v1/metrics")

@@ -376,7 +376,7 @@ func TestClusterPromGolden(t *testing.T) {
 	full := compressStore(t, x)
 	tc := startCluster(t, full, 2, 1, Options{}, nil)
 
-	if w := tc.get(t, "/v1/agg?f=sum"); w.Code != http.StatusOK {
+	if w := tc.get(t, "/v1/aggregate?f=sum"); w.Code != http.StatusOK {
 		t.Fatalf("warmup aggregate failed: %d", w.Code)
 	}
 	w := tc.get(t, "/v1/metrics?scope=cluster&format=prom")
@@ -415,7 +415,7 @@ func TestProxyPromGolden(t *testing.T) {
 	full := compressStore(t, x)
 	tc := startCluster(t, full, 2, 1, Options{SLOObjective: time.Second}, nil)
 
-	if w := tc.get(t, "/v1/agg?f=sum"); w.Code != http.StatusOK {
+	if w := tc.get(t, "/v1/aggregate?f=sum"); w.Code != http.StatusOK {
 		t.Fatalf("warmup aggregate failed: %d", w.Code)
 	}
 	w := tc.get(t, "/v1/metrics?format=prom")
@@ -447,7 +447,7 @@ func TestProxySLOHealthz(t *testing.T) {
 	tc := startCluster(t, full, 2, 1,
 		Options{SLOObjective: time.Second, SLOTarget: 0.95}, nil)
 
-	if w := tc.get(t, "/v1/agg?f=sum"); w.Code != http.StatusOK {
+	if w := tc.get(t, "/v1/aggregate?f=sum"); w.Code != http.StatusOK {
 		t.Fatalf("warmup aggregate failed: %d", w.Code)
 	}
 	w := tc.get(t, "/v1/healthz")
@@ -464,7 +464,7 @@ func TestProxySLOHealthz(t *testing.T) {
 	}
 	found := false
 	for _, ep := range body.SLO.Endpoints {
-		if ep.Endpoint == "/v1/agg" {
+		if ep.Endpoint == "/v1/aggregate" {
 			found = true
 			if ep.Count < 1 || ep.Attainment < 0 || ep.Attainment > 1 {
 				t.Fatalf("agg slo entry: %+v", ep)
@@ -475,6 +475,6 @@ func TestProxySLOHealthz(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("no /v1/agg entry in the SLO report")
+		t.Fatal("no /v1/aggregate entry in the SLO report")
 	}
 }

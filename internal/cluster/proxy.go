@@ -11,15 +11,6 @@ import (
 
 	"seqstore/internal/api"
 	"seqstore/internal/telemetry"
-	"seqstore/internal/trace"
-)
-
-// Proxy batch limits mirror the single-node server's defaults, so a
-// request the proxy accepts is one every store node accepts too.
-const (
-	defaultMaxBatchCells   = 10000
-	defaultMaxBatchRows    = 1024
-	defaultMaxBatchQueries = 64
 )
 
 // DefaultTimeout bounds one store-node exchange; a shard that stays silent
@@ -66,19 +57,18 @@ type dims struct {
 	valid bool
 }
 
-// Proxy is the stateless distributed front door: it serves the same typed
-// /v1 contract as a store node, owns no data, and holds only the topology
-// (which rows live where) plus soft state (health, cached dimensions). Any
-// number of identical proxies can front the same store nodes.
+// Proxy is the stateless distributed front door: the scatter/gather
+// api.Backend behind the same HTTP layer a store node uses. It owns no
+// data and holds only the topology (which rows live where) plus soft state
+// (health, cached dimensions). Any number of identical proxies can front
+// the same store nodes.
 type Proxy struct {
-	opts Options
+	timeout, hedgeAfter time.Duration
+
 	path string // topology file; "" when built from an in-memory Topology
 
 	hc   *http.Client
-	tel  *telemetry.Registry
-	mux  *http.ServeMux
-	log  *slog.Logger
-	ring *trace.Ring
+	http *api.Handler
 
 	mu     sync.RWMutex
 	topo   *Topology
@@ -86,9 +76,11 @@ type Proxy struct {
 	dims   dims
 }
 
+var _ api.Backend = (*Proxy)(nil)
+
 // New builds a proxy over a topology file. The file is re-read (and the
-// shard set swapped atomically) by ReloadFile — cmd/seqproxy wires that to
-// SIGHUP.
+// shard set swapped atomically) by ReloadFile — `seqserver -topology` wires
+// that to SIGHUP.
 func New(path string, opts Options) (*Proxy, error) {
 	topo, err := LoadTopology(path)
 	if err != nil {
@@ -99,38 +91,15 @@ func New(path string, opts Options) (*Proxy, error) {
 	return p, nil
 }
 
-// NewWithTopology builds a proxy over an already validated topology; used
-// directly by tests and the in-process experiments harness.
+// NewWithTopology builds a proxy over an already validated topology.
 func NewWithTopology(topo *Topology, opts Options) *Proxy {
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}
-	if opts.MaxBatchCells <= 0 {
-		opts.MaxBatchCells = defaultMaxBatchCells
-	}
-	if opts.MaxBatchRows <= 0 {
-		opts.MaxBatchRows = defaultMaxBatchRows
-	}
-	if opts.MaxBatchQueries <= 0 {
-		opts.MaxBatchQueries = defaultMaxBatchQueries
-	}
 	p := &Proxy{
-		opts: opts,
-		hc:   opts.Client,
-		tel:  telemetry.NewRegistry(),
-		mux:  http.NewServeMux(),
-		log:  opts.Logger,
-		ring: trace.NewRing(opts.TraceBuffer),
-	}
-	if p.log == nil {
-		p.log = slog.New(slog.DiscardHandler)
-	}
-	if opts.SLOObjective > 0 {
-		target := opts.SLOTarget
-		if target <= 0 {
-			target = 0.99
-		}
-		p.tel.SetSLO(float64(opts.SLOObjective)/float64(time.Millisecond), target)
+		timeout:    opts.Timeout,
+		hedgeAfter: opts.HedgeAfter,
+		hc:         opts.Client,
 	}
 	if p.hc == nil {
 		t := http.DefaultTransport.(*http.Transport).Clone()
@@ -138,19 +107,16 @@ func NewWithTopology(topo *Topology, opts Options) *Proxy {
 		p.hc = &http.Client{Transport: t}
 	}
 	p.install(topo)
-
-	p.handle("/v1/info", p.handleInfo)
-	p.handle("/v1/cell", p.handleCell)
-	p.handle("/v1/cells", p.handleCells)
-	p.handle("/v1/row", p.handleRow)
-	p.handle("/v1/rows", p.handleRows)
-	p.handle("/v1/agg", deprecatedBy("/v1/aggregate", p.handleAgg))
-	p.handle("/v1/metrics", p.handleMetrics)
-	p.handle("/v1/healthz", p.handleHealthz)
-	p.handle(tracesPattern, p.handleTraces)
-	p.handleMethod("/v1/bulk", http.MethodPost, p.handleBulk)
-	p.handleMethod("/v1/aggregate", http.MethodPost, p.handleAggregate)
-	p.handleMethod("/v1/aggregate/batch", http.MethodPost, p.handleAggBatch)
+	p.http = api.NewHandler(p, telemetry.NewRegistry(), api.Config{
+		MaxBatchCells:   opts.MaxBatchCells,
+		MaxBatchRows:    opts.MaxBatchRows,
+		MaxBatchQueries: opts.MaxBatchQueries,
+		Logger:          opts.Logger,
+		SlowQuery:       opts.SlowQuery,
+		TraceBuffer:     opts.TraceBuffer,
+		SLOObjective:    opts.SLOObjective,
+		SLOTarget:       opts.SLOTarget,
+	})
 	return p
 }
 
@@ -160,21 +126,11 @@ func NewWithTopology(topo *Topology, opts Options) *Proxy {
 func (p *Proxy) install(topo *Topology) {
 	shards := make([]*shardClient, len(topo.Shards))
 	for s, sh := range topo.Shards {
-		shards[s] = newShardClient(s, sh, p.hc, p.opts.Timeout, p.opts.HedgeAfter)
+		shards[s] = newShardClient(s, sh, p.hc, p.timeout, p.hedgeAfter)
 	}
 	p.mu.Lock()
 	p.topo, p.shards, p.dims = topo, shards, dims{}
 	p.mu.Unlock()
-}
-
-// Reload swaps the topology (tests and embedders); see ReloadFile for the
-// file-backed path.
-func (p *Proxy) Reload(topo *Topology) error {
-	if err := topo.Validate(); err != nil {
-		return fmt.Errorf("cluster: reload: %w", err)
-	}
-	p.install(topo)
-	return nil
 }
 
 // ReloadFile re-reads the topology file the proxy was built from. A
@@ -198,175 +154,14 @@ func (p *Proxy) view() (*Topology, []*shardClient) {
 	return p.topo, p.shards
 }
 
-// Telemetry exposes the proxy's metrics registry.
-func (p *Proxy) Telemetry() *telemetry.Registry { return p.tel }
+func (p *Proxy) shardsNow() []*shardClient {
+	_, shards := p.view()
+	return shards
+}
 
-// ServeHTTP dispatches to the instrumented endpoint handlers.
+// ServeHTTP serves the /v1 contract through the shared HTTP layer.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	p.mux.ServeHTTP(w, r)
-}
-
-// tracesPattern mirrors the store node's trace-ring endpoint.
-const tracesPattern = "/v1/debug/traces"
-
-// deprecatedBy mirrors the store node's deprecation idiom: the endpoint
-// still serves, advertising its successor.
-func deprecatedBy(successor string, fn http.HandlerFunc) http.HandlerFunc {
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", link)
-		fn(w, r)
-	}
-}
-
-func (p *Proxy) handle(pattern string, fn http.HandlerFunc) {
-	p.handleMethod(pattern, http.MethodGet, fn)
-}
-
-// handleMethod is the proxy's request middleware, the same shape as the
-// store node's: count, time, trace. The request's trace ledger is what the
-// shard clients fold remote cost snapshots into, so the X-Cost-* headers
-// this hook emits are the exact sum of the per-shard ledgers.
-func (p *Proxy) handleMethod(pattern, method string, fn http.HandlerFunc) {
-	ep := p.tel.Endpoint(pattern)
-	p.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ep.Requests.Inc()
-
-		id := trace.SanitizeRequestID(r.Header.Get(trace.HeaderRequestID))
-		if id == "" {
-			id = trace.NewRequestID()
-		}
-		tr := trace.New(id, pattern)
-		logger := p.log.With("request_id", id)
-		ctx := trace.WithLogger(trace.NewContext(r.Context(), tr), logger)
-		r = r.WithContext(ctx)
-
-		sw := &statusWriter{ResponseWriter: w}
-		sw.beforeHeader = func() {
-			hdr := sw.Header()
-			hdr.Set(trace.HeaderRequestID, id)
-			trace.EncodeCostHeaders(hdr, tr.Ledger.Snapshot())
-		}
-
-		if r.Method != method {
-			sw.Header().Set("Allow", method)
-			api.WriteErrorDetail(sw, http.StatusMethodNotAllowed, api.ErrorDetail{
-				Code:      api.CodeMethodNotAllowed,
-				Message:   fmt.Sprintf("method %s not allowed; use %s", r.Method, method),
-				RequestID: id,
-			})
-		} else {
-			fn(sw, r)
-		}
-
-		elapsed := time.Since(start)
-		ep.Latency.Observe(elapsed)
-		if sw.status >= http.StatusBadRequest {
-			ep.Errors.Inc()
-		}
-		snap := tr.Finish(sw.status)
-		if pattern != tracesPattern {
-			p.ring.Put(snap)
-		}
-		p.logRequest(logger, pattern, snap, elapsed)
-	})
-}
-
-// logRequest mirrors the store node's request log: Debug normally, Warn
-// with the full cost ledger above the slow-query threshold, Error on 5xx.
-// The proxy's slow-query line additionally names the winning shard set, so
-// an end-to-end outlier is greppable by trace id across every process it
-// touched.
-func (p *Proxy) logRequest(logger *slog.Logger, pattern string, snap *trace.TraceSnapshot, elapsed time.Duration) {
-	slow := p.opts.SlowQuery > 0 && elapsed >= p.opts.SlowQuery
-	level := slog.LevelDebug
-	msg := "request"
-	switch {
-	case snap.Status >= http.StatusInternalServerError:
-		level = slog.LevelError
-		msg = "request failed"
-	case slow:
-		level = slog.LevelWarn
-		msg = "slow query"
-	}
-	if !logger.Enabled(context.Background(), level) {
-		return
-	}
-	args := []any{
-		"endpoint", pattern,
-		"status", snap.Status,
-		"duration_ms", float64(elapsed.Microseconds()) / 1e3,
-		"trace_id", snap.TraceID,
-	}
-	if slow || level >= slog.LevelWarn {
-		c := snap.Cost
-		args = append(args,
-			"shards", winningShards(snap),
-			"disk_accesses", c.DiskAccesses,
-			"rows_read", c.RowsRead,
-			"pages_touched", c.PagesTouched,
-			"cache_hits", c.CacheHits,
-			"deltas_probed", c.DeltasProbed,
-		)
-	}
-	logger.Log(context.Background(), level, msg, args...)
-}
-
-// winningShards extracts the distinct shard numbers whose attempts won, in
-// ascending order — the set of store nodes whose responses actually formed
-// the answer.
-func winningShards(snap *trace.TraceSnapshot) []int {
-	seen := map[int]bool{}
-	for _, sp := range snap.Spans {
-		shard, won := -1, false
-		for _, a := range sp.Attrs {
-			switch a.Key {
-			case "shard":
-				if v, ok := a.Value.(int); ok {
-					shard = v
-				}
-			case "outcome":
-				won = a.Value == "winner"
-			}
-		}
-		if won && shard >= 0 {
-			seen[shard] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// statusWriter records the committed status and runs the beforeHeader hook
-// once, immediately before the status line — identical contract to the
-// store node's.
-type statusWriter struct {
-	http.ResponseWriter
-	status       int
-	beforeHeader func()
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-		if w.beforeHeader != nil {
-			w.beforeHeader()
-		}
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.ResponseWriter.Write(b)
+	p.http.ServeHTTP(w, r)
 }
 
 // --- Scatter plumbing --------------------------------------------------------
@@ -415,13 +210,13 @@ func allShards(shards []*shardClient) []int {
 	return idx
 }
 
-// failScatter writes the error envelope for a scattered request that
-// could not complete. Transport-level failures (dead or stalled shards)
-// dominate: they yield 503 unavailable with the failing shards detailed.
-// When every failure is a remote HTTP error — a store node rejected its
-// fragment — the first shard's verdict is propagated verbatim, because the
-// shards share one validation and the others would have said the same.
-func (p *Proxy) failScatter(w http.ResponseWriter, r *http.Request, fails []shardFailure) {
+// scatterError is the error of a scattered request that could not
+// complete. Transport-level failures (dead or stalled shards) dominate:
+// they yield 503 unavailable with the failing shards detailed. When every
+// failure is a remote HTTP error — a store node rejected its fragment — the
+// first shard's verdict is propagated verbatim, because the shards share
+// one validation and the others would have said the same.
+func (p *Proxy) scatterError(fails []shardFailure) error {
 	details := make([]api.ShardError, len(fails))
 	transport := false
 	for i, f := range fails {
@@ -430,71 +225,52 @@ func (p *Proxy) failScatter(w http.ResponseWriter, r *http.Request, fails []shar
 			transport = true
 		}
 	}
-	if !transport {
-		if re, ok := asRemote(fails[0].err); ok {
-			api.WriteErrorDetail(w, re.status, api.ErrorDetail{
-				Code:      re.code,
-				Message:   re.msg,
-				RequestID: trace.FromContext(r.Context()).ID(),
-				Shards:    details,
-			})
-			return
-		}
+	if re, ok := asRemote(fails[0].err); ok && !transport {
+		return &api.Error{Status: re.status, Code: re.code, Message: re.msg, Shards: details}
 	}
-	total := len(p.shardsNow())
-	api.WriteErrorDetail(w, http.StatusServiceUnavailable, api.ErrorDetail{
-		Code:      api.CodeUnavailable,
-		Message:   fmt.Sprintf("%d of %d shards unavailable", len(fails), total),
-		RequestID: trace.FromContext(r.Context()).ID(),
-		Shards:    details,
-	})
+	return &api.Error{
+		Status:  http.StatusServiceUnavailable,
+		Code:    api.CodeUnavailable,
+		Message: fmt.Sprintf("%d of %d shards unavailable", len(fails), len(p.shardsNow())),
+		Shards:  details,
+	}
 }
 
-func (p *Proxy) shardsNow() []*shardClient {
-	_, shards := p.view()
-	return shards
-}
-
-// failShard writes the error envelope for a single-shard exchange:
-// remote verdicts pass through with their status and code; transport
-// failures become 503 unavailable naming the shard.
-func (p *Proxy) failShard(w http.ResponseWriter, r *http.Request, c *shardClient, err error) {
+// shardError is the error of a failed single-shard exchange: remote
+// verdicts pass through with their status and code; transport failures
+// become 503 unavailable naming the shard.
+func shardError(c *shardClient, err error) error {
 	if re, ok := asRemote(err); ok {
-		api.WriteErrorDetail(w, re.status, api.ErrorDetail{
-			Code:      re.code,
-			Message:   re.msg,
-			RequestID: trace.FromContext(r.Context()).ID(),
-		})
-		return
+		return &api.Error{Status: re.status, Code: re.code, Message: re.msg}
 	}
-	api.WriteErrorDetail(w, http.StatusServiceUnavailable, api.ErrorDetail{
-		Code:      api.CodeUnavailable,
-		Message:   err.Error(),
-		RequestID: trace.FromContext(r.Context()).ID(),
-		Shards:    []api.ShardError{{Shard: c.shard, Addr: c.addr, Message: err.Error()}},
-	})
+	return &api.Error{
+		Status:  http.StatusServiceUnavailable,
+		Code:    api.CodeUnavailable,
+		Message: err.Error(),
+		Shards:  []api.ShardError{{Shard: c.shard, Addr: c.addr, Message: err.Error()}},
+	}
 }
 
 // --- Global dimensions -------------------------------------------------------
 
-// globalDims returns the global (n, m), refreshing the cache from the
-// shards' /v1/info when stale. The cache invalidates on topology reload
-// and on writes through the proxy; rows appended behind the proxy's back
-// surface on the next reload or restart.
-func (p *Proxy) globalDims(ctx context.Context) (int, int, []shardFailure) {
+// Dims returns the global (n, m), refreshing the cache from the shards'
+// /v1/info when stale. The cache invalidates on topology reload and on
+// writes through the proxy; rows appended behind the proxy's back surface
+// on the next reload or restart.
+func (p *Proxy) Dims(ctx context.Context) (int, int, error) {
 	p.mu.RLock()
 	d, topo, shards := p.dims, p.topo, p.shards
 	p.mu.RUnlock()
 	if d.valid {
 		return d.n, d.m, nil
 	}
-	infos, fails := p.fetchInfos(ctx, shards)
-	if len(fails) > 0 {
-		return 0, 0, fails
+	infos, err := p.fetchInfos(ctx, shards)
+	if err != nil {
+		return 0, 0, err
 	}
 	n, m, err := composeDims(topo, infos)
 	if err != nil {
-		return 0, 0, []shardFailure{{shard: -1, addr: "", err: err}}
+		return 0, 0, p.scatterError([]shardFailure{{shard: -1, err: err}})
 	}
 	p.mu.Lock()
 	if p.topo == topo { // don't cache across a concurrent reload
@@ -505,13 +281,13 @@ func (p *Proxy) globalDims(ctx context.Context) (int, int, []shardFailure) {
 }
 
 // fetchInfos gathers every shard's /v1/info concurrently.
-func (p *Proxy) fetchInfos(ctx context.Context, shards []*shardClient) ([]api.InfoResponse, []shardFailure) {
+func (p *Proxy) fetchInfos(ctx context.Context, shards []*shardClient) ([]api.InfoResponse, error) {
 	infos := make([]api.InfoResponse, len(shards))
 	fails := scatter(shards, allShards(shards), func(c *shardClient) error {
 		return c.doJSON(ctx, http.MethodGet, "/v1/info", nil, &infos[c.shard], true)
 	})
 	if len(fails) > 0 {
-		return nil, fails
+		return nil, p.scatterError(fails)
 	}
 	return infos, nil
 }

@@ -1,6 +1,7 @@
-// Package cluster is the distributed tier: a stateless query proxy that
-// serves the same typed /v1 wire contract as a single store node, routing
-// over N store nodes that each own a contiguous row range of the matrix.
+// Package cluster is the distributed tier: the scatter/gather api.Backend.
+// Behind the same HTTP layer a store node uses (internal/api), it answers
+// the typed /v1 contract by routing over N store nodes that each own a
+// contiguous row range of the matrix — `seqserver -topology`.
 //
 // Point reads (/v1/cell, /v1/row, /v1/rows, /v1/cells) route by row-range
 // lookup against a static topology file (hot-reloadable on SIGHUP).

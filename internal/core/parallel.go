@@ -27,9 +27,9 @@ type pass2State struct {
 	proj   []float64            // scratch: p_m = σ_m·u[i][m] for the current row
 	sse    []float64            // sse[k] for k = 1..kmax
 	queues map[int]*pqueue.TopK // per candidate k
-	// u, when non-nil, receives the N×kmax U rows during the scan (the
-	// fused emission that replaces pass 3). It is shared across workers —
-	// each row is written by exactly one worker, so no locking is needed.
+	// u receives the N×kmax U rows during the scan (the fused emission
+	// that replaces pass 3). It is shared across workers — each row is
+	// written by exactly one worker, so no locking is needed.
 	u *linalg.Matrix
 }
 
@@ -67,16 +67,14 @@ func (st *pass2State) row(i int, row []float64) bool {
 		linalg.Axpy(xv, st.f.V.Row(l)[:kmax], proj)
 	}
 	if allZero {
-		return true // the U buffer row (if any) stays zero, like pass 3's output
+		return true // the U buffer row stays zero, like pass 3's output
 	}
-	if st.u != nil {
-		// u[i][m] = p_m/σ_m — element for element the same operations pass 3
-		// (projectRow) performs, so the emitted rows are bit-identical to
-		// the three-pass layout.
-		urow := st.u.Row(i)
-		for m := 0; m < kmax; m++ {
-			urow[m] = proj[m] / st.f.Sigma[m]
-		}
+	// u[i][m] = p_m/σ_m — element for element the same operations pass 3
+	// (svd's projectRow) performs, so the emitted rows are bit-identical to
+	// the three-pass layout.
+	urow := st.u.Row(i)
+	for m := 0; m < kmax; m++ {
+		urow[m] = proj[m] / st.f.Sigma[m]
 	}
 	for j, xv := range row {
 		vrow := st.f.V.Row(j)
@@ -107,8 +105,8 @@ func (st *pass2State) merge(other *pass2State) {
 // runPass2 executes the SVDD candidate scan, sharded across opts.Workers
 // when the source supports range scans. It returns the combined state and
 // the all-zero row ids in ascending order (empty unless opts.FlagZeroRows).
-// A non-nil ubuf (N×kmax) additionally receives every U row during the
-// same scan — the fused emission.
+// ubuf (N×kmax) receives every U row during the same scan — the fused
+// emission.
 func runPass2(src matio.RowSource, f *svd.Factors, opts Options, kmax int,
 	candidates []int, gamma func(int) int, ubuf *linalg.Matrix) (*pass2State, []int32, error) {
 

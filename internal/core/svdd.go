@@ -88,11 +88,6 @@ type Options struct {
 	// iterations — the single-pass Nyström recovery, which keeps the whole
 	// compression at 2 streaming passes. Ignored for the Gram compressor.
 	PowerIters int
-	// ThreePass disables the fused scoring+emission pass and runs the
-	// paper's original pass 3 (a separate U projection scan). The stores
-	// are byte-identical either way; this exists for pass-accounting
-	// comparisons in the experiments.
-	ThreePass bool
 }
 
 // compressor returns the effective pass-1 algorithm name.
@@ -128,8 +123,9 @@ var (
 
 // Compress runs the SVDD algorithm over src: one factor pass (or more with
 // randomized power iterations), then the fused scoring+emission pass — two
-// streaming passes in the default configuration (three with
-// Options.ThreePass, matching the paper's Figure 5 exactly).
+// streaming passes in the default configuration, one fewer than the
+// paper's Figure 5, whose separate U projection scan (pass 3) the fused
+// pass reproduces bit for bit.
 func Compress(src matio.RowSource, opts Options) (*Store, error) {
 	if opts.Budget <= 0 || opts.Budget > 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadBudget, opts.Budget)
@@ -230,15 +226,11 @@ func CompressWithFactors(src matio.RowSource, f *svd.Factors, opts Options) (*St
 
 	// ---- pass 2: per-candidate error queues + fused U emission -----------
 	// The scoring scan already computes σ_m·u[i][m] for every row (the
-	// projections the per-candidate errors are built from), so unless the
-	// caller asked for the paper's literal 3-pass layout we emit U at k_max
-	// during the same scan and skip pass 3 entirely. The N×k_max buffer is
-	// bounded by the budget: N·k_max numbers ≤ Budget·N·M, the size of the
-	// compressed store itself.
-	var ubuf *linalg.Matrix
-	if !opts.ThreePass {
-		ubuf = linalg.NewMatrix(n, kmax)
-	}
+	// projections the per-candidate errors are built from), so we emit U
+	// at k_max during the same scan and skip the paper's pass 3 entirely.
+	// The N×k_max buffer is bounded by the budget: N·k_max numbers ≤
+	// Budget·N·M, the size of the compressed store itself.
+	ubuf := linalg.NewMatrix(n, kmax)
 	st, zeroRows, err := runPass2(src, f, opts, kmax, candidates, gamma, ubuf)
 	if err != nil {
 		return nil, fmt.Errorf("core: pass 2: %w", err)
@@ -264,19 +256,14 @@ func CompressWithFactors(src matio.RowSource, f *svd.Factors, opts Options) (*St
 	diag.Gamma = queues[best].Len()
 
 	// ---- base store: U at k_opt ------------------------------------------
-	// Fused path: the k_opt-column prefix of the pass-2 buffer IS pass 3's
-	// output (per-element sums are identical, division by σ elementwise), so
-	// no further streaming is needed. ThreePass runs the original scan.
-	var base *svd.Store
-	if ubuf != nil {
-		uk := linalg.NewMatrix(n, best)
-		for i := 0; i < n; i++ {
-			copy(uk.Row(i), ubuf.Row(i)[:best])
-		}
-		base, err = svd.New(f, best, matio.NewMem(uk))
-	} else {
-		base, err = svd.CompressWithFactorsWorkers(src, f, best, opts.Workers)
+	// The k_opt-column prefix of the pass-2 buffer IS pass 3's output
+	// (per-element sums are identical, division by σ elementwise), so no
+	// further streaming is needed.
+	uk := linalg.NewMatrix(n, best)
+	for i := 0; i < n; i++ {
+		copy(uk.Row(i), ubuf.Row(i)[:best])
 	}
+	base, err := svd.New(f, best, matio.NewMem(uk))
 	if err != nil {
 		return nil, fmt.Errorf("core: emit U: %w", err)
 	}

@@ -49,38 +49,39 @@ func TestCompressIsTwoPasses(t *testing.T) {
 	}
 }
 
-func TestCompressThreePassOptIn(t *testing.T) {
-	// Options.ThreePass restores the literal Figure 5 layout — and must
-	// produce a byte-identical store.
+func TestFusedUMatchesThreePassReference(t *testing.T) {
+	// The fused scan's U must be byte-identical to the paper's literal pass
+	// 3 — the separate projection scan svd.CompressWithFactorsWorkers still
+	// implements — run over the same factors at the chosen cutoff.
 	x := phoneSmall(40)
 	mem := matio.NewMem(x)
-	s3, err := Compress(mem, Options{Budget: 0.10, ThreePass: true})
+	f, err := svd.ComputeFactors(mem)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := mem.Stats().Passes(); got != 3 {
-		t.Errorf("ThreePass used %d passes, want exactly 3 (Figure 5)", got)
-	}
-	s2, err := Compress(matio.NewMem(x), Options{Budget: 0.10})
+	fused, err := CompressWithFactors(mem, f, Options{Budget: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.K() != s3.K() || s2.NumOutliers() != s3.NumOutliers() {
-		t.Fatalf("fused (k=%d, outliers=%d) differs from three-pass (k=%d, outliers=%d)",
-			s2.K(), s2.NumOutliers(), s3.K(), s3.NumOutliers())
+	ref, err := svd.CompressWithFactorsWorkers(mem, f, fused.Diagnostics().ChosenK, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	urow2 := make([]float64, s2.K())
-	urow3 := make([]float64, s3.K())
+	if fused.K() != ref.K() {
+		t.Fatalf("fused k=%d, reference k=%d", fused.K(), ref.K())
+	}
+	got := make([]float64, fused.K())
+	want := make([]float64, ref.K())
 	for i := 0; i < 40; i++ {
-		if err := s2.Base().URow(i, urow2); err != nil {
+		if err := fused.Base().URow(i, got); err != nil {
 			t.Fatal(err)
 		}
-		if err := s3.Base().URow(i, urow3); err != nil {
+		if err := ref.URow(i, want); err != nil {
 			t.Fatal(err)
 		}
-		for j := range urow2 {
-			if urow2[j] != urow3[j] {
-				t.Fatalf("U[%d][%d]: fused %g != three-pass %g", i, j, urow2[j], urow3[j])
+		for j := range got {
+			if got[j] != want[j] {
+				t.Fatalf("U[%d][%d]: fused %g != three-pass %g", i, j, got[j], want[j])
 			}
 		}
 	}

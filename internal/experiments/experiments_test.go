@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"seqstore/internal/datacube"
 	"seqstore/internal/linalg"
+	"seqstore/internal/matio"
+	"seqstore/internal/svd"
 )
 
 // Small parameter sets keep the test suite fast; cmd/experiments runs the
@@ -316,6 +320,97 @@ func TestSpectralSVDDominates(t *testing.T) {
 		// SVDD's per-cell deltas out-adapt wavelet thresholding.
 		if r.SVDD > r.Wavelet+1e-9 {
 			t.Errorf("s=%.2f: SVDD %.4f worse than wavelet %.4f", r.S, r.SVDD, r.Wavelet)
+		}
+	}
+}
+
+// wideLowRank builds a synthetic long-sequence matrix: r smooth column
+// patterns with geometrically decaying weights plus a small noise floor, so
+// a rank-r truncation captures almost all of the energy and every factor
+// path has the same well-separated spectrum to find.
+func wideLowRank(n, m, r int, seed int64) *linalg.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	patterns := linalg.NewMatrix(r, m)
+	for t := 0; t < r; t++ {
+		row := patterns.Row(t)
+		freq := float64(t+1) * 2 * math.Pi / float64(m)
+		phase := rng.Float64() * 2 * math.Pi
+		for j := range row {
+			row[j] = math.Sin(freq*float64(j)+phase) + 0.2*rng.NormFloat64()
+		}
+	}
+	x := linalg.NewMatrix(n, m)
+	for i := 0; i < n; i++ {
+		row := x.Row(i)
+		for t := 0; t < r; t++ {
+			c := 40 * math.Pow(0.6, float64(t)) * rng.NormFloat64()
+			prow := patterns.Row(t)
+			for j := range row {
+				row[j] += c * prow[j]
+			}
+		}
+		for j := range row {
+			row[j] += 0.1 * rng.NormFloat64()
+		}
+	}
+	return x
+}
+
+// TestRandomizedMatchesGramRMSPE is the equivalence property the sketch
+// compressor must hold: "randomized" compression reconstructs every seed
+// dataset with an RMSPE within 1% of the Gram path's given enough power
+// iterations, and within 5% at the library default, at every worker count —
+// and the worker-sharded passes run race-clean under `make race`.
+func TestRandomizedMatchesGramRMSPE(t *testing.T) {
+	const k = 8
+	datasets := []struct {
+		name string
+		x    *linalg.Matrix
+	}{
+		{"stocks", Stocks()},
+		{"phone300", Phone(300)},
+		{"wide", wideLowRank(90, 700, k, 11)},
+	}
+	for _, d := range datasets {
+		// Gram baseline: top-k subspace iteration on C, then the standard
+		// two-pass compression. Worker-count invariance of this path is
+		// already pinned elsewhere, so one build suffices.
+		f, err := svd.ComputeFactorsKWorkers(matio.NewMem(d.x), k, 1)
+		if err != nil {
+			t.Fatalf("%s: gram factors: %v", d.name, err)
+		}
+		gst, err := svd.CompressWithFactorsWorkers(matio.NewMem(d.x), f, k, 1)
+		if err != nil {
+			t.Fatalf("%s: gram compress: %v", d.name, err)
+		}
+		gacc, err := Eval(matio.NewMem(d.x), gst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gram := gacc.RMSPE()
+
+		for _, c := range []struct {
+			piters int
+			tol    float64
+		}{{4, 0.01}, {0, 0.05}} {
+			for _, workers := range []int{1, 3, 8} {
+				t.Run(fmt.Sprintf("%s/piters=%d/workers=%d", d.name, c.piters, workers), func(t *testing.T) {
+					rst, err := svd.CompressRandWorkers(matio.NewMem(d.x), k, svd.RandOptions{
+						Rank: k, PowerIters: c.piters, Workers: workers,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					racc, err := Eval(matio.NewMem(d.x), rst)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rand := racc.RMSPE(); math.Abs(rand-gram) > c.tol*gram+1e-12 {
+						t.Errorf("randomized RMSPE %.6f vs gram %.6f: off by %.2f%%, want ≤ %.0f%%",
+							rand, gram, 100*math.Abs(rand-gram)/gram, 100*c.tol)
+					}
+				})
+			}
 		}
 	}
 }

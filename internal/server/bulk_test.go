@@ -187,14 +187,6 @@ func TestBulkPerItemErrors(t *testing.T) {
 	}
 }
 
-func TestBulkOnReadOnlyStoreIs403(t *testing.T) {
-	srv, _, _ := newTestServer(t, Options{})
-	out, _ := postBulk(t, srv.URL, bulkLine(t, "x", rampRow(366, 1)), http.StatusForbidden)
-	if !strings.Contains(errMessage(t, out), "read-only") {
-		t.Errorf("error = %v", out["error"])
-	}
-}
-
 // TestBulkColdCellCostsOneAccess is the acceptance criterion for the cost
 // model across the row lifecycle: a hot row serves with zero disk accesses;
 // after compaction folds it into the cold segment, the same (uncached) cell
@@ -267,7 +259,7 @@ func TestBulkCacheInvalidation(t *testing.T) {
 }
 
 // TestBulkReadWriteHammer interleaves HTTP bulk writes with /v1/rows reads
-// and /v1/agg aggregations while the background compactor folds rows, at
+// and /v1/aggregate aggregations while the background compactor folds rows, at
 // several concurrency levels. Run with -race this is the acceptance drill
 // for the tier's locking protocol at the serving layer.
 func TestBulkReadWriteHammer(t *testing.T) {
@@ -307,8 +299,8 @@ func TestBulkReadWriteHammer(t *testing.T) {
 				go func(w int) { // reader
 					defer wg.Done()
 					for n := 0; n < iters; n++ {
-						for _, path := range []string{"/v1/rows?i=0:8", "/v1/agg?f=sum&rows=0:16&cols=0:10", "/v1/cell?i=39&j=7"} {
-							resp, err := http.Get(srv.URL + path)
+						for _, path := range []string{"/v1/rows?i=0:8", "/v1/aggregate?f=sum&rows=0:16&cols=0:10", "/v1/cell?i=39&j=7"} {
+							resp, err := fetch(srv.URL+path, nil)
 							if err != nil {
 								errc <- err
 								return

@@ -1,15 +1,15 @@
-// Package server is the production HTTP serving layer over a compressed
-// store: the decision-support front end of the paper's warehouse setting,
-// hardened for real traffic. It hosts the JSON query API (single and batch
-// cell/row endpoints, aggregates over index-spec selections, axis-label
-// addressing), a sharded LRU row cache in front of reconstruction, and a
-// /metrics endpoint exposing per-endpoint latency histograms together with
-// the matio disk-access counters — so the paper's one-access-per-cell
-// claim is verifiable live under load.
+// Package server is a store node: the local Backend of the /v1 serving
+// stack (internal/api owns the HTTP layer) and the production http.Server
+// around it. The backend answers typed requests from one open store —
+// single and batch cell/row reads through a sharded LRU row cache,
+// aggregates through the query engine and its plan cache, axis-label
+// addressing, NDJSON bulk appends into an ingestion tier — and charges
+// every reconstruction to the request's cost ledger, so the paper's
+// one-access-per-cell claim is verifiable live under load.
 //
 // The package works on the internal store interfaces (store.Store +
-// store.Labels) rather than the public facade, so the experiments harness
-// can drive it without an import cycle through the root package.
+// store.Labels) rather than the public facade, so the benchmark can drive
+// it without an import cycle through the root package.
 package server
 
 import (
@@ -20,11 +20,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"seqstore/internal/api"
@@ -38,40 +37,33 @@ import (
 	"seqstore/internal/trace"
 )
 
-// Default batch-endpoint bounds; see Options.
-const (
-	DefaultMaxBatchCells = 10000
-	DefaultMaxBatchRows  = 1024
-	// DefaultMaxBatchQueries bounds one /v1/aggregate/batch request. Each
-	// query is a full aggregate evaluation, so the default is conservative.
-	DefaultMaxBatchQueries = 64
-	// DefaultPlanCacheSize is the query-plan cache capacity when
-	// Options.PlanCacheSize is 0. A plan is a selection's V panel, run
-	// schedule and column index — small relative to a row cache entry — so
-	// the default comfortably covers a dashboard's working set.
-	DefaultPlanCacheSize = 256
-)
+// DefaultPlanCacheSize is the query-plan cache capacity when
+// Options.PlanCacheSize is 0. A plan is a selection's V panel, run
+// schedule and column index — small relative to a row cache entry — so
+// the default comfortably covers a dashboard's working set.
+const DefaultPlanCacheSize = 256
 
 // Options configures a Handler.
 type Options struct {
 	// CacheRows is the capacity, in rows, of the LRU reconstruction cache
-	// fronting /cell, /row and the batch endpoints. 0 disables the cache
-	// (every request reconstructs from the compressed form).
+	// fronting /v1/cell, /v1/row and the batch endpoints. 0 disables the
+	// cache (every request reconstructs from the compressed form).
 	CacheRows int
-	// MaxBatchCells bounds one /cells request; 0 means
-	// DefaultMaxBatchCells.
+	// MaxBatchCells bounds one /v1/cells request; 0 means
+	// api.DefaultMaxBatchCells.
 	MaxBatchCells int
-	// MaxBatchRows bounds one /rows request; 0 means DefaultMaxBatchRows.
+	// MaxBatchRows bounds one /v1/rows request and the documents of one
+	// /v1/bulk; 0 means api.DefaultMaxBatchRows.
 	MaxBatchRows int
 	// MaxBatchQueries bounds one /v1/aggregate/batch request; 0 means
-	// DefaultMaxBatchQueries.
+	// api.DefaultMaxBatchQueries.
 	MaxBatchQueries int
 	// PlanCacheSize is the capacity, in memoized query plans, of the plan
-	// cache fronting /v1/agg and /v1/aggregate/batch. 0 selects
+	// cache fronting /v1/aggregate and /v1/aggregate/batch. 0 selects
 	// DefaultPlanCacheSize; negative disables plan caching (every aggregate
 	// re-derives its panel and run schedule).
 	PlanCacheSize int
-	// QueryWorkers shards /agg evaluation across this many goroutines:
+	// QueryWorkers shards aggregate evaluation across this many goroutines:
 	// 0 means one per CPU, 1 evaluates serially.
 	QueryWorkers int
 	// Logger receives the structured request log. nil silences request
@@ -91,12 +83,13 @@ type Options struct {
 	SLOTarget    float64
 }
 
-// Handler is the HTTP query API over one open store. It is safe for
-// concurrent use. Create it with NewHandler.
+// Handler is the /v1 API over one open store: the local api.Backend (row
+// cache, query engine, ingestion tier) behind the shared HTTP layer. It is
+// safe for concurrent use. Create it with NewHandler.
 type Handler struct {
-	st     store.Store
-	labels *store.Labels
-	opts   Options
+	st store.Store
+
+	cacheRows, queryWorkers, maxBulkRows int
 
 	// writable is non-nil when st is an ingestion tier; it enables
 	// /v1/bulk and switches the cost model and gauge plumbing to unwrap
@@ -111,44 +104,33 @@ type Handler struct {
 	corruptions  *telemetry.Counter // store reads that surfaced ErrCorrupt
 
 	tel  *telemetry.Registry
-	mux  *http.ServeMux
-	log  *slog.Logger
-	ring *trace.Ring
+	http *api.Handler
 }
+
+var _ api.Backend = (*Handler)(nil)
 
 // NewHandler builds the HTTP API around an open store and optional axis
 // labels.
 func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
-	if opts.MaxBatchCells <= 0 {
-		opts.MaxBatchCells = DefaultMaxBatchCells
-	}
-	if opts.MaxBatchRows <= 0 {
-		opts.MaxBatchRows = DefaultMaxBatchRows
-	}
-	if opts.MaxBatchQueries <= 0 {
-		opts.MaxBatchQueries = DefaultMaxBatchQueries
-	}
 	if opts.PlanCacheSize == 0 {
 		opts.PlanCacheSize = DefaultPlanCacheSize
 	}
+	cfg := api.Config{
+		MaxBatchCells:   opts.MaxBatchCells,
+		MaxBatchRows:    opts.MaxBatchRows,
+		MaxBatchQueries: opts.MaxBatchQueries,
+		Logger:          opts.Logger,
+		SlowQuery:       opts.SlowQuery,
+		TraceBuffer:     opts.TraceBuffer,
+		SLOObjective:    opts.SLOObjective,
+		SLOTarget:       opts.SLOTarget,
+	}.WithDefaults()
 	h := &Handler{
-		st:     st,
-		labels: labels,
-		opts:   opts,
-		tel:    telemetry.NewRegistry(),
-		mux:    http.NewServeMux(),
-		log:    opts.Logger,
-		ring:   trace.NewRing(opts.TraceBuffer),
-	}
-	if h.log == nil {
-		h.log = slog.New(slog.DiscardHandler)
-	}
-	if opts.SLOObjective > 0 {
-		target := opts.SLOTarget
-		if target <= 0 {
-			target = 0.99
-		}
-		h.tel.SetSLO(float64(opts.SLOObjective)/float64(time.Millisecond), target)
+		st:           st,
+		cacheRows:    opts.CacheRows,
+		queryWorkers: opts.QueryWorkers,
+		maxBulkRows:  cfg.MaxBatchRows,
+		tel:          telemetry.NewRegistry(),
 	}
 	if labels != nil {
 		h.rowIndex = indexLabels(labels.Rows)
@@ -193,41 +175,9 @@ func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
 		)
 	}
 	h.registerGauges()
-	h.route("info", h.handleInfo)
-	h.route("cell", h.handleCell)
-	h.route("cells", h.handleCells)
-	h.route("row", h.handleRow)
-	h.route("rows", h.handleRows)
-	// The GET query-param aggregate form is kept for existing clients but
-	// deprecated in favor of POST /v1/aggregate (same JSON item schema as
-	// the batch endpoint), following the /agg → /v1/agg precedent.
-	h.handle("/v1/agg", deprecatedBy("/v1/aggregate", h.handleAgg))
-	h.handle("/agg", deprecatedBy("/v1/aggregate", h.handleAgg))
-	h.route("metrics", h.handleMetrics)
-	h.route("healthz", h.handleHealthz)
-	h.handle(tracesPattern, h.handleTraces)
-	// The write endpoint has no legacy alias; it is registered even on a
-	// read-only store so clients get a clear 403 instead of a 404.
-	h.handleMethod("/v1/bulk", http.MethodPost, h.handleBulk)
-	h.handleMethod("/v1/aggregate", http.MethodPost, h.handleAggregate)
-	h.handleMethod("/v1/aggregate/batch", http.MethodPost, h.handleAggBatch)
+	h.http = api.NewHandler(h, h.tel, cfg)
 	return h
 }
-
-// deprecatedBy wraps an endpoint that still works but has a preferred
-// successor, advertising it with the standard Deprecation and Link headers.
-func deprecatedBy(successor string, fn http.HandlerFunc) http.HandlerFunc {
-	link := fmt.Sprintf("<%s>; rel=\"successor-version\"", successor)
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", link)
-		fn(w, r)
-	}
-}
-
-// tracesPattern is the trace-ring endpoint; it is excluded from its own
-// ring so inspecting traces doesn't churn them.
-const tracesPattern = "/v1/debug/traces"
 
 // registerGauges wires the store, IO, cache and SVDD counters into the
 // registry as collection-time gauges, so the Prometheus rendering covers the
@@ -333,23 +283,10 @@ func (h *Handler) registerGauges() {
 	}
 }
 
-// route registers one endpoint under the versioned API prefix ("/v1/cell")
-// and at its pre-versioning path ("/cell"). The legacy alias serves the
-// same handler but marks itself deprecated with the standard Deprecation
-// header and a Link to the successor, so existing clients keep working
-// while new ones are steered to /v1/.
-func (h *Handler) route(name string, fn http.HandlerFunc) {
-	h.handle("/v1/"+name, fn)
-	h.handle("/"+name, deprecatedBy("/v1/"+name, fn))
-}
-
-// ServeHTTP dispatches to the instrumented endpoint handlers.
+// ServeHTTP serves the /v1 contract through the shared HTTP layer.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.mux.ServeHTTP(w, r)
+	h.http.ServeHTTP(w, r)
 }
-
-// Telemetry exposes the handler's metrics registry (shared with /metrics).
-func (h *Handler) Telemetry() *telemetry.Registry { return h.tel }
 
 // CacheStats reports row-cache hit/miss counters and current size.
 func (h *Handler) CacheStats() (hits, misses int64, size, capacity int) {
@@ -357,159 +294,6 @@ func (h *Handler) CacheStats() (hits, misses int64, size, capacity int) {
 		return h.hits.Load(), h.misses.Load(), 0, 0
 	}
 	return h.hits.Load(), h.misses.Load(), h.cache.len(), h.cache.capacity()
-}
-
-// PlanStats reports the query-plan cache's counters; the zero value when
-// the plan cache is disabled.
-func (h *Handler) PlanStats() query.PlanCacheStats {
-	return h.plans.Stats()
-}
-
-// handle registers an instrumented GET-only endpoint; see handleMethod.
-func (h *Handler) handle(pattern string, fn http.HandlerFunc) {
-	h.handleMethod(pattern, http.MethodGet, fn)
-}
-
-// handleMethod registers an instrumented single-verb endpoint: every
-// request is counted, timed and traced. The middleware assigns (or echoes)
-// a request ID, threads a trace with its cost ledger through the request
-// context into the store and query layers, writes the X-Request-Id and
-// X-Cost-Disk-Accesses response headers, retires the finished trace into the
-// /v1/debug/traces ring, and emits the structured request log (Debug
-// normally, Warn above the slow-query threshold, Error on 5xx). Other verbs
-// get 405 with an Allow header; responses with status ≥ 400 count as
-// errors.
-func (h *Handler) handleMethod(pattern, method string, fn http.HandlerFunc) {
-	ep := h.tel.Endpoint(pattern)
-	h.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ep.Requests.Inc()
-
-		id := trace.SanitizeRequestID(r.Header.Get("X-Request-Id"))
-		if id == "" {
-			id = trace.NewRequestID()
-		}
-		// The trace is named by the endpoint pattern, never the raw URL:
-		// query strings can carry customer labels, and /v1/debug/traces
-		// serves trace names verbatim. A valid inbound traceparent (the
-		// proxy hop) is adopted so this node's spans join the caller's
-		// distributed trace; anything malformed degrades to a fresh root.
-		parent, hasParent := trace.ParseTraceparent(r.Header.Get(trace.HeaderTraceparent))
-		tr := trace.New(id, pattern)
-		if hasParent {
-			tr = trace.NewChild(id, pattern, parent)
-		}
-		logger := h.log.With("request_id", id)
-		ctx := trace.WithLogger(trace.NewContext(r.Context(), tr), logger)
-		r = r.WithContext(ctx)
-
-		sw := &statusWriter{ResponseWriter: w}
-		// Cost headers must precede the body. Handlers buffer their JSON and
-		// commit in one WriteHeader (api.WriteJSON), so the ledger is final
-		// by the time the first byte is committed. The full X-Cost-* set is
-		// emitted so a proxy can fold this node's ledger into its own.
-		sw.beforeHeader = func() {
-			hdr := sw.Header()
-			hdr.Set(trace.HeaderRequestID, id)
-			trace.EncodeCostHeaders(hdr, tr.Ledger.Snapshot())
-			// Traced callers (the proxy) also get a bounded summary of
-			// this node's spans, so the front-door trace ring can show
-			// shard-side timing under the one distributed trace id.
-			if hasParent {
-				if spans := trace.EncodeSpanHeader(tr.Spans()); spans != "" {
-					hdr.Set(trace.HeaderSpans, spans)
-				}
-			}
-		}
-
-		if r.Method != method {
-			sw.Header().Set("Allow", method)
-			api.WriteErrorDetail(sw, http.StatusMethodNotAllowed, api.ErrorDetail{
-				Code:      api.CodeMethodNotAllowed,
-				Message:   fmt.Sprintf("method %s not allowed; use %s", r.Method, method),
-				RequestID: id,
-			})
-		} else {
-			fn(sw, r)
-		}
-
-		elapsed := time.Since(start)
-		ep.Latency.Observe(elapsed)
-		if sw.status >= http.StatusBadRequest {
-			ep.Errors.Inc()
-		}
-		snap := tr.Finish(sw.status)
-		if pattern != tracesPattern {
-			h.ring.Put(snap)
-		}
-		h.logRequest(logger, pattern, snap, elapsed)
-	})
-}
-
-// logRequest emits one structured line per request. Normal traffic logs at
-// Debug (cheap to filter out); requests above the slow-query threshold log
-// at Warn with the full cost ledger, and 5xx responses at Error.
-func (h *Handler) logRequest(logger *slog.Logger, pattern string, snap *trace.TraceSnapshot, elapsed time.Duration) {
-	slow := h.opts.SlowQuery > 0 && elapsed >= h.opts.SlowQuery
-	level := slog.LevelDebug
-	msg := "request"
-	switch {
-	case snap.Status >= http.StatusInternalServerError:
-		level = slog.LevelError
-		msg = "request failed"
-	case slow:
-		level = slog.LevelWarn
-		msg = "slow query"
-	}
-	if !logger.Enabled(context.Background(), level) {
-		return
-	}
-	args := []any{
-		"endpoint", pattern,
-		"status", snap.Status,
-		"duration_ms", float64(elapsed.Microseconds()) / 1e3,
-		"trace_id", snap.TraceID,
-	}
-	if slow || level >= slog.LevelWarn {
-		c := snap.Cost
-		args = append(args,
-			"disk_accesses", c.DiskAccesses,
-			"rows_read", c.RowsRead,
-			"pages_touched", c.PagesTouched,
-			"cache_hits", c.CacheHits,
-			"cache_misses", c.CacheMisses,
-			"deltas_probed", c.DeltasProbed,
-			"worker_chunks", c.WorkerChunks,
-		)
-	}
-	logger.Log(context.Background(), level, msg, args...)
-}
-
-// statusWriter records the status code written by a handler so the
-// instrumentation can classify the response after the fact, and runs the
-// beforeHeader hook exactly once, immediately before the status line is
-// committed — the last moment response headers can still be set.
-type statusWriter struct {
-	http.ResponseWriter
-	status       int
-	beforeHeader func()
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.status == 0 {
-		w.status = code
-		if w.beforeHeader != nil {
-			w.beforeHeader()
-		}
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.WriteHeader(http.StatusOK)
-	}
-	return w.ResponseWriter.Write(b)
 }
 
 // --- Read paths (row cache) ------------------------------------------------
@@ -606,9 +390,25 @@ func (h *Handler) cell(ctx context.Context, i, j int) (float64, error) {
 	return row[j], nil
 }
 
-// --- Endpoints -------------------------------------------------------------
+// --- api.Backend: reads ------------------------------------------------------
 
-func (h *Handler) handleInfo(w http.ResponseWriter, r *http.Request) {
+// seen is the monitoring side channel of error classification: every
+// corruption surfaced to a client increments the store_corruptions counter
+// on /v1/metrics, so a damaged store is visible to monitoring even while
+// healthy endpoints keep serving.
+func (h *Handler) seen(err error) error {
+	if status, _ := api.Classify(err); status == http.StatusServiceUnavailable {
+		h.corruptions.Inc()
+	}
+	return err
+}
+
+func (h *Handler) Dims(context.Context) (int, int, error) {
+	n, m := h.st.Dims()
+	return n, m, nil
+}
+
+func (h *Handler) Info(context.Context) (api.InfoResponse, error) {
 	rows, cols := h.st.Dims()
 	body := api.InfoResponse{
 		Method:        h.st.Method().String(),
@@ -618,255 +418,164 @@ func (h *Handler) handleInfo(w http.ResponseWriter, r *http.Request) {
 		StoredNumbers: h.st.StoredNumbers(),
 		RowLabels:     h.rowIndex != nil,
 		ColLabels:     h.colIndex != nil,
-		CacheRows:     h.opts.CacheRows,
+		CacheRows:     h.cacheRows,
 		Writable:      h.writable != nil,
 	}
 	if h.writable != nil {
 		body.HotRows = h.writable.HotRows()
 		body.ColdRows = h.writable.ColdRows()
 	}
-	api.WriteJSON(w, http.StatusOK, body)
+	return body, nil
 }
 
-func (h *Handler) handleCell(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	// Label-addressed form: /cell?row=GHI+Inc.&col=We
-	if rl, cl := q.Get("row"), q.Get("col"); rl != "" || cl != "" {
-		i, j, err := h.resolveLabels(rl, cl)
-		if err != nil {
-			api.WriteInvalid(w, r, err.Error())
-			return
+func (h *Handler) Cell(ctx context.Context, req api.CellRequest) (api.CellResponse, error) {
+	if req.ByLabel() {
+		var err error
+		if req.I, req.J, err = h.resolveLabels(req.Row, req.Col); err != nil {
+			return api.CellResponse{}, api.Invalid("%v", err)
 		}
-		v, err := h.cell(r.Context(), i, j)
-		if err != nil {
-			h.fail(w, r, err)
-			return
-		}
-		api.WriteJSON(w, http.StatusOK, cellBody(i, j, rl, cl, v))
-		return
 	}
-	i, err1 := strconv.Atoi(q.Get("i"))
-	j, err2 := strconv.Atoi(q.Get("j"))
-	if err1 != nil || err2 != nil {
-		api.WriteInvalid(w, r,
-			"cell needs integer i and j (or label row and col) parameters")
-		return
-	}
-	v, err := h.cell(r.Context(), i, j)
+	v, err := h.cell(ctx, req.I, req.J)
 	if err != nil {
-		h.fail(w, r, err)
-		return
+		return api.CellResponse{}, h.seen(err)
 	}
-	api.WriteJSON(w, http.StatusOK, cellBody(i, j, "", "", v))
-}
-
-// cellBody renders one cell lookup result in the shared wire form.
-func cellBody(i, j int, rowLabel, colLabel string, v float64) api.CellResponse {
 	val, marker := api.Float(v)
 	return api.CellResponse{
-		I: i, J: j, Row: rowLabel, Col: colLabel,
+		I: req.I, J: req.J, Row: req.Row, Col: req.Col,
 		Value: val, Nonfinite: marker,
-	}
+	}, nil
 }
 
-// handleCells answers a batch of cell lookups in one request:
-// /cells?at=5:100,7:200 (repeated at= parameters also accepted), amortizing
-// per-request HTTP overhead across many reconstructions.
-func (h *Handler) handleCells(w http.ResponseWriter, r *http.Request) {
-	specs := r.URL.Query()["at"]
-	var coords [][2]int
-	for _, spec := range specs {
-		for _, part := range strings.Split(spec, ",") {
-			part = strings.TrimSpace(part)
-			is, js, ok := strings.Cut(part, ":")
-			if !ok {
-				api.WriteInvalid(w, r, fmt.Sprintf("bad cell %q: want i:j", part))
-				return
-			}
-			i, err1 := strconv.Atoi(strings.TrimSpace(is))
-			j, err2 := strconv.Atoi(strings.TrimSpace(js))
-			if err1 != nil || err2 != nil {
-				api.WriteInvalid(w, r, fmt.Sprintf("bad cell %q: want integer i:j", part))
-				return
-			}
-			coords = append(coords, [2]int{i, j})
-		}
-	}
-	if len(coords) == 0 {
-		api.WriteInvalid(w, r, "cells needs at=i:j[,i:j...] parameters")
-		return
-	}
-	if len(coords) > h.opts.MaxBatchCells {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d cells exceeds limit %d", len(coords), h.opts.MaxBatchCells))
-		return
-	}
+func (h *Handler) Cells(ctx context.Context, coords [][2]int) ([]api.CellResponse, error) {
 	cells := make([]api.CellResponse, 0, len(coords))
 	for _, c := range coords {
-		v, err := h.cell(r.Context(), c[0], c[1])
+		cell, err := h.Cell(ctx, api.CellRequest{I: c[0], J: c[1]})
 		if err != nil {
-			h.fail(w, r, fmt.Errorf("cell %d:%d: %w", c[0], c[1], err))
-			return
+			return nil, fmt.Errorf("cell %d:%d: %w", c[0], c[1], err)
 		}
-		cells = append(cells, cellBody(c[0], c[1], "", "", v))
+		cells = append(cells, cell)
 	}
-	api.WriteJSON(w, http.StatusOK, api.CellsResponse{Count: len(cells), Cells: cells})
+	return cells, nil
 }
 
-func (h *Handler) handleRow(w http.ResponseWriter, r *http.Request) {
-	i, err := strconv.Atoi(r.URL.Query().Get("i"))
+func (h *Handler) Row(ctx context.Context, i int) (api.RowResponse, error) {
+	row, err := h.row(ctx, i)
 	if err != nil {
-		api.WriteInvalid(w, r, "row needs an integer i parameter")
-		return
+		return api.RowResponse{}, h.seen(err)
 	}
-	row, err := h.row(r.Context(), i)
-	if err != nil {
-		h.fail(w, r, err)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, rowBody(i, row))
-}
-
-// rowBody renders one reconstructed row in the shared wire form.
-func rowBody(i int, row []float64) api.RowResponse {
 	vals, nonfinite := api.RowValues(row)
-	return api.RowResponse{I: i, Values: vals, Nonfinite: nonfinite}
+	return api.RowResponse{I: i, Values: vals, Nonfinite: nonfinite}, nil
 }
 
-// handleRows reconstructs a batch of rows: /rows?i=0:8,17 with the same
-// index-spec syntax as /agg selections (the spec must be non-empty — an
-// unbounded "all rows" response is refused).
-func (h *Handler) handleRows(w http.ResponseWriter, r *http.Request) {
-	n, _ := h.st.Dims()
-	spec := r.URL.Query().Get("i")
-	if strings.TrimSpace(spec) == "" {
-		api.WriteInvalid(w, r, "rows needs an i index spec, e.g. i=0:8,17")
-		return
-	}
-	idx, err := query.ParseIndexSpec(spec, n)
-	if err != nil {
-		api.WriteInvalid(w, r, err.Error())
-		return
-	}
-	if len(idx) == 0 {
-		api.WriteInvalid(w, r, "rows selection is empty")
-		return
-	}
-	if len(idx) > h.opts.MaxBatchRows {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d rows exceeds limit %d", len(idx), h.opts.MaxBatchRows))
-		return
-	}
+func (h *Handler) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error) {
 	rows := make([]api.RowResponse, 0, len(idx))
 	for _, i := range idx {
-		row, err := h.row(r.Context(), i)
+		row, err := h.Row(ctx, i)
 		if err != nil {
-			h.fail(w, r, fmt.Errorf("row %d: %w", i, err))
-			return
+			return nil, fmt.Errorf("row %d: %w", i, err)
 		}
-		rows = append(rows, rowBody(i, row))
+		rows = append(rows, row)
 	}
-	api.WriteJSON(w, http.StatusOK, api.RowsResponse{Count: len(rows), Rows: rows})
+	return rows, nil
 }
 
-// parsedAgg is one aggregate query after parsing: the aggregate, the
-// resolved selection, and the canonical function name echoed in responses.
-type parsedAgg struct {
-	f   string
-	agg query.Aggregate
-	sel query.Selection
-}
-
-// parseAggQuery resolves an AggregateRequest's (f, rows, cols) against the
-// store's dimensions. F defaults to "avg"; empty specs select full axes.
-func (h *Handler) parseAggQuery(req api.AggregateRequest) (parsedAgg, error) {
-	n, m := h.st.Dims()
-	f := req.F
-	if f == "" {
-		f = "avg"
-	}
-	agg, err := query.ParseAggregate(f)
-	if err != nil {
-		return parsedAgg{}, err
-	}
-	rows, err := query.ParseIndexSpec(req.Rows, n)
-	if err != nil {
-		return parsedAgg{}, fmt.Errorf("rows: %w", err)
-	}
-	cols, err := query.ParseIndexSpec(req.Cols, m)
-	if err != nil {
-		return parsedAgg{}, fmt.Errorf("cols: %w", err)
-	}
-	return parsedAgg{f: f, agg: agg, sel: query.Selection{Rows: rows, Cols: cols}}, nil
-}
+// --- api.Backend: aggregates -------------------------------------------------
 
 // queryOptions is the evaluation configuration shared by every aggregate
 // endpoint.
 func (h *Handler) queryOptions(ctx context.Context) query.Options {
-	return query.Options{Workers: h.opts.QueryWorkers, Ctx: ctx, Plans: h.plans}
+	return query.Options{Workers: h.queryWorkers, Ctx: ctx, Plans: h.plans}
 }
 
-// handleAgg is the deprecated GET query-param aggregate form; it shares
-// the evaluation path of POST /v1/aggregate.
-func (h *Handler) handleAgg(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	h.serveAggregate(w, r, api.AggregateRequest{
-		F: q.Get("f"), Rows: q.Get("rows"), Cols: q.Get("cols"),
-	})
-}
-
-// handleAggregate is the typed aggregate endpoint: POST /v1/aggregate with
-// one AggregateRequest body — the same item schema /v1/aggregate/batch
-// takes — replacing the query-param form. With "partial": true the
-// response carries the mergeable partial state instead of a value (the
-// scatter/gather form used between proxy and store nodes).
-func (h *Handler) handleAggregate(w http.ResponseWriter, r *http.Request) {
-	var req api.AggregateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAggBatchBody))
-	if err := dec.Decode(&req); err != nil {
-		api.WriteInvalid(w, r, fmt.Sprintf("aggregate: malformed JSON body: %v", err))
-		return
-	}
-	h.serveAggregate(w, r, req)
-}
-
-func (h *Handler) serveAggregate(w http.ResponseWriter, r *http.Request, req api.AggregateRequest) {
-	pa, err := h.parseAggQuery(req)
-	if err != nil {
-		api.WriteInvalid(w, r, err.Error())
-		return
-	}
-	sp := trace.StartSpan(r.Context(), "evaluate")
-	sp.SetAttr("f", pa.f)
-	sp.SetAttr("rows", len(pa.sel.Rows))
-	sp.SetAttr("cols", len(pa.sel.Cols))
-	body := api.AggregateResponse{F: pa.f, Rows: len(pa.sel.Rows), Cols: len(pa.sel.Cols)}
-	if req.Partial {
-		p, err := query.EvaluatePartial(h.st, pa.agg, pa.sel, h.queryOptions(r.Context()))
+// Aggregate evaluates one aggregate. With q.Partial the response carries
+// the mergeable partial state instead of a value (the scatter/gather form
+// used between proxy and store nodes).
+func (h *Handler) Aggregate(ctx context.Context, q api.AggregateQuery) (api.AggregateResponse, error) {
+	sp := trace.StartSpan(ctx, "evaluate")
+	sp.SetAttr("f", q.F)
+	sp.SetAttr("rows", len(q.Sel.Rows))
+	sp.SetAttr("cols", len(q.Sel.Cols))
+	body := api.AggregateResponse{F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}
+	if q.Partial {
+		p, err := query.EvaluatePartial(h.st, q.Agg, q.Sel, h.queryOptions(ctx))
 		sp.End()
-		if err != nil {
-			h.fail(w, r, err)
-			return
+		if err == nil {
+			body.Partial, err = encodePartial(p)
 		}
-		enc, err := encodePartial(p)
 		if err != nil {
-			h.fail(w, r, err)
-			return
+			return api.AggregateResponse{}, h.seen(err)
 		}
-		body.Partial = enc
 	} else {
-		v, err := query.EvaluateOpts(h.st, pa.agg, pa.sel, h.queryOptions(r.Context()))
+		v, err := query.EvaluateOpts(h.st, q.Agg, q.Sel, h.queryOptions(ctx))
 		sp.End()
 		if err != nil {
-			h.fail(w, r, err)
-			return
+			return api.AggregateResponse{}, h.seen(err)
 		}
 		body.Value, body.Nonfinite = api.Float(v)
 	}
-	if req.Explain {
-		body.Explain = h.explainBody(r.Context(), pa)
+	if q.Explain {
+		body.Explain = h.explainBody(ctx, q)
 	}
-	api.WriteJSON(w, http.StatusOK, body)
+	return body, nil
+}
+
+// AggregateBatch evaluates the queries through the scan-sharing batch
+// engine: the union of the selections' U rows is fetched once and shared
+// across all queries, so overlapping dashboards pay for each disk row once
+// instead of once per panel.
+func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.BatchAggregateItem, error) {
+	items := make([]query.BatchItem, len(b.Queries))
+	for qi, q := range b.Queries {
+		items[qi] = query.BatchItem{Agg: q.Agg, Sel: q.Sel}
+	}
+	sp := trace.StartSpan(ctx, "evaluate_batch")
+	sp.SetAttr("queries", len(items))
+	sp.SetAttr("partial", b.Partial)
+	out := make([]api.BatchAggregateItem, len(items))
+	render := func(qi int, rerr error, fill func(it *api.BatchAggregateItem) error) {
+		it := b.Queries[qi].Item()
+		if rerr == nil {
+			rerr = fill(&it)
+		}
+		if rerr != nil {
+			out[qi] = api.ErrorItem(h.seen(rerr))
+			return
+		}
+		if b.Queries[qi].Explain {
+			it.Explain = h.explainBody(ctx, b.Queries[qi])
+		}
+		out[qi] = it
+	}
+	if b.Partial {
+		// The scatter/gather form: every query returns mergeable partial
+		// state through the same scan-sharing pass the value form uses.
+		results, err := query.EvaluateBatchPartial(h.st, items, h.queryOptions(ctx))
+		sp.End()
+		if err != nil {
+			return nil, h.seen(err)
+		}
+		for qi, pr := range results {
+			render(qi, pr.Err, func(it *api.BatchAggregateItem) (err error) {
+				it.Partial, err = encodePartial(pr.Partial)
+				return err
+			})
+		}
+		return out, nil
+	}
+	results, err := query.EvaluateBatch(h.st, items, h.queryOptions(ctx))
+	sp.End()
+	if err != nil {
+		// Only a batch-level failure (context cancellation) lands here;
+		// per-query errors come back in results.
+		return nil, h.seen(err)
+	}
+	for qi, res := range results {
+		render(qi, res.Err, func(it *api.BatchAggregateItem) error {
+			it.Value, it.Nonfinite = api.Float(res.Value)
+			return nil
+		})
+	}
+	return out, nil
 }
 
 // explainBody builds the explain block for an already-executed query: the
@@ -874,8 +583,8 @@ func (h *Handler) serveAggregate(w http.ResponseWriter, r *http.Request, req api
 // store reads, no plan-cache traffic) joined with the request's executed
 // ledger, whose plan_hits/plan_misses reveal how the real evaluation fared
 // in the plan cache.
-func (h *Handler) explainBody(ctx context.Context, pa parsedAgg) *api.Explain {
-	ex, err := query.ExplainQuery(h.st, pa.agg, pa.sel, h.queryOptions(ctx))
+func (h *Handler) explainBody(ctx context.Context, q api.AggregateQuery) *api.Explain {
+	ex, err := query.ExplainQuery(h.st, q.Agg, q.Sel, h.queryOptions(ctx))
 	if err != nil {
 		// The selection validated when the evaluation ran; a failure here
 		// means the store changed shape mid-request — drop the block rather
@@ -923,160 +632,40 @@ func encodePartial(p *query.Partial) (string, error) {
 	return base64.StdEncoding.EncodeToString(raw), nil
 }
 
-// maxAggBatchBody bounds a /v1/aggregate/batch request body. Index specs
-// are compact (ranges, strides); a megabyte of them is a malformed
-// request, not a workload.
-const maxAggBatchBody = 1 << 20
-
-// handleAggBatch evaluates N aggregates in one request through the
-// scan-sharing batch engine: the union of the selections' U rows is
-// fetched once and shared across all queries, so overlapping dashboards
-// pay for each disk row once instead of once per panel. The request body
-// is {"queries":[{"f":"sum","rows":"0:64","cols":"0:24"},...]}; the
-// response mirrors the /v1/bulk per-item idiom — one bad query costs
-// itself a 400 item without sinking the batch:
-// {"took":<ms>,"errors":<bool>,"items":[{"status":200,"f":"sum",...,"value":V},...]}.
-func (h *Handler) handleAggBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req api.BatchAggregateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAggBatchBody))
-	if err := dec.Decode(&req); err != nil {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("aggregate/batch: malformed JSON body: %v", err))
-		return
-	}
-	if len(req.Queries) == 0 {
-		api.WriteInvalid(w, r, `aggregate/batch needs a non-empty "queries" array`)
-		return
-	}
-	if len(req.Queries) > h.opts.MaxBatchQueries {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d queries exceeds limit %d", len(req.Queries), h.opts.MaxBatchQueries))
-		return
-	}
-
-	items := make([]query.BatchItem, len(req.Queries))
-	parsed := make([]parsedAgg, len(req.Queries))
-	parseErrs := make([]string, len(req.Queries))
-	hadErr := false
-	for qi, bq := range req.Queries {
-		pa, err := h.parseAggQuery(bq)
-		if err != nil {
-			parseErrs[qi], hadErr = err.Error(), true
-			continue
-		}
-		parsed[qi] = pa
-		items[qi] = query.BatchItem{Agg: pa.agg, Sel: pa.sel}
-	}
-
-	sp := trace.StartSpan(r.Context(), "evaluate_batch")
-	sp.SetAttr("queries", len(items))
-	sp.SetAttr("partial", req.Partial)
-	out := make([]api.BatchAggregateItem, len(req.Queries))
-	render := func(qi int, rerr error, fill func(it *api.BatchAggregateItem) error) {
-		if parseErrs[qi] != "" {
-			out[qi] = api.BatchAggregateItem{Status: http.StatusBadRequest, Error: parseErrs[qi]}
-			return
-		}
-		if rerr == nil {
-			it := api.BatchAggregateItem{
-				Status: http.StatusOK,
-				F:      parsed[qi].f,
-				Rows:   len(parsed[qi].sel.Rows),
-				Cols:   len(parsed[qi].sel.Cols),
-			}
-			rerr = fill(&it)
-			if rerr == nil {
-				if req.Explain || req.Queries[qi].Explain {
-					it.Explain = h.explainBody(r.Context(), parsed[qi])
-				}
-				out[qi] = it
-				return
-			}
-		}
-		hadErr = true
-		status, _ := api.Classify(rerr)
-		out[qi] = api.BatchAggregateItem{Status: h.accountStatus(status), Error: rerr.Error()}
-	}
-	if req.Partial {
-		// The scatter/gather form: every query returns mergeable partial
-		// state through the same scan-sharing pass the value form uses.
-		results, err := query.EvaluateBatchPartial(h.st, items, h.queryOptions(r.Context()))
-		sp.End()
-		if err != nil {
-			h.fail(w, r, err)
-			return
-		}
-		for qi := range req.Queries {
-			pr := results[qi]
-			render(qi, pr.Err, func(it *api.BatchAggregateItem) error {
-				enc, err := encodePartial(pr.Partial)
-				it.Partial = enc
-				return err
-			})
-		}
-	} else {
-		results, err := query.EvaluateBatch(h.st, items, h.queryOptions(r.Context()))
-		sp.End()
-		if err != nil {
-			// Only a batch-level failure (context cancellation) lands here;
-			// per-query errors come back in results.
-			h.fail(w, r, err)
-			return
-		}
-		for qi := range req.Queries {
-			v := results[qi].Value
-			render(qi, results[qi].Err, func(it *api.BatchAggregateItem) error {
-				it.Value, it.Nonfinite = api.Float(v)
-				return nil
-			})
-		}
-	}
-	api.WriteJSON(w, http.StatusOK, api.BatchAggregateResponse{
-		Took:   time.Since(start).Milliseconds(),
-		Errors: hadErr,
-		Items:  out,
-	})
-}
-
-// --- Write path ------------------------------------------------------------
+// --- api.Backend: writes -----------------------------------------------------
 
 // maxBulkLine bounds one NDJSON line of a /v1/bulk body; a longer line is a
 // malformed request, not a server fault.
 const maxBulkLine = 1 << 20
 
-// handleBulk ingests rows through the NDJSON bulk idiom: optional action
-// lines ({"create":{}} or {"index":{}}) interleaved with document lines
-// like {"label":"cust-9911","values":[0.4,1.7,...]}. Documents that fail
+// Bulk ingests rows through the NDJSON bulk idiom: optional action lines
+// ({"create":{}} or {"index":{}}) interleaved with document lines like
+// {"label":"cust-9911","values":[0.4,1.7,...]}. Documents that fail
 // validation are rejected per item (status 400) without sinking the rest of
 // the request; every accepted document is appended — and fsynced — as ONE
-// WAL batch, so an item reporting 201 is durable across any crash. The
-// response mirrors the bulk contract:
-// {"took":<ms>,"errors":<bool>,"items":[{"create":{"status":201,"row":N}}]}.
+// WAL batch, so an item reporting 201 is durable across any crash.
 //
 // Malformed NDJSON (unparseable line, oversized line, more documents than
 // the /v1/rows batch limit) fails the whole request with 400: unlike a
 // value error in one document, the server cannot tell where the next
 // document boundary is.
-func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
+func (h *Handler) Bulk(ctx context.Context, body io.Reader) (api.BulkResponse, error) {
+	var none api.BulkResponse
 	if h.writable == nil {
-		api.WriteErrorDetail(w, http.StatusForbidden, api.ErrorDetail{
-			Code:      api.CodeNotWritable,
-			Message:   "store is read-only: start the server on a writable (tiered) store to enable /v1/bulk",
-			RequestID: trace.FromContext(r.Context()).ID(),
-		})
-		return
+		return none, &api.Error{
+			Status:  http.StatusForbidden,
+			Code:    api.CodeNotWritable,
+			Message: "store is read-only: start the server on a writable (tiered) store to enable /v1/bulk",
+		}
 	}
-	start := time.Now()
 	_, cols := h.st.Dims()
 
 	var (
 		items   []api.BulkItem
 		pending []api.BulkDoc // validated documents awaiting the batch append
 		slot    []int         // items index for each pending document
-		hadErr  bool
 	)
-	sc := bufio.NewScanner(r.Body)
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), maxBulkLine)
 	lineNo := 0
 	for sc.Scan() {
@@ -1087,9 +676,7 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 		}
 		var obj map[string]json.RawMessage
 		if err := json.Unmarshal(line, &obj); err != nil {
-			api.WriteInvalid(w, r,
-				fmt.Sprintf("bulk line %d: malformed JSON: %v", lineNo, err))
-			return
+			return none, api.Invalid("bulk line %d: malformed JSON: %v", lineNo, err)
 		}
 		if _, isDoc := obj["values"]; !isDoc {
 			_, create := obj["create"]
@@ -1099,15 +686,11 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 				// operation, so the action carries no information.
 				continue
 			}
-			api.WriteInvalid(w, r,
-				fmt.Sprintf("bulk line %d: neither an action ({\"create\":{}}) nor a document with \"values\"", lineNo))
-			return
+			return none, api.Invalid("bulk line %d: neither an action ({\"create\":{}}) nor a document with \"values\"", lineNo)
 		}
 		var d api.BulkDoc
 		if err := json.Unmarshal(line, &d); err != nil {
-			api.WriteInvalid(w, r,
-				fmt.Sprintf("bulk line %d: malformed document: %v", lineNo, err))
-			return
+			return none, api.Invalid("bulk line %d: malformed document: %v", lineNo, err)
 		}
 		// Per-document validation mirrors AppendBatch's checks, so one bad
 		// document costs itself a 400 item instead of failing the batch.
@@ -1123,7 +706,6 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if reason != "" {
-			hadErr = true
 			items = append(items, api.BulkItem{Create: api.BulkResult{
 				Status: http.StatusBadRequest, Label: d.Label, Error: reason,
 			}})
@@ -1134,18 +716,13 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 		pending = append(pending, d)
 	}
 	if err := sc.Err(); err != nil {
-		api.WriteInvalid(w, r, fmt.Sprintf("bulk line %d: %v", lineNo+1, err))
-		return
+		return none, api.Invalid("bulk line %d: %v", lineNo+1, err)
 	}
 	if len(items) == 0 {
-		api.WriteInvalid(w, r,
-			"bulk body has no documents; send NDJSON lines like {\"label\":\"x\",\"values\":[...]}")
-		return
+		return none, api.Invalid("bulk body has no documents; send NDJSON lines like {\"label\":\"x\",\"values\":[...]}")
 	}
-	if len(pending) > h.opts.MaxBatchRows {
-		api.WriteInvalid(w, r,
-			fmt.Sprintf("batch of %d rows exceeds limit %d", len(pending), h.opts.MaxBatchRows))
-		return
+	if len(pending) > h.maxBulkRows {
+		return none, api.Invalid("batch of %d rows exceeds limit %d", len(pending), h.maxBulkRows)
 	}
 
 	if len(pending) > 0 {
@@ -1155,10 +732,9 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 			labels[k] = d.Label
 			rows[k] = d.Values
 		}
-		first, err := h.writable.AppendBatch(r.Context(), labels, rows)
+		first, err := h.writable.AppendBatch(ctx, labels, rows)
 		if err != nil {
-			h.fail(w, r, err)
-			return
+			return none, h.seen(err)
 		}
 		for k := range pending {
 			items[slot[k]].Create = api.BulkResult{
@@ -1166,27 +742,21 @@ func (h *Handler) handleBulk(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	api.WriteJSON(w, http.StatusOK, api.BulkResponse{
-		Took:   time.Since(start).Milliseconds(),
-		Errors: hadErr,
-		Items:  items,
-	})
+	return api.BulkResponse{Items: items}, nil
 }
 
-// handleMetrics serves the metrics snapshot. The default body is the
-// hand-built JSON; ?format=prom renders the same snapshot in Prometheus
-// text exposition format 0.0.4 so a stock scraper can ingest it.
-func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := h.tel.Snapshot()
-	if r.URL.Query().Get("format") == "prom" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		if err := telemetry.WritePrometheus(w, snap); err != nil {
-			// Headers are committed; the scraper sees a truncated body and
-			// fails the scrape, which is the correct failure mode.
-			trace.LoggerFrom(r.Context()).Error("prometheus render failed", "err", err)
-		}
-		return
+// --- api.Backend: health and metrics -----------------------------------------
+
+func (h *Handler) Health(context.Context) api.HealthzResponse {
+	return api.HealthzResponse{Status: "ok"}
+}
+
+// Metrics is the store node's part of /v1/metrics: the cache, plan-cache,
+// store, IO, SVDD and ingest sections of the JSON body. The Prometheus view
+// needs nothing here — registerGauges put the same numbers in the registry.
+func (h *Handler) Metrics(_ context.Context, req api.MetricsRequest) (api.MetricsResponse, error) {
+	if req.Prom {
+		return api.MetricsResponse{}, nil
 	}
 	rows, cols := h.st.Dims()
 	hits, misses := h.hits.Load(), h.misses.Load()
@@ -1213,18 +783,9 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		planCache["hit_rate"] = telemetry.Rate(ps.Hits, ps.Misses)
 	}
 	body := map[string]interface{}{
-		"uptime_seconds":    snap.UptimeSeconds,
-		"endpoints":         snap.Endpoints,
 		"cache":             cache,
 		"plan_cache":        planCache,
-		"gauges":            snap.Gauges,
-		"runtime":           snap.Runtime,
 		"store_corruptions": h.corruptions.Load(),
-		"traces": map[string]interface{}{
-			"buffered": len(h.ring.Snapshot()),
-			"capacity": h.ring.Cap(),
-			"total":    h.ring.Total(),
-		},
 		"store": map[string]interface{}{
 			"method":         h.st.Method().String(),
 			"rows":           rows,
@@ -1249,28 +810,7 @@ func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if h.writable != nil {
 		body["ingest"] = h.writable.Stats()
 	}
-	api.WriteJSON(w, http.StatusOK, body)
-}
-
-// handleTraces serves the ring of recently completed traces, newest first.
-// Trace names are endpoint patterns and request IDs pass SanitizeRequestID,
-// so nothing here can leak a query string or customer label.
-func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
-	traces := h.ring.Snapshot()
-	api.WriteJSON(w, http.StatusOK, map[string]interface{}{
-		"count":    len(traces),
-		"capacity": h.ring.Cap(),
-		"total":    h.ring.Total(),
-		"traces":   traces,
-	})
-}
-
-func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body := api.HealthzResponse{Status: "ok"}
-	if h.opts.SLOObjective > 0 {
-		body.SLO = h.tel.Snapshot().SLO
-	}
-	api.WriteJSON(w, http.StatusOK, body)
+	return api.MetricsResponse{Sections: body}, nil
 }
 
 // --- Helpers ---------------------------------------------------------------
@@ -1309,30 +849,4 @@ func indexLabels(ss []string) map[string]int {
 		}
 	}
 	return m
-}
-
-// StatusClientClosedRequest is re-exported from the shared wire contract
-// for existing callers; see api.StatusClientClosedRequest.
-const StatusClientClosedRequest = api.StatusClientClosedRequest
-
-// fail classifies err through the shared api taxonomy, accounts
-// store-corruption surfacing, and writes the unified error envelope.
-func (h *Handler) fail(w http.ResponseWriter, r *http.Request, err error) {
-	status, code := api.Classify(err)
-	api.WriteErrorDetail(w, h.accountStatus(status), api.ErrorDetail{
-		Code:      code,
-		Message:   err.Error(),
-		RequestID: trace.FromContext(r.Context()).ID(),
-	})
-}
-
-// accountStatus is the monitoring side channel of error classification:
-// every corruption surfaced to a client increments the store_corruptions
-// counter on /metrics, so a damaged store is visible to monitoring even
-// while healthy endpoints keep serving.
-func (h *Handler) accountStatus(status int) int {
-	if status == http.StatusServiceUnavailable {
-		h.corruptions.Inc()
-	}
-	return status
 }

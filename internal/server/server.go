@@ -14,7 +14,7 @@ import (
 	"seqstore/internal/store"
 )
 
-// Config configures the production http.Server around a Handler. The zero
+// Config configures the production http.Server around a /v1 handler. The zero
 // value is usable: every field defaults to the values documented on it.
 type Config struct {
 	// Addr is the listen address; default ":8080".
@@ -29,7 +29,7 @@ type Config struct {
 	// PlanCacheSize sizes the query-plan cache; 0 selects
 	// DefaultPlanCacheSize, negative disables it.
 	PlanCacheSize int
-	// QueryWorkers shards /agg evaluation across this many goroutines:
+	// QueryWorkers shards aggregate evaluation across this many goroutines:
 	// 0 means one per CPU, 1 evaluates serially.
 	QueryWorkers int
 	// Logger receives the structured request log; nil silences it.
@@ -86,18 +86,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server wraps a Handler in a fully configured http.Server with graceful
-// shutdown. Create it with New; serve with Run (or Serve + Shutdown for
-// finer control).
+// Server wraps a /v1 handler in a fully configured http.Server with
+// graceful shutdown. Create it with New (a store node) or Wrap (any other
+// backend's handler); serve with Run (or Serve + Shutdown for finer
+// control).
 type Server struct {
 	cfg     Config
-	handler *Handler
+	handler *Handler // nil when built by Wrap
 	http    *http.Server
 }
 
-// New builds a Server over an open store and optional labels.
+// New builds a store-node Server over an open store and optional labels.
 func New(st store.Store, labels *store.Labels, cfg Config) *Server {
-	cfg = cfg.withDefaults()
 	h := NewHandler(st, labels, Options{
 		CacheRows:       cfg.CacheRows,
 		MaxBatchCells:   cfg.MaxBatchCells,
@@ -111,9 +111,19 @@ func New(st store.Store, labels *store.Labels, cfg Config) *Server {
 		SLOObjective:    cfg.SLOObjective,
 		SLOTarget:       cfg.SLOTarget,
 	})
+	s := Wrap(h, cfg)
+	s.handler = h
+	return s
+}
+
+// Wrap builds a Server around an already constructed /v1 handler — the
+// scatter/gather proxy of `seqserver -topology` — so both modes share one
+// listener, one set of timeouts and one graceful drain. Only cfg's
+// listener fields (Addr and the timeouts) apply.
+func Wrap(h http.Handler, cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	return &Server{
-		cfg:     cfg,
-		handler: h,
+		cfg: cfg,
 		http: &http.Server{
 			Addr:              cfg.Addr,
 			Handler:           h,
@@ -126,7 +136,8 @@ func New(st store.Store, labels *store.Labels, cfg Config) *Server {
 	}
 }
 
-// Handler returns the underlying query handler (for tests and harnesses).
+// Handler returns the store node's handler (for tests and the benchmark);
+// nil for a Server built by Wrap.
 func (s *Server) Handler() *Handler { return s.handler }
 
 // Addr returns the configured listen address.

@@ -60,7 +60,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 	resc := make(chan result, 1)
 	go func() {
-		resp, err := http.Get(base + "/row?i=1")
+		resp, err := http.Get(base + "/v1/row?i=1")
 		if err != nil {
 			resc <- result{err: err}
 			return
@@ -93,7 +93,7 @@ func TestGracefulShutdownDrainsInflight(t *testing.T) {
 	}
 	// The listener is closed: new connections must fail.
 	c := http.Client{Timeout: time.Second}
-	if _, err := c.Get(base + "/healthz"); err == nil {
+	if _, err := c.Get(base + "/v1/healthz"); err == nil {
 		t.Error("server still accepting connections after shutdown")
 	}
 }
@@ -189,16 +189,16 @@ func TestConcurrentQueriesFileBacked(t *testing.T) {
 				var url string
 				switch it % 4 {
 				case 0:
-					url = fmt.Sprintf("%s/cell?i=%d&j=%d", srv.URL, rng.Intn(n), rng.Intn(m))
+					url = fmt.Sprintf("%s/v1/cell?i=%d&j=%d", srv.URL, rng.Intn(n), rng.Intn(m))
 				case 1:
-					url = fmt.Sprintf("%s/row?i=%d", srv.URL, rng.Intn(n))
+					url = fmt.Sprintf("%s/v1/row?i=%d", srv.URL, rng.Intn(n))
 				case 2:
 					lo := rng.Intn(n - 1)
-					url = fmt.Sprintf("%s/agg?f=sum&rows=%d:%d&cols=0:20", srv.URL, lo, lo+1+rng.Intn(n-lo-1))
+					url = fmt.Sprintf("%s/v1/aggregate?f=sum&rows=%d:%d&cols=0:20", srv.URL, lo, lo+1+rng.Intn(n-lo-1))
 				case 3:
-					url = srv.URL + "/metrics"
+					url = srv.URL + "/v1/metrics"
 				}
-				resp, err := http.Get(url)
+				resp, err := fetch(url, nil)
 				if err != nil {
 					t.Errorf("GET %s: %v", url, err)
 					return
