@@ -23,12 +23,15 @@ vet:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# fuzz-smoke gives each format fuzzer a short budget on every check run:
-# FuzzOpen chews on .smx headers/pages, FuzzReadLabeled on .sqz containers.
-# `go test -fuzz` accepts one target per invocation, hence two runs.
+# fuzz-smoke gives each fuzzer a short budget on every check run:
+# FuzzOpen chews on .smx headers/pages, FuzzReadLabeled on .sqz containers,
+# FuzzSymEigen on small, badly scaled symmetric matrices (residual and
+# orthonormality bounds, or a typed error).
+# `go test -fuzz` accepts one target per invocation, hence three runs.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
+	$(GO) test -run FuzzSymEigen -fuzz FuzzSymEigen -fuzztime 10s ./internal/linalg
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries checked into testdata must keep loading

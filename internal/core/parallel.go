@@ -24,17 +24,25 @@ import (
 type pass2State struct {
 	kmax   int
 	f      *svd.Factors
-	proj   []float64            // scratch: p_m = σ_m·u[i][m] for the current row
-	sse    []float64            // sse[k] for k = 1..kmax
-	queues map[int]*pqueue.TopK // per candidate k
+	proj   []float64      // scratch: p_m = σ_m·u[i][m] for the current row
+	sse    []float64      // sse[k] for k = 1..kmax
+	queues []*pqueue.TopK // queues[k] for k = 1..kmax; nil = not a candidate
+	// staged[k] holds cells queue k admitted but has not been offered yet.
+	// A scan feeds ~30 heaps of up to γ₁ items at once, several MB that
+	// no cache level close to the core holds; offering a candidate's cells
+	// stageLen at a time, in scan order, keeps one heap hot while it is
+	// sifted (−20 % pass-2 time on 2048×366) and retains the same items.
+	staged [][]pqueue.Item
 	// u receives the N×kmax U rows during the scan (the fused emission
 	// that replaces pass 3). It is shared across workers — each row is
 	// written by exactly one worker, so no locking is needed.
 	u *linalg.Matrix
 }
 
+const stageLen = 1024
+
 func newPass2State(f *svd.Factors, kmax int, candidates []int, gamma func(int) int, u *linalg.Matrix) *pass2State {
-	queues := make(map[int]*pqueue.TopK, len(candidates))
+	queues := make([]*pqueue.TopK, kmax+1)
 	for _, k := range candidates {
 		queues[k] = pqueue.NewTopK(gamma(k))
 	}
@@ -44,13 +52,15 @@ func newPass2State(f *svd.Factors, kmax int, candidates []int, gamma func(int) i
 		proj:   make([]float64, kmax),
 		sse:    make([]float64, kmax+1),
 		queues: queues,
+		staged: make([][]pqueue.Item, kmax+1),
 		u:      u,
 	}
 }
 
 // row scores one data row against every candidate cutoff, reporting whether
 // the row is entirely zero (such rows reconstruct exactly under any cutoff
-// and contribute nothing to the queues).
+// and contribute nothing to the queues). The queues are complete only after
+// flush.
 func (st *pass2State) row(i int, row []float64) bool {
 	// Projections p_m = Σ_l x[l]·v[l][m]; note σ_m·u[i][m] = p_m, so
 	// the rank-k reconstruction of cell j is Σ_{m<k} p_m·v[j][m].
@@ -76,19 +86,39 @@ func (st *pass2State) row(i int, row []float64) bool {
 	for m := 0; m < kmax; m++ {
 		urow[m] = proj[m] / st.f.Sigma[m]
 	}
+	// Indexed by k−1, like proj.
+	sse, queues, staged := st.sse[1:kmax+1], st.queues[1:kmax+1], st.staged[1:kmax+1]
 	for j, xv := range row {
-		vrow := st.f.V.Row(j)
+		vrow := st.f.V.Row(j)[:kmax]
 		partial := 0.0
-		for k := 1; k <= kmax; k++ {
-			partial += proj[k-1] * vrow[k-1]
+		for k, p := range proj {
+			partial += p * vrow[k]
 			e := xv - partial
-			st.sse[k] += e * e
-			if q, ok := st.queues[k]; ok && q.Cap() > 0 {
-				q.Offer(pqueue.Item{Row: i, Col: j, Delta: e})
+			sse[k] += e * e
+			if q := queues[k]; q != nil && q.Admits(e) {
+				staged[k] = append(staged[k], pqueue.Item{Row: i, Col: j, Delta: e})
+				if len(staged[k]) == stageLen {
+					st.flushQueue(k + 1)
+				}
 			}
 		}
 	}
 	return false
+}
+
+// flushQueue offers queue k its staged cells, in the order they were scored.
+func (st *pass2State) flushQueue(k int) {
+	for _, it := range st.staged[k] {
+		st.queues[k].Offer(it)
+	}
+	st.staged[k] = st.staged[k][:0]
+}
+
+// flush empties every stage; a scan calls it once after its last row.
+func (st *pass2State) flush() {
+	for k := range st.staged {
+		st.flushQueue(k)
+	}
 }
 
 // merge folds other into st: SSE totals are added and each candidate queue
@@ -98,7 +128,9 @@ func (st *pass2State) merge(other *pass2State) {
 		st.sse[k] += other.sse[k]
 	}
 	for k, q := range st.queues {
-		q.Merge(other.queues[k])
+		if q != nil {
+			q.Merge(other.queues[k])
+		}
 	}
 }
 
@@ -126,6 +158,7 @@ func runPass2(src matio.RowSource, f *svd.Factors, opts Options, kmax int,
 		if err != nil {
 			return nil, nil, err
 		}
+		st.flush()
 		return st, zeroRows, nil
 	}
 	if workers > len(chunks) {
@@ -157,6 +190,7 @@ func runPass2(src matio.RowSource, f *svd.Factors, opts Options, kmax int,
 				}
 				chunkZeros[ci] = zr
 			}
+			st.flush()
 		}(w)
 	}
 	wg.Wait()

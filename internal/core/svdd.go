@@ -72,7 +72,7 @@ type Options struct {
 	// the outlier budget.
 	FlagZeroRows bool
 	// Workers shards the row scans of all three passes: 0 means
-	// runtime.NumCPU(), 1 runs the exact serial algorithm. Results are
+	// runtime.GOMAXPROCS(0), 1 runs the exact serial algorithm. Results are
 	// deterministic for a given worker count; across worker counts the
 	// chosen k_opt and outlier set are unchanged (per-cell errors are
 	// bit-identical) while SSE totals agree to reduction-order tolerance.

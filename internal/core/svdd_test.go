@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -449,5 +451,66 @@ func TestToyMatrixLossless(t *testing.T) {
 				t.Errorf("cell (%d,%d) = %v, want %v", i, j, got, x.At(i, j))
 			}
 		}
+	}
+}
+
+// TestDecisionsMatchPublishedResults pins what SVDD decides and how well it
+// reconstructs on the datasets whose numbers EXPERIMENTS.md prints (to the
+// precision printed there), plus the benchmark's 2048-row phone fixture: a
+// change of eigensolver or of the pass-2 queues must move none of them.
+func TestDecisionsMatchPublishedResults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compresses two 2000×366 matrices")
+	}
+	stocks := dataset.GenerateStocks(dataset.DefaultStocksConfig())
+	for _, c := range []struct {
+		name              string
+		x                 *linalg.Matrix
+		budget            float64
+		kmax, kopt, gamma int
+		rmspePct          string
+	}{
+		{"phone2000", dataset.GeneratePhone(dataset.DefaultPhoneConfig(2000)), 0.10, 30, 4, 21244, "8.05"},
+		{"phone2048", dataset.GeneratePhone(dataset.DefaultPhoneConfig(2048)), 0.10, 31, 4, 21765, "8.06"},
+		{"stocks", stocks, 0.05, 4, 4, 132, "4.09"},
+		{"stocks", stocks, 0.10, 9, 9, 95, "2.54"},
+		{"stocks", stocks, 0.25, 23, 23, 154, "1.46"},
+	} {
+		s, err := Compress(matio.NewMem(c.x), Options{Budget: c.budget})
+		if err != nil {
+			t.Fatalf("%s at %v: %v", c.name, c.budget, err)
+		}
+		d := s.Diagnostics()
+		if d.KMax != c.kmax || d.ChosenK != c.kopt || d.Gamma != c.gamma {
+			t.Errorf("%s at %v: k_max=%d k_opt=%d γ=%d, published k_max=%d k_opt=%d γ=%d",
+				c.name, c.budget, d.KMax, d.ChosenK, d.Gamma, c.kmax, c.kopt, c.gamma)
+		}
+		var acc metrics.Accumulator
+		row := make([]float64, c.x.Cols())
+		for i := 0; i < c.x.Rows(); i++ {
+			got, err := s.Row(i, row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			acc.AddRow(i, c.x.Row(i), got)
+		}
+		if got := fmt.Sprintf("%.2f", 100*acc.RMSPE()); got != c.rmspePct {
+			t.Errorf("%s at %v: RMSPE %s%%, published %s%%", c.name, c.budget, got, c.rmspePct)
+		}
+	}
+
+	// Table 1 / Eq. 5: rank 2, σ = 9.64, 5.29, and the two day patterns
+	// with the signs the paper prints.
+	f, err := svd.ComputeFactors(matio.NewMem(dataset.Toy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, v := range append(append(append([]float64{}, f.Sigma...), f.V.Col(0)...), f.V.Col(1)...) {
+		got = append(got, fmt.Sprintf("%.2f", math.Round(v*100)/100+0)) // +0: print −0 as 0
+	}
+	want := "9.64 5.29 0.58 0.58 0.58 0.00 0.00 0.00 0.00 0.00 0.71 0.71"
+	if s := strings.Join(got, " "); f.Rank() != 2 || s != want {
+		t.Errorf("toy: rank %d, σ and patterns %s; published rank 2, %s", f.Rank(), s, want)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // chosen to minimize squared error.
 //
 // Decompose computes the HOSVD initialization (per-mode eigenvectors of
-// the unfolding Gram matrices, using the same Jacobi machinery as the 2-d
+// the unfolding Gram matrices, using the same eigensolver as the 2-d
 // path) followed by optional HOOI refinement sweeps.
 type Tucker struct {
 	d1, d2, d3 int

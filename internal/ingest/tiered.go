@@ -65,7 +65,7 @@ type Options struct {
 	Compressor string
 	// PowerIters tunes the randomized compressor's refinement passes.
 	PowerIters int
-	// Workers parallelizes compression scans; 0 means runtime.NumCPU().
+	// Workers parallelizes compression scans; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// PersistPath, when non-empty, is where the cold segment is atomically
 	// saved after each compaction and recompression; the WAL is then

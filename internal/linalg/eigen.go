@@ -16,38 +16,42 @@ type Eigen struct {
 	// Vectors is the n×n column-orthonormal matrix whose j-th column is the
 	// eigenvector for Values[j].
 	Vectors *Matrix
-	// Converged reports whether the solver met its convergence criterion.
-	// Iterative solvers (TopKEigen) return their best estimate with
-	// Converged=false when the sweep budget runs out; direct solvers always
-	// set it true on success.
-	Converged bool
-	// Residual is the largest ‖S·v − λ·v‖ over the requested eigenpairs at
-	// the final sweep (iterative solvers only; zero for direct solvers).
-	Residual float64
-	// Sweeps is the number of iteration sweeps actually performed.
-	Sweeps int
 }
 
 // ErrNotSymmetric is returned by SymEigen when the input matrix is not
 // symmetric within a small tolerance.
 var ErrNotSymmetric = errors.New("linalg: matrix is not symmetric")
 
-// ErrNoConvergence is returned when the Jacobi iteration fails to converge
-// within its sweep limit (which, for real symmetric input, should not occur).
+// ErrNoConvergence is returned when the QL iteration exceeds its iteration
+// cap or leaves a non-finite eigenvalue behind (finite input whose
+// intermediate products overflow is the only known cause).
 var ErrNoConvergence = errors.New("linalg: eigensolver did not converge")
 
 const (
-	jacobiMaxSweeps = 64
-	symTolFactor    = 1e-9
+	// qlMaxIter caps the implicit-shift QL iterations spent on one
+	// eigenvalue; convergence is cubic and two or three are typical.
+	qlMaxIter    = 30
+	symTolFactor = 1e-9
+	machEps      = 0x1p-52
 )
 
-// SymEigen computes the eigendecomposition of the symmetric matrix s using
-// the cyclic Jacobi method. The input is not modified.
+// SymEigen computes the eigendecomposition of the symmetric matrix s with
+// the direct method: Householder reduction to tridiagonal form, then the
+// implicit-shift QL iteration with the transformations accumulated into the
+// eigenvectors. The input is not modified; after the symmetry check only
+// its lower triangle is read.
 //
-// Jacobi is O(n³) per sweep and converges in a handful of sweeps; for the
-// paper's regime (n = M ≤ a few hundred) this is fast and — unlike faster
-// tridiagonalization approaches — delivers eigenvectors orthonormal to
-// machine precision, which the compression quality depends on.
+// The cost is ≈ 9n³ flops, paid once (4n³/3 each for the reduction and for
+// accumulating Q, the rest in QL rotations). The cyclic Jacobi solver this
+// replaced paid ~10 sweeps of O(n³) with strided access: on a 366×366 Gram
+// matrix (BenchmarkSymEigenM366) it took 1.3 s where this takes 70 ms, 18×
+// less, with eigenvectors orthonormal to the same ~1e-13. Eigenvalues carry an
+// absolute error of a few ulps of ‖s‖, as from any backward-stable solver;
+// Jacobi's higher relative accuracy on tiny eigenvalues of well-scaled PSD
+// input is given up, and nothing downstream used it. Each eigenvector's
+// sign is normalised so that its largest-magnitude component (the first,
+// among ties) is positive, which makes V a function of s rather than of a
+// solver's rotation order.
 func SymEigen(s *Matrix) (*Eigen, error) {
 	n := s.rows
 	if n != s.cols {
@@ -56,8 +60,7 @@ func SymEigen(s *Matrix) (*Eigen, error) {
 	if err := s.CheckFinite(); err != nil {
 		return nil, err
 	}
-	scale := s.MaxAbs()
-	tol := symTolFactor * scale
+	tol := symTolFactor * s.MaxAbs()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if math.Abs(s.At(i, j)-s.At(j, i)) > tol {
@@ -67,110 +70,223 @@ func SymEigen(s *Matrix) (*Eigen, error) {
 		}
 	}
 	if n == 0 {
-		return &Eigen{Values: nil, Vectors: NewMatrix(0, 0), Converged: true}, nil
+		return &Eigen{Values: nil, Vectors: NewMatrix(0, 0)}, nil
 	}
 
-	a := s.Clone()
-	v := Identity(n)
+	// zt starts as a copy of s, becomes Qᵀ (T = QᵀSQ tridiagonal) and ends
+	// as Vᵀ: eigenvectors live in its ROWS, so the QL rotations, which mix
+	// two neighbouring eigenvectors, run over contiguous memory.
+	zt := append([]float64(nil), s.data...)
+	d := make([]float64, n) // diagonal of T, then the eigenvalues
+	e := make([]float64, n) // e[i] = T[i+1][i]; e[n-1] = 0
+	tridiagonalize(zt, n, d, e)
+	if err := qlImplicit(zt, n, d, e); err != nil {
+		return nil, err
+	}
 
-	for sweep := 0; sweep < jacobiMaxSweeps; sweep++ {
-		off := offDiagNorm(a)
-		if off <= 1e-14*math.Max(scale, 1) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
-				if apq == 0 {
-					continue
-				}
-				// Skip rotations that cannot change anything at working
-				// precision: classic Golub & Van Loan threshold.
-				if math.Abs(apq) < 1e-18*scale {
-					a.Set(p, q, 0)
-					a.Set(q, p, 0)
-					continue
-				}
-				app, aqq := a.At(p, p), a.At(q, q)
-				// Compute the Jacobi rotation (c, s) that annihilates a[p][q].
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				sn := t * c
-				rotate(a, v, p, q, c, sn)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return d[order[i]] > d[order[j]] })
+
+	eig := &Eigen{Values: make([]float64, n), Vectors: NewMatrix(n, n)}
+	vd := eig.Vectors.data
+	for j, idx := range order {
+		eig.Values[j] = d[idx]
+		row := zt[idx*n : (idx+1)*n]
+		big := 0.0
+		for _, x := range row {
+			if math.Abs(x) > math.Abs(big) {
+				big = x
 			}
 		}
-	}
-	if offDiagNorm(a) > 1e-7*math.Max(scale, 1) {
-		return nil, ErrNoConvergence
-	}
-
-	// Extract and sort eigenpairs in decreasing eigenvalue order.
-	type pair struct {
-		val float64
-		idx int
-	}
-	pairs := make([]pair, n)
-	for i := 0; i < n; i++ {
-		pairs[i] = pair{a.At(i, i), i}
-	}
-	sort.SliceStable(pairs, func(i, j int) bool { return pairs[i].val > pairs[j].val })
-
-	eig := &Eigen{Values: make([]float64, n), Vectors: NewMatrix(n, n), Converged: true}
-	for j, p := range pairs {
-		eig.Values[j] = p.val
-		for i := 0; i < n; i++ {
-			eig.Vectors.Set(i, j, v.At(i, p.idx))
+		sign := 1.0
+		if big < 0 {
+			sign = -1
+		}
+		for i, x := range row {
+			vd[i*n+j] = sign * x
 		}
 	}
 	return eig, nil
 }
 
-// rotate applies the symmetric Jacobi rotation G(p,q,θ) on both sides of a
-// (a ← GᵀaG) and accumulates it into the eigenvector matrix v (v ← vG).
-// It works on the raw backing slices: this is the hot loop of the
-// eigensolver and runs O(M²) times per sweep.
-func rotate(a, v *Matrix, p, q int, c, s float64) {
-	n := a.rows
-	ad, vd := a.data, v.data
-	for ip, iq := p, q; ip < n*n; ip, iq = ip+n, iq+n {
-		aip, aiq := ad[ip], ad[iq]
-		ad[ip] = c*aip - s*aiq
-		ad[iq] = s*aip + c*aiq
-	}
-	prow := ad[p*n : (p+1)*n]
-	qrow := ad[q*n : (q+1)*n]
-	for j := 0; j < n; j++ {
-		apj, aqj := prow[j], qrow[j]
-		prow[j] = c*apj - s*aqj
-		qrow[j] = s*apj + c*aqj
-	}
-	for ip, iq := p, q; ip < n*n; ip, iq = ip+n, iq+n {
-		vip, viq := vd[ip], vd[iq]
-		vd[ip] = c*vip - s*viq
-		vd[iq] = s*vip + c*viq
-	}
-}
+// tridiagonalize reduces the symmetric n×n matrix in a (row-major, lower
+// triangle) to tridiagonal form T = QᵀAQ with n−2 Householder reflections,
+// leaving diag(T) in d, the subdiagonal in e (e[i] = T[i+1][i]) and Qᵀ in a.
+// Every inner loop runs along a row.
+func tridiagonalize(a []float64, n int, d, e []float64) {
+	p := make([]float64, n)
+	hh := make([]float64, n) // hh[i] = |u_i|²/2; 0 marks a skipped reflection
 
-// offDiagNorm returns the Frobenius norm of the off-diagonal part of a.
-func offDiagNorm(a *Matrix) float64 {
-	var s float64
-	n := a.rows
-	ad := a.data
-	for i := 0; i < n; i++ {
-		row := ad[i*n : (i+1)*n]
-		for j, v := range row {
-			if i != j {
-				s += v * v
+	// Step i annihilates a[i][0:i-1] with H = I − u·uᵀ/h acting on the
+	// leading i coordinates; u (row i, scaled against overflow — H does not
+	// depend on the length of u) overwrites a[i][0:i].
+	for i := n - 1; i >= 1; i-- {
+		u := a[i*n : i*n+i]
+		var scale float64
+		for _, x := range u[:i-1] {
+			scale += math.Abs(x)
+		}
+		if scale == 0 { // row already tridiagonal (always so for i = 1)
+			e[i-1] = u[i-1]
+			continue
+		}
+		scale += math.Abs(u[i-1])
+		var h float64
+		for k := range u {
+			u[k] /= scale
+			h += u[k] * u[k]
+		}
+		f := u[i-1]
+		g := math.Sqrt(h)
+		if f > 0 {
+			g = -g
+		}
+		e[i-1] = scale * g
+		h -= f * g
+		u[i-1] = f - g
+		hh[i] = h
+
+		// p = A·u/h from the lower triangle: row j contributes its dot
+		// with u to p[j] and, by symmetry, u[j]·row to p[0:j].
+		for j := range p[:i] {
+			p[j] = 0
+		}
+		for j := 0; j < i; j++ {
+			row := a[j*n : j*n+j]
+			uj := u[j]
+			pj := p[:len(row)]
+			uu := u[:len(row)]
+			var dot float64
+			for k, x := range row {
+				dot += x * uu[k]
+				pj[k] += x * uj
+			}
+			p[j] += dot + a[j*n+j]*uj
+		}
+		var kk float64
+		for j := 0; j < i; j++ {
+			p[j] /= h
+			kk += p[j] * u[j]
+		}
+		kk /= 2 * h
+		for j := 0; j < i; j++ {
+			p[j] -= kk * u[j] // p is now q = p − K·u
+		}
+		// A ← A − u·qᵀ − q·uᵀ on the lower triangle of the leading block.
+		for j := 0; j < i; j++ {
+			row := a[j*n : j*n+j+1]
+			uj, qj := u[j], p[j]
+			uu, qq := u[:len(row)], p[:len(row)]
+			for k := range row {
+				row[k] -= uj*qq[k] + qj*uu[k]
 			}
 		}
 	}
-	return math.Sqrt(s)
+	for i := 0; i < n; i++ {
+		d[i] = a[i*n+i]
+	}
+	e[n-1] = 0
+
+	// Accumulate Qᵀ = H₁·H₂···H_{n−1} in place, left to right: before step
+	// i the leading (i)×(i) block holds the product so far (H_j touches
+	// only the first j coordinates), row i still holds u_i.
+	a[0] = 1
+	for i := 1; i < n; i++ {
+		u := p[:i]
+		copy(u, a[i*n:i*n+i])
+		if h := hh[i]; h != 0 {
+			for r := 0; r < i; r++ {
+				row := a[r*n : r*n+i]
+				Axpy(-Dot(row, u)/h, u, row)
+			}
+		}
+		// Extend the block with the unit row and column i.
+		for r := 0; r < i; r++ {
+			a[r*n+i] = 0
+		}
+		row := a[i*n : i*n+i]
+		for k := range row {
+			row[k] = 0
+		}
+		a[i*n+i] = 1
+	}
+}
+
+// qlImplicit diagonalises the tridiagonal matrix (d, e) by QL iterations
+// with implicit Wilkinson shifts, applying every plane rotation to rows i
+// and i+1 of zt. On return d holds the eigenvalues (unsorted) and row i of
+// zt the eigenvector for d[i].
+func qlImplicit(zt []float64, n int, d, e []float64) error {
+	// A subdiagonal element is negligible once it is below the backward
+	// error the reduction already committed, ε·‖T‖. (A test against its two
+	// neighbours alone would chase relative accuracy the reduction has
+	// lost, down to subnormal blocks whose "rotations" are not orthogonal.)
+	var negligible float64
+	for i := range d {
+		negligible = math.Max(negligible, machEps*(math.Abs(d[i])+math.Abs(e[i])))
+	}
+	for l := 0; l < n; l++ {
+		for iter := 0; ; iter++ {
+			m := l
+			for m < n-1 && math.Abs(e[m]) > negligible {
+				m++
+			}
+			if m == l {
+				break
+			}
+			if iter == qlMaxIter {
+				return ErrNoConvergence
+			}
+			g := (d[l+1] - d[l]) / (2 * e[l])
+			r := math.Hypot(g, 1)
+			if g < 0 {
+				r = -r
+			}
+			g = d[m] - d[l] + e[l]/(g+r)
+			s, c, p := 1.0, 1.0, 0.0
+			i := m - 1
+			for ; i >= l; i-- {
+				f := s * e[i]
+				b := c * e[i]
+				r = math.Hypot(f, g)
+				e[i+1] = r
+				if r == 0 { // underflow: recover and restart the sweep
+					d[i+1] -= p
+					e[m] = 0
+					break
+				}
+				s = f / r
+				c = g / r
+				g = d[i+1] - p
+				r = (d[i]-g)*s + 2*c*b
+				p = s * r
+				d[i+1] = g + p
+				g = c*r - b
+				lo := zt[i*n : (i+1)*n]
+				hi := zt[(i+1)*n : (i+2)*n][:len(lo)]
+				for k, x := range lo {
+					y := hi[k]
+					hi[k] = s*x + c*y
+					lo[k] = c*x - s*y
+				}
+			}
+			if i >= l {
+				continue
+			}
+			d[l] -= p
+			e[l] = g
+			e[m] = 0
+		}
+	}
+	for _, v := range d {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return ErrNoConvergence
+		}
+	}
+	return nil
 }
 
 // OrthonormalityError returns max |VᵀV − I| over all entries, a measure of

@@ -1,7 +1,8 @@
 // Package linalg provides the dense linear-algebra substrate used by the
-// compression methods: row-major matrices, basic vector operations, a cyclic
-// Jacobi eigensolver for symmetric matrices, and a thin SVD built on top of
-// the eigendecomposition of XᵀX (Lemma 3.2 of the paper).
+// compression methods: row-major matrices, basic vector operations, one
+// direct eigensolver for symmetric matrices (Householder tridiagonalization
+// + implicit QL), and a thin SVD built on top of the eigendecomposition of
+// XᵀX (Lemma 3.2 of the paper).
 //
 // Everything here is deliberately self-contained (standard library only) and
 // sized for the paper's regime: N may be large (millions of rows, streamed

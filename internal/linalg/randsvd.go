@@ -1,7 +1,7 @@
 // Randomized low-rank building blocks for the sketch compressor
 // (Halko–Martinsson–Tropp): a deterministic Gaussian-ish test matrix, a
 // single-pass Nyström eigenvalue recovery for PSD matrices, and a small
-// dense SVD routed through the existing Jacobi eigensolver. The streaming
+// dense SVD routed through SymEigen. The streaming
 // drivers that feed these live in internal/svd (onepass.go); everything
 // here is dense, in-memory, and sized O(M·(k+p)) or smaller.
 package linalg
@@ -12,10 +12,8 @@ import (
 )
 
 // GaussianSketch returns a deterministic rows×cols test matrix with
-// iid roughly-normal entries, generated from the same splitmix stream the
-// subspace iteration uses for its start basis. The same (rows, cols, seed)
-// always yields the same matrix, so sketch-compressed stores are exactly
-// reproducible.
+// iid roughly-normal entries. The same (rows, cols, seed) always yields the
+// same matrix, so sketch-compressed stores are exactly reproducible.
 func GaussianSketch(rows, cols int, seed uint64) *Matrix {
 	m := NewMatrix(rows, cols)
 	rng := splitmixState(seed)
@@ -25,8 +23,47 @@ func GaussianSketch(rows, cols int, seed uint64) *Matrix {
 	return m
 }
 
+// splitmixState is a tiny deterministic generator for test matrices.
+type splitmixState uint64
+
+func (s *splitmixState) next() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// normish returns a roughly-normal value in (−6, 6): a sum of uniforms.
+func (s *splitmixState) normish() float64 {
+	var acc float64
+	for i := 0; i < 12; i++ {
+		acc += float64(s.next()%(1<<20)) / (1 << 20)
+	}
+	return acc - 6
+}
+
+// mulABt returns A·Bᵀ for row-major a (p×n) and b (q×n): out[i][j] =
+// dot(a_i, b_j), without materializing the transpose.
+func mulABt(a, b *Matrix) *Matrix {
+	p, n := a.Dims()
+	qq, n2 := b.Dims()
+	if n != n2 {
+		panic(fmt.Sprintf("linalg: mulABt mismatch %d vs %d", n, n2))
+	}
+	out := NewMatrix(p, qq)
+	for i := 0; i < p; i++ {
+		ai := a.Row(i)
+		orow := out.Row(i)
+		for j := 0; j < qq; j++ {
+			orow[j] = Dot(ai, b.Row(j))
+		}
+	}
+	return out
+}
+
 // SVDViaGram computes the thin SVD of a via the eigendecomposition of the
-// Gram matrix of its smaller side — the Jacobi machinery the two-pass
+// Gram matrix of its smaller side — the eigensolver the two-pass
 // pipeline already relies on (Lemma 3.2 applied to a small dense block).
 // For a tall m×n (m ≥ n) it eigendecomposes aᵀa (n×n); for a wide block,
 // a·aᵀ. Singular values numerically indistinguishable from zero are
@@ -34,7 +71,7 @@ func GaussianSketch(rows, cols int, seed uint64) *Matrix {
 // U and V.
 //
 // The randomized compressor calls this on (k+p)-thin projections, where
-// the Gram side is (k+p)×(k+p) and Jacobi's O(b³) is negligible.
+// the Gram side is (k+p)×(k+p) and the O(b³) eigensolve is negligible.
 func SVDViaGram(a *Matrix) (*SVD, error) {
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
@@ -56,46 +93,11 @@ func SVDViaGram(a *Matrix) (*SVD, error) {
 			g.Set(j, i, v)
 		}
 	}
-	eig, err := SymEigen(g)
+	svd, err := svdFromGram(a, g)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: SVDViaGram eigen step: %w", err)
 	}
-	sigma := make([]float64, 0, n)
-	for _, ev := range eig.Values {
-		if ev < 0 {
-			ev = 0
-		}
-		sigma = append(sigma, math.Sqrt(ev))
-	}
-	var tol float64
-	if len(sigma) > 0 {
-		tol = sigma[0] * float64(max(m, n)) * rankTolFactor
-	}
-	r := 0
-	for _, s := range sigma {
-		if s > tol && s > 0 {
-			r++
-		} else {
-			break
-		}
-	}
-	v := NewMatrix(n, r)
-	for i := 0; i < n; i++ {
-		copy(v.Row(i), eig.Vectors.Row(i)[:r])
-	}
-	u := NewMatrix(m, r)
-	for i := 0; i < m; i++ {
-		arow := a.Row(i)
-		urow := u.Row(i)
-		for j := 0; j < r; j++ {
-			var s float64
-			for l, av := range arow {
-				s += av * v.At(l, j)
-			}
-			urow[j] = s / sigma[j]
-		}
-	}
-	return &SVD{U: u, Sigma: sigma[:r], V: v}, nil
+	return svd, nil
 }
 
 // NystromEigen recovers approximate top eigenpairs of a symmetric
@@ -119,12 +121,12 @@ func NystromEigen(y, omega *Matrix) (*Eigen, error) {
 		return nil, fmt.Errorf("linalg: NystromEigen shape mismatch %d×%d vs %d×%d", m, b, om, ob)
 	}
 	if b == 0 {
-		return &Eigen{Values: nil, Vectors: NewMatrix(m, 0), Converged: true}, nil
+		return &Eigen{Values: nil, Vectors: NewMatrix(m, 0)}, nil
 	}
 	normY := y.FrobeniusNorm()
 	if normY == 0 {
 		// C·Ω = 0 for a full random Ω ⇒ C ≈ 0.
-		return &Eigen{Values: make([]float64, b), Vectors: NewMatrix(m, b), Converged: true}, nil
+		return &Eigen{Values: make([]float64, b), Vectors: NewMatrix(m, b)}, nil
 	}
 	shift := math.Sqrt(float64(m)) * 1e-15 * normY
 	var f *Matrix
@@ -157,7 +159,7 @@ func NystromEigen(y, omega *Matrix) (*Eigen, error) {
 	if err != nil {
 		return nil, fmt.Errorf("linalg: NystromEigen: %w", err)
 	}
-	eig := &Eigen{Values: make([]float64, b), Vectors: NewMatrix(m, b), Converged: true}
+	eig := &Eigen{Values: make([]float64, b), Vectors: NewMatrix(m, b)}
 	for j, s := range fsvd.Sigma {
 		ev := s*s - shift
 		if ev < 0 {

@@ -41,7 +41,7 @@ func TestSVDViaGramMatchesReference(t *testing.T) {
 			t.Fatalf("ComputeSVD: %v", err)
 		}
 		// ComputeSVD always Grams the column side; on wide matrices the
-		// √λ amplification of Jacobi roundoff can leave it with spurious
+		// √λ amplification of eigensolver roundoff can leave it with spurious
 		// tiny singular values beyond the true rank, so compare only the
 		// shared prefix and require our rank to respect min(m, n).
 		if maxRank := min(c.m, c.n); len(got.Sigma) > maxRank {
@@ -89,7 +89,7 @@ func TestSVDViaGramEmpty(t *testing.T) {
 }
 
 // TestNystromEigenRecoversSpectrum checks the single-pass recovery against the
-// exact Jacobi eigendecomposition: a PSD matrix with a fast-decaying spectrum,
+// exact eigendecomposition: a PSD matrix with a fast-decaying spectrum,
 // sketched with oversampling, must give back the dominant eigenpairs.
 func TestNystromEigenRecoversSpectrum(t *testing.T) {
 	m, k, b := 40, 4, 12
@@ -120,9 +120,6 @@ func TestNystromEigenRecoversSpectrum(t *testing.T) {
 	got, err := NystromEigen(y, omega)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !got.Converged {
-		t.Error("NystromEigen reported non-convergence")
 	}
 	want, err := SymEigen(c)
 	if err != nil {

@@ -14,9 +14,12 @@ type SVD struct {
 	V     *Matrix   // M×r column-to-pattern similarity (Observation 3.2)
 }
 
-// rankTolFactor mirrors the usual numerical-rank convention: singular values
-// below maxSigma·max(N,M)·eps are treated as zero.
-const rankTolFactor = 1e-12
+// rankTolFactor sets the numerical rank of a matrix factored through its
+// Gram matrix C: a backward-stable eigensolver returns the eigenvalues of C
+// with an absolute error of a few ulps of λ₁, and forming C adds up to
+// max(N,M) roundings per entry, so eigenvalues below λ₁·max(N,M)·1e-14 are
+// indistinguishable from zero (singular values below ~σ₁·1e-7·√max(N,M)).
+const rankTolFactor = 1e-14
 
 // ComputeSVD computes the thin SVD of x via the eigendecomposition of the
 // M×M column-similarity matrix C = XᵀX (Lemma 3.2 of the paper). This is the
@@ -49,56 +52,50 @@ func ComputeSVD(x *Matrix) (*SVD, error) {
 			}
 		}
 	}
-
-	eig, err := SymEigen(c)
+	svd, err := svdFromGram(x, c)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: SVD eigen step: %w", err)
 	}
+	return svd, nil
+}
 
-	// Eigenvalues of C are σ²; clamp tiny negatives from roundoff.
+// svdFromGram finishes the thin SVD of x (n×m) given c = xᵀx: V and Σ² are
+// the eigenpairs of c above the numerical-rank tolerance, and
+// U = X·V·Σ⁻¹ (Eq. 10/11 of the paper).
+func svdFromGram(x, c *Matrix) (*SVD, error) {
+	n, m := x.Dims()
+	eig, err := SymEigen(c)
+	if err != nil {
+		return nil, err
+	}
+	// Eigenvalues of C are σ²; the numerical rank ends at the first one
+	// lost in roundoff.
+	tol := eig.Values[0] * float64(max(n, m)) * rankTolFactor
 	sigma := make([]float64, 0, m)
 	for _, ev := range eig.Values {
-		if ev < 0 {
-			ev = 0
+		if ev <= tol {
+			break
 		}
 		sigma = append(sigma, math.Sqrt(ev))
 	}
-	// Determine numerical rank.
-	var tol float64
-	if len(sigma) > 0 {
-		tol = sigma[0] * float64(max(n, m)) * rankTolFactor
-	}
-	r := 0
-	for _, s := range sigma {
-		if s > tol && s > 0 {
-			r++
-		} else {
-			break
-		}
-	}
+	r := len(sigma)
 
 	v := NewMatrix(m, r)
 	for i := 0; i < m; i++ {
-		for j := 0; j < r; j++ {
-			v.Set(i, j, eig.Vectors.At(i, j))
-		}
+		copy(v.Row(i), eig.Vectors.Row(i)[:r])
 	}
-
-	// U = X·V·Σ⁻¹ (Eq. 10/11 of the paper).
 	u := NewMatrix(n, r)
 	for i := 0; i < n; i++ {
 		xrow := x.Row(i)
 		urow := u.Row(i)
-		for j := 0; j < r; j++ {
-			var s float64
-			for l, xv := range xrow {
-				s += xv * v.At(l, j)
-			}
-			urow[j] = s / sigma[j]
+		for l, xv := range xrow {
+			Axpy(xv, v.Row(l), urow)
+		}
+		for j := range urow {
+			urow[j] /= sigma[j]
 		}
 	}
-
-	return &SVD{U: u, Sigma: sigma[:r], V: v}, nil
+	return &SVD{U: u, Sigma: sigma, V: v}, nil
 }
 
 // Truncate returns a copy of the decomposition keeping only the first k
@@ -169,11 +166,4 @@ func (s *SVD) Reconstruct() *Matrix {
 		s.ReconstructRow(i, out.Row(i))
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -194,11 +194,13 @@ func Chunks(n, chunkRows int) []Range {
 	return out
 }
 
-// NumWorkers resolves a Workers option: w <= 0 means runtime.NumCPU(),
-// otherwise w itself.
+// NumWorkers resolves a Workers option: w <= 0 means runtime.GOMAXPROCS(0) —
+// the CPUs this process may use, not the ones the machine has, so a
+// GOMAXPROCS=1 or quota-limited process does not over-shard — otherwise w
+// itself.
 func NumWorkers(w int) int {
 	if w <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return w
 }

@@ -3,6 +3,7 @@ package matio
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -43,8 +44,15 @@ func TestNumWorkers(t *testing.T) {
 	if got := NumWorkers(1); got != 1 {
 		t.Errorf("NumWorkers(1) = %d", got)
 	}
-	if got := NumWorkers(0); got < 1 {
-		t.Errorf("NumWorkers(0) = %d, want >= 1", got)
+	if got, want := NumWorkers(0), runtime.GOMAXPROCS(0); got != want {
+		t.Errorf("NumWorkers(0) = %d, want GOMAXPROCS = %d", got, want)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := NumWorkers(0); got != 1 {
+		t.Errorf("NumWorkers(0) = %d under GOMAXPROCS=1, want 1", got)
+	}
+	if got := NumWorkers(-2); got != 1 {
+		t.Errorf("NumWorkers(-2) = %d under GOMAXPROCS=1, want 1", got)
 	}
 }
 

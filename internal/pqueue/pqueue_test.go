@@ -1,6 +1,7 @@
 package pqueue
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"sort"
@@ -182,6 +183,106 @@ func TestMinWeightInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refHeap and refTopK are the container/heap implementation TopK replaced,
+// kept as the reference the typed heap must match item for item.
+type refHeap []Item
+
+func (h refHeap) Len() int            { return len(h) }
+func (h refHeap) Less(i, j int) bool  { return h[i].Weight() < h[j].Weight() }
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(Item)) }
+func (h *refHeap) Pop() interface{}   { panic("unused") }
+
+type refTopK struct {
+	cap int
+	h   refHeap
+}
+
+func (q *refTopK) offer(it Item) bool {
+	if q.cap == 0 {
+		return false
+	}
+	if len(q.h) < q.cap {
+		heap.Push(&q.h, it)
+		return true
+	}
+	if it.Weight() <= q.h[0].Weight() {
+		return false
+	}
+	q.h[0] = it
+	heap.Fix(&q.h, 0)
+	return true
+}
+
+// TestMatchesContainerHeap drives the typed heap and the reference with the
+// same streams — weights drawn from a handful of values, so ties at the
+// cutoff are the rule — through Offer and through Merge of two shards, and
+// requires the same admissions and the same retained (Row, Col, Delta) set.
+func TestMatchesContainerHeap(t *testing.T) {
+	sameSet := func(q *TopK, ref *refTopK) bool {
+		seen := make(map[Item]int)
+		for _, it := range q.h {
+			seen[it]++
+		}
+		for _, it := range ref.h {
+			seen[it]--
+		}
+		for _, c := range seen {
+			if c != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	for seed := int64(0); seed < 200; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		k := r.Intn(40)
+		levels := 1 + r.Intn(12)
+		draw := func(i int) Item {
+			d := float64(r.Intn(levels))
+			if r.Intn(2) == 0 {
+				d = -d
+			}
+			return Item{Row: i, Col: r.Intn(7), Delta: d}
+		}
+		shards := [2]*TopK{NewTopK(k), NewTopK(k)}
+		refs := [2]*refTopK{{cap: k}, {cap: k}}
+		for i, n := 0, r.Intn(400); i < n; i++ {
+			it, w := draw(i), r.Intn(2)
+			if got, want := shards[w].Offer(it), refs[w].offer(it); got != want {
+				t.Fatalf("seed %d: Offer #%d admitted=%v, reference %v", seed, i, got, want)
+			}
+		}
+		for w := range shards {
+			if !sameSet(shards[w], refs[w]) {
+				t.Fatalf("seed %d: shard %d retained set differs from container/heap", seed, w)
+			}
+		}
+		shards[0].Merge(shards[1])
+		for _, it := range refs[1].h {
+			refs[0].offer(it)
+		}
+		if !sameSet(shards[0], refs[0]) {
+			t.Fatalf("seed %d: merged set differs from container/heap", seed)
+		}
+	}
+}
+
+func TestOfferDoesNotAllocateAtCapacity(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	q := NewTopK(64)
+	for i := 0; i < 64; i++ {
+		q.Offer(Item{Row: i, Delta: r.NormFloat64()})
+	}
+	i := 64
+	if a := testing.AllocsPerRun(1000, func() {
+		q.Offer(Item{Row: i, Delta: 10 * r.NormFloat64()})
+		i++
+	}); a != 0 {
+		t.Errorf("Offer allocates %v times per call at capacity, want 0", a)
 	}
 }
 

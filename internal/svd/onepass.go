@@ -33,7 +33,7 @@ import (
 // Compressor names accepted by the facade and SVDD layers.
 const (
 	// CompressorGram is the paper's pass-1: accumulate the full M×M Gram
-	// matrix C = XᵀX and eigendecompose it (Jacobi or subspace iteration).
+	// matrix C = XᵀX and eigendecompose it (linalg.SymEigen).
 	CompressorGram = "gram"
 	// CompressorRandomized is the sketch path in this file: O(M·(k+p))
 	// memory, never building C.
@@ -66,7 +66,7 @@ type RandOptions struct {
 	// Seed seeds the deterministic test matrix Ω; 0 selects
 	// DefaultSketchSeed.
 	Seed uint64
-	// Workers shards every streaming pass (0 ⇒ NumCPU, 1 ⇒ serial).
+	// Workers shards every streaming pass (0 ⇒ GOMAXPROCS, 1 ⇒ serial).
 	Workers int
 }
 

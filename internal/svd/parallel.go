@@ -29,7 +29,7 @@ import (
 )
 
 // AccumulateCWorkers computes C = XᵀX with the row scan sharded across
-// workers (0 ⇒ NumCPU, 1 ⇒ the exact serial AccumulateC path). Each worker
+// workers (0 ⇒ GOMAXPROCS, 1 ⇒ the exact serial AccumulateC path). Each worker
 // accumulates the upper triangle of its own M×M partial sum; partials are
 // reduced pairwise in fixed worker order and mirrored once at the end.
 func AccumulateCWorkers(src matio.RowSource, workers int) (*linalg.Matrix, error) {
@@ -105,7 +105,7 @@ func reduceMatrices(ms []*linalg.Matrix) *linalg.Matrix {
 }
 
 // ComputeUWorkers is ComputeU with the projection sharded across workers
-// (0 ⇒ NumCPU, 1 ⇒ the serial path). Workers project their own row ranges
+// (0 ⇒ GOMAXPROCS, 1 ⇒ the serial path). Workers project their own row ranges
 // into per-chunk blocks; a sequencer delivers the U rows to sink strictly
 // in row order, so a sink that streams into a matio.Writer produces
 // byte-identical output for every worker count. In-flight blocks are
@@ -223,7 +223,7 @@ func computeUWorkers(src matio.RowSource, f *Factors, k, workers int, sink func(
 }
 
 // CompressWorkers builds a plain-SVD store with cutoff k in two sharded
-// passes (0 ⇒ NumCPU, 1 ⇒ the serial Compress path).
+// passes (0 ⇒ GOMAXPROCS, 1 ⇒ the serial Compress path).
 func CompressWorkers(src matio.RowSource, k, workers int) (*Store, error) {
 	f, err := ComputeFactorsWorkers(src, workers)
 	if err != nil {

@@ -26,22 +26,6 @@ func SetProgressLogger(l *slog.Logger) {
 // progress returns the installed logger, or nil when progress is off.
 func progress() *slog.Logger { return progressLogger.Load() }
 
-// warn emits a Warn-level event through the installed progress logger, or
-// nothing when progress is off. Used for conditions that don't fail a pass
-// but that an operator should see — e.g. the iterative eigensolver
-// returning its best estimate without meeting its residual tolerance.
-func warn(msg string, attrs ...slog.Attr) {
-	l := progress()
-	if l == nil {
-		return
-	}
-	args := make([]any, 0, 2*len(attrs))
-	for _, a := range attrs {
-		args = append(args, a.Key, a.Value.Any())
-	}
-	l.Warn(msg, args...)
-}
-
 // logPass wraps one pass: it logs the start, runs fn, and logs completion
 // with the elapsed time (or the error). With no logger installed it just
 // runs fn.

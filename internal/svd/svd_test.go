@@ -360,63 +360,3 @@ func TestPhoneCompressionQuality(t *testing.T) {
 		t.Errorf("RMSPE at 10%% space = %.3f, expected well under 0.5", rmspe)
 	}
 }
-
-func TestComputeFactorsKMatchesFull(t *testing.T) {
-	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(150))
-	mem := matio.NewMem(x)
-	full, err := ComputeFactors(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const k = 8
-	fast, err := ComputeFactorsK(mem, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fast.Rank() != k {
-		t.Fatalf("fast rank = %d, want %d", fast.Rank(), k)
-	}
-	for i := 0; i < k; i++ {
-		if math.Abs(fast.Sigma[i]-full.Sigma[i]) > 1e-6*full.Sigma[0] {
-			t.Errorf("σ[%d] = %v, want %v", i, fast.Sigma[i], full.Sigma[i])
-		}
-		dot := linalg.Dot(fast.V.Col(i), full.V.Col(i))
-		if math.Abs(math.Abs(dot)-1) > 1e-5 {
-			t.Errorf("V column %d misaligned (|dot| = %v)", i, math.Abs(dot))
-		}
-	}
-	// Compression via the fast factors matches via the full factors.
-	a, err := CompressWithFactors(mem, fast, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CompressWithFactors(mem, full, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cell := range [][2]int{{0, 0}, {75, 180}, {149, 365}} {
-		va, _ := a.Cell(cell[0], cell[1])
-		vb, _ := b.Cell(cell[0], cell[1])
-		if math.Abs(va-vb) > 1e-6*math.Max(math.Abs(vb), 1) {
-			t.Errorf("cell %v: fast %v vs full %v", cell, va, vb)
-		}
-	}
-}
-
-func TestComputeFactorsKValidation(t *testing.T) {
-	x := dataset.Toy()
-	if _, err := ComputeFactorsK(matio.NewMem(x), 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := ComputeFactorsK(matio.NewMem(linalg.NewMatrix(0, 3)), 1); err == nil {
-		t.Error("empty accepted")
-	}
-	// k > m clamps.
-	f, err := ComputeFactorsK(matio.NewMem(x), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Rank() > 5 {
-		t.Errorf("rank = %d", f.Rank())
-	}
-}

@@ -103,7 +103,7 @@ func ComputeFactors(src matio.RowSource) (*Factors, error) {
 }
 
 // ComputeFactorsWorkers is ComputeFactors with the C accumulation sharded
-// across workers (0 ⇒ NumCPU, 1 ⇒ the serial path).
+// across workers (0 ⇒ GOMAXPROCS, 1 ⇒ the serial path).
 func ComputeFactorsWorkers(src matio.RowSource, workers int) (*Factors, error) {
 	n, m := src.Dims()
 	if n == 0 || m == 0 {
@@ -153,54 +153,6 @@ func factorsFromEigen(n, m int, values []float64, vectors *linalg.Matrix) *Facto
 		copy(v.Row(i), vectors.Row(i)[:r])
 	}
 	return &Factors{Rows: n, Cols: m, Sigma: sigma[:r], V: v}
-}
-
-// ComputeFactorsK runs pass 1 but extracts only the top k principal
-// components via blocked subspace iteration — O(M²·k) eigen work instead of
-// Jacobi's O(M³), a large win when M is in the thousands and k ≪ M. The
-// returned Factors have rank ≤ k, so they can serve plain-SVD compression
-// with cutoff ≤ k or SVDD with k_max ≤ k.
-func ComputeFactorsK(src matio.RowSource, k int) (*Factors, error) {
-	return ComputeFactorsKWorkers(src, k, 1)
-}
-
-// ComputeFactorsKWorkers is ComputeFactorsK with the C accumulation sharded
-// across workers (0 ⇒ NumCPU, 1 ⇒ the serial path).
-func ComputeFactorsKWorkers(src matio.RowSource, k, workers int) (*Factors, error) {
-	n, m := src.Dims()
-	if n == 0 || m == 0 {
-		return nil, ErrEmptyMatrix
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("svd: ComputeFactorsK needs k ≥ 1, got %d", k)
-	}
-	if k > m {
-		k = m
-	}
-	c, err := AccumulateCWorkers(src, workers)
-	if err != nil {
-		return nil, err
-	}
-	var eig *linalg.Eigen
-	eigErr := logPass("pass 1: top-k eigendecompose C",
-		[]slog.Attr{slog.Int("cols", m), slog.Int("k", k)}, func() error {
-			var err error
-			eig, err = linalg.TopKEigen(c, k, 0)
-			return err
-		})
-	if eigErr != nil {
-		return nil, fmt.Errorf("svd: subspace eigendecomposition of C: %w", eigErr)
-	}
-	if !eig.Converged {
-		// Subspace iteration converges at rate λ_{k+b'}/λ_k: a tightly
-		// clustered spectrum can exhaust the sweep budget with a still-mixed
-		// basis. The best estimate is returned regardless (it is usually
-		// serviceable for compression), but the caller deserves to know.
-		warn("pass 1: top-k eigensolver did not converge",
-			slog.Int("k", k), slog.Int("cols", m),
-			slog.Int("sweeps", eig.Sweeps), slog.Float64("residual", eig.Residual))
-	}
-	return factorsFromEigen(n, m, eig.Values, eig.Vectors), nil
 }
 
 // ComputeU runs pass 2 (Figure 3): it streams the rows of src and calls

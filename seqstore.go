@@ -108,7 +108,7 @@ type Options struct {
 	// on-disk size at a ~1e-7 relative rounding cost. SVD/SVDD only.
 	HalfPrecision bool
 	// Workers shards the compression passes (SVD/SVDD) across this many
-	// concurrent workers: 0 means runtime.NumCPU(), 1 forces the serial
+	// concurrent workers: 0 means runtime.GOMAXPROCS(0), 1 forces the serial
 	// algorithm. The compressed store is the same for every worker count
 	// up to floating-point reduction order (U is byte-identical; see
 	// DESIGN.md "Parallel compression pipeline"). Other methods ignore it.
