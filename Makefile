@@ -18,7 +18,8 @@ vet:
 # row cache + telemetry over a File-backed U, the bulk/plan-cache storms and
 # the graceful-shutdown drain test) and the scatter/gather, hedging and
 # /v1 contract tests of internal/cluster and internal/api exercise the
-# shared counters and both parallel pipelines under it. The race detector
+# shared counters, the one row-sharding driver of the compressor
+# (svd.scanSharded) and the query engine's workers under it. The race detector
 # is ~5-10x slower, so give packages more than the default 10m.
 race:
 	$(GO) test -race -timeout 30m ./...
@@ -62,8 +63,10 @@ bench-smoke:
 
 check: vet race golden-check metrics-golden fuzz-smoke bench-smoke
 
-# bench-parallel runs the worker-count sub-benchmarks for the three sharded
-# hot loops; the benchmark in bench/ records the same loops per layer
+# bench-parallel runs the worker-count sub-benchmarks: the two sharded hot
+# loops (pass-1 C accumulation, U projection) at workers {1,2,4,8} and the
+# whole SVDD compression (sharded factor pass + serial pass 2) at {1,2};
+# the benchmark in bench/ records the same per layer
 # (svd.accumulate_c_speedup, core.compress_worker_speedup).
 bench-parallel:
 	$(GO) test -bench 'Parallel' -run '^$$' -benchtime 1x ./internal/svd ./internal/core

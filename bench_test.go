@@ -51,8 +51,8 @@ func benchSetup(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
-		benchPlain, err = svd.CompressWithFactors(mem, benchFactors,
-			svd.KForBudget(benchPhone.Rows(), benchPhone.Cols(), 0.10))
+		benchPlain, err = svd.CompressWithFactorsWorkers(mem, benchFactors,
+			svd.KForBudget(benchPhone.Rows(), benchPhone.Cols(), 0.10), 1)
 		if err != nil {
 			panic(err)
 		}
@@ -316,7 +316,7 @@ func BenchmarkCompressSVD(b *testing.B) {
 	k := svd.KForBudget(benchPhone.Rows(), benchPhone.Cols(), 0.10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svd.CompressWithFactors(mem, benchFactors, k); err != nil {
+		if _, err := svd.CompressWithFactorsWorkers(mem, benchFactors, k, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,8 @@
 // hold in memory.
 //
 // The matrix lives in a binary file on disk; SVDD compression streams it in
-// exactly three passes (Figure 5 of the paper); the compressed store is
+// exactly two passes (Figure 5 of the paper, its U scan fused into the
+// scoring scan); the compressed store is
 // saved, reopened, and queried. At no point is the full N×M matrix resident
 // in memory. This is the workflow the cmd/seqgen → cmd/seqcompress →
 // cmd/seqquery tools package up; here it is driven through the library API.
@@ -42,7 +43,7 @@ func main() {
 	fmt.Printf("dataset on disk: %d×366 = %.1f MB\n", customers, float64(fi.Size())/1e6)
 	full = nil // drop it; from here on everything streams
 
-	// 2. Compress by streaming the file — three passes, no full matrix in
+	// 2. Compress by streaming the file — two passes, no full matrix in
 	//    memory.
 	st, err := seqstore.CompressFile(dataPath, seqstore.Options{
 		Method:       seqstore.SVDD,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -8,6 +10,8 @@ import (
 
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
+	"seqstore/internal/seqerr"
+	"seqstore/internal/store"
 	"seqstore/internal/svd"
 )
 
@@ -228,8 +232,10 @@ func TestCompressWorkersOnFile(t *testing.T) {
 }
 
 // TestWorkersEquivalentFactorsReuse mirrors how the experiments sweep
-// budgets: factors computed once, CompressWithFactors called per budget,
-// serial and sharded must agree.
+// budgets: factors computed once, CompressWithFactors called per budget.
+// Pass 2 is one serial scan whatever Workers says, so for fixed factors the
+// serialized store — U, deltas, and every CandidateStat.SSE — is the same
+// bytes at every worker count.
 func TestWorkersEquivalentFactorsReuse(t *testing.T) {
 	const n, m = 4000, 10
 	x := parallelPhone(n, m, 13)
@@ -238,18 +244,41 @@ func TestWorkersEquivalentFactorsReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload := func(budget float64, workers int) []byte {
+		t.Helper()
+		s, err := CompressWithFactors(src, f, Options{Budget: budget, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		w := store.NewWriter(&buf)
+		if err := s.EncodePayload(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
 	for _, budget := range []float64{0.25, 0.40} {
-		a, err := CompressWithFactors(src, f, Options{Budget: budget, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		want := payload(budget, 1)
+		for _, workers := range []int{2, 8} {
+			if !bytes.Equal(payload(budget, workers), want) {
+				t.Errorf("budget %v: store at workers=%d is not byte-identical to workers=1", budget, workers)
+			}
 		}
-		b, err := CompressWithFactors(src, f, Options{Budget: budget, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.K() != b.K() || a.NumOutliers() != b.NumOutliers() {
-			t.Errorf("budget %v: serial (k=%d, γ=%d) vs workers=3 (k=%d, γ=%d)",
-				budget, a.K(), a.NumOutliers(), b.K(), b.NumOutliers())
-		}
+	}
+}
+
+// TestFactorsOfWrongWidthRejected: 8-column factors against a 12-column
+// source used to panic with index out of range inside the scan.
+func TestFactorsOfWrongWidthRejected(t *testing.T) {
+	f, err := svd.ComputeFactors(matio.NewMem(parallelPhone(50, 8, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = CompressWithFactors(matio.NewMem(parallelPhone(50, 12, 2)), f, Options{Budget: 0.5})
+	if !errors.Is(err, seqerr.ErrOutOfRange) {
+		t.Errorf("err = %v, want ErrOutOfRange", err)
 	}
 }

@@ -49,8 +49,8 @@ type rowDelta struct {
 	delta float64
 }
 
-// newStore assembles the SVDD store from the pass-3 base, the chosen
-// outlier items, and any flagged all-zero rows.
+// newStore assembles the SVDD store from the plain-SVD base at k_opt, the
+// chosen outlier items, and any flagged all-zero rows.
 func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, opts Options, diag Diagnostics) (*Store, error) {
 	_, m := base.Dims()
 	deltas := make(map[uint64]float64, len(items))
@@ -152,7 +152,7 @@ func (s *Store) K() int { return s.base.K() }
 // NumOutliers returns the number of stored deltas.
 func (s *Store) NumOutliers() int { return len(s.deltas) }
 
-// Diagnostics returns what the 3-pass algorithm decided.
+// Diagnostics returns what the k_opt search of pass 2 decided.
 func (s *Store) Diagnostics() Diagnostics { return s.diag }
 
 // Base exposes the underlying plain-SVD store (shared, do not modify); the

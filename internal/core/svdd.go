@@ -3,18 +3,19 @@
 // of per-cell outlier deltas so that the worst-reconstructed cells are
 // repaired exactly, bounding the worst-case error.
 //
-// Compression follows the 3-pass algorithm of Figure 5:
+// Compression follows the algorithm of Figure 5 in two streaming passes —
+// the paper's third, a separate scan that emits U, is fused into the second:
 //
 //	pass 1  stream X once to build C = XᵀX; eigendecompose for Λ and V,
 //	        keeping k_max components; size the outlier budgets γ_k.
 //	pass 2  stream X again; for every cell compute its reconstruction error
 //	        under every candidate cutoff k (incremental partial sums make
 //	        this O(k_max) per cell); feed one bounded priority queue per
-//	        candidate k; accumulate the total squared error SSE_k.
+//	        candidate k; accumulate the total squared error SSE_k; keep the
+//	        row's projection, which is its U row at k_max.
 //	        Choose k_opt = argmin_k ε_k where ε_k = SSE_k − Σ(top-γ_k
 //	        errors²), i.e. the residual error after the γ_k worst cells
-//	        are repaired.
-//	pass 3  stream X a final time to emit U truncated to k_opt.
+//	        are repaired, and truncate the buffered U to k_opt.
 //
 // The resulting Store keeps Λ, V, the delta hash table and an optional
 // Bloom filter in memory, and reads U row-wise (possibly from disk): a cell
@@ -29,6 +30,7 @@ import (
 
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
+	"seqstore/internal/seqerr"
 	"seqstore/internal/svd"
 )
 
@@ -71,11 +73,12 @@ type Options struct {
 	// at all. Each flagged row costs one stored number, paid for out of
 	// the outlier budget.
 	FlagZeroRows bool
-	// Workers shards the row scans of all three passes: 0 means
-	// runtime.GOMAXPROCS(0), 1 runs the exact serial algorithm. Results are
-	// deterministic for a given worker count; across worker counts the
-	// chosen k_opt and outlier set are unchanged (per-cell errors are
-	// bit-identical) while SSE totals agree to reduction-order tolerance.
+	// Workers shards the row scans of the factor pass (pass 1): 0 means
+	// runtime.GOMAXPROCS(0), 1 runs it serially. Pass 2 is always one
+	// serial scan (see pass2.go), so for given factors the store is
+	// byte-identical at every worker count; the factors themselves are
+	// deterministic for a given worker count and agree across counts to
+	// reduction-order tolerance.
 	Workers int
 	// Compressor selects the pass-1 factor algorithm: svd.CompressorGram
 	// (default, also "") accumulates the M×M matrix C = XᵀX;
@@ -106,7 +109,7 @@ type CandidateStat struct {
 	Eps   float64 // residual squared error after repairing the top-γ cells
 }
 
-// Diagnostics describes what the 3-pass algorithm decided.
+// Diagnostics describes what the k_opt search of pass 2 decided.
 type Diagnostics struct {
 	KMax       int             // largest cutoff that fit the budget
 	ChosenK    int             // the selected k_opt
@@ -164,6 +167,20 @@ func Compress(src matio.RowSource, opts Options) (*Store, error) {
 	return CompressWithFactors(src, f, opts)
 }
 
+// kMax returns the largest cutoff k ≤ limit whose plain-SVD representation
+// of an n×m matrix fits the budget (a fraction of the raw n·m numbers).
+func kMax(n, m, limit int, budget float64) (int, error) {
+	budgetNums := budget * float64(n) * float64(m)
+	k := 0
+	for k < limit && float64(svd.StoredNumbers(n, m, k+1)) <= budgetNums {
+		k++
+	}
+	if k == 0 {
+		return 0, fmt.Errorf("%w: budget %.4f of %d×%d", ErrBudgetTooSmall, budget, n, m)
+	}
+	return k, nil
+}
+
 // budgetRank returns the largest cutoff whose plain-SVD representation fits
 // the budget — the sketch rank the randomized compressor must recover.
 func budgetRank(src matio.RowSource, opts Options) (int, error) {
@@ -171,17 +188,9 @@ func budgetRank(src matio.RowSource, opts Options) (int, error) {
 	if n == 0 || m == 0 {
 		return 0, svd.ErrEmptyMatrix
 	}
-	budgetNums := opts.Budget * float64(n) * float64(m)
-	rank := 0
-	for k := 1; k <= m; k++ {
-		if float64(svd.StoredNumbers(n, m, k)) <= budgetNums {
-			rank = k
-		} else {
-			break
-		}
-	}
-	if rank == 0 {
-		return 0, fmt.Errorf("%w: budget %.4f of %d×%d", ErrBudgetTooSmall, opts.Budget, n, m)
+	rank, err := kMax(n, m, m, opts.Budget)
+	if err != nil {
+		return 0, err
 	}
 	if opts.ForceK > 0 && opts.ForceK < rank {
 		rank = opts.ForceK
@@ -189,8 +198,8 @@ func budgetRank(src matio.RowSource, opts Options) (int, error) {
 	return rank, nil
 }
 
-// CompressWithFactors runs passes 2 and 3 with factors computed earlier.
-// When sweeping many budgets over the same dataset (as the experiments do),
+// CompressWithFactors runs pass 2 with factors computed earlier. When
+// sweeping many budgets over the same dataset (as the experiments do),
 // computing the factors once and reusing them here avoids repeating pass 1.
 func CompressWithFactors(src matio.RowSource, f *svd.Factors, opts Options) (*Store, error) {
 	if opts.Budget <= 0 || opts.Budget > 1 {
@@ -203,18 +212,14 @@ func CompressWithFactors(src matio.RowSource, f *svd.Factors, opts Options) (*St
 		opts.MaxQueueItems = DefaultMaxQueueItems
 	}
 	n, m := src.Dims()
+	if f.Cols != m {
+		return nil, fmt.Errorf("core: factors are for %d columns, source has %d (%w)", f.Cols, m, seqerr.ErrOutOfRange)
+	}
+	kmax, err := kMax(n, m, f.Rank(), opts.Budget)
+	if err != nil {
+		return nil, err
+	}
 	budgetNums := opts.Budget * float64(n) * float64(m)
-	kmax := 0
-	for k := 1; k <= f.Rank(); k++ {
-		if float64(svd.StoredNumbers(n, m, k)) <= budgetNums {
-			kmax = k
-		} else {
-			break
-		}
-	}
-	if kmax == 0 {
-		return nil, fmt.Errorf("%w: budget %.4f of %d×%d", ErrBudgetTooSmall, opts.Budget, n, m)
-	}
 	gamma := func(k int) int {
 		g := int((budgetNums - float64(svd.StoredNumbers(n, m, k))) / float64(opts.OutlierCost))
 		if g < 0 {

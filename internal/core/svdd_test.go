@@ -154,7 +154,7 @@ func TestSVDDBeatsPlainSVDAtEqualSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := svd.CompressBudget(mem, budget)
+	plain, err := svd.Compress(mem, svd.KForBudget(x.Rows(), x.Cols(), budget))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSVDDBoundsWorstCase(t *testing.T) {
 	mem := matio.NewMem(x)
 	budget := 0.10
 	svdd, _ := Compress(mem, Options{Budget: budget})
-	plain, _ := svd.CompressBudget(mem, budget)
+	plain, _ := svd.Compress(mem, svd.KForBudget(x.Rows(), x.Cols(), budget))
 
 	worst := func(s store.Store) float64 {
 		var acc metrics.Accumulator

@@ -61,7 +61,7 @@ type KOptPoint struct {
 }
 
 // KOpt is the ablation for the k_opt selection (§4.2): it exposes the
-// ε_k curve the 3-pass algorithm minimizes — how much error remains if k
+// ε_k curve the SVDD algorithm minimizes — how much error remains if k
 // principal components are kept and the rest of the budget repairs the
 // worst cells.
 func KOpt(x *linalg.Matrix, budget float64, w io.Writer) ([]KOptPoint, error) {

@@ -141,28 +141,6 @@ func (q *TopK) insert(it Item) bool {
 	return true
 }
 
-// Merge offers every retained item of other into q and reports how many
-// were kept; other is left intact. Because offering every element of one
-// queue into another preserves the exact top-γ set (an item in the true
-// top γ of the union is in the top γ of whichever queue saw it, so it is
-// retained on both sides of the merge), sharded producers can each keep a
-// private capacity-γ queue and merge afterwards: the result equals a single
-// queue offered every item — up to ties at the cutoff weight, where which
-// of the equal-weight items survives depends on offer order, exactly as it
-// does for a single queue.
-func (q *TopK) Merge(other *TopK) int {
-	if other == nil {
-		return 0
-	}
-	kept := 0
-	for _, it := range other.h {
-		if q.Offer(it) {
-			kept++
-		}
-	}
-	return kept
-}
-
 // Items returns the retained items sorted by decreasing weight. The queue is
 // left intact.
 func (q *TopK) Items() []Item {

@@ -44,8 +44,8 @@ var ErrBadOptions = errors.New("robust: invalid options")
 
 // Factors computes outlier-resistant SVD factors of x. The returned factors
 // have the same shape as svd.ComputeFactors' and can be passed to
-// svd.CompressWithFactors or core.CompressWithFactors (pass 2 and 3 then
-// run against the original, untrimmed data).
+// svd.CompressWithFactorsWorkers or core.CompressWithFactors (pass 2 then
+// runs against the original, untrimmed data).
 func Factors(x *linalg.Matrix, opts Options) (*svd.Factors, error) {
 	if opts.K < 1 {
 		return nil, fmt.Errorf("%w: K = %d", ErrBadOptions, opts.K)

@@ -17,14 +17,13 @@
 //
 // Everything is deterministic: Ω is a fixed function of (M, b, seed), the
 // per-worker accumulation order is a fixed function of (N, workers), and
-// partials reduce pairwise in fixed worker order exactly like
-// AccumulateCWorkers.
+// partials reduce pairwise in fixed worker order (scanSharded, the driver
+// AccumulateCWorkers shares).
 package svd
 
 import (
 	"fmt"
 	"log/slog"
-	"sync"
 
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
@@ -115,12 +114,6 @@ func (o RandOptions) sketchWidth(m int) int {
 		b = m
 	}
 	return b
-}
-
-// ComputeFactorsRand runs the randomized pass 1 serially.
-func ComputeFactorsRand(src matio.RowSource, opts RandOptions) (*Factors, error) {
-	opts.Workers = 1
-	return ComputeFactorsRandWorkers(src, opts)
 }
 
 // ComputeFactorsRandWorkers recovers the top-Rank factors of src with the
@@ -229,13 +222,6 @@ func truncateFactors(f *Factors, k int) *Factors {
 	return &Factors{Rows: f.Rows, Cols: f.Cols, Sigma: f.Sigma[:k:k], V: v}
 }
 
-// CompressRand builds a plain-SVD store with the randomized compressor,
-// serially.
-func CompressRand(src matio.RowSource, k int, opts RandOptions) (*Store, error) {
-	opts.Workers = 1
-	return CompressRandWorkers(src, k, opts)
-}
-
 // CompressRandWorkers builds a plain-SVD store with cutoff k using the
 // sketch pipeline. With PowerIters ≥ 1 (default 1) the U rows are emitted
 // from the final power pass's Z = X·Q buffer — U = Z·W·Σ⁻¹ — so the store
@@ -299,105 +285,50 @@ func CompressRandWorkers(src matio.RowSource, k int, opts RandOptions) (*Store, 
 // sketchPass streams src once, computing tᵢ = xᵢ·P per row (P is M×b) and
 // accumulating Y = Σ xᵢᵀtᵢ (when wantY) and G = Σ tᵢᵀtᵢ (when wantG).
 // zsink, when non-nil, observes every (i, tᵢ); with workers > 1 it is
-// called concurrently but never twice for the same row. Sharding follows
-// the AccumulateCWorkers discipline: fixed chunks round-robin across
-// workers, per-worker partials reduced pairwise in fixed order, one
-// logical pass counted.
+// called concurrently but never twice for the same row.
 func sketchPass(src matio.RowSource, name string, p *linalg.Matrix, workers int, wantY, wantG bool, zsink func(i int, t []float64)) (*linalg.Matrix, *linalg.Matrix, error) {
 	n, m := src.Dims()
 	b := p.Cols()
-	var y, g *linalg.Matrix
+	// One worker's accumulators; t is the scratch row tᵢ.
+	type sketch struct {
+		y, g *linalg.Matrix
+		t    []float64
+	}
+	var total *sketch
 	err := logPass(name, []slog.Attr{
 		slog.Int("rows", n), slog.Int("cols", m), slog.Int("sketch", b), slog.Int("workers", workers),
 	}, func() error {
-		var err error
-		y, g, err = sketchPassRun(src, p, workers, wantY, wantG, zsink)
-		return err
+		states, err := scanSharded(src, workers,
+			func() *sketch {
+				st := &sketch{t: make([]float64, b)}
+				if wantY {
+					st.y = linalg.NewMatrix(m, b)
+				}
+				if wantG {
+					st.g = linalg.NewMatrix(b, b)
+				}
+				return st
+			},
+			func(st *sketch, i int, row []float64) error {
+				sketchRow(p, row, st.t, st.y, st.g)
+				if zsink != nil {
+					zsink(i, st.t)
+				}
+				return nil
+			})
+		if err != nil {
+			return err
+		}
+		total = reducePairwise(states, func(dst, src *sketch) {
+			addMatrix(dst.y, src.y)
+			addMatrix(dst.g, src.g)
+		})
+		return nil
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("svd: sketch pass: %w", err)
 	}
-	return y, g, nil
-}
-
-func sketchPassRun(src matio.RowSource, p *linalg.Matrix, workers int, wantY, wantG bool, zsink func(i int, t []float64)) (*linalg.Matrix, *linalg.Matrix, error) {
-	n, m := src.Dims()
-	b := p.Cols()
-	rs, ok := src.(matio.RangeScanner)
-	chunks := matio.Chunks(n, 0)
-	if workers == 1 || !ok || len(chunks) < 2 {
-		var y, g *linalg.Matrix
-		if wantY {
-			y = linalg.NewMatrix(m, b)
-		}
-		if wantG {
-			g = linalg.NewMatrix(b, b)
-		}
-		t := make([]float64, b)
-		err := src.ScanRows(func(i int, row []float64) error {
-			sketchRow(p, row, t, y, g)
-			if zsink != nil {
-				zsink(i, t)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		return y, g, nil
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	matio.StartPass(src)
-	ys := make([]*linalg.Matrix, workers)
-	gs := make([]*linalg.Matrix, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var y, g *linalg.Matrix
-			if wantY {
-				y = linalg.NewMatrix(m, b)
-				ys[w] = y
-			}
-			if wantG {
-				g = linalg.NewMatrix(b, b)
-				gs[w] = g
-			}
-			t := make([]float64, b)
-			for ci := w; ci < len(chunks); ci += workers {
-				r := chunks[ci]
-				err := rs.ScanRowsRange(r.Start, r.End, func(i int, row []float64) error {
-					sketchRow(p, row, t, y, g)
-					if zsink != nil {
-						zsink(i, t)
-					}
-					return nil
-				})
-				if err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var y, g *linalg.Matrix
-	if wantY {
-		y = reduceMatrices(ys)
-	}
-	if wantG {
-		g = reduceMatrices(gs)
-	}
-	return y, g, nil
+	return total.y, total.g, nil
 }
 
 // sketchRow computes t = row·P into t (reused between rows) and folds the

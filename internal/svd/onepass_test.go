@@ -40,7 +40,7 @@ func TestRandFactorsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, piters := range []int{-1, 0, 3} {
-		f, err := ComputeFactorsRand(matio.NewMem(x), RandOptions{Rank: 5, PowerIters: piters})
+		f, err := ComputeFactorsRandWorkers(matio.NewMem(x), RandOptions{Rank: 5, PowerIters: piters, Workers: 1})
 		if err != nil {
 			t.Fatalf("PowerIters=%d: %v", piters, err)
 		}
@@ -75,7 +75,7 @@ func TestRandCompressPassCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		mem := matio.NewMem(x)
-		s, err := CompressRand(mem, 4, RandOptions{PowerIters: c.piters})
+		s, err := CompressRandWorkers(mem, 4, RandOptions{PowerIters: c.piters, Workers: 1})
 		if err != nil {
 			t.Fatalf("PowerIters=%d: %v", c.piters, err)
 		}
@@ -88,7 +88,7 @@ func TestRandCompressPassCounts(t *testing.T) {
 	}
 	// Factors alone via Nyström: a single pass.
 	mem := matio.NewMem(x)
-	if _, err := ComputeFactorsRand(mem, RandOptions{Rank: 4, PowerIters: -1}); err != nil {
+	if _, err := ComputeFactorsRandWorkers(mem, RandOptions{Rank: 4, PowerIters: -1, Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := mem.Stats().Passes(); got != 1 {
@@ -100,7 +100,7 @@ func TestRandCompressReconstructsExactlyAtFullRank(t *testing.T) {
 	// Rank-6 matrix, rank-6 cutoff: the sketch spans the whole row space, so
 	// reconstruction should be exact to numerical precision.
 	x := decayingMatrix(40, 10, 6, 0.5, 11)
-	s, err := CompressRand(matio.NewMem(x), 6, RandOptions{})
+	s, err := CompressRandWorkers(matio.NewMem(x), 6, RandOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRandCompressZeroRows(t *testing.T) {
 	for j := 0; j < 8; j++ {
 		x.Set(4, j, 0)
 	}
-	s, err := CompressRand(matio.NewMem(x), 4, RandOptions{})
+	s, err := CompressRandWorkers(matio.NewMem(x), 4, RandOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +180,14 @@ func TestRandWorkersAgree(t *testing.T) {
 
 func TestRandOptionsValidation(t *testing.T) {
 	x := decayingMatrix(10, 5, 3, 0.5, 19)
-	if _, err := ComputeFactorsRand(matio.NewMem(x), RandOptions{Rank: 0}); err == nil {
+	if _, err := ComputeFactorsRandWorkers(matio.NewMem(x), RandOptions{Rank: 0, Workers: 1}); err == nil {
 		t.Error("accepted Rank=0")
 	}
-	if _, err := ComputeFactorsRand(matio.NewMem(linalg.NewMatrix(0, 5)), RandOptions{Rank: 2}); err == nil {
+	if _, err := ComputeFactorsRandWorkers(matio.NewMem(linalg.NewMatrix(0, 5)), RandOptions{Rank: 2, Workers: 1}); err == nil {
 		t.Error("accepted empty matrix")
 	}
 	// Rank beyond M clamps rather than failing.
-	f, err := ComputeFactorsRand(matio.NewMem(x), RandOptions{Rank: 99})
+	f, err := ComputeFactorsRandWorkers(matio.NewMem(x), RandOptions{Rank: 99, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

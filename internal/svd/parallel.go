@@ -1,248 +1,100 @@
-// Worker-sharded variants of the two out-of-core passes. Both passes are
-// embarrassingly row-parallel: pass 1 accumulates C = XᵀX as a sum of
-// per-row outer products, and pass 2 projects each row independently. The
-// sharding strategy is shared by both:
+// The one row-sharding driver. Every compression pass is "stream the rows
+// once, each row independent": pass 1 accumulates C = XᵀX (or a sketch of
+// it) as a sum of per-row outer products, and the projection pass maps each
+// row to its U row. scanSharded is the only place that decides how such a
+// pass is split across workers:
 //
 //   - the row range [0, N) is split into fixed chunks (matio.Chunks) whose
 //     boundaries do not depend on the worker count;
 //   - chunks are assigned to workers round-robin (worker w takes chunks
 //     w, w+W, w+2W, …), so the work each worker does is a deterministic
 //     function of (N, W);
-//   - per-worker partial results are combined pairwise in fixed worker
-//     order, so the reduction order — and therefore the floating-point
-//     result — is deterministic for a given worker count. Results across
-//     different worker counts agree to reduction-order tolerance
-//     (~1e-12·‖C‖); pass 2/3 output is byte-identical for every worker
-//     count because each U row depends on its data row alone.
+//   - callers combine the per-worker states pairwise in fixed worker order
+//     (reducePairwise), so the floating-point result is deterministic for a
+//     given worker count. Sums across different worker counts agree to
+//     reduction-order tolerance (~1e-12·‖C‖); per-row outputs (U rows) are
+//     bit-identical for every worker count because each depends on its data
+//     row alone.
 //
-// Sources that do not implement matio.RangeScanner fall back to the serial
-// path, as does workers == 1.
+// SVDD's scoring pass (internal/core) is deliberately not a caller: its
+// per-worker top-γ queues make sharding cost more than it saves (DESIGN §8).
 package svd
 
 import (
-	"fmt"
-	"log/slog"
 	"sync"
+	"sync/atomic"
 
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 )
 
-// AccumulateCWorkers computes C = XᵀX with the row scan sharded across
-// workers (0 ⇒ GOMAXPROCS, 1 ⇒ the exact serial AccumulateC path). Each worker
-// accumulates the upper triangle of its own M×M partial sum; partials are
-// reduced pairwise in fixed worker order and mirrored once at the end.
-func AccumulateCWorkers(src matio.RowSource, workers int) (*linalg.Matrix, error) {
-	workers = matio.NumWorkers(workers)
-	rows, cols := src.Dims()
-	var c *linalg.Matrix
-	err := logPass("pass 1: accumulate C", []slog.Attr{
-		slog.Int("rows", rows), slog.Int("cols", cols), slog.Int("workers", workers),
-	}, func() error {
-		var err error
-		c, err = accumulateCWorkers(src, workers)
-		return err
-	})
-	return c, err
-}
+// scanSharded makes one logical pass over src, calling row for every row
+// with the state of the worker that owns it, and returns the states in
+// worker order (always at least one). workers follows matio.NumWorkers
+// (0 ⇒ GOMAXPROCS) and is clamped to the chunk count. One worker — asked
+// for, clamped to, or forced because src is not a matio.RangeScanner — is a
+// single src.ScanRows, rows in order. With more, row runs concurrently for
+// rows of different workers, each worker's rows in increasing order; a
+// failing worker stops the others at their next chunk, and the first error
+// in worker order is returned after every goroutine has exited.
+func scanSharded[S any](src matio.RowSource, workers int, newState func() S,
+	row func(st S, i int, row []float64) error) ([]S, error) {
 
-func accumulateCWorkers(src matio.RowSource, workers int) (*linalg.Matrix, error) {
-	n, m := src.Dims()
-	rs, ok := src.(matio.RangeScanner)
+	n, _ := src.Dims()
 	chunks := matio.Chunks(n, 0)
-	if workers == 1 || !ok || len(chunks) < 2 {
-		return AccumulateC(src)
-	}
-	if workers > len(chunks) {
-		workers = len(chunks)
+	workers = min(matio.NumWorkers(workers), len(chunks))
+	rs, ok := src.(matio.RangeScanner)
+	if workers <= 1 || !ok {
+		st := newState()
+		err := src.ScanRows(func(i int, r []float64) error { return row(st, i, r) })
+		return []S{st}, err
 	}
 	matio.StartPass(src)
-	partials := make([]*linalg.Matrix, workers)
+	states := make([]S, workers)
 	errs := make([]error, workers)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			c := linalg.NewMatrix(m, m)
-			partials[w] = c
-			for ci := w; ci < len(chunks); ci += workers {
-				r := chunks[ci]
-				err := rs.ScanRowsRange(r.Start, r.End, func(i int, row []float64) error {
-					accumulateRowUpper(c, row)
-					return nil
-				})
-				if err != nil {
+			st := newState()
+			states[w] = st
+			visit := func(i int, r []float64) error { return row(st, i, r) }
+			for ci := w; ci < len(chunks) && !failed.Load(); ci += workers {
+				if err := rs.ScanRowsRange(chunks[ci].Start, chunks[ci].End, visit); err != nil {
 					errs[w] = err
+					failed.Store(true)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("svd: pass 1: %w", err)
+			return nil, err
 		}
 	}
-	c := reduceMatrices(partials)
-	mirrorUpper(c)
-	return c, nil
+	return states, nil
 }
 
-// reduceMatrices sums the matrices pairwise in fixed slice order:
-// (0+1), (2+3), … then recursively, returning the result in ms[0].
-func reduceMatrices(ms []*linalg.Matrix) *linalg.Matrix {
-	for stride := 1; stride < len(ms); stride *= 2 {
-		for i := 0; i+stride < len(ms); i += 2 * stride {
-			a, b := ms[i].Data(), ms[i+stride].Data()
-			for idx := range a {
-				a[idx] += b[idx]
-			}
+// reducePairwise folds the states in fixed slice order — (0+1), (2+3), …
+// then recursively — and returns states[0], which holds the total.
+func reducePairwise[S any](states []S, add func(dst, src S)) S {
+	for stride := 1; stride < len(states); stride *= 2 {
+		for i := 0; i+stride < len(states); i += 2 * stride {
+			add(states[i], states[i+stride])
 		}
 	}
-	return ms[0]
+	return states[0]
 }
 
-// ComputeUWorkers is ComputeU with the projection sharded across workers
-// (0 ⇒ GOMAXPROCS, 1 ⇒ the serial path). Workers project their own row ranges
-// into per-chunk blocks; a sequencer delivers the U rows to sink strictly
-// in row order, so a sink that streams into a matio.Writer produces
-// byte-identical output for every worker count. In-flight blocks are
-// bounded to workers+2 chunks, keeping memory O(workers·chunkRows·k).
-func ComputeUWorkers(src matio.RowSource, f *Factors, k, workers int, sink func(i int, urow []float64) error) error {
-	workers = matio.NumWorkers(workers)
-	rows, _ := src.Dims()
-	return logPass("pass 2: project U", []slog.Attr{
-		slog.Int("rows", rows), slog.Int("k", f.Clamp(k)), slog.Int("workers", workers),
-	}, func() error {
-		return computeUWorkers(src, f, k, workers, sink)
-	})
-}
-
-func computeUWorkers(src matio.RowSource, f *Factors, k, workers int, sink func(i int, urow []float64) error) error {
-	rs, ok := src.(matio.RangeScanner)
-	n, _ := src.Dims()
-	chunks := matio.Chunks(n, 0)
-	if workers == 1 || !ok || len(chunks) < 2 {
-		return ComputeU(src, f, k, sink)
+// addMatrix adds src into dst element-wise; a nil dst (an accumulator the
+// pass did not ask for) is left alone.
+func addMatrix(dst, src *linalg.Matrix) {
+	if dst == nil {
+		return
 	}
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	k = f.Clamp(k)
-	matio.StartPass(src)
-
-	window := workers + 2
-	var (
-		mu     sync.Mutex
-		cond   = sync.NewCond(&mu)
-		blocks = make([][]float64, len(chunks))
-		done   = make([]bool, len(chunks))
-		next   int // next chunk index the sequencer will deliver
-		failed bool
-		werr   error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if !failed {
-			failed = true
-			werr = err
-		}
-		mu.Unlock()
-		cond.Broadcast()
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for ci := w; ci < len(chunks); ci += workers {
-				mu.Lock()
-				for ci >= next+window && !failed {
-					cond.Wait()
-				}
-				abort := failed
-				mu.Unlock()
-				if abort {
-					return
-				}
-				r := chunks[ci]
-				block := make([]float64, r.Len()*k)
-				err := rs.ScanRowsRange(r.Start, r.End, func(i int, row []float64) error {
-					off := (i - r.Start) * k
-					projectRow(row, f, k, block[off:off+k])
-					return nil
-				})
-				if err != nil {
-					fail(fmt.Errorf("svd: pass 2: %w", err))
-					return
-				}
-				mu.Lock()
-				blocks[ci] = block
-				done[ci] = true
-				mu.Unlock()
-				cond.Broadcast()
-			}
-		}(w)
-	}
-
-	for ci := 0; ci < len(chunks); ci++ {
-		mu.Lock()
-		for !done[ci] && !failed {
-			cond.Wait()
-		}
-		if failed {
-			mu.Unlock()
-			break
-		}
-		block := blocks[ci]
-		blocks[ci] = nil
-		mu.Unlock()
-		r := chunks[ci]
-		sinkErr := error(nil)
-		for i := r.Start; i < r.End; i++ {
-			off := (i - r.Start) * k
-			if err := sink(i, block[off:off+k]); err != nil {
-				sinkErr = err
-				break
-			}
-		}
-		if sinkErr != nil {
-			fail(fmt.Errorf("svd: pass 2: %w", sinkErr))
-			break
-		}
-		mu.Lock()
-		next = ci + 1
-		mu.Unlock()
-		cond.Broadcast()
-	}
-	wg.Wait()
-	return werr
-}
-
-// CompressWorkers builds a plain-SVD store with cutoff k in two sharded
-// passes (0 ⇒ GOMAXPROCS, 1 ⇒ the serial Compress path).
-func CompressWorkers(src matio.RowSource, k, workers int) (*Store, error) {
-	f, err := ComputeFactorsWorkers(src, workers)
-	if err != nil {
-		return nil, err
-	}
-	return CompressWithFactorsWorkers(src, f, k, workers)
-}
-
-// CompressWithFactorsWorkers runs only pass 2, sharded across workers.
-func CompressWithFactorsWorkers(src matio.RowSource, f *Factors, k, workers int) (*Store, error) {
-	k = f.Clamp(k)
-	n, _ := src.Dims()
-	u := linalg.NewMatrix(n, k)
-	err := ComputeUWorkers(src, f, k, workers, func(i int, urow []float64) error {
-		copy(u.Row(i), urow)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return New(f, k, matio.NewMem(u))
+	linalg.Axpy(1, src.Data(), dst.Data())
 }

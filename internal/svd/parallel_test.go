@@ -2,19 +2,23 @@ package svd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
+	"seqstore/internal/seqerr"
 )
 
 // plainSource hides the RangeScanner capability of a Mem source, forcing
-// the serial fallback path.
+// the driver's single-ScanRows path.
 type plainSource struct{ mem *matio.Mem }
 
 func (p *plainSource) Dims() (int, int) { return p.mem.Dims() }
@@ -47,10 +51,130 @@ func parallelTestSources(t *testing.T, n, m int) map[string]matio.RowSource {
 	return map[string]matio.RowSource{"mem": matio.NewMem(x), "file": f}
 }
 
+// TestScanSharded pins the driver's sharding decision: how many states come
+// back, in worker order, which rows each worker saw and in what order, and
+// that the whole scan is one logical pass reading every row once.
+func TestScanSharded(t *testing.T) {
+	const chunk = matio.DefaultChunkRows
+	cases := []struct {
+		name       string
+		n, workers int
+		kind       string // "mem", "file", or "plain" (no ScanRowsRange)
+		wantStates int
+	}{
+		{"serial", 5*chunk + 7, 1, "mem", 1},
+		{"round-robin", 5*chunk + 7, 2, "mem", 2},
+		{"uneven", 5*chunk + 7, 3, "file", 3},
+		{"clamped to chunks", 3 * chunk, 8, "mem", 3},
+		{"below one chunk", chunk - 1, 4, "file", 1},
+		{"empty", 0, 4, "mem", 1},
+		{"not a RangeScanner", 5 * chunk, 4, "plain", 1},
+		{"default workers", 2 * chunk, 0, "mem", min(2, runtime.GOMAXPROCS(0))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			x := linalg.NewMatrix(tc.n, 2)
+			for i := 0; i < tc.n; i++ {
+				x.Set(i, 0, float64(i))
+			}
+			mem := matio.NewMem(x)
+			var src matio.RowSource = mem
+			stats := mem.Stats()
+			switch tc.kind {
+			case "plain":
+				src = &plainSource{mem}
+			case "file":
+				path := filepath.Join(t.TempDir(), "x.smx")
+				if err := matio.WriteMatrix(path, x); err != nil {
+					t.Fatal(err)
+				}
+				f, err := matio.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer f.Close()
+				src, stats = f, f.Stats()
+			}
+			states, err := scanSharded(src, tc.workers,
+				func() *[]int { return new([]int) },
+				func(seen *[]int, i int, row []float64) error {
+					if row[0] != float64(i) {
+						t.Errorf("row %d delivered with payload %v", i, row[0])
+					}
+					*seen = append(*seen, i)
+					return nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(states) != tc.wantStates {
+				t.Fatalf("%d states, want %d", len(states), tc.wantStates)
+			}
+			chunks := matio.Chunks(tc.n, 0)
+			for w, seen := range states {
+				var want []int
+				for ci := w; ci < len(chunks); ci += len(states) {
+					for i := chunks[ci].Start; i < chunks[ci].End; i++ {
+						want = append(want, i)
+					}
+				}
+				if !slices.Equal(*seen, want) {
+					t.Errorf("worker %d of %d saw %d rows, want chunks %d, %d, … (%d rows) in order",
+						w, len(states), len(*seen), w, w+len(states), len(want))
+				}
+			}
+			if got := stats.Passes(); got != 1 {
+				t.Errorf("Passes = %d, want 1", got)
+			}
+			if got := stats.RowReads(); got != int64(tc.n) {
+				t.Errorf("RowReads = %d, want %d", got, tc.n)
+			}
+		})
+	}
+}
+
+// trackedSource counts the range scans in flight, so a test can tell
+// whether a driver returned while one of its workers was still scanning.
+type trackedSource struct {
+	*matio.Mem
+	active atomic.Int32
+}
+
+func (s *trackedSource) ScanRowsRange(start, end int, fn func(i int, row []float64) error) error {
+	s.active.Add(1)
+	defer s.active.Add(-1)
+	return s.Mem.ScanRowsRange(start, end, fn)
+}
+
+func TestScanShardedReturnsWorkerErrorAfterAllExit(t *testing.T) {
+	const chunk = matio.DefaultChunkRows
+	src := &trackedSource{Mem: matio.NewMem(linalg.NewMatrix(9*chunk, 2))}
+	sentinel := errors.New("row 5 of chunk 2")
+	var returned atomic.Bool
+	states, err := scanSharded(src, 3,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int, _ []float64) error {
+			if returned.Load() {
+				t.Error("row func called after the driver returned")
+			}
+			if i == 2*chunk+5 { // chunk 2 is worker 2's first
+				return sentinel
+			}
+			return nil
+		})
+	returned.Store(true)
+	if err != sentinel || states != nil {
+		t.Errorf("got (%v, %v), want (nil, the worker's error unwrapped)", states, err)
+	}
+	if n := src.active.Load(); n != 0 {
+		t.Errorf("%d range scans still running after the driver returned", n)
+	}
+}
+
 func TestAccumulateCSymmetricAndMatchesNaive(t *testing.T) {
 	const n, m = 200, 9
 	x := randMatrix(rand.New(rand.NewSource(5)), n, m)
-	c, err := AccumulateC(matio.NewMem(x))
+	c, err := AccumulateCWorkers(matio.NewMem(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,44 +251,56 @@ func TestAccumulateCWorkersCountsOnePass(t *testing.T) {
 	}
 }
 
-// TestComputeUWorkersByteIdenticalFiles streams pass 2/3 output into
-// matio.Writer files at several worker counts; the sequencer must deliver
-// U rows in order, so the files are byte-identical.
-func TestComputeUWorkersByteIdenticalFiles(t *testing.T) {
+// TestCompressWithFactorsWorkersUByteIdentical pins what sharding the
+// projection may not change: every U row depends on its data row alone, so
+// the stored U matrix is bit-for-bit the same at every worker count.
+func TestCompressWithFactorsWorkersUByteIdentical(t *testing.T) {
 	const n, m, k = 5000, 12, 5
-	dir := t.TempDir()
 	for name, src := range parallelTestSources(t, n, m) {
 		f, err := ComputeFactors(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		uFile := func(workers int) []byte {
+		uBytes := func(workers int) []byte {
 			t.Helper()
-			path := filepath.Join(dir, name+"-u.smx")
-			w, err := matio.Create(path, n, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = ComputeUWorkers(src, f, k, workers, func(i int, urow []float64) error {
-				return w.WriteRow(urow)
-			})
+			s, err := CompressWithFactorsWorkers(src, f, k, workers)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
+			var buf bytes.Buffer
+			urow := make([]float64, k)
+			for i := 0; i < n; i++ {
+				if err := s.URow(i, urow); err != nil {
+					t.Fatal(err)
+				}
+				if err := binary.Write(&buf, binary.LittleEndian, urow); err != nil {
+					t.Fatal(err)
+				}
 			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return raw
+			return buf.Bytes()
 		}
-		want := uFile(1)
+		want := uBytes(1)
 		for _, workers := range []int{2, 3, 8} {
-			if got := uFile(workers); !bytes.Equal(got, want) {
-				t.Errorf("%s: U file at workers=%d differs from serial", name, workers)
+			if got := uBytes(workers); !bytes.Equal(got, want) {
+				t.Errorf("%s: U at workers=%d differs from serial", name, workers)
 			}
+		}
+	}
+}
+
+// TestFactorsOfWrongWidthRejected: factors computed for an 8-column matrix
+// used to index V out of range — inside a worker goroutine on the sharded
+// path — when projected against a 12-column source.
+func TestFactorsOfWrongWidthRejected(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	f, err := ComputeFactors(matio.NewMem(randMatrix(r, 50, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := matio.NewMem(randMatrix(r, 3000, 12))
+	for _, workers := range []int{1, 2} {
+		if _, err := CompressWithFactorsWorkers(wide, f, 3, workers); !errors.Is(err, seqerr.ErrOutOfRange) {
+			t.Errorf("workers=%d: err = %v, want ErrOutOfRange", workers, err)
 		}
 	}
 }

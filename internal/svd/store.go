@@ -26,26 +26,36 @@ type Store struct {
 }
 
 // Compress builds a plain-SVD store with cutoff k from src, making exactly
-// two passes. k is clamped to the numerical rank.
+// two serial passes. k is clamped to the numerical rank.
 func Compress(src matio.RowSource, k int) (*Store, error) {
-	f, err := ComputeFactors(src)
+	return CompressWorkers(src, k, 1)
+}
+
+// CompressWorkers is Compress with both passes sharded across workers
+// (0 ⇒ GOMAXPROCS, 1 ⇒ serial).
+func CompressWorkers(src matio.RowSource, k, workers int) (*Store, error) {
+	f, err := ComputeFactorsWorkers(src, workers)
 	if err != nil {
 		return nil, err
 	}
-	return CompressWithFactors(src, f, k)
+	return CompressWithFactorsWorkers(src, f, k, workers)
 }
 
-// CompressBudget builds a plain-SVD store that fits within the given space
-// budget (fraction of the raw matrix).
-func CompressBudget(src matio.RowSource, budget float64) (*Store, error) {
-	n, m := src.Dims()
-	return Compress(src, KForBudget(n, m, budget))
-}
-
-// CompressWithFactors runs only pass 2, reusing factors computed earlier
-// (e.g. shared between several cutoffs, or with SVDD's pass 1).
-func CompressWithFactors(src matio.RowSource, f *Factors, k int) (*Store, error) {
-	return CompressWithFactorsWorkers(src, f, k, 1)
+// CompressWithFactorsWorkers runs only pass 2, sharded across workers,
+// reusing factors computed earlier (e.g. shared between several cutoffs, or
+// with SVDD's pass 1).
+func CompressWithFactorsWorkers(src matio.RowSource, f *Factors, k, workers int) (*Store, error) {
+	k = f.Clamp(k)
+	n, _ := src.Dims()
+	u := linalg.NewMatrix(n, k)
+	err := ComputeUWorkers(src, f, k, workers, func(i int, urow []float64) error {
+		copy(u.Row(i), urow)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return New(f, k, matio.NewMem(u))
 }
 
 // New assembles a store from factors truncated to k and a U-row provider

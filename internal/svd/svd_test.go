@@ -55,13 +55,13 @@ func TestComputeFactorsMatchesInMemorySVD(t *testing.T) {
 func TestAccumulateCMatchesDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	x := randMatrix(r, 15, 6)
-	c, err := AccumulateC(matio.NewMem(x))
+	c, err := AccumulateCWorkers(matio.NewMem(x), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := linalg.Mul(x.T(), x)
 	if !linalg.Equal(c, want, 1e-9) {
-		t.Error("AccumulateC != XᵀX")
+		t.Error("AccumulateCWorkers != XᵀX")
 	}
 }
 
@@ -229,7 +229,7 @@ func TestStoredNumbersEq9(t *testing.T) {
 func TestCompressBudgetRespectsBudget(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	x := randMatrix(r, 200, 50)
-	s, err := CompressBudget(matio.NewMem(x), 0.10)
+	s, err := Compress(matio.NewMem(x), KForBudget(x.Rows(), x.Cols(), 0.10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestCompressMonotoneErrorProperty(t *testing.T) {
 			return false
 		}
 		for k := 0; k <= factors.Rank(); k++ {
-			s, err := CompressWithFactors(mem, factors, k)
+			s, err := CompressWithFactorsWorkers(mem, factors, k, 1)
 			if err != nil {
 				return false
 			}
@@ -336,7 +336,7 @@ func TestCompressMonotoneErrorProperty(t *testing.T) {
 func TestPhoneCompressionQuality(t *testing.T) {
 	// Sanity: on phone-like data, 10% space should reconstruct well.
 	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(300))
-	s, err := CompressBudget(matio.NewMem(x), 0.10)
+	s, err := Compress(matio.NewMem(x), KForBudget(x.Rows(), x.Cols(), 0.10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
+	"seqstore/internal/seqerr"
 )
 
 // ErrEmptyMatrix is returned when compressing a matrix with no rows or
@@ -51,24 +52,34 @@ func (f *Factors) Clamp(k int) int {
 	return k
 }
 
-// AccumulateC computes the column-to-column similarity matrix C = XᵀX in a
-// single pass over the rows of src (Figure 2 of the paper). C is symmetric,
-// so only the upper triangle is accumulated — halving the pass-1 flops —
-// and mirrored once at the end; because x_j·x_l and x_l·x_j are the same
-// product and rows are added in the same order, the result is bit-identical
-// to the full accumulation. Use AccumulateCWorkers to shard the pass.
-func AccumulateC(src matio.RowSource) (*linalg.Matrix, error) {
-	_, m := src.Dims()
-	c := linalg.NewMatrix(m, m)
-	err := src.ScanRows(func(i int, row []float64) error {
-		accumulateRowUpper(c, row)
+// AccumulateCWorkers computes the column-to-column similarity matrix C = XᵀX
+// in a single pass over the rows of src (Figure 2 of the paper), sharded
+// across workers (0 ⇒ GOMAXPROCS, 1 ⇒ serial). C is symmetric, so each worker
+// accumulates only the upper triangle of its own M×M partial sum — halving
+// the pass-1 flops; partials are reduced pairwise in fixed worker order and
+// mirrored once at the end. Because x_j·x_l and x_l·x_j are the same product
+// and rows are added in the same order, one worker's result is bit-identical
+// to the full accumulation.
+func AccumulateCWorkers(src matio.RowSource, workers int) (*linalg.Matrix, error) {
+	rows, m := src.Dims()
+	var c *linalg.Matrix
+	err := logPass("pass 1: accumulate C", []slog.Attr{
+		slog.Int("rows", rows), slog.Int("cols", m), slog.Int("workers", matio.NumWorkers(workers)),
+	}, func() error {
+		partials, err := scanSharded(src, workers,
+			func() *linalg.Matrix { return linalg.NewMatrix(m, m) },
+			func(c *linalg.Matrix, _ int, row []float64) error {
+				accumulateRowUpper(c, row)
+				return nil
+			})
+		if err != nil {
+			return fmt.Errorf("svd: pass 1: %w", err)
+		}
+		c = reducePairwise(partials, addMatrix)
+		mirrorUpper(c)
 		return nil
 	})
-	if err != nil {
-		return nil, fmt.Errorf("svd: pass 1: %w", err)
-	}
-	mirrorUpper(c)
-	return c, nil
+	return c, err
 }
 
 // accumulateRowUpper adds the outer product row·rowᵀ into the upper
@@ -103,7 +114,7 @@ func ComputeFactors(src matio.RowSource) (*Factors, error) {
 }
 
 // ComputeFactorsWorkers is ComputeFactors with the C accumulation sharded
-// across workers (0 ⇒ GOMAXPROCS, 1 ⇒ the serial path).
+// across workers (0 ⇒ GOMAXPROCS, 1 ⇒ serial).
 func ComputeFactorsWorkers(src matio.RowSource, workers int) (*Factors, error) {
 	n, m := src.Dims()
 	if n == 0 || m == 0 {
@@ -155,21 +166,39 @@ func factorsFromEigen(n, m int, values []float64, vectors *linalg.Matrix) *Facto
 	return &Factors{Rows: n, Cols: m, Sigma: sigma[:r], V: v}
 }
 
-// ComputeU runs pass 2 (Figure 3): it streams the rows of src and calls
-// sink with each row of the N×k matrix U, computed as
-// u[i][j] = Σ_l x[i][l]·v[l][j] / σ_j (Eq. 11). The urow slice passed to
-// sink is reused between calls.
+// ComputeU runs pass 2 (Figure 3) serially: sink sees the rows of U in
+// order.
 func ComputeU(src matio.RowSource, f *Factors, k int, sink func(i int, urow []float64) error) error {
-	k = f.Clamp(k)
-	urow := make([]float64, k)
-	err := src.ScanRows(func(i int, row []float64) error {
-		projectRow(row, f, k, urow)
-		return sink(i, urow)
-	})
-	if err != nil {
-		return fmt.Errorf("svd: pass 2: %w", err)
+	return ComputeUWorkers(src, f, k, 1, sink)
+}
+
+// ComputeUWorkers runs pass 2 (Figure 3): it streams the rows of src,
+// sharded across workers (0 ⇒ GOMAXPROCS, 1 ⇒ serial), and calls sink once
+// per row with that row of the N×k matrix U, computed as
+// u[i][j] = Σ_l x[i][l]·v[l][j] / σ_j (Eq. 11). With more than one worker
+// sink runs concurrently for different rows, in no global order — index by
+// i. The urow slice is reused between calls. A U row depends on its data
+// row alone, so the values are bit-identical for every worker count.
+func ComputeUWorkers(src matio.RowSource, f *Factors, k, workers int, sink func(i int, urow []float64) error) error {
+	rows, m := src.Dims()
+	if f.Cols != m { // projectRow would index V out of range
+		return fmt.Errorf("svd: factors are for %d columns, source has %d (%w)", f.Cols, m, seqerr.ErrOutOfRange)
 	}
-	return nil
+	k = f.Clamp(k)
+	return logPass("pass 2: project U", []slog.Attr{
+		slog.Int("rows", rows), slog.Int("k", k), slog.Int("workers", matio.NumWorkers(workers)),
+	}, func() error {
+		_, err := scanSharded(src, workers,
+			func() []float64 { return make([]float64, k) },
+			func(urow []float64, i int, row []float64) error {
+				projectRow(row, f, k, urow)
+				return sink(i, urow)
+			})
+		if err != nil {
+			return fmt.Errorf("svd: pass 2: %w", err)
+		}
+		return nil
+	})
 }
 
 // projectRow fills urow[0:k] with the U-row for the given data row.

@@ -107,11 +107,12 @@ type Options struct {
 	// (the paper's b parameter set to 4 bytes instead of 8), halving the
 	// on-disk size at a ~1e-7 relative rounding cost. SVD/SVDD only.
 	HalfPrecision bool
-	// Workers shards the compression passes (SVD/SVDD) across this many
-	// concurrent workers: 0 means runtime.GOMAXPROCS(0), 1 forces the serial
-	// algorithm. The compressed store is the same for every worker count
-	// up to floating-point reduction order (U is byte-identical; see
-	// DESIGN.md "Parallel compression pipeline"). Other methods ignore it.
+	// Workers shards the factor pass (SVD/SVDD) and plain SVD's U
+	// projection across this many concurrent workers: 0 means
+	// runtime.GOMAXPROCS(0), 1 runs them serially. SVDD's scoring pass is
+	// always one serial scan. The compressed store is the same for every
+	// worker count up to the floating-point reduction order of the factor
+	// pass (see DESIGN.md §8). Other methods ignore it.
 	Workers int
 	// Compressor selects the factor algorithm for SVD/SVDD:
 	// CompressorGram (default, also "") or CompressorRandomized. The
