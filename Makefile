@@ -27,12 +27,15 @@ race:
 # fuzz-smoke gives each fuzzer a short budget on every check run:
 # FuzzOpen chews on .smx headers/pages, FuzzReadLabeled on .sqz containers,
 # FuzzSymEigen on small, badly scaled symmetric matrices (residual and
-# orthonormality bounds, or a typed error).
-# `go test -fuzz` accepts one target per invocation, hence three runs.
+# orthonormality bounds, or a typed error), FuzzPartialUnmarshal on SQP1
+# partial frames — the bytes a proxy accepts from its shards (no panic, and
+# whatever decodes re-encodes to the same bytes).
+# `go test -fuzz` accepts one target per invocation, hence four runs.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
 	$(GO) test -run FuzzSymEigen -fuzz FuzzSymEigen -fuzztime 10s ./internal/linalg
+	$(GO) test -run FuzzPartialUnmarshal -fuzz FuzzPartialUnmarshal -fuzztime 10s ./internal/query
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries checked into testdata must keep loading

@@ -1,10 +1,7 @@
 package query
 
 import (
-	"context"
-
 	"seqstore/internal/core"
-	"seqstore/internal/matio"
 	"seqstore/internal/store"
 	"seqstore/internal/svd"
 	"seqstore/internal/trace"
@@ -51,39 +48,49 @@ const maxPrefetchFloats = 1 << 22
 // same Options: the shared buffer only changes where U bits are read
 // from, never the arithmetic or its order.
 func EvaluateBatch(s store.Store, items []BatchItem, opts Options) ([]BatchResult, error) {
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	env := evalEnv{
-		workers: matio.NumWorkers(opts.Workers),
-		plans:   opts.Plans,
-		led:     trace.LedgerFrom(ctx),
-	}
 	results := make([]BatchResult, len(items))
+	err := evaluateBatch(s, items, opts, func(idx int, st *evalState, err error) {
+		if err == nil {
+			results[idx].Value, err = st.value(items[idx].Agg)
+		}
+		results[idx].Err = err
+	})
+	return results, err
+}
+
+// evaluateBatch is the one batch loop: validate every item, prefetch the
+// valid items' row union, then run each through the single-query evaluate
+// on one pooled state, handing emit either the filled state or the item's
+// error. A query is a batch of one without the prefetch. The error return
+// is the whole-batch abort (context cancellation).
+func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx int, st *evalState, err error)) error {
 	if len(items) == 0 {
-		return results, nil
+		return nil
 	}
+	env := opts.env()
 	n, m := s.Dims()
+	invalid := make([]bool, len(items))
 	for idx := range items {
 		if err := items[idx].Sel.Validate(n, m); err != nil {
-			results[idx].Err = err
+			invalid[idx] = true
+			emit(idx, nil, err)
 		}
 	}
 	if base := factoredBase(s); base != nil {
-		env.buf = prefetchBatchUnion(base, n, items, func(idx int) bool { return results[idx].Err != nil }, env.led)
+		env.buf = prefetchBatchUnion(base, n, items, invalid, env.led)
 	}
+	st := getState()
+	defer st.release()
 	for idx := range items {
-		if results[idx].Err != nil {
+		if invalid[idx] {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return results, err
+		if err := env.ctx.Err(); err != nil {
+			return err
 		}
-		v, err := evaluate(ctx, s, items[idx].Agg, items[idx].Sel, env)
-		results[idx] = BatchResult{Value: v, Err: err}
+		emit(idx, st, st.evaluate(env, s, items[idx].Agg, items[idx].Sel))
 	}
-	return results, nil
+	return nil
 }
 
 // uBuf is the batch-scoped buffer of prefetched raw (σ-unscaled) U rows.
@@ -122,16 +129,16 @@ func factoredBase(s store.Store) *svd.Store {
 
 // prefetchBatchUnion reads the union of the valid items' selected rows
 // into a shared buffer with one coalesced pass over U, charging the
-// ledger for the actual reads. skip(idx) marks items excluded from the
-// union (already failed validation). It returns nil — falling back to
+// ledger for the actual reads. skip marks the items that failed
+// validation and stay out of the union. It returns nil — falling back to
 // unshared per-item reads — when the batch has no row overlap to exploit,
 // when the union would exceed the memory cap, or when a read fails (the
 // per-item evaluation will then surface the store error with context).
-func prefetchBatchUnion(base *svd.Store, n int, items []BatchItem, skip func(idx int) bool, led *trace.Ledger) *uBuf {
+func prefetchBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, led *trace.Ledger) *uBuf {
 	need := make([]bool, n)
 	total, distinct := 0, 0
 	for idx := range items {
-		if skip(idx) || items[idx].Agg == Count {
+		if skip[idx] || items[idx].Agg == Count {
 			continue
 		}
 		for _, r := range items[idx].Sel.Rows {

@@ -14,11 +14,11 @@ import (
 // Options tunes EvaluateOpts.
 type Options struct {
 	// Workers is the number of goroutines sharding the selected rows:
-	// 0 means one per CPU, 1 evaluates serially. Count/Min/Max results are
-	// bit-identical across worker counts; Sum/Avg/StdDev vary only by
-	// floating-point summation order (deterministic for a fixed count,
-	// since chunk boundaries depend only on the selection length and the
-	// worker count — never on scheduling).
+	// 0 means one per CPU, 1 evaluates serially. Every aggregate is
+	// bit-identical across worker counts: Count/Min/Max reduce
+	// order-independently and Sum/Avg/StdDev accumulate in exact.Sum
+	// superaccumulators, so neither chunking nor scheduling can reach the
+	// result (TestWorkerCountInvariance).
 	Workers int
 	// Ctx, when non-nil, cancels the evaluation: workers check it between
 	// row chunks and return ctx.Err() (context.Canceled or
@@ -33,15 +33,29 @@ type Options struct {
 	Plans *PlanCache
 }
 
-// evalEnv is the resolved per-evaluation environment threaded through the
-// internal engine and factored paths: normalized worker count, optional
-// plan cache, optional batch U-row buffer (EvaluateBatch's shared scan),
-// and the request's cost ledger.
+// evalEnv is the resolved per-evaluation environment: context, normalized
+// worker count, optional plan cache, optional batch U-row buffer
+// (evaluateBatch's shared scan), and the request's cost ledger.
 type evalEnv struct {
+	ctx     context.Context
 	workers int
 	plans   *PlanCache
 	buf     *uBuf
 	led     *trace.Ledger
+}
+
+// env resolves the options once per entry point.
+func (o Options) env() evalEnv {
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return evalEnv{
+		ctx:     ctx,
+		workers: matio.NumWorkers(o.Workers),
+		plans:   o.Plans,
+		led:     trace.LedgerFrom(ctx),
+	}
 }
 
 // Chunking of the selected row positions across workers. The chunk size
@@ -49,8 +63,8 @@ type evalEnv struct {
 // chunksPerWorker chunks, so small selections still fan out instead of
 // drowning in a single fixed-size chunk, while huge serial scans are not
 // chopped into thousands of dispatches. Boundaries are a pure function of
-// (selection length, worker count), so per-worker partials merged in
-// worker order reduce deterministically for a fixed count.
+// (selection length, worker count), which is what lets ExplainQuery
+// predict the executed ledger exactly.
 const (
 	minChunkRows    = 16
 	maxChunkRows    = 4096
@@ -85,123 +99,180 @@ const minScanRun = 4
 //     (factored.go), O(k·(|R|+|C|)) or O(k²·(|R|+|C|)) plus the selected
 //     rows' delta buckets — with the |R| U-row reads sharded across
 //     workers.
-//   - Everything else runs the projected row engine: selected rows are
-//     split into adaptive chunks handed round-robin to workers, contiguous
-//     row runs coalesce into sequential U scans, and each row costs
-//     O(k·|C|) against a per-query V panel instead of the O(k·M) full
-//     reconstruction.
+//   - Everything else folds cells: selected rows are split into adaptive
+//     chunks handed round-robin to workers, contiguous row runs coalesce
+//     into sequential U scans, and each row costs O(k·|C|) against a
+//     per-query V panel instead of the O(k·M) full reconstruction.
+//
+// A value is the merge of one partial: this is evaluate + value, where
+// EvaluatePartial is evaluate + export and MergePartials is merge + the
+// same value.
 func EvaluateOpts(s store.Store, agg Aggregate, sel Selection, opts Options) (float64, error) {
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	st := getState()
+	defer st.release()
+	if err := st.evaluate(opts.env(), s, agg, sel); err != nil {
+		return 0, err
 	}
-	env := evalEnv{
-		workers: matio.NumWorkers(opts.Workers),
-		plans:   opts.Plans,
-		led:     trace.LedgerFrom(ctx),
-	}
-	return evaluate(ctx, s, agg, sel, env)
+	return st.value(agg)
 }
 
-// evaluate is the shared core behind EvaluateOpts and EvaluateBatch.
-func evaluate(ctx context.Context, s store.Store, agg Aggregate, sel Selection, env evalEnv) (float64, error) {
+// evalState is one evaluation's pooled state: the per-worker scratch and
+// the mergeable result the workers reduce into. The result has two shapes
+// (the ones a Partial carries): cells — the merged accumulator of the
+// projected/generic engine and the data-free Count — and factored — exact
+// row and column moments, the SVDD delta corrections and σ. Pooling it,
+// and growing every slice by capacity, removes all steady-state
+// allocation from the serial path.
+type evalState struct {
+	evalJob
+
+	workers []*evalWorker // every worker ever grown; pointer-stable
+	active  []*evalWorker // the ones sharding this evaluation
+
+	// The result.
+	factored   bool
+	numCells   int64
+	cells      accum
+	rowM, colM uMoments
+	corr       corrections
+	hasCorr    bool      // store is SVDD: corr is meaningful
+	sigma      []float64 // aliases the plan's (or the first merged partial's)
+}
+
+// evalJob is the evaluation in flight. release clears it, so a pooled
+// state pins neither a purged plan's panel nor a request's context.
+type evalJob struct {
+	env    evalEnv
+	s      store.Store
+	sel    Selection
+	pl     *plan
+	panel  *linalg.Matrix // |C|×k: V rows of the selected columns
+	colPos map[int][]int  // selected col → its positions in sel.Cols (multiset)
+}
+
+var statePool = sync.Pool{New: func() any { return new(evalState) }}
+
+func getState() *evalState { return statePool.Get().(*evalState) }
+
+func (st *evalState) release() {
+	st.evalJob, st.sigma = evalJob{}, nil
+	statePool.Put(st)
+}
+
+// clear empties the result to the cells-shape merge identity.
+func (st *evalState) clear() {
+	st.factored, st.numCells = false, 0
+	st.cells.reset()
+}
+
+// evaluate fills the state with the exact result of (agg, sel) over s:
+// validate → ctx → count → plan → factored moments or cells. It is the
+// only dispatch; every entry point differs solely in what it does with
+// the filled state.
+func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Selection) error {
 	n, m := s.Dims()
 	if err := sel.Validate(n, m); err != nil {
-		return 0, err
+		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
+	if err := env.ctx.Err(); err != nil {
+		return err
 	}
+	st.clear()
+	st.numCells = int64(sel.NumCells())
 	if agg == Count {
-		return float64(sel.NumCells()), nil
+		st.cells.n = st.numCells
+		return nil
 	}
 	pl := planFor(s, sel, env)
-	if pl.base != nil {
-		switch agg {
-		case Sum, Avg:
-			v, err := factoredSumPlan(ctx, pl, sel, env)
-			if err != nil {
-				return 0, err
-			}
-			if agg == Avg {
-				v /= float64(sel.NumCells())
-			}
-			return v, nil
-		case StdDev:
-			return factoredStdDevPlan(ctx, pl, sel, env)
-		}
-	}
-	acc, err := evaluateCells(ctx, s, sel, env, pl)
-	if err != nil {
-		return 0, err
-	}
-	return acc.result(agg)
-}
+	st.env, st.s, st.sel, st.pl = env, s, sel, pl
+	st.factored = pl.base != nil && (agg == Sum || agg == Avg || agg == StdDev)
 
-// runSharded splits the n selection positions into evalChunkSize-sized
-// chunks and hands them round-robin to workers goroutines, calling
-// run(worker, lo, hi) per chunk. Worker w always receives chunks
-// w, w+workers, … in order, so per-worker state accumulates
-// deterministically. With one worker (or one chunk) it runs inline on the
-// caller's goroutine — the serial reference path. Cancellation is checked
-// between chunks on every path, so a fired ctx stops the evaluation
-// within one chunk's worth of rows and surfaces as ctx.Err().
-func runSharded(ctx context.Context, n, workers int, led *trace.Ledger, run func(w, lo, hi int) error) error {
-	chunk := evalChunkSize(n, workers)
-	nchunks := (n + chunk - 1) / chunk
-	if workers > nchunks {
-		workers = nchunks
+	// Workers beyond the chunk count would only idle.
+	chunk := evalChunkSize(len(sel.Rows), env.workers)
+	nw := min(env.workers, (len(sel.Rows)+chunk-1)/chunk)
+	for len(st.workers) < nw {
+		st.workers = append(st.workers, newEvalWorker(st))
 	}
-	if workers <= 1 {
-		return runSerial(ctx, n, chunk, led, run)
-	}
-	return runParallel(ctx, n, workers, chunk, led, run)
-}
+	st.active = st.workers[:nw]
 
-// runSerial is the inline single-goroutine chunk loop. It never retains
-// run, so stack-allocated closures survive escape analysis — part of the
-// zero-alloc steady state the benchmarks pin.
-func runSerial(ctx context.Context, n, chunk int, led *trace.Ledger, run func(w, lo, hi int) error) error {
-	for lo := 0; lo < n; lo += chunk {
-		if err := ctx.Err(); err != nil {
-			return err
+	k, wantSq := len(pl.sigma), agg == StdDev
+	if pl.base != nil && !st.factored {
+		st.panel, st.colPos = pl.panelFor()
+	}
+	for _, w := range st.active {
+		w.acc.reset()
+		if pl.base == nil {
+			w.row = ensureFloats(w.row, m)
+			continue
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		w.urow = ensureFloats(w.urow, k)
+		if st.factored {
+			w.um.reset(k, wantSq)
+		} else {
+			w.vals = ensureFloats(w.vals, len(sel.Cols))
 		}
-		led.AddWorkerChunks(1)
-		if err := run(0, lo, hi); err != nil {
-			return err
+	}
+	if err := st.runSharded(chunk); err != nil {
+		return err
+	}
+	if !st.factored {
+		for _, w := range st.active {
+			st.cells.Merge(&w.acc)
 		}
+		return nil
+	}
+	st.rowM.reset(k, wantSq)
+	for _, w := range st.active {
+		st.rowM.merge(&w.um)
+	}
+	// V is pinned in memory, so the column side is a plain serial pass.
+	st.colM.reset(k, wantSq)
+	for _, j := range pl.cols {
+		st.colM.add(pl.base.V().Row(j))
+	}
+	st.sigma, st.hasCorr, st.corr = pl.sigma, pl.svdd != nil, corrections{}
+	if st.hasCorr {
+		return deltaCorrections(pl.svdd, sel, wantSq, env, &st.corr)
 	}
 	return nil
 }
 
-func runParallel(ctx context.Context, n, workers, chunk int, led *trace.Ledger, run func(w, lo, hi int) error) error {
-	nchunks := (n + chunk - 1) / chunk
-	errs := make([]error, workers)
+// value rounds the state's exact result to the aggregate's float64 — the
+// single finalization behind local evaluation and the distributed gather,
+// so a merged result is bit-identical to single-node by construction.
+func (st *evalState) value(agg Aggregate) (float64, error) {
+	if !st.factored {
+		return st.cells.result(agg)
+	}
+	switch agg {
+	case Sum:
+		return st.finalizeFactoredSum(), nil
+	case Avg:
+		return st.finalizeFactoredSum() / float64(st.numCells), nil
+	case StdDev:
+		return st.finalizeFactoredStdDev(), nil
+	}
+	return 0, fmt.Errorf("query: aggregate %v cannot carry factored partials", agg)
+}
+
+// runSharded hands the selection's chunks round-robin to the active
+// workers: worker w always folds chunks w, w+workers, … in order. With one
+// worker the loop runs inline on the caller's goroutine — the serial
+// reference path; more run the same loop on a goroutine each. It takes no
+// callback: a closure over per-evaluation state would be rebuilt (and,
+// escaping into the goroutines, heap-allocated) on every call, where a
+// method on the pooled state costs nothing.
+func (st *evalState) runSharded(chunk int) error {
+	if len(st.active) <= 1 {
+		return st.runWorker(0, chunk)
+	}
+	errs := make([]error, len(st.active))
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range st.active {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for ci := w; ci < nchunks; ci += workers {
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					return
-				}
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				led.AddWorkerChunks(1)
-				if err := run(w, lo, hi); err != nil {
-					errs[w] = err
-					return
-				}
-			}
+			errs[w] = st.runWorker(w, chunk)
 		}(w)
 	}
 	wg.Wait()
@@ -213,17 +284,171 @@ func runParallel(ctx context.Context, n, workers, chunk int, led *trace.Ledger, 
 	return nil
 }
 
-// evalState is one evaluation's pooled mutable state: the engine shell
-// plus per-worker accumulators and scratch buffers. Pooling it (and
-// growing the slices by capacity) removes every steady-state allocation
-// from the projected hot path.
-type evalState struct {
-	eng     rowEngine
-	accs    []accum
-	scratch []engineScratch
+// runWorker is worker w's chunk loop. Cancellation is checked between
+// chunks, so a fired ctx stops the evaluation within one chunk's worth of
+// rows and surfaces as ctx.Err().
+func (st *evalState) runWorker(w, chunk int) error {
+	n := len(st.sel.Rows)
+	for lo := w * chunk; lo < n; lo += len(st.active) * chunk {
+		if err := st.env.ctx.Err(); err != nil {
+			return err
+		}
+		st.env.led.AddWorkerChunks(1)
+		if err := st.chunk(st.active[w], lo, min(lo+chunk, n)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-var statePool = sync.Pool{New: func() any { return new(evalState) }}
+// chunk folds selection positions [lo, hi) into worker w.
+func (st *evalState) chunk(w *evalWorker, lo, hi int) error {
+	if st.pl.base == nil {
+		return st.genericRows(w, lo, hi)
+	}
+	return st.readURows(w, lo, hi)
+}
+
+// readURows is the one place U rows are read and charged. It walks the
+// plan's pieces of positions [lo, hi): rows the batch prefetch already
+// holds are served from its buffer and an isolated §6.2 zero-flagged row
+// from its flag (row reads with no disk access — an all-zero U row adds
+// nothing to the factored moments and |C| zero cells to the projected
+// accumulator); everything else is one sequential scan per piece or one
+// random read, charged one access per row plus the pages spanned. Zero
+// rows inside a scan are simply scanned: skipping mid-scan would cost
+// more than it saves. ExplainQuery replays the same pieces.
+func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
+	pl, led, buf := st.pl, st.env.led, st.env.buf
+	for it := pl.pieces(lo, hi); it.next(); {
+		start, end := it.start, it.end
+		led.AddRowsRead(int64(end - start))
+		if it.zeroFlagged() {
+			w.zeroRow()
+			continue
+		}
+		for ; start < end; start++ {
+			u := buf.row(start)
+			if u == nil {
+				break
+			}
+			w.take(start, u)
+		}
+		if start == end {
+			continue
+		}
+		led.AddDiskAccesses(int64(end - start))
+		led.AddPagesTouched(int64(pl.base.UPageSpan(start, end)))
+		var err error
+		if it.scan {
+			err = pl.base.ScanURows(start, end, w.sink)
+		} else if err = pl.base.URow(start, w.urow); err == nil {
+			w.take(start, w.urow)
+		}
+		if err != nil {
+			return fmt.Errorf("query: U rows [%d,%d): %w", start, end, err)
+		}
+	}
+	return nil
+}
+
+// genericRows is the fallback for stores without a U/V factorization:
+// reconstruct each selected row in full and pick the selected columns.
+func (st *evalState) genericRows(w *evalWorker, lo, hi int) error {
+	led := st.env.led
+	for _, i := range st.sel.Rows[lo:hi] {
+		got, err := st.s.Row(i, w.row)
+		if err != nil {
+			return fmt.Errorf("query: row %d: %w", i, err)
+		}
+		led.AddRowsRead(1)
+		led.AddDiskAccesses(1)
+		led.AddPagesTouched(1)
+		for _, j := range st.sel.Cols {
+			w.acc.add(got[j])
+		}
+	}
+	return nil
+}
+
+// evalWorker is one worker's private scratch and partial result. The
+// shared state is read-only while workers run, so one evalState serves
+// them all concurrently.
+type evalWorker struct {
+	st   *evalState
+	acc  accum     // cells shape
+	um   uMoments  // factored shape
+	urow []float64 // k: U row, scaled by σ in place before projection
+	vals []float64 // |C|: projected cell values of the current row
+	row  []float64 // m: full-row buffer for the generic path
+
+	// sink is take as a ScanURows callback. The callback escapes through
+	// the matio.RangeScanner interface, so building it per scan would
+	// allocate on the hot path; workers live behind stable pointers in the
+	// pooled state, so it is built once, here.
+	sink func(i int, urow []float64) error
+}
+
+func newEvalWorker(st *evalState) *evalWorker {
+	w := &evalWorker{st: st}
+	w.sink = func(i int, urow []float64) error {
+		w.take(i, urow)
+		return nil
+	}
+	return w
+}
+
+// take folds U row i into the worker's partial result. u may alias the
+// backing matrix or the shared batch buffer, so the projected path copies
+// it before the in-place σ scaling.
+func (w *evalWorker) take(i int, u []float64) {
+	if w.st.factored {
+		w.um.add(u)
+		return
+	}
+	copy(w.urow, u)
+	w.project(i)
+}
+
+// project projects w.urow — U row i — onto the column panel and folds the
+// selected cells, with SVDD deltas applied from the per-row bucket index.
+func (w *evalWorker) project(i int) {
+	st := w.st
+	// Pre-scale by σ so each projected cell is the same dot product the
+	// full-row reconstruction computes — values are bit-identical to
+	// store.Row, so Min/Max agree exactly with the naive path.
+	urow, vals, sigma, panel := w.urow, w.vals, st.pl.sigma, st.panel
+	for m := range urow {
+		urow[m] *= sigma[m]
+	}
+	for p := range vals {
+		vals[p] = linalg.Dot(urow, panel.Row(p))
+	}
+	if svdd := st.pl.svdd; svdd != nil {
+		var nd int64
+		svdd.RowDeltas(i, func(col int, delta float64) {
+			nd++
+			for _, p := range st.colPos[col] {
+				vals[p] += delta
+			}
+		})
+		st.env.led.AddDeltasProbed(nd)
+	}
+	for _, v := range vals {
+		w.acc.add(v)
+	}
+}
+
+// zeroRow folds a §6.2 zero-flagged row: every selected cell is 0, and
+// the all-zero U row leaves the factored moments untouched.
+func (w *evalWorker) zeroRow() {
+	if w.st.factored {
+		return
+	}
+	for range w.st.sel.Cols {
+		w.acc.add(0)
+	}
+}
 
 // ensureFloats returns s resized to n, reusing its backing array when the
 // capacity allows. Contents are unspecified; callers overwrite.
@@ -232,261 +457,4 @@ func ensureFloats(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
-}
-
-// evaluateCells runs the row engine over the selection and returns the
-// merged accumulator by value. Per-worker accumulators are merged in
-// worker order, so the result depends only on the worker count, not on
-// scheduling.
-func evaluateCells(ctx context.Context, s store.Store, sel Selection, env evalEnv, pl *plan) (accum, error) {
-	workers := env.workers
-	if workers < 1 {
-		workers = 1
-	}
-	st := statePool.Get().(*evalState)
-	e := &st.eng
-	*e = rowEngine{s: s, sel: sel, led: env.led, buf: env.buf, pl: pl}
-	_, e.m = s.Dims()
-	if pl.base != nil {
-		e.panel, e.colPos = pl.panelFor()
-	}
-	if cap(st.accs) < workers {
-		st.accs = make([]accum, workers)
-	}
-	st.accs = st.accs[:workers]
-	if cap(st.scratch) < workers {
-		st.scratch = make([]engineScratch, workers)
-	}
-	st.scratch = st.scratch[:workers]
-	for w := 0; w < workers; w++ {
-		st.accs[w].reset()
-		sc := &st.scratch[w]
-		if pl.base != nil {
-			sc.urow = ensureFloats(sc.urow, len(pl.sigma))
-			sc.vals = ensureFloats(sc.vals, len(sel.Cols))
-		} else {
-			sc.row = ensureFloats(sc.row, e.m)
-		}
-	}
-	var err error
-	if workers <= 1 {
-		// Dedicated serial call site: this closure is provably
-		// non-escaping, keeping the warm path allocation-free.
-		err = runSerial(ctx, len(sel.Rows), evalChunkSize(len(sel.Rows), workers), env.led,
-			func(_, lo, hi int) error {
-				return e.evalRange(lo, hi, &st.scratch[0], &st.accs[0])
-			})
-	} else {
-		err = runSharded(ctx, len(sel.Rows), workers, env.led, func(w, lo, hi int) error {
-			return e.evalRange(lo, hi, &st.scratch[w], &st.accs[w])
-		})
-	}
-	var total accum
-	total.reset()
-	if err == nil {
-		for w := range st.accs {
-			total.Merge(&st.accs[w])
-		}
-	}
-	// Drop plan/store references before pooling so a retired state cannot
-	// pin a purged plan's panel in memory.
-	st.eng = rowEngine{}
-	statePool.Put(st)
-	if err != nil {
-		return accum{}, err
-	}
-	return total, nil
-}
-
-// rowEngine evaluates a selection row by row, reconstructing only the
-// selected columns. For SVD-family stores it projects each σ-scaled U row
-// onto a panel of the selected V rows — O(k·|C|) per row instead of the
-// O(k·M) full reconstruction — with SVDD deltas applied from the per-row
-// bucket index. Other store types fall back to full-row reconstruction
-// with selected-column accumulation. The engine itself is immutable after
-// construction; all mutable state lives in per-worker engineScratch, so
-// one engine serves all workers concurrently.
-type rowEngine struct {
-	s   store.Store
-	sel Selection
-	m   int           // matrix width
-	led *trace.Ledger // request cost ledger; nil (free) when untraced
-	buf *uBuf         // batch-shared prefetched U rows; nil outside EvaluateBatch
-
-	pl     *plan
-	panel  *linalg.Matrix // |C|×k: V rows of the selected columns
-	colPos map[int][]int  // selected col → its positions in sel.Cols (multiset)
-}
-
-// engineScratch is one worker's private buffers.
-type engineScratch struct {
-	urow []float64 // k: U row, pre-scaled by σ before projection
-	vals []float64 // |C|: projected cell values of the current row
-	row  []float64 // m: full-row buffer for the generic path
-
-	// Cached ScanURows sink. The callback escapes through the
-	// matio.RangeScanner interface, so building it per run would allocate
-	// on the hot path; instead it is built once per scratch and re-aimed
-	// via scanEng/scanAcc before each scan. self guards against the
-	// struct having moved (scratch slice reallocation): a stale closure
-	// captured the old address, so it is rebuilt.
-	self    *engineScratch
-	scanEng *rowEngine
-	scanAcc *accum
-	scanFn  func(i int, urow []float64) error
-}
-
-// scanSink returns the reusable ScanURows callback aimed at (e, acc).
-func (sc *engineScratch) scanSink(e *rowEngine, acc *accum) func(i int, urow []float64) error {
-	if sc.self != sc {
-		sc.self = sc
-		sc.scanFn = func(i int, urow []float64) error {
-			// The scanned slice may alias the backing matrix; copy before
-			// the in-place σ scaling.
-			copy(sc.urow, urow)
-			sc.scanEng.accumURow(i, sc.urow, sc, sc.scanAcc)
-			return nil
-		}
-	}
-	sc.scanEng = e
-	sc.scanAcc = acc
-	return sc.scanFn
-}
-
-// evalRange folds selection positions [lo, hi) into acc, walking the
-// plan's precomputed run schedule. Clipping a maximal run to [lo, hi)
-// yields exactly the runs an inline scan of the chunk would find
-// (consecutiveness is local), so worker results are bit-identical to the
-// pre-plan engine's.
-func (e *rowEngine) evalRange(lo, hi int, sc *engineScratch, acc *accum) error {
-	if e.pl.base == nil {
-		return e.evalGeneric(lo, hi, sc, acc)
-	}
-	rows := e.sel.Rows
-	runs := e.pl.runs
-	ri := firstRunAfter(runs, lo)
-	for ; ri < len(runs) && runs[ri].lo < hi; ri++ {
-		clo, chi := runs[ri].lo, runs[ri].hi
-		if clo < lo {
-			clo = lo
-		}
-		if chi > hi {
-			chi = hi
-		}
-		if chi-clo >= minScanRun {
-			if err := e.evalRun(rows[clo], rows[clo]+(chi-clo), sc, acc); err != nil {
-				return err
-			}
-		} else {
-			for p := clo; p < chi; p++ {
-				if err := e.evalOne(rows[p], sc, acc); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// evalOne handles one isolated selected row with a random U access (or a
-// free buffered read when the batch prefetch already holds the row).
-func (e *rowEngine) evalOne(i int, sc *engineScratch, acc *accum) error {
-	if e.pl.svdd != nil && e.pl.svdd.IsZeroRow(i) {
-		// Served from the in-memory zero flag: a row read with no disk access.
-		e.led.AddRowsRead(1)
-		e.accumZeroRow(acc)
-		return nil
-	}
-	if u := e.buf.row(i); u != nil {
-		copy(sc.urow, u)
-		e.led.AddRowsRead(1)
-		e.accumURow(i, sc.urow, sc, acc)
-		return nil
-	}
-	if err := e.pl.base.URow(i, sc.urow); err != nil {
-		return fmt.Errorf("query: U row %d: %w", i, err)
-	}
-	e.led.AddRowsRead(1)
-	e.led.AddDiskAccesses(1)
-	e.led.AddPagesTouched(int64(e.pl.base.UPageSpan(i, i+1)))
-	e.accumURow(i, sc.urow, sc, acc)
-	return nil
-}
-
-// evalRun streams U rows [start, end) through one sequential scan,
-// serving rows the batch buffer prefetched from memory first. Rows
-// flagged zero by SVDD (§6.2) have all-zero U rows, so projecting the
-// scanned row yields the same zeros the flag shortcut would — no branch
-// needed, and skipping mid-scan would cost more than it saves.
-func (e *rowEngine) evalRun(start, end int, sc *engineScratch, acc *accum) error {
-	for start < end {
-		u := e.buf.row(start)
-		if u == nil {
-			break
-		}
-		copy(sc.urow, u)
-		e.led.AddRowsRead(1)
-		e.accumURow(start, sc.urow, sc, acc)
-		start++
-	}
-	if start >= end {
-		return nil
-	}
-	e.led.AddRowsRead(int64(end - start))
-	e.led.AddDiskAccesses(int64(end - start))
-	e.led.AddPagesTouched(int64(e.pl.base.UPageSpan(start, end)))
-	return e.pl.base.ScanURows(start, end, sc.scanSink(e, acc))
-}
-
-// accumURow projects one U row onto the column panel and folds the
-// selected cells into acc. urow must be sc.urow (it is scaled in place).
-func (e *rowEngine) accumURow(i int, urow []float64, sc *engineScratch, acc *accum) {
-	// Pre-scale by σ so each projected cell is the same dot product the
-	// full-row reconstruction computes — values are bit-identical to
-	// store.Row, so Min/Max agree exactly with the naive path.
-	for m := range urow {
-		urow[m] *= e.pl.sigma[m]
-	}
-	vals := sc.vals
-	for p := range vals {
-		vals[p] = linalg.Dot(urow, e.panel.Row(p))
-	}
-	if e.pl.svdd != nil {
-		var nd int64
-		e.pl.svdd.RowDeltas(i, func(col int, delta float64) {
-			nd++
-			for _, p := range e.colPos[col] {
-				vals[p] += delta
-			}
-		})
-		e.led.AddDeltasProbed(nd)
-	}
-	for _, v := range vals {
-		acc.add(v)
-	}
-}
-
-// accumZeroRow folds a §6.2 zero-flagged row: every selected cell is 0.
-func (e *rowEngine) accumZeroRow(acc *accum) {
-	for range e.sel.Cols {
-		acc.add(0)
-	}
-}
-
-// evalGeneric is the fallback for stores without a U/V factorization:
-// reconstruct each selected row in full and pick the selected columns.
-func (e *rowEngine) evalGeneric(lo, hi int, sc *engineScratch, acc *accum) error {
-	for _, i := range e.sel.Rows[lo:hi] {
-		got, err := e.s.Row(i, sc.row)
-		if err != nil {
-			return fmt.Errorf("query: row %d: %w", i, err)
-		}
-		e.led.AddRowsRead(1)
-		e.led.AddDiskAccesses(1)
-		e.led.AddPagesTouched(1)
-		for _, j := range e.sel.Cols {
-			acc.add(got[j])
-		}
-	}
-	return nil
 }

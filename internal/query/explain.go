@@ -1,9 +1,6 @@
 package query
 
-import (
-	"seqstore/internal/matio"
-	"seqstore/internal/store"
-)
+import "seqstore/internal/store"
 
 // Plan kind names reported by ExplainQuery; these are the wire values of
 // the /v1/aggregate explain block's "plan" field.
@@ -22,8 +19,9 @@ const (
 //
 // The estimates model a cold store: no row cache, no batch prefetch buffer.
 // On a cold store they equal the executed ledger exactly, including the
-// chunk-clipping of scan runs at the requested worker count; warm caches
-// only lower the actual numbers.
+// chunk-clipping of scan runs at the requested worker count, because they
+// are a replay of the very pieces the engine reads (plan.pieces); warm
+// caches only lower the actual numbers.
 type Explain struct {
 	Plan    string // PlanCount, PlanFactored, PlanProjected or PlanGeneric
 	Workers int    // normalized worker count the evaluation would use
@@ -35,7 +33,7 @@ type Explain struct {
 	// count the clipped fragments long enough (≥ minScanRun) for a
 	// sequential U scan, covering ScanRows positions; PointRows take a
 	// random read each, of which ZeroRows are answered from the SVDD
-	// zero-row flag without touching disk (projected path only).
+	// zero-row flag without touching disk.
 	ChunkRows      int
 	Chunks         int
 	Runs           int
@@ -63,7 +61,7 @@ func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*E
 		return nil, err
 	}
 	ex := &Explain{
-		Workers: matio.NumWorkers(opts.Workers),
+		Workers: opts.env().workers,
 		Cells:   int64(sel.NumCells()),
 	}
 	if agg == Count {
@@ -86,7 +84,7 @@ func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*E
 	ex.Chunks = (nrows + ex.ChunkRows - 1) / ex.ChunkRows
 
 	if ex.Plan == PlanGeneric {
-		// evalGeneric reconstructs every selected position in full: one
+		// genericRows reconstructs every selected position in full: one
 		// access and one page per row, no run coalescing.
 		ex.PointRows = nrows
 		ex.EstRowsRead = int64(nrows)
@@ -95,97 +93,50 @@ func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*E
 		return ex, nil
 	}
 
-	ex.simulateURows(pl)
-	ex.simulateDeltas(pl, agg, sel)
+	ex.replayURows(pl)
+	if ex.Plan == PlanFactored && pl.svdd != nil {
+		ex.simulateDeltas(pl, agg, sel)
+	}
 	return ex, nil
 }
 
-// simulateURows replays the engine's chunked run walk over the plan
-// without reading anything, accumulating the same charges evalRange
-// (projected) and forURows (factored) would make on a cold store. The two
-// paths share one cost model except for the zero-row shortcut, which only
-// the projected per-row branch takes.
-func (ex *Explain) simulateURows(pl *plan) {
-	zeroSkip := ex.Plan == PlanProjected && pl.svdd != nil
-	nrows := len(pl.rows)
-	for lo := 0; lo < nrows; lo += ex.ChunkRows {
-		hi := lo + ex.ChunkRows
-		if hi > nrows {
-			hi = nrows
-		}
-		ri := firstRunAfter(pl.runs, lo)
-		for ; ri < len(pl.runs) && pl.runs[ri].lo < hi; ri++ {
-			clo, chi := pl.runs[ri].lo, pl.runs[ri].hi
-			if clo < lo {
-				clo = lo
-			}
-			if chi > hi {
-				chi = hi
-			}
-			if chi-clo >= minScanRun {
-				start, end := pl.rows[clo], pl.rows[clo]+(chi-clo)
+// replayURows walks the pieces readURows would, chunk by chunk, charging
+// what a cold store charges for each without reading anything: every
+// piece is rows read; all but the flag-answered zero rows are one access
+// per row plus the pages spanned. The projected plan also probes the
+// delta bucket of every row it holds a U row for (evalWorker.project).
+func (ex *Explain) replayURows(pl *plan) {
+	probe := func(int, float64) { ex.EstDeltasProbed++ }
+	for lo := 0; lo < len(pl.rows); lo += ex.ChunkRows {
+		for it := pl.pieces(lo, min(lo+ex.ChunkRows, len(pl.rows))); it.next(); {
+			n := it.end - it.start
+			ex.EstRowsRead += int64(n)
+			if it.scan {
 				ex.CoalescedScans++
-				ex.ScanRows += chi - clo
-				ex.EstRowsRead += int64(end - start)
-				ex.EstDiskAccesses += int64(end - start)
-				ex.EstPagesTouched += int64(pl.base.UPageSpan(start, end))
+				ex.ScanRows += n
+			} else {
+				ex.PointRows++
+			}
+			if it.zeroFlagged() {
+				ex.ZeroRows++
 				continue
 			}
-			for p := clo; p < chi; p++ {
-				i := pl.rows[p]
-				ex.PointRows++
-				ex.EstRowsRead++
-				if zeroSkip && pl.svdd.IsZeroRow(i) {
-					ex.ZeroRows++
-					continue
+			ex.EstDiskAccesses += int64(n)
+			ex.EstPagesTouched += int64(pl.base.UPageSpan(it.start, it.end))
+			if ex.Plan == PlanProjected && pl.svdd != nil {
+				for i := it.start; i < it.end; i++ {
+					pl.svdd.RowDeltas(i, probe)
 				}
-				ex.EstDiskAccesses++
-				ex.EstPagesTouched += int64(pl.base.UPageSpan(i, i+1))
 			}
 		}
 	}
 }
 
-// simulateDeltas predicts the SVDD delta-probe charges. The projected path
-// probes every visited row's bucket from accumURow (zero-shortcut rows
-// excepted); the factored path probes each distinct selected row once in
-// deltaCorrections, and for StdDev additionally reconstructs the baseline
-// of every distinct row holding a delta in a selected column — one U read
-// each.
+// simulateDeltas predicts the factored plan's SVDD delta charges:
+// deltaCorrections probes each distinct selected row once, and for StdDev
+// additionally reconstructs the baseline of every distinct row holding a
+// delta in a selected column — one U read each.
 func (ex *Explain) simulateDeltas(pl *plan, agg Aggregate, sel Selection) {
-	if pl.svdd == nil {
-		return
-	}
-	if ex.Plan == PlanProjected {
-		// Every position visited with a U row in hand probes its bucket;
-		// only the point-path zero-row shortcut skips the probe.
-		for lo := 0; lo < len(pl.rows); lo += ex.ChunkRows {
-			hi := lo + ex.ChunkRows
-			if hi > len(pl.rows) {
-				hi = len(pl.rows)
-			}
-			ri := firstRunAfter(pl.runs, lo)
-			for ; ri < len(pl.runs) && pl.runs[ri].lo < hi; ri++ {
-				clo, chi := pl.runs[ri].lo, pl.runs[ri].hi
-				if clo < lo {
-					clo = lo
-				}
-				if chi > hi {
-					chi = hi
-				}
-				scanned := chi-clo >= minScanRun
-				for p := clo; p < chi; p++ {
-					i := pl.rows[p]
-					if !scanned && pl.svdd.IsZeroRow(i) {
-						continue
-					}
-					pl.svdd.RowDeltas(i, func(int, float64) { ex.EstDeltasProbed++ })
-				}
-			}
-		}
-		return
-	}
-	// Factored: deltaCorrections visits each distinct selected row once.
 	selCols := make(map[int]bool, len(sel.Cols))
 	for _, j := range sel.Cols {
 		selCols[j] = true

@@ -1,18 +1,15 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"seqstore/internal/core"
 	"seqstore/internal/exact"
 	"seqstore/internal/linalg"
 	"seqstore/internal/store"
 	"seqstore/internal/svd"
-	"seqstore/internal/trace"
 )
 
 // This file holds the factored aggregate paths. With x̂ = U·Σ·Vᵀ, the first
@@ -29,16 +26,16 @@ import (
 // |R|·|C| cells. SVDD stores add corrections from the outlier deltas of
 // the selected rows, visited through the per-row bucket index.
 //
-// The moment accumulators and per-worker U-row scratch are pooled
-// (factoredState), so the steady-state plain-SVD factored path allocates
-// nothing; the SVDD delta corrections still build their per-call multiset
-// maps, which are proportional to the selection, not the data.
+// The moments live in the pooled evalState (engine.go), so the steady-state
+// plain-SVD factored path allocates nothing; the SVDD delta corrections
+// still build their per-call multiset maps, which are proportional to the
+// selection, not the data.
 
 // FactoredSumSVD computes Σ_{i∈R,j∈C} x̂[i][j] over a plain-SVD store in
 // O(k·(|R|+|C|)) plus |R| U-row accesses (contiguous runs coalesced into
-// sequential scans).
+// sequential scans) — Evaluate(s, Sum, sel) under its historical name.
 func FactoredSumSVD(s *svd.Store, sel Selection) (float64, error) {
-	return factoredSumPlan(context.Background(), buildPlanWith(s, sel, 0, false), sel, evalEnv{workers: 1})
+	return Evaluate(s, Sum, sel)
 }
 
 // FactoredSumSVDD is the SVDD version: the factored plain-SVD sum plus the
@@ -50,7 +47,7 @@ func FactoredSumSVD(s *svd.Store, sel Selection) (float64, error) {
 // the cross product r·c times, so its delta is weighted r·c — exactly as
 // the naive cell-by-cell evaluation counts it.
 func FactoredSumSVDD(s *core.Store, sel Selection) (float64, error) {
-	return factoredSumPlan(context.Background(), buildPlanWith(s, sel, 0, false), sel, evalEnv{workers: 1})
+	return Evaluate(s, Sum, sel)
 }
 
 // FactoredStdDev computes the standard deviation over the selection from
@@ -60,64 +57,30 @@ func FactoredSumSVDD(s *core.Store, sel Selection) (float64, error) {
 // limited by cancellation in Σx²−(Σx)²/n; property tests pin it within
 // 1e-6 relative of the naive evaluation.
 func FactoredStdDev(s store.Store, sel Selection) (float64, bool, error) {
-	pl := buildPlanWith(s, sel, 0, false)
-	if pl.base == nil {
+	if factoredBase(s) == nil {
 		return 0, false, nil
 	}
-	v, err := factoredStdDevPlan(context.Background(), pl, sel, evalEnv{workers: 1})
+	v, err := Evaluate(s, StdDev, sel)
 	return v, true, err
 }
 
-// factoredState is the pooled mutable state of one factored evaluation:
-// per-worker moment accumulators with their U-row scratch, and the merged
-// row/column moments.
-type factoredState struct {
-	ums   []uMoments
-	urows [][]float64
-	um    uMoments // merged row moments
-	vm    uMoments // column moments
-}
-
-var factoredPool = sync.Pool{New: func() any { return new(factoredState) }}
-
-// factoredSumPlan computes the factored Σ over the plan's selection.
-func factoredSumPlan(ctx context.Context, pl *plan, sel Selection, env evalEnv) (float64, error) {
-	fs := factoredPool.Get().(*factoredState)
-	defer factoredPool.Put(fs)
-	if err := rowMomentsInto(ctx, pl, env, fs, false); err != nil {
-		return 0, err
-	}
-	colMomentsInto(pl.base.V(), pl.cols, pl.base.K(), false, &fs.vm)
-	var corr corrections
-	if pl.svdd != nil {
-		var err error
-		corr, err = deltaCorrections(ctx, pl.svdd, sel, false, env)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return finalizeFactoredSum(pl.sigma, fs.um.acc, fs.vm.acc, &corr, pl.svdd != nil), nil
-}
-
-// finalizeFactoredSum rounds the exact row/column moments and contracts
-// them with σ. It is the single finalization code path shared by the
-// local factored evaluation and the distributed gather (MergePartials),
-// so a merged result is bit-identical to single-node by construction.
-func finalizeFactoredSum(sigma []float64, rowSum, colSum []exact.Sum, corr *corrections, hasCorr bool) float64 {
+// finalizeFactoredSum rounds the state's exact row/column moments and
+// contracts them with σ.
+func (st *evalState) finalizeFactoredSum() float64 {
 	var total float64
-	for m, sig := range sigma {
-		total += sig * rowSum[m].Value() * colSum[m].Value()
+	for m, sig := range st.sigma {
+		total += sig * st.rowM.acc[m].Value() * st.colM.acc[m].Value()
 	}
-	if hasCorr {
-		total += corr.sum.Value()
+	if st.hasCorr {
+		total += st.corr.sum.Value()
 	}
 	return total
 }
 
-// finalizeFactoredStdDev computes the standard deviation from exact
-// factored first/second moments over nc cells — shared between the local
-// evaluation and the distributed gather, like finalizeFactoredSum.
-func finalizeFactoredStdDev(k int, sigma []float64, um, vm *uMoments, corr *corrections, hasCorr bool, nc float64) float64 {
+// finalizeFactoredStdDev computes the standard deviation from the state's
+// exact factored first/second moments.
+func (st *evalState) finalizeFactoredStdDev() float64 {
+	k, sigma, um, vm := st.rowM.k, st.sigma, &st.rowM, &st.colM
 	var sum, sumSq float64
 	for a := 0; a < k; a++ {
 		sum += sigma[a] * um.acc[a].Value() * vm.acc[a].Value()
@@ -128,10 +91,11 @@ func finalizeFactoredStdDev(k int, sigma []float64, um, vm *uMoments, corr *corr
 			sumSq += 2 * sigma[a] * sigma[b] * um.g[a*k+b].Value() * vm.g[a*k+b].Value()
 		}
 	}
-	if hasCorr {
-		sum += corr.sum.Value()
-		sumSq += corr.sumSq.Value()
+	if st.hasCorr {
+		sum += st.corr.sum.Value()
+		sumSq += st.corr.sumSq.Value()
 	}
+	nc := float64(st.numCells)
 	mean := sum / nc
 	variance := sumSq/nc - mean*mean
 	// Cancellation floor: the subtraction cannot resolve a variance below
@@ -145,27 +109,6 @@ func finalizeFactoredStdDev(k int, sigma []float64, um, vm *uMoments, corr *corr
 	return math.Sqrt(variance)
 }
 
-// factoredStdDevPlan computes the factored standard deviation over the
-// plan's selection.
-func factoredStdDevPlan(ctx context.Context, pl *plan, sel Selection, env evalEnv) (float64, error) {
-	fs := factoredPool.Get().(*factoredState)
-	defer factoredPool.Put(fs)
-	if err := rowMomentsInto(ctx, pl, env, fs, true); err != nil {
-		return 0, err
-	}
-	colMomentsInto(pl.base.V(), pl.cols, pl.base.K(), true, &fs.vm)
-	var corr corrections
-	if pl.svdd != nil {
-		var err error
-		corr, err = deltaCorrections(ctx, pl.svdd, sel, true, env)
-		if err != nil {
-			return 0, err
-		}
-	}
-	nc := float64(sel.NumCells())
-	return finalizeFactoredStdDev(pl.base.K(), pl.sigma, &fs.um, &fs.vm, &corr, pl.svdd != nil, nc), nil
-}
-
 // uMoments accumulates the row-side (or column-side) factors: acc[m] is
 // the exact component sum over the index set and, when wantSq, g holds the
 // k×k Gram matrix of the set's factor rows (upper triangle filled; the
@@ -177,24 +120,6 @@ type uMoments struct {
 	wantSq bool
 	acc    []exact.Sum
 	g      []exact.Sum // k×k row-major, upper triangle
-
-	// Cached ScanURows sink (see engineScratch.scanSink): built once per
-	// accumulator, rebuilt if the struct has moved (growMoments copies
-	// elements into a larger slice, invalidating the captured address).
-	self   *uMoments
-	scanFn func(i int, urow []float64) error
-}
-
-// scanSink returns the reusable ScanURows callback feeding um.add.
-func (um *uMoments) scanSink() func(i int, urow []float64) error {
-	if um.self != um {
-		um.self = um
-		um.scanFn = func(_ int, u []float64) error {
-			um.add(u)
-			return nil
-		}
-	}
-	return um.scanFn
 }
 
 // reset prepares a (possibly pooled) accumulator for a fresh evaluation,
@@ -211,6 +136,14 @@ func (um *uMoments) reset(k int, wantSq bool) {
 			um.g[i].Reset()
 		}
 	}
+}
+
+// set makes um a copy of the given moments (a Partial's), reusing its
+// backing arrays like reset.
+func (um *uMoments) set(k int, wantSq bool, acc, g []exact.Sum) {
+	um.k, um.wantSq = k, wantSq
+	um.acc = append(um.acc[:0], acc...)
+	um.g = append(um.g[:0], g...)
 }
 
 func (um *uMoments) add(row []float64) {
@@ -253,131 +186,6 @@ func ensureSums(s []exact.Sum, n int) []exact.Sum {
 	return s[:n]
 }
 
-// growMoments resizes the per-worker accumulator pool to workers entries,
-// preserving already-allocated backing arrays.
-func (fs *factoredState) growMoments(workers int) {
-	if cap(fs.ums) >= workers {
-		fs.ums = fs.ums[:workers]
-	} else {
-		ums := make([]uMoments, workers)
-		copy(ums, fs.ums)
-		fs.ums = ums
-	}
-	if cap(fs.urows) >= workers {
-		fs.urows = fs.urows[:workers]
-	} else {
-		urows := make([][]float64, workers)
-		copy(urows, fs.urows)
-		fs.urows = urows
-	}
-}
-
-// rowMomentsInto accumulates fs.um over the U rows of the plan's selected
-// rows, sharded across workers with the same chunking as the row engine
-// and merged in worker order (deterministic for a fixed count).
-func rowMomentsInto(ctx context.Context, pl *plan, env evalEnv, fs *factoredState, wantSq bool) error {
-	workers := env.workers
-	if workers < 1 {
-		workers = 1
-	}
-	k := pl.base.K()
-	fs.growMoments(workers)
-	for w := 0; w < workers; w++ {
-		fs.ums[w].reset(k, wantSq)
-		fs.urows[w] = ensureFloats(fs.urows[w], k)
-	}
-	n := len(pl.rows)
-	var err error
-	if workers <= 1 {
-		// Dedicated serial call site keeps the closure off the heap (see
-		// evaluateCells).
-		err = runSerial(ctx, n, evalChunkSize(n, workers), env.led, func(_, lo, hi int) error {
-			return forURows(env.led, pl, env.buf, fs.urows[0], lo, hi, &fs.ums[0])
-		})
-	} else {
-		err = runSharded(ctx, n, workers, env.led, func(w, lo, hi int) error {
-			return forURows(env.led, pl, env.buf, fs.urows[w], lo, hi, &fs.ums[w])
-		})
-	}
-	if err != nil {
-		return err
-	}
-	fs.um.reset(k, wantSq)
-	for w := range fs.ums {
-		fs.um.merge(&fs.ums[w])
-	}
-	return nil
-}
-
-// colMomentsInto accumulates um over the V rows of the selected columns.
-// V is pinned in memory, so this is a plain serial pass.
-func colMomentsInto(v *linalg.Matrix, cols []int, k int, wantSq bool, um *uMoments) {
-	um.reset(k, wantSq)
-	for _, j := range cols {
-		um.add(v.Row(j))
-	}
-}
-
-// forURows streams the U rows of selection positions [lo, hi) into um,
-// walking the plan's run schedule: contiguous ascending runs become
-// sequential scans, rows held by the batch prefetch buffer are served
-// from memory (a row read with no disk access), and everything else is a
-// random U read. Reads are charged to led (nil when untraced).
-func forURows(led *trace.Ledger, pl *plan, buf *uBuf, urow []float64, lo, hi int, um *uMoments) error {
-	rows := pl.rows
-	base := pl.base
-	runs := pl.runs
-	ri := firstRunAfter(runs, lo)
-	for ; ri < len(runs) && runs[ri].lo < hi; ri++ {
-		clo, chi := runs[ri].lo, runs[ri].hi
-		if clo < lo {
-			clo = lo
-		}
-		if chi > hi {
-			chi = hi
-		}
-		if chi-clo >= minScanRun {
-			start, end := rows[clo], rows[clo]+(chi-clo)
-			for start < end {
-				u := buf.row(start)
-				if u == nil {
-					break
-				}
-				led.AddRowsRead(1)
-				um.add(u)
-				start++
-			}
-			if start >= end {
-				continue
-			}
-			led.AddRowsRead(int64(end - start))
-			led.AddDiskAccesses(int64(end - start))
-			led.AddPagesTouched(int64(base.UPageSpan(start, end)))
-			err := base.ScanURows(start, end, um.scanSink())
-			if err != nil {
-				return fmt.Errorf("query: factored U rows [%d,%d): %w", start, end, err)
-			}
-			continue
-		}
-		for p := clo; p < chi; p++ {
-			i := rows[p]
-			if u := buf.row(i); u != nil {
-				led.AddRowsRead(1)
-				um.add(u)
-				continue
-			}
-			if err := base.URow(i, urow); err != nil {
-				return fmt.Errorf("query: factored U row %d: %w", i, err)
-			}
-			led.AddRowsRead(1)
-			led.AddDiskAccesses(1)
-			led.AddPagesTouched(int64(base.UPageSpan(i, i+1)))
-			um.add(urow)
-		}
-	}
-	return nil
-}
-
 // corrections are the SVDD delta contributions to the factored moments,
 // held exactly so shard partials merge order-independently.
 type corrections struct {
@@ -385,9 +193,9 @@ type corrections struct {
 }
 
 // deltaCorrections folds the outlier deltas lying inside the selection
-// into the factored moments, visiting only the delta buckets of the
-// distinct selected rows (one RowDeltas probe each — the counter pinned by
-// tests). For the second moment, a delta δ on a cell with SVD baseline b
+// into c, visiting only the delta buckets of the distinct selected rows
+// (one RowDeltas probe each — the counter pinned by tests). For the second
+// moment, a delta δ on a cell with SVD baseline b
 // shifts that cell's square by (b+δ)²−b² = 2bδ+δ², so only delta cells
 // need their baseline reconstructed: one U read per distinct selected row
 // that actually holds deltas (served from the batch prefetch buffer when
@@ -395,7 +203,7 @@ type corrections struct {
 //
 // Multiset weighting: a cell selected r·c times (row listed r times,
 // column c times) contributes r·c copies of its correction.
-func deltaCorrections(ctx context.Context, s *core.Store, sel Selection, wantSq bool, env evalEnv) (corrections, error) {
+func deltaCorrections(s *core.Store, sel Selection, wantSq bool, env evalEnv, c *corrections) error {
 	led := env.led
 	rcount := make(map[int]int, len(sel.Rows))
 	for _, i := range sel.Rows {
@@ -416,7 +224,6 @@ func deltaCorrections(ctx context.Context, s *core.Store, sel Selection, wantSq 
 	sigma := base.Sigma()
 	v := base.V()
 	urow := make([]float64, base.K())
-	var c corrections
 	for _, i := range rows {
 		ri := rcount[i]
 		haveU := false
@@ -455,8 +262,8 @@ func deltaCorrections(ctx context.Context, s *core.Store, sel Selection, wantSq 
 		})
 		led.AddDeltasProbed(nd)
 		if readErr != nil {
-			return corrections{}, readErr
+			return readErr
 		}
 	}
-	return c, nil
+	return nil
 }

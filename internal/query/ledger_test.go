@@ -2,8 +2,11 @@ package query
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"seqstore/internal/core"
+	"seqstore/internal/matio"
 	"seqstore/internal/trace"
 )
 
@@ -71,4 +74,131 @@ func seq(lo, hi int) []int {
 		out = append(out, i)
 	}
 	return out
+}
+
+// zeroRowStore is an SVDD store with §6.2 zero-row flagging on, over a
+// matrix holding three isolated all-zero rows and a run of six.
+func zeroRowStore(t *testing.T) (s *core.Store, isolated []int, runLo, runHi int) {
+	t.Helper()
+	x := testMatrix()
+	isolated, runLo, runHi = []int{3, 17, 40}, 50, 56
+	zero := append(seq(runLo, runHi), isolated...)
+	for _, i := range zero {
+		clear(x.Row(i))
+	}
+	s, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.15, FlagZeroRows: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range zero {
+		if !s.IsZeroRow(i) {
+			t.Fatalf("row %d not flagged zero", i)
+		}
+	}
+	return s, isolated, runLo, runHi
+}
+
+// tracedEval evaluates under a fresh trace and returns the value with the
+// executed ledger.
+func tracedEval(t *testing.T, s *core.Store, agg Aggregate, sel Selection, workers int) (float64, trace.LedgerSnapshot) {
+	t.Helper()
+	tr := trace.New("t", "/test")
+	v, err := EvaluateOpts(s, agg, sel, Options{Workers: workers, Ctx: trace.NewContext(context.Background(), tr)})
+	if err != nil {
+		t.Fatalf("%v/w%d: %v", agg, workers, err)
+	}
+	return v, tr.Ledger.Snapshot()
+}
+
+// TestZeroFlaggedRows covers the §6.2 zero-row flags in the query engine:
+// the one cost rule (an isolated zero-flagged row is answered from its flag
+// under every plan; inside a scan it is scanned), which changes cost and
+// never bits, and which EXPLAIN predicts exactly.
+func TestZeroFlaggedRows(t *testing.T) {
+	s, isolated, runLo, runHi := zeroRowStore(t)
+	n, m := s.Dims()
+	// Non-zero rows; every isolated zero row stays isolated when added.
+	nonzero := append(append([]int{0, 1}, seq(5, 16)...), seq(20, 31)...)
+	mixed := append(append([]int{0, 1, 3}, seq(5, 18)...), append(seq(20, 31), append([]int{40}, seq(48, 58)...)...)...)
+	sels := map[string]Selection{
+		"full":     {Rows: seq(0, n), Cols: seq(0, m)},
+		"mixed":    {Rows: mixed, Cols: []int{2, 9, 9, m - 1}},
+		"isolated": {Rows: isolated, Cols: seq(0, m)},
+	}
+	for name, sel := range sels {
+		for _, agg := range allAggregates {
+			want, err := EvaluateNaive(s, agg, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := len(sel.Rows) / 2
+			for _, workers := range []int{1, 3, 8} {
+				got, cost := tracedEval(t, s, agg, sel, workers)
+				if math.Abs(got-want) > aggTolerance(agg, want) {
+					t.Errorf("%s/%v/w%d: %v, naive %v", name, agg, workers, got, want)
+				}
+				var parts []*Partial
+				for _, rows := range [][]int{sel.Rows[:half], sel.Rows[half:]} {
+					p, err := EvaluatePartial(s, agg, Selection{Rows: rows, Cols: sel.Cols}, Options{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					parts = append(parts, p)
+				}
+				merged, err := MergePartials(agg, parts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(merged) != math.Float64bits(got) {
+					t.Errorf("%s/%v/w%d: merged %v != single-node %v", name, agg, workers, merged, got)
+				}
+				ex, err := ExplainQuery(s, agg, sel, Options{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ex.EstRowsRead != cost.RowsRead || ex.EstDiskAccesses != cost.DiskAccesses ||
+					ex.EstPagesTouched != cost.PagesTouched || ex.EstDeltasProbed != cost.DeltasProbed {
+					t.Errorf("%s/%v/w%d: estimate (rows %d, disk %d, pages %d, deltas %d) != ledger (rows %d, disk %d, pages %d, deltas %d)",
+						name, agg, workers,
+						ex.EstRowsRead, ex.EstDiskAccesses, ex.EstPagesTouched, ex.EstDeltasProbed,
+						cost.RowsRead, cost.DiskAccesses, cost.PagesTouched, cost.DeltasProbed)
+				}
+			}
+		}
+	}
+
+	// The shortcut changes cost, never bits: adding isolated zero-flagged
+	// rows to a selection leaves the factored sum untouched.
+	cols := seq(0, m)
+	base, _ := tracedEval(t, s, Sum, Selection{Rows: nonzero, Cols: cols}, 1)
+	with, _ := tracedEval(t, s, Sum, Selection{Rows: append(append([]int(nil), nonzero...), isolated...), Cols: cols}, 1)
+	if math.Float64bits(base) != math.Float64bits(with) {
+		t.Errorf("sum over S ∪ Z = %v, over S = %v", with, base)
+	}
+
+	// Projected (Min) and factored (Sum, StdDev) plans charge alike.
+	for _, agg := range []Aggregate{Min, Sum, StdDev} {
+		_, cost := tracedEval(t, s, agg, sels["isolated"], 1)
+		if cost.RowsRead != int64(len(isolated)) || cost.DiskAccesses != 0 || cost.PagesTouched != 0 {
+			t.Errorf("%v over isolated zero rows: rows %d, disk %d, pages %d; want %d, 0, 0",
+				agg, cost.RowsRead, cost.DiskAccesses, cost.PagesTouched, len(isolated))
+		}
+		ex, err := ExplainQuery(s, agg, sels["isolated"], Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.ZeroRows != len(isolated) {
+			t.Errorf("%v: explain ZeroRows = %d, want %d", agg, ex.ZeroRows, len(isolated))
+		}
+		if agg == StdDev {
+			continue // its delta corrections add baseline reads of their own
+		}
+		// One chunk, one run enclosing the zero run: everything is scanned.
+		run := Selection{Rows: seq(runLo-2, runHi+2), Cols: cols}
+		_, cost = tracedEval(t, s, agg, run, 1)
+		if want := int64(len(run.Rows)); cost.RowsRead != want || cost.DiskAccesses != want {
+			t.Errorf("%v over a run holding zero rows: rows %d, disk %d; want %d scanned",
+				agg, cost.RowsRead, cost.DiskAccesses, want)
+		}
+	}
 }

@@ -1,16 +1,13 @@
 package query
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 
 	"seqstore/internal/exact"
-	"seqstore/internal/matio"
 	"seqstore/internal/seqerr"
 	"seqstore/internal/store"
-	"seqstore/internal/trace"
 )
 
 // This file is the distributed half of the query engine: evaluating a
@@ -23,8 +20,8 @@ import (
 // partial evaluation commutes with partitioning — any split of the
 // selection's rows across shards, evaluated with any worker counts,
 // merges to the bit-identical result of a single-node evaluation. The
-// final rounding happens once, in finalize code shared verbatim between
-// evaluate() and MergePartials.
+// final rounding happens once, in the evalState.value call behind both
+// EvaluateOpts and MergePartials.
 
 // RowRange is a contiguous half-open range [Lo, Hi) of global row
 // indices. Hi < 0 means unbounded (the range owns every row ≥ Lo).
@@ -105,74 +102,35 @@ type Partial struct {
 }
 
 // EvaluatePartial evaluates the fragment sel on s into a mergeable
-// Partial, using the same engine paths (and the same ledger charging) as
-// EvaluateOpts. The selection must be non-empty and within the store's
-// local dimensions.
+// Partial: the evaluation EvaluateOpts runs (same dispatch, same ledger
+// charging), exported instead of rounded. The selection must be non-empty
+// and within the store's local dimensions.
 func EvaluatePartial(s store.Store, agg Aggregate, sel Selection, opts Options) (*Partial, error) {
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	st := getState()
+	defer st.release()
+	if err := st.evaluate(opts.env(), s, agg, sel); err != nil {
+		return nil, err
 	}
-	env := evalEnv{
-		workers: matio.NumWorkers(opts.Workers),
-		plans:   opts.Plans,
-		led:     trace.LedgerFrom(ctx),
-	}
-	return evaluatePartial(ctx, s, agg, sel, env)
+	return st.export(agg), nil
 }
 
-// evaluatePartial is the shared core behind EvaluatePartial and
-// EvaluateBatchPartial.
-func evaluatePartial(ctx context.Context, s store.Store, agg Aggregate, sel Selection, env evalEnv) (*Partial, error) {
-	n, m := s.Dims()
-	if err := sel.Validate(n, m); err != nil {
-		return nil, err
+// export copies the state's result into a Partial the caller owns.
+func (st *evalState) export(agg Aggregate) *Partial {
+	p := &Partial{Agg: agg, Factored: st.factored, NumCells: st.numCells}
+	if !st.factored {
+		p.N, p.Sum, p.SumSq, p.Min, p.Max = st.cells.n, st.cells.sum, st.cells.sumSq, st.cells.min, st.cells.max
+		return p
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	p.K, p.WantSq, p.HasCorr = st.rowM.k, st.rowM.wantSq, st.hasCorr
+	p.RowSum = append([]exact.Sum(nil), st.rowM.acc...)
+	p.ColSum = append([]exact.Sum(nil), st.colM.acc...)
+	if p.WantSq {
+		p.RowG = append([]exact.Sum(nil), st.rowM.g...)
+		p.ColG = append([]exact.Sum(nil), st.colM.g...)
 	}
-	p := &Partial{Agg: agg, NumCells: int64(sel.NumCells())}
-	if agg == Count {
-		p.N = p.NumCells
-		return p, nil
-	}
-	pl := planFor(s, sel, env)
-	if pl.base != nil && (agg == Sum || agg == Avg || agg == StdDev) {
-		wantSq := agg == StdDev
-		fs := factoredPool.Get().(*factoredState)
-		defer factoredPool.Put(fs)
-		if err := rowMomentsInto(ctx, pl, env, fs, wantSq); err != nil {
-			return nil, err
-		}
-		colMomentsInto(pl.base.V(), pl.cols, pl.base.K(), wantSq, &fs.vm)
-		var corr corrections
-		if pl.svdd != nil {
-			var err error
-			corr, err = deltaCorrections(ctx, pl.svdd, sel, wantSq, env)
-			if err != nil {
-				return nil, err
-			}
-		}
-		p.Factored = true
-		p.K = pl.base.K()
-		p.WantSq = wantSq
-		p.HasCorr = pl.svdd != nil
-		p.RowSum = append([]exact.Sum(nil), fs.um.acc...)
-		p.ColSum = append([]exact.Sum(nil), fs.vm.acc...)
-		if wantSq {
-			p.RowG = append([]exact.Sum(nil), fs.um.g...)
-			p.ColG = append([]exact.Sum(nil), fs.vm.g...)
-		}
-		p.Sigma = append([]float64(nil), pl.sigma...)
-		p.CorrSum, p.CorrSumSq = corr.sum, corr.sumSq
-		return p, nil
-	}
-	acc, err := evaluateCells(ctx, s, sel, env, pl)
-	if err != nil {
-		return nil, err
-	}
-	p.N, p.Sum, p.SumSq, p.Min, p.Max = acc.n, acc.sum, acc.sumSq, acc.min, acc.max
-	return p, nil
+	p.Sigma = append([]float64(nil), st.sigma...)
+	p.CorrSum, p.CorrSumSq = st.corr.sum, st.corr.sumSq
+	return p
 }
 
 // PartialResult is one item's outcome in EvaluateBatchPartial; items fail
@@ -182,45 +140,19 @@ type PartialResult struct {
 	Err     error
 }
 
-// EvaluateBatchPartial is EvaluateBatch's partial-returning twin: it
-// evaluates every item's fragment into a Partial, sharing one coalesced
-// prefetch pass over the U-row union exactly as EvaluateBatch does. The
-// shared buffer changes only where U bits are read from, so each Partial
-// is bit-identical to an independent EvaluatePartial call.
+// EvaluateBatchPartial is EvaluateBatch exporting each item's state
+// instead of rounding it: same loop, same coalesced prefetch pass over the
+// U-row union. The shared buffer changes only where U bits are read from,
+// so each Partial is bit-identical to an independent EvaluatePartial call.
 func EvaluateBatchPartial(s store.Store, items []BatchItem, opts Options) ([]PartialResult, error) {
-	ctx := opts.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	env := evalEnv{
-		workers: matio.NumWorkers(opts.Workers),
-		plans:   opts.Plans,
-		led:     trace.LedgerFrom(ctx),
-	}
 	results := make([]PartialResult, len(items))
-	if len(items) == 0 {
-		return results, nil
-	}
-	n, m := s.Dims()
-	for idx := range items {
-		if err := items[idx].Sel.Validate(n, m); err != nil {
-			results[idx].Err = err
+	err := evaluateBatch(s, items, opts, func(idx int, st *evalState, err error) {
+		if err == nil {
+			results[idx].Partial = st.export(items[idx].Agg)
 		}
-	}
-	if base := factoredBase(s); base != nil {
-		env.buf = prefetchBatchUnion(base, n, items, func(idx int) bool { return results[idx].Err != nil }, env.led)
-	}
-	for idx := range items {
-		if results[idx].Err != nil {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return results, err
-		}
-		p, err := evaluatePartial(ctx, s, items[idx].Agg, items[idx].Sel, env)
-		results[idx] = PartialResult{Partial: p, Err: err}
-	}
-	return results, nil
+		results[idx].Err = err
+	})
+	return results, err
 }
 
 // MergePartials gathers shard partials into the final aggregate value.
@@ -232,82 +164,68 @@ func EvaluateBatchPartial(s store.Store, items []BatchItem, opts Options) ([]Par
 //
 // The returned value is bit-identical to evaluating the unsplit selection
 // on a single node holding the whole store, because the exact partial
-// states merge associatively and the final rounding runs through the same
-// finalize code evaluate() uses.
+// states merge associatively into the same state evaluate fills and the
+// final rounding is the same value call.
 func MergePartials(agg Aggregate, parts []*Partial) (float64, error) {
-	live := parts[:0:0]
+	st := getState()
+	defer st.release()
+	st.clear()
+	first := true
 	for _, p := range parts {
-		if p != nil {
-			live = append(live, p)
+		if p == nil {
+			continue
 		}
+		if err := st.merge(agg, p, first); err != nil {
+			return 0, err
+		}
+		first = false
 	}
-	if len(live) == 0 {
+	if first {
 		return 0, ErrEmptySelection
 	}
-	var numCells int64
-	for _, p := range live {
-		if p.Agg != agg {
-			return 0, fmt.Errorf("query: partial carries aggregate %v, want %v", p.Agg, agg)
-		}
-		numCells += p.NumCells
+	return st.value(agg)
+}
+
+// merge folds one partial into the state; the first fixes the shape and
+// the replicated factors every later one must match. Every partial is
+// checked before any of it is indexed — they arrive from other processes.
+func (st *evalState) merge(agg Aggregate, p *Partial, first bool) error {
+	if p.Agg != agg {
+		return fmt.Errorf("query: partial carries aggregate %v, want %v", p.Agg, agg)
 	}
-	if agg == Count {
-		return float64(numCells), nil
+	if first {
+		st.factored = p.Factored
+	} else if p.Factored != st.factored {
+		return fmt.Errorf("query: mixed factored and cells partials")
 	}
-	first := live[0]
-	if !first.Factored {
-		var total accum
-		total.reset()
-		for _, p := range live {
-			if p.Factored {
-				return 0, fmt.Errorf("query: mixed factored and cells partials")
-			}
-			b := accum{n: p.N, sum: p.Sum, sumSq: p.SumSq, min: p.Min, max: p.Max}
-			total.Merge(&b)
-		}
-		return total.result(agg)
+	st.numCells += p.NumCells
+	if !p.Factored {
+		st.cells.Merge(&accum{n: p.N, sum: p.Sum, sumSq: p.SumSq, min: p.Min, max: p.Max})
+		return nil
 	}
-	k := first.K
-	for _, p := range live[1:] {
-		if !p.Factored || p.K != k || p.WantSq != first.WantSq || p.HasCorr != first.HasCorr {
-			return 0, fmt.Errorf("query: inconsistent factored partial shapes")
-		}
-		if !sameFloats(p.Sigma, first.Sigma) || !sameSums(p.ColSum, first.ColSum) ||
-			(first.WantSq && !sameSums(p.ColG, first.ColG)) {
-			return 0, fmt.Errorf("query: shards disagree on replicated factors (not slices of one factorization?)")
-		}
+	k := p.K
+	if len(p.RowSum) != k || len(p.ColSum) != k || len(p.Sigma) != k || p.WantSq != (agg == StdDev) ||
+		(p.WantSq && (len(p.RowG) != k*k || len(p.ColG) != k*k)) {
+		return fmt.Errorf("query: malformed factored partial")
 	}
-	um := &uMoments{k: k, wantSq: first.WantSq, acc: append([]exact.Sum(nil), first.RowSum...)}
-	if first.WantSq {
-		um.g = append([]exact.Sum(nil), first.RowG...)
+	if first {
+		st.sigma, st.hasCorr = p.Sigma, p.HasCorr
+		st.rowM.set(k, p.WantSq, p.RowSum, p.RowG)
+		st.colM.set(k, p.WantSq, p.ColSum, p.ColG)
+		st.corr = corrections{sum: p.CorrSum, sumSq: p.CorrSumSq}
+		return nil
 	}
-	corr := corrections{sum: first.CorrSum, sumSq: first.CorrSumSq}
-	for _, p := range live[1:] {
-		if len(p.RowSum) != k || (first.WantSq && len(p.RowG) != k*k) {
-			return 0, fmt.Errorf("query: malformed factored partial")
-		}
-		for i := range um.acc {
-			um.acc[i].Merge(&p.RowSum[i])
-		}
-		if first.WantSq {
-			for i := range um.g {
-				um.g[i].Merge(&p.RowG[i])
-			}
-		}
-		corr.sum.Merge(&p.CorrSum)
-		corr.sumSq.Merge(&p.CorrSumSq)
+	if k != st.rowM.k || p.HasCorr != st.hasCorr {
+		return fmt.Errorf("query: inconsistent factored partial shapes")
 	}
-	vm := &uMoments{k: k, wantSq: first.WantSq, acc: first.ColSum, g: first.ColG}
-	switch agg {
-	case Sum:
-		return finalizeFactoredSum(first.Sigma, um.acc, vm.acc, &corr, first.HasCorr), nil
-	case Avg:
-		return finalizeFactoredSum(first.Sigma, um.acc, vm.acc, &corr, first.HasCorr) / float64(numCells), nil
-	case StdDev:
-		return finalizeFactoredStdDev(k, first.Sigma, um, vm, &corr, first.HasCorr, float64(numCells)), nil
-	default:
-		return 0, fmt.Errorf("query: aggregate %v cannot carry factored partials", agg)
+	if !sameFloats(p.Sigma, st.sigma) || !sameSums(p.ColSum, st.colM.acc) ||
+		(p.WantSq && !sameSums(p.ColG, st.colM.g)) {
+		return fmt.Errorf("query: shards disagree on replicated factors (not slices of one factorization?)")
 	}
+	st.rowM.merge(&uMoments{acc: p.RowSum, g: p.RowG})
+	st.corr.sum.Merge(&p.CorrSum)
+	st.corr.sumSq.Merge(&p.CorrSumSq)
+	return nil
 }
 
 func sameFloats(a, b []float64) bool {
@@ -396,14 +314,11 @@ func (p *Partial) MarshalBinary() ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
 	}
 	if p.WantSq {
-		for a := 0; a < k; a++ {
-			for b := a; b < k; b++ {
-				buf = p.RowG[a*k+b].AppendBinary(buf)
-			}
-		}
-		for a := 0; a < k; a++ {
-			for b := a; b < k; b++ {
-				buf = p.ColG[a*k+b].AppendBinary(buf)
+		for _, g := range [][]exact.Sum{p.RowG, p.ColG} {
+			for a := 0; a < k; a++ {
+				for b := a; b < k; b++ {
+					buf = g[a*k+b].AppendBinary(buf)
+				}
 			}
 		}
 	}
@@ -428,128 +343,92 @@ func (p *Partial) encodedSize() int {
 	return n
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler with strict
-// length and bounds checks — a malformed frame errors, never panics.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The header
+// (flags, k) fixes the exact frame length, so the frame is measured once,
+// before anything is allocated — a truncated or hostile frame costs its
+// own size, never k² accumulators — and the body then decodes without
+// further length checks. A malformed frame errors, never panics.
 func (p *Partial) UnmarshalBinary(data []byte) error {
-	if len(data) < len(partialMagic)+2+8 || string(data[:len(partialMagic)]) != partialMagic {
+	const header = len(partialMagic) + 2 + 8
+	if len(data) < header || string(data[:len(partialMagic)]) != partialMagic {
 		return fmt.Errorf("query: bad partial frame header")
 	}
-	d := data[len(partialMagic):]
-	agg := Aggregate(d[0])
+	agg, flags := Aggregate(data[len(partialMagic)]), data[len(partialMagic)+1]
 	if agg < Sum || agg > StdDev {
-		return fmt.Errorf("query: bad partial aggregate %d", d[0])
+		return fmt.Errorf("query: bad partial aggregate %d", agg)
 	}
-	flags := d[1]
 	if flags&^7 != 0 {
 		return fmt.Errorf("query: bad partial flags %#x", flags)
 	}
-	d = d[2:]
-	*p = Partial{
+	q := Partial{
 		Agg:      agg,
 		Factored: flags&1 != 0,
 		WantSq:   flags&2 != 0,
 		HasCorr:  flags&4 != 0,
-		NumCells: int64(binary.LittleEndian.Uint64(d)),
+		NumCells: int64(binary.LittleEndian.Uint64(data[header-8:])),
 	}
-	d = d[8:]
-	takeSum := func(dst *exact.Sum) error {
-		if len(d) < sumEncSize {
+	d := data[header:]
+	if q.Factored {
+		if len(d) < 4 {
 			return fmt.Errorf("query: short partial frame")
 		}
-		if err := dst.UnmarshalBinary(d[:sumEncSize]); err != nil {
-			return err
+		q.K = int(binary.LittleEndian.Uint32(d))
+		d = d[4:]
+		if q.K < 1 || q.K > maxPartialK {
+			return fmt.Errorf("query: partial rank %d out of bounds", q.K)
 		}
-		d = d[sumEncSize:]
-		return nil
 	}
-	takeU64 := func() (uint64, error) {
-		if len(d) < 8 {
-			return 0, fmt.Errorf("query: short partial frame")
-		}
-		v := binary.LittleEndian.Uint64(d)
-		d = d[8:]
-		return v, nil
-	}
-	if !p.Factored {
-		n, err := takeU64()
-		if err != nil {
-			return err
-		}
-		mn, err := takeU64()
-		if err != nil {
-			return err
-		}
-		mx, err := takeU64()
-		if err != nil {
-			return err
-		}
-		p.N, p.Min, p.Max = int64(n), math.Float64frombits(mn), math.Float64frombits(mx)
-		if err := takeSum(&p.Sum); err != nil {
-			return err
-		}
-		if err := takeSum(&p.SumSq); err != nil {
-			return err
-		}
-		if len(d) != 0 {
-			return fmt.Errorf("query: trailing bytes in partial frame")
-		}
-		return nil
-	}
-	if len(d) < 4 {
+	switch want := q.encodedSize(); {
+	case len(data) < want:
 		return fmt.Errorf("query: short partial frame")
-	}
-	k := int(binary.LittleEndian.Uint32(d))
-	d = d[4:]
-	if k < 1 || k > maxPartialK {
-		return fmt.Errorf("query: partial rank %d out of bounds", k)
-	}
-	p.K = k
-	p.RowSum = make([]exact.Sum, k)
-	p.ColSum = make([]exact.Sum, k)
-	p.Sigma = make([]float64, k)
-	for i := range p.RowSum {
-		if err := takeSum(&p.RowSum[i]); err != nil {
-			return err
-		}
-	}
-	for i := range p.ColSum {
-		if err := takeSum(&p.ColSum[i]); err != nil {
-			return err
-		}
-	}
-	for i := range p.Sigma {
-		v, err := takeU64()
-		if err != nil {
-			return err
-		}
-		p.Sigma[i] = math.Float64frombits(v)
-	}
-	if p.WantSq {
-		p.RowG = make([]exact.Sum, k*k)
-		p.ColG = make([]exact.Sum, k*k)
-		for a := 0; a < k; a++ {
-			for b := a; b < k; b++ {
-				if err := takeSum(&p.RowG[a*k+b]); err != nil {
-					return err
-				}
-			}
-		}
-		for a := 0; a < k; a++ {
-			for b := a; b < k; b++ {
-				if err := takeSum(&p.ColG[a*k+b]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if err := takeSum(&p.CorrSum); err != nil {
-		return err
-	}
-	if err := takeSum(&p.CorrSumSq); err != nil {
-		return err
-	}
-	if len(d) != 0 {
+	case len(data) > want:
 		return fmt.Errorf("query: trailing bytes in partial frame")
 	}
+	var err error
+	takeSum := func(dst *exact.Sum) {
+		if e := dst.UnmarshalBinary(d[:sumEncSize]); e != nil && err == nil {
+			err = e
+		}
+		d = d[sumEncSize:]
+	}
+	takeU64 := func() uint64 {
+		v := binary.LittleEndian.Uint64(d)
+		d = d[8:]
+		return v
+	}
+	if !q.Factored {
+		q.N = int64(takeU64())
+		q.Min, q.Max = math.Float64frombits(takeU64()), math.Float64frombits(takeU64())
+		takeSum(&q.Sum)
+		takeSum(&q.SumSq)
+	} else {
+		k := q.K
+		q.RowSum, q.ColSum, q.Sigma = make([]exact.Sum, k), make([]exact.Sum, k), make([]float64, k)
+		for i := range q.RowSum {
+			takeSum(&q.RowSum[i])
+		}
+		for i := range q.ColSum {
+			takeSum(&q.ColSum[i])
+		}
+		for i := range q.Sigma {
+			q.Sigma[i] = math.Float64frombits(takeU64())
+		}
+		if q.WantSq {
+			q.RowG, q.ColG = make([]exact.Sum, k*k), make([]exact.Sum, k*k)
+			for _, g := range [][]exact.Sum{q.RowG, q.ColG} {
+				for a := 0; a < k; a++ {
+					for b := a; b < k; b++ {
+						takeSum(&g[a*k+b])
+					}
+				}
+			}
+		}
+		takeSum(&q.CorrSum)
+		takeSum(&q.CorrSumSq)
+	}
+	if err != nil {
+		return err
+	}
+	*p = q
 	return nil
 }

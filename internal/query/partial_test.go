@@ -1,12 +1,20 @@
 package query
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"seqstore/internal/core"
+	"seqstore/internal/exact"
+	"seqstore/internal/matio"
 	"seqstore/internal/seqerr"
+	"seqstore/internal/store"
+	"seqstore/internal/svd"
 )
 
 // splitGlobal partitions sel by contiguous global row ranges with
@@ -234,6 +242,125 @@ func TestMergePartialsShapeChecks(t *testing.T) {
 	if _, err := MergePartials(Avg, []*Partial{pf}); err == nil {
 		t.Error("aggregate mismatch accepted")
 	}
+	// A malformed partial errors wherever it sits — the first (or only)
+	// one used to be indexed unchecked.
+	sums := func(n int) []exact.Sum { return make([]exact.Sum, n) }
+	malformed := map[string]*Partial{
+		"no moments":     {Agg: Sum, Factored: true, K: 3, Sigma: []float64{1, 2, 3}},
+		"short ColSum":   {Agg: Sum, Factored: true, K: 3, Sigma: []float64{1, 2, 3}, RowSum: sums(3), ColSum: sums(2)},
+		"short Sigma":    {Agg: Sum, Factored: true, K: 3, Sigma: []float64{1}, RowSum: sums(3), ColSum: sums(3)},
+		"negative K":     {Agg: Sum, Factored: true, K: -1},
+		"short RowG":     {Agg: StdDev, Factored: true, WantSq: true, K: 2, Sigma: []float64{1, 2}, RowSum: sums(2), ColSum: sums(2), RowG: sums(3), ColG: sums(4)},
+		"stddev sans Sq": {Agg: StdDev, Factored: true, K: 2, Sigma: []float64{1, 2}, RowSum: sums(2), ColSum: sums(2)},
+		"factored min":   {Agg: Min, Factored: true, K: 1, Sigma: []float64{1}, RowSum: sums(1), ColSum: sums(1)},
+	}
+	for name, bad := range malformed {
+		if _, err := MergePartials(bad.Agg, []*Partial{bad}); err == nil {
+			t.Errorf("malformed partial (%s) accepted alone", name)
+		}
+	}
+	late := *pf
+	late.RowSum = late.RowSum[:len(late.RowSum)-1]
+	if _, err := MergePartials(Sum, []*Partial{pf, &late}); err == nil {
+		t.Error("malformed partial accepted after a sound one")
+	}
+}
+
+// partialSeedFrames encodes one valid frame of each wire shape — cells,
+// factored, factored with second moments — from the SVD and SVDD stores
+// TestPartialWireRoundTrip sweeps.
+func partialSeedFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	x := testMatrix()
+	sv, err := svd.Compress(matio.NewMem(x), 5)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sd, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.15})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, m := sv.Dims()
+	sel := RandomSelection(rand.New(rand.NewSource(31)), n, m, 0.15)
+	var frames [][]byte
+	for _, s := range []store.Store{sv, sd} {
+		for _, agg := range []Aggregate{Min, Sum, StdDev} {
+			p, err := EvaluatePartial(s, agg, sel, Options{Workers: 1})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			enc, err := p.MarshalBinary()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			frames = append(frames, enc)
+		}
+	}
+	return frames
+}
+
+// TestPartialUnmarshalHostileFrames: the header fixes the frame length, so
+// a frame of any other length is refused before anything is allocated.
+func TestPartialUnmarshalHostileFrames(t *testing.T) {
+	// k = 1024 with second moments, body cut right after σ: ~570 KB on the
+	// wire that used to allocate 2·k²·288 B = 576 MB before noticing.
+	const k = 1024
+	frame := append([]byte(partialMagic), byte(StdDev), 1|2)
+	frame = binary.LittleEndian.AppendUint64(frame, 1)
+	frame = binary.LittleEndian.AppendUint32(frame, k)
+	frame = append(frame, make([]byte, 2*k*sumEncSize+k*8)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var p Partial
+	err := p.UnmarshalBinary(frame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated k=1024 frame accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("rejecting a %d-byte truncated frame allocated %d bytes", len(frame), grew)
+	}
+
+	for fi, enc := range partialSeedFrames(t) {
+		var ok Partial
+		if err := ok.UnmarshalBinary(enc); err != nil {
+			t.Fatalf("frame %d: valid frame refused: %v", fi, err)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			var bad Partial
+			if err := bad.UnmarshalBinary(enc[:cut]); err == nil {
+				t.Fatalf("frame %d: prefix of %d/%d bytes accepted", fi, cut, len(enc))
+			}
+		}
+		for _, extra := range []byte{0, 1, 0xff} {
+			var bad Partial
+			if err := bad.UnmarshalBinary(append(enc[:len(enc):len(enc)], extra)); err == nil {
+				t.Fatalf("frame %d: one-byte extension %#x accepted", fi, extra)
+			}
+		}
+	}
+}
+
+// FuzzPartialUnmarshal fuzzes the one decoder that parses bytes from
+// another process: it must never panic, and whatever it accepts must
+// re-encode to the identical frame (nothing in a frame is ignored).
+func FuzzPartialUnmarshal(f *testing.F) {
+	for _, enc := range partialSeedFrames(f) {
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p Partial
+		if err := p.UnmarshalBinary(data); err != nil {
+			return
+		}
+		enc, err := p.MarshalBinary()
+		if err != nil {
+			t.Fatalf("decoded frame does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("re-encoded frame differs from the %d-byte input", len(data))
+		}
+	})
 }
 
 // Batch partials share the prefetched U pass yet stay bit-identical to

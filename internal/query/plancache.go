@@ -88,16 +88,10 @@ func buildPlanWith(s store.Store, sel Selection, epoch uint64, copySel bool) *pl
 		p.rows = append([]int(nil), sel.Rows...)
 		p.cols = append([]int(nil), sel.Cols...)
 	}
-	switch t := s.(type) {
-	case *svd.Store:
-		p.base = t
-	case *core.Store:
-		p.base = t.Base()
-		p.svdd = t
-	default:
-		return p
+	if p.base = factoredBase(s); p.base != nil {
+		p.svdd, _ = s.(*core.Store)
+		p.sigma = p.base.Sigma()
 	}
-	p.sigma = p.base.Sigma()
 	return p
 }
 
@@ -122,9 +116,9 @@ func (p *plan) panelFor() (*linalg.Matrix, map[int][]int) {
 }
 
 // buildRuns computes the maximal consecutive ascending runs of rows as
-// position intervals. Singleton "runs" are kept: the engine applies the
-// minScanRun threshold after clipping to its chunk, exactly as the inline
-// derivation did.
+// position intervals. Singleton "runs" are kept, so the runs tile every
+// position: the scan threshold applies after clipping to a worker chunk
+// (pieceIter).
 func buildRuns(rows []int) []scanRun {
 	runs := make([]scanRun, 0, 8)
 	for p := 0; p < len(rows); {
@@ -138,21 +132,66 @@ func buildRuns(rows []int) []scanRun {
 	return runs
 }
 
-// firstRunAfter returns the index of the first run whose hi exceeds lo —
-// the run a scan of positions [lo, …) enters first. A hand-rolled binary
-// search: sort.Search's closure would heap-allocate once per worker chunk
-// on the zero-alloc hot path.
-func firstRunAfter(runs []scanRun, lo int) int {
-	i, j := 0, len(runs)
+// pieceIter walks the U-row reads that selection positions [lo, hi) — one
+// worker chunk — decompose into: each maximal run, clipped to the chunk,
+// is one sequential scan when at least minScanRun rows long and one point
+// read per row otherwise. It owns the three decisions every consumer of
+// the schedule must agree on (where the chunk enters the schedule, how
+// runs clip to it, what is worth a scan): readURows executes its pieces
+// and ExplainQuery replays them, so the cost model cannot drift from the
+// engine. A value type driven by next — nothing here allocates.
+type pieceIter struct {
+	pl      *plan
+	ri      int // run holding position pos
+	pos, hi int // positions still to cover
+
+	// The current piece: U rows [start, end), scanned or point-read.
+	start, end int
+	scan       bool
+}
+
+// pieces starts the walk of positions [lo, hi) at the first run whose hi
+// exceeds lo. A hand-rolled binary search: sort.Search's closure would
+// heap-allocate once per worker chunk on the zero-alloc hot path.
+func (p *plan) pieces(lo, hi int) pieceIter {
+	i, j := 0, len(p.runs)
 	for i < j {
 		h := int(uint(i+j) >> 1)
-		if runs[h].hi > lo {
+		if p.runs[h].hi > lo {
 			j = h
 		} else {
 			i = h + 1
 		}
 	}
-	return i
+	return pieceIter{pl: p, ri: i, pos: lo, hi: hi}
+}
+
+// next advances to the next piece, reporting false when [lo, hi) is
+// covered. Runs tile the positions, so the fragment at pos is the rest of
+// its run up to hi; a fragment too short to scan stays too short as its
+// rows are handed out one by one.
+func (it *pieceIter) next() bool {
+	if it.pos >= it.hi {
+		return false
+	}
+	if it.pos == it.pl.runs[it.ri].hi {
+		it.ri++
+	}
+	n := min(it.pl.runs[it.ri].hi, it.hi) - it.pos
+	if it.scan = n >= minScanRun; !it.scan {
+		n = 1
+	}
+	it.start = it.pl.rows[it.pos]
+	it.end = it.start + n
+	it.pos += n
+	return true
+}
+
+// zeroFlagged reports whether the current piece is an isolated §6.2
+// zero-flagged row, answered from the in-memory flag with no U access.
+// Zero rows inside a scan are scanned like any other.
+func (it *pieceIter) zeroFlagged() bool {
+	return !it.scan && it.pl.svdd != nil && it.pl.svdd.IsZeroRow(it.start)
 }
 
 // matches reports whether the plan was built for exactly this store and
