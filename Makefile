@@ -29,13 +29,16 @@ race:
 # FuzzSymEigen on small, badly scaled symmetric matrices (residual and
 # orthonormality bounds, or a typed error), FuzzPartialUnmarshal on SQP1
 # partial frames — the bytes a proxy accepts from its shards (no panic, and
-# whatever decodes re-encodes to the same bytes).
-# `go test -fuzz` accepts one target per invocation, hence four runs.
+# whatever decodes re-encodes to the same bytes), FuzzTopK on offer streams
+# full of ties, ±Inf and NaN (the top-γ buffer retains what a sort says it
+# should).
+# `go test -fuzz` accepts one target per invocation, hence five runs.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
 	$(GO) test -run FuzzSymEigen -fuzz FuzzSymEigen -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzPartialUnmarshal -fuzz FuzzPartialUnmarshal -fuzztime 10s ./internal/query
+	$(GO) test -run FuzzTopK -fuzz FuzzTopK -fuzztime 10s ./internal/pqueue
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries checked into testdata must keep loading
@@ -68,11 +71,13 @@ check: vet race golden-check metrics-golden fuzz-smoke bench-smoke
 
 # bench-parallel runs the worker-count sub-benchmarks: the two sharded hot
 # loops (pass-1 C accumulation, U projection) at workers {1,2,4,8} and the
-# whole SVDD compression (sharded factor pass + serial pass 2) at {1,2};
-# the benchmark in bench/ records the same per layer
-# (svd.accumulate_c_speedup, core.compress_worker_speedup).
+# whole SVDD compression (sharded factor pass + serial pass 2) at {1,2},
+# plus pass 2 alone for given factors at the benchmark's two shapes
+# (BenchmarkPass2: phone 2048×366 and 20000×366); the benchmark in bench/
+# records the same per layer (svd.accumulate_c_speedup,
+# core.compress_worker_speedup, core.pass2_ms).
 bench-parallel:
-	$(GO) test -bench 'Parallel' -run '^$$' -benchtime 1x ./internal/svd ./internal/core
+	$(GO) test -bench 'Parallel|Pass2' -run '^$$' -benchtime 1x ./internal/svd ./internal/core
 
 # experiments regenerates the paper's tables and figures (results/*.csv|txt).
 # Performance is the benchmark's job: see bench/README.md.

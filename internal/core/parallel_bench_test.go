@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"seqstore/internal/dataset"
 	"seqstore/internal/matio"
+	"seqstore/internal/svd"
 )
 
 // BenchmarkCompressSVDDParallel times the whole SVDD compression — the
@@ -19,6 +21,31 @@ func BenchmarkCompressSVDDParallel(b *testing.B) {
 			b.SetBytes(int64(n) * int64(m) * 8)
 			for i := 0; i < b.N; i++ {
 				if _, err := Compress(src, Options{Budget: 0.10, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPass2 times CompressWithFactors alone — the scoring scan, the
+// top-γ selection, the k_opt decision and the store assembly, with the
+// factors computed outside the timer — on the phone fixture at the two
+// shapes the instrument in bench/ uses (2048×366 is compress_batch's matrix,
+// 20000×366 the served workloads' set-up): the in-tree twin of its
+// core.pass2_ms.
+func BenchmarkPass2(b *testing.B) {
+	for _, n := range []int{2048, 20000} {
+		b.Run(fmt.Sprintf("phone%dx366", n), func(b *testing.B) {
+			src := matio.NewMem(dataset.GeneratePhone(dataset.DefaultPhoneConfig(n)))
+			f, err := svd.ComputeFactorsWorkers(src, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := CompressWithFactors(src, f, Options{Budget: 0.10}); err != nil {
 					b.Fatal(err)
 				}
 			}

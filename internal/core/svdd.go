@@ -10,9 +10,9 @@
 //	        keeping k_max components; size the outlier budgets γ_k.
 //	pass 2  stream X again; for every cell compute its reconstruction error
 //	        under every candidate cutoff k (incremental partial sums make
-//	        this O(k_max) per cell); feed one bounded priority queue per
-//	        candidate k; accumulate the total squared error SSE_k; keep the
-//	        row's projection, which is its U row at k_max.
+//	        this O(k_max) per cell); feed one bounded top-γ_k collection
+//	        per candidate k; accumulate the total squared error SSE_k; keep
+//	        the row's projection, which is its U row at k_max.
 //	        Choose k_opt = argmin_k ε_k where ε_k = SSE_k − Σ(top-γ_k
 //	        errors²), i.e. the residual error after the γ_k worst cells
 //	        are repaired, and truncate the buffered U to k_opt.

@@ -123,6 +123,9 @@ func NystromEigen(y, omega *Matrix) (*Eigen, error) {
 	if b == 0 {
 		return &Eigen{Values: nil, Vectors: NewMatrix(m, 0)}, nil
 	}
+	if err := y.CheckFinite(); err != nil {
+		return nil, err // a NaN or ±Inf data cell reaches every column of Y
+	}
 	normY := y.FrobeniusNorm()
 	if normY == 0 {
 		// C·Ω = 0 for a full random Ω ⇒ C ≈ 0.

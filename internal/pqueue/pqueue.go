@@ -1,12 +1,23 @@
-// Package pqueue implements the bounded "keep the γ largest" priority queues
-// used by the SVDD pass-2 algorithm (Figure 5 of the paper): one queue per
+// Package pqueue implements the bounded "keep the γ largest" collections
+// used by the SVDD pass-2 algorithm (Figure 5 of the paper): one per
 // candidate cutoff k collects the γ_k cells with the largest reconstruction
 // errors while streaming over the data matrix.
+//
+// Retention follows one total order: heavier |Delta| first, then the smaller
+// Row, then the smaller Col — among cells tied in weight, the one a matrix
+// scan meets first. Offered in scan order (increasing Row, then Col), as every
+// caller does, a TopK of capacity γ retains exactly the first γ of everything
+// it was offered under that order, whatever its buffer size and whenever it
+// selects: the retained set, Items and SumSquaredWeights are functions of the
+// offered multiset alone, not of the container's layout.
 package pqueue
 
 import (
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
+
+	"seqstore/internal/exact"
 )
 
 // Item is a candidate outlier cell: its position in the matrix and the delta
@@ -20,33 +31,65 @@ type Item struct {
 // Weight is the priority of an item: the magnitude of its error.
 func (it Item) Weight() float64 { return math.Abs(it.Delta) }
 
-// TopK keeps the k items with the largest |Delta| seen so far, using a
-// min-heap of size ≤ k so each Offer is O(log k) and streaming N·M cells
-// costs O(N·M·log k) total.
-//
-// The heap is a plain []Item sifted in place: pass 2 offers every cell to
-// every candidate queue, so an Offer must neither box the item into an
-// interface nor allocate. The sift order is container/heap's, so which of
-// several items tied at the cutoff weight survives is unchanged from the
-// container/heap implementation this replaced.
+// entry is an Item as the buffer holds it, in 16 bytes: matrix positions fit
+// int32 throughout this repository (the stores index deltas the same way).
+type entry struct {
+	row, col int32
+	delta    float64
+}
+
+// rank is an entry's place in the total order of retention as a 128-bit
+// number, larger kept first: the weight's bit pattern (non-negative floats
+// order as their bits do) over the inverted position.
+type rank struct{ weight, pos uint64 }
+
+func (e entry) rank() rank {
+	return rank{math.Float64bits(e.delta) &^ (1 << 63), ^(uint64(uint32(e.row))<<32 | uint64(uint32(e.col)))}
+}
+
+// above is 1 when r > s and 0 otherwise — the borrow of s − r, a number the
+// selection loop adds where a comparison would make it branch.
+func (r rank) above(s rank) uint64 {
+	_, borrow := bits.Sub64(s.pos, r.pos, 0)
+	_, borrow = bits.Sub64(s.weight, r.weight, borrow)
+	return borrow
+}
+
+// order is the three-way comparison: negative when a is kept before b.
+func order(a, b entry) int {
+	ra, rb := a.rank(), b.rank()
+	return int(rb.above(ra)) - int(ra.above(rb))
+}
+
+// TopK keeps the k items with the largest |Delta| seen so far by buffer and
+// select: an item heavier than the admission threshold is appended to a flat
+// buffer of up to k + k/2 entries, and when the buffer fills (and when it
+// first holds k) one quickselect keeps the k first under the total order and
+// raises the threshold to the lightest of them — amortised O(1) sequential
+// work per admitted item and 24 bytes per unit of k. Pass 2 feeds ~30 of
+// these at once; a heap's O(log k) random accesses per admitted item, through
+// megabytes no cache holds, were two thirds of that pass.
 //
 // The zero value is not usable; construct with NewTopK. A TopK with capacity
 // zero accepts nothing (γ = 0 means "no outlier storage").
 type TopK struct {
-	cap int
-	h   []Item // binary min-heap on Weight
-	// admit is the weight an item must exceed to be kept: −1 while the
-	// queue is filling, the minimum's weight once it is full, +Inf when the
-	// capacity is zero. It is what lets Offer reject without touching the heap.
+	cap   int
+	limit int     // buffer length that triggers a selection
+	buf   []entry // the retained items are the cap first of buf under order
+	// admit is the weight an item must exceed to be buffered: −1 until cap
+	// items are held, then the lightest retained weight as of the last
+	// selection (+Inf when the capacity is zero). It only rises, and nearly
+	// every Offer of a long stream ends at it.
 	admit float64
 }
 
-// NewTopK returns a queue retaining the capacity items of largest weight.
+// NewTopK returns a collection retaining the capacity items of largest weight.
 func NewTopK(capacity int) *TopK {
 	if capacity < 0 {
 		capacity = 0
 	}
-	q := &TopK{cap: capacity, h: make([]Item, 0, min(capacity, 1024)), admit: -1}
+	q := &TopK{cap: capacity, limit: capacity + max(capacity/2, 1), admit: -1}
+	q.buf = make([]entry, 0, min(q.limit, 1024))
 	if capacity == 0 {
 		q.admit = math.Inf(1)
 	}
@@ -57,106 +100,125 @@ func NewTopK(capacity int) *TopK {
 func (q *TopK) Cap() int { return q.cap }
 
 // Len returns the number of currently retained items.
-func (q *TopK) Len() int { return len(q.h) }
+func (q *TopK) Len() int { return min(len(q.buf), q.cap) }
 
-// MinWeight returns the smallest retained weight, or 0 when empty. When the
-// queue is full this is the admission threshold: anything lighter is
-// rejected without a heap operation.
-func (q *TopK) MinWeight() float64 {
-	if len(q.h) == 0 {
-		return 0
-	}
-	return q.h[0].Weight()
-}
-
-// Admits reports whether Offer would keep an item with this delta right
+// Admits reports whether Offer would take an item with this delta right
 // now, i.e. whether |delta| exceeds the admission threshold (or is NaN, which
-// no comparison rejects). The threshold only rises: a "no" is final, and a
-// caller may collect the items that got a "yes" and Offer them later.
+// no comparison rejects and Offer drops). The threshold only rises: a "no" is
+// final, a "yes" holds until a heavier item displaces it.
 func (q *TopK) Admits(delta float64) bool {
 	return !(delta <= q.admit && delta >= -q.admit)
 }
 
-// Offer considers an item for retention and reports whether it was kept.
-// Rejecting an item no heavier than the minimum of a full queue — nearly
-// every call of a long stream — is two comparisons, inlined at the call site.
+// Offer considers an item for retention and reports whether it was taken.
+// Rejecting an item no heavier than the threshold — nearly every call of a
+// long stream — is two comparisons, inlined at the call site. An item tied
+// with the lightest retained one is rejected: it comes later in the scan.
 func (q *TopK) Offer(it Item) bool {
 	return q.Admits(it.Delta) && q.insert(it)
 }
 
-// insert adds an item that passed Offer's threshold: a push while the queue
-// is filling, a replacement of the minimum once it is full.
+// insert buffers an item that passed the threshold, selecting when full.
 func (q *TopK) insert(it Item) bool {
-	w := it.Weight()
-	h := q.h
-	if len(h) < q.cap {
-		if len(h) == cap(h) {
-			// Double, but not past the capacity: append would leave a full
-			// queue up to a quarter larger than the items it can hold.
-			h = append(make([]Item, 0, min(2*cap(h), q.cap)), h...)
-		}
-		// Append, then sift up while lighter than the parent.
-		h = append(h, it)
-		i := len(h) - 1
-		for i > 0 {
-			parent := (i - 1) / 2
-			if !(w < h[parent].Weight()) {
-				break
-			}
-			h[i] = h[parent]
-			i = parent
-		}
-		h[i] = it
-		q.h = h
-		if len(h) == q.cap {
-			q.admit = h[0].Weight()
-		}
-		return true
+	if it.Delta != it.Delta {
+		return false // NaN has no place in the order
 	}
-	if q.cap == 0 { // only a NaN weight gets past +Inf
-		return false
+	if len(q.buf) == cap(q.buf) {
+		// Double, but to the limit exactly: append's own growth would leave
+		// a full buffer up to a quarter larger than it can ever fill.
+		q.buf = append(make([]entry, 0, min(2*cap(q.buf), q.limit)), q.buf...)
 	}
-	// Sift down from the root: the lighter child moves up (the left one on
-	// a tie) while it is lighter than the incoming item.
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			break
-		}
-		cw := h[child].Weight()
-		if r := child + 1; r < len(h) {
-			if rw := h[r].Weight(); rw < cw {
-				child, cw = r, rw
-			}
-		}
-		if !(cw < w) {
-			break
-		}
-		h[i] = h[child]
-		i = child
+	q.buf = append(q.buf, entry{int32(it.Row), int32(it.Col), it.Delta})
+	if len(q.buf) == q.limit || len(q.buf) == q.cap && q.admit < 0 {
+		q.settle() // the buffer is full, or holds cap items for the first time
 	}
-	h[i] = it
-	q.admit = h[0].Weight()
 	return true
 }
 
-// Items returns the retained items sorted by decreasing weight. The queue is
-// left intact.
+// settle cuts the buffer back to the retained items and, once there are cap
+// of them, raises the threshold to the lightest.
+func (q *TopK) settle() {
+	if len(q.buf) < q.cap || len(q.buf) == q.cap && q.admit >= 0 {
+		return // not full yet, or nothing buffered since the last selection
+	}
+	selectNth(q.buf, q.cap-1)
+	q.buf = q.buf[:q.cap]
+	q.admit = math.Abs(q.buf[q.cap-1].delta)
+}
+
+// selectNth rearranges a so that a[n] is the entry of rank n under the total
+// order, everything kept before it is in a[:n] and everything after it in
+// a[n+1:]: quickselect around the median of three, partitioning without a
+// data-dependent branch (on scores in scan order a comparison is a coin
+// toss). A range under a dozen entries is insertion-sorted — all a small TopK
+// (FoldIn's γ = 8) ever runs — and one that bad pivots failed to shrink in
+// 2·log₂ len rounds goes to the library sort.
+func selectNth(a []entry, n int) {
+	lo, hi := 0, len(a)-1
+	for depth := 2 * bits.Len(uint(len(a))); hi-lo >= 12 && depth > 0; depth-- {
+		mid := lo + (hi-lo)/2
+		if order(a[mid], a[lo]) < 0 {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if order(a[hi], a[lo]) < 0 {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if order(a[mid], a[hi]) < 0 {
+			a[mid], a[hi] = a[hi], a[mid]
+		}
+		pivot := a[hi] // the median of the three
+		pr := pivot.rank()
+		s, p := a[lo:hi], 0
+		for i, x := range s {
+			s[i] = s[p]
+			s[p] = x
+			p += int(x.rank().above(pr))
+		}
+		p += lo
+		a[p], a[hi] = pivot, a[p]
+		switch {
+		case p == n:
+			return
+		case p < n:
+			lo = p + 1
+		default:
+			hi = p - 1
+		}
+	}
+	if hi-lo >= 12 {
+		slices.SortFunc(a[lo:hi+1], order)
+		return
+	}
+	for i := lo + 1; i <= hi; i++ {
+		x, j := a[i], i
+		for xr := x.rank(); j > lo && xr.above(a[j-1].rank()) != 0; j-- {
+			a[j] = a[j-1]
+		}
+		a[j] = x
+	}
+}
+
+// Items returns the retained items in the total order: decreasing weight,
+// ties by (Row, Col). The retained set is left intact.
 func (q *TopK) Items() []Item {
-	out := make([]Item, len(q.h))
-	copy(out, q.h)
-	sort.Slice(out, func(i, j int) bool { return out[i].Weight() > out[j].Weight() })
+	q.settle()
+	slices.SortFunc(q.buf, order)
+	out := make([]Item, len(q.buf))
+	for i, e := range q.buf {
+		out[i] = Item{Row: int(e.row), Col: int(e.col), Delta: e.delta}
+	}
 	return out
 }
 
-// SumSquaredWeights returns Σ delta² over retained items. SVDD uses this to
+// SumSquaredWeights returns Σ delta² over retained items, correctly rounded
+// from the exact sum — so it has no order to depend on. SVDD uses this to
 // compute the residual error ε_k = SSE_k − Σ(top-γ_k errors²) without a
 // second pass.
 func (q *TopK) SumSquaredWeights() float64 {
-	var s float64
-	for _, it := range q.h {
-		s += it.Delta * it.Delta
+	q.settle()
+	var s exact.Sum
+	for _, e := range q.buf {
+		s.Add(e.delta * e.delta)
 	}
-	return s
+	return s.Value()
 }
