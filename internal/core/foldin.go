@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"seqstore/internal/bloom"
 	"seqstore/internal/pqueue"
@@ -38,6 +37,7 @@ func (s *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 		return -1, err
 	}
 	if maxDeltas <= 0 {
+		s.indexFoldedRow(idx)
 		return idx, nil
 	}
 	_, m := s.base.Dims()
@@ -46,8 +46,10 @@ func (s *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 		// The append succeeded but the row cannot be read back: roll the
 		// append back so the store is exactly its pre-call self. If even the
 		// rollback fails the store has genuinely grown — report the real
-		// index alongside the error rather than pretending the row is at 0.
+		// index alongside the error rather than pretending the row is at 0,
+		// and index the row (it holds no deltas) like any other that stays.
 		if uerr := s.base.UndoFoldIn(idx); uerr != nil {
+			s.indexFoldedRow(idx)
 			return idx, fmt.Errorf("core: fold-in row %d unreadable (%w); rollback also failed: %v", idx, err, uerr)
 		}
 		return -1, fmt.Errorf("core: fold-in rolled back: %w", err)
@@ -66,14 +68,22 @@ func (s *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 		}
 		key := bloom.CellKey(it.Row, it.Col, m)
 		s.deltas[key] = it.Delta
-		s.rowIdx[int32(it.Row)] = append(s.rowIdx[int32(it.Row)], rowDelta{col: int32(it.Col), delta: it.Delta})
+		s.cols, s.vals = append(s.cols, int32(it.Col)), append(s.vals, it.Delta)
 		if s.filter != nil {
 			s.filter.Add(key)
 		}
 	}
-	// Restore the bucket's ascending-column invariant (the top-γ queue
-	// yields cells in error order, not column order).
-	bucket := s.rowIdx[int32(idx)]
-	sort.Slice(bucket, func(a, b int) bool { return bucket[a].col < bucket[b].col })
+	s.indexFoldedRow(idx)
 	return idx, nil
+}
+
+// indexFoldedRow closes the row index over the freshly folded row idx —
+// the last row, whose deltas FoldIn appended at the tail of cols/vals in
+// error order (the top-γ queue's), not column order. It runs only once the
+// fold can no longer be rolled back, so the index never describes a row
+// UndoFoldIn took away, and on every path that leaves the row in the base
+// — deltas or none, even a failed rollback — so rowStart stays N+1 long.
+func (s *Store) indexFoldedRow(idx int) {
+	s.rowStart = append(s.rowStart, uint32(len(s.cols)))
+	s.sortBucket(idx)
 }

@@ -98,9 +98,25 @@ func (f *failingU) ReadRow(i int, dst []float64) error {
 	return f.Mem.ReadRow(i, dst)
 }
 
+// appendOnlyU hides failingU's TruncateRows: a fold-in can be appended to
+// it but never undone — the "rollback also failed" window.
+type appendOnlyU struct {
+	matio.RowReader
+	fu *failingU
+}
+
+func (a appendOnlyU) AppendRow(row []float64) int { return a.fu.AppendRow(row) }
+
 // buildStoreWithFailingU assembles an SVDD store whose base U backing
 // rejects reads of any folded-in row.
 func buildStoreWithFailingU(t *testing.T, x *linalg.Matrix, k int) (*Store, *failingU) {
+	t.Helper()
+	return buildStoreOverFailingU(t, x, k, func(fu *failingU) matio.RowReader { return fu })
+}
+
+// buildStoreOverFailingU is buildStoreWithFailingU with the backing handed
+// to the base through wrap.
+func buildStoreOverFailingU(t *testing.T, x *linalg.Matrix, k int, wrap func(*failingU) matio.RowReader) (*Store, *failingU) {
 	t.Helper()
 	f, err := svd.ComputeFactors(matio.NewMem(x))
 	if err != nil {
@@ -127,7 +143,7 @@ func buildStoreWithFailingU(t *testing.T, x *linalg.Matrix, k int) (*Store, *fai
 		}
 	}
 	fu := &failingU{Mem: matio.NewMem(u), failFrom: n}
-	base, err := svd.New(f, k, fu)
+	base, err := svd.New(f, k, wrap(fu))
 	if err != nil {
 		t.Fatal(err)
 	}

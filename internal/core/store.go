@@ -14,10 +14,10 @@ import (
 
 // Store is the SVDD representation: a plain-SVD store plus a hash table of
 // (row, col) → delta for the outlier cells, fronted by an optional Bloom
-// filter that short-circuits the common "not an outlier" case. A per-row
-// bucket index over the same deltas serves row-shaped access (row
-// reconstruction, selection-restricted aggregates) without probing the
-// hash table once per cell.
+// filter that short-circuits the common "not an outlier" case. A row-major
+// index over the same deltas serves row-shaped access (row reconstruction,
+// selection-restricted aggregates) without probing the hash table once per
+// cell.
 type Store struct {
 	base        *svd.Store
 	deltas      map[uint64]float64
@@ -25,10 +25,14 @@ type Store struct {
 	outlierCost int
 	diag        Diagnostics
 
-	// rowIdx buckets the deltas by row, each bucket in ascending column
-	// order. Like the Bloom filter it is a main-memory acceleration
-	// structure rebuilt at load time and not charged to the space budget.
-	rowIdx map[int32][]rowDelta
+	// The row index: the deltas again, in (row, col) order, as a CSR —
+	// row i's bucket is cols/vals[rowStart[i]:rowStart[i+1]], ascending by
+	// column, and rowStart always holds N+1 offsets. Like the Bloom filter
+	// it is a main-memory acceleration structure rebuilt at load time and
+	// not charged to the space budget.
+	rowStart []uint32
+	cols     []int32
+	vals     []float64
 
 	// §6.2 zero-row flags: rows that are entirely zero reconstruct to 0
 	// without any U access. zeroFilter screens zeroSet the way filter
@@ -39,14 +43,8 @@ type Store struct {
 
 	probes     atomic.Int64 // hash-table probes performed
 	bloomSaves atomic.Int64 // probes avoided by the Bloom filter
-	rowProbes  atomic.Int64 // per-row bucket lookups served by rowIdx
+	rowProbes  atomic.Int64 // per-row bucket lookups served by the row index
 	zeroHits   atomic.Int64 // cell lookups answered by the zero-row flags
-}
-
-// rowDelta is one outlier correction within a row bucket.
-type rowDelta struct {
-	col   int32
-	delta float64
 }
 
 // newStore assembles the SVDD store from the plain-SVD base at k_opt, the
@@ -89,19 +87,54 @@ func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, opts Optio
 	return s, nil
 }
 
-// buildRowIndex derives the per-row delta buckets from the hash table,
-// each bucket sorted by column for deterministic iteration.
+// buildRowIndex derives the row index from the hash table with one counting
+// sort by row: count into rowStart, prefix-sum, scatter. The map hands the
+// cells over in no particular order, so each bucket is then sorted by
+// column.
 func (s *Store) buildRowIndex() {
-	_, m := s.base.Dims()
-	idx := make(map[int32][]rowDelta)
+	n, m := s.base.Dims()
+	start := make([]uint32, n+2)
+	for key := range s.deltas {
+		start[key/uint64(m)+2]++
+	}
+	for i := 2; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	// start[i+1] is now row i's first slot; scattering advances it to row
+	// i's end, which is where row i+1 starts — start[:n+1] ends up the
+	// offsets.
+	s.cols = make([]int32, len(s.deltas))
+	s.vals = make([]float64, len(s.deltas))
 	for key, d := range s.deltas {
-		row := int32(key / uint64(m))
-		idx[row] = append(idx[row], rowDelta{col: int32(key % uint64(m)), delta: d})
+		at := &start[key/uint64(m)+1]
+		s.cols[*at], s.vals[*at] = int32(key%uint64(m)), d
+		*at++
 	}
-	for _, bucket := range idx {
-		sort.Slice(bucket, func(i, j int) bool { return bucket[i].col < bucket[j].col })
+	s.rowStart = start[:n+1]
+	for i := 0; i < n; i++ {
+		s.sortBucket(i)
 	}
-	s.rowIdx = idx
+}
+
+// sortBucket restores row i's ascending-column order.
+func (s *Store) sortBucket(i int) {
+	lo, hi := s.rowStart[i], s.rowStart[i+1]
+	if hi-lo > 1 {
+		sort.Sort(bucket{s.cols[lo:hi], s.vals[lo:hi]})
+	}
+}
+
+// bucket is one row's stretch of the row index, sortable by column.
+type bucket struct {
+	cols []int32
+	vals []float64
+}
+
+func (b bucket) Len() int           { return len(b.cols) }
+func (b bucket) Less(i, j int) bool { return b.cols[i] < b.cols[j] }
+func (b bucket) Swap(i, j int) {
+	b.cols[i], b.cols[j] = b.cols[j], b.cols[i]
+	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
 }
 
 // installZeroRows builds the zero-row structures from a sorted id list.
@@ -201,14 +234,45 @@ func (s *Store) Deltas(fn func(row, col int, delta float64)) {
 }
 
 // RowDeltas calls fn for every stored outlier of row i in ascending column
-// order, probing only that row's bucket — the query engine's
-// selection-restricted aggregates visit exactly the buckets of selected
-// rows instead of scanning the whole delta table.
+// order, probing only that row's bucket. A row outside the store holds no
+// deltas.
 func (s *Store) RowDeltas(i int, fn func(col int, delta float64)) {
 	s.rowProbes.Add(1)
-	for _, rd := range s.rowIdx[int32(i)] {
-		fn(int(rd.col), rd.delta)
+	if i < 0 || i+1 >= len(s.rowStart) {
+		return
 	}
+	for p, end := s.rowStart[i], s.rowStart[i+1]; p < end; p++ {
+		fn(int(s.cols[p]), s.vals[p])
+	}
+}
+
+// DeltaSlab is the row index over a run of consecutive rows: one
+// contiguous stretch of the (row, col)-ordered delta arrays, shared with
+// the store and read-only.
+type DeltaSlab struct {
+	lo    int
+	start []uint32 // one offset per row of the run, plus the end
+	cols  []int32
+	vals  []float64
+}
+
+// DeltaSlab returns the buckets of rows [lo, hi), 0 ≤ lo ≤ hi ≤ N, charged
+// as hi−lo bucket lookups at once — the query engine's
+// selection-restricted aggregates visit exactly the buckets of the
+// selected rows, a scan run at a time, instead of the whole delta table.
+func (s *Store) DeltaSlab(lo, hi int) DeltaSlab {
+	s.rowProbes.Add(int64(hi - lo))
+	return DeltaSlab{lo: lo, start: s.rowStart[lo : hi+1], cols: s.cols, vals: s.vals}
+}
+
+// Len is the number of deltas the slab's rows hold.
+func (d DeltaSlab) Len() int { return int(d.start[len(d.start)-1] - d.start[0]) }
+
+// Row returns row i's bucket as parallel column/delta slices, ascending by
+// column; i must lie in the slab's run.
+func (d DeltaSlab) Row(i int) ([]int32, []float64) {
+	a, b := d.start[i-d.lo], d.start[i-d.lo+1]
+	return d.cols[a:b], d.vals[a:b]
 }
 
 // ProbeStats reports how many delta-table probes were performed and how many

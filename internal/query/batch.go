@@ -99,7 +99,7 @@ func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx
 // charges. All methods are nil-safe.
 type uBuf struct {
 	k    int
-	off  map[int]int // U row index → row offset into data
+	slot []int32 // per U row: 1 + its row offset into data, 0 when absent
 	data []float64
 }
 
@@ -109,8 +109,8 @@ func (b *uBuf) row(i int) []float64 {
 	if b == nil {
 		return nil
 	}
-	o, ok := b.off[i]
-	if !ok {
+	o := int(b.slot[i]) - 1
+	if o < 0 {
 		return nil
 	}
 	return b.data[o*b.k : (o+1)*b.k : (o+1)*b.k]
@@ -135,7 +135,9 @@ func factoredBase(s store.Store) *svd.Store {
 // when the union would exceed the memory cap, or when a read fails (the
 // per-item evaluation will then surface the store error with context).
 func prefetchBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, led *trace.Ledger) *uBuf {
-	need := make([]bool, n)
+	// slot marks the union with a placeholder first; the pass below
+	// replaces it with each row's place in the buffer.
+	slot := make([]int32, n)
 	total, distinct := 0, 0
 	for idx := range items {
 		if skip[idx] || items[idx].Agg == Count {
@@ -143,8 +145,8 @@ func prefetchBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, 
 		}
 		for _, r := range items[idx].Sel.Rows {
 			total++
-			if !need[r] {
-				need[r] = true
+			if slot[r] == 0 {
+				slot[r] = 1
 				distinct++
 			}
 		}
@@ -153,16 +155,16 @@ func prefetchBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, 
 	if distinct == 0 || total <= distinct || distinct*k > maxPrefetchFloats {
 		return nil
 	}
-	buf := &uBuf{k: k, off: make(map[int]int, distinct), data: make([]float64, distinct*k)}
+	buf := &uBuf{k: k, slot: slot, data: make([]float64, distinct*k)}
 	next := 0
 	scratch := make([]float64, k)
 	for start := 0; start < n; {
-		if !need[start] {
+		if slot[start] == 0 {
 			start++
 			continue
 		}
 		end := start + 1
-		for end < n && need[end] {
+		for end < n && slot[end] != 0 {
 			end++
 		}
 		led.AddDiskAccesses(int64(end - start))
@@ -170,8 +172,8 @@ func prefetchBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, 
 		if end-start >= minScanRun {
 			err := base.ScanURows(start, end, func(i int, u []float64) error {
 				copy(buf.data[next*k:(next+1)*k], u)
-				buf.off[i] = next
 				next++
+				slot[i] = int32(next)
 				return nil
 			})
 			if err != nil {
@@ -183,8 +185,8 @@ func prefetchBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, 
 					return nil
 				}
 				copy(buf.data[next*k:(next+1)*k], scratch)
-				buf.off[i] = next
 				next++
+				slot[i] = int32(next)
 			}
 		}
 		start = end

@@ -1,9 +1,13 @@
 package query
 
 import (
+	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"seqstore/internal/core"
+	"seqstore/internal/dataset"
 	"seqstore/internal/matio"
 )
 
@@ -173,4 +177,84 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 			}
 		}
 	})
+}
+
+// adhocFixture is the agg_adhoc rung's input: the served store (20 000
+// customers × 366 days, SVDD at the paper's 10 % budget) and the workload's
+// selection shapes — a contiguous 1–25 % of the rows × a 5–50 % column
+// window, every other one thinned to one weekday — drawn Zipf(1.1) over a
+// pool of 512 through a 256-plan cache, so about a fifth of the draws
+// rebuild their plan. Built once and shared by the sub-benchmarks.
+var adhocFixture struct {
+	once  sync.Once
+	err   error
+	store *core.Store
+	sels  []Selection
+	draws []int
+}
+
+func adhocSetup(b *testing.B) (*core.Store, []Selection, []int) {
+	b.Helper()
+	fx := &adhocFixture
+	fx.once.Do(func() {
+		const n, m, pool = 20000, 366, 512
+		cfg := dataset.DefaultPhoneConfig(n)
+		cfg.M = m
+		fx.store, fx.err = core.Compress(matio.NewMem(dataset.GeneratePhone(cfg)), core.Options{Budget: 0.10})
+		if fx.err != nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(1))
+		for p := 0; p < pool; p++ {
+			rw := n/100 + rng.Intn(n/4-n/100+1)
+			rlo := rng.Intn(n - rw + 1)
+			cw := m/20 + rng.Intn(m/2-m/20+1)
+			clo := rng.Intn(m - cw + 1)
+			sel := Selection{Rows: seq(rlo, rlo+rw), Cols: seq(clo, clo+cw)}
+			if p%2 == 1 && cw >= 14 {
+				sel.Cols = sel.Cols[:0]
+				for j := clo + rng.Intn(7); j < clo+cw; j += 7 {
+					sel.Cols = append(sel.Cols, j)
+				}
+			}
+			fx.sels = append(fx.sels, sel)
+		}
+		zipf := rand.NewZipf(rng, 1.1, 1, pool-1)
+		for d := 0; d < 4096; d++ {
+			fx.draws = append(fx.draws, int(zipf.Uint64()))
+		}
+	})
+	if fx.err != nil {
+		b.Fatal(fx.err)
+	}
+	return fx.store, fx.sels, fx.draws
+}
+
+// BenchmarkEvaluateAdhoc is the query-plan rung of the agg_adhoc workload
+// without the 15 s harness: one op is one aggregate over the next Zipf
+// draw, per plan class (factored sum, factored stddev, projected min) and
+// worker count.
+//
+//	go test -run '^$' -bench EvaluateAdhoc -benchmem ./internal/query
+func BenchmarkEvaluateAdhoc(b *testing.B) {
+	for _, agg := range []Aggregate{Sum, StdDev, Min} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%v/w%d", agg, workers), func(b *testing.B) {
+				s, sels, draws := adhocSetup(b)
+				opts := Options{Workers: workers, Plans: NewPlanCache(256)}
+				for _, d := range draws[:512] {
+					if _, err := EvaluateOpts(s, agg, sels[d], opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := EvaluateOpts(s, agg, sels[draws[i%len(draws)]], opts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

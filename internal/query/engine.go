@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"seqstore/internal/core"
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/store"
@@ -25,7 +26,7 @@ type Options struct {
 	// DeadlineExceeded) once it fires. A nil Ctx means no cancellation.
 	Ctx context.Context
 	// Plans, when non-nil, memoizes per-query plans — the projected
-	// engine's V panel, the SVDD column-position index and the coalesced
+	// engine's V panel, the SVDD selection digest and the coalesced
 	// row-run schedule — across evaluations sharing this cache. See
 	// NewPlanCache; the serving layer invalidates it from the ingestion
 	// hooks. A nil Plans rebuilds the plan per call (the previous
@@ -87,6 +88,36 @@ func evalChunkSize(n, workers int) int {
 	return c
 }
 
+// minWorkerWork is the least sharded work, in multiply-adds, that pays for
+// a goroutine of its own. Measured on two cores (EXPERIMENTS.md §PR 22):
+// below some 64 Ki multiply-adds per evaluation — about 100 µs of one core
+// — the launch, the per-worker resets and the merge cost more than a
+// second worker returns, on either path.
+const minWorkerWork = 32 << 10
+
+// rowWork is the sharded work one selected row costs, in multiply-adds: k
+// per projected cell, k on the factored path. A full-row reconstruction of
+// a store without factors is not modelled and never held back.
+func (st *evalState) rowWork() int {
+	switch k := len(st.pl.sigma); {
+	case st.pl.base == nil:
+		return minWorkerWork
+	case st.factored:
+		return k
+	default:
+		return k * len(st.sel.Cols)
+	}
+}
+
+// evalWorkers is how many of the requested workers an n-row selection
+// keeps busy: no more than it has chunks, and no more than it has
+// minWorkerWork-sized shares of work. Only the goroutine count depends on
+// it — chunk boundaries, and with them every ledger charge and EXPLAIN
+// estimate, are evalChunkSize's alone.
+func evalWorkers(n, chunk, workers, rowWork int) int {
+	return max(1, min(workers, (n+chunk-1)/chunk, n*rowWork/minWorkerWork))
+}
+
 // minScanRun is the shortest contiguous ascending run of selected rows
 // worth a sequential range scan instead of per-row random reads.
 const minScanRun = 4
@@ -139,15 +170,16 @@ type evalState struct {
 	sigma      []float64 // aliases the plan's (or the first merged partial's)
 }
 
-// evalJob is the evaluation in flight. release clears it, so a pooled
-// state pins neither a purged plan's panel nor a request's context.
+// evalJob is the evaluation in flight. release clears it (and the workers'
+// slabs), so a pooled state pins neither a purged plan's panel, nor a
+// replaced store's deltas, nor a request's context.
 type evalJob struct {
-	env    evalEnv
-	s      store.Store
-	sel    Selection
-	pl     *plan
-	panel  *linalg.Matrix // |C|×k: V rows of the selected columns
-	colPos map[int][]int  // selected col → its positions in sel.Cols (multiset)
+	env   evalEnv
+	s     store.Store
+	sel   Selection
+	pl    *plan
+	panel *linalg.Matrix // |C|×k: V rows of the selected columns
+	dg    *selDigest     // projected overlay on SVDD: the columns' positions
 }
 
 var statePool = sync.Pool{New: func() any { return new(evalState) }}
@@ -156,6 +188,9 @@ func getState() *evalState { return statePool.Get().(*evalState) }
 
 func (st *evalState) release() {
 	st.evalJob, st.sigma = evalJob{}, nil
+	for _, w := range st.active {
+		w.slab = core.DeltaSlab{}
+	}
 	statePool.Put(st)
 }
 
@@ -184,20 +219,22 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 		return nil
 	}
 	pl := planFor(s, sel, env)
-	st.env, st.s, st.sel, st.pl = env, s, sel, pl
+	st.evalJob = evalJob{env: env, s: s, sel: sel, pl: pl}
 	st.factored = pl.base != nil && (agg == Sum || agg == Avg || agg == StdDev)
 
-	// Workers beyond the chunk count would only idle.
+	k, wantSq := len(pl.sigma), agg == StdDev
 	chunk := evalChunkSize(len(sel.Rows), env.workers)
-	nw := min(env.workers, (len(sel.Rows)+chunk-1)/chunk)
+	nw := evalWorkers(len(sel.Rows), chunk, env.workers, st.rowWork())
 	for len(st.workers) < nw {
 		st.workers = append(st.workers, newEvalWorker(st))
 	}
 	st.active = st.workers[:nw]
 
-	k, wantSq := len(pl.sigma), agg == StdDev
 	if pl.base != nil && !st.factored {
-		st.panel, st.colPos = pl.panelFor()
+		st.panel = pl.panelFor()
+		if pl.svdd != nil {
+			st.dg = pl.digestFor()
+		}
 	}
 	for _, w := range st.active {
 		w.acc.reset()
@@ -232,7 +269,7 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	}
 	st.sigma, st.hasCorr, st.corr = pl.sigma, pl.svdd != nil, corrections{}
 	if st.hasCorr {
-		return deltaCorrections(pl.svdd, sel, wantSq, env, &st.corr)
+		return st.deltaCorrections(wantSq)
 	}
 	return nil
 }
@@ -317,7 +354,9 @@ func (st *evalState) chunk(w *evalWorker, lo, hi int) error {
 // accumulator); everything else is one sequential scan per piece or one
 // random read, charged one access per row plus the pages spanned. Zero
 // rows inside a scan are simply scanned: skipping mid-scan would cost
-// more than it saves. ExplainQuery replays the same pieces.
+// more than it saves. On SVDD stores the projected engine overlays each
+// row it holds a U row for with that row's deltas, so a piece also opens
+// its slab of the row index. ExplainQuery replays the same pieces.
 func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
 	pl, led, buf := st.pl, st.env.led, st.env.buf
 	for it := pl.pieces(lo, hi); it.next(); {
@@ -326,6 +365,10 @@ func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
 		if it.zeroFlagged() {
 			w.zeroRow()
 			continue
+		}
+		if st.dg != nil {
+			w.slab = pl.svdd.DeltaSlab(start, end)
+			led.AddDeltasProbed(int64(w.slab.Len()))
 		}
 		for ; start < end; start++ {
 			u := buf.row(start)
@@ -376,11 +419,12 @@ func (st *evalState) genericRows(w *evalWorker, lo, hi int) error {
 // them all concurrently.
 type evalWorker struct {
 	st   *evalState
-	acc  accum     // cells shape
-	um   uMoments  // factored shape
-	urow []float64 // k: U row, scaled by σ in place before projection
-	vals []float64 // |C|: projected cell values of the current row
-	row  []float64 // m: full-row buffer for the generic path
+	acc  accum          // cells shape
+	um   uMoments       // factored shape
+	urow []float64      // k: U row, scaled by σ in place before projection
+	vals []float64      // |C|: projected cell values of the current row
+	row  []float64      // m: full-row buffer for the generic path
+	slab core.DeltaSlab // SVDD: the deltas of the piece being projected
 
 	// sink is take as a ScanURows callback. The callback escapes through
 	// the matio.RangeScanner interface, so building it per scan would
@@ -411,7 +455,10 @@ func (w *evalWorker) take(i int, u []float64) {
 }
 
 // project projects w.urow — U row i — onto the column panel and folds the
-// selected cells, with SVDD deltas applied from the per-row bucket index.
+// selected cells, with SVDD deltas applied from the piece's slab of the
+// row index. On a factorable store this engine serves Min and Max alone
+// (Sum/Avg/StdDev factor, Count is data-free), so it folds only what they
+// read.
 func (w *evalWorker) project(i int) {
 	st := w.st
 	// Pre-scale by σ so each projected cell is the same dot product the
@@ -424,18 +471,16 @@ func (w *evalWorker) project(i int) {
 	for p := range vals {
 		vals[p] = linalg.Dot(urow, panel.Row(p))
 	}
-	if svdd := st.pl.svdd; svdd != nil {
-		var nd int64
-		svdd.RowDeltas(i, func(col int, delta float64) {
-			nd++
-			for _, p := range st.colPos[col] {
-				vals[p] += delta
+	if dg := st.dg; dg != nil {
+		cols, deltas := w.slab.Row(i)
+		for x, col := range cols {
+			for _, p := range dg.pos[dg.colStart[col]:dg.colStart[col+1]] {
+				vals[p] += deltas[x]
 			}
-		})
-		st.env.led.AddDeltasProbed(nd)
+		}
 	}
 	for _, v := range vals {
-		w.acc.add(v)
+		w.acc.addExtrema(v)
 	}
 }
 
@@ -446,7 +491,7 @@ func (w *evalWorker) zeroRow() {
 		return
 	}
 	for range w.st.sel.Cols {
-		w.acc.add(0)
+		w.acc.addExtrema(0)
 	}
 }
 

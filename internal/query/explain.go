@@ -13,8 +13,8 @@ const (
 
 // Explain describes the plan evaluate would choose for (s, agg, sel) and
 // predicts its ledger charges. It is derived entirely from in-memory
-// metadata — the run schedule, the SVDD zero-row flags and delta bucket
-// sizes — so producing an explanation performs no store reads and adds zero
+// metadata — the run schedule, the SVDD zero-row flags and the row index
+// of the deltas — so producing an explanation performs no store reads and adds zero
 // disk accesses (the §17 invariant pinned by TestExplainNoExtraDiskAccesses).
 //
 // The estimates model a cold store: no row cache, no batch prefetch buffer.
@@ -23,9 +23,12 @@ const (
 // are a replay of the very pieces the engine reads (plan.pieces); warm
 // caches only lower the actual numbers.
 type Explain struct {
-	Plan    string // PlanCount, PlanFactored, PlanProjected or PlanGeneric
-	Workers int    // normalized worker count the evaluation would use
-	Cells   int64  // |R|·|C| cells in the selection
+	Plan string // PlanCount, PlanFactored, PlanProjected or PlanGeneric
+	// Workers is the normalized requested worker count. It sets the
+	// chunking below; a selection with few chunks or little work folds them
+	// on fewer goroutines (evalWorkers), with the same charges.
+	Workers int
+	Cells   int64 // |R|·|C| cells in the selection
 
 	// Row-run schedule, after clipping runs to worker chunks exactly as the
 	// engine does: ChunkRows is the adaptive chunk size, Chunks the number
@@ -95,7 +98,7 @@ func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*E
 
 	ex.replayURows(pl)
 	if ex.Plan == PlanFactored && pl.svdd != nil {
-		ex.simulateDeltas(pl, agg, sel)
+		ex.replayDeltaWalk(pl, agg)
 	}
 	return ex, nil
 }
@@ -103,10 +106,9 @@ func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*E
 // replayURows walks the pieces readURows would, chunk by chunk, charging
 // what a cold store charges for each without reading anything: every
 // piece is rows read; all but the flag-answered zero rows are one access
-// per row plus the pages spanned. The projected plan also probes the
-// delta bucket of every row it holds a U row for (evalWorker.project).
+// per row plus the pages spanned. The projected plan also opens the slab
+// of the row index of every piece it holds U rows for.
 func (ex *Explain) replayURows(pl *plan) {
-	probe := func(int, float64) { ex.EstDeltasProbed++ }
 	for lo := 0; lo < len(pl.rows); lo += ex.ChunkRows {
 		for it := pl.pieces(lo, min(lo+ex.ChunkRows, len(pl.rows))); it.next(); {
 			n := it.end - it.start
@@ -124,41 +126,24 @@ func (ex *Explain) replayURows(pl *plan) {
 			ex.EstDiskAccesses += int64(n)
 			ex.EstPagesTouched += int64(pl.base.UPageSpan(it.start, it.end))
 			if ex.Plan == PlanProjected && pl.svdd != nil {
-				for i := it.start; i < it.end; i++ {
-					pl.svdd.RowDeltas(i, probe)
-				}
+				ex.EstDeltasProbed += int64(pl.svdd.DeltaSlab(it.start, it.end).Len())
 			}
 		}
 	}
 }
 
-// simulateDeltas predicts the factored plan's SVDD delta charges:
-// deltaCorrections probes each distinct selected row once, and for StdDev
-// additionally reconstructs the baseline of every distinct row holding a
-// delta in a selected column — one U read each.
-func (ex *Explain) simulateDeltas(pl *plan, agg Aggregate, sel Selection) {
-	selCols := make(map[int]bool, len(sel.Cols))
-	for _, j := range sel.Cols {
-		selCols[j] = true
-	}
-	seen := make(map[int]bool, len(pl.rows))
-	for _, i := range pl.rows {
-		if seen[i] {
-			continue
-		}
-		seen[i] = true
-		hasSel := false
-		pl.svdd.RowDeltas(i, func(col int, _ float64) {
-			ex.EstDeltasProbed++
-			if selCols[col] {
-				hasSel = true
-			}
-		})
-		if agg == StdDev && hasSel {
-			// Second-moment correction: one baseline U read for this row.
+// replayDeltaWalk predicts the factored plan's SVDD delta charges by
+// running the walk deltaCorrections runs: every bucket of the distinct
+// selected rows is probed, and StdDev additionally reconstructs the
+// baseline of every row the walk stops at — one U read each.
+func (ex *Explain) replayDeltaWalk(pl *plan, agg Aggregate) {
+	w := pl.deltaWalk()
+	for w.next() {
+		if agg == StdDev {
 			ex.EstRowsRead++
 			ex.EstDiskAccesses++
-			ex.EstPagesTouched += int64(pl.base.UPageSpan(i, i+1))
+			ex.EstPagesTouched += int64(pl.base.UPageSpan(w.row, w.row+1))
 		}
 	}
+	ex.EstDeltasProbed += w.probed
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"seqstore/internal/core"
 	"seqstore/internal/exact"
@@ -24,12 +23,12 @@ import (
 //
 // (O(k²·(|R|+|C|))), which gives StdDev without touching any of the
 // |R|·|C| cells. SVDD stores add corrections from the outlier deltas of
-// the selected rows, visited through the per-row bucket index.
+// the selected rows, visited through the store's row index by the plan's
+// delta walk (deltas.go).
 //
-// The moments live in the pooled evalState (engine.go), so the steady-state
-// plain-SVD factored path allocates nothing; the SVDD delta corrections
-// still build their per-call multiset maps, which are proportional to the
-// selection, not the data.
+// The moments live in the pooled evalState (engine.go) and the walk reads
+// the plan's digest, so the steady-state factored path allocates nothing,
+// SVDD or plain.
 
 // FactoredSumSVD computes Σ_{i∈R,j∈C} x̂[i][j] over a plain-SVD store in
 // O(k·(|R|+|C|)) plus |R| U-row accesses (contiguous runs coalesced into
@@ -39,7 +38,7 @@ func FactoredSumSVD(s *svd.Store, sel Selection) (float64, error) {
 }
 
 // FactoredSumSVDD is the SVDD version: the factored plain-SVD sum plus the
-// outlier deltas inside the selection, visited through the per-row bucket
+// outlier deltas inside the selection, visited through the store's row
 // index so only the selected rows' deltas are touched.
 //
 // Selections are multisets (see ParseIndexSpec): a cell whose row appears
@@ -193,77 +192,55 @@ type corrections struct {
 }
 
 // deltaCorrections folds the outlier deltas lying inside the selection
-// into c, visiting only the delta buckets of the distinct selected rows
-// (one RowDeltas probe each — the counter pinned by tests). For the second
-// moment, a delta δ on a cell with SVD baseline b
-// shifts that cell's square by (b+δ)²−b² = 2bδ+δ², so only delta cells
-// need their baseline reconstructed: one U read per distinct selected row
-// that actually holds deltas (served from the batch prefetch buffer when
+// into st.corr, along the plan's delta walk: only the buckets of the
+// distinct selected rows are looked at (one row-index lookup each — the
+// counter pinned by tests). For the second moment, a delta δ on a cell
+// with SVD baseline b shifts that cell's square by (b+δ)²−b² = 2bδ+δ², so
+// only delta cells need their baseline reconstructed: one U read per row
+// the walk stops at (served from the batch prefetch buffer when
 // EvaluateBatch already fetched it).
 //
 // Multiset weighting: a cell selected r·c times (row listed r times,
 // column c times) contributes r·c copies of its correction.
-func deltaCorrections(s *core.Store, sel Selection, wantSq bool, env evalEnv, c *corrections) error {
-	led := env.led
-	rcount := make(map[int]int, len(sel.Rows))
-	for _, i := range sel.Rows {
-		rcount[i]++
-	}
-	ccount := make(map[int]int, len(sel.Cols))
-	for _, j := range sel.Cols {
-		ccount[j]++
-	}
-	// Visit rows in ascending order: map iteration order is randomized and
-	// the sums must be deterministic.
-	rows := make([]int, 0, len(rcount))
-	for i := range rcount {
-		rows = append(rows, i)
-	}
-	sort.Ints(rows)
-	base := s.Base()
-	sigma := base.Sigma()
-	v := base.V()
-	urow := make([]float64, base.K())
-	for _, i := range rows {
-		ri := rcount[i]
+func (st *evalState) deltaCorrections(wantSq bool) error {
+	pl, led, c := st.pl, st.env.led, &st.corr
+	base, sigma, v := pl.base, pl.sigma, pl.base.V()
+	// The workers are done; the first one's U-row scratch is free.
+	urow := st.active[0].urow
+	w := pl.deltaWalk()
+	for w.next() {
 		haveU := false
-		var readErr error
-		var nd int64
-		s.RowDeltas(i, func(col int, delta float64) {
-			nd++
-			cj := ccount[col]
-			if cj == 0 || readErr != nil {
-				return
+		for x := w.first; x < len(w.cols); x++ {
+			col, delta := w.cols[x], w.vals[x]
+			cj := w.dg.colMult[col]
+			if cj == 0 {
+				continue
 			}
-			w := float64(ri * cj)
-			c.sum.Add(w * delta)
+			wt := float64(w.mult * int(cj))
+			c.sum.Add(wt * delta)
 			if !wantSq {
-				return
+				continue
 			}
 			if !haveU {
-				if u := env.buf.row(i); u != nil {
+				if u := st.env.buf.row(w.row); u != nil {
 					copy(urow, u)
 					led.AddRowsRead(1)
-				} else if err := base.URow(i, urow); err != nil {
-					readErr = fmt.Errorf("query: delta row %d: %w", i, err)
-					return
+				} else if err := base.URow(w.row, urow); err != nil {
+					return fmt.Errorf("query: delta row %d: %w", w.row, err)
 				} else {
 					led.AddRowsRead(1)
 					led.AddDiskAccesses(1)
-					led.AddPagesTouched(int64(base.UPageSpan(i, i+1)))
+					led.AddPagesTouched(int64(base.UPageSpan(w.row, w.row+1)))
 				}
 				for m := range urow {
 					urow[m] *= sigma[m]
 				}
 				haveU = true
 			}
-			b := linalg.Dot(urow, v.Row(col))
-			c.sumSq.Add(w * (2*b*delta + delta*delta))
-		})
-		led.AddDeltasProbed(nd)
-		if readErr != nil {
-			return readErr
+			b := linalg.Dot(urow, v.Row(int(col)))
+			c.sumSq.Add(wt * (2*b*delta + delta*delta))
 		}
 	}
+	led.AddDeltasProbed(w.probed)
 	return nil
 }

@@ -84,7 +84,9 @@ type Partial struct {
 	Factored bool
 	NumCells int64 // |fragment rows| · |cols|
 
-	// Cells shape.
+	// Cells shape. A Min/Max partial from an SVD-family store carries
+	// empty Sum/SumSq: the projected engine folds only the count and the
+	// extrema, which is all value and MergePartials read for them.
 	N          int64
 	Sum, SumSq exact.Sum
 	Min, Max   float64

@@ -15,9 +15,9 @@ import (
 
 // This file implements the query-plan cache. Every aggregate evaluation
 // derives per-query state from its selection before touching a single U
-// row: the coalesced row-run schedule, and — on the projected path — a
-// |C|×k panel of the selected V rows plus the column-position index the
-// SVDD delta overlay needs. For the ad hoc dashboards the paper's
+// row: the coalesced row-run schedule, on the projected path a |C|×k panel
+// of the selected V rows, and on SVDD stores the selection digest the delta
+// overlay reads (deltas.go). For the ad hoc dashboards the paper's
 // warehouse setting implies, the same handful of selections is issued over
 // and over, so that derivation is pure overhead after the first request.
 // A PlanCache memoizes it in a sharded LRU keyed by a canonical hash of
@@ -52,8 +52,9 @@ type scanRun struct {
 }
 
 // plan is the memoized per-(store, selection) evaluation state. Immutable
-// after construction except for the lazily built projection panel, which
-// is guarded by a sync.Once so concurrent requests build it at most once.
+// after construction except for the lazily built projection panel and
+// selection digest, each guarded by a sync.Once so concurrent requests
+// build it at most once.
 type plan struct {
 	src   store.Store // identity tag; verified on every cache hit
 	epoch uint64      // cache epoch at build time; stale plans are dropped
@@ -64,12 +65,19 @@ type plan struct {
 	svdd  *core.Store // additionally non-nil for delta/zero-row handling
 	sigma []float64
 	runs  []scanRun
+	// ascending: the rows are strictly ascending — distinct, and already
+	// in the order the delta walk visits them, a slab per run.
+	ascending bool
 
 	// Projection panel, built on first use by a Min/Max-style projected
 	// evaluation; factored Sum/Avg/StdDev plans never pay for it.
 	panelOnce sync.Once
 	panel     *linalg.Matrix // |C|×k: V rows of the selected columns
-	colPos    map[int][]int  // selected col → positions in cols (multiset)
+
+	// Selection digest, built on first use by an evaluation (or EXPLAIN)
+	// over an SVDD store; plain-SVD plans never pay for it.
+	digestOnce sync.Once
+	digest     selDigest
 }
 
 // buildPlanWith derives the plan for a validated selection. When copySel
@@ -82,8 +90,8 @@ func buildPlanWith(s store.Store, sel Selection, epoch uint64, copySel bool) *pl
 		epoch: epoch,
 		rows:  sel.Rows,
 		cols:  sel.Cols,
-		runs:  buildRuns(sel.Rows),
 	}
+	p.runs, p.ascending = buildRuns(sel.Rows)
 	if copySel {
 		p.rows = append([]int(nil), sel.Rows...)
 		p.cols = append([]int(nil), sel.Cols...)
@@ -95,9 +103,8 @@ func buildPlanWith(s store.Store, sel Selection, epoch uint64, copySel bool) *pl
 	return p
 }
 
-// panelFor returns the plan's projection panel and column-position index,
-// building them on first use.
-func (p *plan) panelFor() (*linalg.Matrix, map[int][]int) {
+// panelFor returns the plan's projection panel, building it on first use.
+func (p *plan) panelFor() *linalg.Matrix {
 	p.panelOnce.Do(func() {
 		k := p.base.K()
 		v := p.base.V()
@@ -105,23 +112,21 @@ func (p *plan) panelFor() (*linalg.Matrix, map[int][]int) {
 		for pos, j := range p.cols {
 			copy(p.panel.Row(pos), v.Row(j))
 		}
-		if p.svdd != nil {
-			p.colPos = make(map[int][]int, len(p.cols))
-			for pos, j := range p.cols {
-				p.colPos[j] = append(p.colPos[j], pos)
-			}
-		}
 	})
-	return p.panel, p.colPos
+	return p.panel
 }
 
 // buildRuns computes the maximal consecutive ascending runs of rows as
-// position intervals. Singleton "runs" are kept, so the runs tile every
-// position: the scan threshold applies after clipping to a worker chunk
-// (pieceIter).
-func buildRuns(rows []int) []scanRun {
-	runs := make([]scanRun, 0, 8)
+// position intervals, and whether the rows are strictly ascending
+// throughout. Singleton "runs" are kept, so the runs tile every position:
+// the scan threshold applies after clipping to a worker chunk (pieceIter).
+func buildRuns(rows []int) (runs []scanRun, ascending bool) {
+	runs = make([]scanRun, 0, 8)
+	ascending = true
 	for p := 0; p < len(rows); {
+		if p > 0 && rows[p] <= rows[p-1] {
+			ascending = false
+		}
 		q := p + 1
 		for q < len(rows) && rows[q] == rows[q-1]+1 {
 			q++
@@ -129,7 +134,7 @@ func buildRuns(rows []int) []scanRun {
 		runs = append(runs, scanRun{lo: p, hi: q})
 		p = q
 	}
-	return runs
+	return runs, ascending
 }
 
 // pieceIter walks the U-row reads that selection positions [lo, hi) — one

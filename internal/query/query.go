@@ -247,9 +247,16 @@ func newAccum() *accum { return &accum{min: math.Inf(1), max: math.Inf(-1)} }
 func (a *accum) reset() { *a = accum{min: math.Inf(1), max: math.Inf(-1)} }
 
 func (a *accum) add(v float64) {
-	a.n++
 	a.sum.Add(v)
 	a.sumSq.Add(v * v)
+	a.addExtrema(v)
+}
+
+// addExtrema folds a cell into the count and the extrema only — what Min
+// and Max read, under the NaN rule above. The projected engine folds every
+// cell through it alone, leaving both running sums empty.
+func (a *accum) addExtrema(v float64) {
+	a.n++
 	if math.IsNaN(v) || v < a.min {
 		a.min = v
 	}
