@@ -66,18 +66,16 @@ func (s *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 		if math.Abs(it.Delta) < 1e-12 {
 			continue
 		}
-		key := bloom.CellKey(it.Row, it.Col, m)
-		s.deltas[key] = it.Delta
 		s.cols, s.vals = append(s.cols, int32(it.Col)), append(s.vals, it.Delta)
 		if s.filter != nil {
-			s.filter.Add(key)
+			s.filter.Add(bloom.CellKey(it.Row, it.Col, m))
 		}
 	}
 	s.indexFoldedRow(idx)
 	return idx, nil
 }
 
-// indexFoldedRow closes the row index over the freshly folded row idx —
+// indexFoldedRow closes the delta index over the freshly folded row idx —
 // the last row, whose deltas FoldIn appended at the tail of cols/vals in
 // error order (the top-γ queue's), not column order. It runs only once the
 // fold can no longer be rolled back, so the index never describes a row

@@ -3,32 +3,103 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"seqstore/internal/matio"
+	"seqstore/internal/pqueue"
 	"seqstore/internal/store"
 )
 
-// checkRowIndex asserts the row index's invariants against the hash table
-// that serves Cell: N+1 offsets, every bucket strictly column-ascending,
-// and the same (row, col, δ) set in both — through RowDeltas and through
-// one DeltaSlab over every row.
-func checkRowIndex(t *testing.T, s *Store) {
+// refDeltas is the test's own record of what a store must hold, kept apart
+// from the store: cell (row, col) → δ, filled from the items the test
+// offered and from the deltas it works out each fold-in has to pin.
+type refDeltas map[[2]int]float64
+
+func refOf(items []pqueue.Item) refDeltas {
+	ref := refDeltas{}
+	for _, it := range items {
+		ref[[2]int{it.Row, it.Col}] = it.Delta
+	}
+	return ref
+}
+
+// snapshotDeltas reads a reference back from the store, for stores whose
+// items the test did not choose (pass 2 picks a compression's). What is
+// checked against it is the index's agreement with itself, not its content.
+func snapshotDeltas(s *Store) refDeltas {
+	ref := refDeltas{}
+	s.Deltas(func(row, col int, delta float64) { ref[[2]int{row, col}] = delta })
+	return ref
+}
+
+// fold records what FoldIn(row, maxDeltas), which landed at idx, must have
+// stored: the maxDeltas largest non-negligible |row − reconstruction|.
+func (ref refDeltas) fold(t *testing.T, s *Store, idx int, row []float64, maxDeltas int) {
+	t.Helper()
+	if maxDeltas <= 0 {
+		return
+	}
+	recon, err := s.base.Row(idx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var errs []pqueue.Item
+	for j, xv := range row {
+		if d := xv - recon[j]; math.Abs(d) >= 1e-12 {
+			errs = append(errs, pqueue.Item{Row: idx, Col: j, Delta: d})
+		}
+	}
+	sort.Slice(errs, func(a, b int) bool { return math.Abs(errs[a].Delta) > math.Abs(errs[b].Delta) })
+	for _, it := range errs[:min(len(errs), maxDeltas)] {
+		ref[[2]int{it.Row, it.Col}] = it.Delta
+	}
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkDeltaIndex asserts that s holds exactly ref and serves it the same
+// way through every reader: rowStart is N+1 offsets over arrays of len(ref)
+// entries, every bucket is strictly column-ascending, RowDeltas, DeltaSlab
+// and Deltas walk the same triplets, every Cell and every Row entry is bit
+// for bit the base's value plus the reference delta (Cell and Row reach the
+// base by different arithmetic, so each is held to its own base value), and
+// the probe counters count one point lookup per Cell — Bloom-saved or
+// performed, always performed on a delta cell — and one bucket read per Row.
+func checkDeltaIndex(t *testing.T, s *Store, ref refDeltas) {
 	t.Helper()
 	n, m := s.Dims()
-	if len(s.rowStart) != n+1 {
-		t.Fatalf("rowStart holds %d offsets for %d rows, want %d", len(s.rowStart), n, n+1)
+	if len(s.rowStart) != n+1 || s.rowStart[0] != 0 {
+		t.Fatalf("rowStart holds %d offsets from %d for %d rows, want %d from 0", len(s.rowStart), s.rowStart[0], n, n+1)
 	}
-	if int(s.rowStart[n]) != len(s.deltas) || len(s.cols) != len(s.deltas) || len(s.vals) != len(s.deltas) {
-		t.Fatalf("index holds %d/%d/%d deltas, hash table %d", s.rowStart[n], len(s.cols), len(s.vals), len(s.deltas))
+	if int(s.rowStart[n]) != len(ref) || len(s.cols) != len(ref) || len(s.vals) != len(ref) || s.NumOutliers() != len(ref) {
+		t.Fatalf("index holds %d/%d/%d deltas (NumOutliers %d), reference %d",
+			s.rowStart[n], len(s.cols), len(s.vals), s.NumOutliers(), len(ref))
+	}
+	if want := s.base.StoredNumbers() + int64(len(ref))*int64(s.outlierCost) + int64(len(s.zeroList)); s.StoredNumbers() != want {
+		t.Fatalf("StoredNumbers = %d, want %d", s.StoredNumbers(), want)
 	}
 	slab := s.DeltaSlab(0, n)
-	if slab.Len() != len(s.deltas) {
-		t.Fatalf("full slab holds %d deltas, hash table %d", slab.Len(), len(s.deltas))
+	if slab.Len() != len(ref) {
+		t.Fatalf("full slab holds %d deltas, reference %d", slab.Len(), len(ref))
 	}
-	seen := 0
+	var walked [][2]int
+	s.Deltas(func(row, col int, delta float64) {
+		if want, ok := ref[[2]int{row, col}]; !ok || !sameBits(want, delta) {
+			t.Fatalf("Deltas yields (%d, %d, %v), reference %v (present %v)", row, col, delta, want, ok)
+		}
+		walked = append(walked, [2]int{row, col})
+	})
+	if len(walked) != len(ref) || !sort.SliceIsSorted(walked, func(a, b int) bool {
+		return walked[a][0] < walked[b][0] || walked[a][0] == walked[b][0] && walked[a][1] < walked[b][1]
+	}) {
+		t.Fatalf("Deltas walked %d of %d triplets, or not in (row, col) order", len(walked), len(ref))
+	}
+
 	for i := 0; i < n; i++ {
 		cols, vals := slab.Row(i)
 		at, last := 0, -1
@@ -37,59 +108,137 @@ func checkRowIndex(t *testing.T, s *Store) {
 				t.Fatalf("row %d: column %d after %d", i, col, last)
 			}
 			last = col
-			want, ok := s.deltas[uint64(i)*uint64(m)+uint64(col)]
-			if !ok || math.Float64bits(want) != math.Float64bits(delta) {
-				t.Fatalf("row %d col %d: index holds %v, hash table %v (present %v)", i, col, delta, want, ok)
+			if want, ok := ref[[2]int{i, col}]; !ok || !sameBits(want, delta) {
+				t.Fatalf("row %d col %d: index holds %v, reference %v (present %v)", i, col, delta, want, ok)
 			}
-			if at >= len(cols) || int(cols[at]) != col || math.Float64bits(vals[at]) != math.Float64bits(delta) {
+			if at >= len(cols) || int(cols[at]) != col || !sameBits(vals[at], delta) {
 				t.Fatalf("row %d: slab and RowDeltas disagree at entry %d", i, at)
 			}
 			at++
-			seen++
 		})
 		if at != len(cols) {
 			t.Fatalf("row %d: slab holds %d deltas, RowDeltas visited %d", i, len(cols), at)
 		}
-	}
-	if seen != len(s.deltas) {
-		t.Fatalf("index visited %d deltas, hash table holds %d", seen, len(s.deltas))
+		if s.isZeroRow(i) {
+			if at != 0 {
+				t.Fatalf("flagged zero row %d holds %d deltas", i, at)
+			}
+			continue
+		}
+
+		baseRow, err := s.base.Row(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes0, saves0 := s.ProbeStats()
+		rows0 := s.RowProbes()
+		got, err := s.Row(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < m; j++ {
+			d := ref[[2]int{i, j}] // 0 off the reference, which is what delta() adds there
+			if want := baseRow[j] + d; !sameBits(got[j], want) {
+				t.Fatalf("Row(%d)[%d] = %v, want base %v + δ %v", i, j, got[j], baseRow[j], d)
+			}
+			baseCell, err := s.base.Cell(i, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell, err := s.Cell(i, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := baseCell + d; !sameBits(cell, want) {
+				t.Fatalf("Cell(%d,%d) = %v, want base %v + δ %v", i, j, cell, baseCell, d)
+			}
+		}
+		probes, saves := s.ProbeStats()
+		probes, saves = probes-probes0, saves-saves0
+		if probes+saves != int64(m) || probes < int64(at) || (s.filter == nil && saves != 0) {
+			t.Fatalf("row %d: %d cells with %d deltas cost %d probes + %d Bloom saves", i, m, at, probes, saves)
+		}
+		if got := s.RowProbes() - rows0; got != 1 {
+			t.Fatalf("row %d: one Row and %d Cells read %d buckets, want 1", i, m, got)
+		}
 	}
 }
 
-// TestRowIndexMatchesHashTable: however a store comes to be — compressed,
-// decoded, sliced, grown by fold-ins — its row index and its hash table
-// hold the same deltas.
-func TestRowIndexMatchesHashTable(t *testing.T) {
+// TestRowIndexMatchesReference: however a store comes to be — assembled
+// from items in any order, decoded, sliced, grown by fold-ins — its one
+// delta index holds exactly the triplets it was given.
+func TestRowIndexMatchesReference(t *testing.T) {
 	x, _ := matrixWithZeroRows(t)
+	compressed, err := Compress(matio.NewMem(x), Options{Budget: 0.10, FlagZeroRows: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if compressed.NumOutliers() == 0 || compressed.NumOutliers() != compressed.Diagnostics().Gamma {
+		t.Fatalf("fixture stored %d outliers, pass 2 chose %d", compressed.NumOutliers(), compressed.Diagnostics().Gamma)
+	}
+	checkDeltaIndex(t, compressed, snapshotDeltas(compressed))
+	compressed.Deltas(func(row, col int, _ float64) {
+		if v, err := compressed.Cell(row, col); err != nil || math.Abs(v-x.At(row, col)) > 1e-9 {
+			t.Fatalf("delta cell (%d, %d) reconstructs to %v, %v; the data holds %v", row, col, v, err, x.At(row, col))
+		}
+	})
+
+	// The same base under items of the test's choosing: distinct cells off
+	// the zero rows, offered in no order at all.
+	n, m := compressed.Dims()
+	rng := rand.New(rand.NewSource(24))
+	var items []pqueue.Item
+	for _, cell := range rng.Perm(n * m)[:n*m/12] {
+		if i := cell / m; !compressed.isZeroRow(i) {
+			items = append(items, pqueue.Item{Row: i, Col: cell % m, Delta: 100 * rng.NormFloat64()})
+		}
+	}
+	for _, bloomFP := range []float64{0, -1} {
+		s, err := newStore(compressed.base, items, compressed.ZeroRows(),
+			Options{BloomFP: bloomFP, OutlierCost: DefaultOutlierCost}, compressed.diag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := refOf(items)
+		checkDeltaIndex(t, s, ref)
+
+		var buf bytes.Buffer
+		if err := store.Write(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := store.Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDeltaIndex(t, decoded.(*Store), ref)
+
+		for _, r := range [][2]int{{0, n / 3}, {n / 3, n}, {n / 2, n / 2}} {
+			rows0 := s.RowProbes()
+			slice, err := s.SliceRows(r[0], r[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.RowProbes() - rows0; got != 0 {
+				t.Errorf("SliceRows charged its parent %d bucket reads", got)
+			}
+			sliceRef := refDeltas{}
+			for cell, d := range ref {
+				if cell[0] >= r[0] && cell[0] < r[1] {
+					sliceRef[[2]int{cell[0] - r[0], cell[1]}] = d
+				}
+			}
+			checkDeltaIndex(t, slice, sliceRef)
+		}
+	}
+
+	// A seeded fold sequence on a store of its own (the slices above share
+	// the compressed base's V; fold-ins append to U).
 	s, err := Compress(matio.NewMem(x), Options{Budget: 0.10, FlagZeroRows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumOutliers() == 0 {
-		t.Fatal("fixture stored no outliers")
-	}
-	checkRowIndex(t, s)
-
-	var buf bytes.Buffer
-	if err := store.Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := store.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkRowIndex(t, decoded.(*Store))
-
-	n, m := s.Dims()
-	for _, r := range [][2]int{{0, n / 3}, {n / 3, n}, {n / 2, n / 2}} {
-		slice, err := s.SliceRows(r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkRowIndex(t, slice)
-	}
-
-	rng := rand.New(rand.NewSource(22))
+	ref := snapshotDeltas(s)
+	held := len(ref)
 	row := make([]float64, m)
 	for f := 0; f < 12; f++ {
 		for j := range row {
@@ -100,10 +249,16 @@ func TestRowIndexMatchesHashTable(t *testing.T) {
 		for sp := 0; sp < 1+rng.Intn(6); sp++ {
 			row[rng.Intn(m)] = 100 + 1000*rng.Float64()
 		}
-		if _, err := s.FoldIn(row, rng.Intn(6)-1); err != nil {
+		maxDeltas := rng.Intn(6) - 1
+		idx, err := s.FoldIn(row, maxDeltas)
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkRowIndex(t, s)
+		ref.fold(t, s, idx, row, maxDeltas)
+		checkDeltaIndex(t, s, ref)
+	}
+	if len(ref) == held {
+		t.Fatal("twelve fold-ins stored no deltas")
 	}
 	// A row that is all outliers: the longest bucket a fold-in can store.
 	for j := range row {
@@ -113,19 +268,31 @@ func TestRowIndexMatchesHashTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkRowIndex(t, s)
+	ref.fold(t, s, idx, row, m)
+	checkDeltaIndex(t, s, ref)
 	if cols, _ := s.DeltaSlab(idx, idx+1).Row(idx); len(cols) != m {
 		t.Fatalf("all-outlier row holds %d deltas, want %d", len(cols), m)
 	}
 	if grown, _ := s.Dims(); grown != n+13 {
 		t.Fatalf("store holds %d rows after 13 fold-ins of %d", grown, n)
 	}
+
+	// And what the grown store writes, it reads back.
+	var buf bytes.Buffer
+	if err := store.Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := store.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDeltaIndex(t, decoded.(*Store), ref)
 }
 
-// TestRowIndexEdgeCases keeps what the map-backed index forgave: a row
-// outside the store is an empty bucket, and a fold-in that stores no
-// deltas — by request, because it was rolled back, or because it could be
-// neither read back nor rolled back — leaves the index N+1 offsets long.
+// TestRowIndexEdgeCases: a row outside the store is an empty bucket, and a
+// fold-in that stores no deltas — by request, because it was rolled back, or
+// because it could be neither read back nor rolled back — leaves the index
+// N+1 offsets long and holding what it held.
 func TestRowIndexEdgeCases(t *testing.T) {
 	t.Run("RowDeltasOutOfRange", func(t *testing.T) {
 		s, err := Compress(matio.NewMem(phoneSmall(40)), Options{Budget: 0.15})
@@ -150,6 +317,7 @@ func TestRowIndexEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := snapshotDeltas(s)
 			_, m := s.Dims()
 			row := make([]float64, m)
 			row[5] = 1e4
@@ -157,7 +325,7 @@ func TestRowIndexEdgeCases(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkRowIndex(t, s)
+			checkDeltaIndex(t, s, ref)
 			s.RowDeltas(idx, func(int, float64) { t.Errorf("maxDeltas=%d stored a delta", maxDeltas) })
 			if _, err := s.Row(idx, nil); err != nil {
 				t.Errorf("maxDeltas=%d: folded row unreadable: %v", maxDeltas, err)
@@ -182,14 +350,16 @@ func TestRowIndexEdgeCases(t *testing.T) {
 		if n, _ := s.Dims(); n != n0+1 {
 			t.Fatalf("store holds %d rows, want %d: the rollback was meant to fail", n, n0+1)
 		}
-		checkRowIndex(t, s)
+		fu.failFrom = n0 + 2 // heal the backing: the check reads every row
+		ref := refDeltas{}
+		checkDeltaIndex(t, s, ref)
 		s.RowDeltas(idx, func(int, float64) { t.Error("unreadable row stored a delta") })
 
-		fu.failFrom = n0 + 2
 		if idx, err = s.FoldIn(row, 4); err != nil || idx != n0+1 {
 			t.Fatalf("next fold-in: idx %d, err %v; want %d", idx, err, n0+1)
 		}
-		checkRowIndex(t, s)
+		ref.fold(t, s, idx, row, 4)
+		checkDeltaIndex(t, s, ref)
 		if s.NumOutliers() == 0 {
 			t.Fatal("next fold-in stored no deltas")
 		}
@@ -202,10 +372,13 @@ func TestRowIndexEdgeCases(t *testing.T) {
 		row[3], row[40], row[11] = 42, -17, 9
 
 		fu.failFrom = n0 + 1
-		if _, err := s.FoldIn(row, 4); err != nil {
+		ref := refDeltas{}
+		idx, err := s.FoldIn(row, 4)
+		if err != nil {
 			t.Fatal(err)
 		}
-		checkRowIndex(t, s)
+		ref.fold(t, s, idx, row, 4)
+		checkDeltaIndex(t, s, ref)
 		held := s.NumOutliers()
 		if held == 0 {
 			t.Fatal("first fold-in stored no deltas")
@@ -216,20 +389,21 @@ func TestRowIndexEdgeCases(t *testing.T) {
 		if idx, err := s.FoldIn(row, 4); !errors.Is(err, errInjectedURead) || idx != -1 {
 			t.Fatalf("second fold-in: idx %d, err %v; want a rolled-back read failure", idx, err)
 		}
-		checkRowIndex(t, s)
+		checkDeltaIndex(t, s, ref)
 		if s.NumOutliers() != held {
 			t.Fatalf("rolled-back fold-in changed the delta count %d → %d", held, s.NumOutliers())
 		}
 
 		fu.failFrom = n0 + 2
-		idx, err := s.FoldIn(row, 4)
+		idx, err = s.FoldIn(row, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if idx != n0+1 {
 			t.Fatalf("fold after undo landed at %d, want %d", idx, n0+1)
 		}
-		checkRowIndex(t, s)
+		ref.fold(t, s, idx, row, 4)
+		checkDeltaIndex(t, s, ref)
 		for _, j := range []int{3, 40, 11} {
 			if v, err := s.Cell(idx, j); err != nil || math.Abs(v-row[j]) > 1e-6 {
 				t.Errorf("Cell(%d,%d) = %v, %v; want %v (delta-pinned)", idx, j, v, err, row[j])
@@ -249,4 +423,62 @@ func TestRowIndexEdgeCases(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestDecodeDeltaKeyOrder: the delta keys of a .sqz may come in any order —
+// older writers are not assumed sorted — but each only once. The hash table
+// decode once filled made a repeated key silently last-wins; in a bucket it
+// would be two entries for one cell, so it is corruption, named by its key.
+func TestDecodeDeltaKeyOrder(t *testing.T) {
+	compressed, err := Compress(matio.NewMem(phoneSmall(12)), Options{Budget: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, m := compressed.Dims()
+	items := []pqueue.Item{{Row: 2, Col: 7, Delta: 1.5}, {Row: 2, Col: 30, Delta: -2}, {Row: 9, Col: 0, Delta: 4}, {Row: 9, Col: 1, Delta: 8}}
+	for _, tc := range []struct {
+		name   string
+		order  []int // the key stream: indices into items
+		dupKey int   // the key stored twice, −1 when none is
+	}{
+		{"ascending", []int{0, 1, 2, 3}, -1},
+		{"descending", []int{3, 2, 1, 0}, -1},
+		{"rows-interleaved", []int{2, 1, 3, 0}, -1},
+		{"adjacent-repeat", []int{0, 0, 1, 2, 3}, 2*m + 7},
+		{"repeat-across-the-stream", []int{2, 0, 1, 3, 2}, 9 * m},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// No Bloom filter: a .sqz carries the writer's, and this writer
+			// is about to be handed keys behind its back.
+			s, err := newStore(compressed.base, nil, nil, Options{BloomFP: -1, OutlierCost: DefaultOutlierCost}, compressed.diag)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// EncodePayload streams bucket after bucket, so the whole key
+			// stream goes into row 0's, each "column" a full cell key.
+			for _, at := range tc.order {
+				it := items[at]
+				s.cols, s.vals = append(s.cols, int32(it.Row*m+it.Col)), append(s.vals, it.Delta)
+			}
+			for i := 1; i <= n; i++ {
+				s.rowStart[i] = uint32(len(s.cols))
+			}
+			var buf bytes.Buffer
+			if err := store.Write(&buf, s); err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := store.Read(&buf)
+			if tc.dupKey >= 0 {
+				want := fmt.Sprintf("delta key %d ", tc.dupKey)
+				if !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+					t.Fatalf("decode = %v, want store.ErrCorrupt naming %q", err, want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkDeltaIndex(t, decoded.(*Store), refOf(items))
+		})
+	}
 }

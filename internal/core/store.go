@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -12,24 +13,24 @@ import (
 	"seqstore/internal/svd"
 )
 
-// Store is the SVDD representation: a plain-SVD store plus a hash table of
-// (row, col) → delta for the outlier cells, fronted by an optional Bloom
-// filter that short-circuits the common "not an outlier" case. A row-major
-// index over the same deltas serves row-shaped access (row reconstruction,
-// selection-restricted aggregates) without probing the hash table once per
-// cell.
+// Store is the SVDD representation: a plain-SVD store plus the (row, col, δ)
+// triplets of the outlier cells, fronted by an optional Bloom filter that
+// short-circuits the common "not an outlier" case. The triplets live in one
+// index — a CSR in (row, col) order — that serves the point lookup (Cell),
+// row-shaped access (row reconstruction, selection-restricted aggregates)
+// and the .sqz encoder alike.
 type Store struct {
 	base        *svd.Store
-	deltas      map[uint64]float64
 	filter      *bloom.Filter // nil when disabled
 	outlierCost int
 	diag        Diagnostics
 
-	// The row index: the deltas again, in (row, col) order, as a CSR —
-	// row i's bucket is cols/vals[rowStart[i]:rowStart[i+1]], ascending by
-	// column, and rowStart always holds N+1 offsets. Like the Bloom filter
-	// it is a main-memory acceleration structure rebuilt at load time and
-	// not charged to the space budget.
+	// The delta index: row i's bucket is cols/vals[rowStart[i]:rowStart[i+1]],
+	// ascending by column, and rowStart always holds N+1 offsets — so the
+	// arrays read front to back are the deltas in ascending cell-key order.
+	// Only cols/vals' contents are charged to the space budget (OutlierCost
+	// numbers per delta); the offsets, like the Bloom filter, are a
+	// main-memory acceleration structure rebuilt at load time.
 	rowStart []uint32
 	cols     []int32
 	vals     []float64
@@ -41,17 +42,17 @@ type Store struct {
 	zeroList   []int32 // sorted, for serialization and space accounting
 	zeroFilter *bloom.Filter
 
-	probes     atomic.Int64 // hash-table probes performed
-	bloomSaves atomic.Int64 // probes avoided by the Bloom filter
-	rowProbes  atomic.Int64 // per-row bucket lookups served by the row index
+	probes     atomic.Int64 // delta-index point lookups performed
+	bloomSaves atomic.Int64 // lookups avoided by the Bloom filter
+	rowProbes  atomic.Int64 // whole-bucket reads (rows, aggregate slabs)
 	zeroHits   atomic.Int64 // cell lookups answered by the zero-row flags
 }
 
 // newStore assembles the SVDD store from the plain-SVD base at k_opt, the
-// chosen outlier items, and any flagged all-zero rows.
+// chosen outlier items (distinct cells, in any order), and any flagged
+// all-zero rows.
 func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, opts Options, diag Diagnostics) (*Store, error) {
 	_, m := base.Dims()
-	deltas := make(map[uint64]float64, len(items))
 	var filter *bloom.Filter
 	if opts.BloomFP >= 0 {
 		fp := opts.BloomFP
@@ -64,21 +65,21 @@ func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, opts Optio
 			return nil, fmt.Errorf("core: bloom filter: %w", err)
 		}
 	}
-	for _, it := range items {
-		key := bloom.CellKey(it.Row, it.Col, m)
-		deltas[key] = it.Delta
+	keys := make([]uint64, len(items))
+	vals := make([]float64, len(items))
+	for p, it := range items {
+		keys[p], vals[p] = bloom.CellKey(it.Row, it.Col, m), it.Delta
 		if filter != nil {
-			filter.Add(key)
+			filter.Add(keys[p])
 		}
 	}
 	s := &Store{
 		base:        base,
-		deltas:      deltas,
 		filter:      filter,
 		outlierCost: opts.OutlierCost,
 		diag:        diag,
 	}
-	s.buildRowIndex()
+	s.indexDeltas(keys, vals)
 	if len(zeroRows) > 0 {
 		if err := s.installZeroRows(zeroRows, opts.BloomFP); err != nil {
 			return nil, err
@@ -87,14 +88,15 @@ func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, opts Optio
 	return s, nil
 }
 
-// buildRowIndex derives the row index from the hash table with one counting
-// sort by row: count into rowStart, prefix-sum, scatter. The map hands the
-// cells over in no particular order, so each bucket is then sorted by
-// column.
-func (s *Store) buildRowIndex() {
+// indexDeltas builds the delta index from cell keys (all below N·M, in any
+// order) and their deltas with one counting sort by row: count into
+// rowStart, prefix-sum, scatter. The scatter keeps each row's entries in
+// input order, so keys that arrive ascending — what EncodePayload writes —
+// need no more; any other bucket is then sorted by column.
+func (s *Store) indexDeltas(keys []uint64, vals []float64) {
 	n, m := s.base.Dims()
 	start := make([]uint32, n+2)
-	for key := range s.deltas {
+	for _, key := range keys {
 		start[key/uint64(m)+2]++
 	}
 	for i := 2; i < len(start); i++ {
@@ -103,11 +105,11 @@ func (s *Store) buildRowIndex() {
 	// start[i+1] is now row i's first slot; scattering advances it to row
 	// i's end, which is where row i+1 starts — start[:n+1] ends up the
 	// offsets.
-	s.cols = make([]int32, len(s.deltas))
-	s.vals = make([]float64, len(s.deltas))
-	for key, d := range s.deltas {
+	s.cols = make([]int32, len(keys))
+	s.vals = make([]float64, len(keys))
+	for p, key := range keys {
 		at := &start[key/uint64(m)+1]
-		s.cols[*at], s.vals[*at] = int32(key%uint64(m)), d
+		s.cols[*at], s.vals[*at] = int32(key%uint64(m)), vals[p]
 		*at++
 	}
 	s.rowStart = start[:n+1]
@@ -119,12 +121,12 @@ func (s *Store) buildRowIndex() {
 // sortBucket restores row i's ascending-column order.
 func (s *Store) sortBucket(i int) {
 	lo, hi := s.rowStart[i], s.rowStart[i+1]
-	if hi-lo > 1 {
+	if !slices.IsSorted(s.cols[lo:hi]) {
 		sort.Sort(bucket{s.cols[lo:hi], s.vals[lo:hi]})
 	}
 }
 
-// bucket is one row's stretch of the row index, sortable by column.
+// bucket is one row's stretch of the delta index, sortable by column.
 type bucket struct {
 	cols []int32
 	vals []float64
@@ -183,7 +185,7 @@ func (s *Store) Method() store.Method { return store.MethodSVDD }
 func (s *Store) K() int { return s.base.K() }
 
 // NumOutliers returns the number of stored deltas.
-func (s *Store) NumOutliers() int { return len(s.deltas) }
+func (s *Store) NumOutliers() int { return len(s.cols) }
 
 // Diagnostics returns what the k_opt search of pass 2 decided.
 func (s *Store) Diagnostics() Diagnostics { return s.diag }
@@ -203,12 +205,12 @@ func (s *Store) SliceRows(lo, hi int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	var items []pqueue.Item
-	s.Deltas(func(row, col int, delta float64) {
-		if row >= lo && row < hi {
-			items = append(items, pqueue.Item{Row: row - lo, Col: col, Delta: delta})
+	items := make([]pqueue.Item, 0, s.rowStart[hi]-s.rowStart[lo])
+	for i := lo; i < hi; i++ {
+		for p, end := s.rowStart[i], s.rowStart[i+1]; p < end; p++ {
+			items = append(items, pqueue.Item{Row: i - lo, Col: int(s.cols[p]), Delta: s.vals[p]})
 		}
-	})
+	}
 	var zeroRows []int32
 	for _, zr := range s.zeroList {
 		if int(zr) >= lo && int(zr) < hi {
@@ -225,11 +227,12 @@ func (s *Store) SliceRows(lo, hi int) (*Store, error) {
 	}, s.diag)
 }
 
-// Deltas iterates over all stored outliers in unspecified order.
+// Deltas iterates over all stored outliers in (row, col) order.
 func (s *Store) Deltas(fn func(row, col int, delta float64)) {
-	_, m := s.base.Dims()
-	for key, d := range s.deltas {
-		fn(int(key/uint64(m)), int(key%uint64(m)), d)
+	for i := 0; i+1 < len(s.rowStart); i++ {
+		for p, end := s.rowStart[i], s.rowStart[i+1]; p < end; p++ {
+			fn(i, int(s.cols[p]), s.vals[p])
+		}
 	}
 }
 
@@ -246,7 +249,7 @@ func (s *Store) RowDeltas(i int, fn func(col int, delta float64)) {
 	}
 }
 
-// DeltaSlab is the row index over a run of consecutive rows: one
+// DeltaSlab is the delta index over a run of consecutive rows: one
 // contiguous stretch of the (row, col)-ordered delta arrays, shared with
 // the store and read-only.
 type DeltaSlab struct {
@@ -275,26 +278,30 @@ func (d DeltaSlab) Row(i int) ([]int32, []float64) {
 	return d.cols[a:b], d.vals[a:b]
 }
 
-// ProbeStats reports how many delta-table probes were performed and how many
-// were avoided by the Bloom filter, for the ablation bench.
+// ProbeStats reports how many delta-index point lookups were performed and
+// how many were avoided by the Bloom filter, for the ablation bench.
 func (s *Store) ProbeStats() (probes, bloomSaves int64) {
 	return s.probes.Load(), s.bloomSaves.Load()
 }
 
-// RowProbes reports how many per-row bucket lookups the row index served
-// (row reconstructions and selection-restricted aggregate corrections).
+// RowProbes reports how many whole-bucket reads the delta index served (row
+// reconstructions and selection-restricted aggregate corrections).
 func (s *Store) RowProbes() int64 { return s.rowProbes.Load() }
 
-// delta returns the stored correction for cell (i, j), or 0.
+// delta returns the stored correction for cell (i, j) of the store, or 0:
+// the Bloom check, then a binary search of row i's bucket.
 func (s *Store) delta(i, j int) float64 {
 	_, m := s.base.Dims()
-	key := bloom.CellKey(i, j, m)
-	if s.filter != nil && !s.filter.Contains(key) {
+	if s.filter != nil && !s.filter.Contains(bloom.CellKey(i, j, m)) {
 		s.bloomSaves.Add(1)
 		return 0
 	}
 	s.probes.Add(1)
-	return s.deltas[key]
+	lo, hi := s.rowStart[i], s.rowStart[i+1]
+	if p, ok := slices.BinarySearch(s.cols[lo:hi], int32(j)); ok {
+		return s.vals[int(lo)+p]
+	}
+	return 0
 }
 
 // Cell reconstructs x̂[i][j]: the plain-SVD value plus the delta when the
@@ -316,9 +323,9 @@ func (s *Store) Cell(i, j int) (float64, error) {
 	return v + s.delta(i, j), nil
 }
 
-// Row reconstructs row i, applying any deltas that fall in it. Deltas come
-// from the per-row bucket index — O(outliers-in-row) instead of M hash
-// probes per row — with values identical to the per-cell path.
+// Row reconstructs row i, applying any deltas that fall in it: one walk of
+// the row's bucket — O(outliers-in-row), not M point probes — adding the
+// values the per-cell path adds.
 func (s *Store) Row(i int, dst []float64) ([]float64, error) {
 	n, m := s.base.Dims()
 	if s.isZeroRow(i) {
@@ -377,27 +384,27 @@ func (s *Store) StoredBytes() int64 { return s.StoredNumbers() * int64(s.Precisi
 // are not charged against the space budget.
 func (s *Store) StoredNumbers() int64 {
 	return s.base.StoredNumbers() +
-		int64(len(s.deltas))*int64(s.outlierCost) +
+		int64(len(s.cols))*int64(s.outlierCost) +
 		int64(len(s.zeroList))
 }
 
-// EncodePayload serializes the base store, the delta table (sorted by key
-// for determinism), the diagnostics, and the Bloom filter.
+// EncodePayload serializes the base store, the deltas as (cell key, δ)
+// pairs in ascending key order — the order the index holds them in — the
+// diagnostics, and the Bloom filter.
 func (s *Store) EncodePayload(w *store.Writer) error {
 	if err := s.base.EncodePayload(w); err != nil {
 		return err
 	}
 	w.U32(uint32(s.outlierCost))
-	keys := make([]uint64, 0, len(s.deltas))
-	for k := range s.deltas {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.U64(uint64(len(keys)))
+	w.U64(uint64(len(s.cols)))
+	_, m := s.base.Dims()
 	prec := s.base.Precision()
-	for _, k := range keys {
-		w.U64(k)
-		w.FP(s.deltas[k], prec)
+	for i := 0; i+1 < len(s.rowStart); i++ {
+		rowKey := uint64(i) * uint64(m)
+		for p, end := s.rowStart[i], s.rowStart[i+1]; p < end; p++ {
+			w.U64(rowKey + uint64(s.cols[p]))
+			w.FP(s.vals[p], prec)
+		}
 	}
 	// Diagnostics.
 	w.U32(uint32(s.diag.KMax))
@@ -442,7 +449,11 @@ func decode(r *store.Reader) (store.Store, error) {
 	}
 	n, m := baseStore.Dims()
 	maxKey := uint64(n) * uint64(m)
-	deltas := make(map[uint64]float64, nd)
+	// The count is not trusted with an allocation until that many pairs
+	// have actually been read.
+	trusted := min(nd, 1<<20)
+	keys := make([]uint64, 0, trusted)
+	vals := make([]float64, 0, trusted)
 	prec := baseStore.Precision()
 	for i := 0; i < nd; i++ {
 		key := r.U64()
@@ -453,7 +464,7 @@ func decode(r *store.Reader) (store.Store, error) {
 		if key >= maxKey {
 			return nil, fmt.Errorf("%w: delta key %d outside %d×%d", store.ErrCorrupt, key, n, m)
 		}
-		deltas[key] = val
+		keys, vals = append(keys, key), append(vals, val)
 	}
 	var diag Diagnostics
 	diag.KMax = int(r.U32())
@@ -492,12 +503,23 @@ func decode(r *store.Reader) (store.Store, error) {
 	}
 	s := &Store{
 		base:        baseStore,
-		deltas:      deltas,
 		filter:      filter,
 		outlierCost: outlierCost,
 		diag:        diag,
 	}
-	s.buildRowIndex()
+	// Keys may arrive in any order (older writers are not assumed sorted),
+	// but a key may arrive only once: a repeat would put two entries for one
+	// cell into a bucket, and only one of them would ever be found.
+	s.indexDeltas(keys, vals)
+	for i := 0; i < n; i++ {
+		cols := s.cols[s.rowStart[i]:s.rowStart[i+1]]
+		for p := 1; p < len(cols); p++ {
+			if cols[p] == cols[p-1] {
+				return nil, fmt.Errorf("%w: delta key %d (row %d, column %d) stored twice",
+					store.ErrCorrupt, bloom.CellKey(i, int(cols[p]), m), i, cols[p])
+			}
+		}
+	}
 	if len(zeroRows) > 0 {
 		for _, zr := range zeroRows {
 			if zr < 0 || int(zr) >= n {

@@ -17,10 +17,11 @@
 //	        errors²), i.e. the residual error after the γ_k worst cells
 //	        are repaired, and truncate the buffered U to k_opt.
 //
-// The resulting Store keeps Λ, V, the delta hash table and an optional
-// Bloom filter in memory, and reads U row-wise (possibly from disk): a cell
-// reconstruction costs one U-row access, O(k) arithmetic, and one hash
-// probe — usually avoided by the Bloom filter (§4.2 "Data structures").
+// The resulting Store keeps Λ, V, the delta index (the paper's hash table,
+// here a (row, col)-ordered CSR) and an optional Bloom filter in memory, and
+// reads U row-wise (possibly from disk): a cell reconstruction costs one
+// U-row access, O(k) arithmetic, and one index probe — usually avoided by
+// the Bloom filter (§4.2 "Data structures").
 package core
 
 import (

@@ -705,11 +705,26 @@ func (t *Tiered) snapshotHotLocked() []Record {
 }
 
 // persistAndCheckpoint saves the cold segment (when configured) and then
-// shrinks the WAL to the given still-hot records. Caller holds writeMu, so
-// no append can slip between the snapshot and the checkpoint. Without a
-// PersistPath the WAL is left intact: it remains the only durable copy of
-// every appended row.
+// shrinks the WAL to the given still-hot records. Caller holds maintMu and
+// writeMu, so no append can slip between the snapshot and the checkpoint.
+// Without a PersistPath the WAL is left intact: it remains the only durable
+// copy of every appended row.
 func (t *Tiered) persistAndCheckpoint(remaining []Record) error {
+	if t.opts.PersistPath == "" {
+		return nil // nothing saved: the WAL must keep every row
+	}
+	if err := t.saveCold(); err != nil {
+		return err
+	}
+	return t.wal.Checkpoint(remaining)
+}
+
+// saveCold atomically writes the cold segment and its labels to PersistPath,
+// when there is one. Caller holds maintMu and writeMu. The labels go to the
+// encoder as they are, not as a copy per save: cold and rowLabels are only
+// ever replaced or grown under maintMu (Compact, Recompress), and colLabels
+// never changes after Open.
+func (t *Tiered) saveCold() error {
 	if t.opts.PersistPath == "" {
 		return nil
 	}
@@ -718,19 +733,11 @@ func (t *Tiered) persistAndCheckpoint(remaining []Record) error {
 		return fmt.Errorf("ingest: cold store %v is not serializable", t.cold.Method())
 	}
 	var labels *store.Labels
-	t.mu.RLock()
 	if t.rowLabels != nil || t.colLabels != nil {
-		labels = &store.Labels{
-			Rows: append([]string(nil), t.rowLabels...),
-			Cols: append([]string(nil), t.colLabels...),
-		}
+		labels = &store.Labels{Rows: t.rowLabels, Cols: t.colLabels}
 	}
-	t.mu.RUnlock()
 	if err := store.SaveLabeled(t.opts.PersistPath, enc, labels); err != nil {
 		return fmt.Errorf("ingest: persist cold segment: %w", err)
-	}
-	if err := t.wal.Checkpoint(remaining); err != nil {
-		return err
 	}
 	return nil
 }
@@ -828,38 +835,13 @@ func (t *Tiered) Recompress() error {
 	// set did not change). A crash before this save replays onto the old
 	// persisted segment — correct, merely unoptimized.
 	t.writeMu.Lock()
-	perr := t.persistColdOnly()
+	perr := t.saveCold()
 	t.writeMu.Unlock()
 
 	if _, onReshape := t.hooks(); onReshape != nil {
 		onReshape()
 	}
 	return perr
-}
-
-// persistColdOnly saves the cold segment without touching the WAL. Caller
-// holds writeMu.
-func (t *Tiered) persistColdOnly() error {
-	if t.opts.PersistPath == "" {
-		return nil
-	}
-	enc, ok := t.cold.(store.Encoder)
-	if !ok {
-		return fmt.Errorf("ingest: cold store %v is not serializable", t.cold.Method())
-	}
-	var labels *store.Labels
-	t.mu.RLock()
-	if t.rowLabels != nil || t.colLabels != nil {
-		labels = &store.Labels{
-			Rows: append([]string(nil), t.rowLabels...),
-			Cols: append([]string(nil), t.colLabels...),
-		}
-	}
-	t.mu.RUnlock()
-	if err := store.SaveLabeled(t.opts.PersistPath, enc, labels); err != nil {
-		return fmt.Errorf("ingest: persist cold segment: %w", err)
-	}
-	return nil
 }
 
 // Close stops the background compactor (after a final drain) and closes

@@ -21,6 +21,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync"
 
 	"seqstore/internal/atomicio"
@@ -208,9 +209,12 @@ func (w *WAL) writeHeader() error {
 	return w.f.Sync()
 }
 
-// appendLocked encodes recs into one buffer. Kept separate so Checkpoint
-// can reuse the encoding.
+// encodeRecords appends the encoding of recs to buf, each record written in
+// place: the buffer is grown once for the whole batch, and a record's CRC is
+// taken over its payload where it already lies. Append and Checkpoint share
+// it.
 func encodeRecords(buf []byte, cols int, recs []Record) ([]byte, error) {
+	size := 0
 	for _, rec := range recs {
 		if len(rec.Row) != cols {
 			return nil, fmt.Errorf("ingest: WAL record row has %d values, want %d", len(rec.Row), cols)
@@ -218,20 +222,23 @@ func encodeRecords(buf []byte, cols int, recs []Record) ([]byte, error) {
 		if len(rec.Label) > maxWalLabel {
 			return nil, fmt.Errorf("ingest: WAL record label of %d bytes exceeds %d", len(rec.Label), maxWalLabel)
 		}
+		size += walRecordHdr + 2 + len(rec.Label) + 8*cols
+	}
+	buf = slices.Grow(buf, size)
+	for _, rec := range recs {
 		plen := 2 + len(rec.Label) + 8*cols
-		payload := make([]byte, plen)
+		at := len(buf)
+		buf = buf[:at+walRecordHdr+plen]
+		rhdr, payload := buf[at:at+walRecordHdr], buf[at+walRecordHdr:]
 		binary.LittleEndian.PutUint16(payload, uint16(len(rec.Label)))
 		copy(payload[2:], rec.Label)
 		vals := payload[2+len(rec.Label):]
 		for j, v := range rec.Row {
 			binary.LittleEndian.PutUint64(vals[8*j:], math.Float64bits(v))
 		}
-		var rhdr [walRecordHdr]byte
 		binary.LittleEndian.PutUint64(rhdr[0:], uint64(rec.Index))
 		binary.LittleEndian.PutUint32(rhdr[8:], uint32(plen))
 		binary.LittleEndian.PutUint32(rhdr[12:], crc32.Checksum(payload, crcTable))
-		buf = append(buf, rhdr[:]...)
-		buf = append(buf, payload...)
 	}
 	return buf, nil
 }

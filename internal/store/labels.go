@@ -167,7 +167,7 @@ func readLabelSection(r *Reader) (*Labels, error) {
 func writeStrings(w *Writer, ss []string) {
 	w.U64(uint64(len(ss)))
 	for _, s := range ss {
-		w.ByteSlice([]byte(s))
+		w.str(s)
 	}
 }
 
@@ -191,11 +191,4 @@ func readStrings(r *Reader) ([]string, error) {
 		out = append(out, string(b))
 	}
 	return out, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

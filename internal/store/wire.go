@@ -44,10 +44,14 @@ func DimsSane(dims ...int) bool {
 }
 
 // Writer is a little-endian binary writer with sticky error handling, so
-// encode paths can chain calls and check the error once.
+// encode paths can chain calls and check the error once. Numbers are encoded
+// in a scratch buffer the Writer owns — a stack array handed to the
+// underlying io.Writer would escape to the heap once per number — and runs of
+// numbers fill it before each write.
 type Writer struct {
-	w   *bufio.Writer
-	err error
+	w       *bufio.Writer
+	err     error
+	scratch [4096]byte
 }
 
 // NewWriter wraps w.
@@ -79,23 +83,20 @@ func (w *Writer) Bytes(b []byte) {
 
 // U16 writes a uint16.
 func (w *Writer) U16(v uint16) {
-	var b [2]byte
-	binary.LittleEndian.PutUint16(b[:], v)
-	w.Bytes(b[:])
+	binary.LittleEndian.PutUint16(w.scratch[:], v)
+	w.Bytes(w.scratch[:2])
 }
 
 // U32 writes a uint32.
 func (w *Writer) U32(v uint32) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	w.Bytes(b[:])
+	binary.LittleEndian.PutUint32(w.scratch[:], v)
+	w.Bytes(w.scratch[:4])
 }
 
 // U64 writes a uint64.
 func (w *Writer) U64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.Bytes(b[:])
+	binary.LittleEndian.PutUint64(w.scratch[:], v)
+	w.Bytes(w.scratch[:8])
 }
 
 // I64 writes an int64.
@@ -106,11 +107,7 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // F32 writes v rounded to float32 (the paper's b=4 bytes-per-number
 // setting).
-func (w *Writer) F32(v float64) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], math.Float32bits(float32(v)))
-	w.Bytes(b[:])
-}
+func (w *Writer) F32(v float64) { w.U32(math.Float32bits(float32(v))) }
 
 // FP writes v at the given precision (4 or 8 bytes). Invalid precisions
 // poison the writer.
@@ -127,19 +124,45 @@ func (w *Writer) FP(v float64, prec int) {
 	}
 }
 
+// FPSlice writes the numbers of v back to back at the given precision, with
+// no length prefix: the bytes of one FP call per element.
+func (w *Writer) FPSlice(v []float64, prec int) {
+	if prec != 4 && prec != 8 {
+		w.FP(0, prec) // poisons the writer
+		return
+	}
+	for len(v) > 0 {
+		run := v[:min(len(v), len(w.scratch)/prec)]
+		v = v[len(run):]
+		if prec == 8 {
+			for i, x := range run {
+				binary.LittleEndian.PutUint64(w.scratch[8*i:], math.Float64bits(x))
+			}
+		} else {
+			for i, x := range run {
+				binary.LittleEndian.PutUint32(w.scratch[4*i:], math.Float32bits(float32(x)))
+			}
+		}
+		w.Bytes(w.scratch[:len(run)*prec])
+	}
+}
+
 // F64Slice writes a length-prefixed []float64.
 func (w *Writer) F64Slice(v []float64) {
 	w.U64(uint64(len(v)))
-	for _, x := range v {
-		w.F64(x)
-	}
+	w.FPSlice(v, 8)
 }
 
 // I32Slice writes a length-prefixed []int32.
 func (w *Writer) I32Slice(v []int32) {
 	w.U64(uint64(len(v)))
-	for _, x := range v {
-		w.U32(uint32(x))
+	for len(v) > 0 {
+		run := v[:min(len(v), len(w.scratch)/4)]
+		v = v[len(run):]
+		for i, x := range run {
+			binary.LittleEndian.PutUint32(w.scratch[4*i:], uint32(x))
+		}
+		w.Bytes(w.scratch[:len(run)*4])
 	}
 }
 
@@ -149,10 +172,21 @@ func (w *Writer) ByteSlice(v []byte) {
 	w.Bytes(v)
 }
 
-// Reader is the matching little-endian binary reader with sticky errors.
+// str writes s as ByteSlice([]byte(s)) would, without the copy.
+func (w *Writer) str(s string) {
+	w.U64(uint64(len(s)))
+	if w.err != nil {
+		return
+	}
+	_, w.err = w.w.WriteString(s)
+}
+
+// Reader is the matching little-endian binary reader with sticky errors;
+// like the Writer it decodes numbers through a scratch buffer of its own.
 type Reader struct {
-	r   io.Reader
-	err error
+	r       io.Reader
+	err     error
+	scratch [8]byte
 }
 
 // NewReader wraps r.
@@ -171,32 +205,32 @@ func (r *Reader) ReadFull(b []byte) {
 
 // U16 reads a uint16.
 func (r *Reader) U16() uint16 {
-	var b [2]byte
-	r.ReadFull(b[:])
+	b := r.scratch[:2]
+	r.ReadFull(b)
 	if r.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint16(b[:])
+	return binary.LittleEndian.Uint16(b)
 }
 
 // U32 reads a uint32.
 func (r *Reader) U32() uint32 {
-	var b [4]byte
-	r.ReadFull(b[:])
+	b := r.scratch[:4]
+	r.ReadFull(b)
 	if r.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(b[:])
+	return binary.LittleEndian.Uint32(b)
 }
 
 // U64 reads a uint64.
 func (r *Reader) U64() uint64 {
-	var b [8]byte
-	r.ReadFull(b[:])
+	b := r.scratch[:8]
+	r.ReadFull(b)
 	if r.err != nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(b[:])
+	return binary.LittleEndian.Uint64(b)
 }
 
 // I64 reads an int64.

@@ -224,20 +224,14 @@ func (s *Store) EncodePayload(w *store.Writer) error {
 	w.U64(uint64(s.rows))
 	w.U64(uint64(s.cols))
 	w.U64(uint64(len(s.sigma)))
-	for _, x := range s.sigma {
-		w.FP(x, s.prec)
-	}
-	for _, x := range s.v.Data() {
-		w.FP(x, s.prec)
-	}
+	w.FPSlice(s.sigma, s.prec)
+	w.FPSlice(s.v.Data(), s.prec)
 	urow := make([]float64, len(s.sigma))
 	for i := 0; i < s.rows; i++ {
 		if err := s.u.ReadRow(i, urow); err != nil {
 			return fmt.Errorf("svd: encode U row %d: %w", i, err)
 		}
-		for _, x := range urow {
-			w.FP(x, s.prec)
-		}
+		w.FPSlice(urow, s.prec)
 	}
 	return w.Err()
 }

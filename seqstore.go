@@ -92,7 +92,7 @@ type Options struct {
 	// the Budget-derived value.
 	K int
 	// DisableBloom turns off the SVDD Bloom filter in front of the delta
-	// hash table.
+	// index.
 	DisableBloom bool
 	// CandidateKs restricts SVDD's k_opt search (advanced; see DESIGN.md).
 	CandidateKs []int
