@@ -41,10 +41,10 @@ fuzz-smoke:
 	$(GO) test -run FuzzTopK -fuzz FuzzTopK -fuzztime 10s ./internal/pqueue
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
-# .smx and .sqz binaries checked into testdata must keep loading
-# bit-for-bit identically.
+# .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,
+# all checked into testdata, must keep loading bit-for-bit identically.
 golden-check:
-	$(GO) test -run 'TestGoldenV1' -v ./internal/matio ./internal/store
+	$(GO) test -run 'TestGolden' -v ./internal/matio ./internal/store
 
 # metrics-golden pins the observable metrics schemas: the /v1/metrics JSON
 # key structure and the Prometheus exposition's family names/types are

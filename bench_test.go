@@ -27,7 +27,6 @@ var (
 	benchPhone   *linalg.Matrix // 400×366 phone data
 	benchStocks  *linalg.Matrix
 	benchSVDD    *core.Store // SVDD at 10% over benchPhone
-	benchSVDDnb  *core.Store // same without Bloom filter
 	benchPlain   *svd.Store  // plain SVD at 10%
 	benchFactors *svd.Factors
 )
@@ -44,10 +43,6 @@ func benchSetup(b *testing.B) {
 			panic(err)
 		}
 		benchSVDD, err = core.CompressWithFactors(mem, benchFactors, core.Options{Budget: 0.10})
-		if err != nil {
-			panic(err)
-		}
-		benchSVDDnb, err = core.CompressWithFactors(mem, benchFactors, core.Options{Budget: 0.10, BloomFP: -1})
 		if err != nil {
 			panic(err)
 		}
@@ -224,25 +219,13 @@ func BenchmarkAggregateNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkDeltaProbeBloom measures cell reconstruction with the Bloom
-// filter screening the delta hash table.
-func BenchmarkDeltaProbeBloom(b *testing.B) {
+// BenchmarkDeltaProbe measures SVDD cell reconstruction: one U-row read,
+// O(k) arithmetic and a binary search of the row's delta bucket.
+func BenchmarkDeltaProbe(b *testing.B) {
 	benchSetup(b)
 	n, m := benchSVDD.Dims()
 	for i := 0; i < b.N; i++ {
 		if _, err := benchSVDD.Cell(i%n, (i*7)%m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDeltaProbeNoBloom measures the same reconstruction with every
-// lookup hitting the hash table.
-func BenchmarkDeltaProbeNoBloom(b *testing.B) {
-	benchSetup(b)
-	n, m := benchSVDDnb.Dims()
-	for i := 0; i < b.N; i++ {
-		if _, err := benchSVDDnb.Cell(i%n, (i*7)%m); err != nil {
 			b.Fatal(err)
 		}
 	}

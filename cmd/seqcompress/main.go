@@ -37,7 +37,6 @@ func run(args []string) error {
 	method := fs.String("method", "svdd", "method: svdd, svd, dct, wavelet, cluster, kmeans")
 	budget := fs.Float64("budget", 0, "space budget as a fraction of the input, e.g. 0.10")
 	k := fs.Int("k", 0, "components/clusters (overrides -budget derivation)")
-	noBloom := fs.Bool("no-bloom", false, "disable the SVDD Bloom filter")
 	half := fs.Bool("half", false, "store numbers as float32 (b=4): half the file, ~1e-7 rounding")
 	robust := fs.Bool("robust", false, "outlier-resistant factors (svd/svdd; loads the matrix into memory)")
 	zeroFlags := fs.Bool("zero-flags", false, "flag all-zero rows for instant reconstruction (svdd)")
@@ -72,7 +71,6 @@ func run(args []string) error {
 		Method:        seqstore.Method(*method),
 		Budget:        *budget,
 		K:             *k,
-		DisableBloom:  *noBloom,
 		HalfPrecision: *half,
 		Robust:        *robust,
 		FlagZeroRows:  *zeroFlags,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"seqstore/internal/bloom"
 	"seqstore/internal/pqueue"
 )
 
@@ -67,9 +66,6 @@ func (s *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 			continue
 		}
 		s.cols, s.vals = append(s.cols, int32(it.Col)), append(s.vals, it.Delta)
-		if s.filter != nil {
-			s.filter.Add(bloom.CellKey(it.Row, it.Col, m))
-		}
 	}
 	s.indexFoldedRow(idx)
 	return idx, nil

@@ -147,11 +147,7 @@ func buildStoreOverFailingU(t *testing.T, x *linalg.Matrix, k int, wrap func(*fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newStore(base, nil, nil, Options{BloomFP: -1}, Diagnostics{ChosenK: k})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s, fu
+	return newStore(base, nil, nil, 0, Diagnostics{ChosenK: k}), fu
 }
 
 // TestFoldInRollsBackOnReconstructionFailure pins the fixed error contract:

@@ -68,8 +68,8 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // and Deltas walk the same triplets, every Cell and every Row entry is bit
 // for bit the base's value plus the reference delta (Cell and Row reach the
 // base by different arithmetic, so each is held to its own base value), and
-// the probe counters count one point lookup per Cell — Bloom-saved or
-// performed, always performed on a delta cell — and one bucket read per Row.
+// the probe counters count exactly one point lookup per Cell outside a zero
+// row and one bucket read per Row.
 func checkDeltaIndex(t *testing.T, s *Store, ref refDeltas) {
 	t.Helper()
 	n, m := s.Dims()
@@ -130,7 +130,7 @@ func checkDeltaIndex(t *testing.T, s *Store, ref refDeltas) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probes0, saves0 := s.ProbeStats()
+		probes0, zeroHits0 := s.ProbeStats()
 		rows0 := s.RowProbes()
 		got, err := s.Row(i, nil)
 		if err != nil {
@@ -153,10 +153,9 @@ func checkDeltaIndex(t *testing.T, s *Store, ref refDeltas) {
 				t.Fatalf("Cell(%d,%d) = %v, want base %v + δ %v", i, j, cell, baseCell, d)
 			}
 		}
-		probes, saves := s.ProbeStats()
-		probes, saves = probes-probes0, saves-saves0
-		if probes+saves != int64(m) || probes < int64(at) || (s.filter == nil && saves != 0) {
-			t.Fatalf("row %d: %d cells with %d deltas cost %d probes + %d Bloom saves", i, m, at, probes, saves)
+		probes, zeroHits := s.ProbeStats()
+		if probes, zeroHits = probes-probes0, zeroHits-zeroHits0; probes != int64(m) || zeroHits != 0 {
+			t.Fatalf("row %d: %d cells cost %d probes and %d zero-row hits, want %d and 0", i, m, probes, zeroHits, m)
 		}
 		if got := s.RowProbes() - rows0; got != 1 {
 			t.Fatalf("row %d: one Row and %d Cells read %d buckets, want 1", i, m, got)
@@ -193,51 +192,45 @@ func TestRowIndexMatchesReference(t *testing.T) {
 			items = append(items, pqueue.Item{Row: i, Col: cell % m, Delta: 100 * rng.NormFloat64()})
 		}
 	}
-	for _, bloomFP := range []float64{0, -1} {
-		s, err := newStore(compressed.base, items, compressed.ZeroRows(),
-			Options{BloomFP: bloomFP, OutlierCost: DefaultOutlierCost}, compressed.diag)
+	s := newStore(compressed.base, items, compressed.ZeroRows(), DefaultOutlierCost, compressed.diag)
+	ref := refOf(items)
+	checkDeltaIndex(t, s, ref)
+
+	var buf bytes.Buffer
+	if err := store.Write(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := store.Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDeltaIndex(t, decoded.(*Store), ref)
+
+	for _, r := range [][2]int{{0, n / 3}, {n / 3, n}, {n / 2, n / 2}} {
+		rows0 := s.RowProbes()
+		slice, err := s.SliceRows(r[0], r[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := refOf(items)
-		checkDeltaIndex(t, s, ref)
-
-		var buf bytes.Buffer
-		if err := store.Write(&buf, s); err != nil {
-			t.Fatal(err)
+		if got := s.RowProbes() - rows0; got != 0 {
+			t.Errorf("SliceRows charged its parent %d bucket reads", got)
 		}
-		decoded, err := store.Read(&buf)
-		if err != nil {
-			t.Fatal(err)
+		sliceRef := refDeltas{}
+		for cell, d := range ref {
+			if cell[0] >= r[0] && cell[0] < r[1] {
+				sliceRef[[2]int{cell[0] - r[0], cell[1]}] = d
+			}
 		}
-		checkDeltaIndex(t, decoded.(*Store), ref)
-
-		for _, r := range [][2]int{{0, n / 3}, {n / 3, n}, {n / 2, n / 2}} {
-			rows0 := s.RowProbes()
-			slice, err := s.SliceRows(r[0], r[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := s.RowProbes() - rows0; got != 0 {
-				t.Errorf("SliceRows charged its parent %d bucket reads", got)
-			}
-			sliceRef := refDeltas{}
-			for cell, d := range ref {
-				if cell[0] >= r[0] && cell[0] < r[1] {
-					sliceRef[[2]int{cell[0] - r[0], cell[1]}] = d
-				}
-			}
-			checkDeltaIndex(t, slice, sliceRef)
-		}
+		checkDeltaIndex(t, slice, sliceRef)
 	}
 
 	// A seeded fold sequence on a store of its own (the slices above share
 	// the compressed base's V; fold-ins append to U).
-	s, err := Compress(matio.NewMem(x), Options{Budget: 0.10, FlagZeroRows: true})
+	s, err = Compress(matio.NewMem(x), Options{Budget: 0.10, FlagZeroRows: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := snapshotDeltas(s)
+	ref = snapshotDeltas(s)
 	held := len(ref)
 	row := make([]float64, m)
 	for f := 0; f < 12; f++ {
@@ -278,11 +271,11 @@ func TestRowIndexMatchesReference(t *testing.T) {
 	}
 
 	// And what the grown store writes, it reads back.
-	var buf bytes.Buffer
+	buf.Reset()
 	if err := store.Write(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := store.Read(&buf)
+	decoded, err = store.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,12 +441,7 @@ func TestDecodeDeltaKeyOrder(t *testing.T) {
 		{"repeat-across-the-stream", []int{2, 0, 1, 3, 2}, 9 * m},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// No Bloom filter: a .sqz carries the writer's, and this writer
-			// is about to be handed keys behind its back.
-			s, err := newStore(compressed.base, nil, nil, Options{BloomFP: -1, OutlierCost: DefaultOutlierCost}, compressed.diag)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := newStore(compressed.base, nil, nil, DefaultOutlierCost, compressed.diag)
 			// EncodePayload streams bucket after bucket, so the whole key
 			// stream goes into row 0's, each "column" a full cell key.
 			for _, at := range tc.order {

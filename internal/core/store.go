@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"seqstore/internal/bloom"
 	"seqstore/internal/pqueue"
 	"seqstore/internal/seqerr"
 	"seqstore/internal/store"
@@ -14,14 +13,14 @@ import (
 )
 
 // Store is the SVDD representation: a plain-SVD store plus the (row, col, δ)
-// triplets of the outlier cells, fronted by an optional Bloom filter that
-// short-circuits the common "not an outlier" case. The triplets live in one
-// index — a CSR in (row, col) order — that serves the point lookup (Cell),
-// row-shaped access (row reconstruction, selection-restricted aggregates)
-// and the .sqz encoder alike.
+// triplets of the outlier cells. The triplets live in one index — a CSR in
+// (row, col) order — that serves the point lookup (Cell), row-shaped access
+// (row reconstruction, selection-restricted aggregates) and the .sqz
+// encoder alike. The paper screens its disk-resident hash table with a
+// membership filter (§4.2); this index is in memory, where a binary search
+// of one short bucket costs less than such a screen.
 type Store struct {
 	base        *svd.Store
-	filter      *bloom.Filter // nil when disabled
 	outlierCost int
 	diag        Diagnostics
 
@@ -29,63 +28,45 @@ type Store struct {
 	// ascending by column, and rowStart always holds N+1 offsets — so the
 	// arrays read front to back are the deltas in ascending cell-key order.
 	// Only cols/vals' contents are charged to the space budget (OutlierCost
-	// numbers per delta); the offsets, like the Bloom filter, are a
-	// main-memory acceleration structure rebuilt at load time.
+	// numbers per delta); the offsets are a main-memory acceleration
+	// structure rebuilt at load time.
 	rowStart []uint32
 	cols     []int32
 	vals     []float64
 
 	// §6.2 zero-row flags: rows that are entirely zero reconstruct to 0
-	// without any U access. zeroFilter screens zeroSet the way filter
-	// screens deltas. Both nil/empty when the feature is off.
-	zeroSet    map[int32]struct{}
-	zeroList   []int32 // sorted, for serialization and space accounting
-	zeroFilter *bloom.Filter
+	// without any U access. zeroBits is an exact bitset over the rows the
+	// store was built with (bit i of word i/64); rows FoldIn appends lie
+	// past it and are never zero. Both nil when the feature is off.
+	zeroList []int32 // sorted, for serialization and space accounting
+	zeroBits []uint64
 
-	probes     atomic.Int64 // delta-index point lookups performed
-	bloomSaves atomic.Int64 // lookups avoided by the Bloom filter
-	rowProbes  atomic.Int64 // whole-bucket reads (rows, aggregate slabs)
-	zeroHits   atomic.Int64 // cell lookups answered by the zero-row flags
+	probes    atomic.Int64 // delta-index point lookups performed
+	rowProbes atomic.Int64 // whole-bucket reads (rows, aggregate slabs)
+	zeroHits  atomic.Int64 // lookups answered by the zero-row flags
 }
 
 // newStore assembles the SVDD store from the plain-SVD base at k_opt, the
 // chosen outlier items (distinct cells, in any order), and any flagged
-// all-zero rows.
-func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, opts Options, diag Diagnostics) (*Store, error) {
+// all-zero rows (sorted, each below N).
+func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, outlierCost int, diag Diagnostics) *Store {
 	_, m := base.Dims()
-	var filter *bloom.Filter
-	if opts.BloomFP >= 0 {
-		fp := opts.BloomFP
-		if fp == 0 {
-			fp = DefaultBloomFP
-		}
-		var err error
-		filter, err = bloom.New(len(items)+1, fp)
-		if err != nil {
-			return nil, fmt.Errorf("core: bloom filter: %w", err)
-		}
-	}
 	keys := make([]uint64, len(items))
 	vals := make([]float64, len(items))
 	for p, it := range items {
-		keys[p], vals[p] = bloom.CellKey(it.Row, it.Col, m), it.Delta
-		if filter != nil {
-			filter.Add(keys[p])
-		}
+		keys[p], vals[p] = cellKey(it.Row, it.Col, m), it.Delta
 	}
-	s := &Store{
-		base:        base,
-		filter:      filter,
-		outlierCost: opts.OutlierCost,
-		diag:        diag,
-	}
+	s := &Store{base: base, outlierCost: outlierCost, diag: diag}
 	s.indexDeltas(keys, vals)
-	if len(zeroRows) > 0 {
-		if err := s.installZeroRows(zeroRows, opts.BloomFP); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
+	s.installZeroRows(zeroRows)
+	return s
+}
+
+// cellKey packs a matrix cell (row, col) into row·M + col, the row-major
+// cell order the paper specifies for the outlier table and the key the
+// .sqz format stores each delta under.
+func cellKey(row, col, cols int) uint64 {
+	return uint64(row)*uint64(cols) + uint64(col)
 }
 
 // indexDeltas builds the delta index from cell keys (all below N·M, in any
@@ -139,40 +120,26 @@ func (b bucket) Swap(i, j int) {
 	b.vals[i], b.vals[j] = b.vals[j], b.vals[i]
 }
 
-// installZeroRows builds the zero-row structures from a sorted id list.
-func (s *Store) installZeroRows(zeroRows []int32, bloomFP float64) error {
+// installZeroRows sets the zero-row flags from a sorted list of rows, each
+// in [0, N); an empty list leaves the feature off.
+func (s *Store) installZeroRows(zeroRows []int32) {
+	if len(zeroRows) == 0 {
+		return
+	}
+	n, _ := s.base.Dims()
 	s.zeroList = zeroRows
-	s.zeroSet = make(map[int32]struct{}, len(zeroRows))
+	s.zeroBits = make([]uint64, (n+63)/64)
 	for _, r := range zeroRows {
-		s.zeroSet[r] = struct{}{}
+		s.zeroBits[r/64] |= 1 << (r % 64)
 	}
-	if bloomFP >= 0 {
-		fp := bloomFP
-		if fp == 0 {
-			fp = DefaultBloomFP
-		}
-		zf, err := bloom.New(len(zeroRows)+1, fp)
-		if err != nil {
-			return fmt.Errorf("core: zero-row bloom filter: %w", err)
-		}
-		for _, r := range zeroRows {
-			zf.Add(uint64(r))
-		}
-		s.zeroFilter = zf
-	}
-	return nil
 }
 
-// isZeroRow reports whether row i was flagged as all-zero.
+// isZeroRow reports whether row i was flagged as all-zero. A negative i
+// wraps to a huge word index and, like any row past the bitset, is not
+// zero.
 func (s *Store) isZeroRow(i int) bool {
-	if s.zeroSet == nil {
-		return false
-	}
-	if s.zeroFilter != nil && !s.zeroFilter.Contains(uint64(i)) {
-		return false
-	}
-	_, ok := s.zeroSet[int32(i)]
-	return ok
+	w := uint(i) / 64
+	return w < uint(len(s.zeroBits)) && s.zeroBits[w]&(1<<(uint(i)%64)) != 0
 }
 
 // Dims returns the dimensions of the represented matrix.
@@ -217,14 +184,7 @@ func (s *Store) SliceRows(lo, hi int) (*Store, error) {
 			zeroRows = append(zeroRows, zr-int32(lo))
 		}
 	}
-	bloomFP := -1.0
-	if s.filter != nil || s.zeroFilter != nil {
-		bloomFP = DefaultBloomFP
-	}
-	return newStore(base, items, zeroRows, Options{
-		BloomFP:     bloomFP,
-		OutlierCost: s.outlierCost,
-	}, s.diag)
+	return newStore(base, items, zeroRows, s.outlierCost, s.diag), nil
 }
 
 // Deltas iterates over all stored outliers in (row, col) order.
@@ -279,9 +239,9 @@ func (d DeltaSlab) Row(i int) ([]int32, []float64) {
 }
 
 // ProbeStats reports how many delta-index point lookups were performed and
-// how many were avoided by the Bloom filter, for the ablation bench.
-func (s *Store) ProbeStats() (probes, bloomSaves int64) {
-	return s.probes.Load(), s.bloomSaves.Load()
+// how many cell and row lookups the zero-row flags answered instead.
+func (s *Store) ProbeStats() (probes, zeroHits int64) {
+	return s.probes.Load(), s.zeroHits.Load()
 }
 
 // RowProbes reports how many whole-bucket reads the delta index served (row
@@ -289,13 +249,8 @@ func (s *Store) ProbeStats() (probes, bloomSaves int64) {
 func (s *Store) RowProbes() int64 { return s.rowProbes.Load() }
 
 // delta returns the stored correction for cell (i, j) of the store, or 0:
-// the Bloom check, then a binary search of row i's bucket.
+// a binary search of row i's bucket.
 func (s *Store) delta(i, j int) float64 {
-	_, m := s.base.Dims()
-	if s.filter != nil && !s.filter.Contains(bloom.CellKey(i, j, m)) {
-		s.bloomSaves.Add(1)
-		return 0
-	}
 	s.probes.Add(1)
 	lo, hi := s.rowStart[i], s.rowStart[i+1]
 	if p, ok := slices.BinarySearch(s.cols[lo:hi], int32(j)); ok {
@@ -364,9 +319,6 @@ func (s *Store) ZeroRows() []int32 {
 	return out
 }
 
-// ZeroHits reports how many lookups were answered by the zero-row flags.
-func (s *Store) ZeroHits() int64 { return s.zeroHits.Load() }
-
 // SetPrecision selects b, the bytes per stored number at serialization
 // time (4 or 8), for the SVD part and the delta values alike. Quantized
 // deltas repair outliers to float32 accuracy instead of exactly.
@@ -379,9 +331,10 @@ func (s *Store) Precision() int { return s.base.Precision() }
 func (s *Store) StoredBytes() int64 { return s.StoredNumbers() * int64(s.Precision()) }
 
 // StoredNumbers returns the plain-SVD cost plus OutlierCost numbers per
-// stored delta plus one number per flagged zero row. The optional Bloom
-// filters are main-memory acceleration structures and, as in the paper,
-// are not charged against the space budget.
+// stored delta plus one number per flagged zero row. The delta index's row
+// offsets and the zero-row bitset are main-memory acceleration structures
+// and, like the paper's membership filters, are not charged against the
+// budget.
 func (s *Store) StoredNumbers() int64 {
 	return s.base.StoredNumbers() +
 		int64(len(s.cols))*int64(s.outlierCost) +
@@ -390,7 +343,7 @@ func (s *Store) StoredNumbers() int64 {
 
 // EncodePayload serializes the base store, the deltas as (cell key, δ)
 // pairs in ascending key order — the order the index holds them in — the
-// diagnostics, and the Bloom filter.
+// diagnostics, and the zero-row flags.
 func (s *Store) EncodePayload(w *store.Writer) error {
 	if err := s.base.EncodePayload(w); err != nil {
 		return err
@@ -417,20 +370,12 @@ func (s *Store) EncodePayload(w *store.Writer) error {
 		w.F64(c.SSE)
 		w.F64(c.Eps)
 	}
-	// Bloom filter (presence flag + bytes).
-	if s.filter != nil {
-		w.U16(1)
-		w.ByteSlice(s.filter.Marshal())
-	} else {
-		w.U16(0)
-	}
-	// Zero-row flags (§6.2); the Bloom filter over them is rebuilt on load.
+	// The format's delta-filter flag (no filter bytes follow), the zero-row
+	// flags (§6.2) and the zero-row-filter flag: this writer stores neither
+	// filter.
+	w.U16(0)
 	w.I32Slice(s.zeroList)
-	if s.zeroFilter != nil {
-		w.U16(1)
-	} else {
-		w.U16(0)
-	}
+	w.U16(0)
 	return w.Err()
 }
 
@@ -485,28 +430,19 @@ func decode(r *store.Reader) (store.Store, error) {
 			return nil, r.Err()
 		}
 	}
-	var filter *bloom.Filter
+	// Older writers stored a Bloom filter over the deltas here, and flagged
+	// one over the zero rows after them: the filter bytes are read (the
+	// frame bounds their length, its CRC covers them) and dropped, and both
+	// flags are ignored.
 	if r.U16() == 1 {
-		raw := r.ByteSlice()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		filter, err = bloom.Unmarshal(raw)
-		if err != nil {
-			return nil, fmt.Errorf("core: decode bloom: %w", err)
-		}
+		r.ByteSlice()
 	}
 	zeroRows := r.I32Slice()
-	zeroHadBloom := r.U16() == 1
+	r.U16()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	s := &Store{
-		base:        baseStore,
-		filter:      filter,
-		outlierCost: outlierCost,
-		diag:        diag,
-	}
+	s := &Store{base: baseStore, outlierCost: outlierCost, diag: diag}
 	// Keys may arrive in any order (older writers are not assumed sorted),
 	// but a key may arrive only once: a repeat would put two entries for one
 	// cell into a bucket, and only one of them would ever be found.
@@ -516,24 +452,16 @@ func decode(r *store.Reader) (store.Store, error) {
 		for p := 1; p < len(cols); p++ {
 			if cols[p] == cols[p-1] {
 				return nil, fmt.Errorf("%w: delta key %d (row %d, column %d) stored twice",
-					store.ErrCorrupt, bloom.CellKey(i, int(cols[p]), m), i, cols[p])
+					store.ErrCorrupt, cellKey(i, int(cols[p]), m), i, cols[p])
 			}
 		}
 	}
-	if len(zeroRows) > 0 {
-		for _, zr := range zeroRows {
-			if zr < 0 || int(zr) >= n {
-				return nil, fmt.Errorf("%w: zero row %d outside %d rows", store.ErrCorrupt, zr, n)
-			}
-		}
-		fp := DefaultBloomFP
-		if !zeroHadBloom {
-			fp = -1
-		}
-		if err := s.installZeroRows(zeroRows, fp); err != nil {
-			return nil, err
+	for _, zr := range zeroRows {
+		if zr < 0 || int(zr) >= n {
+			return nil, fmt.Errorf("%w: zero row %d outside %d rows", store.ErrCorrupt, zr, n)
 		}
 	}
+	s.installZeroRows(zeroRows)
 	return s, nil
 }
 

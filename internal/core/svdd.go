@@ -17,11 +17,12 @@
 //	        errors²), i.e. the residual error after the γ_k worst cells
 //	        are repaired, and truncate the buffered U to k_opt.
 //
-// The resulting Store keeps Λ, V, the delta index (the paper's hash table,
-// here a (row, col)-ordered CSR) and an optional Bloom filter in memory, and
-// reads U row-wise (possibly from disk): a cell reconstruction costs one
-// U-row access, O(k) arithmetic, and one index probe — usually avoided by
-// the Bloom filter (§4.2 "Data structures").
+// The resulting Store keeps Λ, V and the delta index (the paper's hash
+// table, here a (row, col)-ordered CSR) in memory, and reads U row-wise
+// (possibly from disk): a cell reconstruction costs one U-row access, O(k)
+// arithmetic, and one binary search of the row's delta bucket. The paper's
+// membership filter in front of the table (§4.2 "Data structures") screens
+// a disk-resident table; an in-memory one needs no screen.
 package core
 
 import (
@@ -38,9 +39,6 @@ import (
 // DefaultOutlierCost is the space cost of one delta triplet
 // (row, column, delta) in stored numbers.
 const DefaultOutlierCost = 3
-
-// DefaultBloomFP is the default Bloom-filter false-positive rate.
-const DefaultBloomFP = 0.01
 
 // DefaultMaxQueueItems caps the total capacity of the pass-2 priority
 // queues. When evaluating every k in 1..k_max would exceed this, the
@@ -65,13 +63,9 @@ type Options struct {
 	// MaxQueueItems caps total pass-2 queue capacity (default
 	// DefaultMaxQueueItems).
 	MaxQueueItems int
-	// BloomFP is the Bloom-filter false-positive rate; set negative to
-	// disable the filter. Zero means DefaultBloomFP.
-	BloomFP float64
 	// FlagZeroRows enables the §6.2 "engineering solution": rows that are
-	// entirely zero (customers with no activity) are flagged — with their
-	// own Bloom filter — so reconstructing their cells needs no U access
-	// at all. Each flagged row costs one stored number, paid for out of
+	// entirely zero (customers with no activity) are flagged in an exact
+	// bitset, so reconstructing their cells needs no U access at all. Each flagged row costs one stored number, paid for out of
 	// the outlier budget.
 	FlagZeroRows bool
 	// Workers shards the row scans of the factor pass (pass 1): 0 means
@@ -288,7 +282,7 @@ func CompressWithFactors(src matio.RowSource, f *svd.Factors, opts Options) (*St
 		}
 		diag.Gamma = len(items)
 	}
-	return newStore(base, items, zeroRows, opts, diag)
+	return newStore(base, items, zeroRows, opts.OutlierCost, diag), nil
 }
 
 // chooseCandidates returns the cutoffs pass 2 will evaluate, ascending.

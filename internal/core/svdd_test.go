@@ -279,39 +279,6 @@ func TestCandidateThinningKeepsEndpoints(t *testing.T) {
 	}
 }
 
-func TestBloomFilterNeverChangesValues(t *testing.T) {
-	x := phoneSmall(60)
-	mem := matio.NewMem(x)
-	with, err := Compress(mem, Options{Budget: 0.10, BloomFP: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Compress(mem, Options{Budget: 0.10, BloomFP: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < x.Rows(); i++ {
-		for j := 0; j < x.Cols(); j++ {
-			a, _ := with.Cell(i, j)
-			b, _ := without.Cell(i, j)
-			if a != b {
-				t.Fatalf("bloom filter changed cell (%d,%d): %v vs %v", i, j, a, b)
-			}
-		}
-	}
-	probes, saves := with.ProbeStats()
-	if saves == 0 {
-		t.Error("bloom filter never saved a probe")
-	}
-	pNo, savesNo := without.ProbeStats()
-	if savesNo != 0 {
-		t.Error("disabled filter reported saves")
-	}
-	if pNo <= probes {
-		t.Errorf("disabled filter should probe more: %d vs %d", pNo, probes)
-	}
-}
-
 func TestRowMatchesCells(t *testing.T) {
 	x := phoneSmall(40)
 	s, err := Compress(matio.NewMem(x), Options{Budget: 0.12})

@@ -247,13 +247,6 @@ func (h *Handler) registerGauges() {
 			}
 			return 0
 		})
-		h.tel.RegisterGauge("svdd_bloom_saves_total", func() float64 {
-			if c := svddStore(); c != nil {
-				_, saves := c.ProbeStats()
-				return float64(saves)
-			}
-			return 0
-		})
 		h.tel.RegisterGauge("svdd_delta_row_probes_total", func() float64 {
 			if c := svddStore(); c != nil {
 				return float64(c.RowProbes())
@@ -262,7 +255,8 @@ func (h *Handler) registerGauges() {
 		})
 		h.tel.RegisterGauge("svdd_zero_hits_total", func() float64 {
 			if c := svddStore(); c != nil {
-				return float64(c.ZeroHits())
+				_, zeroHits := c.ProbeStats()
+				return float64(zeroHits)
 			}
 			return 0
 		})
@@ -799,12 +793,11 @@ func (h *Handler) Metrics(_ context.Context, req api.MetricsRequest) (api.Metric
 		body["io"] = us.Snapshot()
 	}
 	if c, ok := h.coldStore().(*core.Store); ok {
-		probes, saves := c.ProbeStats()
+		probes, zeroHits := c.ProbeStats()
 		body["svdd"] = map[string]interface{}{
 			"delta_probes":     probes,
-			"bloom_saves":      saves,
 			"delta_row_probes": c.RowProbes(),
-			"zero_hits":        c.ZeroHits(),
+			"zero_hits":        zeroHits,
 		}
 	}
 	if h.writable != nil {

@@ -125,12 +125,6 @@ func TestAllStoresConform(t *testing.T) {
 	}
 	conformance(t, "svdd-zeroflags", svddZero, x)
 
-	svddNoBloom, err := core.Compress(mem, core.Options{Budget: 0.25, BloomFP: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conformance(t, "svdd-nobloom", svddNoBloom, x)
-
 	dctStore, err := dct.Compress(mem, 10)
 	if err != nil {
 		t.Fatal(err)

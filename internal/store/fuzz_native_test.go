@@ -9,8 +9,8 @@ import (
 // FuzzReadLabeled feeds arbitrary bytes to the .sqz container decoder. The
 // contract under fuzz: never panic and never allocate unboundedly from a
 // hostile length field — every malformed input must fail with an error.
-// Seeds cover a labeled v2 container, the frozen v1 fixtures, truncations,
-// and junk.
+// Seeds cover a labeled v2 container, the frozen golden fixtures,
+// truncations, and junk.
 func FuzzReadLabeled(f *testing.F) {
 	fake := &fakeStore{rows: 3, cols: 4, fill: 1.25}
 	labels := &Labels{
@@ -25,7 +25,7 @@ func FuzzReadLabeled(f *testing.F) {
 	f.Add(v2)
 	f.Add(v2[:containerHeaderSize])
 	f.Add(v2[:len(v2)/2])
-	for _, name := range []string{"golden_v1_svd.sqz", "golden_v1_svdd.sqz"} {
+	for _, name := range []string{"golden_v1_svd.sqz", "golden_v1_svdd.sqz", "golden_v2_svdd_bloom.sqz"} {
 		if g, err := os.ReadFile("testdata/" + name); err == nil {
 			f.Add(g)
 			f.Add(g[:len(g)-5])

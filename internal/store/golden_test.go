@@ -6,8 +6,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"seqstore/internal/core"
 	"seqstore/internal/store"
 )
 
@@ -95,6 +97,42 @@ func TestGoldenV1Containers(t *testing.T) {
 		}
 		checkRows(t, s, loadGoldenRows(t, "golden_v1_svdd"))
 	})
+}
+
+// TestGoldenV2LegacyFilters loads a v2 SVDD fixture frozen while the writer
+// still stored a membership filter over the deltas and flagged one over the
+// zero rows. The reader skips the filter bytes: every row, and every cell of
+// a flagged zero row, is bit-identical to the reference taken at freezing
+// time, and the zero rows cost no U access.
+func TestGoldenV2LegacyFilters(t *testing.T) {
+	s, labels, err := store.LoadLabeled("testdata/golden_v2_svdd_bloom.sqz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if labels != nil {
+		t.Errorf("unexpected labels: %+v", labels)
+	}
+	c, ok := s.(*core.Store)
+	if !ok {
+		t.Fatalf("decoded a %T, want an SVDD store", s)
+	}
+	want := loadGoldenRows(t, "golden_v2_svdd_bloom")
+	checkRows(t, s, want)
+	zeros := c.ZeroRows()
+	if !slices.Equal(zeros, []int32{0, 9, 30, 47}) || c.NumOutliers() != 71 {
+		t.Fatalf("zero rows %v, %d deltas; frozen with [0 9 30 47] and 71", zeros, c.NumOutliers())
+	}
+	reads := c.Base().UStats().RowReads()
+	for _, i := range zeros {
+		for j, w := range want[i] {
+			if v, err := c.Cell(int(i), j); err != nil || math.Float64bits(v) != math.Float64bits(w) {
+				t.Fatalf("zero-row cell (%d,%d) = %v, %v; want %v", i, j, v, err, w)
+			}
+		}
+	}
+	if got := c.Base().UStats().RowReads() - reads; got != 0 {
+		t.Errorf("zero-row cells cost %d U reads, want 0", got)
+	}
 }
 
 // TestGoldenV1UpgradeRoundTrip re-saves a v1 fixture through the current

@@ -91,9 +91,6 @@ type Options struct {
 	// number of clusters (Cluster), or forces SVDD's cutoff, overriding
 	// the Budget-derived value.
 	K int
-	// DisableBloom turns off the SVDD Bloom filter in front of the delta
-	// index.
-	DisableBloom bool
 	// CandidateKs restricts SVDD's k_opt search (advanced; see DESIGN.md).
 	CandidateKs []int
 	// FlagZeroRows enables the §6.2 optimization for SVDD: all-zero
@@ -316,9 +313,6 @@ func compress(ctx context.Context, src matio.RowSource, full *linalg.Matrix, opt
 		}
 		if opts.K > 0 && opts.Budget > 0 {
 			o.ForceK = opts.K
-		}
-		if opts.DisableBloom {
-			o.BloomFP = -1
 		}
 		if robustFactors != nil {
 			s, err = core.CompressWithFactors(src, robustFactors, o)
