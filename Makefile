@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check fuzz-smoke golden-check metrics-golden bench-smoke bench-parallel experiments
+.PHONY: build test vet race check fuzz-smoke golden-check metrics-golden bench-smoke bench-gate bench-parallel experiments
 
 build:
 	$(GO) build ./...
@@ -14,9 +14,9 @@ vet:
 # race runs the full suite under the race detector; the concurrent matio
 # range-scan tests (TestConcurrentRangeScanStats, TestConcurrentScansAndReads),
 # the worker-sharded svd/core equivalence tests, the internal/server
-# concurrency tests (TestConcurrentQueriesFileBacked hammering the sharded
-# row cache + telemetry over a File-backed U, the bulk/plan-cache storms and
-# the graceful-shutdown drain test) and the scatter/gather, hedging and
+# concurrency tests (TestConcurrentQueriesFileBacked hammering the pooled
+# read buffers + telemetry over a File-backed U, the bulk/plan-cache storms
+# and the graceful-shutdown drain test) and the scatter/gather, hedging and
 # /v1 contract tests of internal/cluster and internal/api exercise the
 # shared counters, the one row-sharding driver of the compressor
 # (svd.scanSharded) and the query engine's workers under it. The race detector
@@ -31,14 +31,16 @@ race:
 # partial frames — the bytes a proxy accepts from its shards (no panic, and
 # whatever decodes re-encodes to the same bytes), FuzzTopK on offer streams
 # full of ties, ±Inf and NaN (the top-γ buffer retains what a sort says it
-# should).
-# `go test -fuzz` accepts one target per invocation, hence five runs.
+# should), FuzzPointReadEncoding on cell and row bodies (the append encoders
+# write encoding/json's bytes, labels and edge floats included).
+# `go test -fuzz` accepts one target per invocation, hence six runs.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
 	$(GO) test -run FuzzSymEigen -fuzz FuzzSymEigen -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzPartialUnmarshal -fuzz FuzzPartialUnmarshal -fuzztime 10s ./internal/query
 	$(GO) test -run FuzzTopK -fuzz FuzzTopK -fuzztime 10s ./internal/pqueue
+	$(GO) test -run FuzzPointReadEncoding -fuzz FuzzPointReadEncoding -fuzztime 10s ./internal/api
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,
@@ -68,6 +70,18 @@ bench-smoke:
 	$(GO) -C bench test ./...
 
 check: vet race golden-check metrics-golden fuzz-smoke bench-smoke
+
+# bench-gate measures the working tree against PARENT by the rule a claimed
+# gain must pass: PAIRS alternating 15 s runs of WORKLOAD, seeds 1..PAIRS,
+# each side's benchmark built once (the parent's from a git archive in a
+# temporary directory). It prints per end-to-end metric both medians, the
+# parent's IQR, the change's wins and its shift against the bound in
+# BENCHMARK.json, and fails if any run reports correct: false.
+PARENT ?= HEAD
+WORKLOAD ?= point_read
+PAIRS ?= 10
+bench-gate:
+	$(GO) run ./scripts/benchgate -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # bench-parallel runs the worker-count sub-benchmarks: the two sharded hot
 # loops (pass-1 C accumulation, U projection) at workers {1,2,4,8} and the

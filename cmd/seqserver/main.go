@@ -4,7 +4,7 @@
 // without ever reconstituting the original matrix. One binary, two
 // backends behind the same HTTP layer (internal/api):
 //
-//	seqserver -store phone2000.sqz -addr :8080 -cache-rows 4096
+//	seqserver -store phone2000.sqz -addr :8080
 //	seqserver -topology cluster.json -addr :8090
 //
 // With -store it is a store node answering from one compressed .sqz file.
@@ -58,7 +58,7 @@
 //	                              the response like /v1/bulk; "explain"
 //	                              per query or batch-wide
 //	/v1/metrics                   per-endpoint latency histograms and, per
-//	                              backend, row-cache hit rate, disk-access
+//	                              backend, plan-cache hit rate, disk-access
 //	                              counters and corruption count, or
 //	                              per-shard gauges (inflight, errors,
 //	                              hedges, p99); ?format=prom renders the
@@ -191,7 +191,6 @@ func main() {
 	topoPath := fs.String("topology", "",
 		"JSON shard topology file: serve as the scatter/gather front door over its store nodes instead of a -store; re-read on SIGHUP")
 	addr := fs.String("addr", ":8080", "listen address")
-	cacheRows := fs.Int("cache-rows", 4096, "LRU row-cache capacity in rows (0 disables)")
 	planCache := fs.Int("plan-cache", 0,
 		"query-plan cache capacity in plans (0 = default 256, negative disables)")
 	queryWorkers := fs.Int("query-workers", 1,
@@ -244,7 +243,6 @@ func main() {
 
 	cfg := server.Config{
 		Addr:            *addr,
-		CacheRows:       *cacheRows,
 		PlanCacheSize:   *planCache,
 		QueryWorkers:    *queryWorkers,
 		Logger:          logger,
@@ -309,7 +307,6 @@ func main() {
 			"method", st.Method().String(),
 			"rows", rows, "cols", cols,
 			"space_ratio", store.SpaceRatio(st),
-			"cache_rows", *cacheRows,
 		}
 	}
 	l, err := srv.Listen()

@@ -7,8 +7,9 @@
 // round-trip a store node's response through these types without
 // re-marshalling surprises. Values that may be NaN/±Inf — which
 // encoding/json rejects — travel as a null value plus a "nonfinite" marker
-// naming the class; Float and RowValues build that form, NumValue reads it
-// back.
+// naming the class; Float and ReadRow build that form, NumValue reads it
+// back. The four point-read bodies render through append encoders
+// (encode.go) whose bytes are encoding/json's.
 //
 // Handler owns everything about serving /v1 that does not depend on where
 // the data lives: routing, the request middleware, parsing and limits, the
@@ -19,6 +20,7 @@ package api
 
 import (
 	"math"
+	"sync"
 
 	"seqstore/internal/telemetry"
 	"seqstore/internal/trace"
@@ -45,11 +47,46 @@ type CellsResponse struct {
 }
 
 // RowResponse is the /v1/row body (and one element of /v1/rows): a full
-// reconstructed sequence. Nonfinite counts the null-encoded cells.
+// reconstructed sequence. Nonfinite counts the null-encoded cells. A store
+// node's response (ReadRow) leaves Values nil and holds the reconstruction
+// itself, which renders to the same bytes.
 type RowResponse struct {
 	I         int        `json:"i"`
 	Values    []*float64 `json:"values"`
 	Nonfinite int        `json:"nonfinite,omitempty"`
+
+	row *[]float64 // pooled reconstruction rendered in place of Values
+}
+
+// rowBufs recycles the buffers ReadRow reconstructs into; WriteJSON puts a
+// row's buffer back once the row is rendered.
+var rowBufs = sync.Pool{New: func() any { return new([]float64) }}
+
+// ReadRow is the response for row i, reconstructed by read into a pooled
+// buffer (read may grow it, as store.Store.Row does) and rendered straight
+// from the values, with no pointer per value.
+func ReadRow(i int, read func(dst []float64) ([]float64, error)) (RowResponse, error) {
+	buf := rowBufs.Get().(*[]float64)
+	row, err := read((*buf)[:0])
+	if err != nil {
+		rowBufs.Put(buf)
+		return RowResponse{}, err
+	}
+	*buf = row
+	nonfinite := 0
+	for _, v := range row {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			nonfinite++
+		}
+	}
+	return RowResponse{I: i, Nonfinite: nonfinite, row: buf}, nil
+}
+
+// recycle returns a rendered row's buffer to the pool.
+func (r RowResponse) recycle() {
+	if r.row != nil {
+		rowBufs.Put(r.row)
+	}
 }
 
 // RowsResponse is the /v1/rows body: the selected rows in request order.
@@ -209,7 +246,6 @@ type InfoResponse struct {
 	StoredNumbers int64       `json:"storedNumbers"`
 	RowLabels     bool        `json:"rowLabels"`
 	ColLabels     bool        `json:"colLabels"`
-	CacheRows     int         `json:"cacheRows"`
 	Writable      bool        `json:"writable"`
 	HotRows       int         `json:"hotRows,omitempty"`
 	ColdRows      int         `json:"coldRows,omitempty"`
@@ -272,19 +308,4 @@ func NumValue(v *float64, nonfinite string) float64 {
 		return math.Inf(-1)
 	}
 	return math.NaN()
-}
-
-// RowValues maps a reconstructed row to its wire form, counting the
-// non-finite cells it had to null out.
-func RowValues(row []float64) ([]*float64, int) {
-	vals := make([]*float64, len(row))
-	nonfinite := 0
-	for j, v := range row {
-		val, marker := Float(v)
-		vals[j] = val
-		if marker != "" {
-			nonfinite++
-		}
-	}
-	return vals, nonfinite
 }

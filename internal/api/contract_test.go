@@ -144,7 +144,9 @@ func phoneShapes(t *testing.T) []*shape {
 	cfg.ZeroFrac = 0
 	x := dataset.GeneratePhone(cfg)
 	compress := func() *core.Store {
-		st, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.25, Workers: 1})
+		// The budget buys k ≥ 4, where linalg.Dot's partial sums make a
+		// differently ordered cell reconstruction show in the last bit.
+		st, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.5, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,6 +501,55 @@ func TestV1Contract(t *testing.T) {
 		{name: "bulk on a read-only store", method: "POST", path: "/v1/bulk", body: "{\"values\":[1]}\n",
 			wantStatus: 403, wantCode: api.CodeNotWritable, wantMessage: "read-only",
 			skip: func(sh *shape) bool { return sh.writable }},
+
+		// --- point reads: one reconstruction, whichever endpoint serves it ---
+		{name: "point reads agree bit for bit", method: "GET", path: "/v1/rows?i=0:3", wantStatus: 200,
+			check: func(t *testing.T, sh *shape, r reply) {
+				get := func(path string, out interface{}) {
+					t.Helper()
+					rep := sh.do(t, "GET", path, "", nil)
+					if rep.status != 200 {
+						t.Fatalf("%s: status %d: %s", path, rep.status, rep.raw)
+					}
+					if err := json.Unmarshal(rep.raw, out); err != nil {
+						t.Fatal(err)
+					}
+				}
+				same := func(what string, got *float64, want float64) {
+					t.Helper()
+					if got == nil || math.Float64bits(*got) != math.Float64bits(want) {
+						t.Fatalf("%s = %v, the row says %v", what, api.NumValue(got, ""), want)
+					}
+				}
+				var batch api.RowsResponse
+				if err := json.Unmarshal(r.raw, &batch); err != nil || len(batch.Rows) != 3 {
+					t.Fatalf("/v1/rows: %v %+v", err, batch)
+				}
+				for _, i := range []int{0, 2, contractRows/2 - 1, contractRows / 2, contractRows - 1} {
+					var row api.RowResponse
+					get(fmt.Sprintf("/v1/row?i=%d", i), &row)
+					if len(row.Values) != contractCols {
+						t.Fatalf("row %d has %d values", i, len(row.Values))
+					}
+					want := make([]float64, contractCols)
+					for j, v := range row.Values {
+						want[j] = *v
+						if i < len(batch.Rows) {
+							same(fmt.Sprintf("/v1/rows (%d, %d)", i, j), batch.Rows[i].Values[j], want[j])
+						}
+						var cell api.CellResponse
+						get(fmt.Sprintf("/v1/cell?i=%d&j=%d", i, j), &cell)
+						same(fmt.Sprintf("/v1/cell (%d, %d)", i, j), cell.Value, want[j])
+					}
+					for j := 0; j < contractCols; j += limitCells {
+						var cells api.CellsResponse
+						get(fmt.Sprintf("/v1/cells?at=%d:%d,%d:%d,%d:%d,%d:%d", i, j, i, j+1, i, j+2, i, j+3), &cells)
+						for k, c := range cells.Cells {
+							same(fmt.Sprintf("/v1/cells (%d, %d)", i, j+k), c.Value, want[j+k])
+						}
+					}
+				}
+			}},
 
 		// --- the three batch limits ---
 		{name: "cells at the limit", method: "GET", path: "/v1/cells?at=0:0,0:1,1:0,1:1", wantStatus: 200},

@@ -2,10 +2,10 @@ package api
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"sync"
 
 	"seqstore/internal/ingest"
 	"seqstore/internal/seqerr"
@@ -136,20 +136,37 @@ func WriteErrorDetail(w http.ResponseWriter, status int, detail ErrorDetail) {
 	WriteJSON(w, status, ErrorEnvelope{Error: detail})
 }
 
+// jsonBufs recycles response buffers. One grown past maxPooledBody is left
+// to the collector, so a rare large body does not stay pinned in the pool.
+var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 64 << 10
+
+// jsonContentType is assigned, not Set: the key is canonical, and the one
+// shared value has no spare capacity an Add could write into.
+var jsonContentType = []string{"application/json"}
+
 // WriteJSON encodes body to a buffer first and only then commits the
 // status line, so an encoding failure yields a clean 500 instead of a
 // truncated 200. Every /v1 response — success or error, server or proxy —
 // goes through here, which is also what lets cost headers be computed in a
-// just-before-commit hook.
+// just-before-commit hook. A body is written once: a store node's row
+// buffers go back to their pool as they are rendered.
 func WriteJSON(w http.ResponseWriter, status int, body interface{}) {
-	buf, err := json.Marshal(body)
+	buf := jsonBufs.Get().(*[]byte)
+	b, err := appendBody((*buf)[:0], body)
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		fmt.Fprintln(w, `{"error":{"code":"internal","message":"response encoding failed"}}`)
-		return
+	} else {
+		b = append(b, '\n')
+		w.Header()["Content-Type"] = jsonContentType
+		w.WriteHeader(status)
+		w.Write(b)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(buf, '\n'))
+	if cap(b) <= maxPooledBody {
+		*buf = b
+		jsonBufs.Put(buf)
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -151,48 +152,30 @@ func (h *Handler) handleMethod(pattern, method string, fn endpoint) {
 		start := time.Now()
 		ep.Requests.Inc()
 
+		// A well-formed client request id is echoed; the trace mints a fresh
+		// one otherwise. The trace is named by the endpoint pattern, never
+		// the raw URL: query strings can carry customer labels, and
+		// /v1/debug/traces serves trace names verbatim. A valid inbound
+		// traceparent (the proxy hop) is adopted so this process's spans
+		// join the caller's distributed trace; anything malformed degrades
+		// to a fresh root.
 		id := trace.SanitizeRequestID(r.Header.Get(trace.HeaderRequestID))
-		if id == "" {
-			id = trace.NewRequestID()
-		}
-		// The trace is named by the endpoint pattern, never the raw URL:
-		// query strings can carry customer labels, and /v1/debug/traces
-		// serves trace names verbatim. A valid inbound traceparent (the
-		// proxy hop) is adopted so this process's spans join the caller's
-		// distributed trace; anything malformed degrades to a fresh root.
-		parent, hasParent := trace.ParseTraceparent(r.Header.Get(trace.HeaderTraceparent))
-		tr := trace.New(id, pattern)
+		parent, hasParent := trace.ParseTraceparent(r.Header.Get(traceparentKey))
+		var tr *trace.Trace
 		if hasParent {
 			tr = trace.NewChild(id, pattern, parent)
+		} else {
+			tr = trace.New(id, pattern)
 		}
-		logger := h.cfg.Logger.With("request_id", id)
-		r = r.WithContext(trace.WithLogger(trace.NewContext(r.Context(), tr), logger))
+		r = r.WithContext(trace.NewContext(r.Context(), tr))
 
-		sw := &statusWriter{ResponseWriter: w}
-		// Cost headers must precede the body. Every response is buffered and
-		// committed in one WriteHeader, so the ledger is final by the time
-		// the first byte is committed. The full X-Cost-* set is emitted so a
-		// proxy can fold this process's ledger into its own.
-		sw.beforeHeader = func() {
-			hdr := sw.Header()
-			hdr.Set(trace.HeaderRequestID, id)
-			trace.EncodeCostHeaders(hdr, tr.Ledger.Snapshot())
-			// Traced callers (the proxy) also get a bounded summary of this
-			// process's spans, so the front-door trace ring can show
-			// shard-side timing under the one distributed trace id.
-			if hasParent {
-				if spans := trace.EncodeSpanHeader(tr.Spans()); spans != "" {
-					hdr.Set(trace.HeaderSpans, spans)
-				}
-			}
-		}
-
+		sw := &statusWriter{ResponseWriter: w, tr: tr, traced: hasParent}
 		if r.Method != method {
 			sw.Header().Set("Allow", method)
 			WriteErrorDetail(sw, http.StatusMethodNotAllowed, ErrorDetail{
 				Code:      CodeMethodNotAllowed,
 				Message:   fmt.Sprintf("method %s not allowed; use %s", r.Method, method),
-				RequestID: id,
+				RequestID: tr.ID(),
 			})
 		} else if body, err := fn(r); err != nil {
 			WriteError(sw, r, err)
@@ -213,17 +196,22 @@ func (h *Handler) handleMethod(pattern, method string, fn endpoint) {
 		if pattern != TracesPattern {
 			h.ring.Put(snap)
 		}
-		h.logRequest(logger, pattern, snap, elapsed)
+		h.logRequest(pattern, snap, elapsed)
 	})
 }
+
+// traceparentKey is the canonical form of the traceparent header, so the
+// per-request lookup does not canonicalize it again.
+var traceparentKey = http.CanonicalHeaderKey(trace.HeaderTraceparent)
 
 // logRequest emits one structured line per request. Normal traffic logs at
 // Debug (cheap to filter out); requests above the slow-query threshold log
 // at Warn and 5xx responses at Error, both with the full cost ledger and —
 // behind the proxy — the shards whose responses formed the answer, so an
 // end-to-end outlier is greppable by trace id across every process it
-// touched.
-func (h *Handler) logRequest(logger *slog.Logger, pattern string, snap *trace.TraceSnapshot, elapsed time.Duration) {
+// touched. The attributes are built only for a line that is emitted.
+func (h *Handler) logRequest(pattern string, snap *trace.TraceSnapshot, elapsed time.Duration) {
+	logger := h.cfg.Logger
 	slow := h.cfg.SlowQuery > 0 && elapsed >= h.cfg.SlowQuery
 	level := slog.LevelDebug
 	msg := "request"
@@ -239,6 +227,7 @@ func (h *Handler) logRequest(logger *slog.Logger, pattern string, snap *trace.Tr
 		return
 	}
 	args := []any{
+		"request_id", snap.RequestID,
 		"endpoint", pattern,
 		"status", snap.Status,
 		"duration_ms", float64(elapsed.Microseconds()) / 1e3,
@@ -292,20 +281,31 @@ func winningShards(snap *trace.TraceSnapshot) []int {
 }
 
 // statusWriter records the status code written so the instrumentation can
-// classify the response after the fact, and runs the beforeHeader hook
-// exactly once, immediately before the status line is committed — the last
-// moment response headers can still be set.
+// classify the response after the fact, and sets the request's trace
+// headers exactly once, immediately before the status line is committed —
+// the last moment response headers can still be set. Every response is
+// buffered and committed in one WriteHeader, so the ledger is final by
+// then. The full X-Cost-* set is emitted so a proxy can fold this
+// process's ledger into its own; traced callers (the proxy) also get a
+// bounded summary of this process's spans, so the front-door trace ring
+// can show shard-side timing under the one distributed trace id.
 type statusWriter struct {
 	http.ResponseWriter
-	status       int
-	beforeHeader func()
+	status int
+	tr     *trace.Trace
+	traced bool // the request carried a valid traceparent
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
-		if w.beforeHeader != nil {
-			w.beforeHeader()
+		hdr := w.Header()
+		hdr[trace.HeaderRequestID] = []string{w.tr.ID()}
+		trace.EncodeCostHeaders(hdr, w.tr.Ledger.Snapshot())
+		if w.traced {
+			if spans := trace.EncodeSpanHeader(w.tr.Spans()); spans != "" {
+				hdr[trace.HeaderSpans] = []string{spans}
+			}
 		}
 	}
 	w.ResponseWriter.WriteHeader(code)
@@ -327,12 +327,12 @@ func (h *Handler) info(r *http.Request) (interface{}, error) {
 // cell answers /v1/cell?i=42&j=180, or the label-addressed form
 // /v1/cell?row=GHI+Inc.&col=We.
 func (h *Handler) cell(r *http.Request) (interface{}, error) {
-	q := r.URL.Query()
-	req := CellRequest{Row: q.Get("row"), Col: q.Get("col")}
+	q := r.URL.RawQuery
+	req := CellRequest{Row: queryValue(q, "row"), Col: queryValue(q, "col")}
 	if !req.ByLabel() {
 		var err1, err2 error
-		req.I, err1 = strconv.Atoi(q.Get("i"))
-		req.J, err2 = strconv.Atoi(q.Get("j"))
+		req.I, err1 = strconv.Atoi(queryValue(q, "i"))
+		req.J, err2 = strconv.Atoi(queryValue(q, "j"))
 		if err1 != nil || err2 != nil {
 			return nil, Invalid("cell needs integer i and j (or label row and col) parameters")
 		}
@@ -374,18 +374,39 @@ func (h *Handler) cells(r *http.Request) (interface{}, error) {
 }
 
 func (h *Handler) row(r *http.Request) (interface{}, error) {
-	i, err := strconv.Atoi(r.URL.Query().Get("i"))
+	i, err := strconv.Atoi(queryValue(r.URL.RawQuery, "i"))
 	if err != nil {
 		return nil, Invalid("row needs an integer i parameter")
 	}
 	return h.b.Row(r.Context(), i)
 }
 
+// queryValue is url.Values.Get over the parsed raw query without building
+// the map: the first value of key, under url.ParseQuery's rules — pairs
+// split on '&', a pair holding ';' or failing to unescape is skipped.
+func queryValue(rawQuery, key string) string {
+	for rawQuery != "" {
+		var pair string
+		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
+		if strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
+	}
+	return ""
+}
+
 // rows reconstructs a batch of rows: /v1/rows?i=0:8,17 with the same
 // index-spec syntax as aggregate selections (the spec must be non-empty —
 // an unbounded "all rows" response is refused).
 func (h *Handler) rows(r *http.Request) (interface{}, error) {
-	spec := r.URL.Query().Get("i")
+	spec := queryValue(r.URL.RawQuery, "i")
 	if strings.TrimSpace(spec) == "" {
 		return nil, Invalid("rows needs an i index spec, e.g. i=0:8,17")
 	}

@@ -77,15 +77,6 @@ type Options struct {
 	// drives Compact and Recompress explicitly (deterministic tests, CLI
 	// batch loads).
 	DisableBackground bool
-	// OnFold, when set, is called after a compaction with the global
-	// indices of the rows that moved hot→cold — their reconstructed values
-	// changed, so the serving layer invalidates its row cache for them.
-	// Called outside all store locks.
-	OnFold func(rows []int)
-	// OnReshape, when set, is called after a recompression replaced the
-	// cold segment wholesale (every cold row's reconstruction changed).
-	// Called outside all store locks.
-	OnReshape func()
 	// Logger receives background-compaction diagnostics; nil means
 	// slog.Default().
 	Logger *slog.Logger
@@ -176,10 +167,9 @@ type Tiered struct {
 	wal  *WAL
 	opts Options
 
-	// onFold/onReshape are the live invalidation hooks (seeded from
-	// Options, replaceable via SetInvalidationHooks), read under mu.
-	onFold    func(rows []int)
-	onReshape func()
+	// onChange is the invalidation hook (SetInvalidationHook), read under
+	// mu.
+	onChange func()
 
 	// baseline is the cold segment's stored numbers right after the last
 	// recompression (or at Open); the growth trigger compares against it.
@@ -252,8 +242,6 @@ func Open(cold store.Store, labels *store.Labels, walPath string, opts Options) 
 		origRatio: store.SpaceRatio(cold),
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
-		onFold:    opts.OnFold,
-		onReshape: opts.OnReshape,
 	}
 	if labels != nil {
 		t.rowLabels = append([]string(nil), labels.Rows...)
@@ -446,8 +434,7 @@ func (t *Tiered) ColdRows() int {
 }
 
 // Epoch returns the mutation epoch: it advances whenever existing rows'
-// reconstructions may have changed (compaction, recompression). The row
-// cache tags fills with it to drop stale entries racing a mutation.
+// reconstructions may have changed (compaction, recompression).
 func (t *Tiered) Epoch() uint64 { return t.epoch.Load() }
 
 // RowLabel returns row i's label ("" when unlabeled or out of range).
@@ -472,20 +459,26 @@ func (t *Tiered) LookupRow(label string) (int, bool) {
 	return i, ok
 }
 
-// SetInvalidationHooks replaces the OnFold/OnReshape callbacks after Open —
-// the serving layer wires its row-cache invalidation here, since the cache
-// does not exist yet when the tier is opened. Safe to call while the
-// background compactor runs.
-func (t *Tiered) SetInvalidationHooks(onFold func(rows []int), onReshape func()) {
+// SetInvalidationHook sets the callback run, outside all store locks,
+// after every mutation that changes existing rows' reconstructions: a
+// compaction (the folded rows' exact values became approximations) and a
+// recompression (every cold row, and the factors). The serving layer
+// purges its query plans here. Safe to call while the background compactor
+// runs.
+func (t *Tiered) SetInvalidationHook(onChange func()) {
 	t.mu.Lock()
-	t.onFold, t.onReshape = onFold, onReshape
+	t.onChange = onChange
 	t.mu.Unlock()
 }
 
-func (t *Tiered) hooks() (func(rows []int), func()) {
+// invalidated runs the invalidation hook, if one is set.
+func (t *Tiered) invalidated() {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.onFold, t.onReshape
+	onChange := t.onChange
+	t.mu.RUnlock()
+	if onChange != nil {
+		onChange()
+	}
 }
 
 // Stats snapshots the tier's counters.
@@ -637,7 +630,7 @@ func (t *Tiered) Compact() (int, error) {
 
 	start := time.Now()
 	t.mu.Lock()
-	folded := make([]int, 0, n)
+	done := 0
 	var foldErr error
 	for i := 0; i < n; i++ {
 		idx, err := t.foldOne(t.hotRows[i])
@@ -651,9 +644,8 @@ func (t *Tiered) Compact() (int, error) {
 			foldErr = fmt.Errorf("ingest: fold-in landed at %d, want %d", idx, t.coldRows+i)
 			break
 		}
-		folded = append(folded, idx)
+		done++
 	}
-	done := len(folded)
 	if done > 0 {
 		if t.rowLabels != nil || anyLabeled(t.hotLabels[:done]) {
 			if t.rowLabels == nil {
@@ -687,9 +679,7 @@ func (t *Tiered) Compact() (int, error) {
 				foldErr = fmt.Errorf("%w (and persist failed: %v)", foldErr, err)
 			}
 		}
-		if onFold, _ := t.hooks(); onFold != nil {
-			onFold(folded)
-		}
+		t.invalidated()
 	}
 	return done, foldErr
 }
@@ -838,9 +828,7 @@ func (t *Tiered) Recompress() error {
 	perr := t.saveCold()
 	t.writeMu.Unlock()
 
-	if _, onReshape := t.hooks(); onReshape != nil {
-		onReshape()
-	}
+	t.invalidated()
 	return perr
 }
 

@@ -98,8 +98,8 @@ func TestTieredAppendServesExactThenCompacts(t *testing.T) {
 		t.Fatalf("LookupRow(cust-035) = %d, %v", idx, ok)
 	}
 
-	var invalidated []int
-	ti.SetInvalidationHooks(func(rows []int) { invalidated = append(invalidated, rows...) }, nil)
+	invalidated := 0
+	ti.SetInvalidationHook(func() { invalidated++ })
 	epoch0 := ti.Epoch()
 	done, err := ti.Compact()
 	if err != nil {
@@ -117,8 +117,8 @@ func TestTieredAppendServesExactThenCompacts(t *testing.T) {
 	if ti.Epoch() == epoch0 {
 		t.Error("epoch did not advance on compaction")
 	}
-	if len(invalidated) != 10 || invalidated[0] != n0 {
-		t.Errorf("OnFold got %v", invalidated)
+	if invalidated != 1 {
+		t.Errorf("invalidation hook ran %d times for one compaction, want 1", invalidated)
 	}
 	if ti.IsHot(n0) {
 		t.Error("folded row still reported hot")
@@ -384,12 +384,12 @@ func TestTieredRecompress(t *testing.T) {
 	}
 	grown := ti.Cold().StoredNumbers()
 	reshaped := false
-	ti.SetInvalidationHooks(nil, func() { reshaped = true })
+	ti.SetInvalidationHook(func() { reshaped = true })
 	if err := ti.Recompress(); err != nil {
 		t.Fatal(err)
 	}
 	if !reshaped {
-		t.Error("OnReshape not called")
+		t.Error("invalidation hook not run on recompression")
 	}
 	n, m := ti.Dims()
 	if n != 60 || m != 48 {

@@ -95,8 +95,8 @@ func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx
 
 // uBuf is the batch-scoped buffer of prefetched raw (σ-unscaled) U rows.
 // Reads from it are charged to the ledger as rows served with no disk
-// access, like row-cache hits; the prefetch pass itself carried the disk
-// charges. All methods are nil-safe.
+// access; the prefetch pass itself carried the disk charges. All methods
+// are nil-safe.
 type uBuf struct {
 	k    int
 	slot []int32 // per U row: 1 + its row offset into data, 0 when absent

@@ -17,7 +17,7 @@ const (
 // of the deltas — so producing an explanation performs no store reads and adds zero
 // disk accesses (the §17 invariant pinned by TestExplainNoExtraDiskAccesses).
 //
-// The estimates model a cold store: no row cache, no batch prefetch buffer.
+// The estimates model a cold store: no batch prefetch buffer.
 // On a cold store they equal the executed ledger exactly, including the
 // chunk-clipping of scan runs at the requested worker count, because they
 // are a replay of the very pieces the engine reads (plan.pieces); warm

@@ -27,9 +27,9 @@ import (
 // Staleness: a plan is pure function of (store identity, selection) except
 // for the V panel and σ, which a recompression/reshape replaces. Plans are
 // therefore tagged with the cache's epoch; the serving layer bumps the
-// epoch (and purges) from the same ingestion invalidation hooks that keep
-// the row cache coherent, so a post-fold query can never reuse a pre-fold
-// plan even in the in-place FoldIn case where the store pointer survives.
+// epoch (and purges) from the ingestion tier's invalidation hook, so a
+// post-fold query can never reuse a pre-fold plan even in the in-place
+// FoldIn case where the store pointer survives.
 // The pointer-swap case (Recompress replacing the cold store) is caught
 // twice: by the epoch and by the plan's recorded store identity.
 

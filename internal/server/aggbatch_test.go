@@ -142,7 +142,7 @@ func TestPlanCacheInvalidationUnderIngestion(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("writers=%d", workers), func(t *testing.T) {
 			srv, h, ti, _ := newWritableServer(t,
-				Options{CacheRows: 32, QueryWorkers: 2},
+				Options{QueryWorkers: 2},
 				ingest.Options{CompactAfter: 4, PersistPath: filepath.Join(t.TempDir(), "cold.sqz")})
 
 			epoch0 := h.plans.Epoch()

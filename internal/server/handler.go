@@ -1,11 +1,11 @@
 // Package server is a store node: the local Backend of the /v1 serving
 // stack (internal/api owns the HTTP layer) and the production http.Server
 // around it. The backend answers typed requests from one open store —
-// single and batch cell/row reads through a sharded LRU row cache,
-// aggregates through the query engine and its plan cache, axis-label
-// addressing, NDJSON bulk appends into an ingestion tier — and charges
-// every reconstruction to the request's cost ledger, so the paper's
-// one-access-per-cell claim is verifiable live under load.
+// single and batch cell/row reads, each one reconstruction from the
+// compressed form, aggregates through the query engine and its plan cache,
+// axis-label addressing, NDJSON bulk appends into an ingestion tier — and
+// charges every reconstruction to the request's cost ledger, so the
+// paper's one-access-per-cell claim is verifiable live under load.
 //
 // The package works on the internal store interfaces (store.Store +
 // store.Labels) rather than the public facade, so the benchmark can drive
@@ -30,7 +30,6 @@ import (
 	"seqstore/internal/core"
 	"seqstore/internal/ingest"
 	"seqstore/internal/query"
-	"seqstore/internal/seqerr"
 	"seqstore/internal/store"
 	"seqstore/internal/svd"
 	"seqstore/internal/telemetry"
@@ -39,15 +38,15 @@ import (
 
 // DefaultPlanCacheSize is the query-plan cache capacity when
 // Options.PlanCacheSize is 0. A plan is a selection's V panel, run
-// schedule and column index — small relative to a row cache entry — so
-// the default comfortably covers a dashboard's working set.
+// schedule and column index — a few rows' worth of numbers — so the
+// default comfortably covers a dashboard's working set.
 const DefaultPlanCacheSize = 256
 
 // Options configures a Handler.
 type Options struct {
-	// CacheRows is the capacity, in rows, of the LRU reconstruction cache
-	// fronting /v1/cell, /v1/row and the batch endpoints. 0 disables the
-	// cache (every request reconstructs from the compressed form).
+	// CacheRows is ignored: point reads reconstruct from the compressed
+	// form, one U access each. The field remains because the benchmark
+	// module's composite literals still set it.
 	CacheRows int
 	// MaxBatchCells bounds one /v1/cells request; 0 means
 	// api.DefaultMaxBatchCells.
@@ -83,13 +82,13 @@ type Options struct {
 	SLOTarget    float64
 }
 
-// Handler is the /v1 API over one open store: the local api.Backend (row
-// cache, query engine, ingestion tier) behind the shared HTTP layer. It is
+// Handler is the /v1 API over one open store: the local api.Backend (point
+// reads, query engine, ingestion tier) behind the shared HTTP layer. It is
 // safe for concurrent use. Create it with NewHandler.
 type Handler struct {
 	st store.Store
 
-	cacheRows, queryWorkers, maxBulkRows int
+	queryWorkers, maxBulkRows int
 
 	// writable is non-nil when st is an ingestion tier; it enables
 	// /v1/bulk and switches the cost model and gauge plumbing to unwrap
@@ -98,10 +97,8 @@ type Handler struct {
 
 	rowIndex, colIndex map[string]int // label → index; nil when unlabeled
 
-	cache        *rowCache        // nil when disabled
-	plans        *query.PlanCache // nil when disabled
-	hits, misses *telemetry.Counter
-	corruptions  *telemetry.Counter // store reads that surfaced ErrCorrupt
+	plans       *query.PlanCache   // nil when disabled
+	corruptions *telemetry.Counter // store reads that surfaced ErrCorrupt
 
 	tel  *telemetry.Registry
 	http *api.Handler
@@ -127,7 +124,6 @@ func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
 	}.WithDefaults()
 	h := &Handler{
 		st:           st,
-		cacheRows:    opts.CacheRows,
 		queryWorkers: opts.QueryWorkers,
 		maxBulkRows:  cfg.MaxBatchRows,
 		tel:          telemetry.NewRegistry(),
@@ -137,49 +133,21 @@ func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
 		h.colIndex = indexLabels(labels.Cols)
 	}
 	h.writable, _ = st.(*ingest.Tiered)
-	h.hits = h.tel.Counter("cache_hits")
-	h.misses = h.tel.Counter("cache_misses")
 	h.corruptions = h.tel.Counter("store_corruptions")
-	if opts.CacheRows > 0 {
-		h.cache = newRowCache(opts.CacheRows)
-		h.cache.instrument(h.tel)
-	}
 	h.plans = query.NewPlanCache(opts.PlanCacheSize) // nil when size < 0
-	if h.writable != nil && (h.cache != nil || h.plans != nil) {
-		// Keep the caches coherent with the write path: a compaction
-		// changes the folded rows' reconstructions (exact hot values become
-		// approximations), a recompression changes every cold row and every
-		// plan's V panel. The epoch bumps precede the removals so a
-		// reconstruction or plan build in flight across the mutation cannot
-		// re-insert pre-mutation state. The plan cache takes a full purge on
-		// both hooks — conservative for fold-in (run schedules are
-		// selection-pure), required for recompression.
-		cache, plans := h.cache, h.plans
-		h.writable.SetInvalidationHooks(
-			func(rows []int) {
-				if cache != nil {
-					cache.bumpEpoch()
-					for _, i := range rows {
-						cache.invalidate(i)
-					}
-				}
-				plans.Invalidate()
-			},
-			func() {
-				if cache != nil {
-					cache.bumpEpoch()
-					cache.purge()
-				}
-				plans.Invalidate()
-			},
-		)
+	if h.writable != nil && h.plans != nil {
+		// Keep the plan cache coherent with the write path: a full purge
+		// after every fold and recompression — conservative for fold-in
+		// (run schedules are selection-pure), required for recompression,
+		// which changes every plan's V panel.
+		h.writable.SetInvalidationHook(h.plans.Invalidate)
 	}
 	h.registerGauges()
 	h.http = api.NewHandler(h, h.tel, cfg)
 	return h
 }
 
-// registerGauges wires the store, IO, cache and SVDD counters into the
+// registerGauges wires the store, IO, plan-cache and SVDD counters into the
 // registry as collection-time gauges, so the Prometheus rendering covers the
 // same ground as the hand-built /metrics JSON body. Monotonic sources get a
 // _total suffix (typed counter in the exposition).
@@ -190,14 +158,6 @@ func (h *Handler) registerGauges() {
 	h.tel.RegisterGauge("store_space_ratio", func() float64 {
 		return store.SpaceRatio(h.st)
 	})
-	if h.cache != nil {
-		h.tel.RegisterGauge("cache_occupancy_rows", func() float64 {
-			return float64(h.cache.len())
-		})
-		h.tel.RegisterGauge("cache_capacity_rows", func() float64 {
-			return float64(h.cache.capacity())
-		})
-	}
 	if h.plans != nil {
 		h.tel.RegisterGauge("plan_cache_hits_total", func() float64 {
 			return float64(h.plans.Stats().Hits)
@@ -282,15 +242,13 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.http.ServeHTTP(w, r)
 }
 
-// CacheStats reports row-cache hit/miss counters and current size.
+// CacheStats reports zeros: there is no row cache. It remains because the
+// benchmark module still calls it.
 func (h *Handler) CacheStats() (hits, misses int64, size, capacity int) {
-	if h.cache == nil {
-		return h.hits.Load(), h.misses.Load(), 0, 0
-	}
-	return h.hits.Load(), h.misses.Load(), h.cache.len(), h.cache.capacity()
+	return 0, 0, 0, 0
 }
 
-// --- Read paths (row cache) ------------------------------------------------
+// --- Read paths --------------------------------------------------------------
 
 // coldStore returns the store whose backing format carries the cost model:
 // the tier's current cold segment when the store is writable (it is swapped
@@ -332,58 +290,6 @@ func (h *Handler) chargeRowRead(led *trace.Ledger, i int) {
 	led.AddPagesTouched(int64(h.uPageSpan(i)))
 }
 
-// row returns a reconstruction of row i, serving from the LRU cache when
-// enabled, and charges the request's ledger: a cache hit costs zero disk
-// accesses; a miss costs exactly one. The returned slice is shared; callers
-// must not modify it.
-func (h *Handler) row(ctx context.Context, i int) ([]float64, error) {
-	led := trace.LedgerFrom(ctx)
-	if h.cache == nil {
-		row, err := h.st.Row(i, nil)
-		if err == nil {
-			h.chargeRowRead(led, i)
-		}
-		return row, err
-	}
-	if row, ok := h.cache.get(i); ok {
-		h.hits.Inc()
-		led.CacheHit()
-		return row, nil
-	}
-	h.misses.Inc()
-	led.CacheMiss()
-	e := h.cache.epochNow() // before the reconstruction, closing the fill/mutation race
-	row, err := h.st.Row(i, nil)
-	if err != nil {
-		return nil, err
-	}
-	h.chargeRowRead(led, i)
-	h.cache.put(i, row, e)
-	return row, nil
-}
-
-// cell reconstructs cell (i, j). With the cache enabled a miss
-// reconstructs and caches the whole row — one U access either way — so
-// subsequent cells of the same sequence are free.
-func (h *Handler) cell(ctx context.Context, i, j int) (float64, error) {
-	if h.cache == nil {
-		v, err := h.st.Cell(i, j)
-		if err == nil {
-			h.chargeRowRead(trace.LedgerFrom(ctx), i)
-		}
-		return v, err
-	}
-	_, m := h.st.Dims()
-	if j < 0 || j >= m {
-		return 0, fmt.Errorf("server: column %d out of range %d (%w)", j, m, seqerr.ErrOutOfRange)
-	}
-	row, err := h.row(ctx, i)
-	if err != nil {
-		return 0, err
-	}
-	return row[j], nil
-}
-
 // --- api.Backend: reads ------------------------------------------------------
 
 // seen is the monitoring side channel of error classification: every
@@ -412,7 +318,6 @@ func (h *Handler) Info(context.Context) (api.InfoResponse, error) {
 		StoredNumbers: h.st.StoredNumbers(),
 		RowLabels:     h.rowIndex != nil,
 		ColLabels:     h.colIndex != nil,
-		CacheRows:     h.cacheRows,
 		Writable:      h.writable != nil,
 	}
 	if h.writable != nil {
@@ -429,10 +334,11 @@ func (h *Handler) Cell(ctx context.Context, req api.CellRequest) (api.CellRespon
 			return api.CellResponse{}, api.Invalid("%v", err)
 		}
 	}
-	v, err := h.cell(ctx, req.I, req.J)
+	v, err := h.st.Cell(req.I, req.J)
 	if err != nil {
 		return api.CellResponse{}, h.seen(err)
 	}
+	h.chargeRowRead(trace.LedgerFrom(ctx), req.I)
 	val, marker := api.Float(v)
 	return api.CellResponse{
 		I: req.I, J: req.J, Row: req.Row, Col: req.Col,
@@ -453,12 +359,12 @@ func (h *Handler) Cells(ctx context.Context, coords [][2]int) ([]api.CellRespons
 }
 
 func (h *Handler) Row(ctx context.Context, i int) (api.RowResponse, error) {
-	row, err := h.row(ctx, i)
+	row, err := api.ReadRow(i, func(dst []float64) ([]float64, error) { return h.st.Row(i, dst) })
 	if err != nil {
 		return api.RowResponse{}, h.seen(err)
 	}
-	vals, nonfinite := api.RowValues(row)
-	return api.RowResponse{I: i, Values: vals, Nonfinite: nonfinite}, nil
+	h.chargeRowRead(trace.LedgerFrom(ctx), i)
+	return row, nil
 }
 
 func (h *Handler) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error) {
@@ -745,26 +651,14 @@ func (h *Handler) Health(context.Context) api.HealthzResponse {
 	return api.HealthzResponse{Status: "ok"}
 }
 
-// Metrics is the store node's part of /v1/metrics: the cache, plan-cache,
-// store, IO, SVDD and ingest sections of the JSON body. The Prometheus view
-// needs nothing here — registerGauges put the same numbers in the registry.
+// Metrics is the store node's part of /v1/metrics: the plan-cache, store,
+// IO, SVDD and ingest sections of the JSON body. The Prometheus view needs
+// nothing here — registerGauges put the same numbers in the registry.
 func (h *Handler) Metrics(_ context.Context, req api.MetricsRequest) (api.MetricsResponse, error) {
 	if req.Prom {
 		return api.MetricsResponse{}, nil
 	}
 	rows, cols := h.st.Dims()
-	hits, misses := h.hits.Load(), h.misses.Load()
-	cache := map[string]interface{}{
-		"enabled": h.cache != nil,
-		"hits":    hits,
-		"misses":  misses,
-	}
-	if h.cache != nil {
-		cache["capacity"] = h.cache.capacity()
-		cache["size"] = h.cache.len()
-		cache["hit_rate"] = telemetry.Rate(hits, misses)
-		cache["invalidations"] = h.cache.invalidations.Load()
-	}
 	planCache := map[string]interface{}{"enabled": h.plans != nil}
 	if h.plans != nil {
 		ps := h.plans.Stats()
@@ -777,7 +671,6 @@ func (h *Handler) Metrics(_ context.Context, req api.MetricsRequest) (api.Metric
 		planCache["hit_rate"] = telemetry.Rate(ps.Hits, ps.Misses)
 	}
 	body := map[string]interface{}{
-		"cache":             cache,
 		"plan_cache":        planCache,
 		"store_corruptions": h.corruptions.Load(),
 		"store": map[string]interface{}{

@@ -297,8 +297,9 @@ func TestRowsBatchEndpoint(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	srv, _, _ := newTestServer(t, Options{CacheRows: 64})
-	// Generate some traffic first: hits, misses, an error.
+	srv, _, _ := newTestServer(t, Options{})
+	// Generate some traffic first: two cells of one row, an error, an
+	// aggregate.
 	getJSON(t, srv.URL+"/v1/cell?i=5&j=100", http.StatusOK)
 	getJSON(t, srv.URL+"/v1/cell?i=5&j=101", http.StatusOK)
 	getJSON(t, srv.URL+"/v1/cell?i=99999&j=0", http.StatusBadRequest)
@@ -317,20 +318,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if _, ok := lat["buckets"]; !ok {
 		t.Errorf("latency histogram has no buckets: %v", lat)
 	}
-	cache := body["cache"].(map[string]interface{})
-	if cache["enabled"] != true {
-		t.Errorf("cache disabled in metrics: %v", cache)
+	if _, ok := body["cache"]; ok {
+		t.Errorf("metrics report a row cache: %v", body["cache"])
 	}
-	// Second cell of the same row was a hit.
-	if cache["hits"].(float64) < 1 || cache["misses"].(float64) < 1 {
-		t.Errorf("cache counters: %v", cache)
-	}
-	if hr := cache["hit_rate"].(float64); hr <= 0 || hr >= 1 {
-		t.Errorf("hit_rate = %v", hr)
-	}
-	// Disk-access counters of the SVDD U backing are present.
+	// Disk-access counters of the SVDD U backing are present: both cells
+	// of the one row were U accesses, and the aggregate's ten rows too.
 	io := body["io"].(map[string]interface{})
-	if io["row_reads"].(float64) <= 0 {
+	if io["row_reads"].(float64) < 12 {
 		t.Errorf("io counters: %v", io)
 	}
 	if _, ok := body["svdd"]; !ok {
@@ -368,31 +362,62 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestCacheServesRepeatedRows checks the cache fast path end to end: the
-// same row requested twice is reconstructed once, and values agree with
-// the uncached path.
-func TestCacheServesRepeatedRows(t *testing.T) {
+// TestRepeatedRowsCostOneAccessEach: the same row requested three times is
+// reconstructed three times — one U access each, charged on each response
+// — and renders to the same bytes every time.
+func TestRepeatedRowsCostOneAccessEach(t *testing.T) {
 	st, _ := phoneStore(t, 60)
-	cached := NewHandler(st, nil, Options{CacheRows: 16})
-	plain := NewHandler(st, nil, Options{})
-	csrv := httptest.NewServer(cached)
-	defer csrv.Close()
-	psrv := httptest.NewServer(plain)
-	defer psrv.Close()
-
-	want := getJSON(t, psrv.URL+"/v1/row?i=9", http.StatusOK)
-	for range [3]int{} {
-		got := getJSON(t, csrv.URL+"/v1/row?i=9", http.StatusOK)
-		if fmt.Sprint(got["values"]) != fmt.Sprint(want["values"]) {
-			t.Fatal("cached row differs from uncached row")
+	srv := httptest.NewServer(NewHandler(st, nil, Options{}))
+	defer srv.Close()
+	us := query.UStats(st)
+	reads := us.RowReads()
+	var first []byte
+	for k := 0; k < 3; k++ {
+		resp, body := get(t, srv.URL+"/v1/row?i=9", nil)
+		if got := resp.Header.Get("X-Cost-Disk-Accesses"); got != "1" {
+			t.Errorf("read %d: X-Cost-Disk-Accesses = %q, want 1", k, got)
+		}
+		if k == 0 {
+			first = body
+		} else if !bytes.Equal(body, first) {
+			t.Fatalf("read %d of row 9 differs from the first", k)
 		}
 	}
-	hits, misses, size, capacity := cached.CacheStats()
-	if misses != 1 || hits != 2 {
-		t.Errorf("hits=%d misses=%d, want 2/1", hits, misses)
+	if got := us.RowReads() - reads; got != 3 {
+		t.Errorf("3 reads of one row cost %d U-row reads, want 3", got)
 	}
-	if size != 1 || capacity < 16 {
-		t.Errorf("size=%d capacity=%d", size, capacity)
+}
+
+// discardWriter is the least a ResponseWriter can be, so an allocation
+// count measures the handler rather than a recorder.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// TestCellAllocBudget pins what one GET /v1/cell allocates through the
+// whole api.Handler stack, middleware and rendering included: the trace and
+// its ids, the request copy carrying it, the status writer, the request-id
+// header, the ledger snapshot, the finished trace, the cell's boxed body
+// and its value. A reflective encoder, a per-request logger or a parsed
+// url.Values would each blow it.
+func TestCellAllocBudget(t *testing.T) {
+	st, _ := phoneStore(t, 120)
+	h := NewHandler(st, nil, Options{})
+	req := httptest.NewRequest(http.MethodGet, "/v1/cell?i=5&j=100", nil)
+	w := &discardWriter{h: http.Header{}}
+	allocs := testing.AllocsPerRun(200, func() {
+		clear(w.h)
+		h.ServeHTTP(w, req)
+	})
+	if w.h.Get("X-Cost-Disk-Accesses") != "1" {
+		t.Fatalf("cell not served: headers %v", w.h)
+	}
+	t.Logf("GET /v1/cell: %.0f allocations", allocs)
+	const budget = 12
+	if allocs > budget {
+		t.Errorf("GET /v1/cell allocates %.1f times, budget %d", allocs, budget)
 	}
 }
 

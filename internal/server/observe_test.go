@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,7 +14,12 @@ import (
 	"strings"
 	"testing"
 
+	"seqstore/internal/core"
+	"seqstore/internal/dataset"
+	"seqstore/internal/ingest"
+	"seqstore/internal/matio"
 	"seqstore/internal/telemetry"
+	"seqstore/internal/trace"
 )
 
 // updateGolden regenerates the /metrics schema golden files:
@@ -37,54 +43,72 @@ func get(t *testing.T, url string, hdr map[string]string) (*http.Response, []byt
 }
 
 // TestCostHeaderColdWarm pins the paper's one-access claim live over HTTP:
-// a cold cell request costs exactly one disk access (one U-row fetch), and
-// the warm repeat — served from the row cache — costs zero.
+// every cell request costs exactly one disk access (one U-row fetch), the
+// first and the repeat alike; a cell of a §6.2 zero row costs none, and
+// neither does a cell of a hot (just appended) row.
 func TestCostHeaderColdWarm(t *testing.T) {
-	srv, _, _ := newTestServer(t, Options{CacheRows: 64})
-	url := srv.URL + "/v1/cell?i=7&j=100"
-
-	resp, _ := get(t, url, nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
+	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(60))
+	st, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.12, FlagZeroRows: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := resp.Header.Get("X-Cost-Disk-Accesses"); got != "1" {
-		t.Errorf("cold cell: X-Cost-Disk-Accesses = %q, want 1", got)
+	zero := st.ZeroRows()
+	if len(zero) == 0 {
+		t.Fatal("fixture has no flagged zero row")
+	}
+	srv := httptest.NewServer(NewHandler(st, nil, Options{}))
+	defer srv.Close()
+	costOf := func(base string, i, j int) string {
+		t.Helper()
+		resp, body := get(t, fmt.Sprintf("%s/v1/cell?i=%d&j=%d", base, i, j), nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cell (%d, %d): status %d: %s", i, j, resp.StatusCode, body)
+		}
+		return resp.Header.Get("X-Cost-Disk-Accesses")
+	}
+	cold := 1
+	for cold < 60 && st.IsZeroRow(cold) {
+		cold++
+	}
+	for k := 0; k < 3; k++ {
+		if got := costOf(srv.URL, cold, 30); got != "1" {
+			t.Errorf("cell read %d: X-Cost-Disk-Accesses = %q, want 1", k, got)
+		}
+	}
+	if got := costOf(srv.URL, int(zero[0]), 30); got != "0" {
+		t.Errorf("zero-row cell: X-Cost-Disk-Accesses = %q, want 0", got)
 	}
 
-	resp, _ = get(t, url, nil)
-	if got := resp.Header.Get("X-Cost-Disk-Accesses"); got != "0" {
-		t.Errorf("warm cell: X-Cost-Disk-Accesses = %q, want 0", got)
-	}
-
-	// The trace ring tells the same story: newest-first, the warm request
-	// shows a cache hit and no disk access, the cold one the opposite.
+	// The trace ring tells the same story: newest-first, the zero-row cell
+	// read a row without touching the disk, each repeat paid its access.
 	_, body := get(t, srv.URL+"/v1/debug/traces", nil)
 	var traces struct {
 		Traces []struct {
-			Name string `json:"name"`
-			Cost struct {
-				DiskAccesses int64 `json:"disk_accesses"`
-				CacheHits    int64 `json:"cache_hits"`
-				CacheMisses  int64 `json:"cache_misses"`
-				RowsRead     int64 `json:"rows_read"`
-			} `json:"cost"`
+			Name string               `json:"name"`
+			Cost trace.LedgerSnapshot `json:"cost"`
 		} `json:"traces"`
 	}
 	if err := json.Unmarshal(body, &traces); err != nil {
 		t.Fatal(err)
 	}
-	if len(traces.Traces) < 2 {
-		t.Fatalf("ring holds %d traces, want >= 2", len(traces.Traces))
+	if len(traces.Traces) != 4 {
+		t.Fatalf("ring holds %d traces, want 4", len(traces.Traces))
 	}
-	warm, cold := traces.Traces[0], traces.Traces[1]
-	if warm.Name != "/v1/cell" || cold.Name != "/v1/cell" {
-		t.Fatalf("trace names = %q, %q", warm.Name, cold.Name)
+	for k, tr := range traces.Traces {
+		want := trace.LedgerSnapshot{RowsRead: 1, DiskAccesses: 1, PagesTouched: 1}
+		if k == 0 {
+			want = trace.LedgerSnapshot{RowsRead: 1}
+		}
+		if tr.Name != "/v1/cell" || tr.Cost != want {
+			t.Errorf("trace %d: %s cost %+v, want %+v", k, tr.Name, tr.Cost, want)
+		}
 	}
-	if warm.Cost.DiskAccesses != 0 || warm.Cost.CacheHits != 1 {
-		t.Errorf("warm trace cost = %+v, want 0 disk accesses, 1 cache hit", warm.Cost)
-	}
-	if cold.Cost.DiskAccesses != 1 || cold.Cost.CacheMisses != 1 || cold.Cost.RowsRead != 1 {
-		t.Errorf("cold trace cost = %+v, want exactly 1 disk access, 1 miss, 1 row", cold.Cost)
+
+	// A hot row is served from memory.
+	wsrv, _, _, _ := newWritableServer(t, Options{}, ingest.Options{DisableBackground: true})
+	postBulk(t, wsrv.URL, bulkLine(t, "w-0", rampRow(48, 3)), http.StatusOK)
+	if got := costOf(wsrv.URL, 40, 5); got != "0" {
+		t.Errorf("hot cell: X-Cost-Disk-Accesses = %q, want 0", got)
 	}
 }
 
@@ -153,9 +177,9 @@ func TestRequestIDPropagation(t *testing.T) {
 
 // TestMetricsPromLive scrapes the live ?format=prom exposition and runs it
 // through the strict parser: well-formed families, monotone cumulative
-// histograms, and the per-shard cache counters present after traffic.
+// histograms, and the U-row read counter live after traffic.
 func TestMetricsPromLive(t *testing.T) {
-	srv, _, _ := newTestServer(t, Options{CacheRows: 64})
+	srv, _, _ := newTestServer(t, Options{})
 	get(t, srv.URL+"/v1/cell?i=3&j=9", nil)
 	get(t, srv.URL+"/v1/cell?i=3&j=9", nil)
 
@@ -173,19 +197,8 @@ func TestMetricsPromLive(t *testing.T) {
 	if v := pm.Get("seqstore_uptime_seconds"); len(v) != 1 {
 		t.Errorf("seqstore_uptime_seconds = %v", v)
 	}
-	var hits, misses float64
-	for _, s := range pm.Samples {
-		if strings.HasPrefix(s.Name, "seqstore_cache_shard_") {
-			switch {
-			case strings.HasSuffix(s.Name, "_hits_total"):
-				hits += s.Value
-			case strings.HasSuffix(s.Name, "_misses_total"):
-				misses += s.Value
-			}
-		}
-	}
-	if hits < 1 || misses < 1 {
-		t.Errorf("per-shard cache counters not live: hits=%v misses=%v", hits, misses)
+	if v := pm.Get("seqstore_io_row_reads_total"); len(v) != 1 || v[0] < 2 {
+		t.Errorf("seqstore_io_row_reads_total = %v after two cells, want ≥ 2", v)
 	}
 	if pm.Types["seqstore_request_duration_seconds"] != "histogram" {
 		t.Errorf("request duration family type = %q", pm.Types["seqstore_request_duration_seconds"])
@@ -257,7 +270,7 @@ func checkGolden(t *testing.T, name string, got []string) {
 // TestMetricsJSONSchemaGolden pins the key structure of the /v1/metrics
 // JSON body against testdata/metrics_json_schema.golden.
 func TestMetricsJSONSchemaGolden(t *testing.T) {
-	srv, _, _ := newTestServer(t, Options{CacheRows: 64})
+	srv, _, _ := newTestServer(t, Options{})
 	get(t, srv.URL+"/v1/cell?i=1&j=1", nil) // make latency fields non-degenerate
 	body := getJSON(t, srv.URL+"/v1/metrics", http.StatusOK)
 	schema := make(map[string]string)
@@ -272,7 +285,7 @@ func TestMetricsJSONSchemaGolden(t *testing.T) {
 // TestMetricsPromSchemaGolden pins the family names and types of the
 // Prometheus exposition against testdata/metrics_prom_schema.golden.
 func TestMetricsPromSchemaGolden(t *testing.T) {
-	srv, _, _ := newTestServer(t, Options{CacheRows: 64})
+	srv, _, _ := newTestServer(t, Options{})
 	get(t, srv.URL+"/v1/cell?i=1&j=1", nil)
 	_, body := get(t, srv.URL+"/v1/metrics?format=prom", nil)
 	pm, err := telemetry.ParsePrometheus(strings.NewReader(string(body)))

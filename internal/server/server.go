@@ -19,7 +19,8 @@ import (
 type Config struct {
 	// Addr is the listen address; default ":8080".
 	Addr string
-	// CacheRows sizes the LRU row cache; 0 disables it.
+	// CacheRows is ignored, like Options.CacheRows: there is no row cache,
+	// and the field remains only for the benchmark module's literals.
 	CacheRows int
 	// MaxBatchCells / MaxBatchRows / MaxBatchQueries bound the batch
 	// endpoints; 0 selects the package defaults.
@@ -99,7 +100,6 @@ type Server struct {
 // New builds a store-node Server over an open store and optional labels.
 func New(st store.Store, labels *store.Labels, cfg Config) *Server {
 	h := NewHandler(st, labels, Options{
-		CacheRows:       cfg.CacheRows,
 		MaxBatchCells:   cfg.MaxBatchCells,
 		MaxBatchRows:    cfg.MaxBatchRows,
 		MaxBatchQueries: cfg.MaxBatchQueries,

@@ -2,6 +2,7 @@ package svd
 
 import (
 	"fmt"
+	"sync"
 
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
@@ -171,25 +172,15 @@ func (s *Store) UPageSpan(start, end int) int {
 	return matio.PageSpan(s.u, start, end)
 }
 
-// Cell reconstructs x̂[i][j] = Σ_m σ_m·u[i][m]·v[j][m].
+// Cell reconstructs x̂[i][j] = Σ_m σ_m·u[i][m]·v[j][m] with Row's
+// arithmetic for column j, so a cell is bit-equal to its row's entry.
 func (s *Store) Cell(i, j int) (float64, error) {
 	if j < 0 || j >= s.cols {
 		return 0, fmt.Errorf("svd: column %d out of range %d (%w)", j, s.cols, seqerr.ErrOutOfRange)
 	}
-	urow := make([]float64, len(s.sigma))
-	if err := s.u.ReadRow(i, urow); err != nil {
-		return 0, err
-	}
-	return s.cellFromURow(urow, j), nil
-}
-
-func (s *Store) cellFromURow(urow []float64, j int) float64 {
-	vrow := s.v.Row(j)
 	var x float64
-	for m, sig := range s.sigma {
-		x += sig * urow[m] * vrow[m]
-	}
-	return x
+	err := s.withScaledURow(i, func(su []float64) { x = linalg.Dot(su, s.v.Row(j)) })
+	return x, err
 }
 
 // Row reconstructs row i with a single U access plus O(k·M) arithmetic.
@@ -198,18 +189,40 @@ func (s *Store) Row(i int, dst []float64) ([]float64, error) {
 		dst = make([]float64, s.cols)
 	}
 	dst = dst[:s.cols]
-	urow := make([]float64, len(s.sigma))
-	if err := s.u.ReadRow(i, urow); err != nil {
+	err := s.withScaledURow(i, func(su []float64) {
+		for j := range dst {
+			dst[j] = linalg.Dot(su, s.v.Row(j))
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	// Pre-scale by σ so the inner loop is a plain dot product.
-	for m := range urow {
-		urow[m] *= s.sigma[m]
-	}
-	for j := 0; j < s.cols; j++ {
-		dst[j] = linalg.Dot(urow, s.v.Row(j))
-	}
 	return dst, nil
+}
+
+// urowScratch recycles the k-float buffers U rows are read into.
+var urowScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+// withScaledURow reads U row i (one access), pre-scales it by σ so every
+// entry of the row is a plain dot product with a row of V, and hands it to
+// fn; the slice is only valid during the call. Cell and Row both
+// reconstruct through here, which is what keeps them bit-equal.
+func (s *Store) withScaledURow(i int, fn func(su []float64)) error {
+	buf := urowScratch.Get().(*[]float64)
+	defer urowScratch.Put(buf)
+	k := len(s.sigma)
+	if cap(*buf) < k {
+		*buf = make([]float64, k)
+	}
+	su := (*buf)[:k]
+	if err := s.u.ReadRow(i, su); err != nil {
+		return err
+	}
+	for m := range su {
+		su[m] *= s.sigma[m]
+	}
+	fn(su)
+	return nil
 }
 
 // StoredNumbers returns N·k + k + k·M (Eq. 9).

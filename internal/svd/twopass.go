@@ -83,16 +83,15 @@ func AccumulateCWorkers(src matio.RowSource, workers int) (*linalg.Matrix, error
 }
 
 // accumulateRowUpper adds the outer product row·rowᵀ into the upper
-// triangle of c.
+// triangle of c. The row update is linalg.Axpy, bit-identical to the plain
+// loop: unrolled, it runs at one speed wherever the linker places this
+// package, where the plain loop swung by a third with svd's code layout.
 func accumulateRowUpper(c *linalg.Matrix, row []float64) {
 	for j, vj := range row {
 		if vj == 0 {
 			continue
 		}
-		crow := c.Row(j)
-		for l := j; l < len(row); l++ {
-			crow[l] += vj * row[l]
-		}
+		linalg.Axpy(vj, row[j:], c.Row(j)[j:len(row)])
 	}
 }
 

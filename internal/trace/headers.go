@@ -24,30 +24,51 @@ const (
 	HeaderPlanMisses   = "X-Cost-Plan-Misses"
 )
 
-// costHeaders pairs each header name with its LedgerSnapshot accessor, in
-// one place, so Encode and Parse can never drift apart.
-var costHeaders = []struct {
-	name string
-	get  func(*LedgerSnapshot) *int64
-}{
-	{HeaderDiskAccesses, func(s *LedgerSnapshot) *int64 { return &s.DiskAccesses }},
-	{HeaderRowsRead, func(s *LedgerSnapshot) *int64 { return &s.RowsRead }},
-	{HeaderPagesTouched, func(s *LedgerSnapshot) *int64 { return &s.PagesTouched }},
-	{HeaderCacheHits, func(s *LedgerSnapshot) *int64 { return &s.CacheHits }},
-	{HeaderCacheMisses, func(s *LedgerSnapshot) *int64 { return &s.CacheMisses }},
-	{HeaderDeltasProbed, func(s *LedgerSnapshot) *int64 { return &s.DeltasProbed }},
-	{HeaderWorkerChunks, func(s *LedgerSnapshot) *int64 { return &s.WorkerChunks }},
-	{HeaderRowsWritten, func(s *LedgerSnapshot) *int64 { return &s.RowsWritten }},
-	{HeaderPlanHits, func(s *LedgerSnapshot) *int64 { return &s.PlanHits }},
-	{HeaderPlanMisses, func(s *LedgerSnapshot) *int64 { return &s.PlanMisses }},
+type costHeader struct {
+	name  string
+	count *int64
 }
+
+// costHeaders pairs each header name with its LedgerSnapshot field, in one
+// place, so Encode and Parse can never drift apart. A method rather than a
+// table of accessor funcs: the snapshot then stays on the caller's stack.
+func (s *LedgerSnapshot) costHeaders() [10]costHeader {
+	return [...]costHeader{
+		{HeaderDiskAccesses, &s.DiskAccesses},
+		{HeaderRowsRead, &s.RowsRead},
+		{HeaderPagesTouched, &s.PagesTouched},
+		{HeaderCacheHits, &s.CacheHits},
+		{HeaderCacheMisses, &s.CacheMisses},
+		{HeaderDeltasProbed, &s.DeltasProbed},
+		{HeaderWorkerChunks, &s.WorkerChunks},
+		{HeaderRowsWritten, &s.RowsWritten},
+		{HeaderPlanHits, &s.PlanHits},
+		{HeaderPlanMisses, &s.PlanMisses},
+	}
+}
+
+// smallCounts are the header values of the counts a request usually
+// charges — a point read's are all 0s and 1s — formatted once.
+var smallCounts = func() []string {
+	s := make([]string, 256)
+	for n := range s {
+		s[n] = strconv.Itoa(n)
+	}
+	return s
+}()
 
 // EncodeCostHeaders writes the snapshot into h. Every header is always set
 // (zeros included), so a reader can distinguish "cost was zero" from "the
-// peer predates cost headers".
+// peer predates cost headers". The names are canonical and small counts are
+// preformatted, so the headers are assigned, not built: a shared value is a
+// one-element slice with no spare capacity, which an Add cannot write into.
 func EncodeCostHeaders(h http.Header, snap LedgerSnapshot) {
-	for _, ch := range costHeaders {
-		h.Set(ch.name, strconv.FormatInt(*ch.get(&snap), 10))
+	for _, ch := range snap.costHeaders() {
+		if n := *ch.count; n >= 0 && n < int64(len(smallCounts)) {
+			h[ch.name] = smallCounts[n : n+1 : n+1]
+		} else {
+			h[ch.name] = []string{strconv.FormatInt(n, 10)}
+		}
 	}
 }
 
@@ -56,10 +77,10 @@ func EncodeCostHeaders(h http.Header, snap LedgerSnapshot) {
 // when a shard under-reports rather than failing the request.
 func ParseCostHeaders(h http.Header) LedgerSnapshot {
 	var snap LedgerSnapshot
-	for _, ch := range costHeaders {
+	for _, ch := range snap.costHeaders() {
 		if v := h.Get(ch.name); v != "" {
 			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				*ch.get(&snap) = n
+				*ch.count = n
 			}
 		}
 	}

@@ -11,13 +11,23 @@ func TestCostHeadersRoundTrip(t *testing.T) {
 		DeltasProbed: 11, WorkerChunks: 4, DiskAccesses: 9,
 		RowsWritten: 5, PlanHits: 6, PlanMisses: 8,
 	}
-	h := make(http.Header)
-	EncodeCostHeaders(h, snap)
-	if got := ParseCostHeaders(h); got != snap {
-		t.Fatalf("round trip: got %+v, want %+v", got, snap)
+	for _, big := range []int64{0, 255, 256, 1 << 40} {
+		snap.RowsRead = big
+		h := make(http.Header)
+		EncodeCostHeaders(h, snap)
+		if got := ParseCostHeaders(h); got != snap {
+			t.Fatalf("round trip: got %+v, want %+v", got, snap)
+		}
+		// The headers are assigned, not Set, so their names must already
+		// be canonical, and a shared value must not be appendable in place.
+		for name, v := range h {
+			if http.CanonicalHeaderKey(name) != name || len(v) != 1 || cap(v) != 1 {
+				t.Fatalf("header %q = %q (cap %d)", name, v, cap(v))
+			}
+		}
 	}
 	// Zeros are written explicitly, not omitted.
-	h = make(http.Header)
+	h := make(http.Header)
 	EncodeCostHeaders(h, LedgerSnapshot{})
 	if h.Get(HeaderDiskAccesses) != "0" {
 		t.Fatalf("zero disk accesses not encoded: %q", h.Get(HeaderDiskAccesses))

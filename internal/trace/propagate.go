@@ -30,11 +30,6 @@ type SpanContext struct {
 	SpanID  string // 16 lowercase hex characters
 }
 
-// NewTraceID returns a fresh 32-hex-character trace ID.
-func NewTraceID() string {
-	return NewRequestID() + NewRequestID()
-}
-
 // Valid reports whether both fields have the exact W3C shape and are not
 // all-zero.
 func (sc SpanContext) Valid() bool {

@@ -16,9 +16,7 @@ package trace
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"log/slog"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,20 +24,30 @@ import (
 
 // --- Request IDs -----------------------------------------------------------
 
-// fallbackID seeds distinct IDs if crypto/rand ever fails (it practically
-// cannot; the counter keeps NewRequestID total anyway).
-var fallbackID atomic.Uint64
-
-// NewRequestID returns a fresh 16-hex-character request ID.
-func NewRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		v := fallbackID.Add(1) ^ uint64(time.Now().UnixNano())
-		for i := range b {
-			b[i] = byte(v >> (8 * i))
+// mintIDs returns id and 16·words fresh hex characters for the trace's
+// own ids, minting a 16-hex request id in front of them when id is ""
+// (the client sent none, or one SanitizeRequestID refused): all of it
+// one string, one allocation. IDs name requests and guard nothing, so they
+// come from the runtime's per-thread generator: no system call, no
+// scratch buffer.
+func mintIDs(id string, words int) (string, string) {
+	const digits = "0123456789abcdef"
+	var buf [64]byte
+	if id == "" {
+		words++
+	}
+	b := buf[:16*words]
+	for w := 0; w < words; w++ {
+		v := rand.Uint64()
+		for k := 0; k < 16; k++ {
+			b[16*w+k] = digits[v>>(60-4*k)&0xf]
 		}
 	}
-	return hex.EncodeToString(b[:])
+	ids := string(b)
+	if id == "" {
+		return ids[:16], ids[16:]
+	}
+	return id, ids
 }
 
 // MaxRequestIDLen bounds the length of a client-supplied request ID.
@@ -69,14 +77,16 @@ func SanitizeRequestID(s string) string {
 // --- Cost ledger -----------------------------------------------------------
 
 // Ledger attributes the paper's cost model to one request. All counters are
-// atomics and every method is nil-safe, so instrumented code (the row cache,
-// the query engine's workers) adds unconditionally; with no trace on the
-// context the adds simply vanish.
+// atomics and every method is nil-safe, so instrumented code (a store
+// node's point reads, the query engine's workers) adds unconditionally;
+// with no trace on the context the adds simply vanish.
 //
 // DiskAccesses counts U-row fetches in the paper's block model (one row =
 // one block = one access, matching matio.Stats.RowReads); PagesTouched
 // counts the distinct checksummed v2 pages those fetches hit, which is what
-// an OS page cache actually sees.
+// an OS page cache actually sees. Nothing charges the two cache counts:
+// they are only summed from peers' snapshots, so the X-Cost-Cache-* headers
+// the /v1 contract pins keep their wire form.
 type Ledger struct {
 	rowsRead     atomic.Int64
 	pagesTouched atomic.Int64
@@ -101,20 +111,6 @@ func (l *Ledger) AddRowsRead(n int64) {
 func (l *Ledger) AddPagesTouched(n int64) {
 	if l != nil {
 		l.pagesTouched.Add(n)
-	}
-}
-
-// CacheHit records one row-cache hit.
-func (l *Ledger) CacheHit() {
-	if l != nil {
-		l.cacheHits.Add(1)
-	}
-}
-
-// CacheMiss records one row-cache miss.
-func (l *Ledger) CacheMiss() {
-	if l != nil {
-		l.cacheMisses.Add(1)
 	}
 }
 
@@ -272,30 +268,33 @@ type Trace struct {
 	spans []SpanSnapshot
 }
 
-// New starts a root trace with a fresh trace id. name is the endpoint
-// pattern (never the raw URL: the traces endpoint serves these verbatim, and
-// query strings can carry customer labels that must not leak into debug
-// output).
+// New starts a root trace with a fresh trace id; an empty request id is
+// replaced by a fresh 16-hex one. name is the endpoint pattern (never the
+// raw URL: the traces endpoint serves these verbatim, and query strings can
+// carry customer labels that must not leak into debug output).
 func New(id, name string) *Trace {
+	id, ids := mintIDs(id, 3)
 	return &Trace{
 		id: id, name: name,
-		traceID: NewTraceID(), spanID: NewRequestID(),
+		traceID: ids[:32], spanID: ids[32:],
 		start: time.Now(),
 	}
 }
 
 // NewChild starts a trace that joins an existing distributed trace: it
 // adopts the parent's trace id, records the parent span id, and mints a
-// fresh span id for this process. The server uses this when a request
-// arrives with a valid traceparent header (typically from the proxy), so
-// shard-side spans and ledger splits land under the caller's trace id.
+// fresh span id for this process (and, like New, a request id when id is
+// empty). The server uses this when a request arrives with a valid
+// traceparent header (typically from the proxy), so shard-side spans and
+// ledger splits land under the caller's trace id.
 func NewChild(id, name string, parent SpanContext) *Trace {
 	if !parent.Valid() {
 		return New(id, name)
 	}
+	id, spanID := mintIDs(id, 1)
 	return &Trace{
 		id: id, name: name,
-		traceID: parent.TraceID, spanID: NewRequestID(), parentSpanID: parent.SpanID,
+		traceID: parent.TraceID, spanID: spanID, parentSpanID: parent.SpanID,
 		start: time.Now(),
 	}
 }
@@ -406,7 +405,6 @@ func (t *Trace) Finish(status int) *TraceSnapshot {
 
 type traceKey struct{}
 type ledgerKey struct{}
-type loggerKey struct{}
 
 // NewContext returns ctx carrying tr.
 func NewContext(ctx context.Context, tr *Trace) context.Context {
@@ -442,19 +440,4 @@ func LedgerFrom(ctx context.Context) *Ledger {
 // context is untraced).
 func StartSpan(ctx context.Context, name string) *Span {
 	return FromContext(ctx).StartSpan(name)
-}
-
-// WithLogger returns ctx carrying a request-scoped logger (typically
-// base.With("request_id", id)).
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, loggerKey{}, l)
-}
-
-// LoggerFrom returns the context's request-scoped logger, falling back to
-// slog.Default() so callers can always log.
-func LoggerFrom(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(loggerKey{}).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return slog.Default()
 }
