@@ -71,12 +71,15 @@ bench-smoke:
 
 check: vet race golden-check metrics-golden fuzz-smoke bench-smoke
 
-# bench-gate measures the working tree against PARENT by the rule a claimed
-# gain must pass: PAIRS alternating 15 s runs of WORKLOAD, seeds 1..PAIRS,
-# each side's benchmark built once (the parent's from a git archive in a
-# temporary directory). It prints per end-to-end metric both medians, the
-# parent's IQR, the change's wins and its shift against the bound in
-# BENCHMARK.json, and fails if any run reports correct: false.
+# bench-gate measures the working tree against PARENT: PAIRS alternating
+# 15 s runs of each workload in the comma-separated WORKLOAD, seeds
+# 1..PAIRS, each side's benchmark built once (the parent's from a git
+# archive in a temporary directory). It prints per end-to-end metric both
+# medians, the parent's IQR, the change's wins, its shift against the bound
+# in BENCHMARK.json and a verdict, and fails if any median is worse than the
+# parent's by more than its bound (the rule a change claiming no gain is
+# held to), any run reports correct: false, or any op failed:
+#	make bench-gate WORKLOAD=point_read,agg_adhoc,proxy_mixed,ingest_mixed PAIRS=5
 PARENT ?= HEAD
 WORKLOAD ?= point_read
 PAIRS ?= 10

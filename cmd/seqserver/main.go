@@ -27,13 +27,16 @@
 //	/v1/info                      store metadata; behind -topology, global
 //	                              dimensions composed from the shards plus
 //	                              the shard map
-//	/v1/cell?i=42&j=180           one reconstructed cell (routed to the
-//	                              shard owning row i)
+//	/v1/cell?i=42&j=180           one reconstructed cell: the /v1/cells
+//	                              batch of one (behind -topology, one
+//	                              exchange with the shard owning row i)
 //	/v1/cell?row=GHI+Inc.&col=We  the same, by axis labels (store node only:
 //	                              the label maps live with the data)
 //	/v1/cells?at=42:180,42:181    batch cell lookups (fanned out by shard,
+//	                              one request per touched shard,
 //	                              reassembled in request order)
-//	/v1/row?i=42                  one reconstructed sequence
+//	/v1/row?i=42                  one reconstructed sequence: the /v1/rows
+//	                              batch of one
 //	/v1/rows?i=0:8,17             batch row reconstruction
 //	/v1/aggregate                 POST {"f":"avg","rows":"0:1000",
 //	                              "cols":"180:187"}: aggregate over a
@@ -45,14 +48,18 @@
 //	                              chosen plan, plan-cache outcome, row-run
 //	                              schedule and cost estimates next to the
 //	                              executed ledger (no extra disk accesses;
-//	                              exact on a cold store). Behind -topology
-//	                              the selection splits by shard row range,
-//	                              each shard evaluates its fragment into an
-//	                              exact mergeable partial, and the merged
-//	                              value is bit-identical to a single node
-//	                              evaluating the unsplit selection
+//	                              exact on a cold store). It is the
+//	                              /v1/aggregate/batch of one, answered with
+//	                              the lone body and error envelope
 //	/v1/aggregate/batch           POST: N aggregates in one request sharing
-//	                              one pass over the selections' U-row union;
+//	                              one pass over the selections' U-row union
+//	                              (a batch of one shares nothing). Behind
+//	                              -topology each selection splits by shard
+//	                              row range, each touched shard evaluates
+//	                              its fragments of the whole batch into
+//	                              exact mergeable partials, and each merged
+//	                              value is bit-identical to a single node
+//	                              evaluating the unsplit selection;
 //	                              body {"queries":[{"f":"sum","rows":"0:64",
 //	                              "cols":"0:24"},...]}, per-item status in
 //	                              the response like /v1/bulk; "explain"

@@ -184,8 +184,9 @@ type BatchAggregateRequest struct {
 }
 
 // BatchAggregateItem is one query's outcome inside a batch response;
-// queries fail independently, so each carries its own status and error
-// message.
+// queries fail independently, so each carries its own status, and a failed
+// one the error envelope's code and message — which is what lets a proxy
+// render a lone aggregate's shard failure as the store node would.
 type BatchAggregateItem struct {
 	Status    int      `json:"status"`
 	F         string   `json:"f,omitempty"`
@@ -195,6 +196,7 @@ type BatchAggregateItem struct {
 	Nonfinite string   `json:"nonfinite,omitempty"`
 	Partial   string   `json:"partial,omitempty"`
 	Explain   *Explain `json:"explain,omitempty"`
+	Code      string   `json:"code,omitempty"`
 	Error     string   `json:"error,omitempty"`
 }
 

@@ -3,6 +3,7 @@ package api
 import (
 	"context"
 	"io"
+	"net/http"
 
 	"seqstore/internal/query"
 )
@@ -24,17 +25,16 @@ type Backend interface {
 	Dims(ctx context.Context) (rows, cols int, err error)
 	Info(ctx context.Context) (InfoResponse, error)
 
-	Cell(ctx context.Context, req CellRequest) (CellResponse, error)
-	Row(ctx context.Context, i int) (RowResponse, error)
-	// Cells and Rows answer in request order; a failing element fails the
-	// request.
-	Cells(ctx context.Context, coords [][2]int) ([]CellResponse, error)
+	// Cells and Rows answer in request order; the first failing element
+	// fails the request with its own error, unprefixed (the store's errors
+	// name the index). A lone /v1/cell or /v1/row is a batch of one.
+	Cells(ctx context.Context, reqs []CellRequest) ([]CellResponse, error)
 	Rows(ctx context.Context, idx []int) ([]RowResponse, error)
 
-	Aggregate(ctx context.Context, q AggregateQuery) (AggregateResponse, error)
-	// AggregateBatch returns one item per query, in order. A query that
-	// fails costs its item a non-200 status; an error fails the batch.
-	AggregateBatch(ctx context.Context, b BatchQuery) ([]BatchAggregateItem, error)
+	// AggregateBatch returns one result per query, in order; a query that
+	// fails carries its error in its result, and an error return fails the
+	// whole batch. A lone /v1/aggregate is a batch of one.
+	AggregateBatch(ctx context.Context, b BatchQuery) ([]AggregateResult, error)
 
 	// Bulk takes the raw NDJSON body: the local backend parses it, the
 	// proxy forwards the bytes to the open shard unparsed.
@@ -67,10 +67,18 @@ type AggregateQuery struct {
 	Explain bool
 }
 
-// Item starts the query's batch item: status 200 with the echoed fields
-// filled in, the result left to the backend.
-func (q AggregateQuery) Item() BatchAggregateItem {
-	return BatchAggregateItem{Status: 200, F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}
+// Response starts the query's answer: the echoed fields filled in, the
+// result left to the backend.
+func (q AggregateQuery) Response() AggregateResponse {
+	return AggregateResponse{F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}
+}
+
+// AggregateResult is one query's outcome from Backend.AggregateBatch: its
+// answer, or the error that failed it alone. The HTTP layer renders the
+// error as the /v1/aggregate error envelope or as a failed batch item.
+type AggregateResult struct {
+	Response AggregateResponse
+	Err      error
 }
 
 // BatchQuery is the valid queries of one /v1/aggregate/batch request
@@ -82,10 +90,16 @@ type BatchQuery struct {
 	Partial bool
 }
 
-// ErrorItem is the batch item of a query that failed with err.
-func ErrorItem(err error) BatchAggregateItem {
-	status, _ := Classify(err)
-	return BatchAggregateItem{Status: status, Error: err.Error()}
+// item is the result's /v1/aggregate/batch item: a failed query's carries
+// the status and code its error classifies to and the error's message.
+func (r AggregateResult) item() BatchAggregateItem {
+	if r.Err != nil {
+		status, code := Classify(r.Err)
+		return BatchAggregateItem{Status: status, Code: code, Error: r.Err.Error()}
+	}
+	a := r.Response
+	return BatchAggregateItem{Status: http.StatusOK, F: a.F, Rows: a.Rows, Cols: a.Cols,
+		Value: a.Value, Nonfinite: a.Nonfinite, Partial: a.Partial, Explain: a.Explain}
 }
 
 // MetricsRequest selects the /v1/metrics view: Scope is the ?scope=

@@ -99,11 +99,24 @@ func listen(t *testing.T, h http.Handler) string {
 	return srv.URL
 }
 
+// contractLabels names the rows r0, r1, … and the columns c0, c1, … of a
+// rows×cols store, so store nodes answer label-addressed cells too.
+func contractLabels(rows, cols int) *store.Labels {
+	l := &store.Labels{}
+	for i := 0; i < rows; i++ {
+		l.Rows = append(l.Rows, fmt.Sprintf("r%d", i))
+	}
+	for j := 0; j < cols; j++ {
+		l.Cols = append(l.Cols, fmt.Sprintf("c%d", j))
+	}
+	return l
+}
+
 func localShape(t *testing.T, name string, st store.Store) *shape {
 	t.Helper()
 	sh := &shape{name: name, log: &syncBuffer{}}
 	_, sh.writable = st.(*ingest.Tiered)
-	sh.url = listen(t, server.NewHandler(st, nil, server.Options{
+	sh.url = listen(t, server.NewHandler(st, contractLabels(st.Dims()), server.Options{
 		MaxBatchCells: limitCells, MaxBatchRows: limitRows, MaxBatchQueries: limitQueries,
 		Logger: frontLogger(sh.log), SlowQuery: time.Nanosecond,
 	}))
@@ -342,7 +355,7 @@ func run(t *testing.T, shapes []*shape, cases []contractCase) {
 						t.Errorf("no %s header", trace.HeaderRequestID)
 					}
 					for _, h := range []string{trace.HeaderDiskAccesses, trace.HeaderRowsRead,
-						trace.HeaderCacheHits, trace.HeaderCacheMisses, trace.HeaderWorkerChunks} {
+						trace.HeaderWorkerChunks} {
 						if _, err := strconv.ParseInt(r.header.Get(h), 10, 64); err != nil {
 							t.Errorf("%s = %q, want a count", h, r.header.Get(h))
 						}
@@ -443,8 +456,8 @@ func TestV1Contract(t *testing.T) {
 			hdr: map[string]string{trace.HeaderRequestID: "slow-line"}, wantStatus: 200,
 			check: func(t *testing.T, sh *shape, _ reply) {
 				rec := sh.logLine(t, "slow-line")
-				for _, key := range []string{"disk_accesses", "rows_read", "pages_touched", "cache_hits",
-					"cache_misses", "deltas_probed", "worker_chunks", "trace_id"} {
+				for _, key := range []string{"disk_accesses", "rows_read", "pages_touched",
+					"deltas_probed", "worker_chunks", "trace_id"} {
 					if _, ok := rec[key]; !ok {
 						t.Errorf("slow-query line lacks %q: %v", key, rec)
 					}
@@ -550,6 +563,86 @@ func TestV1Contract(t *testing.T) {
 					}
 				}
 			}},
+		{name: "a lone read or aggregate is its batch of one", method: "GET", path: "/v1/cell?i=0&j=0", wantStatus: 200,
+			check: func(t *testing.T, sh *shape, _ reply) {
+				// pair fetches the lone form and its batch of one, and returns
+				// both bodies once their statuses and disk accesses agree.
+				pair := func(lone, batch [3]string) (reply, reply) {
+					t.Helper()
+					a := sh.do(t, lone[0], lone[1], lone[2], nil)
+					b := sh.do(t, batch[0], batch[1], batch[2], nil)
+					if a.status != 200 || b.status != 200 {
+						t.Fatalf("%s: %d %s; %s: %d %s", lone[1], a.status, a.raw, batch[1], b.status, b.raw)
+					}
+					if da, db := a.header.Get(trace.HeaderDiskAccesses), b.header.Get(trace.HeaderDiskAccesses); da != db {
+						t.Errorf("%s costs %s disk accesses, %s costs %s", lone[1], da, batch[1], db)
+					}
+					return a, b
+				}
+				// element is the one element of a point-read batch body.
+				element := func(r reply, key string, k int) json.RawMessage {
+					t.Helper()
+					var body map[string]json.RawMessage
+					var list []json.RawMessage
+					if err := json.Unmarshal(r.raw, &body); err != nil || json.Unmarshal(body[key], &list) != nil || len(list) <= k {
+						t.Fatalf("batch body %s: %v", r.raw, err)
+					}
+					return list[k]
+				}
+				get := func(path string) [3]string { return [3]string{"GET", path, ""} }
+				for _, c := range [][2]int{{0, 0}, {5, 7}, {contractRows/2 - 1, 3}, {contractRows / 2, 11}, {contractRows - 1, contractCols - 1}} {
+					lone, batch := pair(get(fmt.Sprintf("/v1/cell?i=%d&j=%d", c[0], c[1])), get(fmt.Sprintf("/v1/cells?at=%d:%d", c[0], c[1])))
+					if el := element(batch, "cells", 0); !bytes.Equal(bytes.TrimSpace(lone.raw), el) {
+						t.Errorf("/v1/cell %v = %s, its batch of one %s", c, lone.raw, el)
+					}
+					if sh.shards != nil {
+						continue // label maps live on the store nodes
+					}
+					lone, _ = pair(get(fmt.Sprintf("/v1/cell?row=r%d&col=c%d", c[0], c[1])), get(fmt.Sprintf("/v1/cells?at=%d:%d", c[0], c[1])))
+					var byLabel, byIndex api.CellResponse
+					if json.Unmarshal(lone.raw, &byLabel) != nil || json.Unmarshal(element(batch, "cells", 0), &byIndex) != nil ||
+						byLabel.I != c[0] || byLabel.J != c[1] || byLabel.Row != fmt.Sprintf("r%d", c[0]) || byLabel.Value == nil ||
+						math.Float64bits(*byLabel.Value) != math.Float64bits(*byIndex.Value) {
+						t.Errorf("label cell %v = %s, its batch of one %+v", c, lone.raw, byIndex)
+					}
+				}
+				for _, i := range []int{0, contractRows/2 - 1, contractRows / 2, contractRows - 1} {
+					lone, batch := pair(get(fmt.Sprintf("/v1/row?i=%d", i)), get(fmt.Sprintf("/v1/rows?i=%d", i)))
+					if el := element(batch, "rows", 0); !bytes.Equal(bytes.TrimSpace(lone.raw), el) {
+						t.Errorf("/v1/row?i=%d = %s, its batch of one %s", i, lone.raw, el)
+					}
+				}
+				for _, f := range []string{"sum", "avg", "stddev", "min", "max", "count"} {
+					for _, explain := range []bool{false, true} {
+						q := fmt.Sprintf(`{"f":%q,"rows":"3:30,40","cols":"2:9","explain":%v}`, f, explain)
+						lone, batch := pair([3]string{"POST", "/v1/aggregate", q}, [3]string{"POST", "/v1/aggregate/batch", `{"queries":[` + q + `]}`})
+						var a api.AggregateResponse
+						var b api.BatchAggregateResponse
+						if err := json.Unmarshal(lone.raw, &a); err != nil {
+							t.Fatal(err)
+						}
+						if err := json.Unmarshal(batch.raw, &b); err != nil || len(b.Items) != 1 {
+							t.Fatalf("batch of one %s: %v", batch.raw, err)
+						}
+						it := b.Items[0]
+						if it.Status != 200 || it.F != a.F || it.Rows != a.Rows || it.Cols != a.Cols ||
+							math.Float64bits(api.NumValue(it.Value, it.Nonfinite)) != math.Float64bits(api.NumValue(a.Value, a.Nonfinite)) {
+							t.Errorf("%s: /v1/aggregate %s, its batch of one %s", q, lone.raw, batch.raw)
+						}
+						if (a.Explain != nil) != explain || (it.Explain != nil) != explain {
+							t.Fatalf("%s: explain blocks %v and %v", q, a.Explain, it.Explain)
+						}
+						if explain {
+							ea, eb := *a.Explain, *it.Explain
+							if ea.Plan != eb.Plan || ea.Cells != eb.Cells || ea.EstDiskAccesses != eb.EstDiskAccesses ||
+								ea.EstRowsRead != eb.EstRowsRead || ea.Cost.DiskAccesses != eb.Cost.DiskAccesses ||
+								len(ea.Shards) != len(eb.Shards) {
+								t.Errorf("%s: explain %+v, its batch of one %+v", q, ea, eb)
+							}
+						}
+					}
+				}
+			}},
 
 		// --- the three batch limits ---
 		{name: "cells at the limit", method: "GET", path: "/v1/cells?at=0:0,0:1,1:0,1:1", wantStatus: 200},
@@ -569,6 +662,18 @@ func TestV1Contract(t *testing.T) {
 			wantCode: api.CodeOutOfRange},
 		{name: "cell column out of range", method: "GET", path: "/v1/cell?i=0&j=-1", wantStatus: 400,
 			wantCode: api.CodeOutOfRange},
+		// The failing element's own error fails the batch, unprefixed, as it
+		// fails its lone twin — on a node, and through a proxy whose other
+		// shard answered.
+		{name: "a failing cell fails its batch as it fails alone", method: "GET",
+			path: fmt.Sprintf("/v1/cells?at=0:0,%d:%d", contractRows-1, contractCols), wantStatus: 400,
+			wantCode: api.CodeOutOfRange, wantMessage: fmt.Sprintf("column %d out of range %d", contractCols, contractCols),
+			check: func(t *testing.T, sh *shape, r reply) {
+				lone := sh.do(t, "GET", fmt.Sprintf("/v1/cell?i=%d&j=%d", contractRows-1, contractCols), "", nil)
+				if a, b := r.errorDetail(t), lone.errorDetail(t); lone.status != r.status || a.Code != b.Code || a.Message != b.Message {
+					t.Errorf("batch fails with %d %+v, the lone cell with %d %+v", r.status, a, lone.status, b)
+				}
+			}},
 		{name: "cells spec malformed", method: "GET", path: "/v1/cells?at=5", wantStatus: 400,
 			wantCode: api.CodeBadRequest, wantMessage: `bad cell "5": want i:j`},
 		{name: "cells without at", method: "GET", path: "/v1/cells", wantStatus: 400,

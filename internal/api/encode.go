@@ -19,14 +19,15 @@ var errNonFinite = errors.New("api: JSON has no non-finite numbers")
 
 // appendBody appends body's JSON: the point-read bodies through their
 // encoders, recycling a store node's row buffers once rendered, anything
-// else through encoding/json.
+// else through encoding/json. A lone cell or row comes as a pointer to its
+// batch-of-one element, which boxes without a copy.
 func appendBody(b []byte, body interface{}) ([]byte, error) {
 	switch v := body.(type) {
-	case CellResponse:
+	case *CellResponse:
 		return v.appendJSON(b)
 	case CellsResponse:
 		return v.appendJSON(b)
-	case RowResponse:
+	case *RowResponse:
 		defer v.recycle()
 		return v.appendJSON(b)
 	case RowsResponse:

@@ -72,12 +72,12 @@ func TestPointReadBodiesMatchEncodingJSON(t *testing.T) {
 	var cells []CellResponse
 	for k, v := range edgeValues {
 		c := cellOf(k, -k, v, "", "")
-		requireSameJSON(t, "cell", c, c)
+		requireSameJSON(t, "cell", &c, c)
 		cells = append(cells, c)
 	}
 	for _, l := range edgeLabels {
 		c := cellOf(1, 2, 0.5, l, "col "+l)
-		requireSameJSON(t, "labelled cell", c, c)
+		requireSameJSON(t, "labelled cell", &c, c)
 		cells = append(cells, c)
 	}
 	for _, cs := range [][]CellResponse{nil, {}, cells} {
@@ -89,18 +89,19 @@ func TestPointReadBodiesMatchEncodingJSON(t *testing.T) {
 	// becomes a clean 500, never invalid JSON.
 	nan := math.NaN()
 	bad := CellResponse{Value: &nan}
-	requireSameJSON(t, "non-finite value", bad, bad)
+	requireSameJSON(t, "non-finite value", &bad, bad)
 	requireSameJSON(t, "non-finite in a batch", CellsResponse{Count: 2, Cells: []CellResponse{cells[0], bad}},
 		CellsResponse{Count: 2, Cells: []CellResponse{cells[0], bad}})
-	requireSameJSON(t, "non-finite in a row", RowResponse{Values: []*float64{&nan}}, RowResponse{Values: []*float64{&nan}})
+	requireSameJSON(t, "non-finite in a row", &RowResponse{Values: []*float64{&nan}}, RowResponse{Values: []*float64{&nan}})
 
 	var stored, wire []RowResponse
 	for i, row := range [][]float64{nil, {}, edgeValues, {42}} {
-		requireSameJSON(t, "stored row", storeRow(t, i, row), wireRow(i, row))
-		requireSameJSON(t, "decoded row", wireRow(i, row), wireRow(i, row))
+		stored1, wire1 := storeRow(t, i, row), wireRow(i, row)
+		requireSameJSON(t, "stored row", &stored1, wire1)
+		requireSameJSON(t, "decoded row", &wire1, wire1)
 		stored, wire = append(stored, storeRow(t, i, row)), append(wire, wireRow(i, row))
 	}
-	requireSameJSON(t, "row without values", RowResponse{I: 3}, RowResponse{I: 3})
+	requireSameJSON(t, "row without values", &RowResponse{I: 3}, RowResponse{I: 3})
 	for _, rs := range [][2][]RowResponse{{nil, nil}, {{}, {}}, {stored, wire}, {wire, wire}} {
 		requireSameJSON(t, "rows", RowsResponse{Count: len(rs[0]), Rows: rs[0]}, RowsResponse{Count: len(rs[1]), Rows: rs[1]})
 	}
@@ -115,11 +116,12 @@ func FuzzPointReadEncoding(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, i, j int, v, w float64, rowLabel, colLabel string) {
 		c := cellOf(i, j, v, rowLabel, colLabel)
-		requireSameJSON(t, "cell", c, c)
+		requireSameJSON(t, "cell", &c, c)
 		cs := []CellResponse{c, cellOf(j, i, w, colLabel, "")}
 		requireSameJSON(t, "cells", CellsResponse{Count: i, Cells: cs}, CellsResponse{Count: i, Cells: cs})
 		row := []float64{v, w, v * w, v + w}
-		requireSameJSON(t, "row", storeRow(t, i, row), wireRow(i, row))
+		stored := storeRow(t, i, row)
+		requireSameJSON(t, "row", &stored, wireRow(i, row))
 		requireSameJSON(t, "rows",
 			RowsResponse{Count: j, Rows: []RowResponse{storeRow(t, i, row), wireRow(j, row[:2])}},
 			RowsResponse{Count: j, Rows: []RowResponse{wireRow(i, row), wireRow(j, row[:2])}})

@@ -239,8 +239,6 @@ func (h *Handler) logRequest(pattern string, snap *trace.TraceSnapshot, elapsed 
 			"disk_accesses", c.DiskAccesses,
 			"rows_read", c.RowsRead,
 			"pages_touched", c.PagesTouched,
-			"cache_hits", c.CacheHits,
-			"cache_misses", c.CacheMisses,
 			"deltas_probed", c.DeltasProbed,
 			"worker_chunks", c.WorkerChunks,
 		)
@@ -293,14 +291,16 @@ type statusWriter struct {
 	http.ResponseWriter
 	status int
 	tr     *trace.Trace
-	traced bool // the request carried a valid traceparent
+	traced bool      // the request carried a valid traceparent
+	id     [1]string // the X-Request-Id value, held here so it is not allocated
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	if w.status == 0 {
 		w.status = code
 		hdr := w.Header()
-		hdr[trace.HeaderRequestID] = []string{w.tr.ID()}
+		w.id[0] = w.tr.ID()
+		hdr[trace.HeaderRequestID] = w.id[:]
 		trace.EncodeCostHeaders(hdr, w.tr.Ledger.Snapshot())
 		if w.traced {
 			if spans := trace.EncodeSpanHeader(w.tr.Spans()); spans != "" {
@@ -325,7 +325,7 @@ func (h *Handler) info(r *http.Request) (interface{}, error) {
 }
 
 // cell answers /v1/cell?i=42&j=180, or the label-addressed form
-// /v1/cell?row=GHI+Inc.&col=We.
+// /v1/cell?row=GHI+Inc.&col=We, as a batch of one.
 func (h *Handler) cell(r *http.Request) (interface{}, error) {
 	q := r.URL.RawQuery
 	req := CellRequest{Row: queryValue(q, "row"), Col: queryValue(q, "col")}
@@ -337,16 +337,27 @@ func (h *Handler) cell(r *http.Request) (interface{}, error) {
 			return nil, Invalid("cell needs integer i and j (or label row and col) parameters")
 		}
 	}
-	return h.b.Cell(r.Context(), req)
+	cells, err := h.b.Cells(r.Context(), []CellRequest{req})
+	if err != nil {
+		return nil, err
+	}
+	return &cells[0], nil
 }
 
 // cells answers a batch of cell lookups in one request:
 // /v1/cells?at=5:100,7:200 (repeated at= parameters also accepted),
 // amortizing per-request HTTP overhead across many reconstructions.
 func (h *Handler) cells(r *http.Request) (interface{}, error) {
-	var coords [][2]int
-	for _, spec := range r.URL.Query()["at"] {
-		for _, part := range strings.Split(spec, ",") {
+	var reqs []CellRequest
+	for q := r.URL.RawQuery; ; {
+		spec, rest, ok := nextQueryValue(q, "at")
+		if !ok {
+			break
+		}
+		q = rest
+		for more := true; more; {
+			var part string
+			part, spec, more = strings.Cut(spec, ",")
 			part = strings.TrimSpace(part)
 			is, js, ok := strings.Cut(part, ":")
 			if !ok {
@@ -357,34 +368,40 @@ func (h *Handler) cells(r *http.Request) (interface{}, error) {
 			if err1 != nil || err2 != nil {
 				return nil, Invalid("bad cell %q: want integer i:j", part)
 			}
-			coords = append(coords, [2]int{i, j})
+			reqs = append(reqs, CellRequest{I: i, J: j})
 		}
 	}
-	if len(coords) == 0 {
+	if len(reqs) == 0 {
 		return nil, Invalid("cells needs at=i:j[,i:j...] parameters")
 	}
-	if len(coords) > h.cfg.MaxBatchCells {
-		return nil, Invalid("batch of %d cells exceeds limit %d", len(coords), h.cfg.MaxBatchCells)
+	if len(reqs) > h.cfg.MaxBatchCells {
+		return nil, Invalid("batch of %d cells exceeds limit %d", len(reqs), h.cfg.MaxBatchCells)
 	}
-	cells, err := h.b.Cells(r.Context(), coords)
+	cells, err := h.b.Cells(r.Context(), reqs)
 	if err != nil {
 		return nil, err
 	}
 	return CellsResponse{Count: len(cells), Cells: cells}, nil
 }
 
+// row answers /v1/row?i=42 as a batch of one.
 func (h *Handler) row(r *http.Request) (interface{}, error) {
 	i, err := strconv.Atoi(queryValue(r.URL.RawQuery, "i"))
 	if err != nil {
 		return nil, Invalid("row needs an integer i parameter")
 	}
-	return h.b.Row(r.Context(), i)
+	rows, err := h.b.Rows(r.Context(), []int{i})
+	if err != nil {
+		return nil, err
+	}
+	return &rows[0], nil
 }
 
-// queryValue is url.Values.Get over the parsed raw query without building
-// the map: the first value of key, under url.ParseQuery's rules — pairs
-// split on '&', a pair holding ';' or failing to unescape is skipped.
-func queryValue(rawQuery, key string) string {
+// nextQueryValue is url.Values over the parsed raw query without building
+// the map: the next value of key and the query after it, under
+// url.ParseQuery's rules — pairs split on '&', a pair holding ';' or
+// failing to unescape is skipped.
+func nextQueryValue(rawQuery, key string) (value, rest string, ok bool) {
 	for rawQuery != "" {
 		var pair string
 		pair, rawQuery, _ = strings.Cut(rawQuery, "&")
@@ -396,10 +413,16 @@ func queryValue(rawQuery, key string) string {
 			continue
 		}
 		if v, err := url.QueryUnescape(v); err == nil {
-			return v
+			return v, rawQuery, true
 		}
 	}
-	return ""
+	return "", "", false
+}
+
+// queryValue is url.Values.Get over the raw query: the first value of key.
+func queryValue(rawQuery, key string) string {
+	v, _, _ := nextQueryValue(rawQuery, key)
+	return v
 }
 
 // rows reconstructs a batch of rows: /v1/rows?i=0:8,17 with the same
@@ -473,21 +496,21 @@ func decodeAggBody(r *http.Request, what string, out interface{}) error {
 }
 
 // aggregate is POST /v1/aggregate with one AggregateRequest body — the
-// same item schema /v1/aggregate/batch takes.
+// same item schema /v1/aggregate/batch takes — answered as a batch of one,
+// whose failure is the request's.
 func (h *Handler) aggregate(r *http.Request) (interface{}, error) {
 	var req AggregateRequest
 	if err := decodeAggBody(r, "aggregate", &req); err != nil {
 		return nil, err
 	}
-	n, m, err := h.b.Dims(r.Context())
+	out, err := h.evaluate(r.Context(), []AggregateRequest{req}, req.Partial, false)
 	if err != nil {
 		return nil, err
 	}
-	q, err := parseAggQuery(req, n, m)
-	if err != nil {
-		return nil, err
+	if out[0].Err != nil {
+		return nil, out[0].Err
 	}
-	return h.b.Aggregate(r.Context(), q)
+	return out[0].Response, nil
 }
 
 // aggregateBatch evaluates N aggregates in one request. The body is
@@ -507,41 +530,52 @@ func (h *Handler) aggregateBatch(r *http.Request) (interface{}, error) {
 	if len(req.Queries) > h.cfg.MaxBatchQueries {
 		return nil, Invalid("batch of %d queries exceeds limit %d", len(req.Queries), h.cfg.MaxBatchQueries)
 	}
-	n, m, err := h.b.Dims(r.Context())
+	out, err := h.evaluate(r.Context(), req.Queries, req.Partial, req.Explain)
 	if err != nil {
 		return nil, err
 	}
-	items := make([]BatchAggregateItem, len(req.Queries))
-	batch := BatchQuery{Partial: req.Partial}
-	var slot []int // items index of each query handed to the backend
-	for qi, bq := range req.Queries {
-		q, err := parseAggQuery(bq, n, m)
+	resp := BatchAggregateResponse{Items: make([]BatchAggregateItem, len(out))}
+	for qi, res := range out {
+		resp.Items[qi] = res.item()
+		resp.Errors = resp.Errors || resp.Items[qi].Status != http.StatusOK
+	}
+	resp.Took = time.Since(start).Milliseconds()
+	return resp, nil
+}
+
+// evaluate answers an aggregate request's queries in order: each is
+// resolved against Backend.Dims, and the valid ones go to the backend as
+// one batch with the request-wide flags folded in. A query that fails to
+// parse or validate fails alone, as one the backend fails does.
+func (h *Handler) evaluate(ctx context.Context, queries []AggregateRequest, partial, explain bool) ([]AggregateResult, error) {
+	n, m, err := h.b.Dims(ctx)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]AggregateResult, len(queries))
+	batch := BatchQuery{Partial: partial}
+	var slot []int // out index of each query handed to the backend
+	for qi, aq := range queries {
+		q, err := parseAggQuery(aq, n, m)
 		if err != nil {
-			items[qi] = ErrorItem(err)
+			out[qi].Err = err
 			continue
 		}
-		q.Partial = req.Partial
-		q.Explain = q.Explain || req.Explain
+		q.Partial = partial
+		q.Explain = q.Explain || explain
 		batch.Queries = append(batch.Queries, q)
 		slot = append(slot, qi)
 	}
 	if len(batch.Queries) > 0 {
-		out, err := h.b.AggregateBatch(r.Context(), batch)
+		res, err := h.b.AggregateBatch(ctx, batch)
 		if err != nil {
 			return nil, err
 		}
-		for k, it := range out {
-			items[slot[k]] = it
+		for k, r := range res {
+			out[slot[k]] = r
 		}
 	}
-	resp := BatchAggregateResponse{Items: items}
-	for _, it := range items {
-		if it.Status != http.StatusOK {
-			resp.Errors = true
-		}
-	}
-	resp.Took = time.Since(start).Milliseconds()
-	return resp, nil
+	return out, nil
 }
 
 // --- Writes ----------------------------------------------------------------

@@ -25,11 +25,10 @@ import (
 type fakeBackend struct {
 	rows, cols int
 	err        error // returned by every data method when set
+	queryErr   error // every aggregate query's own error when set
 
-	cell    CellRequest
-	coords  [][2]int
+	cells   []CellRequest
 	idx     []int
-	agg     AggregateQuery
 	batch   BatchQuery
 	bulk    string
 	metrics MetricsRequest
@@ -44,36 +43,30 @@ func (f *fakeBackend) Info(context.Context) (InfoResponse, error) {
 	return InfoResponse{Method: "fake", Rows: f.rows, Cols: f.cols}, f.err
 }
 
-func (f *fakeBackend) Cell(_ context.Context, req CellRequest) (CellResponse, error) {
-	f.cell = req
-	return CellResponse{I: req.I, J: req.J, Value: &f.cellValue}, f.err
-}
-
-func (f *fakeBackend) Row(_ context.Context, i int) (RowResponse, error) {
-	return RowResponse{I: i}, f.err
-}
-
-func (f *fakeBackend) Cells(_ context.Context, coords [][2]int) ([]CellResponse, error) {
-	f.coords = coords
-	return make([]CellResponse, len(coords)), f.err
+func (f *fakeBackend) Cells(_ context.Context, reqs []CellRequest) ([]CellResponse, error) {
+	f.cells = reqs
+	out := make([]CellResponse, len(reqs))
+	for k, c := range reqs {
+		out[k] = CellResponse{I: c.I, J: c.J, Value: &f.cellValue}
+	}
+	return out, f.err
 }
 
 func (f *fakeBackend) Rows(_ context.Context, idx []int) ([]RowResponse, error) {
 	f.idx = idx
-	return make([]RowResponse, len(idx)), f.err
+	out := make([]RowResponse, len(idx))
+	for k, i := range idx {
+		out[k].I = i
+	}
+	return out, f.err
 }
 
-func (f *fakeBackend) Aggregate(ctx context.Context, q AggregateQuery) (AggregateResponse, error) {
-	f.agg = q
-	trace.LedgerFrom(ctx).AddDiskAccesses(7)
-	return AggregateResponse{F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}, f.err
-}
-
-func (f *fakeBackend) AggregateBatch(_ context.Context, b BatchQuery) ([]BatchAggregateItem, error) {
+func (f *fakeBackend) AggregateBatch(ctx context.Context, b BatchQuery) ([]AggregateResult, error) {
 	f.batch = b
-	out := make([]BatchAggregateItem, len(b.Queries))
+	trace.LedgerFrom(ctx).AddDiskAccesses(7)
+	out := make([]AggregateResult, len(b.Queries))
 	for k, q := range b.Queries {
-		out[k] = q.Item()
+		out[k] = AggregateResult{Response: q.Response(), Err: f.queryErr}
 	}
 	return out, f.err
 }
@@ -117,17 +110,23 @@ func TestHandlerParsesIntoTypedRequests(t *testing.T) {
 	fb := &fakeBackend{rows: 10, cols: 4, cellValue: 2.5}
 	h := NewHandler(fb, telemetry.NewRegistry(), Config{})
 
-	if w := serve(t, h, "GET", "/v1/cell?i=3&j=2", ""); w.Code != 200 || fb.cell != (CellRequest{I: 3, J: 2}) {
-		t.Fatalf("index cell: %d, backend saw %+v", w.Code, fb.cell)
+	// A lone cell or row reaches the backend as a batch of one.
+	if w := serve(t, h, "GET", "/v1/cell?i=3&j=2", ""); w.Code != 200 || !reflect.DeepEqual(fb.cells, []CellRequest{{I: 3, J: 2}}) {
+		t.Fatalf("index cell: %d, backend saw %+v", w.Code, fb.cells)
 	}
-	if serve(t, h, "GET", "/v1/cell?row=a+b&col=c", ""); fb.cell != (CellRequest{Row: "a b", Col: "c"}) {
-		t.Fatalf("label cell: backend saw %+v", fb.cell)
+	if serve(t, h, "GET", "/v1/cell?row=a+b&col=c", ""); !reflect.DeepEqual(fb.cells, []CellRequest{{Row: "a b", Col: "c"}}) {
+		t.Fatalf("label cell: backend saw %+v", fb.cells)
+	}
+	var row RowResponse
+	decode(t, serve(t, h, "GET", "/v1/row?i=6", ""), &row)
+	if !reflect.DeepEqual(fb.idx, []int{6}) || row.I != 6 {
+		t.Fatalf("row: backend saw %v, answered %+v", fb.idx, row)
 	}
 	w := serve(t, h, "GET", "/v1/cells?at=1:2,%203:0&at=9:9", "")
 	var cells CellsResponse
 	decode(t, w, &cells)
-	if want := [][2]int{{1, 2}, {3, 0}, {9, 9}}; !reflect.DeepEqual(fb.coords, want) || cells.Count != 3 {
-		t.Fatalf("cells: backend saw %v, count %d", fb.coords, cells.Count)
+	if want := []CellRequest{{I: 1, J: 2}, {I: 3, J: 0}, {I: 9, J: 9}}; !reflect.DeepEqual(fb.cells, want) || cells.Count != 3 {
+		t.Fatalf("cells: backend saw %v, count %d", fb.cells, cells.Count)
 	}
 	// /v1/rows resolves its spec without asking the backend for dimensions.
 	fb.rows = -1
@@ -136,24 +135,27 @@ func TestHandlerParsesIntoTypedRequests(t *testing.T) {
 	}
 	fb.rows = 10
 
-	// Aggregates: f defaults to avg, empty specs select the full axes of
-	// Backend.Dims, the flags ride along, and the ledger the backend
-	// charged comes back in the cost headers.
+	// Aggregates: a batch of one, f defaults to avg, empty specs select the
+	// full axes of Backend.Dims, the flags ride along, and the ledger the
+	// backend charged comes back in the cost headers.
 	w = serve(t, h, "POST", "/v1/aggregate", `{"rows":"2:5","explain":true,"partial":true}`)
-	if w.Code != 200 || fb.agg.F != "avg" || len(fb.agg.Sel.Rows) != 3 || len(fb.agg.Sel.Cols) != 4 ||
-		!fb.agg.Explain || !fb.agg.Partial {
-		t.Fatalf("aggregate: %d, backend saw %+v", w.Code, fb.agg)
+	if len(fb.batch.Queries) != 1 {
+		t.Fatalf("aggregate: backend saw %+v", fb.batch)
+	}
+	if q := fb.batch.Queries[0]; w.Code != 200 || q.F != "avg" || len(q.Sel.Rows) != 3 || len(q.Sel.Cols) != 4 ||
+		!q.Explain || !q.Partial || !fb.batch.Partial {
+		t.Fatalf("aggregate: %d, backend saw %+v", w.Code, fb.batch)
 	}
 	if got := w.Header().Get(trace.HeaderDiskAccesses); got != "7" {
 		t.Fatalf("%s = %q, want the backend's 7", trace.HeaderDiskAccesses, got)
 	}
 	// A selection outside Dims never reaches the backend.
-	fb.agg = AggregateQuery{}
+	fb.batch = BatchQuery{}
 	w = serve(t, h, "POST", "/v1/aggregate", `{"rows":"0:11"}`)
 	var env ErrorEnvelope
 	decode(t, w, &env)
-	if w.Code != 400 || env.Error.Code != CodeOutOfRange || fb.agg.F != "" {
-		t.Fatalf("out-of-range selection: %d %q, backend saw %+v", w.Code, env.Error.Code, fb.agg)
+	if w.Code != 400 || env.Error.Code != CodeOutOfRange || len(fb.batch.Queries) != 0 {
+		t.Fatalf("out-of-range selection: %d %q, backend saw %+v", w.Code, env.Error.Code, fb.batch)
 	}
 
 	// Batch: items that fail to parse or validate become their own non-200
@@ -209,6 +211,21 @@ func TestHandlerRendersBackendErrors(t *testing.T) {
 	decode(t, w, &env)
 	if w.Code != 500 || env.Error.Code != CodeInternal || env.Error.Message != "disk on fire" {
 		t.Fatalf("unclassified error: %d %+v", w.Code, env.Error)
+	}
+
+	// A query's own error fails a lone aggregate with its envelope, and a
+	// batch item alone with the envelope's status, code and message.
+	fb.err, fb.queryErr = nil, seqerr.Corrupt("/data/p.sqz", 3, 12345, "page checksum mismatch")
+	w = serve(t, h, "POST", "/v1/aggregate", `{"f":"sum"}`)
+	decode(t, w, &env)
+	if w.Code != 503 || env.Error.Code != CodeCorrupt || env.Error.Message != fb.queryErr.Error() {
+		t.Fatalf("failed lone aggregate: %d %+v", w.Code, env.Error)
+	}
+	var batch BatchAggregateResponse
+	w = serve(t, h, "POST", "/v1/aggregate/batch", `{"queries":[{"f":"sum"}]}`)
+	decode(t, w, &batch)
+	if w.Code != 200 || !batch.Errors || batch.Items[0] != (BatchAggregateItem{Status: 503, Code: CodeCorrupt, Error: fb.queryErr.Error()}) {
+		t.Fatalf("failed batch item: %d %+v", w.Code, batch)
 	}
 }
 

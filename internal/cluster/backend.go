@@ -58,18 +58,6 @@ func decodePartial(enc string) (*query.Partial, error) {
 	return p, nil
 }
 
-// outOfRange is the 400 for a row no shard owns.
-func outOfRange(i int) error {
-	return &api.Error{
-		Status:  http.StatusBadRequest,
-		Code:    api.CodeOutOfRange,
-		Message: fmt.Sprintf("row %d is outside every shard's range", i),
-	}
-}
-
-// errPartial refuses the shard-internal aggregate form at the front door.
-var errPartial = api.Invalid("partial evaluation is the shard-internal wire form; the proxy returns finished values")
-
 // --- Info, health, metrics ---------------------------------------------------
 
 // Info composes the cluster-wide /v1/info from live per-shard infos:
@@ -292,50 +280,13 @@ func (p *Proxy) clusterJSON(ctx context.Context, topo *Topology, shards []*shard
 
 // --- Point reads -------------------------------------------------------------
 
-// Cell routes one cell lookup to the shard owning its row, rewriting the
-// row index to shard-local on the way out and back to global on the way
-// in. Label addressing needs the label → index maps the shards hold, so
-// the proxy (which holds no data) rejects it.
-func (p *Proxy) Cell(ctx context.Context, req api.CellRequest) (api.CellResponse, error) {
-	var body api.CellResponse
-	if req.ByLabel() {
-		return body, api.Invalid("the proxy is index-addressed: use integer i and j (label maps live on the store nodes)")
-	}
-	topo, shards := p.view()
-	s := topo.Locate(req.I)
-	if s < 0 {
-		return body, outOfRange(req.I)
-	}
-	c := shards[s]
-	path := fmt.Sprintf("/v1/cell?i=%d&j=%d", req.I-topo.Shards[s].Lo, req.J)
-	if err := c.doJSON(ctx, http.MethodGet, path, nil, &body, true); err != nil {
-		return api.CellResponse{}, shardError(c, err)
-	}
-	body.I = req.I
-	return body, nil
-}
-
-// Row routes one row reconstruction to its shard.
-func (p *Proxy) Row(ctx context.Context, i int) (api.RowResponse, error) {
-	var body api.RowResponse
-	topo, shards := p.view()
-	s := topo.Locate(i)
-	if s < 0 {
-		return body, outOfRange(i)
-	}
-	c := shards[s]
-	path := fmt.Sprintf("/v1/row?i=%d", i-topo.Shards[s].Lo)
-	if err := c.doJSON(ctx, http.MethodGet, path, nil, &body, true); err != nil {
-		return api.RowResponse{}, shardError(c, err)
-	}
-	body.I = i
-	return body, nil
-}
-
 // fanOut groups the rows of a batched point read by owning shard, runs
 // fetch once per touched shard, and leaves result placement to fetch: it
 // receives the shard's local row indices and the request positions they
-// answer, in per-shard request order.
+// answer, in per-shard request order. A read of one element — a lone
+// /v1/cell or /v1/row, or a batch of one — fails as its one exchange
+// (shardError); a longer batch fails as a scatter (scatterError), however
+// many shards it touched.
 func (p *Proxy) fanOut(rows []int, fetch func(c *shardClient, lo int, local, pos []int) error) error {
 	topo, shards := p.view()
 	type group struct{ local, pos []int }
@@ -344,7 +295,8 @@ func (p *Proxy) fanOut(rows []int, fetch func(c *shardClient, lo int, local, pos
 	for pos, i := range rows {
 		s := topo.Locate(i)
 		if s < 0 {
-			return outOfRange(i)
+			return &api.Error{Status: http.StatusBadRequest, Code: api.CodeOutOfRange,
+				Message: fmt.Sprintf("row %d is outside every shard's range", i)}
 		}
 		if len(groups[s].pos) == 0 {
 			targets = append(targets, s)
@@ -356,28 +308,35 @@ func (p *Proxy) fanOut(rows []int, fetch func(c *shardClient, lo int, local, pos
 		g := groups[c.shard]
 		return fetch(c, topo.Shards[c.shard].Lo, g.local, g.pos)
 	})
-	if len(fails) > 0 {
-		return p.scatterError(fails)
+	switch {
+	case len(fails) == 0:
+		return nil
+	case len(rows) == 1:
+		return shardError(shards[fails[0].shard], fails[0].err)
 	}
-	return nil
+	return p.scatterError(fails)
 }
 
 // Cells fans a batched cell lookup out to the owning shards — one
 // /v1/cells per shard carrying its cells — and reassembles the responses
-// in the original request order.
-func (p *Proxy) Cells(ctx context.Context, coords [][2]int) ([]api.CellResponse, error) {
-	rows := make([]int, len(coords))
-	for k, c := range coords {
-		rows[k] = c[0]
+// in the original request order, with row indices global on the way out
+// and back.
+func (p *Proxy) Cells(ctx context.Context, reqs []api.CellRequest) ([]api.CellResponse, error) {
+	rows := make([]int, len(reqs))
+	for k, req := range reqs {
+		if req.ByLabel() {
+			return nil, api.Invalid("the proxy is index-addressed: use integer i and j (label maps live on the store nodes)")
+		}
+		rows[k] = req.I
 	}
-	out := make([]api.CellResponse, len(coords))
+	out := make([]api.CellResponse, len(reqs))
 	err := p.fanOut(rows, func(c *shardClient, lo int, local, pos []int) error {
 		var spec strings.Builder
 		for k, i := range local {
 			if k > 0 {
 				spec.WriteByte(',')
 			}
-			fmt.Fprintf(&spec, "%d:%d", i, coords[pos[k]][1])
+			fmt.Fprintf(&spec, "%d:%d", i, reqs[pos[k]].J)
 		}
 		var body api.CellsResponse
 		if err := c.doJSON(ctx, http.MethodGet, "/v1/cells?at="+spec.String(), nil, &body, true); err != nil {
@@ -418,56 +377,21 @@ func (p *Proxy) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error) 
 
 // --- Aggregates (scatter/gather) ---------------------------------------------
 
-// countExplain is the explain block of a count, which is selection
-// arithmetic the proxy answers without touching a shard.
-func countExplain(ctx context.Context, q api.AggregateQuery) *api.Explain {
-	return &api.Explain{
-		Plan:  query.PlanCount,
-		Cells: int64(q.Sel.NumCells()),
-		Cost:  trace.LedgerFrom(ctx).Snapshot(),
-	}
-}
-
-// Aggregate is the tentpole path: split the validated selection by shard
-// row ranges, evaluate each fragment remotely into an exact partial, and
-// merge in shard order. Because every partial carries exact accumulator
-// state and the final rounding runs through the same finalize code a store
-// node uses, the result is bit-identical to a single node evaluating the
-// unsplit selection — for every aggregate, any shard count, any per-shard
-// worker count.
-func (p *Proxy) Aggregate(ctx context.Context, q api.AggregateQuery) (api.AggregateResponse, error) {
-	if q.Partial {
-		return api.AggregateResponse{}, errPartial
-	}
-	body := api.AggregateResponse{F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}
-	if q.Agg == query.Count {
-		body.Value, body.Nonfinite = api.Float(float64(q.Sel.NumCells()))
-		if q.Explain {
-			body.Explain = countExplain(ctx, q)
-		}
-		return body, nil
-	}
-	v, shardEx, err := p.gather(ctx, q)
-	if err != nil {
-		return api.AggregateResponse{}, err
-	}
-	body.Value, body.Nonfinite = api.Float(v)
-	if q.Explain {
-		body.Explain = mergeShardExplains(ctx, shardEx)
-	}
-	return body, nil
-}
-
-// mergeShardExplains folds per-shard explain blocks into the proxy's
-// top-level view: numeric fields sum across shards (the scattered fragments
+// mergeShardExplains folds the explain blocks the shards returned (indexed
+// by shard, nil where a shard had no fragment) into the proxy's top-level
+// view: numeric fields sum across shards (the scattered fragments
 // partition the selection, so the sums describe the whole query), the plan
 // and plan-cache labels survive when the shards agree and degrade to
-// "mixed" otherwise, Workers reports the widest shard, and Cost is the
-// proxy's own ledger — the fold of every winning attempt's cost headers.
-func mergeShardExplains(ctx context.Context, shards []api.ShardExplain) *api.Explain {
-	e := &api.Explain{Shards: shards}
-	for k, se := range shards {
-		if k == 0 {
+// "mixed" otherwise, Workers reports the widest shard, Shards keeps each
+// block in shard order, and Cost is the proxy's own ledger — the fold of
+// every winning attempt's cost headers.
+func mergeShardExplains(ctx context.Context, exs []*api.Explain) *api.Explain {
+	e := &api.Explain{}
+	for s, se := range exs {
+		if se == nil {
+			continue
+		}
+		if len(e.Shards) == 0 {
 			e.Plan, e.PlanCache, e.ChunkRows = se.Plan, se.PlanCache, se.ChunkRows
 		} else {
 			if se.Plan != e.Plan {
@@ -480,6 +404,7 @@ func mergeShardExplains(ctx context.Context, shards []api.ShardExplain) *api.Exp
 				e.ChunkRows = 0 // per-shard; see Shards
 			}
 		}
+		e.Shards = append(e.Shards, api.ShardExplain{Shard: s, Explain: *se})
 		if se.Workers > e.Workers {
 			e.Workers = se.Workers
 		}
@@ -499,80 +424,26 @@ func mergeShardExplains(ctx context.Context, shards []api.ShardExplain) *api.Exp
 	return e
 }
 
-// shardExplains keeps the explain blocks the shards returned, in shard
-// order.
-func shardExplains(exs []*api.Explain) []api.ShardExplain {
-	var out []api.ShardExplain
-	for s, ex := range exs {
-		if ex != nil {
-			out = append(out, api.ShardExplain{Shard: s, Explain: *ex})
-		}
-	}
-	return out
-}
-
-// gather scatters one aggregate and merges the shard partials. With
-// q.Explain, each fragment request also asks its shard for an explain
-// block; the blocks come back in shard order.
-func (p *Proxy) gather(ctx context.Context, q api.AggregateQuery) (float64, []api.ShardExplain, error) {
-	topo, shards := p.view()
-	frags, err := query.SplitSelection(q.Sel, topo.Ranges())
-	if err != nil {
-		return 0, nil, err
-	}
-	var targets []int
-	for s := range frags {
-		if len(frags[s].Rows) > 0 {
-			targets = append(targets, s)
-		}
-	}
-	parts := make([]*query.Partial, len(shards))
-	exs := make([]*api.Explain, len(shards))
-	fails := scatter(shards, targets, func(c *shardClient) error {
-		frag := frags[c.shard]
-		reqBody := api.AggregateRequest{
-			F:       q.F,
-			Rows:    renderSpec(frag.Rows),
-			Cols:    renderSpec(frag.Cols),
-			Partial: true,
-			Explain: q.Explain,
-		}
-		var resp api.AggregateResponse
-		if err := c.doJSON(ctx, http.MethodPost, "/v1/aggregate", reqBody, &resp, true); err != nil {
-			return err
-		}
-		part, err := decodePartial(resp.Partial)
-		if err != nil {
-			return err
-		}
-		parts[c.shard] = part
-		exs[c.shard] = resp.Explain
-		return nil
-	})
-	if len(fails) > 0 {
-		return 0, nil, p.scatterError(fails)
-	}
-	// parts is indexed by shard, so the merge order is the deterministic
-	// shard order regardless of response arrival (merge order doesn't
-	// change the bits — the accumulators are exact — but determinism makes
-	// that property testable).
-	v, err := query.MergePartials(q.Agg, parts)
-	return v, shardExplains(exs), err
-}
-
-// AggregateBatch scatters a whole aggregate batch: each shard receives one
-// /v1/aggregate/batch carrying the fragments of every query that touches
-// it (keeping the store nodes' scan-sharing across queries), and each
-// query's partials merge in shard order. Per-query failures cost that item
-// its status, mirroring the single-node batch contract; a shard-level
-// failure fails the request with 503 and the shard detail.
-func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.BatchAggregateItem, error) {
+// AggregateBatch scatters a whole aggregate batch: split each validated
+// selection by shard row ranges, send each shard one /v1/aggregate/batch
+// carrying the fragments of every query that touches it (keeping the store
+// nodes' scan-sharing across queries), and merge each query's exact
+// partials in shard order. Because every partial carries exact accumulator
+// state and the final rounding runs through the same finalize code a store
+// node uses, each result is bit-identical to a single node evaluating the
+// unsplit selection — for every aggregate, any shard count, any per-shard
+// worker count. A lone aggregate is a batch of one: one item per touched
+// shard. A query a shard fails costs that query its result, mirroring the
+// single-node batch contract, with the shard's status, code and message
+// and the failing shards named, as a scatter whose shards all refused; a
+// shard-level failure fails the request with the shard detail.
+func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.AggregateResult, error) {
 	if b.Partial {
-		return nil, errPartial
+		return nil, api.Invalid("partial evaluation is the shard-internal wire form; the proxy returns finished values")
 	}
 	topo, shards := p.view()
 	ranges := topo.Ranges()
-	out := make([]api.BatchAggregateItem, len(b.Queries))
+	out := make([]api.AggregateResult, len(b.Queries))
 
 	// Per-shard batch under construction: the fragment requests plus the
 	// query index each one answers.
@@ -583,11 +454,11 @@ func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.Bat
 	batches := make([]shardBatch, len(shards))
 	for qi, q := range b.Queries {
 		if q.Agg == query.Count {
-			continue // answered locally, like the single-query path
+			continue // selection arithmetic: answered without a shard
 		}
 		frags, err := query.SplitSelection(q.Sel, ranges)
 		if err != nil {
-			out[qi] = api.ErrorItem(err)
+			out[qi].Err = err
 			continue
 		}
 		for s := range frags {
@@ -636,7 +507,7 @@ func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.Bat
 		for k, item := range resp.Items {
 			qi := sb.qi[k]
 			if item.Status != http.StatusOK {
-				itemErrs[qi][c.shard] = &remoteError{status: item.Status, msg: item.Error}
+				itemErrs[qi][c.shard] = &remoteError{status: item.Status, code: item.Code, msg: item.Error}
 				continue
 			}
 			part, err := decodePartial(item.Partial)
@@ -652,36 +523,40 @@ func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.Bat
 		return nil, p.scatterError(fails)
 	}
 
-items:
 	for qi, q := range b.Queries {
-		if out[qi].Status != 0 {
+		if out[qi].Err != nil {
 			continue // failed to split
 		}
-		for _, re := range itemErrs[qi] {
+		var refused []shardFailure
+		for s, re := range itemErrs[qi] {
 			if re != nil {
-				out[qi] = api.BatchAggregateItem{Status: re.status, Error: re.msg}
-				continue items
+				refused = append(refused, shardFailure{shard: s, addr: shards[s].addr, err: re})
 			}
 		}
-		it := q.Item()
+		if len(refused) > 0 {
+			out[qi].Err = p.scatterError(refused)
+			continue
+		}
+		resp := q.Response()
 		if q.Agg == query.Count {
-			it.Value, it.Nonfinite = api.Float(float64(q.Sel.NumCells()))
+			resp.Value, resp.Nonfinite = api.Float(float64(q.Sel.NumCells()))
 			if q.Explain {
-				it.Explain = countExplain(ctx, q)
+				cost := trace.LedgerFrom(ctx).Snapshot()
+				resp.Explain = &api.Explain{Plan: query.PlanCount, Cells: int64(q.Sel.NumCells()), Cost: cost}
 			}
-			out[qi] = it
+			out[qi].Response = resp
 			continue
 		}
 		v, err := query.MergePartials(q.Agg, partials[qi])
 		if err != nil {
-			out[qi] = api.ErrorItem(err)
+			out[qi].Err = err
 			continue
 		}
-		it.Value, it.Nonfinite = api.Float(v)
+		resp.Value, resp.Nonfinite = api.Float(v)
 		if q.Explain {
-			it.Explain = mergeShardExplains(ctx, shardExplains(explains[qi]))
+			resp.Explain = mergeShardExplains(ctx, explains[qi])
 		}
-		out[qi] = it
+		out[qi].Response = resp
 	}
 	return out, nil
 }

@@ -163,7 +163,6 @@ func (c *shardClient) do(ctx context.Context, method, path string, body []byte, 
 			cost := trace.ParseCostHeaders(r.header)
 			sp.SetAttr("disk_accesses", cost.DiskAccesses)
 			sp.SetAttr("rows_read", cost.RowsRead)
-			sp.SetAttr("cache_hits", cost.CacheHits)
 			sp.SetAttr("deltas_probed", cost.DeltasProbed)
 		default:
 			sp.SetAttr("outcome", "loser")

@@ -23,7 +23,9 @@ import (
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/query"
+	"seqstore/internal/seqerr"
 	"seqstore/internal/server"
+	"seqstore/internal/store"
 	"seqstore/internal/trace"
 )
 
@@ -422,7 +424,7 @@ func TestClusterStalledShard(t *testing.T) {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/aggregate" {
+			if r.URL.Path == "/v1/aggregate/batch" { // every aggregate's hop
 				// Drain the body so the server's disconnect detection runs
 				// and the proxy's cancel unblocks the stall promptly.
 				io.Copy(io.Discard, r.Body)
@@ -449,6 +451,76 @@ func TestClusterStalledShard(t *testing.T) {
 	}
 }
 
+// corruptShard is a store node's store whose every read fails as a damaged
+// file does.
+type corruptShard struct{ store.Store }
+
+var errDamaged = seqerr.Corrupt("/data/shard1.sqz", 3, 12345, "page checksum mismatch")
+
+func (corruptShard) Cell(int, int) (float64, error)        { return 0, errDamaged }
+func (corruptShard) Row(int, []float64) ([]float64, error) { return nil, errDamaged }
+
+// TestClusterCorruptShardEnvelopes pins what a corrupt store node's refusal
+// looks like through the proxy. A lone aggregate, sent as one batch item
+// per touched shard, keeps the node's 503, code and message and names the
+// shard; its batch item carries the same status, code and message. A read
+// of one element fails as its one exchange, lone or batched alike; a read
+// spanning shards fails as a scatter that names the shard, with the same
+// code and message.
+func TestClusterCorruptShardEnvelopes(t *testing.T) {
+	full := compressStore(t, phoneMatrix(t, 40, 16))
+	healthy, err := full.SliceRows(0, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged, err := full.SliceRows(20, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s0 := httptest.NewServer(server.NewHandler(healthy, nil, server.Options{}))
+	defer s0.Close()
+	s1 := httptest.NewServer(server.NewHandler(corruptShard{damaged}, nil, server.Options{}))
+	defer s1.Close()
+	tc := &testCluster{proxy: NewWithTopology(&Topology{Shards: []Shard{
+		{Addr: s0.URL, Lo: 0, Hi: 20}, {Addr: s1.URL, Lo: 20, Hi: -1},
+	}}, Options{})}
+
+	// refusal checks the envelope every shape shares: the node's status,
+	// code and message, and — for a scatter — shard 1 named with its verdict.
+	refusal := func(what string, w *httptest.ResponseRecorder, scatter bool) api.ErrorDetail {
+		t.Helper()
+		d := envelope(t, w)
+		if w.Code != http.StatusServiceUnavailable || d.Code != api.CodeCorrupt || !strings.Contains(d.Message, "page checksum mismatch") {
+			t.Fatalf("%s: %d %s", what, w.Code, w.Body.String())
+		}
+		named := len(d.Shards) == 1 && d.Shards[0].Shard == 1 && d.Shards[0].Addr == s1.URL &&
+			d.Shards[0].Message == "corrupt (HTTP 503): "+d.Message
+		if scatter != named || (!scatter && len(d.Shards) != 0) {
+			t.Errorf("%s: shard detail %+v, want shard 1 named: %v", what, d.Shards, scatter)
+		}
+		return d
+	}
+
+	agg := refusal("lone aggregate", tc.get(t, "/v1/aggregate?f=sum&rows=10:30"), true)
+	w := tc.post(t, "/v1/aggregate/batch", `{"queries":[{"f":"sum","rows":"10:30"},{"f":"sum","rows":"0:10"}]}`)
+	var batch api.BatchAggregateResponse
+	decodeBody(t, w, &batch)
+	if it := batch.Items[0]; w.Code != http.StatusOK || !batch.Errors || it.Status != http.StatusServiceUnavailable ||
+		it.Code != api.CodeCorrupt || it.Error != agg.Message || batch.Items[1].Status != http.StatusOK {
+		t.Errorf("batch: %d %s", w.Code, w.Body.String())
+	}
+
+	for _, pair := range [][2]string{{"/v1/cell?i=25&j=3", "/v1/cells?at=25:3"}, {"/v1/row?i=25", "/v1/rows?i=25"}} {
+		lone := refusal(pair[0], tc.get(t, pair[0]), false)
+		if one := refusal(pair[1], tc.get(t, pair[1]), false); one.Message != lone.Message {
+			t.Errorf("%s fails with %q, its batch of one with %q", pair[0], lone.Message, one.Message)
+		}
+	}
+	for _, path := range []string{"/v1/cells?at=5:3,25:3", "/v1/rows?i=5,25"} {
+		refusal(path, tc.get(t, path), true)
+	}
+}
+
 // TestClusterHedgedRetry stalls only the FIRST point read against one
 // shard: the hedge fires after HedgeAfter, the second attempt answers
 // fast, and the client sees a prompt 200 — the recovery path for
@@ -462,7 +534,7 @@ func TestClusterHedgedRetry(t *testing.T) {
 			return h
 		}
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/cell" && calls.Add(1) == 1 {
+			if r.URL.Path == "/v1/cells" && calls.Add(1) == 1 { // a lone cell's hop
 				select {
 				case <-r.Context().Done():
 					return
@@ -492,6 +564,110 @@ func TestClusterHedgedRetry(t *testing.T) {
 	}
 	if got := tc.proxy.shardsNow()[0].hedges.Load(); got < 1 {
 		t.Fatalf("hedges counter = %d, want ≥ 1", got)
+	}
+}
+
+// TestClusterLoneRequestsAreBatchesOfOne pins what a lone read or aggregate
+// costs behind the proxy now that it travels as a batch of one: exactly one
+// shard request per touched shard (per-shard requests_total deltas on the
+// proxy's /v1/metrics), a hedged lone read with exactly one winner span, and
+// a label-addressed cell refused at the front door with its message.
+func TestClusterLoneRequestsAreBatchesOfOne(t *testing.T) {
+	x := phoneMatrix(t, 40, 16)
+	full := compressStore(t, x)
+	tc := startCluster(t, full, 2, 1, Options{}, nil)
+	requests := func() [2]int64 {
+		t.Helper()
+		var body struct {
+			Shards []struct {
+				Requests int64 `json:"requests_total"`
+			} `json:"shards"`
+		}
+		decodeBody(t, tc.get(t, "/v1/metrics"), &body)
+		return [2]int64{body.Shards[0].Requests, body.Shards[1].Requests}
+	}
+	// Warm the dims cache, which the first aggregate fills from every shard.
+	if w := tc.get(t, "/v1/aggregate?f=sum"); w.Code != http.StatusOK {
+		t.Fatalf("warmup: %d %s", w.Code, w.Body.String())
+	}
+	for _, c := range []struct {
+		method, path, body string
+		want               [2]int64
+	}{
+		{"GET", "/v1/cell?i=3&j=4", "", [2]int64{1, 0}},
+		{"GET", "/v1/cell?i=33&j=4", "", [2]int64{0, 1}},
+		{"GET", "/v1/row?i=25", "", [2]int64{0, 1}},
+		{"POST", "/v1/aggregate", `{"f":"stddev","rows":"5:35","cols":"0:7"}`, [2]int64{1, 1}},
+		{"POST", "/v1/aggregate", `{"f":"min","rows":"0:10"}`, [2]int64{1, 0}},
+		{"POST", "/v1/aggregate", `{"f":"avg","rows":"30,21","explain":true}`, [2]int64{0, 1}},
+		{"POST", "/v1/aggregate", `{"f":"count","rows":"5:35"}`, [2]int64{0, 0}},
+	} {
+		before := requests()
+		var w *httptest.ResponseRecorder
+		if c.method == "GET" {
+			w = tc.get(t, c.path)
+		} else {
+			w = tc.post(t, c.path, c.body)
+		}
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", c.path, c.body, w.Code, w.Body.String())
+		}
+		after := requests()
+		if got := [2]int64{after[0] - before[0], after[1] - before[1]}; got != c.want {
+			t.Errorf("%s %s: shard requests %v, want %v", c.path, c.body, got, c.want)
+		}
+	}
+
+	// A label-addressed cell never leaves the proxy.
+	before := requests()
+	w := tc.get(t, "/v1/cell?row=a&col=b")
+	d := envelope(t, w)
+	if w.Code != http.StatusBadRequest || d.Code != api.CodeBadRequest ||
+		d.Message != "the proxy is index-addressed: use integer i and j (label maps live on the store nodes)" {
+		t.Fatalf("label cell: %d %+v", w.Code, d)
+	}
+	if after := requests(); after != before {
+		t.Errorf("label cell reached the shards: requests %v → %v", before, after)
+	}
+
+	// A lone read hedged against a stalled shard: one winner, whatever the
+	// loser does after.
+	var calls atomic.Int32
+	release := make(chan struct{})
+	defer close(release)
+	stall := func(shard int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if shard == 0 && r.URL.Path == "/v1/cells" && calls.Add(1) == 1 {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	hc := startCluster(t, full, 2, 1, Options{Timeout: 10 * time.Second, HedgeAfter: 30 * time.Millisecond}, stall)
+	req := httptest.NewRequest(http.MethodGet, "/v1/cell?i=2&j=3", nil)
+	req.Header.Set(trace.HeaderRequestID, "lone-hedged")
+	w = httptest.NewRecorder()
+	hc.proxy.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Fatalf("hedged lone read: %d %s", w.Code, w.Body.String())
+	}
+	winners := 0
+	for _, tr := range ringTraces(t, hc) {
+		if tr.RequestID != "lone-hedged" {
+			continue
+		}
+		for _, sp := range tr.Spans {
+			if out, _ := spanAttr(sp, "outcome"); out == "winner" {
+				winners++
+			}
+		}
+	}
+	if winners != 1 || hc.proxy.shardsNow()[0].hedges.Load() != 1 {
+		t.Fatalf("hedged lone read: %d winner spans, %d hedges; want 1 and 1", winners, hc.proxy.shardsNow()[0].hedges.Load())
 	}
 }
 

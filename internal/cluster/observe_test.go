@@ -79,7 +79,7 @@ func TestClusterTraceScatterGather(t *testing.T) {
 	var tp0, tp1, rid0, rid1 atomic.Value
 	capture := func(shard int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/aggregate" {
+			if r.URL.Path == "/v1/aggregate/batch" { // every aggregate's hop
 				if shard == 0 {
 					tp0.Store(r.Header.Get(trace.HeaderTraceparent))
 					rid0.Store(r.Header.Get(trace.HeaderRequestID))

@@ -177,23 +177,32 @@ type shardFailure struct {
 // returns the failures in ascending shard order (deterministic error
 // bodies). fn receives the shard client and must do its own result
 // placement — results are positional, so no coordination is needed beyond
-// the wait.
+// the wait. The last shard's exchange runs on the caller's goroutine,
+// which would otherwise only wait: a lone read, one exchange with one
+// shard, pays no goroutine hand-off.
 func scatter(shards []*shardClient, idx []int, fn func(c *shardClient) error) []shardFailure {
 	var (
 		wg   sync.WaitGroup
 		mu   sync.Mutex
 		errs []shardFailure
 	)
-	for _, s := range idx {
+	for k, s := range idx {
 		c := shards[s]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+		run := func() {
 			if err := fn(c); err != nil {
 				mu.Lock()
 				errs = append(errs, shardFailure{shard: c.shard, addr: c.addr, err: err})
 				mu.Unlock()
 			}
+		}
+		if k == len(idx)-1 {
+			run()
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run()
 		}()
 	}
 	wg.Wait()

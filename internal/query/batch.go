@@ -61,28 +61,36 @@ func EvaluateBatch(s store.Store, items []BatchItem, opts Options) ([]BatchResul
 // evaluateBatch is the one batch loop: validate every item, prefetch the
 // valid items' row union, then run each through the single-query evaluate
 // on one pooled state, handing emit either the filled state or the item's
-// error. A query is a batch of one without the prefetch. The error return
-// is the whole-batch abort (context cancellation).
+// error. A batch with fewer than two queries that read rows has no scan to
+// share, so it skips the prefetch before allocating anything: a batch of
+// one is the query. The error return is the whole-batch abort (context
+// cancellation).
 func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx int, st *evalState, err error)) error {
 	if len(items) == 0 {
 		return nil
 	}
 	env := opts.env()
 	n, m := s.Dims()
-	invalid := make([]bool, len(items))
+	var invalid []bool // allocated at the first invalid item
+	readers := 0
 	for idx := range items {
 		if err := items[idx].Sel.Validate(n, m); err != nil {
+			if invalid == nil {
+				invalid = make([]bool, len(items))
+			}
 			invalid[idx] = true
 			emit(idx, nil, err)
+		} else if items[idx].Agg != Count {
+			readers++
 		}
 	}
-	if base := factoredBase(s); base != nil {
+	if base := factoredBase(s); base != nil && readers >= 2 {
 		env.buf = prefetchBatchUnion(base, n, items, invalid, env.led)
 	}
 	st := getState()
 	defer st.release()
 	for idx := range items {
-		if invalid[idx] {
+		if invalid != nil && invalid[idx] {
 			continue
 		}
 		if err := env.ctx.Err(); err != nil {
@@ -129,18 +137,19 @@ func factoredBase(s store.Store) *svd.Store {
 
 // prefetchBatchUnion reads the union of the valid items' selected rows
 // into a shared buffer with one coalesced pass over U, charging the
-// ledger for the actual reads. skip marks the items that failed
-// validation and stay out of the union. It returns nil — falling back to
-// unshared per-item reads — when the batch has no row overlap to exploit,
-// when the union would exceed the memory cap, or when a read fails (the
-// per-item evaluation will then surface the store error with context).
+// ledger for the actual reads. skip, when non-nil, marks the items that
+// failed validation and stay out of the union. It returns nil — falling
+// back to unshared per-item reads — when the batch has no row overlap to
+// exploit, when the union would exceed the memory cap, or when a read
+// fails (the per-item evaluation will then surface the store error with
+// context).
 func prefetchBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, led *trace.Ledger) *uBuf {
 	// slot marks the union with a placeholder first; the pass below
 	// replaces it with each row's place in the buffer.
 	slot := make([]int32, n)
 	total, distinct := 0, 0
 	for idx := range items {
-		if skip[idx] || items[idx].Agg == Count {
+		if (skip != nil && skip[idx]) || items[idx].Agg == Count {
 			continue
 		}
 		for _, r := range items[idx].Sel.Rows {

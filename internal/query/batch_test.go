@@ -1,11 +1,17 @@
 package query
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
+	"seqstore/internal/core"
+	"seqstore/internal/dataset"
+	"seqstore/internal/matio"
+	"seqstore/internal/store"
 	"seqstore/internal/trace"
 )
 
@@ -106,6 +112,117 @@ func TestBatchSharesScans(t *testing.T) {
 	if batchCost.DiskAccesses > int64(n) {
 		t.Errorf("batch disk accesses %d exceed the whole store (%d rows)",
 			batchCost.DiskAccesses, n)
+	}
+}
+
+// batchOfOneSelection has repeated rows: one query has no other to share
+// a scan with, so even its repeats must not be prefetched.
+func batchOfOneSelection(n, m int) Selection {
+	return Selection{Rows: append(seq(1, n/2), 3, 3, n-1), Cols: seq(2, m/2)}
+}
+
+// TestBatchOfOneIsTheQuery: a lone aggregate served as a batch of one is
+// the query itself — EvaluateBatch of one item is EvaluateOpts and
+// EvaluateBatchPartial of one item is EvaluatePartial, bit for bit, on
+// every store kind.
+func TestBatchOfOneIsTheQuery(t *testing.T) {
+	opts := Options{Workers: 1}
+	for name, s := range engineStores(t) {
+		sel := batchOfOneSelection(s.Dims())
+		for _, agg := range allAggregates {
+			items := []BatchItem{{Agg: agg, Sel: sel}}
+			want, err := EvaluateOpts(s, agg, sel, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := EvaluateBatch(s, items, opts)
+			if err != nil || res[0].Err != nil {
+				t.Fatal(err, res[0].Err)
+			}
+			if math.Float64bits(res[0].Value) != math.Float64bits(want) {
+				t.Errorf("%s/%v: batch of one %v, the query %v", name, agg, res[0].Value, want)
+			}
+			p, err := EvaluatePartial(s, agg, sel, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pres, err := EvaluateBatchPartial(s, items, opts)
+			if err != nil || pres[0].Err != nil {
+				t.Fatal(err, pres[0].Err)
+			}
+			wantP, err1 := p.MarshalBinary()
+			gotP, err2 := pres[0].Partial.MarshalBinary()
+			if err1 != nil || err2 != nil || !bytes.Equal(gotP, wantP) {
+				t.Errorf("%s/%v: batch-of-one partial differs from EvaluatePartial's (%v, %v)", name, agg, err1, err2)
+			}
+		}
+	}
+}
+
+// TestBatchOfOneCostsTheQuery: a batch of one charges the query's ledger
+// and allocates its results slice on top of the single call, nothing else
+// — no N-entry prefetch slot vector and no shared buffer, which a batch
+// with fewer than two queries cannot use.
+func TestBatchOfOneCostsTheQuery(t *testing.T) {
+	ledgerOf := func(run func(opts Options) error) trace.LedgerSnapshot {
+		t.Helper()
+		tr := trace.New("t", "/test")
+		if err := run(Options{Workers: 1, Ctx: trace.NewContext(context.Background(), tr)}); err != nil {
+			t.Fatal(err)
+		}
+		return tr.Ledger.Snapshot()
+	}
+	for name, s := range engineStores(t) {
+		sel := batchOfOneSelection(s.Dims())
+		for _, agg := range allAggregates {
+			want := ledgerOf(func(opts Options) error {
+				_, err := EvaluateOpts(s, agg, sel, opts)
+				return err
+			})
+			got := ledgerOf(func(opts Options) error {
+				_, err := EvaluateBatch(s, []BatchItem{{Agg: agg, Sel: sel}}, opts)
+				return err
+			})
+			if got != want {
+				t.Errorf("%s/%v: batch of one charges %+v, the query %+v", name, agg, got, want)
+			}
+		}
+	}
+
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; AllocsPerRun budgets only hold without -race")
+	}
+	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(1024))
+	svdd, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]store.Store{"svd": allocProbeStore(t, 1024), "svdd": svdd} {
+		sel := batchOfOneSelection(s.Dims())
+		for _, agg := range []Aggregate{Sum, StdDev, Min} {
+			items := []BatchItem{{Agg: agg, Sel: sel}}
+			opts := Options{Workers: 1, Plans: NewPlanCache(4)}
+			single := steadyStateAllocs(t, s, agg, sel, opts)
+			batch := testing.AllocsPerRun(20, func() {
+				if _, err := EvaluateBatch(s, items, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			partial := testing.AllocsPerRun(20, func() {
+				if _, err := EvaluatePartial(s, agg, sel, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			batchPartial := testing.AllocsPerRun(20, func() {
+				if _, err := EvaluateBatchPartial(s, items, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if batch > single+1 || batchPartial > partial+1 {
+				t.Errorf("%s/%v: batch of one allocates %.0f (the query %.0f), partial %.0f (the query %.0f); want at most one more",
+					name, agg, batch, single, batchPartial, partial)
+			}
+		}
 	}
 }
 

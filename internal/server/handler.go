@@ -1,11 +1,12 @@
 // Package server is a store node: the local Backend of the /v1 serving
 // stack (internal/api owns the HTTP layer) and the production http.Server
 // around it. The backend answers typed requests from one open store —
-// single and batch cell/row reads, each one reconstruction from the
-// compressed form, aggregates through the query engine and its plan cache,
-// axis-label addressing, NDJSON bulk appends into an ingestion tier — and
-// charges every reconstruction to the request's cost ledger, so the
-// paper's one-access-per-cell claim is verifiable live under load.
+// batches of cell/row reads (a lone read is a batch of one), each read one
+// reconstruction from the compressed form, batches of aggregates through
+// the scan-sharing query engine and its plan cache, axis-label
+// addressing, NDJSON bulk appends into an ingestion tier — and charges
+// every reconstruction to the request's cost ledger, so the paper's
+// one-access-per-cell claim is verifiable live under load.
 //
 // The package works on the internal store interfaces (store.Store +
 // store.Labels) rather than the public facade, so the benchmark can drive
@@ -327,54 +328,43 @@ func (h *Handler) Info(context.Context) (api.InfoResponse, error) {
 	return body, nil
 }
 
-func (h *Handler) Cell(ctx context.Context, req api.CellRequest) (api.CellResponse, error) {
-	if req.ByLabel() {
-		var err error
-		if req.I, req.J, err = h.resolveLabels(req.Row, req.Col); err != nil {
-			return api.CellResponse{}, api.Invalid("%v", err)
+// Cells reads each cell with one reconstruction and one ledger charge. A
+// label-addressed cell resolves through the label maps first. The first
+// failing cell fails the batch with the store's own error, which names the
+// offending index, so a batch and its lone twin fail alike on every shape.
+func (h *Handler) Cells(ctx context.Context, reqs []api.CellRequest) ([]api.CellResponse, error) {
+	led := trace.LedgerFrom(ctx)
+	cells := make([]api.CellResponse, len(reqs))
+	for k, req := range reqs {
+		if req.ByLabel() {
+			var err error
+			if req.I, req.J, err = h.resolveLabels(req.Row, req.Col); err != nil {
+				return nil, api.Invalid("%v", err)
+			}
 		}
-	}
-	v, err := h.st.Cell(req.I, req.J)
-	if err != nil {
-		return api.CellResponse{}, h.seen(err)
-	}
-	h.chargeRowRead(trace.LedgerFrom(ctx), req.I)
-	val, marker := api.Float(v)
-	return api.CellResponse{
-		I: req.I, J: req.J, Row: req.Row, Col: req.Col,
-		Value: val, Nonfinite: marker,
-	}, nil
-}
-
-func (h *Handler) Cells(ctx context.Context, coords [][2]int) ([]api.CellResponse, error) {
-	cells := make([]api.CellResponse, 0, len(coords))
-	for _, c := range coords {
-		cell, err := h.Cell(ctx, api.CellRequest{I: c[0], J: c[1]})
+		v, err := h.st.Cell(req.I, req.J)
 		if err != nil {
-			return nil, fmt.Errorf("cell %d:%d: %w", c[0], c[1], err)
+			return nil, h.seen(err)
 		}
-		cells = append(cells, cell)
+		h.chargeRowRead(led, req.I)
+		cells[k] = api.CellResponse{I: req.I, J: req.J, Row: req.Row, Col: req.Col}
+		cells[k].Value, cells[k].Nonfinite = api.Float(v)
 	}
 	return cells, nil
 }
 
-func (h *Handler) Row(ctx context.Context, i int) (api.RowResponse, error) {
-	row, err := api.ReadRow(i, func(dst []float64) ([]float64, error) { return h.st.Row(i, dst) })
-	if err != nil {
-		return api.RowResponse{}, h.seen(err)
-	}
-	h.chargeRowRead(trace.LedgerFrom(ctx), i)
-	return row, nil
-}
-
+// Rows reconstructs each row into a pooled buffer, one ledger charge each;
+// the first failing row fails the batch, as in Cells.
 func (h *Handler) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error) {
-	rows := make([]api.RowResponse, 0, len(idx))
-	for _, i := range idx {
-		row, err := h.Row(ctx, i)
+	led := trace.LedgerFrom(ctx)
+	rows := make([]api.RowResponse, len(idx))
+	for k, i := range idx {
+		row, err := api.ReadRow(i, func(dst []float64) ([]float64, error) { return h.st.Row(i, dst) })
 		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
+			return nil, h.seen(err)
 		}
-		rows = append(rows, row)
+		h.chargeRowRead(led, i)
+		rows[k] = row
 	}
 	return rows, nil
 }
@@ -387,93 +377,55 @@ func (h *Handler) queryOptions(ctx context.Context) query.Options {
 	return query.Options{Workers: h.queryWorkers, Ctx: ctx, Plans: h.plans}
 }
 
-// Aggregate evaluates one aggregate. With q.Partial the response carries
-// the mergeable partial state instead of a value (the scatter/gather form
-// used between proxy and store nodes).
-func (h *Handler) Aggregate(ctx context.Context, q api.AggregateQuery) (api.AggregateResponse, error) {
-	sp := trace.StartSpan(ctx, "evaluate")
-	sp.SetAttr("f", q.F)
-	sp.SetAttr("rows", len(q.Sel.Rows))
-	sp.SetAttr("cols", len(q.Sel.Cols))
-	body := api.AggregateResponse{F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}
-	if q.Partial {
-		p, err := query.EvaluatePartial(h.st, q.Agg, q.Sel, h.queryOptions(ctx))
-		sp.End()
-		if err == nil {
-			body.Partial, err = encodePartial(p)
-		}
-		if err != nil {
-			return api.AggregateResponse{}, h.seen(err)
-		}
-	} else {
-		v, err := query.EvaluateOpts(h.st, q.Agg, q.Sel, h.queryOptions(ctx))
-		sp.End()
-		if err != nil {
-			return api.AggregateResponse{}, h.seen(err)
-		}
-		body.Value, body.Nonfinite = api.Float(v)
-	}
-	if q.Explain {
-		body.Explain = h.explainBody(ctx, q)
-	}
-	return body, nil
-}
-
 // AggregateBatch evaluates the queries through the scan-sharing batch
 // engine: the union of the selections' U rows is fetched once and shared
 // across all queries, so overlapping dashboards pay for each disk row once
-// instead of once per panel.
-func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.BatchAggregateItem, error) {
+// instead of once per panel; a lone aggregate is a batch of one, which
+// shares nothing and costs what the query costs. With b.Partial every
+// result carries the mergeable partial state instead of a value (the
+// scatter/gather form used between proxy and store nodes).
+func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.AggregateResult, error) {
 	items := make([]query.BatchItem, len(b.Queries))
 	for qi, q := range b.Queries {
 		items[qi] = query.BatchItem{Agg: q.Agg, Sel: q.Sel}
 	}
-	sp := trace.StartSpan(ctx, "evaluate_batch")
+	sp := trace.StartSpan(ctx, "evaluate")
 	sp.SetAttr("queries", len(items))
 	sp.SetAttr("partial", b.Partial)
-	out := make([]api.BatchAggregateItem, len(items))
-	render := func(qi int, rerr error, fill func(it *api.BatchAggregateItem) error) {
-		it := b.Queries[qi].Item()
-		if rerr == nil {
-			rerr = fill(&it)
-		}
-		if rerr != nil {
-			out[qi] = api.ErrorItem(h.seen(rerr))
-			return
-		}
-		if b.Queries[qi].Explain {
-			it.Explain = h.explainBody(ctx, b.Queries[qi])
-		}
-		out[qi] = it
-	}
+	var (
+		values   []query.BatchResult
+		partials []query.PartialResult
+		err      error
+	)
 	if b.Partial {
-		// The scatter/gather form: every query returns mergeable partial
-		// state through the same scan-sharing pass the value form uses.
-		results, err := query.EvaluateBatchPartial(h.st, items, h.queryOptions(ctx))
-		sp.End()
-		if err != nil {
-			return nil, h.seen(err)
-		}
-		for qi, pr := range results {
-			render(qi, pr.Err, func(it *api.BatchAggregateItem) (err error) {
-				it.Partial, err = encodePartial(pr.Partial)
-				return err
-			})
-		}
-		return out, nil
+		partials, err = query.EvaluateBatchPartial(h.st, items, h.queryOptions(ctx))
+	} else {
+		values, err = query.EvaluateBatch(h.st, items, h.queryOptions(ctx))
 	}
-	results, err := query.EvaluateBatch(h.st, items, h.queryOptions(ctx))
 	sp.End()
 	if err != nil {
 		// Only a batch-level failure (context cancellation) lands here;
-		// per-query errors come back in results.
+		// per-query errors come back in the results.
 		return nil, h.seen(err)
 	}
-	for qi, res := range results {
-		render(qi, res.Err, func(it *api.BatchAggregateItem) error {
-			it.Value, it.Nonfinite = api.Float(res.Value)
-			return nil
-		})
+	out := make([]api.AggregateResult, len(items))
+	for qi, q := range b.Queries {
+		resp := q.Response()
+		if b.Partial {
+			if err = partials[qi].Err; err == nil {
+				resp.Partial, err = encodePartial(partials[qi].Partial)
+			}
+		} else if err = values[qi].Err; err == nil {
+			resp.Value, resp.Nonfinite = api.Float(values[qi].Value)
+		}
+		if err != nil {
+			out[qi].Err = h.seen(err)
+			continue
+		}
+		if q.Explain {
+			resp.Explain = h.explainBody(ctx, q)
+		}
+		out[qi].Response = resp
 	}
 	return out, nil
 }

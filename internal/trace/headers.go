@@ -15,8 +15,6 @@ const (
 	HeaderDiskAccesses = "X-Cost-Disk-Accesses"
 	HeaderRowsRead     = "X-Cost-Rows-Read"
 	HeaderPagesTouched = "X-Cost-Pages-Touched"
-	HeaderCacheHits    = "X-Cost-Cache-Hits"
-	HeaderCacheMisses  = "X-Cost-Cache-Misses"
 	HeaderDeltasProbed = "X-Cost-Deltas-Probed"
 	HeaderWorkerChunks = "X-Cost-Worker-Chunks"
 	HeaderRowsWritten  = "X-Cost-Rows-Written"
@@ -24,26 +22,33 @@ const (
 	HeaderPlanMisses   = "X-Cost-Plan-Misses"
 )
 
-type costHeader struct {
-	name  string
-	count *int64
+// costHeaderNames and costCounts pair each header name with its
+// LedgerSnapshot field by position, in one place, so Encode and Parse can
+// never drift apart (a count list of another length does not compile). Two
+// arrays rather than one of (name, pointer) pairs: escape analysis treats an
+// array as one location, so a name flowing into the header map would drag
+// the pointers, and with them the caller's snapshot, onto the heap.
+var costHeaderNames = [...]string{
+	HeaderDiskAccesses,
+	HeaderRowsRead,
+	HeaderPagesTouched,
+	HeaderDeltasProbed,
+	HeaderWorkerChunks,
+	HeaderRowsWritten,
+	HeaderPlanHits,
+	HeaderPlanMisses,
 }
 
-// costHeaders pairs each header name with its LedgerSnapshot field, in one
-// place, so Encode and Parse can never drift apart. A method rather than a
-// table of accessor funcs: the snapshot then stays on the caller's stack.
-func (s *LedgerSnapshot) costHeaders() [10]costHeader {
-	return [...]costHeader{
-		{HeaderDiskAccesses, &s.DiskAccesses},
-		{HeaderRowsRead, &s.RowsRead},
-		{HeaderPagesTouched, &s.PagesTouched},
-		{HeaderCacheHits, &s.CacheHits},
-		{HeaderCacheMisses, &s.CacheMisses},
-		{HeaderDeltasProbed, &s.DeltasProbed},
-		{HeaderWorkerChunks, &s.WorkerChunks},
-		{HeaderRowsWritten, &s.RowsWritten},
-		{HeaderPlanHits, &s.PlanHits},
-		{HeaderPlanMisses, &s.PlanMisses},
+func (s *LedgerSnapshot) costCounts() [len(costHeaderNames)]*int64 {
+	return [...]*int64{
+		&s.DiskAccesses,
+		&s.RowsRead,
+		&s.PagesTouched,
+		&s.DeltasProbed,
+		&s.WorkerChunks,
+		&s.RowsWritten,
+		&s.PlanHits,
+		&s.PlanMisses,
 	}
 }
 
@@ -63,11 +68,11 @@ var smallCounts = func() []string {
 // preformatted, so the headers are assigned, not built: a shared value is a
 // one-element slice with no spare capacity, which an Add cannot write into.
 func EncodeCostHeaders(h http.Header, snap LedgerSnapshot) {
-	for _, ch := range snap.costHeaders() {
-		if n := *ch.count; n >= 0 && n < int64(len(smallCounts)) {
-			h[ch.name] = smallCounts[n : n+1 : n+1]
+	for k, count := range snap.costCounts() {
+		if n := *count; n >= 0 && n < int64(len(smallCounts)) {
+			h[costHeaderNames[k]] = smallCounts[n : n+1 : n+1]
 		} else {
-			h[ch.name] = []string{strconv.FormatInt(n, 10)}
+			h[costHeaderNames[k]] = []string{strconv.FormatInt(n, 10)}
 		}
 	}
 }
@@ -77,10 +82,10 @@ func EncodeCostHeaders(h http.Header, snap LedgerSnapshot) {
 // when a shard under-reports rather than failing the request.
 func ParseCostHeaders(h http.Header) LedgerSnapshot {
 	var snap LedgerSnapshot
-	for _, ch := range snap.costHeaders() {
-		if v := h.Get(ch.name); v != "" {
+	for k, count := range snap.costCounts() {
+		if v := h.Get(costHeaderNames[k]); v != "" {
 			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				*ch.count = n
+				*count = n
 			}
 		}
 	}
@@ -96,8 +101,6 @@ func (l *Ledger) AddSnapshot(s LedgerSnapshot) {
 	}
 	l.rowsRead.Add(s.RowsRead)
 	l.pagesTouched.Add(s.PagesTouched)
-	l.cacheHits.Add(s.CacheHits)
-	l.cacheMisses.Add(s.CacheMisses)
 	l.deltasProbed.Add(s.DeltasProbed)
 	l.workerChunks.Add(s.WorkerChunks)
 	l.diskAccesses.Add(s.DiskAccesses)

@@ -7,7 +7,7 @@ import (
 
 func TestCostHeadersRoundTrip(t *testing.T) {
 	snap := LedgerSnapshot{
-		RowsRead: 3, PagesTouched: 7, CacheHits: 1, CacheMisses: 2,
+		RowsRead: 3, PagesTouched: 7,
 		DeltasProbed: 11, WorkerChunks: 4, DiskAccesses: 9,
 		RowsWritten: 5, PlanHits: 6, PlanMisses: 8,
 	}

@@ -84,14 +84,10 @@ func SanitizeRequestID(s string) string {
 // DiskAccesses counts U-row fetches in the paper's block model (one row =
 // one block = one access, matching matio.Stats.RowReads); PagesTouched
 // counts the distinct checksummed v2 pages those fetches hit, which is what
-// an OS page cache actually sees. Nothing charges the two cache counts:
-// they are only summed from peers' snapshots, so the X-Cost-Cache-* headers
-// the /v1 contract pins keep their wire form.
+// an OS page cache actually sees.
 type Ledger struct {
 	rowsRead     atomic.Int64
 	pagesTouched atomic.Int64
-	cacheHits    atomic.Int64
-	cacheMisses  atomic.Int64
 	deltasProbed atomic.Int64
 	workerChunks atomic.Int64
 	diskAccesses atomic.Int64
@@ -172,8 +168,6 @@ func (l *Ledger) DiskAccesses() int64 {
 type LedgerSnapshot struct {
 	RowsRead     int64 `json:"rows_read"`
 	PagesTouched int64 `json:"pages_touched"`
-	CacheHits    int64 `json:"cache_hits"`
-	CacheMisses  int64 `json:"cache_misses"`
 	DeltasProbed int64 `json:"deltas_probed"`
 	WorkerChunks int64 `json:"worker_chunks"`
 	DiskAccesses int64 `json:"disk_accesses"`
@@ -190,8 +184,6 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 	return LedgerSnapshot{
 		RowsRead:     l.rowsRead.Load(),
 		PagesTouched: l.pagesTouched.Load(),
-		CacheHits:    l.cacheHits.Load(),
-		CacheMisses:  l.cacheMisses.Load(),
 		DeltasProbed: l.deltasProbed.Load(),
 		WorkerChunks: l.workerChunks.Load(),
 		DiskAccesses: l.diskAccesses.Load(),

@@ -1,13 +1,18 @@
 // Command benchgate measures the working tree against a parent commit by
-// the rule a change claiming a gain is held to: PAIRS alternating runs of
-// one workload of the benchmark, seeds 1..PAIRS, the parent first on odd
-// seeds. Per end-to-end metric of BENCHMARK.json it prints both medians,
-// the parent's interquartile range, how many pairs the change won (ties
-// count for neither side) and the change's median shift against the
-// metric's bound. It exits non-zero if any run reports correct: false.
+// the rules a change is held to: PAIRS alternating runs of each workload of
+// the benchmark, seeds 1..PAIRS, the parent first on odd seeds. Per
+// end-to-end metric of BENCHMARK.json it prints both medians, the parent's
+// interquartile range, how many pairs the change won (ties count for
+// neither side), the change's median shift and the metric's bound, and a
+// verdict: WORSE when the change's median is worse than the parent's by
+// more than the bound (the rule a change claiming no gain is held to),
+// unresolved when either side's runs spread wider than the bound and not
+// every change run beats every parent run, ok otherwise. It exits non-zero
+// if any metric is WORSE, any run reports correct: false, or any op
+// failed.
 //
-//	make bench-gate PARENT=HEAD WORKLOAD=point_read PAIRS=10
-//	go run ./scripts/benchgate -parent HEAD -workload point_read -pairs 10
+//	make bench-gate PARENT=HEAD WORKLOAD=point_read,agg_adhoc PAIRS=10
+//	go run ./scripts/benchgate -parent HEAD -workload point_read,agg_adhoc -pairs 10
 //
 // The parent's tree is exported with git archive into a temporary
 // directory, so the repository's .git is left as it was. Each side's
@@ -33,6 +38,7 @@ import (
 // run is what one benchmark run reports on its last line of output.
 type run struct {
 	Correct bool `json:"correct"`
+	Failed  int  `json:"failed"`
 	Metrics map[string]struct {
 		Value float64 `json:"value"`
 	} `json:"metrics"`
@@ -47,16 +53,16 @@ type metric struct {
 
 func main() {
 	parent := flag.String("parent", "HEAD", "git revision the working tree is measured against")
-	workload := flag.String("workload", "point_read", "benchmark workload to run")
-	pairs := flag.Int("pairs", 10, "alternating parent/change pairs, seeds 1..pairs")
+	workloads := flag.String("workload", "point_read", "benchmark workloads to run, comma-separated")
+	pairs := flag.Int("pairs", 10, "alternating parent/change pairs per workload, seeds 1..pairs")
 	flag.Parse()
-	if err := gate(*parent, *workload, *pairs); err != nil {
+	if err := gate(*parent, strings.Split(*workloads, ","), *pairs); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-func gate(parent, workload string, pairs int) error {
+func gate(parent string, workloads []string, pairs int) error {
 	if pairs < 1 {
 		return errors.New("-pairs must be at least 1")
 	}
@@ -98,33 +104,50 @@ func gate(parent, workload string, pairs int) error {
 			return err
 		}
 	}
+	var problems []string
+	for _, workload := range workloads {
+		p, err := measure(bins, tmp, strings.TrimSpace(workload), parent, pairs, decl.EndToEnd)
+		if err != nil {
+			return err
+		}
+		problems = append(problems, p...)
+	}
+	if len(problems) > 0 {
+		return errors.New(strings.Join(problems, "; "))
+	}
+	return nil
+}
 
+// measure runs one workload's pairs, prints its table, and returns what
+// breaks the gate.
+func measure(bins [2]string, tmp, workload, parent string, pairs int, metrics []metric) ([]string, error) {
 	// values[side][metric] holds one value per pair, in seed order.
 	var values [2]map[string][]float64
 	sides := [2]string{"parent", "change"}
-	incorrect := 0
+	incorrect, failed := 0, 0
 	for seed := 1; seed <= pairs; seed++ {
 		order := [2]int{0, 1}
 		if seed%2 == 0 {
 			order = [2]int{1, 0}
 		}
 		for _, side := range order {
-			dir := filepath.Join(tmp, fmt.Sprintf("%s-%d", sides[side], seed))
+			dir := filepath.Join(tmp, fmt.Sprintf("%s-%s-%d", workload, sides[side], seed))
 			if err := os.Mkdir(dir, 0o755); err != nil {
-				return err
+				return nil, err
 			}
 			r, err := runOnce(bins[side], dir, workload, seed)
 			if err != nil {
-				return fmt.Errorf("%s seed %d: %w", sides[side], seed, err)
+				return nil, fmt.Errorf("%s %s seed %d: %w", workload, sides[side], seed, err)
 			}
 			if !r.Correct {
 				incorrect++
 			}
+			failed += r.Failed
 			if values[side] == nil {
 				values[side] = make(map[string][]float64)
 			}
-			line := fmt.Sprintf("seed %d %s: correct=%v", seed, sides[side], r.Correct)
-			for _, m := range decl.EndToEnd {
+			line := fmt.Sprintf("%s seed %d %s: correct=%v failed=%d", workload, seed, sides[side], r.Correct, r.Failed)
+			for _, m := range metrics {
 				v := r.Metrics[m.Name].Value
 				values[side][m.Name] = append(values[side][m.Name], v)
 				line += fmt.Sprintf(" %s=%.5g", m.Name, v)
@@ -133,17 +156,25 @@ func gate(parent, workload string, pairs int) error {
 		}
 	}
 
+	var problems []string
 	fmt.Printf("%s, %d pairs, %s against the working tree\n", workload, pairs, parent)
-	fmt.Printf("%-15s %12s %12s %12s %6s %8s %6s\n", "metric", "parent", "change", "parent IQR", "wins", "shift", "bound")
-	for _, m := range decl.EndToEnd {
+	fmt.Printf("%-15s %12s %12s %12s %6s %8s %6s  %s\n", "metric", "parent", "change", "parent IQR", "wins", "shift", "bound", "verdict")
+	for _, m := range metrics {
 		s := summarize(m, values[0][m.Name], values[1][m.Name])
-		fmt.Printf("%-15s %12.5g %12.5g %12.5g %3d/%-2d %+7.2f%% %5.0f%%\n",
-			m.Name, s.parent, s.change, s.iqr, s.wins, pairs, 100*s.shift, 100*m.Bound)
+		v := s.verdict(m.Bound)
+		fmt.Printf("%-15s %12.5g %12.5g %12.5g %3d/%-2d %+7.2f%% %5.0f%%  %s\n",
+			m.Name, s.parent, s.change, s.iqr, s.wins, pairs, 100*s.shift, 100*m.Bound, v)
+		if v == "WORSE" {
+			problems = append(problems, fmt.Sprintf("%s: %s is %.1f%% worse, bound %.0f%%", workload, m.Name, -100*s.shift, 100*m.Bound))
+		}
 	}
 	if incorrect > 0 {
-		return fmt.Errorf("%d runs reported correct: false", incorrect)
+		problems = append(problems, fmt.Sprintf("%s: %d runs reported correct: false", workload, incorrect))
 	}
-	return nil
+	if failed > 0 {
+		problems = append(problems, fmt.Sprintf("%s: %d ops failed", workload, failed))
+	}
+	return problems, nil
 }
 
 // runOnce runs one benchmark binary in dir and parses its result line.
@@ -160,30 +191,54 @@ func runOnce(bin, dir, workload string, seed int) (run, error) {
 	return r, nil
 }
 
-// summary is one metric's verdict over the pairs.
+// summary is one metric's measurement over the pairs.
 type summary struct {
 	parent, change, iqr float64 // medians, and the parent's q3 − q1
 	wins                int     // pairs the change read strictly better in
 	shift               float64 // (change − parent) / parent median, > 0 when better
+	spread              float64 // the wider side's IQR over its median
+	dominates           bool    // every change run better than every parent run
 }
 
 func summarize(m metric, parent, change []float64) summary {
 	q1, med, q3 := quartiles(parent)
-	_, cmed, _ := quartiles(change)
+	c1, cmed, c3 := quartiles(change)
 	sign := 1.0
 	if m.Better == "lower" {
 		sign = -1
 	}
-	s := summary{parent: med, change: cmed, iqr: q3 - q1}
+	s := summary{parent: med, change: cmed, iqr: q3 - q1, dominates: len(change) > 0}
 	for k := range parent {
 		if sign*(change[k]-parent[k]) > 0 {
 			s.wins++
 		}
+		for _, c := range change {
+			s.dominates = s.dominates && sign*(c-parent[k]) > 0
+		}
 	}
 	if med != 0 {
 		s.shift = sign * (cmed - med) / math.Abs(med)
+		s.spread = (q3 - q1) / math.Abs(med)
+	}
+	if cmed != 0 {
+		s.spread = max(s.spread, (c3-c1)/math.Abs(cmed))
 	}
 	return s
+}
+
+// verdict is the no-gain rule: WORSE when the change's median is worse
+// than the parent's by more than the bound, unresolved when the runs
+// spread wider than the bound (the medians cannot be told apart) unless
+// every run of the change reads better than every run of the parent, ok
+// otherwise.
+func (s summary) verdict(bound float64) string {
+	switch {
+	case s.shift < -bound:
+		return "WORSE"
+	case s.spread > bound && !s.dominates:
+		return "unresolved"
+	}
+	return "ok"
 }
 
 // quartiles are Python's statistics.quantiles(n=4) (the exclusive method),

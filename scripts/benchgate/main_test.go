@@ -22,3 +22,34 @@ func TestSummarizeOrientsByBetter(t *testing.T) {
 		t.Fatalf("lower-is-better summary = %+v", s)
 	}
 }
+
+func TestVerdictIsTheNoGainRule(t *testing.T) {
+	ops := metric{Name: "ops_per_s", Better: "higher", Bound: 0.25}
+	p50 := metric{Name: "primary_p50_ms", Better: "lower", Bound: 0.25}
+	for _, c := range []struct {
+		m              metric
+		parent, change []float64
+		want           string
+	}{
+		// Tight runs, shifts inside the bound either way.
+		{ops, []float64{100, 101, 99, 100, 100}, []float64{90, 91, 89, 90, 90}, "ok"},
+		{p50, []float64{1, 1.01, 0.99, 1, 1}, []float64{1.2, 1.21, 1.19, 1.2, 1.2}, "ok"},
+		// Worse by more than the bound, in each direction of better.
+		{ops, []float64{100, 101, 99, 100, 100}, []float64{70, 71, 69, 70, 70}, "WORSE"},
+		{p50, []float64{1, 1.01, 0.99, 1, 1}, []float64{1.3, 1.31, 1.29, 1.3, 1.3}, "WORSE"},
+		// Better by more than the bound is never a breach.
+		{p50, []float64{1, 1.01, 0.99, 1, 1}, []float64{0.5, 0.51, 0.49, 0.5, 0.5}, "ok"},
+		// Either side spreading wider than the bound cannot be told apart,
+		// unless every run of the change is better than every parent run.
+		{ops, []float64{60, 140, 100, 80, 120}, []float64{100, 101, 99, 100, 100}, "unresolved"},
+		{ops, []float64{100, 101, 99, 100, 100}, []float64{60, 140, 100, 80, 120}, "unresolved"},
+		{ops, []float64{60, 100, 80, 70, 90}, []float64{150, 250, 200, 180, 220}, "ok"},
+		// A zero median (an exact metric at 0) has no relative spread.
+		{p50, []float64{0, 0, 0, 0, 0}, []float64{0, 0, 0, 0, 0}, "ok"},
+	} {
+		if got := summarize(c.m, c.parent, c.change).verdict(c.m.Bound); got != c.want {
+			t.Errorf("%s %v → %v: verdict %q, want %q (%+v)", c.m.Name, c.parent, c.change, got, c.want,
+				summarize(c.m, c.parent, c.change))
+		}
+	}
+}
