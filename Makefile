@@ -32,8 +32,9 @@ race:
 # whatever decodes re-encodes to the same bytes), FuzzTopK on offer streams
 # full of ties, ±Inf and NaN (the top-γ buffer retains what a sort says it
 # should), FuzzPointReadEncoding on cell and row bodies (the append encoders
-# write encoding/json's bytes, labels and edge floats included).
-# `go test -fuzz` accepts one target per invocation, hence six runs.
+# write encoding/json's bytes, labels and edge floats included), FuzzDotRows
+# on raw float bit patterns (the panel kernel equals per-row Dot bit for
+# bit). `go test -fuzz` accepts one target per invocation, hence seven runs.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
@@ -41,6 +42,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzPartialUnmarshal -fuzz FuzzPartialUnmarshal -fuzztime 10s ./internal/query
 	$(GO) test -run FuzzTopK -fuzz FuzzTopK -fuzztime 10s ./internal/pqueue
 	$(GO) test -run FuzzPointReadEncoding -fuzz FuzzPointReadEncoding -fuzztime 10s ./internal/api
+	$(GO) test -run FuzzDotRows -fuzz FuzzDotRows -fuzztime 10s ./internal/linalg
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,

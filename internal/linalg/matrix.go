@@ -261,6 +261,72 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
+// DotRows sets out[p] = Dot(a, panel[p·k:(p+1)·k]) for every p, k = len(a):
+// the dot products of a with each row of a flat row-major len(out)×k
+// panel. It computes four panel rows per pass over a, each with Dot's own
+// summation order — four lane sums, (s0+s1)+(s2+s3), then the tail in
+// order — so every value is bit-identical to the Dot call it replaces (a
+// NaN result is NaN, its payload left to the compiler's operand order, as
+// in Dot); the last len(out) mod 4 rows call Dot itself. It panics on a
+// panel whose length is not len(out)·len(a), as Dot does on a length
+// mismatch.
+func DotRows(a, panel, out []float64) {
+	k := len(a)
+	if len(panel) != len(out)*k {
+		panic(fmt.Sprintf("linalg: dot rows panel length %d vs %d rows of %d", len(panel), len(out), k))
+	}
+	p := 0
+	for ; p+4 <= len(out); p += 4 {
+		// Slicing each row to exactly k (and each step to exactly 4) lets
+		// the compiler drop the per-element bounds checks.
+		b0 := panel[p*k:][:k]
+		b1 := panel[(p+1)*k:][:k]
+		b2 := panel[(p+2)*k:][:k]
+		b3 := panel[(p+3)*k:][:k]
+		var s00, s01, s02, s03 float64
+		var s10, s11, s12, s13 float64
+		var s20, s21, s22, s23 float64
+		var s30, s31, s32, s33 float64
+		i := 0
+		for ; i+4 <= k; i += 4 {
+			x := a[i : i+4 : i+4]
+			y0, y1, y2, y3 := b0[i:i+4:i+4], b1[i:i+4:i+4], b2[i:i+4:i+4], b3[i:i+4:i+4]
+			s00 += x[0] * y0[0]
+			s01 += x[1] * y0[1]
+			s02 += x[2] * y0[2]
+			s03 += x[3] * y0[3]
+			s10 += x[0] * y1[0]
+			s11 += x[1] * y1[1]
+			s12 += x[2] * y1[2]
+			s13 += x[3] * y1[3]
+			s20 += x[0] * y2[0]
+			s21 += x[1] * y2[1]
+			s22 += x[2] * y2[2]
+			s23 += x[3] * y2[3]
+			s30 += x[0] * y3[0]
+			s31 += x[1] * y3[1]
+			s32 += x[2] * y3[2]
+			s33 += x[3] * y3[3]
+		}
+		t0 := (s00 + s01) + (s02 + s03)
+		t1 := (s10 + s11) + (s12 + s13)
+		t2 := (s20 + s21) + (s22 + s23)
+		t3 := (s30 + s31) + (s32 + s33)
+		for ; i < k; i++ {
+			ai := a[i]
+			t0 += ai * b0[i]
+			t1 += ai * b1[i]
+			t2 += ai * b2[i]
+			t3 += ai * b3[i]
+		}
+		o := out[p : p+4 : p+4]
+		o[0], o[1], o[2], o[3] = t0, t1, t2, t3
+	}
+	for ; p < len(out); p++ {
+		out[p] = Dot(a, panel[p*k:(p+1)*k])
+	}
+}
+
 // Axpy accumulates y += alpha·x, 4-way unrolled like Dot. Each y element
 // receives exactly one fused update, so the result is bit-identical to the
 // plain loop regardless of unrolling.

@@ -90,9 +90,10 @@ func evalChunkSize(n, workers int) int {
 
 // minWorkerWork is the least sharded work, in multiply-adds, that pays for
 // a goroutine of its own. Measured on two cores (EXPERIMENTS.md §PR 22):
-// below some 64 Ki multiply-adds per evaluation — about 100 µs of one core
-// — the launch, the per-worker resets and the merge cost more than a
-// second worker returns, on either path.
+// below some 64 Ki multiply-adds per evaluation — about 70 µs of one core
+// on the projected path (one 32 Ki share at k = 7, |C| = 60 is ≈ 35 µs,
+// EXPERIMENTS.md §PR 30) — the launch, the per-worker resets and the merge
+// cost more than a second worker returns, on either path.
 const minWorkerWork = 32 << 10
 
 // rowWork is the sharded work one selected row costs, in multiply-adds: k
@@ -464,13 +465,11 @@ func (w *evalWorker) project(i int) {
 	// Pre-scale by σ so each projected cell is the same dot product the
 	// full-row reconstruction computes — values are bit-identical to
 	// store.Row, so Min/Max agree exactly with the naive path.
-	urow, vals, sigma, panel := w.urow, w.vals, st.pl.sigma, st.panel
+	urow, vals, sigma := w.urow, w.vals, st.pl.sigma
 	for m := range urow {
 		urow[m] *= sigma[m]
 	}
-	for p := range vals {
-		vals[p] = linalg.Dot(urow, panel.Row(p))
-	}
+	linalg.DotRows(urow, st.panel.Data(), vals)
 	if dg := st.dg; dg != nil {
 		cols, deltas := w.slab.Row(i)
 		for x, col := range cols {
@@ -479,19 +478,16 @@ func (w *evalWorker) project(i int) {
 			}
 		}
 	}
-	for _, v := range vals {
-		w.acc.addExtrema(v)
-	}
+	w.acc.addExtremaAll(vals)
 }
 
 // zeroRow folds a §6.2 zero-flagged row: every selected cell is 0, and
-// the all-zero U row leaves the factored moments untouched.
+// the all-zero U row leaves the factored moments untouched. Folding 0 into
+// the extrema is idempotent, so |C| zero cells are one fold and a count.
 func (w *evalWorker) zeroRow() {
-	if w.st.factored {
-		return
-	}
-	for range w.st.sel.Cols {
+	if n := len(w.st.sel.Cols); !w.st.factored && n > 0 {
 		w.acc.addExtrema(0)
+		w.acc.n += int64(n - 1)
 	}
 }
 

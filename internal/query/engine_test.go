@@ -298,6 +298,43 @@ func TestAccumMergeNaN(t *testing.T) {
 	}
 }
 
+// TestAddExtremaAllMatchesPerCell pins the projected engine's one-pass row
+// fold to the per-cell addExtrema loop it replaced: over rows mixing NaNs of
+// several payloads, ±0 (the first one seen stays), ±Inf and finite values,
+// folded into accumulators that already hold earlier rows, the count and
+// both extrema agree bit for bit.
+func TestAddExtremaAllMatchesPerCell(t *testing.T) {
+	pool := []float64{
+		math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff8000000000000),
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		1, -1, 2.5, -7.25, 5e-324, -1e300,
+	}
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 2000; trial++ {
+		perCell, perRow := newAccum(), newAccum()
+		for row := rng.Intn(4); row >= 0; row-- {
+			vals := make([]float64, rng.Intn(9))
+			for i := range vals {
+				vals[i] = pool[rng.Intn(len(pool))]
+				if trial%2 == 0 && rng.Intn(3) > 0 {
+					vals[i] = pool[3+rng.Intn(len(pool)-3)] // NaN-free half, so ±0 and ±Inf decide
+				}
+			}
+			for _, v := range vals {
+				perCell.addExtrema(v)
+			}
+			perRow.addExtremaAll(vals)
+			if perRow.n != perCell.n ||
+				math.Float64bits(perRow.min) != math.Float64bits(perCell.min) ||
+				math.Float64bits(perRow.max) != math.Float64bits(perCell.max) {
+				t.Fatalf("trial %d row %v: one pass n=%d min=%#x max=%#x, per cell n=%d min=%#x max=%#x",
+					trial, vals, perRow.n, math.Float64bits(perRow.min), math.Float64bits(perRow.max),
+					perCell.n, math.Float64bits(perCell.min), math.Float64bits(perCell.max))
+			}
+		}
+	}
+}
+
 // TestFactoredDuplicateIndicesSVDD pins the multiset-weighting fix: with
 // rows and columns deliberately duplicated — including ones that carry
 // outlier deltas — the factored sum and stddev must agree with the naive

@@ -254,7 +254,8 @@ func (a *accum) add(v float64) {
 
 // addExtrema folds a cell into the count and the extrema only — what Min
 // and Max read, under the NaN rule above. The projected engine folds every
-// cell through it alone, leaving both running sums empty.
+// cell through it (or addExtremaAll) alone, leaving both running sums
+// empty.
 func (a *accum) addExtrema(v float64) {
 	a.n++
 	if math.IsNaN(v) || v < a.min {
@@ -263,6 +264,22 @@ func (a *accum) addExtrema(v float64) {
 	if math.IsNaN(v) || v > a.max {
 		a.max = v
 	}
+}
+
+// addExtremaAll is addExtrema over vs in order, with the extrema held in
+// locals for the pass: the projected engine's fold of one row's cells.
+func (a *accum) addExtremaAll(vs []float64) {
+	lo, hi := a.min, a.max
+	for _, v := range vs {
+		if math.IsNaN(v) || v < lo {
+			lo = v
+		}
+		if math.IsNaN(v) || v > hi {
+			hi = v
+		}
+	}
+	a.n += int64(len(vs))
+	a.min, a.max = lo, hi
 }
 
 // Merge folds b into a — the parallel engine's (and the distributed

@@ -172,8 +172,9 @@ func (s *Store) UPageSpan(start, end int) int {
 	return matio.PageSpan(s.u, start, end)
 }
 
-// Cell reconstructs x̂[i][j] = Σ_m σ_m·u[i][m]·v[j][m] with Row's
-// arithmetic for column j, so a cell is bit-equal to its row's entry.
+// Cell reconstructs x̂[i][j] = Σ_m σ_m·u[i][m]·v[j][m] as the one Dot that
+// Row's linalg.DotRows reproduces for column j, so a cell is bit-equal to
+// its row's entry.
 func (s *Store) Cell(i, j int) (float64, error) {
 	if j < 0 || j >= s.cols {
 		return 0, fmt.Errorf("svd: column %d out of range %d (%w)", j, s.cols, seqerr.ErrOutOfRange)
@@ -183,17 +184,14 @@ func (s *Store) Cell(i, j int) (float64, error) {
 	return x, err
 }
 
-// Row reconstructs row i with a single U access plus O(k·M) arithmetic.
+// Row reconstructs row i with a single U access plus O(k·M) arithmetic:
+// linalg.DotRows over V, whose every entry is bit-equal to Cell's Dot.
 func (s *Store) Row(i int, dst []float64) ([]float64, error) {
 	if cap(dst) < s.cols {
 		dst = make([]float64, s.cols)
 	}
 	dst = dst[:s.cols]
-	err := s.withScaledURow(i, func(su []float64) {
-		for j := range dst {
-			dst[j] = linalg.Dot(su, s.v.Row(j))
-		}
-	})
+	err := s.withScaledURow(i, func(su []float64) { linalg.DotRows(su, s.v.Data(), dst) })
 	if err != nil {
 		return nil, err
 	}
