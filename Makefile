@@ -34,7 +34,9 @@ race:
 # should), FuzzPointReadEncoding on cell and row bodies (the append encoders
 # write encoding/json's bytes, labels and edge floats included), FuzzDotRows
 # on raw float bit patterns (the panel kernel equals per-row Dot bit for
-# bit). `go test -fuzz` accepts one target per invocation, hence seven runs.
+# bit), FuzzAxpyRows on raw float bit patterns (the Gram kernel equals
+# sequential Axpy calls bit for bit). `go test -fuzz` accepts one target per
+# invocation, hence eight runs.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
@@ -43,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzTopK -fuzz FuzzTopK -fuzztime 10s ./internal/pqueue
 	$(GO) test -run FuzzPointReadEncoding -fuzz FuzzPointReadEncoding -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzDotRows -fuzz FuzzDotRows -fuzztime 10s ./internal/linalg
+	$(GO) test -run FuzzAxpyRows -fuzz FuzzAxpyRows -fuzztime 10s ./internal/linalg
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,
@@ -75,18 +78,21 @@ check: vet race golden-check metrics-golden fuzz-smoke bench-smoke
 
 # bench-gate measures the working tree against PARENT: PAIRS alternating
 # 15 s runs of each workload in the comma-separated WORKLOAD, seeds
-# 1..PAIRS, each side's benchmark built once (the parent's from a git
-# archive in a temporary directory). It prints per end-to-end metric both
-# medians, the parent's IQR, the change's wins, its shift against the bound
-# in BENCHMARK.json and a verdict, and fails if any median is worse than the
+# FIRST_SEED..FIRST_SEED+PAIRS-1, each side's benchmark built once (the
+# parent's from a git archive in a temporary directory). It first prints the
+# address mod 64 of the hot functions in both binaries (a layout shift shows
+# there), then per end-to-end metric both medians, the parent's IQR, the
+# change's wins, its shift against the bound in BENCHMARK.json and a
+# verdict, and fails if any median is worse than the
 # parent's by more than its bound (the rule a change claiming no gain is
 # held to), any run reports correct: false, or any op failed:
 #	make bench-gate WORKLOAD=point_read,agg_adhoc,proxy_mixed,ingest_mixed PAIRS=5
 PARENT ?= HEAD
 WORKLOAD ?= point_read
 PAIRS ?= 10
+FIRST_SEED ?= 1
 bench-gate:
-	$(GO) run ./scripts/benchgate -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS)
+	$(GO) run ./scripts/benchgate -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -first-seed $(FIRST_SEED)
 
 # bench-parallel runs the worker-count sub-benchmarks: the two sharded hot
 # loops (pass-1 C accumulation, U projection) at workers {1,2,4,8} and the

@@ -5,26 +5,39 @@ import (
 	"testing"
 
 	"seqstore/internal/dataset"
+	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/svd"
 )
 
 // BenchmarkCompressSVDDParallel times the whole SVDD compression — the
-// factor pass, which Workers shards, plus the serial pass 2 — on the
-// acceptance matrix (N=20000, M=128, budget 10%). Pass 2 dominates, so the
-// two sub-benchmarks differ by what sharding saves in the factor pass only.
+// factor pass, which Workers shards, plus the serial pass 2 — at budget 10 %
+// on two inputs: the acceptance matrix (N=20000, M=128), where pass 2
+// dominates, so the two sub-benchmarks differ by what sharding saves in the
+// factor pass only; and the phone fixture at 2048×366, the matrix of one
+// compress_batch op in bench/ (its in-tree twin, which that workload runs at
+// GOMAXPROCS workers).
 func BenchmarkCompressSVDDParallel(b *testing.B) {
-	const n, m = 20000, 128
-	src := matio.NewMem(parallelPhone(n, m, 1))
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.SetBytes(int64(n) * int64(m) * 8)
-			for i := 0; i < b.N; i++ {
-				if _, err := Compress(src, Options{Budget: 0.10, Workers: workers}); err != nil {
-					b.Fatal(err)
+	inputs := []struct {
+		name string
+		x    *linalg.Matrix
+	}{
+		{"rand20000x128", parallelPhone(20000, 128, 1)},
+		{"phone2048x366", dataset.GeneratePhone(dataset.DefaultPhoneConfig(2048))},
+	}
+	for _, in := range inputs {
+		src := matio.NewMem(in.x)
+		n, m := in.x.Dims()
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", in.name, workers), func(b *testing.B) {
+				b.SetBytes(int64(n) * int64(m) * 8)
+				for i := 0; i < b.N; i++ {
+					if _, err := Compress(src, Options{Budget: 0.10, Workers: workers}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -63,12 +63,17 @@ func newPass2State(f *svd.Factors, kmax int, candidates []int, gamma func(int) i
 // would poison every SSE and has no rank among the errors.
 func (st *pass2State) row(i int, row []float64) (allZero bool, err error) {
 	// Projections p_m = Σ_l x[l]·v[l][m]; note σ_m·u[i][m] = p_m, so
-	// the rank-k reconstruction of cell j is Σ_{m<k} p_m·v[j][m].
+	// the rank-k reconstruction of cell j is Σ_{m<k} p_m·v[j][m]. The
+	// nonzero cells are added four per pass over proj (linalg.AxpyRows), in
+	// l order: the bits of one Axpy per cell.
 	proj, kmax := st.proj, st.kmax
 	for mm := range proj {
 		proj[mm] = 0
 	}
 	allZero = true
+	var alpha [4]float64
+	var vrows [4][]float64
+	a := 0
 	for l, xv := range row {
 		if xv == 0 {
 			continue
@@ -77,8 +82,13 @@ func (st *pass2State) row(i int, row []float64) (allZero bool, err error) {
 			return false, fmt.Errorf("cell (%d, %d) is %v: %w", i, l, xv, linalg.ErrNotFinite)
 		}
 		allZero = false
-		linalg.Axpy(xv, st.f.V.Row(l)[:kmax], proj)
+		alpha[a], vrows[a] = xv, st.f.V.Row(l)[:kmax]
+		if a++; a == len(alpha) {
+			linalg.AxpyRows(alpha[:], vrows[:], proj)
+			a = 0
+		}
 	}
+	linalg.AxpyRows(alpha[:a], vrows[:a], proj)
 	if allZero {
 		return true, nil // the U buffer row stays zero, as projecting the row would leave it
 	}

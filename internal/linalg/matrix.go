@@ -346,6 +346,51 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
+// AxpyRows applies y += alpha[r]·x[r] for r = 0, 1, … in one pass over y,
+// for up to four rows: y is loaded and stored once where the Axpy calls it
+// replaces would stream it once per row. Each element receives the rows'
+// updates in row order, each rounded on its own, so the result is
+// bit-identical to calling Axpy(alpha[r], x[r], y) for every r in turn —
+// the zero, one, two, three or four calls, with no zero-alpha padding that
+// could turn a −0 into +0 or an infinity into NaN. It panics when alpha and x
+// differ in length, when there are more than four rows, or on a row whose
+// length is not len(y), as Axpy does.
+func AxpyRows(alpha []float64, x [][]float64, y []float64) {
+	if len(alpha) != len(x) || len(x) > 4 {
+		panic(fmt.Sprintf("linalg: axpy rows with %d coefficients for %d rows (at most 4)", len(alpha), len(x)))
+	}
+	for _, xr := range x {
+		if len(xr) != len(y) {
+			panic(fmt.Sprintf("linalg: axpy rows length mismatch %d vs %d", len(xr), len(y)))
+		}
+	}
+	// Reslicing each row to exactly len(y) lets the compiler drop the
+	// per-element bounds checks; Go evaluates a + b + c left to right, so
+	// every expression below is the Axpy calls' sequence of roundings.
+	switch len(x) {
+	case 1:
+		Axpy(alpha[0], x[0], y)
+	case 2:
+		a0, a1 := alpha[0], alpha[1]
+		x0, x1 := x[0][:len(y)], x[1][:len(y)]
+		for i, v := range y {
+			y[i] = v + a0*x0[i] + a1*x1[i]
+		}
+	case 3:
+		a0, a1, a2 := alpha[0], alpha[1], alpha[2]
+		x0, x1, x2 := x[0][:len(y)], x[1][:len(y)], x[2][:len(y)]
+		for i, v := range y {
+			y[i] = v + a0*x0[i] + a1*x1[i] + a2*x2[i]
+		}
+	case 4:
+		a0, a1, a2, a3 := alpha[0], alpha[1], alpha[2], alpha[3]
+		x0, x1, x2, x3 := x[0][:len(y)], x[1][:len(y)], x[2][:len(y)], x[3][:len(y)]
+		for i, v := range y {
+			y[i] = v + a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
+		}
+	}
+}
+
 // Norm2 returns the Euclidean (L2) norm of v.
 func Norm2(v []float64) float64 {
 	// Scaled accumulation avoids overflow for extreme values.

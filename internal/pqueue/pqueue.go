@@ -68,7 +68,10 @@ func order(a, b entry) int {
 // raises the threshold to the lightest of them — amortised O(1) sequential
 // work per admitted item and 24 bytes per unit of k. Pass 2 feeds ~30 of
 // these at once; a heap's O(log k) random accesses per admitted item, through
-// megabytes no cache holds, were two thirds of that pass.
+// megabytes no cache holds, were two thirds of that pass. A full buffer's
+// cut, k − 1, sits two thirds of the way in, where a median pivot would halve
+// the buffer and leave the cut in the larger half: selectNth aims a large
+// buffer's pivot at the cut instead.
 //
 // The zero value is not usable; construct with NewTopK. A TopK with capacity
 // zero accepts nothing (γ = 0 means "no outlier storage").
@@ -148,25 +151,34 @@ func (q *TopK) settle() {
 
 // selectNth rearranges a so that a[n] is the entry of rank n under the total
 // order, everything kept before it is in a[:n] and everything after it in
-// a[n+1:]: quickselect around the median of three, partitioning without a
-// data-dependent branch (on scores in scan order a comparison is a coin
-// toss). A range under a dozen entries is insertion-sorted — all a small TopK
-// (FoldIn's γ = 8) ever runs — and one that bad pivots failed to shrink in
-// 2·log₂ len rounds goes to the library sort.
+// a[n+1:]: quickselect, partitioning without a data-dependent branch (on
+// scores in scan order a comparison is a coin toss). A range of sampleFrom
+// entries or more takes its pivot from an evenly spaced sample, the entry
+// whose rank in the sample matches n's relative position in the range, so
+// the partition lands next to n; a smaller range pivots on the median of
+// three. A range under a dozen entries
+// is insertion-sorted — all a small TopK (FoldIn's γ = 8) ever runs — and one
+// that bad pivots failed to shrink in 2·log₂ len rounds goes to the library
+// sort. The pivots decide only how the work goes, never what is kept: the
+// result is the order's, whichever pivots were taken.
 func selectNth(a []entry, n int) {
 	lo, hi := 0, len(a)-1
 	for depth := 2 * bits.Len(uint(len(a))); hi-lo >= 12 && depth > 0; depth-- {
-		mid := lo + (hi-lo)/2
-		if order(a[mid], a[lo]) < 0 {
-			a[mid], a[lo] = a[lo], a[mid]
+		if hi-lo+1 >= sampleFrom {
+			samplePivot(a, lo, hi, n)
+		} else {
+			mid := lo + (hi-lo)/2
+			if order(a[mid], a[lo]) < 0 {
+				a[mid], a[lo] = a[lo], a[mid]
+			}
+			if order(a[hi], a[lo]) < 0 {
+				a[hi], a[lo] = a[lo], a[hi]
+			}
+			if order(a[mid], a[hi]) < 0 {
+				a[mid], a[hi] = a[hi], a[mid]
+			}
 		}
-		if order(a[hi], a[lo]) < 0 {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if order(a[mid], a[hi]) < 0 {
-			a[mid], a[hi] = a[hi], a[mid]
-		}
-		pivot := a[hi] // the median of the three
+		pivot := a[hi]
 		pr := pivot.rank()
 		s, p := a[lo:hi], 0
 		for i, x := range s {
@@ -196,6 +208,22 @@ func selectNth(a []entry, n int) {
 		}
 		a[j] = x
 	}
+}
+
+// A range of at least sampleFrom entries takes its pivot from sampleSize
+// evenly spaced ones.
+const sampleFrom, sampleSize = 2048, 64
+
+// samplePivot moves to a[hi] the entry of the sample of a[lo:hi+1] whose rank
+// in the sorted sample matches n's relative position in [lo, hi].
+func samplePivot(a []entry, lo, hi, n int) {
+	var idx [sampleSize]int
+	for s := range idx {
+		idx[s] = lo + s*(hi-lo)/(sampleSize-1)
+	}
+	slices.SortFunc(idx[:], func(i, j int) int { return order(a[i], a[j]) })
+	p := idx[((n-lo)*(sampleSize-1)+(hi-lo)/2)/(hi-lo)]
+	a[p], a[hi] = a[hi], a[p]
 }
 
 // Items returns the retained items in the total order: decreasing weight,

@@ -2,6 +2,7 @@ package pqueue
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -190,7 +191,10 @@ func checkAgainstOracle(t *testing.T, q *TopK, offered []Item) {
 // from a handful of values, so ties at the cutoff are the rule, or all
 // distinct — through capacities 0, 1, γ ≪ n and γ ≥ n, and compares with the
 // oracle at a point mid-stream (reading must not disturb what follows) and at
-// the end.
+// the end. Capacities from 1 366 up fill buffers of at least 2 048 entries, the
+// ranges whose pivot comes from a sample: there the streams are ascending
+// (every offer admitted, a selection per γ/2 offers), descending, organ-pipe
+// and all of one weight.
 func TestMatchesSortOracle(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -216,6 +220,34 @@ func TestMatchesSortOracle(t *testing.T) {
 				q.Offer(it)
 			}
 			checkAgainstOracle(t, q, offered)
+		}
+	}
+	const streamLen = 12000
+	shapes := map[string]func(i int) float64{
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(streamLen - i) },
+		"organ-pipe": func(i int) float64 { return float64(min(i, streamLen-i)) },
+		"equal":      func(int) float64 { return 1 },
+	}
+	for name, weight := range shapes {
+		for _, capacity := range []int{1366, 2000, 4500} {
+			t.Run(fmt.Sprintf("%s/cap=%d", name, capacity), func(t *testing.T) {
+				q := NewTopK(capacity)
+				offered := make([]Item, 0, streamLen)
+				for i := 0; i < streamLen; i++ {
+					if i == streamLen/2 {
+						checkAgainstOracle(t, q, offered)
+					}
+					d := weight(i)
+					if i%3 == 0 {
+						d = -d
+					}
+					it := Item{Row: i / 366, Col: i % 366, Delta: d}
+					offered = append(offered, it)
+					q.Offer(it)
+				}
+				checkAgainstOracle(t, q, offered)
+			})
 		}
 	}
 }

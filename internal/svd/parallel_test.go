@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -171,36 +172,67 @@ func TestScanShardedReturnsWorkerErrorAfterAllExit(t *testing.T) {
 	}
 }
 
+// TestAccumulateCSymmetricAndMatchesNaive holds the blocked pass 1 at one
+// worker to the naive full accumulation, bit for bit: on dense rows, and on
+// sparse ones — zero rows, scattered zeros and −0 entries — at N ≡ 0, 1, 2 and
+// 3 (mod 4), so every block size and a final partial block are covered.
 func TestAccumulateCSymmetricAndMatchesNaive(t *testing.T) {
-	const n, m = 200, 9
-	x := randMatrix(rand.New(rand.NewSource(5)), n, m)
-	c, err := AccumulateCWorkers(matio.NewMem(x), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Naive full accumulation in the same row-major order: the upper
-	// triangle + mirror must reproduce it bit-for-bit, since x_j·x_l and
-	// x_l·x_j are the same product added in the same row order.
-	naive := linalg.NewMatrix(m, m)
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		for j, vj := range row {
-			if vj == 0 {
+	sparse := func(seed int64, n int) *linalg.Matrix {
+		r := rand.New(rand.NewSource(seed))
+		x := randMatrix(r, n, 9)
+		for i := 0; i < n; i++ {
+			row := x.Row(i)
+			if r.Intn(5) == 0 {
+				clear(row)
 				continue
 			}
-			nrow := naive.Row(j)
-			for l, vl := range row {
-				nrow[l] += vj * vl
+			for j := range row {
+				switch r.Intn(6) {
+				case 0:
+					row[j] = 0
+				case 1:
+					row[j] = math.Copysign(0, -1)
+				}
 			}
 		}
+		return x
 	}
-	for j := 0; j < m; j++ {
-		for l := 0; l < m; l++ {
-			if c.At(j, l) != naive.At(j, l) {
-				t.Fatalf("C[%d][%d] = %v, naive %v", j, l, c.At(j, l), naive.At(j, l))
+	cases := map[string]*linalg.Matrix{
+		"dense n=200": randMatrix(rand.New(rand.NewSource(5)), 200, 9),
+	}
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 200, 201, 202, 203} {
+		cases[fmt.Sprintf("sparse n=%d", n)] = sparse(int64(n), n)
+	}
+	for name, x := range cases {
+		n, m := x.Dims()
+		c, err := AccumulateCWorkers(matio.NewMem(x), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Naive full accumulation in the same row-major order: the upper
+		// triangle + mirror must reproduce it bit-for-bit, since x_j·x_l and
+		// x_l·x_j are the same product added in the same row order.
+		naive := linalg.NewMatrix(m, m)
+		for i := 0; i < n; i++ {
+			row := x.Row(i)
+			for j, vj := range row {
+				if vj == 0 {
+					continue
+				}
+				nrow := naive.Row(j)
+				for l, vl := range row {
+					nrow[l] += vj * vl
+				}
 			}
-			if c.At(j, l) != c.At(l, j) {
-				t.Fatalf("C not symmetric at (%d, %d)", j, l)
+		}
+		for j := 0; j < m; j++ {
+			for l := 0; l < m; l++ {
+				if math.Float64bits(c.At(j, l)) != math.Float64bits(naive.At(j, l)) {
+					t.Fatalf("%s: C[%d][%d] = %v, naive %v", name, j, l, c.At(j, l), naive.At(j, l))
+				}
+				if c.At(j, l) != c.At(l, j) {
+					t.Fatalf("%s: C not symmetric at (%d, %d)", name, j, l)
+				}
 			}
 		}
 	}

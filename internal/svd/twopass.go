@@ -67,32 +67,68 @@ func AccumulateCWorkers(src matio.RowSource, workers int) (*linalg.Matrix, error
 		slog.Int("rows", rows), slog.Int("cols", m), slog.Int("workers", matio.NumWorkers(workers)),
 	}, func() error {
 		partials, err := scanSharded(src, workers,
-			func() *linalg.Matrix { return linalg.NewMatrix(m, m) },
-			func(c *linalg.Matrix, _ int, row []float64) error {
-				accumulateRowUpper(c, row)
+			func() *gram { return newGram(m) },
+			func(g *gram, _ int, row []float64) error {
+				g.add(row)
 				return nil
 			})
 		if err != nil {
 			return fmt.Errorf("svd: pass 1: %w", err)
 		}
-		c = reducePairwise(partials, addMatrix)
+		for _, g := range partials {
+			g.flush()
+		}
+		c = reducePairwise(partials, func(dst, src *gram) { addMatrix(dst.c, src.c) }).c
 		mirrorUpper(c)
 		return nil
 	})
 	return c, err
 }
 
-// accumulateRowUpper adds the outer product row·rowᵀ into the upper
-// triangle of c. The row update is linalg.Axpy, bit-identical to the plain
-// loop: unrolled, it runs at one speed wherever the linker places this
-// package, where the plain loop swung by a third with svd's code layout.
-func accumulateRowUpper(c *linalg.Matrix, row []float64) {
-	for j, vj := range row {
-		if vj == 0 {
-			continue
-		}
-		linalg.Axpy(vj, row[j:], c.Row(j)[j:len(row)])
+// gram is one worker's pass-1 accumulator: the upper triangle of its partial
+// C and a block of up to four rows not yet added into it.
+type gram struct {
+	c     *linalg.Matrix
+	block [4][]float64 // copies: a scanner reuses the row slice it hands out
+	n     int          // rows held in block
+}
+
+func newGram(m int) *gram {
+	g := &gram{c: linalg.NewMatrix(m, m)}
+	for r := range g.block {
+		g.block[r] = make([]float64, m)
 	}
+	return g
+}
+
+// add buffers a row, adding the block into c once it holds four.
+func (g *gram) add(row []float64) {
+	copy(g.block[g.n], row)
+	if g.n++; g.n == len(g.block) {
+		g.flush()
+	}
+}
+
+// flush adds the outer products row·rowᵀ of the buffered rows into the upper
+// triangle of c, four rows per sweep: C row j is loaded once per block and
+// receives, through linalg.AxpyRows, the rows whose element j is nonzero in
+// row order. Each C[j][l] thus gets the adds of one linalg.Axpy per (row, j)
+// with zeros skipped per (row, j), in row order — the same roundings as
+// row-at-a-time accumulation, bit for bit, at every block boundary.
+func (g *gram) flush() {
+	var alpha [4]float64
+	var x [4][]float64
+	for j := range g.c.Rows() {
+		a := 0
+		for _, row := range g.block[:g.n] {
+			if v := row[j]; v != 0 {
+				alpha[a], x[a] = v, row[j:]
+				a++
+			}
+		}
+		linalg.AxpyRows(alpha[:a], x[:a], g.c.Row(j)[j:])
+	}
+	g.n = 0
 }
 
 // mirrorUpper copies the strict upper triangle of c onto the lower.

@@ -9,10 +9,17 @@
 // unresolved when either side's runs spread wider than the bound and not
 // every change run beats every parent run, ok otherwise. It exits non-zero
 // if any metric is WORSE, any run reports correct: false, or any op
-// failed.
+// failed. -first-seed moves the seeds to FIRST..FIRST+PAIRS−1, for a second
+// sample on seeds the first did not use.
 //
 //	make bench-gate PARENT=HEAD WORKLOAD=point_read,agg_adhoc PAIRS=10
 //	go run ./scripts/benchgate -parent HEAD -workload point_read,agg_adhoc -pairs 10
+//
+// Before it runs anything it prints where the linker put a fixed list of hot
+// functions in each side's binary, as the address mod 64 (go tool nm): a
+// tight loop's speed can swing with its alignment alone, so a metric that
+// moved in code the change did not touch is only believed once this table
+// shows that code did not move.
 //
 // The parent's tree is exported with git archive into a temporary
 // directory, so the repository's .git is left as it was. Each side's
@@ -54,15 +61,16 @@ type metric struct {
 func main() {
 	parent := flag.String("parent", "HEAD", "git revision the working tree is measured against")
 	workloads := flag.String("workload", "point_read", "benchmark workloads to run, comma-separated")
-	pairs := flag.Int("pairs", 10, "alternating parent/change pairs per workload, seeds 1..pairs")
+	pairs := flag.Int("pairs", 10, "alternating parent/change pairs per workload")
+	firstSeed := flag.Int("first-seed", 1, "seed of the first pair; pair p runs seed first-seed+p-1")
 	flag.Parse()
-	if err := gate(*parent, strings.Split(*workloads, ","), *pairs); err != nil {
+	if err := gate(*parent, strings.Split(*workloads, ","), *pairs, *firstSeed); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-func gate(parent string, workloads []string, pairs int) error {
+func gate(parent string, workloads []string, pairs, firstSeed int) error {
 	if pairs < 1 {
 		return errors.New("-pairs must be at least 1")
 	}
@@ -104,9 +112,12 @@ func gate(parent string, workloads []string, pairs int) error {
 			return err
 		}
 	}
+	if err := printLayout(bins); err != nil {
+		return err
+	}
 	var problems []string
 	for _, workload := range workloads {
-		p, err := measure(bins, tmp, strings.TrimSpace(workload), parent, pairs, decl.EndToEnd)
+		p, err := measure(bins, tmp, strings.TrimSpace(workload), parent, pairs, firstSeed, decl.EndToEnd)
 		if err != nil {
 			return err
 		}
@@ -120,12 +131,12 @@ func gate(parent string, workloads []string, pairs int) error {
 
 // measure runs one workload's pairs, prints its table, and returns what
 // breaks the gate.
-func measure(bins [2]string, tmp, workload, parent string, pairs int, metrics []metric) ([]string, error) {
+func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int, metrics []metric) ([]string, error) {
 	// values[side][metric] holds one value per pair, in seed order.
 	var values [2]map[string][]float64
 	sides := [2]string{"parent", "change"}
 	incorrect, failed := 0, 0
-	for seed := 1; seed <= pairs; seed++ {
+	for seed := firstSeed; seed < firstSeed+pairs; seed++ {
 		order := [2]int{0, 1}
 		if seed%2 == 0 {
 			order = [2]int{1, 0}
@@ -157,7 +168,7 @@ func measure(bins [2]string, tmp, workload, parent string, pairs int, metrics []
 	}
 
 	var problems []string
-	fmt.Printf("%s, %d pairs, %s against the working tree\n", workload, pairs, parent)
+	fmt.Printf("%s, %d pairs (seeds %d–%d), %s against the working tree\n", workload, pairs, firstSeed, firstSeed+pairs-1, parent)
 	fmt.Printf("%-15s %12s %12s %12s %6s %8s %6s  %s\n", "metric", "parent", "change", "parent IQR", "wins", "shift", "bound", "verdict")
 	for _, m := range metrics {
 		s := summarize(m, values[0][m.Name], values[1][m.Name])
@@ -175,6 +186,72 @@ func measure(bins [2]string, tmp, workload, parent string, pairs int, metrics []
 		problems = append(problems, fmt.Sprintf("%s: %d ops failed", workload, failed))
 	}
 	return problems, nil
+}
+
+// hotSymbols are the functions whose placement the compression and set-up
+// metrics are sensitive to: the Gram kernel, the top-γ selection, the pass-2
+// row scorer, the reconstruction kernels and the point read.
+var hotSymbols = []string{
+	"seqstore/internal/linalg.AxpyRows",
+	"seqstore/internal/pqueue.selectNth",
+	"seqstore/internal/core.(*pass2State).row",
+	"seqstore/internal/linalg.Dot",
+	"seqstore/internal/linalg.DotRows",
+	"seqstore/internal/linalg.Axpy",
+	"seqstore/internal/core.(*Store).Cell",
+}
+
+// printLayout prints each hot symbol's address mod 64 in both binaries, "-"
+// where a binary has no such symbol, and marks the rows where the two differ.
+func printLayout(bins [2]string) error {
+	var mods [2]map[string]uint64
+	for side, bin := range bins {
+		out, err := output("go", "tool", "nm", bin)
+		if err != nil {
+			return err
+		}
+		mods[side] = addrMod64(out, hotSymbols)
+	}
+	fmt.Printf("%-42s %6s %6s\n", "layout (address mod 64)", "parent", "change")
+	for _, sym := range hotSymbols {
+		cell := func(side int) string {
+			if a, ok := mods[side][sym]; ok {
+				return strconv.FormatUint(a, 10)
+			}
+			return "-"
+		}
+		moved := ""
+		if cell(0) != cell(1) {
+			moved = "  moved"
+		}
+		fmt.Printf("%-42s %6s %6s%s\n", sym, cell(0), cell(1), moved)
+	}
+	fmt.Println()
+	return nil
+}
+
+// addrMod64 reads go tool nm output — "address type name" per line — and
+// returns the address mod 64 of each wanted text symbol it lists.
+func addrMod64(nm string, want []string) map[string]uint64 {
+	wanted := make(map[string]bool, len(want))
+	for _, w := range want {
+		wanted[w] = true
+	}
+	mods := make(map[string]uint64)
+	for _, line := range strings.Split(nm, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || (f[1] != "T" && f[1] != "t") {
+			continue
+		}
+		name := strings.Join(f[2:], " ")
+		if !wanted[name] {
+			continue
+		}
+		if addr, err := strconv.ParseUint(f[0], 16, 64); err == nil {
+			mods[name] = addr % 64
+		}
+	}
+	return mods
 }
 
 // runOnce runs one benchmark binary in dir and parses its result line.

@@ -53,3 +53,37 @@ func TestVerdictIsTheNoGainRule(t *testing.T) {
 		}
 	}
 }
+
+func TestAddrMod64ParsesNM(t *testing.T) {
+	nm := `  5469a0 T seqstore/internal/core.(*Store).Cell
+  4f8b60 T seqstore/internal/linalg.Axpy
+  4f8d70 t seqstore/internal/linalg.AxpyRows
+  6a1f00 D seqstore/internal/linalg.Dot
+  4f8120 T seqstore/internal/linalg.DotRows.func1
+         U seqstore/internal/pqueue.selectNth
+garbage
+`
+	got := addrMod64(nm, []string{
+		"seqstore/internal/core.(*Store).Cell",
+		"seqstore/internal/linalg.Axpy",
+		"seqstore/internal/linalg.AxpyRows",
+		"seqstore/internal/linalg.Dot",
+		"seqstore/internal/linalg.DotRows",
+		"seqstore/internal/pqueue.selectNth",
+	})
+	// A data symbol, a closure of a wanted function and an undefined symbol
+	// are not the function's code.
+	want := map[string]uint64{
+		"seqstore/internal/core.(*Store).Cell": 0x5469a0 % 64,
+		"seqstore/internal/linalg.Axpy":        0x4f8b60 % 64,
+		"seqstore/internal/linalg.AxpyRows":    0x4f8d70 % 64,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("addrMod64 = %v, want %v", got, want)
+	}
+	for sym, mod := range want {
+		if got[sym] != mod {
+			t.Errorf("%s: mod 64 = %d, want %d", sym, got[sym], mod)
+		}
+	}
+}
