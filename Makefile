@@ -35,8 +35,10 @@ race:
 # write encoding/json's bytes, labels and edge floats included), FuzzDotRows
 # on raw float bit patterns (the panel kernel equals per-row Dot bit for
 # bit), FuzzAxpyRows on raw float bit patterns (the Gram kernel equals
-# sequential Axpy calls bit for bit). `go test -fuzz` accepts one target per
-# invocation, hence eight runs.
+# sequential Axpy calls bit for bit), FuzzDotBounds on raw float bit
+# patterns (a finite interval bound encloses every Dot inside its box, and
+# its corners attain it). `go test -fuzz` accepts one target per
+# invocation, hence nine runs.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
@@ -46,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzPointReadEncoding -fuzz FuzzPointReadEncoding -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzDotRows -fuzz FuzzDotRows -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzAxpyRows -fuzz FuzzAxpyRows -fuzztime 10s ./internal/linalg
+	$(GO) test -run FuzzDotBounds -fuzz FuzzDotBounds -fuzztime 10s ./internal/linalg
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,

@@ -232,12 +232,12 @@ func adhocSetup(b *testing.B) (*core.Store, []Selection, []int) {
 
 // BenchmarkEvaluateAdhoc is the query-plan rung of the agg_adhoc workload
 // without the 15 s harness: one op is one aggregate over the next Zipf
-// draw, per plan class (factored sum, factored stddev, projected min) and
-// worker count.
+// draw, per plan class (factored sum, factored stddev, projected min and
+// max) and worker count.
 //
 //	go test -run '^$' -bench EvaluateAdhoc -benchmem ./internal/query
 func BenchmarkEvaluateAdhoc(b *testing.B) {
-	for _, agg := range []Aggregate{Sum, StdDev, Min} {
+	for _, agg := range []Aggregate{Sum, StdDev, Min, Max} {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%v/w%d", agg, workers), func(b *testing.B) {
 				s, sels, draws := adhocSetup(b)

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"seqstore/internal/core"
@@ -161,6 +162,11 @@ type evalState struct {
 	workers []*evalWorker // every worker ever grown; pointer-stable
 	active  []*evalWorker // the ones sharding this evaluation
 
+	// The panel's per-dimension extremes, vhi[m] = max_p panel[p][m] and
+	// vlo[m] the min: the interval the projected engine bounds a row's cells
+	// by. Filled once per projected evaluation.
+	vhi, vlo []float64
+
 	// The result.
 	factored   bool
 	numCells   int64
@@ -175,12 +181,13 @@ type evalState struct {
 // slabs), so a pooled state pins neither a purged plan's panel, nor a
 // replaced store's deltas, nor a request's context.
 type evalJob struct {
-	env   evalEnv
-	s     store.Store
-	sel   Selection
-	pl    *plan
-	panel *linalg.Matrix // |C|×k: V rows of the selected columns
-	dg    *selDigest     // projected overlay on SVDD: the columns' positions
+	env     evalEnv
+	s       store.Store
+	sel     Selection
+	pl      *plan
+	panel   *linalg.Matrix // |C|×k: V rows of the selected columns
+	dg      *selDigest     // projected overlay on SVDD: the columns' positions
+	wantMax bool           // projected: the aggregate is Max, not Min
 }
 
 var statePool = sync.Pool{New: func() any { return new(evalState) }}
@@ -220,7 +227,7 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 		return nil
 	}
 	pl := planFor(s, sel, env)
-	st.evalJob = evalJob{env: env, s: s, sel: sel, pl: pl}
+	st.evalJob = evalJob{env: env, s: s, sel: sel, pl: pl, wantMax: agg == Max}
 	st.factored = pl.base != nil && (agg == Sum || agg == Avg || agg == StdDev)
 
 	k, wantSq := len(pl.sigma), agg == StdDev
@@ -236,6 +243,8 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 		if pl.svdd != nil {
 			st.dg = pl.digestFor()
 		}
+		st.vhi, st.vlo = ensureFloats(st.vhi, k), ensureFloats(st.vlo, k)
+		panelExtremes(st.panel, st.vhi, st.vlo)
 	}
 	for _, w := range st.active {
 		w.acc.reset()
@@ -458,8 +467,9 @@ func (w *evalWorker) take(i int, u []float64) {
 // project projects w.urow — U row i — onto the column panel and folds the
 // selected cells, with SVDD deltas applied from the piece's slab of the
 // row index. On a factorable store this engine serves Min and Max alone
-// (Sum/Avg/StdDev factor, Count is data-free), so it folds only what they
-// read.
+// (Sum/Avg/StdDev factor, Count is data-free), so it folds only the count
+// and the one extremum the aggregate reads — and a row none of whose cells
+// can move that extremum is counted without being projected at all.
 func (w *evalWorker) project(i int) {
 	st := w.st
 	// Pre-scale by σ so each projected cell is the same dot product the
@@ -468,6 +478,10 @@ func (w *evalWorker) project(i int) {
 	urow, vals, sigma := w.urow, w.vals, st.pl.sigma
 	for m := range urow {
 		urow[m] *= sigma[m]
+	}
+	if w.cannotWin(i) {
+		w.acc.n += int64(len(vals))
+		return
 	}
 	linalg.DotRows(urow, st.panel.Data(), vals)
 	if dg := st.dg; dg != nil {
@@ -478,16 +492,80 @@ func (w *evalWorker) project(i int) {
 			}
 		}
 	}
-	w.acc.addExtremaAll(vals)
+	w.fold(vals)
 }
+
+// cannotWin reports whether no selected cell of U row i (w.urow, σ-scaled)
+// can move the worker's running extremum, so that folding the row would
+// change nothing but the count. For Max: every plain cell is Dot(urow, V
+// row) over a V row inside [vlo, vhi], so when linalg.DotBounds' upper
+// bound is finite no such cell is NaN or above it, bit for bit; if that
+// bound is ≤ the running max (a NaN max never is), folding those cells
+// leaves the max as it is, ±0 ties included — a tie never replaces it. A
+// cell carrying a delta is Dot + δ, outside the bound, so each one is
+// computed exactly and must neither beat the max nor be NaN. Min is the
+// mirror image. Anything else — a non-finite bound included — is projected.
+func (w *evalWorker) cannotWin(i int) bool {
+	st := w.st
+	upper, lower := linalg.DotBounds(w.urow, st.vhi, st.vlo)
+	if st.wantMax {
+		if !(upper <= w.acc.max) || math.IsInf(upper, 0) {
+			return false
+		}
+	} else if !(lower >= w.acc.min) || math.IsInf(lower, 0) {
+		return false
+	}
+	dg := st.dg
+	if dg == nil {
+		return true
+	}
+	cols, deltas := w.slab.Row(i)
+	for x, col := range cols {
+		// Every position of a column holds the same V row: one cell decides.
+		if a := dg.colStart[col]; a < dg.colStart[col+1] {
+			v := linalg.Dot(w.urow, st.panel.Row(int(dg.pos[a]))) + deltas[x]
+			if math.IsNaN(v) || (st.wantMax && v > w.acc.max) || (!st.wantMax && v < w.acc.min) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// fold folds one row's cell values into the count and the aggregate's
+// extremum.
+func (w *evalWorker) fold(vals []float64) {
+	if w.st.wantMax {
+		w.acc.addMaxAll(vals)
+	} else {
+		w.acc.addMinAll(vals)
+	}
+}
+
+// zeroCell is the one value of a §6.2 zero-flagged row.
+var zeroCell = []float64{0}
 
 // zeroRow folds a §6.2 zero-flagged row: every selected cell is 0, and
 // the all-zero U row leaves the factored moments untouched. Folding 0 into
-// the extrema is idempotent, so |C| zero cells are one fold and a count.
+// an extremum is idempotent, so |C| zero cells are one fold and a count.
 func (w *evalWorker) zeroRow() {
 	if n := len(w.st.sel.Cols); !w.st.factored && n > 0 {
-		w.acc.addExtrema(0)
+		w.fold(zeroCell)
 		w.acc.n += int64(n - 1)
+	}
+}
+
+// panelExtremes fills hi and lo (k each) with the per-dimension max and min
+// of the panel's rows: every V row a projected cell can meet lies inside
+// [lo, hi].
+func panelExtremes(panel *linalg.Matrix, hi, lo []float64) {
+	for m := range hi {
+		hi[m], lo[m] = math.Inf(-1), math.Inf(1)
+	}
+	for p := range panel.Rows() {
+		for m, v := range panel.Row(p) {
+			hi[m], lo[m] = max(hi[m], v), min(lo[m], v)
+		}
 	}
 }
 

@@ -299,10 +299,11 @@ func TestAccumMergeNaN(t *testing.T) {
 }
 
 // TestAddExtremaAllMatchesPerCell pins the projected engine's one-pass row
-// fold to the per-cell addExtrema loop it replaced: over rows mixing NaNs of
-// several payloads, ±0 (the first one seen stays), ±Inf and finite values,
-// folded into accumulators that already hold earlier rows, the count and
-// both extrema agree bit for bit.
+// folds, addMaxAll and addMinAll, to the per-cell addExtrema loop: over
+// rows mixing NaNs of several payloads, ±0 (the first one seen stays), ±Inf
+// and finite values, folded into accumulators that already hold earlier
+// rows, the count and each fold's own extremum agree bit for bit, and the
+// other extremum stays the empty fold.
 func TestAddExtremaAllMatchesPerCell(t *testing.T) {
 	pool := []float64{
 		math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff8000000000000),
@@ -311,7 +312,8 @@ func TestAddExtremaAllMatchesPerCell(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(30))
 	for trial := 0; trial < 2000; trial++ {
-		perCell, perRow := newAccum(), newAccum()
+		perCell, maxRow, minRow := newAccum(), newAccum(), newAccum()
+		empty := newAccum()
 		for row := rng.Intn(4); row >= 0; row-- {
 			vals := make([]float64, rng.Intn(9))
 			for i := range vals {
@@ -323,12 +325,16 @@ func TestAddExtremaAllMatchesPerCell(t *testing.T) {
 			for _, v := range vals {
 				perCell.addExtrema(v)
 			}
-			perRow.addExtremaAll(vals)
-			if perRow.n != perCell.n ||
-				math.Float64bits(perRow.min) != math.Float64bits(perCell.min) ||
-				math.Float64bits(perRow.max) != math.Float64bits(perCell.max) {
-				t.Fatalf("trial %d row %v: one pass n=%d min=%#x max=%#x, per cell n=%d min=%#x max=%#x",
-					trial, vals, perRow.n, math.Float64bits(perRow.min), math.Float64bits(perRow.max),
+			maxRow.addMaxAll(vals)
+			minRow.addMinAll(vals)
+			if maxRow.n != perCell.n || minRow.n != perCell.n ||
+				math.Float64bits(minRow.min) != math.Float64bits(perCell.min) ||
+				math.Float64bits(maxRow.max) != math.Float64bits(perCell.max) ||
+				math.Float64bits(maxRow.min) != math.Float64bits(empty.min) ||
+				math.Float64bits(minRow.max) != math.Float64bits(empty.max) {
+				t.Fatalf("trial %d row %v: one pass n=%d/%d min=%#x max=%#x (others %#x %#x), per cell n=%d min=%#x max=%#x",
+					trial, vals, minRow.n, maxRow.n, math.Float64bits(minRow.min), math.Float64bits(maxRow.max),
+					math.Float64bits(maxRow.min), math.Float64bits(minRow.max),
 					perCell.n, math.Float64bits(perCell.min), math.Float64bits(perCell.max))
 			}
 		}

@@ -85,8 +85,11 @@ type Partial struct {
 	NumCells int64 // |fragment rows| · |cols|
 
 	// Cells shape. A Min/Max partial from an SVD-family store carries
-	// empty Sum/SumSq: the projected engine folds only the count and the
-	// extrema, which is all value and MergePartials read for them.
+	// empty Sum/SumSq and only its own extremum — the other is the empty
+	// ±Inf fold: the projected engine folds only the count and the extremum
+	// the aggregate reads, which is all value and MergePartials read, so
+	// the bytes depend on neither the worker count nor which rows it
+	// skipped.
 	N          int64
 	Sum, SumSq exact.Sum
 	Min, Max   float64

@@ -252,10 +252,8 @@ func (a *accum) add(v float64) {
 	a.addExtrema(v)
 }
 
-// addExtrema folds a cell into the count and the extrema only — what Min
-// and Max read, under the NaN rule above. The projected engine folds every
-// cell through it (or addExtremaAll) alone, leaving both running sums
-// empty.
+// addExtrema folds a cell into the count and the extrema only, under the
+// NaN rule above.
 func (a *accum) addExtrema(v float64) {
 	a.n++
 	if math.IsNaN(v) || v < a.min {
@@ -266,20 +264,31 @@ func (a *accum) addExtrema(v float64) {
 	}
 }
 
-// addExtremaAll is addExtrema over vs in order, with the extrema held in
-// locals for the pass: the projected engine's fold of one row's cells.
-func (a *accum) addExtremaAll(vs []float64) {
-	lo, hi := a.min, a.max
+// addMaxAll folds vs in order into the count and the running max alone,
+// held in a local for the pass: the projected engine's fold of one row's
+// cells for Max. The min stays the empty fold, so a Max partial carries
+// only what Max reads.
+func (a *accum) addMaxAll(vs []float64) {
+	hi := a.max
 	for _, v := range vs {
-		if math.IsNaN(v) || v < lo {
-			lo = v
-		}
 		if math.IsNaN(v) || v > hi {
 			hi = v
 		}
 	}
 	a.n += int64(len(vs))
-	a.min, a.max = lo, hi
+	a.max = hi
+}
+
+// addMinAll is addMaxAll for Min.
+func (a *accum) addMinAll(vs []float64) {
+	lo := a.min
+	for _, v := range vs {
+		if math.IsNaN(v) || v < lo {
+			lo = v
+		}
+	}
+	a.n += int64(len(vs))
+	a.min = lo
 }
 
 // Merge folds b into a — the parallel engine's (and the distributed

@@ -188,16 +188,21 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 	return problems, nil
 }
 
-// hotSymbols are the functions whose placement the compression and set-up
-// metrics are sensitive to: the Gram kernel, the top-γ selection, the pass-2
-// row scorer, the reconstruction kernels and the point read.
+// hotSymbols are the functions whose placement the compression, set-up and
+// aggregate metrics are sensitive to: the Gram kernel, the top-γ selection,
+// the pass-2 row scorer, the reconstruction kernels, the projected engine's
+// row bound and row projection, the factored moments' exact add and the
+// point read.
 var hotSymbols = []string{
 	"seqstore/internal/linalg.AxpyRows",
 	"seqstore/internal/pqueue.selectNth",
 	"seqstore/internal/core.(*pass2State).row",
 	"seqstore/internal/linalg.Dot",
 	"seqstore/internal/linalg.DotRows",
+	"seqstore/internal/linalg.DotBounds",
 	"seqstore/internal/linalg.Axpy",
+	"seqstore/internal/query.(*evalWorker).project",
+	"seqstore/internal/exact.(*Sum).Add",
 	"seqstore/internal/core.(*Store).Cell",
 }
 
@@ -212,7 +217,7 @@ func printLayout(bins [2]string) error {
 		}
 		mods[side] = addrMod64(out, hotSymbols)
 	}
-	fmt.Printf("%-42s %6s %6s\n", "layout (address mod 64)", "parent", "change")
+	fmt.Printf("%-46s %6s %6s\n", "layout (address mod 64)", "parent", "change")
 	for _, sym := range hotSymbols {
 		cell := func(side int) string {
 			if a, ok := mods[side][sym]; ok {
@@ -224,7 +229,7 @@ func printLayout(bins [2]string) error {
 		if cell(0) != cell(1) {
 			moved = "  moved"
 		}
-		fmt.Printf("%-42s %6s %6s%s\n", sym, cell(0), cell(1), moved)
+		fmt.Printf("%-46s %6s %6s%s\n", sym, cell(0), cell(1), moved)
 	}
 	fmt.Println()
 	return nil
