@@ -2,11 +2,13 @@ package ingest
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -17,6 +19,7 @@ import (
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/store"
+	"seqstore/internal/svd"
 )
 
 // phoneData generates a small deterministic customer×day matrix.
@@ -492,5 +495,141 @@ func TestTieredConcurrentAppendCompactRead(t *testing.T) {
 	wg.Wait()
 	if n, _ := ti.Dims(); n != 30+appends {
 		t.Errorf("rows = %d, want %d", n, 30+appends)
+	}
+}
+
+// kOf reports the cutoff k of an SVD-family cold segment.
+func kOf(t *testing.T, s store.Store) int {
+	t.Helper()
+	ks, ok := s.(interface{ K() int })
+	if !ok {
+		t.Fatalf("%T has no cutoff", s)
+	}
+	return ks.K()
+}
+
+// TestTieredPlainSVD drives a tier over a plain-SVD cold segment through
+// every step that depends on the cold store's method — Open, the fold of
+// Compact (which must add no deltas, whatever MaxDeltas says) and
+// Recompress (which must keep the method and k) — then reopens it from the
+// persisted .sqz plus the WAL. The SHA-256 of the .sqz after the fixed fold
+// sequence, and after the recompression, was recorded by running this very
+// test on the commit before plain-SVD stores loaded as delta-free SVDD
+// stores, at b = 8 and b = 4.
+func TestTieredPlainSVD(t *testing.T) {
+	for _, tc := range []struct {
+		prec               int
+		compacted, rebuilt string
+	}{
+		{8,
+			"31388a28b7502b9429a45c8a57d8fef7aecf740f7e1a2086aa01f37fdb2417db",
+			"646bdb5ced74bcf8b76732eb3d448d08d48758cc3af2370d2a34735030d861ed"},
+		{4,
+			"60d8d57dabe24b00e0d02051025178ba8d370f3f2a32aea60d2b429757fced64",
+			"44111f433a3d3f073239b491c1f94ffa86f94792235b88ac363bd1783e6bca71"},
+	} {
+		t.Run(fmt.Sprintf("b%d", tc.prec), func(t *testing.T) {
+			plain, err := svd.Compress(matio.NewMem(phoneData(30)), 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := plain.SetPrecision(tc.prec); err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			sqz, walPath := filepath.Join(dir, "cold.sqz"), filepath.Join(dir, "hot.wal")
+			if err := store.Save(sqz, plain); err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{DisableBackground: true, PersistPath: sqz, MaxDeltas: 8, Workers: 1}
+			open := func() *Tiered {
+				t.Helper()
+				cold, err := store.Load(sqz)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ti, err := Open(cold, nil, walPath, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return ti
+			}
+			fileHash := func() string {
+				t.Helper()
+				b, err := os.ReadFile(sqz)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprintf("%x", sha256.Sum256(b))
+			}
+			fresh := phoneData(50)
+			ctx := context.Background()
+			appendRows := func(ti *Tiered, lo, hi int) {
+				t.Helper()
+				var rows [][]float64
+				for i := lo; i < hi; i++ {
+					rows = append(rows, fresh.Row(i))
+				}
+				if _, err := ti.AppendBatch(ctx, nil, rows); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			ti := open()
+			k := kOf(t, ti.Cold())
+			appendRows(ti, 30, 40)
+			if done, err := ti.Compact(); err != nil || done != 10 {
+				t.Fatalf("Compact = %d, %v; want 10 rows", done, err)
+			}
+			if ti.Method() != store.MethodSVD {
+				t.Fatalf("method %v after compaction, want svd", ti.Method())
+			}
+			if got := fileHash(); got != tc.compacted {
+				t.Errorf("persisted .sqz after compaction: sha256 %s, want %s", got, tc.compacted)
+			}
+			if err := ti.Recompress(); err != nil {
+				t.Fatal(err)
+			}
+			if ti.Method() != store.MethodSVD || kOf(t, ti.Cold()) != k {
+				t.Fatalf("recompressed to %v with k = %d, want svd with k = %d", ti.Method(), kOf(t, ti.Cold()), k)
+			}
+			if got := fileHash(); got != tc.rebuilt {
+				t.Errorf("persisted .sqz after recompression: sha256 %s, want %s", got, tc.rebuilt)
+			}
+			appendRows(ti, 40, 50)
+			n, _ := ti.Dims()
+			if n != 50 || ti.HotRows() != 10 {
+				t.Fatalf("%d rows, %d hot; want 50, 10", n, ti.HotRows())
+			}
+			acked := make([][]float64, n)
+			for i := range acked {
+				if acked[i], err = ti.Row(i, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ti.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re := open()
+			defer re.Close()
+			if got, _ := re.Dims(); got != n || re.HotRows() != 10 || re.Method() != store.MethodSVD {
+				t.Fatalf("reopened: %d rows, %d hot, method %v; want %d, 10, svd", got, re.HotRows(), re.Method(), n)
+			}
+			for i, want := range acked {
+				row, err := re.Row(i, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range row {
+					if math.Float64bits(row[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("reopened row %d col %d = %v, acknowledged %v", i, j, row[j], want[j])
+					}
+				}
+				if i >= 40 && !slices.Equal(row, fresh.Row(i)) {
+					t.Fatalf("hot row %d does not read back exactly", i)
+				}
+			}
+		})
 	}
 }
