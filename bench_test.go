@@ -200,7 +200,7 @@ func BenchmarkAggregateFactored(b *testing.B) {
 	sel := query.RandomSelection(rng, benchPhone.Rows(), benchPhone.Cols(), 0.10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := query.FactoredSumSVDD(benchSVDD, sel); err != nil {
+		if _, err := query.Evaluate(benchSVDD, query.Sum, sel); err != nil {
 			b.Fatal(err)
 		}
 	}

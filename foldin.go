@@ -1,11 +1,6 @@
 package seqstore
 
-import (
-	"fmt"
-
-	"seqstore/internal/core"
-	"seqstore/internal/svd"
-)
+import "fmt"
 
 // FoldIn appends a new sequence to an SVD- or SVDD-backed store without
 // recompressing, by projecting it onto the existing principal components
@@ -35,18 +30,11 @@ import (
 func (st *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var (
-		idx int
-		err error
-	)
-	switch s := st.s.(type) {
-	case *core.Store:
-		idx, err = s.FoldIn(row, maxDeltas)
-	case *svd.Store:
-		idx, err = s.FoldIn(row)
-	default:
+	c := st.factored()
+	if c == nil {
 		return -1, fmt.Errorf("seqstore: %s stores do not support fold-in", st.s.Method())
 	}
+	idx, err := c.FoldIn(row, maxDeltas)
 	if err != nil {
 		return idx, err
 	}

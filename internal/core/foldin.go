@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"seqstore/internal/pqueue"
+	"seqstore/internal/store"
 )
 
 // Appendable reports whether FoldIn can grow the store's SVD base (see
@@ -15,7 +16,8 @@ func (s *Store) Appendable() bool { return s.base.Appendable() }
 // the row is folded into the SVD part (see svd.Store.FoldIn), its
 // reconstruction error is measured cell by cell, and up to maxDeltas of the
 // worst cells are pinned with exact deltas — the same repair SVDD applies
-// during compression, done incrementally.
+// during compression, done incrementally. A Plain store takes no deltas,
+// whatever maxDeltas says: its format has no place to save them.
 //
 // Folded-in deltas grow the store beyond its original budget by 3·maxDeltas
 // numbers per call; recompress offline to re-optimize, as the paper's
@@ -35,7 +37,7 @@ func (s *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if maxDeltas <= 0 {
+	if maxDeltas <= 0 || s.method == store.MethodSVD {
 		s.indexFoldedRow(idx)
 		return idx, nil
 	}

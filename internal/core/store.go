@@ -19,8 +19,13 @@ import (
 // encoder alike. The paper screens its disk-resident hash table with a
 // membership filter (§4.2); this index is in memory, where a binary search
 // of one short bucket costs less than such a screen.
+//
+// SVDD with no deltas is the paper's plain SVD, so a plain-SVD store is a
+// Store too (Plain): method SVD, an empty index and no zero-row flags. It
+// keeps that method through slicing, fold-in and serialization.
 type Store struct {
 	base        *svd.Store
+	method      store.Method // MethodSVDD, or MethodSVD for a Plain store
 	outlierCost int
 	diag        Diagnostics
 
@@ -56,10 +61,19 @@ func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, outlierCos
 	for p, it := range items {
 		keys[p], vals[p] = cellKey(it.Row, it.Col, m), it.Delta
 	}
-	s := &Store{base: base, outlierCost: outlierCost, diag: diag}
+	s := &Store{base: base, method: store.MethodSVDD, outlierCost: outlierCost, diag: diag}
 	s.indexDeltas(keys, vals)
 	s.installZeroRows(zeroRows)
 	return s
+}
+
+// Plain wraps a plain-SVD store as a Store with no deltas and no zero-row
+// flags. Its method stays store.MethodSVD, so Method, EncodePayload and
+// StoredNumbers give the plain store's method, bytes and cost, and FoldIn
+// never adds a delta to it.
+func Plain(base *svd.Store) *Store {
+	n, _ := base.Dims()
+	return &Store{base: base, method: store.MethodSVD, rowStart: make([]uint32, n+1)}
 }
 
 // cellKey packs a matrix cell (row, col) into row·M + col, the row-major
@@ -145,8 +159,8 @@ func (s *Store) isZeroRow(i int) bool {
 // Dims returns the dimensions of the represented matrix.
 func (s *Store) Dims() (int, int) { return s.base.Dims() }
 
-// Method returns store.MethodSVDD.
-func (s *Store) Method() store.Method { return store.MethodSVDD }
+// Method returns store.MethodSVDD, or store.MethodSVD for a Plain store.
+func (s *Store) Method() store.Method { return s.method }
 
 // K returns the chosen cutoff k_opt.
 func (s *Store) K() int { return s.base.K() }
@@ -157,16 +171,18 @@ func (s *Store) NumOutliers() int { return len(s.cols) }
 // Diagnostics returns what the k_opt search of pass 2 decided.
 func (s *Store) Diagnostics() Diagnostics { return s.diag }
 
-// Base exposes the underlying plain-SVD store (shared, do not modify); the
-// query package uses it for factored aggregation.
+// Base exposes the underlying plain-SVD factors (shared, do not modify); the
+// query package uses them for factored aggregation and the serving layer
+// for the U backing's cost model.
 func (s *Store) Base() *svd.Store { return s.base }
 
 // SliceRows returns a store over rows [lo, hi) of the same compression:
 // the SVD base is sliced (shared σ/V, copied U rows), the deltas falling in
 // the range are re-keyed to local row indices, and zero-row flags are
-// shifted likewise. Reconstruction of slice cell (i−lo, j) is bit-identical
-// to the parent's cell (i, j); this is how the distributed tier builds
-// shard stores that are exact row partitions of one factorization.
+// shifted likewise; the method is kept. Reconstruction of slice cell
+// (i−lo, j) is bit-identical to the parent's cell (i, j); this is how the
+// distributed tier builds shard stores that are exact row partitions of one
+// factorization.
 func (s *Store) SliceRows(lo, hi int) (*Store, error) {
 	base, err := s.base.SliceRows(lo, hi)
 	if err != nil {
@@ -184,7 +200,9 @@ func (s *Store) SliceRows(lo, hi int) (*Store, error) {
 			zeroRows = append(zeroRows, zr-int32(lo))
 		}
 	}
-	return newStore(base, items, zeroRows, s.outlierCost, s.diag), nil
+	sliced := newStore(base, items, zeroRows, s.outlierCost, s.diag)
+	sliced.method = s.method
+	return sliced, nil
 }
 
 // Deltas iterates over all stored outliers in (row, col) order.
@@ -248,19 +266,20 @@ func (s *Store) ProbeStats() (probes, zeroHits int64) {
 // reconstructions and selection-restricted aggregate corrections).
 func (s *Store) RowProbes() int64 { return s.rowProbes.Load() }
 
-// delta returns the stored correction for cell (i, j) of the store, or 0:
-// a binary search of row i's bucket.
-func (s *Store) delta(i, j int) float64 {
+// delta returns the stored correction for cell (i, j) of the store and
+// whether there is one: a binary search of row i's bucket.
+func (s *Store) delta(i, j int) (float64, bool) {
 	s.probes.Add(1)
 	lo, hi := s.rowStart[i], s.rowStart[i+1]
 	if p, ok := slices.BinarySearch(s.cols[lo:hi], int32(j)); ok {
-		return s.vals[int(lo)+p]
+		return s.vals[int(lo)+p], true
 	}
-	return 0
+	return 0, false
 }
 
 // Cell reconstructs x̂[i][j]: the plain-SVD value plus the delta when the
 // cell is a stored outlier (in which case the reconstruction is exact).
+// Any other cell is the plain-SVD value as it is — −0 included, as in Row.
 // Cells of flagged zero rows return 0 with no U access at all (§6.2).
 func (s *Store) Cell(i, j int) (float64, error) {
 	if s.isZeroRow(i) {
@@ -275,7 +294,10 @@ func (s *Store) Cell(i, j int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return v + s.delta(i, j), nil
+	if d, ok := s.delta(i, j); ok {
+		v += d
+	}
+	return v, nil
 }
 
 // Row reconstructs row i, applying any deltas that fall in it: one walk of
@@ -343,9 +365,10 @@ func (s *Store) StoredNumbers() int64 {
 
 // EncodePayload serializes the base store, the deltas as (cell key, δ)
 // pairs in ascending key order — the order the index holds them in — the
-// diagnostics, and the zero-row flags.
+// diagnostics, and the zero-row flags. A Plain store is its base's payload
+// alone, the method-SVD format.
 func (s *Store) EncodePayload(w *store.Writer) error {
-	if err := s.base.EncodePayload(w); err != nil {
+	if err := s.base.EncodePayload(w); err != nil || s.method == store.MethodSVD {
 		return err
 	}
 	w.U32(uint32(s.outlierCost))
@@ -442,7 +465,7 @@ func decode(r *store.Reader) (store.Store, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	s := &Store{base: baseStore, outlierCost: outlierCost, diag: diag}
+	s := &Store{base: baseStore, method: store.MethodSVDD, outlierCost: outlierCost, diag: diag}
 	// Keys may arrive in any order (older writers are not assumed sorted),
 	// but a key may arrive only once: a repeat would put two entries for one
 	// cell into a bucket, and only one of them would ever be found.
@@ -465,7 +488,17 @@ func decode(r *store.Reader) (store.Store, error) {
 	return s, nil
 }
 
+// decodePlain reads a method-SVD payload as a Plain store.
+func decodePlain(r *store.Reader) (store.Store, error) {
+	base, err := svd.DecodePayload(r)
+	if err != nil {
+		return nil, err
+	}
+	return Plain(base), nil
+}
+
 func init() {
+	store.RegisterCodec(store.MethodSVD, decodePlain)
 	store.RegisterCodec(store.MethodSVDD, decode)
 }
 

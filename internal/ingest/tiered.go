@@ -150,7 +150,7 @@ type Tiered struct {
 	writeMu sync.Mutex   // serializes append/compact WAL+publish
 	maintMu sync.Mutex   // serializes Compact and Recompress
 
-	cold     store.Store
+	cold     *core.Store
 	coldRows int
 	cols     int
 
@@ -216,18 +216,13 @@ type Stats struct {
 //
 // The cold store must support fold-in (SVD or SVDD with a memory-backed
 // U); anything else returns ErrNotWritable immediately.
-func Open(cold store.Store, labels *store.Labels, walPath string, opts Options) (*Tiered, error) {
-	switch s := cold.(type) {
-	case *core.Store:
-		if !s.Appendable() {
-			return nil, fmt.Errorf("%w: file-backed U", ErrNotWritable)
-		}
-	case *svd.Store:
-		if !s.Appendable() {
-			return nil, fmt.Errorf("%w: file-backed U", ErrNotWritable)
-		}
-	default:
-		return nil, fmt.Errorf("%w: method %v", ErrNotWritable, cold.Method())
+func Open(st store.Store, labels *store.Labels, walPath string, opts Options) (*Tiered, error) {
+	cold, ok := st.(*core.Store)
+	if !ok {
+		return nil, fmt.Errorf("%w: method %v", ErrNotWritable, st.Method())
+	}
+	if !cold.Appendable() {
+		return nil, fmt.Errorf("%w: file-backed U", ErrNotWritable)
 	}
 	n, m := cold.Dims()
 	if m <= 0 {
@@ -404,7 +399,7 @@ func (t *Tiered) StoredNumbers() int64 {
 // Cold returns the current cold segment. The pointer is stable between
 // recompressions; callers must treat it as read-only and tolerate it being
 // one swap stale.
-func (t *Tiered) Cold() store.Store {
+func (t *Tiered) Cold() *core.Store {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return t.cold
@@ -590,18 +585,6 @@ func (t *Tiered) AppendBatch(ctx context.Context, labels []string, rows [][]floa
 
 // --- Compaction ------------------------------------------------------------
 
-// foldOne folds row into the cold segment (which Open verified supports
-// it), returning the new row's index.
-func (t *Tiered) foldOne(row []float64) (int, error) {
-	switch s := t.cold.(type) {
-	case *core.Store:
-		return s.FoldIn(row, t.opts.maxDeltas())
-	case *svd.Store:
-		return s.FoldIn(row)
-	}
-	return -1, ErrNotWritable
-}
-
 // Compact folds up to CompactBatch of the oldest hot rows into the cold
 // segment, persists the cold segment (when PersistPath is set) and
 // checkpoints the WAL down to the rows still hot. Readers are blocked only
@@ -633,7 +616,7 @@ func (t *Tiered) Compact() (int, error) {
 	done := 0
 	var foldErr error
 	for i := 0; i < n; i++ {
-		idx, err := t.foldOne(t.hotRows[i])
+		idx, err := t.cold.FoldIn(t.hotRows[i], t.opts.maxDeltas())
 		if err != nil {
 			foldErr = fmt.Errorf("ingest: fold row %d: %w", t.coldRows+i, err)
 			break
@@ -718,15 +701,11 @@ func (t *Tiered) saveCold() error {
 	if t.opts.PersistPath == "" {
 		return nil
 	}
-	enc, ok := t.cold.(store.Encoder)
-	if !ok {
-		return fmt.Errorf("ingest: cold store %v is not serializable", t.cold.Method())
-	}
 	var labels *store.Labels
 	if t.rowLabels != nil || t.colLabels != nil {
 		labels = &store.Labels{Rows: t.rowLabels, Cols: t.colLabels}
 	}
-	if err := store.SaveLabeled(t.opts.PersistPath, enc, labels); err != nil {
+	if err := store.SaveLabeled(t.opts.PersistPath, t.cold, labels); err != nil {
 		return fmt.Errorf("ingest: persist cold segment: %w", err)
 	}
 	return nil
@@ -778,11 +757,26 @@ func (t *Tiered) Recompress() error {
 	src := matio.NewMem(x)
 
 	var (
-		next store.Store
+		next *core.Store
 		err  error
 	)
-	switch s := cold.(type) {
-	case *core.Store:
+	if cold.Method() == store.MethodSVD {
+		// A plain segment stays plain, at its k.
+		k := cold.K()
+		var base *svd.Store
+		if t.opts.compressor() == svd.CompressorRandomized {
+			base, err = svd.CompressRandWorkers(src, k, svd.RandOptions{
+				Rank:       k,
+				PowerIters: t.opts.PowerIters,
+				Workers:    t.opts.Workers,
+			})
+		} else {
+			base, err = svd.CompressWorkers(src, k, t.opts.Workers)
+		}
+		if err == nil {
+			next = core.Plain(base)
+		}
+	} else {
 		budget := t.origRatio
 		if budget <= 0 || budget > 1 {
 			budget = store.SpaceRatio(cold)
@@ -796,19 +790,6 @@ func (t *Tiered) Recompress() error {
 			PowerIters: t.opts.PowerIters,
 			Workers:    t.opts.Workers,
 		})
-	case *svd.Store:
-		k := s.K()
-		if t.opts.compressor() == svd.CompressorRandomized {
-			next, err = svd.CompressRandWorkers(src, k, svd.RandOptions{
-				Rank:       k,
-				PowerIters: t.opts.PowerIters,
-				Workers:    t.opts.Workers,
-			})
-		} else {
-			next, err = svd.CompressWorkers(src, k, t.opts.Workers)
-		}
-	default:
-		err = ErrNotWritable
 	}
 	if err != nil {
 		return fmt.Errorf("ingest: recompress: %w", err)

@@ -21,14 +21,14 @@ import (
 // scratch slice rebuilt per call, a multiset map of the selection, an
 // accumulator returned by pointer — these fail immediately.
 
-func allocProbeStore(t testing.TB, rows int) *svd.Store {
+func allocProbeStore(t testing.TB, rows int) *core.Store {
 	t.Helper()
 	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(rows))
 	s, err := svd.Compress(matio.NewMem(x), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return core.Plain(s)
 }
 
 // steadyStateAllocs warms the cache and pools, then measures allocations

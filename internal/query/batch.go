@@ -1,7 +1,6 @@
 package query
 
 import (
-	"seqstore/internal/core"
 	"seqstore/internal/store"
 	"seqstore/internal/svd"
 	"seqstore/internal/trace"
@@ -84,8 +83,8 @@ func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx
 			readers++
 		}
 	}
-	if base := factoredBase(s); base != nil && readers >= 2 {
-		env.buf = prefetchBatchUnion(base, n, items, invalid, env.led)
+	if fac := factored(s); fac != nil && readers >= 2 {
+		env.buf = prefetchBatchUnion(fac.Base(), n, items, invalid, env.led)
 	}
 	st := getState()
 	defer st.release()
@@ -122,17 +121,6 @@ func (b *uBuf) row(i int) []float64 {
 		return nil
 	}
 	return b.data[o*b.k : (o+1)*b.k : (o+1)*b.k]
-}
-
-// factoredBase returns the SVD backing of an SVD-family store, or nil.
-func factoredBase(s store.Store) *svd.Store {
-	switch t := s.(type) {
-	case *svd.Store:
-		return t
-	case *core.Store:
-		return t.Base()
-	}
-	return nil
 }
 
 // prefetchBatchUnion reads the union of the valid items' selected rows

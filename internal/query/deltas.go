@@ -98,7 +98,7 @@ func (p *plan) digestFor() *selDigest {
 // slab through the same digest.) A value type driven by next; nothing here
 // allocates.
 type deltaWalk struct {
-	svdd *core.Store
+	fac  *core.Store
 	dg   *selDigest
 	runs []rowRun // runs not yet opened
 
@@ -118,7 +118,7 @@ type deltaWalk struct {
 // deltaWalk starts the walk over the plan's digest.
 func (p *plan) deltaWalk() deltaWalk {
 	dg := p.digestFor()
-	return deltaWalk{svdd: p.svdd, dg: dg, runs: dg.rowRuns}
+	return deltaWalk{fac: p.fac, dg: dg, runs: dg.rowRuns}
 }
 
 // next advances to the next row holding a delta in a selected column,
@@ -142,7 +142,7 @@ func (w *deltaWalk) next() bool {
 		}
 		run := w.runs[0]
 		w.runs = w.runs[1:]
-		w.slab = w.svdd.DeltaSlab(run.lo, run.hi)
+		w.slab = w.fac.DeltaSlab(run.lo, run.hi)
 		w.at, w.end, w.mult = run.lo, run.hi, run.mult
 		w.probed += int64(w.slab.Len())
 	}

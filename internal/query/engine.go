@@ -102,7 +102,7 @@ const minWorkerWork = 32 << 10
 // a store without factors is not modelled and never held back.
 func (st *evalState) rowWork() int {
 	switch k := len(st.pl.sigma); {
-	case st.pl.base == nil:
+	case st.pl.fac == nil:
 		return minWorkerWork
 	case st.factored:
 		return k
@@ -228,7 +228,7 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	}
 	pl := planFor(s, sel, env)
 	st.evalJob = evalJob{env: env, s: s, sel: sel, pl: pl, wantMax: agg == Max}
-	st.factored = pl.base != nil && (agg == Sum || agg == Avg || agg == StdDev)
+	st.factored = pl.fac != nil && (agg == Sum || agg == Avg || agg == StdDev)
 
 	k, wantSq := len(pl.sigma), agg == StdDev
 	chunk := evalChunkSize(len(sel.Rows), env.workers)
@@ -238,9 +238,9 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	}
 	st.active = st.workers[:nw]
 
-	if pl.base != nil && !st.factored {
+	if pl.fac != nil && !st.factored {
 		st.panel = pl.panelFor()
-		if pl.svdd != nil {
+		if pl.overlay {
 			st.dg = pl.digestFor()
 		}
 		st.vhi, st.vlo = ensureFloats(st.vhi, k), ensureFloats(st.vlo, k)
@@ -248,7 +248,7 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	}
 	for _, w := range st.active {
 		w.acc.reset()
-		if pl.base == nil {
+		if pl.fac == nil {
 			w.row = ensureFloats(w.row, m)
 			continue
 		}
@@ -274,10 +274,11 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	}
 	// V is pinned in memory, so the column side is a plain serial pass.
 	st.colM.reset(k, wantSq)
+	v := pl.fac.Base().V()
 	for _, j := range pl.cols {
-		st.colM.add(pl.base.V().Row(j))
+		st.colM.add(v.Row(j))
 	}
-	st.sigma, st.hasCorr, st.corr = pl.sigma, pl.svdd != nil, corrections{}
+	st.sigma, st.hasCorr, st.corr = pl.sigma, pl.overlay, corrections{}
 	if st.hasCorr {
 		return st.deltaCorrections(wantSq)
 	}
@@ -350,7 +351,7 @@ func (st *evalState) runWorker(w, chunk int) error {
 
 // chunk folds selection positions [lo, hi) into worker w.
 func (st *evalState) chunk(w *evalWorker, lo, hi int) error {
-	if st.pl.base == nil {
+	if st.pl.fac == nil {
 		return st.genericRows(w, lo, hi)
 	}
 	return st.readURows(w, lo, hi)
@@ -369,6 +370,7 @@ func (st *evalState) chunk(w *evalWorker, lo, hi int) error {
 // its slab of the row index. ExplainQuery replays the same pieces.
 func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
 	pl, led, buf := st.pl, st.env.led, st.env.buf
+	base := pl.fac.Base()
 	for it := pl.pieces(lo, hi); it.next(); {
 		start, end := it.start, it.end
 		led.AddRowsRead(int64(end - start))
@@ -377,7 +379,7 @@ func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
 			continue
 		}
 		if st.dg != nil {
-			w.slab = pl.svdd.DeltaSlab(start, end)
+			w.slab = pl.fac.DeltaSlab(start, end)
 			led.AddDeltasProbed(int64(w.slab.Len()))
 		}
 		for ; start < end; start++ {
@@ -391,11 +393,11 @@ func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
 			continue
 		}
 		led.AddDiskAccesses(int64(end - start))
-		led.AddPagesTouched(int64(pl.base.UPageSpan(start, end)))
+		led.AddPagesTouched(int64(base.UPageSpan(start, end)))
 		var err error
 		if it.scan {
-			err = pl.base.ScanURows(start, end, w.sink)
-		} else if err = pl.base.URow(start, w.urow); err == nil {
+			err = base.ScanURows(start, end, w.sink)
+		} else if err = base.URow(start, w.urow); err == nil {
 			w.take(start, w.urow)
 		}
 		if err != nil {

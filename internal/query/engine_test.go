@@ -32,7 +32,7 @@ func engineStores(t *testing.T) map[string]store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["svd"] = sv
+	out["svd"] = core.Plain(sv)
 	sd, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.15})
 	if err != nil {
 		t.Fatal(err)
@@ -56,10 +56,10 @@ func engineStores(t *testing.T) map[string]store.Store {
 	return out
 }
 
-// fileBackedSVD builds an SVD store whose U lives in an .smx file on disk —
-// the paper's operating point, and the backing where the engine's
+// fileBackedSVD builds a plain-SVD store whose U lives in an .smx file on
+// disk — the paper's operating point, and the backing where the engine's
 // coalesced range scans actually matter.
-func fileBackedSVD(t *testing.T, rows int) *svd.Store {
+func fileBackedSVD(t *testing.T, rows int) *core.Store {
 	t.Helper()
 	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(rows))
 	src := matio.NewMem(x)
@@ -90,7 +90,7 @@ func fileBackedSVD(t *testing.T, rows int) *svd.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return core.Plain(st)
 }
 
 // aggTolerance is the agreement bound between engine paths and the naive
@@ -375,8 +375,8 @@ func TestFactoredDuplicateIndicesSVDD(t *testing.T) {
 			t.Errorf("%v with duplicated indices: factored %v != naive %v", agg, got, want)
 		}
 	}
-	// And directly through the exported factored sum.
-	fast, err := FactoredSumSVDD(s, sel)
+	// And the factored sum at its tighter bound.
+	fast, err := Evaluate(s, Sum, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestFactoredDuplicateIndicesSVDD(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(fast-slow) > 1e-9*math.Max(math.Abs(slow), 1) {
-		t.Errorf("FactoredSumSVDD with duplicates %v != naive %v", fast, slow)
+		t.Errorf("factored sum with duplicates %v != naive %v", fast, slow)
 	}
 }
 
@@ -403,7 +403,7 @@ func TestFactoredStdDevMatchesNaive(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
-	for _, s := range []store.Store{sPlain, sDelta} {
+	for _, s := range []*core.Store{core.Plain(sPlain), sDelta} {
 		n, m := s.Dims()
 		for trial := 0; trial < 20; trial++ {
 			sel := RandomSelection(rng, n, m, 0.02+0.4*rng.Float64())
@@ -411,12 +411,12 @@ func TestFactoredStdDevMatchesNaive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, ok, err := FactoredStdDev(s, sel)
+			got, err := Evaluate(s, StdDev, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ok {
-				t.Fatal("FactoredStdDev unsupported on an SVD-family store")
+			if ex, err := ExplainQuery(s, StdDev, sel, Options{}); err != nil || ex.Plan != PlanFactored {
+				t.Fatalf("stddev on %s: plan %+v, %v; want factored", s.Method(), ex, err)
 			}
 			if math.Abs(got-want) > 1e-6*math.Max(math.Abs(want), 1) {
 				t.Errorf("%s trial %d: factored stddev %v != naive %v",

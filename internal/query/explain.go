@@ -73,7 +73,7 @@ func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*E
 	}
 	pl := buildPlanWith(s, sel, 0, false)
 	switch {
-	case pl.base == nil:
+	case pl.fac == nil:
 		ex.Plan = PlanGeneric
 	case agg == Sum || agg == Avg || agg == StdDev:
 		ex.Plan = PlanFactored
@@ -97,7 +97,7 @@ func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*E
 	}
 
 	ex.replayURows(pl)
-	if ex.Plan == PlanFactored && pl.svdd != nil {
+	if ex.Plan == PlanFactored && pl.overlay {
 		ex.replayDeltaWalk(pl, agg)
 	}
 	return ex, nil
@@ -124,9 +124,9 @@ func (ex *Explain) replayURows(pl *plan) {
 				continue
 			}
 			ex.EstDiskAccesses += int64(n)
-			ex.EstPagesTouched += int64(pl.base.UPageSpan(it.start, it.end))
-			if ex.Plan == PlanProjected && pl.svdd != nil {
-				ex.EstDeltasProbed += int64(pl.svdd.DeltaSlab(it.start, it.end).Len())
+			ex.EstPagesTouched += int64(pl.fac.Base().UPageSpan(it.start, it.end))
+			if ex.Plan == PlanProjected && pl.overlay {
+				ex.EstDeltasProbed += int64(pl.fac.DeltaSlab(it.start, it.end).Len())
 			}
 		}
 	}
@@ -142,7 +142,7 @@ func (ex *Explain) replayDeltaWalk(pl *plan, agg Aggregate) {
 		if agg == StdDev {
 			ex.EstRowsRead++
 			ex.EstDiskAccesses++
-			ex.EstPagesTouched += int64(pl.base.UPageSpan(w.row, w.row+1))
+			ex.EstPagesTouched += int64(pl.fac.Base().UPageSpan(w.row, w.row+1))
 		}
 	}
 	ex.EstDeltasProbed += w.probed

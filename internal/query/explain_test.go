@@ -95,7 +95,7 @@ func TestExplainNoExtraDiskAccesses(t *testing.T) {
 	s := fileBackedSVD(t, 300)
 	n, m := s.Dims()
 	rng := rand.New(rand.NewSource(7))
-	before := s.UStats().RowReads()
+	before := s.Base().UStats().RowReads()
 	for trial := 0; trial < 10; trial++ {
 		sel := RandomSelection(rng, n, m, 0.3)
 		for _, agg := range allAggregates {
@@ -104,7 +104,7 @@ func TestExplainNoExtraDiskAccesses(t *testing.T) {
 			}
 		}
 	}
-	if delta := s.UStats().RowReads() - before; delta != 0 {
+	if delta := s.Base().UStats().RowReads() - before; delta != 0 {
 		t.Errorf("explain performed %d U reads, want 0", delta)
 	}
 }

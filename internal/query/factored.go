@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"seqstore/internal/core"
 	"seqstore/internal/exact"
 	"seqstore/internal/linalg"
-	"seqstore/internal/store"
-	"seqstore/internal/svd"
 )
 
 // This file holds the factored aggregate paths. With x̂ = U·Σ·Vᵀ, the first
@@ -22,46 +19,15 @@ import (
 //	Σ_{i∈R,j∈C} x̂[i][j]² = Σ_{m,m′} σ_m·σ_m′·Gu[m][m′]·Gv[m][m′]
 //
 // (O(k²·(|R|+|C|))), which gives StdDev without touching any of the
-// |R|·|C| cells. SVDD stores add corrections from the outlier deltas of
-// the selected rows, visited through the store's row index by the plan's
-// delta walk (deltas.go).
+// |R|·|C| cells; its accuracy is limited by cancellation in Σx²−(Σx)²/n,
+// and property tests pin it within 1e-6 relative of the naive evaluation.
+// SVDD stores add corrections from the outlier deltas of the selected rows,
+// visited through the store's row index by the plan's delta walk
+// (deltas.go).
 //
 // The moments live in the pooled evalState (engine.go) and the walk reads
 // the plan's digest, so the steady-state factored path allocates nothing,
 // SVDD or plain.
-
-// FactoredSumSVD computes Σ_{i∈R,j∈C} x̂[i][j] over a plain-SVD store in
-// O(k·(|R|+|C|)) plus |R| U-row accesses (contiguous runs coalesced into
-// sequential scans) — Evaluate(s, Sum, sel) under its historical name.
-func FactoredSumSVD(s *svd.Store, sel Selection) (float64, error) {
-	return Evaluate(s, Sum, sel)
-}
-
-// FactoredSumSVDD is the SVDD version: the factored plain-SVD sum plus the
-// outlier deltas inside the selection, visited through the store's row
-// index so only the selected rows' deltas are touched.
-//
-// Selections are multisets (see ParseIndexSpec): a cell whose row appears
-// r times in sel.Rows and whose column appears c times in sel.Cols lies in
-// the cross product r·c times, so its delta is weighted r·c — exactly as
-// the naive cell-by-cell evaluation counts it.
-func FactoredSumSVDD(s *core.Store, sel Selection) (float64, error) {
-	return Evaluate(s, Sum, sel)
-}
-
-// FactoredStdDev computes the standard deviation over the selection from
-// the factored first and second moments — O(k²·(|R|+|C|)) plus the
-// selected rows' delta buckets for SVDD, never materializing a cell. The
-// boolean reports whether the store supports factoring. Accuracy is
-// limited by cancellation in Σx²−(Σx)²/n; property tests pin it within
-// 1e-6 relative of the naive evaluation.
-func FactoredStdDev(s store.Store, sel Selection) (float64, bool, error) {
-	if factoredBase(s) == nil {
-		return 0, false, nil
-	}
-	v, err := Evaluate(s, StdDev, sel)
-	return v, true, err
-}
 
 // finalizeFactoredSum rounds the state's exact row/column moments and
 // contracts them with σ.
@@ -204,7 +170,8 @@ type corrections struct {
 // column c times) contributes r·c copies of its correction.
 func (st *evalState) deltaCorrections(wantSq bool) error {
 	pl, led, c := st.pl, st.env.led, &st.corr
-	base, sigma, v := pl.base, pl.sigma, pl.base.V()
+	base, sigma := pl.fac.Base(), pl.sigma
+	v := base.V()
 	// The workers are done; the first one's U-row scratch is free.
 	urow := st.active[0].urow
 	w := pl.deltaWalk()

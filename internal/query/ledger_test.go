@@ -24,11 +24,11 @@ func TestLedgerMatchesUStats(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			tr := trace.New("t", "/test")
 			ctx := trace.NewContext(context.Background(), tr)
-			before := s.UStats().RowReads()
+			before := s.Base().UStats().RowReads()
 			if _, err := EvaluateOpts(s, agg, sel, Options{Workers: workers, Ctx: ctx}); err != nil {
 				t.Fatalf("%v/w%d: %v", agg, workers, err)
 			}
-			delta := s.UStats().RowReads() - before
+			delta := s.Base().UStats().RowReads() - before
 			cost := tr.Ledger.Snapshot()
 			if cost.DiskAccesses != delta {
 				t.Errorf("%v/w%d: ledger disk accesses %d != stats row reads %d",

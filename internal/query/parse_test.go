@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"seqstore/internal/core"
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/svd"
@@ -89,34 +90,11 @@ func TestDuplicateIndicesWeightCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Evaluate(st, Sum, Selection{Rows: []int{0, 0}, Cols: []int{1}})
+	got, err := Evaluate(core.Plain(st), Sum, Selection{Rows: []int{0, 0}, Cols: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if diff := got - 4; diff < -1e-9 || diff > 1e-9 {
 		t.Errorf("compressed sum with duplicated row = %v, want 4", got)
-	}
-}
-
-func TestUStats(t *testing.T) {
-	x := linalg.FromRows([][]float64{
-		{1, 2, 3, 4},
-		{2, 4, 6, 8},
-		{1, 0, 1, 0},
-	})
-	st, err := svd.Compress(matio.NewMem(x), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats := UStats(st)
-	if stats == nil {
-		t.Fatal("UStats(svd store) = nil")
-	}
-	stats.Reset()
-	if _, err := st.Cell(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if got := stats.Snapshot().RowReads; got != 1 {
-		t.Errorf("one cell cost %d U-row reads, want exactly 1", got)
 	}
 }

@@ -283,7 +283,7 @@ func partialSeedFrames(tb testing.TB) [][]byte {
 	n, m := sv.Dims()
 	sel := RandomSelection(rand.New(rand.NewSource(31)), n, m, 0.15)
 	var frames [][]byte
-	for _, s := range []store.Store{sv, sd} {
+	for _, s := range []store.Store{core.Plain(sv), sd} {
 		for _, agg := range []Aggregate{Min, Sum, StdDev} {
 			p, err := EvaluatePartial(s, agg, sel, Options{Workers: 1})
 			if err != nil {

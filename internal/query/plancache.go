@@ -10,7 +10,6 @@ import (
 	"seqstore/internal/core"
 	"seqstore/internal/linalg"
 	"seqstore/internal/store"
-	"seqstore/internal/svd"
 )
 
 // This file implements the query-plan cache. Every aggregate evaluation
@@ -61,10 +60,13 @@ type plan struct {
 	rows  []int       // owned copy of the selection, verified on hit
 	cols  []int
 
-	base  *svd.Store  // non-nil on the projected/factored paths
-	svdd  *core.Store // additionally non-nil for delta/zero-row handling
-	sigma []float64
-	runs  []scanRun
+	fac *core.Store // the factored store: non-nil on the projected/factored paths
+	// overlay: fac is SVDD, so its deltas and zero-row flags overlay the
+	// factors. A plain-SVD store has neither, and its plans skip the delta
+	// correction pass and the selection digest.
+	overlay bool
+	sigma   []float64
+	runs    []scanRun
 	// ascending: the rows are strictly ascending — distinct, and already
 	// in the order the delta walk visits them, a slab per run.
 	ascending bool
@@ -75,7 +77,7 @@ type plan struct {
 	panel     *linalg.Matrix // |C|×k: V rows of the selected columns
 
 	// Selection digest, built on first use by an evaluation (or EXPLAIN)
-	// over an SVDD store; plain-SVD plans never pay for it.
+	// with an overlay; plain-SVD plans never pay for it.
 	digestOnce sync.Once
 	digest     selDigest
 }
@@ -96,19 +98,25 @@ func buildPlanWith(s store.Store, sel Selection, epoch uint64, copySel bool) *pl
 		p.rows = append([]int(nil), sel.Rows...)
 		p.cols = append([]int(nil), sel.Cols...)
 	}
-	if p.base = factoredBase(s); p.base != nil {
-		p.svdd, _ = s.(*core.Store)
-		p.sigma = p.base.Sigma()
+	if p.fac = factored(s); p.fac != nil {
+		p.overlay = p.fac.Method() == store.MethodSVDD
+		p.sigma = p.fac.Base().Sigma()
 	}
 	return p
+}
+
+// factored returns s as the factored store the projected and factored
+// paths read, or nil for a method without factors (DCT, wavelet, VQ).
+func factored(s store.Store) *core.Store {
+	c, _ := s.(*core.Store)
+	return c
 }
 
 // panelFor returns the plan's projection panel, building it on first use.
 func (p *plan) panelFor() *linalg.Matrix {
 	p.panelOnce.Do(func() {
-		k := p.base.K()
-		v := p.base.V()
-		p.panel = linalg.NewMatrix(len(p.cols), k)
+		v := p.fac.Base().V()
+		p.panel = linalg.NewMatrix(len(p.cols), len(p.sigma))
 		for pos, j := range p.cols {
 			copy(p.panel.Row(pos), v.Row(j))
 		}
@@ -196,7 +204,7 @@ func (it *pieceIter) next() bool {
 // zero-flagged row, answered from the in-memory flag with no U access.
 // Zero rows inside a scan are scanned like any other.
 func (it *pieceIter) zeroFlagged() bool {
-	return !it.scan && it.pl.svdd != nil && it.pl.svdd.IsZeroRow(it.start)
+	return !it.scan && it.pl.fac.IsZeroRow(it.start)
 }
 
 // matches reports whether the plan was built for exactly this store and

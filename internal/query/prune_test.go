@@ -49,7 +49,7 @@ func pruneStores(t *testing.T) map[string]store.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out["svd"] = plain
+	out["svd"] = core.Plain(plain)
 
 	// SVDD whose deltas carry the extrema.
 	xs := x.Clone()
@@ -121,7 +121,7 @@ func pruneStores(t *testing.T) map[string]store.Store {
 // over the first three kinds and the min over the others are exact zeros,
 // tied across many cells. (A factor store's cell is never −0: Dot's lanes
 // start at +0.)
-func zeroCellStore(t *testing.T, n, m int) *svd.Store {
+func zeroCellStore(t *testing.T, n, m int) *core.Store {
 	t.Helper()
 	v := linalg.NewMatrix(m, 2)
 	for j := 0; j < m; j++ {
@@ -148,7 +148,7 @@ func zeroCellStore(t *testing.T, n, m int) *svd.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return core.Plain(s)
 }
 
 // overflowStore is a plain-SVD store with σ at the top of the float64
@@ -161,7 +161,7 @@ func zeroCellStore(t *testing.T, n, m int) *svd.Store {
 // skipped, although an Inf running extremum is ≥ (≤) it: the no-neg
 // selection puts row 11's NaNs alone behind a +Inf max, no-pos row 6's
 // behind a −Inf min.
-func overflowStore(t *testing.T, n, m int) *svd.Store {
+func overflowStore(t *testing.T, n, m int) *core.Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(6))
 	v := linalg.NewMatrix(m, 3)
@@ -196,7 +196,7 @@ func overflowStore(t *testing.T, n, m int) *svd.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return core.Plain(s)
 }
 
 // nanDeltaStore re-reads s with one of its small deltas, in a late row,
@@ -354,18 +354,7 @@ func TestPrunedExtremaMatchNaive(t *testing.T) {
 // sliceStore is rows [lo, hi) of s as a shard store.
 func sliceStore(t *testing.T, s store.Store, lo, hi int) store.Store {
 	t.Helper()
-	var (
-		out store.Store
-		err error
-	)
-	switch st := s.(type) {
-	case *svd.Store:
-		out, err = st.SliceRows(lo, hi)
-	case *core.Store:
-		out, err = st.SliceRows(lo, hi)
-	default:
-		t.Fatalf("cannot slice %T", s)
-	}
+	out, err := s.(*core.Store).SliceRows(lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,13 +25,10 @@ import (
 	"strconv"
 	"strings"
 
-	"seqstore/internal/core"
 	"seqstore/internal/exact"
 	"seqstore/internal/linalg"
-	"seqstore/internal/matio"
 	"seqstore/internal/seqerr"
 	"seqstore/internal/store"
-	"seqstore/internal/svd"
 )
 
 // Aggregate identifies an aggregate function f() over the selected cells.
@@ -174,19 +171,6 @@ func ParseIndexSpec(spec string, n int) ([]int, error) {
 		}
 	}
 	return out, nil
-}
-
-// UStats returns the disk-access counters of the U backing of an SVD-family
-// store (the matrix whose row reads are the paper's "one disk access per
-// cell"), or nil for methods without a U backing or stats support.
-func UStats(s store.Store) *matio.Stats {
-	switch t := s.(type) {
-	case *svd.Store:
-		return t.UStats()
-	case *core.Store:
-		return t.Base().UStats()
-	}
-	return nil
 }
 
 // RandomSelection draws a selection covering approximately frac of the

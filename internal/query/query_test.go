@@ -110,10 +110,11 @@ func TestRandomSelectionTinyFraction(t *testing.T) {
 
 func TestFactoredMatchesNaiveSVD(t *testing.T) {
 	x := testMatrix()
-	s, err := svd.Compress(matio.NewMem(x), 5)
+	sv, err := svd.Compress(matio.NewMem(x), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := core.Plain(sv)
 	rng := rand.New(rand.NewSource(3))
 	for q := 0; q < 20; q++ {
 		sel := RandomSelection(rng, x.Rows(), x.Cols(), 0.1)
@@ -176,7 +177,8 @@ func TestEvaluateDCTFallsBackToNaive(t *testing.T) {
 
 func TestEvaluateCount(t *testing.T) {
 	x := testMatrix()
-	s, _ := svd.Compress(matio.NewMem(x), 3)
+	sv, _ := svd.Compress(matio.NewMem(x), 3)
+	s := core.Plain(sv)
 	sel := Selection{Rows: []int{1, 2}, Cols: []int{0, 1, 2}}
 	got, err := Evaluate(s, Count, sel)
 	if err != nil {
@@ -189,7 +191,8 @@ func TestEvaluateCount(t *testing.T) {
 
 func TestEvaluateRejectsBadSelection(t *testing.T) {
 	x := testMatrix()
-	s, _ := svd.Compress(matio.NewMem(x), 3)
+	sv, _ := svd.Compress(matio.NewMem(x), 3)
+	s := core.Plain(sv)
 	if _, err := Evaluate(s, Sum, Selection{Rows: []int{9999}, Cols: []int{0}}); err == nil {
 		t.Error("out-of-range selection accepted")
 	}
@@ -238,10 +241,11 @@ func TestAggregateErrorSmallerThanCellError(t *testing.T) {
 // Property: factored and naive sums agree for arbitrary selections.
 func TestFactoredNaiveAgreementProperty(t *testing.T) {
 	x := testMatrix()
-	sPlain, err := svd.Compress(matio.NewMem(x), 4)
+	sv, err := svd.Compress(matio.NewMem(x), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sPlain := core.Plain(sv)
 	sDelta, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.2})
 	if err != nil {
 		t.Fatal(err)
@@ -249,7 +253,7 @@ func TestFactoredNaiveAgreementProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		sel := RandomSelection(rng, x.Rows(), x.Cols(), 0.02+0.3*rng.Float64())
-		fast1, err1 := FactoredSumSVD(sPlain, sel)
+		fast1, err1 := Evaluate(sPlain, Sum, sel)
 		slow1, err2 := EvaluateNaive(sPlain, Sum, sel)
 		if err1 != nil || err2 != nil {
 			return false
@@ -257,7 +261,7 @@ func TestFactoredNaiveAgreementProperty(t *testing.T) {
 		if !almostEqual(fast1, slow1, 1e-6*math.Max(math.Abs(slow1), 1)) {
 			return false
 		}
-		fast2, err3 := FactoredSumSVDD(sDelta, sel)
+		fast2, err3 := Evaluate(sDelta, Sum, sel)
 		slow2, err4 := EvaluateNaive(sDelta, Sum, sel)
 		if err3 != nil || err4 != nil {
 			return false

@@ -30,9 +30,9 @@ import (
 	"seqstore/internal/api"
 	"seqstore/internal/core"
 	"seqstore/internal/ingest"
+	"seqstore/internal/matio"
 	"seqstore/internal/query"
 	"seqstore/internal/store"
-	"seqstore/internal/svd"
 	"seqstore/internal/telemetry"
 	"seqstore/internal/trace"
 )
@@ -173,53 +173,33 @@ func (h *Handler) registerGauges() {
 			return float64(h.plans.Stats().Size)
 		})
 	}
-	// The IO and SVDD gauges re-resolve the cold store on every collection:
-	// with a writable tier behind the handler, recompression swaps the cold
-	// segment, and a gauge bound to the pointer at startup would freeze.
-	if query.UStats(h.coldStore()) != nil {
+	// The IO and SVDD gauges re-resolve the factored store on every
+	// collection: with a writable tier behind the handler, recompression
+	// swaps the cold segment, and a gauge bound to the pointer at startup
+	// would freeze. A recompression keeps the method and hands U to memory,
+	// so which gauges exist is decided once.
+	if h.uStats() != nil {
 		h.tel.RegisterGauge("io_row_reads_total", func() float64 {
-			if us := query.UStats(h.coldStore()); us != nil {
-				return float64(us.RowReads())
-			}
-			return 0
+			return float64(h.uStats().RowReads())
 		})
 		h.tel.RegisterGauge("io_row_writes_total", func() float64 {
-			if us := query.UStats(h.coldStore()); us != nil {
-				return float64(us.RowWrites())
-			}
-			return 0
+			return float64(h.uStats().RowWrites())
 		})
 		h.tel.RegisterGauge("io_passes_total", func() float64 {
-			if us := query.UStats(h.coldStore()); us != nil {
-				return float64(us.Passes())
-			}
-			return 0
+			return float64(h.uStats().Passes())
 		})
 	}
-	if _, ok := h.coldStore().(*core.Store); ok {
-		svddStore := func() *core.Store {
-			c, _ := h.coldStore().(*core.Store)
-			return c
-		}
+	if c := h.factored(); c != nil && c.Method() == store.MethodSVDD {
 		h.tel.RegisterGauge("svdd_delta_probes_total", func() float64 {
-			if c := svddStore(); c != nil {
-				probes, _ := c.ProbeStats()
-				return float64(probes)
-			}
-			return 0
+			probes, _ := h.factored().ProbeStats()
+			return float64(probes)
 		})
 		h.tel.RegisterGauge("svdd_delta_row_probes_total", func() float64 {
-			if c := svddStore(); c != nil {
-				return float64(c.RowProbes())
-			}
-			return 0
+			return float64(h.factored().RowProbes())
 		})
 		h.tel.RegisterGauge("svdd_zero_hits_total", func() float64 {
-			if c := svddStore(); c != nil {
-				_, zeroHits := c.ProbeStats()
-				return float64(zeroHits)
-			}
-			return 0
+			_, zeroHits := h.factored().ProbeStats()
+			return float64(zeroHits)
 		})
 	}
 	if h.writable != nil {
@@ -251,27 +231,26 @@ func (h *Handler) CacheStats() (hits, misses int64, size, capacity int) {
 
 // --- Read paths --------------------------------------------------------------
 
-// coldStore returns the store whose backing format carries the cost model:
-// the tier's current cold segment when the store is writable (it is swapped
-// by recompression, so it must be unwrapped per call, never captured),
-// otherwise the store itself.
-func (h *Handler) coldStore() store.Store {
+// factored returns the factored store whose U backing carries the cost
+// model: the tier's current cold segment when the store is writable (it is
+// swapped by recompression, so it must be unwrapped per call, never
+// captured), otherwise the store itself — nil for a method without factors.
+func (h *Handler) factored() *core.Store {
 	if h.writable != nil {
 		return h.writable.Cold()
 	}
-	return h.st
+	c, _ := h.st.(*core.Store)
+	return c
 }
 
-// uPageSpan reports the backing pages of U row i for the cost ledger; one
-// page per row for stores without a paged U backing.
-func (h *Handler) uPageSpan(i int) int {
-	switch t := h.coldStore().(type) {
-	case *svd.Store:
-		return t.UPageSpan(i, i+1)
-	case *core.Store:
-		return t.Base().UPageSpan(i, i+1)
+// uStats returns the access counters of the factored store's U backing (the
+// matrix whose row reads are the paper's "one disk access per cell"), or
+// nil for a store without one.
+func (h *Handler) uStats() *matio.Stats {
+	if c := h.factored(); c != nil {
+		return c.Base().UStats()
 	}
-	return 1
+	return nil
 }
 
 // chargeRowRead attributes one row reconstruction — one U-row fetch in the
@@ -284,11 +263,15 @@ func (h *Handler) chargeRowRead(led *trace.Ledger, i int) {
 	if h.writable != nil && h.writable.IsHot(i) {
 		return
 	}
-	if c, ok := h.coldStore().(*core.Store); ok && c.IsZeroRow(i) {
-		return
+	pages := 1 // a store without a paged U backing
+	if c := h.factored(); c != nil {
+		if c.IsZeroRow(i) {
+			return
+		}
+		pages = c.Base().UPageSpan(i, i+1)
 	}
 	led.AddDiskAccesses(1)
-	led.AddPagesTouched(int64(h.uPageSpan(i)))
+	led.AddPagesTouched(int64(pages))
 }
 
 // --- api.Backend: reads ------------------------------------------------------
@@ -634,10 +617,10 @@ func (h *Handler) Metrics(_ context.Context, req api.MetricsRequest) (api.Metric
 		},
 	}
 	// The paper's cost model, live: U-row reads per reconstruction.
-	if us := query.UStats(h.coldStore()); us != nil {
+	if us := h.uStats(); us != nil {
 		body["io"] = us.Snapshot()
 	}
-	if c, ok := h.coldStore().(*core.Store); ok {
+	if c := h.factored(); c != nil && c.Method() == store.MethodSVDD {
 		probes, zeroHits := c.ProbeStats()
 		body["svdd"] = map[string]interface{}{
 			"delta_probes":     probes,

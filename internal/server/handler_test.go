@@ -340,10 +340,7 @@ func TestMetricsOneAccessPerCell(t *testing.T) {
 	h := NewHandler(st, nil, Options{})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	us := query.UStats(st)
-	if us == nil {
-		t.Fatal("no U stats on svdd store")
-	}
+	us := st.Base().UStats()
 	us.Reset()
 	const n = 17
 	for i := 0; i < n; i++ {
@@ -369,7 +366,7 @@ func TestRepeatedRowsCostOneAccessEach(t *testing.T) {
 	st, _ := phoneStore(t, 60)
 	srv := httptest.NewServer(NewHandler(st, nil, Options{}))
 	defer srv.Close()
-	us := query.UStats(st)
+	us := st.Base().UStats()
 	reads := us.RowReads()
 	var first []byte
 	for k := 0; k < 3; k++ {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"seqstore/internal/core"
 	"seqstore/internal/dataset"
 	"seqstore/internal/matio"
 	"seqstore/internal/store"
@@ -128,10 +129,10 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
-// fileBackedStore builds an SVD store whose U matrix lives in an .smx file
-// on disk — the paper's operating point, where every cell reconstruction is
-// one real disk access.
-func fileBackedStore(t *testing.T) *svd.Store {
+// fileBackedStore builds a plain-SVD store whose U matrix lives in an .smx
+// file on disk — the paper's operating point, where every cell
+// reconstruction is one real disk access.
+func fileBackedStore(t *testing.T) *core.Store {
 	t.Helper()
 	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(80))
 	src := matio.NewMem(x)
@@ -162,7 +163,7 @@ func fileBackedStore(t *testing.T) *svd.Store {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return core.Plain(st)
 }
 
 // TestConcurrentQueriesFileBacked hammers /cell, /row, /agg and /metrics
@@ -216,7 +217,7 @@ func TestConcurrentQueriesFileBacked(t *testing.T) {
 
 	// Every reconstruction (point read or /agg row scan) is exactly one
 	// U-row read.
-	if us := st.UStats(); us.Snapshot().RowReads == 0 {
+	if us := st.Base().UStats(); us.Snapshot().RowReads == 0 {
 		t.Error("no U-row reads recorded under load")
 	}
 }

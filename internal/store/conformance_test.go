@@ -112,6 +112,7 @@ func TestAllStoresConform(t *testing.T) {
 		t.Fatal(err)
 	}
 	conformance(t, "svd", svdStore, x)
+	conformance(t, "svd-plain", core.Plain(svdStore), x)
 
 	svddStore, err := core.Compress(mem, core.Options{Budget: 0.25})
 	if err != nil {

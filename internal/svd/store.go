@@ -247,9 +247,10 @@ func (s *Store) EncodePayload(w *store.Writer) error {
 	return w.Err()
 }
 
-// DecodePayload reads the svd payload section written by EncodePayload. It
-// is exported so the SVDD codec (whose payload embeds an svd payload) can
-// reuse it.
+// DecodePayload reads the svd payload section written by EncodePayload. The
+// method-SVD and SVDD codecs both live in internal/core: an SVDD payload
+// embeds this one, and a method-SVD store loads as a core store with no
+// deltas.
 func DecodePayload(r *store.Reader) (*Store, error) {
 	prec := int(r.U16())
 	rows := int(r.U64())
@@ -288,12 +289,6 @@ func DecodePayload(r *store.Reader) (*Store, error) {
 		}
 	}
 	return &Store{rows: rows, cols: cols, sigma: sigma, v: v, u: matio.NewMem(u), prec: prec}, nil
-}
-
-func init() {
-	store.RegisterCodec(store.MethodSVD, func(r *store.Reader) (store.Store, error) {
-		return DecodePayload(r)
-	})
 }
 
 var _ store.Encoder = (*Store)(nil)

@@ -1,7 +1,6 @@
 package svd
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -238,58 +237,6 @@ func TestCompressBudgetRespectsBudget(t *testing.T) {
 	}
 	if s.K() == 0 {
 		t.Error("budget should afford at least one component")
-	}
-}
-
-func TestSerializationRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	x := randMatrix(r, 20, 10)
-	s, err := Compress(matio.NewMem(x), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := store.Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Method() != store.MethodSVD {
-		t.Errorf("method = %v", got.Method())
-	}
-	gr, gc := got.Dims()
-	if gr != 20 || gc != 10 {
-		t.Fatalf("dims = (%d,%d)", gr, gc)
-	}
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 10; j++ {
-			a, _ := s.Cell(i, j)
-			b, err := got.Cell(i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("cell (%d,%d) not bit-identical after round trip", i, j)
-			}
-		}
-	}
-	if got.StoredNumbers() != s.StoredNumbers() {
-		t.Error("StoredNumbers changed across serialization")
-	}
-}
-
-func TestDecodeRejectsCorrupt(t *testing.T) {
-	x := dataset.Toy()
-	s, _ := Compress(matio.NewMem(x), 2)
-	var buf bytes.Buffer
-	if err := store.Write(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := store.Read(bytes.NewReader(data[:len(data)-4])); err == nil {
-		t.Error("truncated payload accepted")
 	}
 }
 

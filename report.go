@@ -3,8 +3,8 @@ package seqstore
 import (
 	"fmt"
 
-	"seqstore/internal/core"
 	"seqstore/internal/metrics"
+	"seqstore/internal/store"
 )
 
 // Report summarizes reconstruction quality of a store against the original
@@ -86,8 +86,8 @@ type SVDDInfo struct {
 
 // SVDDInfo returns SVDD diagnostics, or ok=false for other methods.
 func (st *Store) SVDDInfo() (info SVDDInfo, ok bool) {
-	s, isSVDD := st.s.(*core.Store)
-	if !isSVDD {
+	s := st.factored()
+	if s == nil || s.Method() != store.MethodSVDD {
 		return SVDDInfo{}, false
 	}
 	d := s.Diagnostics()

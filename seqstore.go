@@ -324,17 +324,21 @@ func compress(ctx context.Context, src matio.RowSource, full *linalg.Matrix, opt
 		if k <= 0 {
 			k = svd.KForBudget(n, m, opts.Budget)
 		}
+		var base *svd.Store
 		switch {
 		case robustFactors != nil:
-			s, err = svd.CompressWithFactorsWorkers(src, robustFactors, k, opts.Workers)
+			base, err = svd.CompressWithFactorsWorkers(src, robustFactors, k, opts.Workers)
 		case opts.Compressor == CompressorRandomized:
-			s, err = svd.CompressRandWorkers(src, k, svd.RandOptions{
+			base, err = svd.CompressRandWorkers(src, k, svd.RandOptions{
 				Rank:       k,
 				PowerIters: opts.PowerIters,
 				Workers:    opts.Workers,
 			})
 		default:
-			s, err = svd.CompressWorkers(src, k, opts.Workers)
+			base, err = svd.CompressWorkers(src, k, opts.Workers)
+		}
+		if err == nil {
+			s = core.Plain(base)
 		}
 	case DCT:
 		k := opts.K
@@ -378,17 +382,17 @@ func compress(ctx context.Context, src matio.RowSource, full *linalg.Matrix, opt
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	st := &Store{s: s}
 	if opts.HalfPrecision {
-		type precisioner interface{ SetPrecision(int) error }
-		p, ok := s.(precisioner)
-		if !ok {
+		c := st.factored()
+		if c == nil {
 			return nil, fmt.Errorf("seqstore: HalfPrecision applies only to svd/svdd, not %s", opts.Method)
 		}
-		if err := p.SetPrecision(4); err != nil {
+		if err := c.SetPrecision(4); err != nil {
 			return nil, err
 		}
 	}
-	return &Store{s: s}, nil
+	return st, nil
 }
 
 // Open loads a compressed store saved with Save, including any labels.

@@ -1,6 +1,9 @@
 package seqstore
 
-import "seqstore/internal/query"
+import (
+	"seqstore/internal/core"
+	"seqstore/internal/matio"
+)
 
 // IOStats is a snapshot of the simulated disk-access counters of a store's
 // U backing — the matrix whose row reads realize the paper's
@@ -21,7 +24,7 @@ type IOStats struct {
 // counters, so the single-access property can be verified live under
 // traffic.
 func (st *Store) IOStats() (s IOStats, ok bool) {
-	u := query.UStats(st.s)
+	u := st.uStats()
 	if u == nil {
 		return IOStats{}, false
 	}
@@ -37,7 +40,23 @@ func (st *Store) IOStats() (s IOStats, ok bool) {
 // meter the cost of a specific query batch. No-op for methods without a
 // U backing.
 func (st *Store) ResetIOStats() {
-	if u := query.UStats(st.s); u != nil {
+	if u := st.uStats(); u != nil {
 		u.Reset()
 	}
+}
+
+// factored returns the store as the factored representation both svd and
+// svdd stores are, or nil for the other methods.
+func (st *Store) factored() *core.Store {
+	c, _ := st.s.(*core.Store)
+	return c
+}
+
+// uStats returns the access counters of the store's U backing, or nil for
+// a method without one.
+func (st *Store) uStats() *matio.Stats {
+	if c := st.factored(); c != nil {
+		return c.Base().UStats()
+	}
+	return nil
 }
