@@ -37,8 +37,10 @@ race:
 # bit), FuzzAxpyRows on raw float bit patterns (the Gram kernel equals
 # sequential Axpy calls bit for bit), FuzzDotBounds on raw float bit
 # patterns (a finite interval bound encloses every Dot inside its box, and
-# its corners attain it). `go test -fuzz` accepts one target per
-# invocation, hence nine runs.
+# its corners attain it), FuzzDecodeFrame on the binary shard answers the
+# proxy decodes (no panic, allocation bounded by the frame's size, every
+# strict prefix refused, a decoded body re-encodes to the same JSON). `go
+# test -fuzz` accepts one target per invocation, hence ten runs.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
@@ -49,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzDotRows -fuzz FuzzDotRows -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzAxpyRows -fuzz FuzzAxpyRows -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzDotBounds -fuzz FuzzDotBounds -fuzztime 10s ./internal/linalg
+	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/api
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,

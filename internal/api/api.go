@@ -9,7 +9,9 @@
 // encoding/json rejects — travel as a null value plus a "nonfinite" marker
 // naming the class; Float and ReadRow build that form, NumValue reads it
 // back. The four point-read bodies render through append encoders
-// (encode.go) whose bytes are encoding/json's.
+// (encode.go) whose bytes are encoding/json's. The three bodies a proxy
+// asks a store node for also have a binary form, sent to a caller that
+// names FrameType in Accept (frame.go).
 //
 // Handler owns everything about serving /v1 that does not depend on where
 // the data lives: routing, the request middleware, parsing and limits, the
@@ -95,12 +97,19 @@ type RowsResponse struct {
 	Rows  []RowResponse `json:"rows"`
 }
 
+// recycle returns every rendered row's buffer to the pool.
+func (r RowsResponse) recycle() {
+	for _, row := range r.Rows {
+		row.recycle()
+	}
+}
+
 // --- Aggregates ------------------------------------------------------------
 
 // AggregateRequest is one aggregate query: the POST /v1/aggregate body and
 // the element type of a batch request. F defaults to "avg"; Rows/Cols are
 // index specs ("0:64,70"), empty meaning the full axis. Partial asks the
-// node to return the mergeable partial state (base64 binary) instead of a
+// node to return the mergeable partial state (its SQP1 frame) instead of a
 // finished value — the scatter/gather form the proxy uses so the gathered
 // result is bit-identical to a single-node evaluation.
 type AggregateRequest struct {
@@ -163,14 +172,15 @@ type ShardExplain struct {
 
 // AggregateResponse is the POST /v1/aggregate body. Rows/Cols
 // report the selection sizes. For Partial requests, Value is absent and
-// Partial carries the base64-encoded mergeable state.
+// Partial carries the mergeable state's SQP1 frame, which JSON renders as
+// a base64 string and a frame carries as it is.
 type AggregateResponse struct {
 	F         string   `json:"f"`
 	Rows      int      `json:"rows"`
 	Cols      int      `json:"cols"`
 	Value     *float64 `json:"value,omitempty"`
 	Nonfinite string   `json:"nonfinite,omitempty"`
-	Partial   string   `json:"partial,omitempty"`
+	Partial   []byte   `json:"partial,omitempty"`
 	Explain   *Explain `json:"explain,omitempty"`
 }
 
@@ -194,7 +204,7 @@ type BatchAggregateItem struct {
 	Cols      int      `json:"cols,omitempty"`
 	Value     *float64 `json:"value,omitempty"`
 	Nonfinite string   `json:"nonfinite,omitempty"`
-	Partial   string   `json:"partial,omitempty"`
+	Partial   []byte   `json:"partial,omitempty"`
 	Explain   *Explain `json:"explain,omitempty"`
 	Code      string   `json:"code,omitempty"`
 	Error     string   `json:"error,omitempty"`

@@ -31,11 +31,7 @@ func appendBody(b []byte, body interface{}) ([]byte, error) {
 		defer v.recycle()
 		return v.appendJSON(b)
 	case RowsResponse:
-		defer func() {
-			for _, r := range v.Rows {
-				r.recycle()
-			}
-		}()
+		defer v.recycle()
 		return v.appendJSON(b)
 	}
 	raw, err := json.Marshal(body)

@@ -136,9 +136,9 @@ func WriteErrorDetail(w http.ResponseWriter, status int, detail ErrorDetail) {
 	WriteJSON(w, status, ErrorEnvelope{Error: detail})
 }
 
-// jsonBufs recycles response buffers. One grown past maxPooledBody is left
+// bodyBufs recycles response buffers. One grown past maxPooledBody is left
 // to the collector, so a rare large body does not stay pinned in the pool.
-var jsonBufs = sync.Pool{New: func() any { return new([]byte) }}
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBody = 64 << 10
 
@@ -149,24 +149,42 @@ var jsonContentType = []string{"application/json"}
 // WriteJSON encodes body to a buffer first and only then commits the
 // status line, so an encoding failure yields a clean 500 instead of a
 // truncated 200. Every /v1 response — success or error, server or proxy —
-// goes through here, which is also what lets cost headers be computed in a
-// just-before-commit hook. A body is written once: a store node's row
-// buffers go back to their pool as they are rendered.
+// goes through here or through the success path's writeBody, which is
+// also what lets cost headers be computed in a just-before-commit hook. A
+// body is written once: a store node's row buffers go back to their pool
+// as they are rendered.
 func WriteJSON(w http.ResponseWriter, status int, body interface{}) {
-	buf := jsonBufs.Get().(*[]byte)
-	b, err := appendBody((*buf)[:0], body)
+	writeBody(w, status, body, false)
+}
+
+// writeBody is WriteJSON, except that with frame set a body that has a
+// frame (frame.go) is written as one.
+func writeBody(w http.ResponseWriter, status int, body interface{}, frame bool) {
+	buf := bodyBufs.Get().(*[]byte)
+	b, framed, err := (*buf)[:0], false, error(nil)
+	if frame {
+		b, framed, err = appendFrame(b, body)
+	}
+	if !framed {
+		if b, err = appendBody(b, body); err == nil {
+			b = append(b, '\n')
+		}
+	}
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusInternalServerError)
 		fmt.Fprintln(w, `{"error":{"code":"internal","message":"response encoding failed"}}`)
 	} else {
-		b = append(b, '\n')
-		w.Header()["Content-Type"] = jsonContentType
+		ctype := jsonContentType
+		if framed {
+			ctype = frameContentType
+		}
+		w.Header()["Content-Type"] = ctype
 		w.WriteHeader(status)
 		w.Write(b)
 	}
 	if cap(b) <= maxPooledBody {
 		*buf = b
-		jsonBufs.Put(buf)
+		bodyBufs.Put(buf)
 	}
 }

@@ -184,7 +184,10 @@ func (h *Handler) handleMethod(pattern, method string, fn endpoint) {
 			sw.WriteHeader(http.StatusOK)
 			sw.Write(text)
 		} else {
-			WriteJSON(sw, http.StatusOK, body)
+			// The one place a response's encoding is chosen: a frame for a
+			// caller that names FrameType in Accept (the proxy's shard
+			// client) and a body that has one, JSON for everything else.
+			writeBody(sw, http.StatusOK, body, acceptsFrame(r.Header["Accept"]))
 		}
 
 		elapsed := time.Since(start)

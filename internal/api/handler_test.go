@@ -224,7 +224,7 @@ func TestHandlerRendersBackendErrors(t *testing.T) {
 	var batch BatchAggregateResponse
 	w = serve(t, h, "POST", "/v1/aggregate/batch", `{"queries":[{"f":"sum"}]}`)
 	decode(t, w, &batch)
-	if w.Code != 200 || !batch.Errors || batch.Items[0] != (BatchAggregateItem{Status: 503, Code: CodeCorrupt, Error: fb.queryErr.Error()}) {
+	if w.Code != 200 || !batch.Errors || !reflect.DeepEqual(batch.Items[0], BatchAggregateItem{Status: 503, Code: CodeCorrupt, Error: fb.queryErr.Error()}) {
 		t.Fatalf("failed batch item: %d %+v", w.Code, batch)
 	}
 }

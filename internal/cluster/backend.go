@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -45,12 +44,8 @@ func renderSpec(idx []int) string {
 	return b.String()
 }
 
-// decodePartial inverts the store node's base64(SQP1) partial encoding.
-func decodePartial(enc string) (*query.Partial, error) {
-	raw, err := base64.StdEncoding.DecodeString(enc)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: undecodable partial: %v", err)
-	}
+// decodePartial decodes a store node's SQP1 partial frame.
+func decodePartial(raw []byte) (*query.Partial, error) {
 	p := new(query.Partial)
 	if err := p.UnmarshalBinary(raw); err != nil {
 		return nil, fmt.Errorf("cluster: %v", err)
@@ -339,7 +334,7 @@ func (p *Proxy) Cells(ctx context.Context, reqs []api.CellRequest) ([]api.CellRe
 			fmt.Fprintf(&spec, "%d:%d", i, reqs[pos[k]].J)
 		}
 		var body api.CellsResponse
-		if err := c.doJSON(ctx, http.MethodGet, "/v1/cells?at="+spec.String(), nil, &body, true); err != nil {
+		if err := c.exchange(ctx, http.MethodGet, "/v1/cells?at="+spec.String(), nil, &body, true); err != nil {
 			return err
 		}
 		if len(body.Cells) != len(pos) {
@@ -360,7 +355,7 @@ func (p *Proxy) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error) 
 	out := make([]api.RowResponse, len(idx))
 	err := p.fanOut(idx, func(c *shardClient, lo int, local, pos []int) error {
 		var body api.RowsResponse
-		if err := c.doJSON(ctx, http.MethodGet, "/v1/rows?i="+renderSpec(local), nil, &body, true); err != nil {
+		if err := c.exchange(ctx, http.MethodGet, "/v1/rows?i="+renderSpec(local), nil, &body, true); err != nil {
 			return err
 		}
 		if len(body.Rows) != len(pos) {
@@ -496,7 +491,7 @@ func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.Agg
 	fails := scatter(shards, targets, func(c *shardClient) error {
 		sb := &batches[c.shard]
 		var resp api.BatchAggregateResponse
-		err := c.doJSON(ctx, http.MethodPost, "/v1/aggregate/batch",
+		err := c.exchange(ctx, http.MethodPost, "/v1/aggregate/batch",
 			api.BatchAggregateRequest{Queries: sb.queries, Partial: true}, &resp, true)
 		if err != nil {
 			return err

@@ -71,6 +71,11 @@ func (c *shardClient) unavailable(err error) error {
 	return fmt.Errorf("shard %d (%s): %v (%w)", c.shard, c.addr, err, seqerr.ErrUnavailable)
 }
 
+// shardAccept asks a store node for frames where it has them (cells, rows,
+// aggregate batches) and JSON for everything else; a node that does not
+// speak frames answers JSON, which exchange decodes as well.
+var shardAccept = []string{api.FrameType + ", application/json"}
+
 // once runs a single HTTP attempt and reads the full body.
 func (c *shardClient) once(ctx context.Context, method, path string, body []byte) (*shardResp, error) {
 	var rd io.Reader
@@ -84,6 +89,7 @@ func (c *shardClient) once(ctx context.Context, method, path string, body []byte
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	req.Header["Accept"] = shardAccept
 	// Propagate the proxy request's identity to the shard: the request ID
 	// (so shard logs and trace rings join to the front-door request) and the
 	// traceparent (so the shard adopts our trace id instead of minting its
@@ -128,21 +134,16 @@ func (c *shardClient) do(ctx context.Context, method, path string, body []byte, 
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 
-	type result struct {
-		resp *shardResp
-		err  error
-	}
-	ch := make(chan result, 2)
 	// Each attempt is one span on the caller's trace, tagged with its
 	// outcome: "winner" (first successful response, carrying the shard's
 	// ledger split), "loser" (a raced-out hedge duplicate), or "failed"
-	// (transport error before any winner). Spans end inside the attempt
-	// goroutine, so a hedged loser that limps in after the winner is still
+	// (transport error before any winner). A hedged attempt's span ends in
+	// its own goroutine, so a loser that limps in after the winner is still
 	// recorded on the trace.
 	tr := trace.FromContext(ctx)
 	spanName := "shard" + strconv.Itoa(c.shard) + pathOnly(path)
 	var won atomic.Bool
-	attempt := func(n int) {
+	attempt := func(n int) (*shardResp, error) {
 		sp := tr.StartSpan(spanName)
 		sp.SetAttr("shard", c.shard)
 		sp.SetAttr("addr", c.addr)
@@ -169,18 +170,39 @@ func (c *shardClient) do(ctx context.Context, method, path string, body []byte, 
 			sp.SetAttr("status", r.status)
 		}
 		sp.End()
-		ch <- result{r, err}
+		return r, err
 	}
-	go attempt(1)
 
-	maxAttempts := 1
-	var hedgeC <-chan time.Time
-	if idempotent && c.hedgeAfter > 0 {
-		maxAttempts = 2
-		t := time.NewTimer(c.hedgeAfter)
-		defer t.Stop()
-		hedgeC = t.C
+	if !idempotent || c.hedgeAfter <= 0 {
+		// No second attempt can race this one, so it runs on the caller's
+		// goroutine; ctx still carries the timeout that bounds a stall.
+		r, err := attempt(1)
+		if err != nil {
+			if ctx.Err() != nil {
+				err = ctx.Err()
+			}
+			c.fail(err)
+			return nil, c.unavailable(err)
+		}
+		c.finish(ctx, r)
+		return r, nil
 	}
+
+	type result struct {
+		resp *shardResp
+		err  error
+	}
+	ch := make(chan result, 2)
+	launch := func(n int) {
+		go func() {
+			r, err := attempt(n)
+			ch <- result{r, err}
+		}()
+	}
+	launch(1)
+	hedge := time.NewTimer(c.hedgeAfter)
+	defer hedge.Stop()
+	hedgeC := hedge.C
 
 	launched, failed := 1, 0
 	var firstErr error
@@ -197,11 +219,11 @@ func (c *shardClient) do(ctx context.Context, method, path string, body []byte, 
 			}
 			// A failed first attempt converts the hedge into an
 			// immediate retry; once no attempt can still win, give up.
-			if launched < maxAttempts {
+			if launched < 2 {
 				hedgeC = nil
 				c.hedges.Add(1)
 				launched++
-				go attempt(launched)
+				launch(launched)
 				continue
 			}
 			if failed == launched {
@@ -212,7 +234,7 @@ func (c *shardClient) do(ctx context.Context, method, path string, body []byte, 
 			hedgeC = nil
 			c.hedges.Add(1)
 			launched++
-			go attempt(launched)
+			launch(launched)
 		case <-ctx.Done():
 			c.fail(ctx.Err())
 			return nil, c.unavailable(ctx.Err())
@@ -310,10 +332,11 @@ func decodeRemote(resp *shardResp) *remoteError {
 	return &remoteError{status: resp.status, code: api.CodeInternal, msg: msg}
 }
 
-// doJSON is one typed exchange with the store node: body (when non-nil)
-// is marshaled, a 2xx response decodes into out, and a non-2xx response
+// exchange is one typed exchange with the store node: body (when non-nil)
+// is marshaled, a 2xx response decodes into out — from a frame when the
+// node answered with one, from JSON otherwise — and a non-2xx response
 // returns the node's verdict as a *remoteError.
-func (c *shardClient) doJSON(ctx context.Context, method, path string, body, out interface{}, idempotent bool) error {
+func (c *shardClient) exchange(ctx context.Context, method, path string, body, out interface{}, idempotent bool) error {
 	var raw []byte
 	if body != nil {
 		var err error
@@ -328,10 +351,16 @@ func (c *shardClient) doJSON(ctx context.Context, method, path string, body, out
 	if resp.status/100 != 2 {
 		return decodeRemote(resp)
 	}
-	if out != nil {
-		if err := json.Unmarshal(resp.body, out); err != nil {
-			return fmt.Errorf("shard %d (%s): undecodable %s response: %v", c.shard, c.addr, path, err)
-		}
+	if out == nil {
+		return nil
+	}
+	if api.IsFrame(resp.header.Get("Content-Type")) {
+		err = api.DecodeFrame(resp.body, out)
+	} else {
+		err = json.Unmarshal(resp.body, out)
+	}
+	if err != nil {
+		return fmt.Errorf("shard %d (%s): undecodable %s response: %v", c.shard, c.addr, path, err)
 	}
 	return nil
 }

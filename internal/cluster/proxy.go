@@ -293,7 +293,7 @@ func (p *Proxy) Dims(ctx context.Context) (int, int, error) {
 func (p *Proxy) fetchInfos(ctx context.Context, shards []*shardClient) ([]api.InfoResponse, error) {
 	infos := make([]api.InfoResponse, len(shards))
 	fails := scatter(shards, allShards(shards), func(c *shardClient) error {
-		return c.doJSON(ctx, http.MethodGet, "/v1/info", nil, &infos[c.shard], true)
+		return c.exchange(ctx, http.MethodGet, "/v1/info", nil, &infos[c.shard], true)
 	})
 	if len(fails) > 0 {
 		return nil, p.scatterError(fails)

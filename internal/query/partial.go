@@ -258,10 +258,10 @@ func sameSums(a, b []exact.Sum) bool {
 }
 
 // Wire encoding of a Partial: a versioned, length-checked binary frame
-// (base64-wrapped by internal/api when embedded in JSON). Binary rather
-// than JSON floats because the payload is mostly superaccumulator
-// registers, and because Min/Max/corrections may legitimately be NaN/±Inf
-// which JSON numbers cannot carry.
+// (base64 when a JSON body carries it, raw inside an internal/api frame).
+// Binary rather than JSON floats because the payload is mostly
+// superaccumulator registers, and because Min/Max/corrections may
+// legitimately be NaN/±Inf which JSON numbers cannot carry.
 //
 //	magic "SQP1"
 //	agg u8 · flags u8 (1 factored, 2 wantSq, 4 hasCorr) · numCells i64

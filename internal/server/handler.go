@@ -17,7 +17,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -396,7 +395,7 @@ func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.A
 		resp := q.Response()
 		if b.Partial {
 			if err = partials[qi].Err; err == nil {
-				resp.Partial, err = encodePartial(partials[qi].Partial)
+				resp.Partial, err = partials[qi].Partial.MarshalBinary()
 			}
 		} else if err = values[qi].Err; err == nil {
 			resp.Value, resp.Nonfinite = api.Float(values[qi].Value)
@@ -453,18 +452,6 @@ func (h *Handler) explainBody(ctx context.Context, q api.AggregateQuery) *api.Ex
 		e.PlanCache = "uncached"
 	}
 	return e
-}
-
-// encodePartial renders a mergeable partial in its wire form: the
-// versioned binary frame, base64-wrapped so it can ride inside JSON
-// (partials carry exact accumulators and possibly-NaN extrema, which JSON
-// numbers cannot).
-func encodePartial(p *query.Partial) (string, error) {
-	raw, err := p.MarshalBinary()
-	if err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(raw), nil
 }
 
 // --- api.Backend: writes -----------------------------------------------------
