@@ -39,8 +39,11 @@ race:
 # patterns (a finite interval bound encloses every Dot inside its box, and
 # its corners attain it), FuzzDecodeFrame on the binary shard answers the
 # proxy decodes (no panic, allocation bounded by the frame's size, every
-# strict prefix refused, a decoded body re-encodes to the same JSON). `go
-# test -fuzz` accepts one target per invocation, hence ten runs.
+# strict prefix refused, a decoded body re-encodes to the same JSON),
+# FuzzStagedMoments on raw float bit patterns as factor rows across the
+# 1 024-row flush (the staged moments' registers equal a per-term exact.Sum
+# fold bit for bit). `go test -fuzz` accepts one target per invocation,
+# hence one run per fuzzer.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
@@ -52,6 +55,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzAxpyRows -fuzz FuzzAxpyRows -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzDotBounds -fuzz FuzzDotBounds -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/api
+	$(GO) test -run FuzzStagedMoments -fuzz FuzzStagedMoments -fuzztime 10s ./internal/exact
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,

@@ -22,6 +22,16 @@
 //
 // Sum is a plain value type (no pointers, no heap): embedding it in
 // pooled scratch keeps zero-allocation hot paths zero-allocation.
+//
+// Add unpacks every term's bits into the register, which is what a
+// factored stddev's k + k(k+1)/2 adds per row cost. Stage (stage.go) is
+// the cheaper front for that one accumulation: terms of magnitude at most
+// 1 are split error-free into two float64 bins per sum whose running
+// totals stay exact for 1 024 rows, and the bins are added to the Sums
+// once per flush. The flushed registers are the ones per-term Adds build,
+// bit for bit, so Value, Merge and the encoding cannot tell the paths
+// apart; anything else — a row with an entry outside [-1, 1], NaN or
+// ±Inf — is added term by term.
 package exact
 
 import (

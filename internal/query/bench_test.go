@@ -258,3 +258,96 @@ func BenchmarkEvaluateAdhoc(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMomentsAdd is the factored moments' kernel alone: one op is one
+// U row of the adhoc fixture folded into a uMoments, cycling through the
+// store's rows, so ns/op is ns per U row — "sum" stages the k components a
+// sum or avg reads, "gram" also the k(k+1)/2 products a stddev reads. The
+// staged bins flush every 1 024 rows inside the loop, as in an
+// evaluation.
+//
+//	go test -run '^$' -bench MomentsAdd ./internal/query
+func BenchmarkMomentsAdd(b *testing.B) {
+	s, _, _ := adhocSetup(b)
+	n, _ := s.Dims()
+	k := s.K()
+	rows := make([]float64, n*k)
+	for i := 0; i < n; i++ {
+		if err := s.Base().URow(i, rows[i*k:(i+1)*k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, gram := range []bool{false, true} {
+		name := "sum"
+		if gram {
+			name = "gram"
+		}
+		b.Run(fmt.Sprintf("%s/k%d", name, k), func(b *testing.B) {
+			var um uMoments
+			um.reset(k, gram)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := i % n
+				um.add(rows[r*k : (r+1)*k])
+			}
+			um.flush()
+		})
+	}
+}
+
+// BenchmarkBatchAdhoc is agg_adhoc's batch op without the server:
+// four items over one pooled selection's columns whose row ranges overlap
+// by three quarters, each a random sum/avg/stddev/min/max, through one
+// EvaluateBatch ("batch") and as four EvaluateOpts calls ("lone"), both on
+// one worker with a warm plan cache. One op is one batch of four.
+//
+//	go test -run '^$' -bench BatchAdhoc ./internal/query
+func BenchmarkBatchAdhoc(b *testing.B) {
+	s, sels, draws := adhocSetup(b)
+	n, _ := s.Dims()
+	aggs := []Aggregate{Sum, Avg, StdDev, Min, Max}
+	rng := rand.New(rand.NewSource(2))
+	batches := make([][]BatchItem, 128)
+	for i := range batches {
+		sel := sels[draws[rng.Intn(len(draws))]]
+		lo, width := sel.Rows[0], len(sel.Rows)
+		for t := 0; t < 4; t++ {
+			start := min(lo+t*(width/4), n-width)
+			batches[i] = append(batches[i], BatchItem{Agg: aggs[rng.Intn(len(aggs))],
+				Sel: Selection{Rows: seq(start, start+width), Cols: sel.Cols}})
+		}
+	}
+	opts := Options{Workers: 1, Plans: NewPlanCache(256)}
+	run := map[string]func(items []BatchItem){
+		"batch": func(items []BatchItem) {
+			res, err := EvaluateBatch(s, items, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range res {
+				if r.Err != nil {
+					b.Fatal(r.Err)
+				}
+			}
+		},
+		"lone": func(items []BatchItem) {
+			for _, it := range items {
+				if _, err := EvaluateOpts(s, it.Agg, it.Sel, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	}
+	for _, name := range []string{"batch", "lone"} {
+		b.Run(name, func(b *testing.B) {
+			for _, items := range batches {
+				run[name](items)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				run[name](batches[i%len(batches)])
+			}
+		})
+	}
+}

@@ -278,6 +278,7 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	for _, j := range pl.cols {
 		st.colM.add(v.Row(j))
 	}
+	st.colM.flush()
 	st.sigma, st.hasCorr, st.corr = pl.sigma, pl.overlay, corrections{}
 	if st.hasCorr {
 		return st.deltaCorrections(wantSq)

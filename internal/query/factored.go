@@ -77,14 +77,22 @@ func (st *evalState) finalizeFactoredStdDev() float64 {
 // uMoments accumulates the row-side (or column-side) factors: acc[m] is
 // the exact component sum over the index set and, when wantSq, g holds the
 // k×k Gram matrix of the set's factor rows (upper triangle filled; the
-// matrix is symmetric). The exact superaccumulators make the moments
-// independent of accumulation order, so per-worker (and per-shard)
-// partials merge to the identical bit pattern as a serial pass.
+// matrix is symmetric; empty otherwise). The exact superaccumulators make
+// the moments independent of accumulation order, so per-worker (and
+// per-shard) partials merge to the identical bit pattern as a serial pass.
+//
+// add goes through an exact.Stage: a row's terms land in error-free
+// float64 bins that reach acc and g once per 1 024 rows and at flush. Only
+// the workers' moments and the column pass stage rows; merge flushes the
+// moments it folds in and evaluate flushes the column pass, so the
+// moments export and value read are always fully flushed — the very
+// registers a per-term Sum.Add fold builds.
 type uMoments struct {
 	k      int
 	wantSq bool
 	acc    []exact.Sum
-	g      []exact.Sum // k×k row-major, upper triangle
+	g      []exact.Sum // k×k row-major, upper triangle (wantSq)
+	stage  exact.Stage
 }
 
 // reset prepares a (possibly pooled) accumulator for a fresh evaluation,
@@ -95,12 +103,14 @@ func (um *uMoments) reset(k int, wantSq bool) {
 	for i := range um.acc {
 		um.acc[i].Reset()
 	}
+	um.g = um.g[:0]
 	if wantSq {
 		um.g = ensureSums(um.g, k*k)
 		for i := range um.g {
 			um.g[i].Reset()
 		}
 	}
+	um.stage.Reset(len(um.acc) + len(um.g))
 }
 
 // set makes um a copy of the given moments (a Partial's), reusing its
@@ -112,26 +122,17 @@ func (um *uMoments) set(k int, wantSq bool, acc, g []exact.Sum) {
 }
 
 func (um *uMoments) add(row []float64) {
-	for m, x := range row {
-		um.acc[m].Add(x)
-	}
-	if !um.wantSq {
-		return
-	}
-	k := um.k
-	for a := 0; a < k; a++ {
-		ra := row[a]
-		if ra == 0 {
-			continue
-		}
-		base := a * k
-		for b := a; b < k; b++ {
-			um.g[base+b].Add(ra * row[b])
-		}
-	}
+	um.stage.AddMoments(um.acc, um.g, row)
 }
 
+// flush moves the staged rows into acc and g.
+func (um *uMoments) flush() {
+	um.stage.Flush(um.acc, um.g)
+}
+
+// merge flushes o and folds it into um.
 func (um *uMoments) merge(o *uMoments) {
+	o.flush()
 	for i := range um.acc {
 		um.acc[i].Merge(&o.acc[i])
 	}

@@ -191,8 +191,8 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 // hotSymbols are the functions whose placement the compression, set-up and
 // aggregate metrics are sensitive to: the Gram kernel, the top-γ selection,
 // the pass-2 row scorer, the reconstruction kernels, the projected engine's
-// row bound and row projection, the factored moments' exact add and the
-// point read.
+// row bound and row projection, the factored moments' staged kernel and
+// the exact add behind it, and the point read.
 var hotSymbols = []string{
 	"seqstore/internal/linalg.AxpyRows",
 	"seqstore/internal/pqueue.selectNth",
@@ -202,6 +202,7 @@ var hotSymbols = []string{
 	"seqstore/internal/linalg.DotBounds",
 	"seqstore/internal/linalg.Axpy",
 	"seqstore/internal/query.(*evalWorker).project",
+	"seqstore/internal/exact.(*Stage).AddMoments",
 	"seqstore/internal/exact.(*Sum).Add",
 	"seqstore/internal/core.(*Store).Cell",
 }
