@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check fuzz-smoke golden-check metrics-golden bench-smoke bench-gate bench-parallel experiments
+.PHONY: build test vet race check fuzz-smoke golden-check metrics-golden bench-smoke bench-gate bench-parallel experiments loc
 
 build:
 	$(GO) build ./...
@@ -86,12 +86,24 @@ bench-smoke:
 
 check: vet race golden-check metrics-golden fuzz-smoke bench-smoke
 
+# loc prints the non-test Go line count outside bench/, the size ROADMAP
+# tracks, for the working tree or, with REV=<ref>, for that revision:
+#	make loc REV=HEAD~1
+REV ?=
+loc:
+	@if [ -z "$(REV)" ]; then \
+		find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l; \
+	else \
+		git ls-tree -r --name-only $(REV) | grep '\.go$$' | grep -v -e '_test\.go$$' -e '^bench/' | \
+			sed 's|^|$(REV):|' | xargs git show | wc -l; \
+	fi
+
 # bench-gate measures the working tree against PARENT: PAIRS alternating
 # 15 s runs of each workload in the comma-separated WORKLOAD, seeds
 # FIRST_SEED..FIRST_SEED+PAIRS-1, each side's benchmark built once (the
-# parent's from a git archive in a temporary directory). It first prints the
-# address mod 64 of the hot functions in both binaries (a layout shift shows
-# there), then per end-to-end metric both medians, the parent's IQR, the
+# parent's from a git archive in a temporary directory). It first prints
+# both sides' non-test line counts (make loc) and the address mod 64 of the
+# hot functions in both binaries (a layout shift shows there), then per end-to-end metric both medians, the parent's IQR, the
 # change's wins, its shift against the bound in BENCHMARK.json and a
 # verdict, and fails if any median is worse than the
 # parent's by more than its bound (the rule a change claiming no gain is
@@ -102,6 +114,7 @@ WORKLOAD ?= point_read
 PAIRS ?= 10
 FIRST_SEED ?= 1
 bench-gate:
+	@echo "non-test Go lines: parent $$($(MAKE) -s --no-print-directory loc REV=$(PARENT)), change $$($(MAKE) -s --no-print-directory loc)"
 	$(GO) run ./scripts/benchgate -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -first-seed $(FIRST_SEED)
 
 # bench-parallel runs the worker-count sub-benchmarks: the two sharded hot

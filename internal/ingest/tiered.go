@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -208,6 +209,19 @@ type Stats struct {
 	Epoch              uint64 `json:"epoch"`
 }
 
+// writable returns st as the store kind the tier folds into: a core.Store
+// with a memory-backed U.
+func writable(st store.Store) (*core.Store, error) {
+	cold, ok := st.(*core.Store)
+	if !ok {
+		return nil, fmt.Errorf("%w: method %v", ErrNotWritable, st.Method())
+	}
+	if !cold.Appendable() {
+		return nil, fmt.Errorf("%w: file-backed U", ErrNotWritable)
+	}
+	return cold, nil
+}
+
 // Open attaches the ingestion tier to a cold store: the WAL at walPath is
 // created or replayed (acknowledged rows that were not yet compacted and
 // persisted come back as hot rows), and unless DisableBackground is set a
@@ -217,12 +231,9 @@ type Stats struct {
 // The cold store must support fold-in (SVD or SVDD with a memory-backed
 // U); anything else returns ErrNotWritable immediately.
 func Open(st store.Store, labels *store.Labels, walPath string, opts Options) (*Tiered, error) {
-	cold, ok := st.(*core.Store)
-	if !ok {
-		return nil, fmt.Errorf("%w: method %v", ErrNotWritable, st.Method())
-	}
-	if !cold.Appendable() {
-		return nil, fmt.Errorf("%w: file-backed U", ErrNotWritable)
+	cold, err := writable(st)
+	if err != nil {
+		return nil, err
 	}
 	n, m := cold.Dims()
 	if m <= 0 {
@@ -791,6 +802,9 @@ func (t *Tiered) Recompress() error {
 			Workers:    t.opts.Workers,
 		})
 	}
+	if b := cold.Precision(); err == nil && b != next.Precision() {
+		next, err = withPrecision(next, b)
+	}
 	if err != nil {
 		return fmt.Errorf("ingest: recompress: %w", err)
 	}
@@ -811,6 +825,25 @@ func (t *Tiered) Recompress() error {
 
 	t.invalidated()
 	return perr
+}
+
+// withPrecision returns s at b bytes per stored number, holding exactly the
+// values its file holds, so that a restart serves what was served before it.
+// The compressors always build at b = 8; a recompressed segment keeps the b
+// of the one it replaces.
+func withPrecision(s *core.Store, b int) (*core.Store, error) {
+	if err := s.SetPrecision(b); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	if err := store.Write(&buf, s); err != nil {
+		return nil, err
+	}
+	rounded, err := store.Read(&buf)
+	if err != nil {
+		return nil, err
+	}
+	return writable(rounded)
 }
 
 // Close stops the background compactor (after a final drain) and closes

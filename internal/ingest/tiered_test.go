@@ -526,7 +526,7 @@ func TestTieredPlainSVD(t *testing.T) {
 			"646bdb5ced74bcf8b76732eb3d448d08d48758cc3af2370d2a34735030d861ed"},
 		{4,
 			"60d8d57dabe24b00e0d02051025178ba8d370f3f2a32aea60d2b429757fced64",
-			"44111f433a3d3f073239b491c1f94ffa86f94792235b88ac363bd1783e6bca71"},
+			"dbd19eb0a57480a89c9d033c60667d0263e4dc872de87327970f0988300754fc"},
 	} {
 		t.Run(fmt.Sprintf("b%d", tc.prec), func(t *testing.T) {
 			plain, err := svd.Compress(matio.NewMem(phoneData(30)), 6)
@@ -587,11 +587,18 @@ func TestTieredPlainSVD(t *testing.T) {
 			if got := fileHash(); got != tc.compacted {
 				t.Errorf("persisted .sqz after compaction: sha256 %s, want %s", got, tc.compacted)
 			}
+			stored := ti.Cold().StoredBytes()
 			if err := ti.Recompress(); err != nil {
 				t.Fatal(err)
 			}
 			if ti.Method() != store.MethodSVD || kOf(t, ti.Cold()) != k {
 				t.Fatalf("recompressed to %v with k = %d, want svd with k = %d", ti.Method(), kOf(t, ti.Cold()), k)
+			}
+			if got := ti.Cold().Precision(); got != tc.prec {
+				t.Errorf("recompressed at b = %d, want b = %d kept", got, tc.prec)
+			}
+			if got := ti.Cold().StoredBytes(); got >= 2*stored {
+				t.Errorf("recompression took the stored bytes from %d to %d", stored, got)
 			}
 			if got := fileHash(); got != tc.rebuilt {
 				t.Errorf("persisted .sqz after recompression: sha256 %s, want %s", got, tc.rebuilt)
@@ -631,5 +638,42 @@ func TestTieredPlainSVD(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRecompressKeepsPrecisionSVDD: an SVDD segment stored at b = 4 is
+// rebuilt at b = 4, and serves exactly the values its file holds.
+func TestRecompressKeepsPrecisionSVDD(t *testing.T) {
+	cold := coldStore(t, phoneData(30))
+	if err := cold.SetPrecision(4); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sqz := filepath.Join(dir, "cold.sqz")
+	ti := openTiered(t, cold, dir, Options{DisableBackground: true, PersistPath: sqz, Workers: 1})
+	defer ti.Close()
+	if err := ti.Recompress(); err != nil {
+		t.Fatal(err)
+	}
+	if got := ti.Cold().Precision(); got != 4 {
+		t.Fatalf("recompressed at b = %d, want b = 4 kept", got)
+	}
+	saved, err := store.Load(sqz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := ti.Dims()
+	for i := 0; i < n; i++ {
+		got, err := ti.Cold().Row(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := saved.Row(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("row %d served as %v, saved as %v", i, got, want)
+		}
 	}
 }

@@ -745,6 +745,21 @@ func (s *Mem) ScanRowsRange(start, end int, fn func(i int, row []float64) error)
 	return nil
 }
 
+// Rows returns rows [start, end) in place, row-major: the matrix's own
+// storage, to be read and not written. When count is set the rows count as
+// read the way ScanRowsRange counts them, with one add for the range;
+// without it they are rows a caller has already counted.
+func (s *Mem) Rows(start, end int, count bool) ([]float64, error) {
+	if start < 0 || end > s.m.Rows() || start > end {
+		return nil, fmt.Errorf("%w: range [%d, %d) of %d", ErrRowRange, start, end, s.m.Rows())
+	}
+	if count {
+		s.stats.rowReads.Add(int64(end - start))
+	}
+	c := s.m.Cols()
+	return s.m.Data()[start*c : end*c : end*c], nil
+}
+
 // AppendRow grows the in-memory matrix by one row and returns its index.
 // Only the memory-backed implementation supports appends; disk files are
 // immutable once written.

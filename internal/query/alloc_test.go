@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"seqstore/internal/core"
@@ -16,10 +17,12 @@ import (
 // are primed, the projected and factored paths over a plain-SVD or an
 // SVDD store must not allocate at all on the serial path, and parallel
 // dispatch may only pay a constant per-query overhead (goroutines +
-// waitgroup), never anything per row. If a change reintroduces a per-row,
-// per-chunk or per-call allocation — a closure escaping into ScanURows, a
-// scratch slice rebuilt per call, a multiset map of the selection, an
-// accumulator returned by pointer — these fail immediately.
+// waitgroup), never anything per row; and a batch over resident U reads it
+// in place, never copying its row union. If a change reintroduces a
+// per-row, per-chunk or per-call allocation — a closure escaping into a
+// row scan, a scratch slice rebuilt per call, a multiset map of the
+// selection, an accumulator returned by pointer, a staged copy of U rows —
+// these fail immediately.
 
 func allocProbeStore(t testing.TB, rows int) *core.Store {
 	t.Helper()
@@ -120,4 +123,52 @@ func TestSteadyStateAllocsDoNotScaleWithRows(t *testing.T) {
 			t.Errorf("%v: %.1f allocs/op exceeds parallel dispatch budget %d", agg, got[0], parallelBudget)
 		}
 	}
+}
+
+// TestBatchAllocatesLessThanItsUnion: a batch of overlapping items over
+// resident U charges its row union and reads U in place, so one
+// EvaluateBatch allocates less than a copy of the union's U rows alone
+// would take (distinct·k·8 bytes): the results, the union's bitset and the
+// items' dispatch, never the rows.
+func TestBatchAllocatesLessThanItsUnion(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; allocation budgets only hold without -race")
+	}
+	s := allocProbeStore(t, 512)
+	n, m := s.Dims()
+	items := batchOverlappingItems(n, m)
+	distinct := make(map[int]bool)
+	for _, it := range items {
+		for _, r := range it.Sel.Rows {
+			distinct[r] = true
+		}
+	}
+	opts := Options{Workers: 1, Plans: NewPlanCache(64)}
+	run := func() {
+		results, err := EvaluateBatch(s, items, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for idx, r := range results {
+			if r.Err != nil {
+				t.Fatalf("item %d: %v", idx, r.Err)
+			}
+		}
+	}
+	for i := 0; i < 5; i++ {
+		run()
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(len(distinct) * s.K() * 8); perBatch >= limit {
+		t.Errorf("one batch allocates %d bytes, not below its union's U rows (%d rows × k = %d × 8 = %d bytes)",
+			perBatch, len(distinct), s.K(), limit)
+	}
+	t.Logf("%d bytes per batch against a %d-row union", perBatch, len(distinct))
 }

@@ -36,14 +36,14 @@ type Options struct {
 }
 
 // evalEnv is the resolved per-evaluation environment: context, normalized
-// worker count, optional plan cache, optional batch U-row buffer
-// (evaluateBatch's shared scan), and the request's cost ledger.
+// worker count, optional plan cache, the request's cost ledger, and whether
+// evaluateBatch already charged every U row the evaluation reads (paid).
 type evalEnv struct {
 	ctx     context.Context
 	workers int
 	plans   *PlanCache
-	buf     *uBuf
 	led     *trace.Ledger
+	paid    bool
 }
 
 // env resolves the options once per entry point.
@@ -234,7 +234,7 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	chunk := evalChunkSize(len(sel.Rows), env.workers)
 	nw := evalWorkers(len(sel.Rows), chunk, env.workers, st.rowWork())
 	for len(st.workers) < nw {
-		st.workers = append(st.workers, newEvalWorker(st))
+		st.workers = append(st.workers, &evalWorker{st: st})
 	}
 	st.active = st.workers[:nw]
 
@@ -358,20 +358,18 @@ func (st *evalState) chunk(w *evalWorker, lo, hi int) error {
 	return st.readURows(w, lo, hi)
 }
 
-// readURows is the one place U rows are read and charged. It walks the
-// plan's pieces of positions [lo, hi): rows the batch prefetch already
-// holds are served from its buffer and an isolated §6.2 zero-flagged row
-// from its flag (row reads with no disk access — an all-zero U row adds
-// nothing to the factored moments and |C| zero cells to the projected
-// accumulator); everything else is one sequential scan per piece or one
-// random read, charged one access per row plus the pages spanned. Zero
-// rows inside a scan are simply scanned: skipping mid-scan would cost
-// more than it saves. On SVDD stores the projected engine overlays each
-// row it holds a U row for with that row's deltas, so a piece also opens
-// its slab of the row index. ExplainQuery replays the same pieces.
+// readURows is the engine's U-row loop. It walks the plan's pieces of
+// positions [lo, hi): an isolated §6.2 zero-flagged row is served from its
+// flag (a row read with no disk access — an all-zero U row adds nothing to
+// the factored moments and |C| zero cells to the projected accumulator);
+// every other piece, one sequential run or one random row, is read through
+// uRows and folded row by row into the factored moments or the projection. Zero rows inside a run are simply read:
+// skipping mid-run would cost more than it saves. On SVDD stores the
+// projected engine overlays each row it holds a U row for with that row's
+// deltas, so a piece also opens its slab of the row index. ExplainQuery
+// replays the same pieces.
 func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
-	pl, led, buf := st.pl, st.env.led, st.env.buf
-	base := pl.fac.Base()
+	pl, led, k := st.pl, st.env.led, len(st.pl.sigma)
 	for it := pl.pieces(lo, hi); it.next(); {
 		start, end := it.start, it.end
 		led.AddRowsRead(int64(end - start))
@@ -383,29 +381,36 @@ func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
 			w.slab = pl.fac.DeltaSlab(start, end)
 			led.AddDeltasProbed(int64(w.slab.Len()))
 		}
-		for ; start < end; start++ {
-			u := buf.row(start)
-			if u == nil {
-				break
-			}
-			w.take(start, u)
-		}
-		if start == end {
-			continue
-		}
-		led.AddDiskAccesses(int64(end - start))
-		led.AddPagesTouched(int64(base.UPageSpan(start, end)))
-		var err error
-		if it.scan {
-			err = base.ScanURows(start, end, w.sink)
-		} else if err = base.URow(start, w.urow); err == nil {
-			w.take(start, w.urow)
-		}
+		u, err := st.uRows(start, end, &w.scratch)
 		if err != nil {
 			return fmt.Errorf("query: U rows [%d,%d): %w", start, end, err)
 		}
+		if st.factored {
+			for r := 0; r < len(u); r += k {
+				w.um.add(u[r : r+k])
+			}
+			continue
+		}
+		// u may be resident U itself: project scales its own copy.
+		for i := start; i < end; i++ {
+			copy(w.urow, u[(i-start)*k:])
+			w.project(i)
+		}
 	}
 	return nil
+}
+
+// uRows is the one place U rows are read and charged: U rows [start, end)
+// through svd.Store.URows, in place when U is resident, charged one disk
+// access per row plus the pages spanned — unless the batch already paid
+// for them, in which case they are read uncharged, U's counter included.
+func (st *evalState) uRows(start, end int, scratch *[]float64) ([]float64, error) {
+	base, paid := st.pl.fac.Base(), st.env.paid
+	if !paid {
+		st.env.led.AddDiskAccesses(int64(end - start))
+		st.env.led.AddPagesTouched(int64(base.UPageSpan(start, end)))
+	}
+	return base.URows(start, end, scratch, !paid)
 }
 
 // genericRows is the fallback for stores without a U/V factorization:
@@ -431,40 +436,14 @@ func (st *evalState) genericRows(w *evalWorker, lo, hi int) error {
 // shared state is read-only while workers run, so one evalState serves
 // them all concurrently.
 type evalWorker struct {
-	st   *evalState
-	acc  accum          // cells shape
-	um   uMoments       // factored shape
-	urow []float64      // k: U row, scaled by σ in place before projection
-	vals []float64      // |C|: projected cell values of the current row
-	row  []float64      // m: full-row buffer for the generic path
-	slab core.DeltaSlab // SVDD: the deltas of the piece being projected
-
-	// sink is take as a ScanURows callback. The callback escapes through
-	// the matio.RangeScanner interface, so building it per scan would
-	// allocate on the hot path; workers live behind stable pointers in the
-	// pooled state, so it is built once, here.
-	sink func(i int, urow []float64) error
-}
-
-func newEvalWorker(st *evalState) *evalWorker {
-	w := &evalWorker{st: st}
-	w.sink = func(i int, urow []float64) error {
-		w.take(i, urow)
-		return nil
-	}
-	return w
-}
-
-// take folds U row i into the worker's partial result. u may alias the
-// backing matrix or the shared batch buffer, so the projected path copies
-// it before the in-place σ scaling.
-func (w *evalWorker) take(i int, u []float64) {
-	if w.st.factored {
-		w.um.add(u)
-		return
-	}
-	copy(w.urow, u)
-	w.project(i)
+	st      *evalState
+	acc     accum          // cells shape
+	um      uMoments       // factored shape
+	urow    []float64      // k: U row, scaled by σ in place before projection
+	vals    []float64      // |C|: projected cell values of the current row
+	row     []float64      // m: full-row buffer for the generic path
+	slab    core.DeltaSlab // SVDD: the deltas of the piece being projected
+	scratch []float64      // U rows read from disk (URows grows it)
 }
 
 // project projects w.urow — U row i — onto the column panel and folds the

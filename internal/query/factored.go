@@ -164,17 +164,17 @@ type corrections struct {
 // counter pinned by tests). For the second moment, a delta δ on a cell
 // with SVD baseline b shifts that cell's square by (b+δ)²−b² = 2bδ+δ², so
 // only delta cells need their baseline reconstructed: one U read per row
-// the walk stops at (served from the batch prefetch buffer when
-// EvaluateBatch already fetched it).
+// the walk stops at, through the engine's uRows (uncharged when
+// EvaluateBatch already paid for it).
 //
 // Multiset weighting: a cell selected r·c times (row listed r times,
 // column c times) contributes r·c copies of its correction.
 func (st *evalState) deltaCorrections(wantSq bool) error {
 	pl, led, c := st.pl, st.env.led, &st.corr
-	base, sigma := pl.fac.Base(), pl.sigma
-	v := base.V()
-	// The workers are done; the first one's U-row scratch is free.
-	urow := st.active[0].urow
+	sigma, v := pl.sigma, pl.fac.Base().V()
+	// The workers are done; the first one's U-row buffers are free.
+	w0 := st.active[0]
+	urow := w0.urow
 	w := pl.deltaWalk()
 	for w.next() {
 		haveU := false
@@ -190,18 +190,13 @@ func (st *evalState) deltaCorrections(wantSq bool) error {
 				continue
 			}
 			if !haveU {
-				if u := st.env.buf.row(w.row); u != nil {
-					copy(urow, u)
-					led.AddRowsRead(1)
-				} else if err := base.URow(w.row, urow); err != nil {
+				u, err := st.uRows(w.row, w.row+1, &w0.scratch)
+				if err != nil {
 					return fmt.Errorf("query: delta row %d: %w", w.row, err)
-				} else {
-					led.AddRowsRead(1)
-					led.AddDiskAccesses(1)
-					led.AddPagesTouched(int64(base.UPageSpan(w.row, w.row+1)))
 				}
+				led.AddRowsRead(1)
 				for m := range urow {
-					urow[m] *= sigma[m]
+					urow[m] = u[m] * sigma[m]
 				}
 				haveU = true
 			}

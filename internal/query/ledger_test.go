@@ -14,11 +14,51 @@ import (
 // global matio counters: for a single traced evaluation, the ledger's
 // disk_accesses must equal the store's RowReads delta (the paper's
 // one-row-one-block model), and rows_read / worker_chunks / pages_touched
-// must be populated.
+// must be populated. A batch of overlapping items is held to the same
+// equality over U on disk and resident U; on disk, where it shares nothing,
+// its ledger is also exactly its items' lone ledgers together.
 func TestLedgerMatchesUStats(t *testing.T) {
 	s := fileBackedSVD(t, 64)
 	n, m := s.Dims()
 	sel := Selection{Rows: seq(0, n), Cols: seq(0, m)}
+	items := batchOverlappingItems(n, m)
+
+	for name, bs := range map[string]*core.Store{"file": s, "resident": allocProbeStore(t, 64)} {
+		for _, workers := range []int{1, 4} {
+			opts := Options{Workers: workers}
+			before := bs.Base().UStats().RowReads()
+			batch := tracedLedger(func(ctx context.Context) {
+				opts.Ctx = ctx
+				results, err := EvaluateBatch(bs, items, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for idx, r := range results {
+					if r.Err != nil {
+						t.Fatalf("%s/w%d item %d: %v", name, workers, idx, r.Err)
+					}
+				}
+			})
+			if delta := bs.Base().UStats().RowReads() - before; batch.DiskAccesses != delta {
+				t.Errorf("%s/w%d batch: ledger disk accesses %d != stats row reads %d",
+					name, workers, batch.DiskAccesses, delta)
+			}
+			if name != "file" {
+				continue
+			}
+			lone := tracedLedger(func(ctx context.Context) {
+				opts.Ctx = ctx
+				for _, it := range items {
+					if _, err := EvaluateOpts(bs, it.Agg, it.Sel, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if batch != lone {
+				t.Errorf("%s/w%d: batch ledger %+v != its items' lone ledgers %+v", name, workers, batch, lone)
+			}
+		}
+	}
 
 	for _, agg := range []Aggregate{Sum, StdDev, Min} {
 		for _, workers := range []int{1, 4} {
@@ -66,6 +106,13 @@ func TestUntracedEvaluationUnaffected(t *testing.T) {
 	if got != want {
 		t.Errorf("traced evaluation changed the result: %v != %v", got, want)
 	}
+}
+
+// tracedLedger runs fn under a fresh trace and returns its ledger.
+func tracedLedger(fn func(ctx context.Context)) trace.LedgerSnapshot {
+	tr := trace.New("t", "/test")
+	fn(trace.NewContext(context.Background(), tr))
+	return tr.Ledger.Snapshot()
 }
 
 func seq(lo, hi int) []int {

@@ -146,9 +146,9 @@ type PartialResult struct {
 }
 
 // EvaluateBatchPartial is EvaluateBatch exporting each item's state
-// instead of rounding it: same loop, same coalesced prefetch pass over the
-// U-row union. The shared buffer changes only where U bits are read from,
-// so each Partial is bit-identical to an independent EvaluatePartial call.
+// instead of rounding it: same loop, same single charge for the U-row
+// union. Sharing changes only what the ledger charges, so each Partial is
+// bit-identical to an independent EvaluatePartial call.
 func EvaluateBatchPartial(s store.Store, items []BatchItem, opts Options) ([]PartialResult, error) {
 	results := make([]PartialResult, len(items))
 	err := evaluateBatch(s, items, opts, func(idx int, st *evalState, err error) {

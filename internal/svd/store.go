@@ -133,26 +133,49 @@ func (s *Store) V() *linalg.Matrix { return s.v }
 // URow reads row i of U into dst (length k), costing one row access.
 func (s *Store) URow(i int, dst []float64) error { return s.u.ReadRow(i, dst) }
 
-// ScanURows streams U rows [start, end) in order into fn. When the U
-// backing supports range scans (matio.File and matio.Mem both do) the rows
-// arrive through one buffered sequential read instead of per-row random
-// accesses — the query engine coalesces contiguous selected rows into such
-// scans. The urow slice is only valid during the call. Safe for concurrent
-// use alongside URow and other scans.
+// ScanURows calls fn for U rows [start, end) in order, read through URows:
+// urow is only valid during the call, and is to be read, not written.
 func (s *Store) ScanURows(start, end int, fn func(i int, urow []float64) error) error {
-	if rs, ok := s.u.(matio.RangeScanner); ok {
-		return rs.ScanRowsRange(start, end, fn)
+	var scratch []float64
+	rows, err := s.URows(start, end, &scratch, true)
+	if err != nil {
+		return err
 	}
-	urow := make([]float64, len(s.sigma))
+	k := len(s.sigma)
 	for i := start; i < end; i++ {
-		if err := s.u.ReadRow(i, urow); err != nil {
-			return err
-		}
-		if err := fn(i, urow); err != nil {
+		if err := fn(i, rows[(i-start)*k:(i-start+1)*k]); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// URows returns U rows [start, end) row-major, k numbers per row. A
+// resident U (a matio.Mem) hands back its own rows in place, to be read and
+// not written, counted on U's read counter when count is set; a caller that
+// already counted them reads them again uncounted. A U on disk is read into
+// *scratch, grown as needed, and counted, as every read of it is real.
+func (s *Store) URows(start, end int, scratch *[]float64, count bool) ([]float64, error) {
+	if m, ok := s.u.(*matio.Mem); ok {
+		return m.Rows(start, end, count)
+	}
+	k := len(s.sigma)
+	if cap(*scratch) < (end-start)*k {
+		*scratch = make([]float64, (end-start)*k)
+	}
+	rows := (*scratch)[:(end-start)*k]
+	for i := start; i < end; i++ {
+		if err := s.u.ReadRow(i, rows[(i-start)*k:(i-start+1)*k]); err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// UResident reports whether U is held in memory, where URows reads in place.
+func (s *Store) UResident() bool {
+	_, ok := s.u.(*matio.Mem)
+	return ok
 }
 
 // UStats exposes the access counters of the U backing, so tests can assert

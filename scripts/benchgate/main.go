@@ -190,9 +190,9 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 
 // hotSymbols are the functions whose placement the compression, set-up and
 // aggregate metrics are sensitive to: the Gram kernel, the top-γ selection,
-// the pass-2 row scorer, the reconstruction kernels, the projected engine's
-// row bound and row projection, the factored moments' staged kernel and
-// the exact add behind it, and the point read.
+// the pass-2 row scorer, the reconstruction kernels, the engine's U-row
+// loop, the projected engine's row bound and row projection, the factored
+// moments' staged kernel and the exact add behind it, and the point read.
 var hotSymbols = []string{
 	"seqstore/internal/linalg.AxpyRows",
 	"seqstore/internal/pqueue.selectNth",
@@ -201,6 +201,7 @@ var hotSymbols = []string{
 	"seqstore/internal/linalg.DotRows",
 	"seqstore/internal/linalg.DotBounds",
 	"seqstore/internal/linalg.Axpy",
+	"seqstore/internal/query.(*evalState).readURows",
 	"seqstore/internal/query.(*evalWorker).project",
 	"seqstore/internal/exact.(*Stage).AddMoments",
 	"seqstore/internal/exact.(*Sum).Add",
