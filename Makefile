@@ -42,8 +42,11 @@ race:
 # strict prefix refused, a decoded body re-encodes to the same JSON),
 # FuzzStagedMoments on raw float bit patterns as factor rows across the
 # 1 024-row flush (the staged moments' registers equal a per-term exact.Sum
-# fold bit for bit). `go test -fuzz` accepts one target per invocation,
-# hence one run per fuzzer.
+# fold bit for bit), FuzzChannelFrame on the request and response frames of
+# the proxy's shard channels (no panic, allocation bounded by the declared
+# length capped at the 1 GiB cap, every strict prefix refused, decode
+# then encode gives back the same bytes). `go test -fuzz` accepts one
+# target per invocation, hence one run per fuzzer.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
 	$(GO) test -run FuzzReadLabeled -fuzz FuzzReadLabeled -fuzztime 10s ./internal/store
@@ -56,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzDotBounds -fuzz FuzzDotBounds -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzStagedMoments -fuzz FuzzStagedMoments -fuzztime 10s ./internal/exact
+	$(GO) test -run FuzzChannelFrame -fuzz FuzzChannelFrame -fuzztime 10s ./internal/api
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,

@@ -60,20 +60,20 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// diskRecorder sums the disk accesses the shards report to a proxy.
+// diskRecorder sums the disk accesses the shards report to a proxy: it
+// wraps the store nodes' handlers, which serve every channel frame, and
+// reads the X-Cost-Disk-Accesses header the node's middleware set.
 type diskRecorder struct {
-	base http.RoundTripper
 	disk atomic.Int64
 }
 
-func (rt *diskRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := rt.base.RoundTrip(req)
-	if err == nil {
-		if v, perr := strconv.ParseInt(resp.Header.Get(trace.HeaderDiskAccesses), 10, 64); perr == nil {
+func (rt *diskRecorder) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if v, err := strconv.ParseInt(w.Header().Get(trace.HeaderDiskAccesses), 10, 64); err == nil {
 			rt.disk.Add(v)
 		}
-	}
-	return resp, err
+	})
 }
 
 // shape is one running deployment.
@@ -127,7 +127,7 @@ func localShape(t *testing.T, name string, st store.Store) *shape {
 // order, the last one open-ended) with a proxy.
 func proxyShape(t *testing.T, name string, shards []store.Store) *shape {
 	t.Helper()
-	sh := &shape{name: name, log: &syncBuffer{}, shards: &diskRecorder{base: http.DefaultTransport}}
+	sh := &shape{name: name, log: &syncBuffer{}, shards: &diskRecorder{}}
 	topo := &cluster.Topology{}
 	lo := 0
 	for s, st := range shards {
@@ -137,14 +137,13 @@ func proxyShape(t *testing.T, name string, shards []store.Store) *shape {
 			hi = -1
 		}
 		topo.Shards = append(topo.Shards, cluster.Shard{
-			Addr: listen(t, server.NewHandler(st, nil, server.Options{})), Lo: lo, Hi: hi,
+			Addr: listen(t, sh.shards.wrap(server.NewHandler(st, nil, server.Options{}))), Lo: lo, Hi: hi,
 		})
 		lo += n
 	}
 	sh.url = listen(t, cluster.NewWithTopology(topo, cluster.Options{
 		MaxBatchCells: limitCells, MaxBatchRows: limitRows, MaxBatchQueries: limitQueries,
 		Logger: frontLogger(sh.log), SlowQuery: time.Nanosecond,
-		Client: &http.Client{Transport: sh.shards},
 	}))
 	return sh
 }

@@ -123,6 +123,7 @@ func NewHandler(b Backend, tel *telemetry.Registry, cfg Config) *Handler {
 	h.handleMethod("/v1/metrics", http.MethodGet, h.metrics)
 	h.handleMethod("/v1/healthz", http.MethodGet, h.healthz)
 	h.handleMethod(TracesPattern, http.MethodGet, h.traces)
+	h.mux.HandleFunc(ChannelPath, h.channel)
 	return h
 }
 

@@ -63,7 +63,7 @@ func (d damagedRows) Row(i int, dst []float64) ([]float64, error) {
 // wrap (nil: unwrapped).
 func wrappedProxyShape(t *testing.T, name string, shards []store.Store, wrap func(http.Handler) http.Handler) *shape {
 	t.Helper()
-	sh := &shape{name: name, log: &syncBuffer{}, shards: &diskRecorder{base: http.DefaultTransport}}
+	sh := &shape{name: name, log: &syncBuffer{}, shards: &diskRecorder{}}
 	topo := &cluster.Topology{}
 	lo := 0
 	for s, st := range shards {
@@ -76,13 +76,12 @@ func wrappedProxyShape(t *testing.T, name string, shards []store.Store, wrap fun
 		if wrap != nil {
 			h = wrap(h)
 		}
-		topo.Shards = append(topo.Shards, cluster.Shard{Addr: listen(t, h), Lo: lo, Hi: hi})
+		topo.Shards = append(topo.Shards, cluster.Shard{Addr: listen(t, sh.shards.wrap(h)), Lo: lo, Hi: hi})
 		lo += n
 	}
 	sh.url = listen(t, cluster.NewWithTopology(topo, cluster.Options{
 		MaxBatchCells: limitCells, MaxBatchRows: limitRows, MaxBatchQueries: limitQueries,
 		Logger: frontLogger(sh.log), SlowQuery: time.Nanosecond,
-		Client: &http.Client{Transport: sh.shards},
 	}))
 	return sh
 }

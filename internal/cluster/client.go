@@ -1,13 +1,13 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -19,11 +19,6 @@ import (
 	"seqstore/internal/trace"
 )
 
-// maxShardResponse bounds how much of a store node's response the proxy
-// will buffer (row reads over wide matrices are the largest legitimate
-// bodies; 1 GiB is far above any of them).
-const maxShardResponse = 1 << 30
-
 // shardResp is a fully read store-node response: status, headers (for the
 // cost ledger), and body bytes.
 type shardResp struct {
@@ -32,14 +27,14 @@ type shardResp struct {
 	body   []byte
 }
 
-// shardClient is the proxy's view of one store node: an HTTP client with a
-// per-request timeout, optional hedged retry for idempotent reads, and the
-// per-shard gauges /v1/metrics exposes (inflight, errors, hedges, latency
-// for p99).
+// shardClient is the proxy's view of one store node: a pool of channels to
+// it, a per-request timeout, optional hedged retry for idempotent reads,
+// and the per-shard gauges /v1/metrics exposes (inflight, errors, hedges,
+// latency for p99).
 type shardClient struct {
 	shard      int
 	addr       string
-	hc         *http.Client
+	pool       *channelPool
 	timeout    time.Duration
 	hedgeAfter time.Duration // 0: hedging disabled
 
@@ -52,11 +47,11 @@ type shardClient struct {
 	lat      telemetry.Histogram
 }
 
-func newShardClient(shard int, sh Shard, hc *http.Client, timeout, hedgeAfter time.Duration) *shardClient {
+func newShardClient(shard int, sh Shard, timeout, hedgeAfter time.Duration) *shardClient {
 	c := &shardClient{
 		shard:      shard,
 		addr:       sh.Addr,
-		hc:         hc,
+		pool:       newChannelPool(dialAddr(sh.Addr)),
 		timeout:    timeout,
 		hedgeAfter: hedgeAfter,
 	}
@@ -71,47 +66,63 @@ func (c *shardClient) unavailable(err error) error {
 	return fmt.Errorf("shard %d (%s): %v (%w)", c.shard, c.addr, err, seqerr.ErrUnavailable)
 }
 
+// dialAddr is the host:port of a shard's http://host[:port] address.
+func dialAddr(addr string) string {
+	u, err := url.Parse(addr)
+	switch {
+	case err != nil:
+		return addr
+	case u.Port() != "":
+		return u.Host
+	}
+	return net.JoinHostPort(u.Hostname(), "80")
+}
+
 // shardAccept asks a store node for frames where it has them (cells, rows,
 // aggregate batches) and JSON for everything else; a node that does not
 // speak frames answers JSON, which exchange decodes as well.
-var shardAccept = []string{api.FrameType + ", application/json"}
+const shardAccept = api.FrameType + ", application/json"
 
-// once runs a single HTTP attempt and reads the full body.
-func (c *shardClient) once(ctx context.Context, method, path string, body []byte) (*shardResp, error) {
-	var rd io.Reader
+// once runs a single exchange over a channel and reads the whole answer.
+// An idempotent exchange rides an idle channel when there is one, and is
+// sent once more, on a fresh channel, when that reused one fails before
+// any byte of the answer: the node closed it while it idled and never saw
+// the request. Any other exchange (a bulk) rides a fresh channel and is
+// never sent twice. A channel that failed is closed, never reused.
+func (c *shardClient) once(ctx context.Context, method, path string, body []byte, idempotent bool) (*shardResp, error) {
+	req := api.ChannelRequest{Method: method, Target: path, Body: body}
+	var hdr [8]string
+	req.Header = append(hdr[:0], "Accept", shardAccept)
 	if body != nil {
-		rd = bytes.NewReader(body)
+		req.Header = append(req.Header, "Content-Type", "application/json")
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.addr+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header["Accept"] = shardAccept
 	// Propagate the proxy request's identity to the shard: the request ID
 	// (so shard logs and trace rings join to the front-door request) and the
 	// traceparent (so the shard adopts our trace id instead of minting its
 	// own root, and answers with its span summary).
 	if tr := trace.FromContext(ctx); tr != nil {
 		if id := tr.ID(); id != "" {
-			req.Header.Set(trace.HeaderRequestID, id)
+			req.Header = append(req.Header, trace.HeaderRequestID, id)
 		}
 		if tp := trace.Traceparent(tr.SpanContext()); tp != "" {
-			req.Header.Set(trace.HeaderTraceparent, tp)
+			req.Header = append(req.Header, trace.HeaderTraceparent, tp)
 		}
 	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
+	for fresh := !idempotent; ; fresh = true {
+		ch, reused, err := c.pool.get(ctx, fresh)
+		if err != nil {
+			return nil, err
+		}
+		resp, started, err := ch.roundTrip(ctx, &req)
+		if err == nil {
+			c.pool.put(ch)
+			return &shardResp{status: resp.Status, header: resp.HTTPHeader(), body: resp.Body}, nil
+		}
+		ch.conn.Close()
+		if !reused || started || ctx.Err() != nil {
+			return nil, err
+		}
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxShardResponse))
-	if err != nil {
-		return nil, err
-	}
-	return &shardResp{status: resp.StatusCode, header: resp.Header, body: data}, nil
 }
 
 // do sends one request to the store node, hedging idempotent reads: when
@@ -148,7 +159,7 @@ func (c *shardClient) do(ctx context.Context, method, path string, body []byte, 
 		sp.SetAttr("shard", c.shard)
 		sp.SetAttr("addr", c.addr)
 		sp.SetAttr("attempt", n)
-		r, err := c.once(ctx, method, path, body)
+		r, err := c.once(ctx, method, path, body, idempotent)
 		switch {
 		case err != nil && won.Load():
 			sp.SetAttr("outcome", "loser")
@@ -370,7 +381,7 @@ func (c *shardClient) exchange(ctx context.Context, method, path string, body, o
 func (c *shardClient) check(ctx context.Context) error {
 	ctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
-	resp, err := c.once(ctx, http.MethodGet, "/v1/healthz", nil)
+	resp, err := c.once(ctx, http.MethodGet, "/v1/healthz", nil, true)
 	if err != nil {
 		c.fail(err)
 		return c.unavailable(err)

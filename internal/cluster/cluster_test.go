@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -12,6 +13,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,28 +58,72 @@ func compressStore(t *testing.T, x *linalg.Matrix) *core.Store {
 }
 
 // recordingTransport counts the disk accesses every store-node response
-// reports, so tests can pin proxy ledger = Σ shard ledgers exactly.
+// reports, so tests can pin proxy ledger = Σ shard ledgers exactly. It
+// wraps the nodes' handlers, which serve every channel frame, and reads the
+// X-Cost-Disk-Accesses header the node's middleware set.
 type recordingTransport struct {
-	base http.RoundTripper
 	disk atomic.Int64
 }
 
-func (rt *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := rt.base.RoundTrip(req)
-	if err == nil {
-		if v, perr := strconv.ParseInt(resp.Header.Get(trace.HeaderDiskAccesses), 10, 64); perr == nil {
+func (rt *recordingTransport) wrap(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if v, err := strconv.ParseInt(w.Header().Get(trace.HeaderDiskAccesses), 10, 64); err == nil {
 			rt.disk.Add(v)
 		}
+	})
+}
+
+// testNode is a store node on a loopback listener that remembers every
+// connection it accepted, so Close kills the node the way a dead process
+// dies: httptest.Server.Close forgets a hijacked connection, and with it
+// every channel.
+type testNode struct {
+	*httptest.Server
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func startNode(t *testing.T, h http.Handler) *testNode {
+	t.Helper()
+	n := &testNode{Server: httptest.NewUnstartedServer(h)}
+	n.Listener = &trackingListener{Listener: n.Listener, node: n}
+	n.Start()
+	t.Cleanup(n.Close)
+	return n
+}
+
+type trackingListener struct {
+	net.Listener
+	node *testNode
+}
+
+func (l *trackingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.node.mu.Lock()
+		l.node.conns = append(l.node.conns, c)
+		l.node.mu.Unlock()
 	}
-	return resp, err
+	return c, err
+}
+
+func (n *testNode) Close() {
+	n.mu.Lock()
+	for _, c := range n.conns {
+		c.Close()
+	}
+	n.conns = nil
+	n.mu.Unlock()
+	n.Server.Close()
 }
 
 // testCluster is an in-process cluster: the full store, row-sliced shard
-// stores behind real httptest store nodes, and a proxy routing over them.
+// stores behind real store nodes, and a proxy routing over them.
 type testCluster struct {
 	proxy   *Proxy
 	topo    *Topology
-	servers []*httptest.Server
+	servers []*testNode
 	rec     *recordingTransport
 }
 
@@ -90,7 +136,7 @@ func startCluster(t *testing.T, full *core.Store, shardCount, workers int, opts 
 	t.Helper()
 	n, _ := full.Dims()
 	topo := &Topology{}
-	tc := &testCluster{topo: topo}
+	tc := &testCluster{topo: topo, rec: &recordingTransport{}}
 	for s := 0; s < shardCount; s++ {
 		lo, hi := s*n/shardCount, (s+1)*n/shardCount
 		slice, err := full.SliceRows(lo, hi)
@@ -101,8 +147,7 @@ func startCluster(t *testing.T, full *core.Store, shardCount, workers int, opts 
 		if wrap != nil {
 			h = wrap(s, h)
 		}
-		srv := httptest.NewServer(h)
-		t.Cleanup(srv.Close)
+		srv := startNode(t, tc.rec.wrap(h))
 		tc.servers = append(tc.servers, srv)
 		shard := Shard{Addr: srv.URL, Lo: lo, Hi: hi}
 		if s == shardCount-1 {
@@ -110,8 +155,6 @@ func startCluster(t *testing.T, full *core.Store, shardCount, workers int, opts 
 		}
 		topo.Shards = append(topo.Shards, shard)
 	}
-	tc.rec = &recordingTransport{base: http.DefaultTransport}
-	opts.Client = &http.Client{Transport: tc.rec}
 	tc.proxy = NewWithTopology(topo, opts)
 	return tc
 }
@@ -695,16 +738,13 @@ func TestClusterBulkAppend(t *testing.T) {
 	}
 	defer tiered.Close()
 
-	s0 := httptest.NewServer(server.NewHandler(closedSlice, nil, server.Options{}))
-	defer s0.Close()
-	s1 := httptest.NewServer(server.NewHandler(tiered, nil, server.Options{}))
-	defer s1.Close()
+	s0 := startNode(t, server.NewHandler(closedSlice, nil, server.Options{}))
+	s1 := startNode(t, server.NewHandler(tiered, nil, server.Options{}))
 	topo := &Topology{Shards: []Shard{
 		{Addr: s0.URL, Lo: 0, Hi: lo},
 		{Addr: s1.URL, Lo: lo, Hi: -1},
 	}}
-	tc := &testCluster{topo: topo, rec: &recordingTransport{base: http.DefaultTransport}}
-	tc.proxy = NewWithTopology(topo, Options{Client: &http.Client{Transport: tc.rec}})
+	tc := &testCluster{topo: topo, proxy: NewWithTopology(topo, Options{})}
 
 	doc := func(seed float64) string {
 		vals := make([]string, m)
@@ -842,6 +882,13 @@ func TestTopologyValidate(t *testing.T) {
 		{Shards: []Shard{{Addr: "http://a", Lo: 0, Hi: -1}, {Addr: "http://b", Lo: 4, Hi: 9}}}, // open not last
 		{Shards: []Shard{{Addr: "http://a", Lo: 0, Hi: 0}}},                                    // empty range
 		{Shards: []Shard{{Addr: "", Lo: 0, Hi: 4}}},                                            // no addr
+		{Shards: []Shard{{Addr: "https://a:8080", Lo: 0, Hi: -1}}},                             // other scheme
+		{Shards: []Shard{{Addr: "a:8080", Lo: 0, Hi: -1}}},                                     // no scheme
+		{Shards: []Shard{{Addr: "http://a:8080/v1", Lo: 0, Hi: -1}}},                           // a path
+		{Shards: []Shard{{Addr: "http://a:8080/", Lo: 0, Hi: -1}}},                             // a bare slash
+		{Shards: []Shard{{Addr: "http://a:8080?x=1", Lo: 0, Hi: -1}}},                          // a query
+		{Shards: []Shard{{Addr: "http://a:port", Lo: 0, Hi: -1}}},                              // no port number
+		{Shards: []Shard{{Addr: "http://:8080", Lo: 0, Hi: -1}}},                               // no host
 	}
 	for i, topo := range bad {
 		if err := topo.Validate(); err == nil {

@@ -16,8 +16,8 @@ import (
 // BenchmarkProxyHop measures what the proxy hop adds to a point read and a
 // one-shard aggregate: each request is sent over loopback HTTP through a one-shard
 // proxy ("proxy") and straight to its store node ("node"), so the
-// difference is the hop — the shard request, its answer's decoding and the
-// proxy's own rendering. The store has 366 columns, so a row is the
+// difference is the hop — the shard exchange over a channel, its answer's
+// decoding and the proxy's own rendering. The store has 366 columns, so a row is the
 // 366-value sequence the paper serves. Allocations are the whole process's:
 // client, proxy and node.
 //

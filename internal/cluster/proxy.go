@@ -44,9 +44,6 @@ type Options struct {
 	// the fraction of requests that must meet the objective; 0 selects 0.99.
 	SLOObjective time.Duration
 	SLOTarget    float64
-	// Client overrides the HTTP client used for store-node requests
-	// (tests inject httptest transports); nil builds a pooled default.
-	Client *http.Client
 }
 
 // dims is the proxy's cached view of the global matrix shape, assembled
@@ -67,7 +64,6 @@ type Proxy struct {
 
 	path string // topology file; "" when built from an in-memory Topology
 
-	hc   *http.Client
 	http *api.Handler
 
 	mu     sync.RWMutex
@@ -99,12 +95,6 @@ func NewWithTopology(topo *Topology, opts Options) *Proxy {
 	p := &Proxy{
 		timeout:    opts.Timeout,
 		hedgeAfter: opts.HedgeAfter,
-		hc:         opts.Client,
-	}
-	if p.hc == nil {
-		t := http.DefaultTransport.(*http.Transport).Clone()
-		t.MaxIdleConnsPerHost = 32
-		p.hc = &http.Client{Transport: t}
 	}
 	p.install(topo)
 	p.http = api.NewHandler(p, telemetry.NewRegistry(), api.Config{
@@ -121,16 +111,21 @@ func NewWithTopology(topo *Topology, opts Options) *Proxy {
 }
 
 // install swaps in a topology and a fresh shard-client set, invalidating
-// the cached dimensions. In-flight requests keep the clients they already
-// grabbed, so a reload never disturbs them.
+// the cached dimensions, and closes the old clients' idle channels.
+// In-flight requests keep the clients they already grabbed, so a reload
+// never disturbs them; their channels close as they finish.
 func (p *Proxy) install(topo *Topology) {
 	shards := make([]*shardClient, len(topo.Shards))
 	for s, sh := range topo.Shards {
-		shards[s] = newShardClient(s, sh, p.hc, p.timeout, p.hedgeAfter)
+		shards[s] = newShardClient(s, sh, p.timeout, p.hedgeAfter)
 	}
 	p.mu.Lock()
+	old := p.shards
 	p.topo, p.shards, p.dims = topo, shards, dims{}
 	p.mu.Unlock()
+	for _, c := range old {
+		c.pool.close()
+	}
 }
 
 // ReloadFile re-reads the topology file the proxy was built from. A

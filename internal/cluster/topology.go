@@ -13,15 +13,17 @@
 // aggregate and any shard count. The proxy holds no data: shards own their
 // rows, the proxy owns only the map.
 //
-// Each shard response's X-Cost-* headers are folded into the proxy
-// request's ledger, so the front door's X-Cost-Disk-Accesses is the exact
-// sum of the per-shard ledgers plus nothing — the paper's cost model
-// survives the hop.
+// Shard exchanges ride persistent framed channels to the store nodes
+// (channel.go, api.ChannelPath), not HTTP requests. Each shard response's
+// X-Cost-* fields are folded into the proxy request's ledger, so the front
+// door's X-Cost-Disk-Accesses is the exact sum of the per-shard ledgers
+// plus nothing — the paper's cost model survives the hop.
 package cluster
 
 import (
 	"encoding/json"
 	"fmt"
+	"net/url"
 	"os"
 	"strings"
 
@@ -66,8 +68,9 @@ func LoadTopology(path string) (*Topology, error) {
 }
 
 // Validate checks the structural invariants the router depends on: at
-// least one shard, ranges contiguous from row 0 in file order with no gaps
-// or overlaps, every range non-empty, and an open-ended range only in last
+// least one shard, every addr an http://host[:port] base URL with nothing
+// after it, ranges contiguous from row 0 in file order with no gaps or
+// overlaps, every range non-empty, and an open-ended range only in last
 // position.
 func (t *Topology) Validate() error {
 	if len(t.Shards) == 0 {
@@ -77,6 +80,10 @@ func (t *Topology) Validate() error {
 	for s, sh := range t.Shards {
 		if sh.Addr == "" {
 			return fmt.Errorf("shard %d: empty addr", s)
+		}
+		if u, err := url.Parse(sh.Addr); err != nil || u.Scheme != "http" || u.Hostname() == "" ||
+			u.User != nil || u.Path != "" || u.RawQuery != "" || u.ForceQuery || u.Fragment != "" {
+			return fmt.Errorf("shard %d: addr %q is not http://host:port", s, sh.Addr)
 		}
 		if sh.Lo != next {
 			return fmt.Errorf("shard %d: range starts at %d, want %d (contiguous from 0)", s, sh.Lo, next)

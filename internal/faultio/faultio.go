@@ -1,25 +1,32 @@
-// Package faultio injects storage faults — bit flips, truncation, short
-// reads, write-time crashes — into the io layers underneath matio and the
-// .sqz container, at byte-precise offsets. It exists for the
-// corruption-detection test suites: every fault injected here must surface
-// from the read path as a typed *seqerr.CorruptError (never as silently
-// wrong data), and every injected write crash must leave the atomic save
-// protocol holding either the old file or the new one.
+// Package faultio injects storage and network faults — bit flips,
+// truncation, short reads, write-time crashes, stalls and resets — into
+// the io layers underneath matio, the .sqz container and the proxy's shard
+// channels, at byte-precise offsets. It exists for the corruption- and
+// failure-detection test suites: every storage fault injected here must
+// surface from the read path as a typed *seqerr.CorruptError (never as
+// silently wrong data), every injected write crash must leave the atomic
+// save protocol holding either the old file or the new one, and every
+// network fault must surface as a typed error within the caller's
+// deadline.
 //
-// Two styles of injection are provided:
+// Three styles of injection are provided:
 //
 //   - wrappers (ReaderAt, Writer) that corrupt the byte stream in flight,
 //     for use with matio.OpenReaderAt and the container writers;
 //   - file mutators (FlipBit, Truncate, CorruptRange) that damage a file
-//     on disk in place, for end-to-end tests through path-based APIs.
+//     on disk in place, for end-to-end tests through path-based APIs;
+//   - Conn, a net.Conn that stalls, resets mid-write or truncates what it
+//     reads.
 package faultio
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"sync"
+	"time"
 )
 
 // ErrInjected marks every fault this package raises, so tests can tell an
@@ -189,6 +196,113 @@ func (w *Writer) Write(p []byte) (int, error) {
 		return n, err
 	}
 	return n, fmt.Errorf("%w: simulated crash after %d bytes", ErrInjected, w.n)
+}
+
+// --- Conn wrapper -----------------------------------------------------------
+
+// Conn wraps a net.Conn and applies configured network faults. Faults may
+// be armed while the connection is in use; offsets count from the moment a
+// fault is armed. Close unblocks a stalled read, as closing a real
+// connection does.
+type Conn struct {
+	net.Conn
+	closed    chan struct{}
+	closeOnce sync.Once
+
+	mu      sync.Mutex
+	delay   time.Duration
+	written int64
+	read    int64
+	resetAt int64 // writes past this many bytes fail and reset; <0 disabled
+	truncAt int64 // reads past this many bytes see EOF; <0 disabled
+}
+
+// NewConn wraps c with no fault armed.
+func NewConn(c net.Conn) *Conn {
+	return &Conn{Conn: c, closed: make(chan struct{}), resetAt: -1, truncAt: -1}
+}
+
+// Delay makes every read wait d before it starts.
+func (c *Conn) Delay(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.delay = d
+}
+
+// ResetAfterWrite makes the connection fail once n more bytes have been
+// written: the write that crosses the offset is partially applied, and the
+// connection is then reset (closed with no linger), as a crashed peer or a
+// broken network path leaves it.
+func (c *Conn) ResetAfterWrite(n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.resetAt = c.written + n
+}
+
+// TruncateRead makes the read stream end after n more bytes: later reads
+// see io.EOF, as a peer that died mid-answer leaves them.
+func (c *Conn) TruncateRead(n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.truncAt = c.read + n
+}
+
+// Read implements net.Conn with the delay and truncation faults applied.
+func (c *Conn) Read(p []byte) (int, error) {
+	c.mu.Lock()
+	delay, truncAt, read := c.delay, c.truncAt, c.read
+	c.mu.Unlock()
+	if delay > 0 {
+		t := time.NewTimer(delay)
+		select {
+		case <-t.C:
+		case <-c.closed:
+			t.Stop()
+			return 0, net.ErrClosed
+		}
+	}
+	if truncAt >= 0 {
+		if read >= truncAt {
+			return 0, io.EOF
+		}
+		if left := truncAt - read; int64(len(p)) > left {
+			p = p[:left]
+		}
+	}
+	n, err := c.Conn.Read(p)
+	c.mu.Lock()
+	c.read += int64(n)
+	c.mu.Unlock()
+	return n, err
+}
+
+// Write implements net.Conn with the reset fault applied.
+func (c *Conn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	resetAt, written := c.resetAt, c.written
+	c.mu.Unlock()
+	if resetAt < 0 || written+int64(len(p)) <= resetAt {
+		n, err := c.Conn.Write(p)
+		c.mu.Lock()
+		c.written += int64(n)
+		c.mu.Unlock()
+		return n, err
+	}
+	n, _ := c.Conn.Write(p[:max(resetAt-written, 0)])
+	c.mu.Lock()
+	c.written += int64(n)
+	c.mu.Unlock()
+	if tc, ok := c.Conn.(*net.TCPConn); ok {
+		tc.SetLinger(0)
+	}
+	c.Close()
+	return n, fmt.Errorf("%w: connection reset after %d bytes", ErrInjected, written+int64(n))
+}
+
+// Close closes the connection and wakes a stalled read.
+func (c *Conn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
 }
 
 // --- On-disk mutators -------------------------------------------------------

@@ -10,6 +10,7 @@ import (
 	"os"
 	"time"
 
+	"seqstore/internal/api"
 	"seqstore/internal/seqerr"
 	"seqstore/internal/store"
 )
@@ -92,9 +93,10 @@ func (c Config) withDefaults() Config {
 // backend's handler); serve with Run (or Serve + Shutdown for finer
 // control).
 type Server struct {
-	cfg     Config
-	handler *Handler // nil when built by Wrap
-	http    *http.Server
+	cfg      Config
+	handler  *Handler // nil when built by Wrap
+	http     *http.Server
+	channels *api.Channels // the proxies' channels, which http.Server does not track
 }
 
 // New builds a store-node Server over an open store and optional labels.
@@ -122,8 +124,10 @@ func New(st store.Store, labels *store.Labels, cfg Config) *Server {
 // listener fields (Addr and the timeouts) apply.
 func Wrap(h http.Handler, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	return &Server{
-		cfg: cfg,
+	channels := &api.Channels{}
+	s := &Server{
+		cfg:      cfg,
+		channels: channels,
 		http: &http.Server{
 			Addr:              cfg.Addr,
 			Handler:           h,
@@ -132,8 +136,13 @@ func Wrap(h http.Handler, cfg Config) *Server {
 			WriteTimeout:      cfg.WriteTimeout,
 			IdleTimeout:       cfg.IdleTimeout,
 			MaxHeaderBytes:    cfg.MaxHeaderBytes,
+			BaseContext: func(net.Listener) context.Context {
+				return api.WithChannels(context.Background(), channels)
+			},
 		},
 	}
+	s.http.RegisterOnShutdown(channels.Drain)
+	return s
 }
 
 // Handler returns the store node's handler (for tests and the benchmark);
@@ -163,9 +172,15 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown stops accepting new connections and waits for in-flight
-// requests to drain, up to the context deadline.
+// requests to drain, up to the context deadline: HTTP requests, and the
+// frames in flight on the proxies' channels, each of which closes once
+// answered.
 func (s *Server) Shutdown(ctx context.Context) error {
-	return s.http.Shutdown(ctx)
+	err := s.http.Shutdown(ctx)
+	if cerr := s.channels.Shutdown(ctx); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Run serves on l until ctx is cancelled (typically by SIGINT/SIGTERM via
@@ -183,7 +198,7 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	}
 	sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownTimeout)
 	defer cancel()
-	if err := s.http.Shutdown(sctx); err != nil {
+	if err := s.Shutdown(sctx); err != nil {
 		s.http.Close()
 		return fmt.Errorf("server: shutdown: %w", err)
 	}
