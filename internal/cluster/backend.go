@@ -16,10 +16,6 @@ import (
 	"seqstore/internal/trace"
 )
 
-// maxBulkBody bounds a /v1/bulk body: the proxy buffers it once so a shard
-// hiccup never leaves a half-consumed stream.
-const maxBulkBody = 1 << 26
-
 // renderSpec renders shard-local row/column indices back into the
 // index-spec wire syntax, packing consecutive runs into lo:hi ranges.
 // Order and duplicates survive the round trip, so the fragment a store
@@ -574,12 +570,12 @@ func (p *Proxy) Bulk(ctx context.Context, body io.Reader) (api.BulkResponse, err
 			Message: "topology has no open-ended shard: every row range is closed, so the cluster cannot absorb appends",
 		}
 	}
-	raw, err := io.ReadAll(io.LimitReader(body, maxBulkBody+1))
+	raw, err := io.ReadAll(io.LimitReader(body, api.MaxBulkBody+1))
 	if err != nil {
 		return none, api.Invalid("bulk: reading body: %v", err)
 	}
-	if len(raw) > maxBulkBody {
-		return none, api.Invalid("bulk: body exceeds %d bytes", maxBulkBody)
+	if len(raw) > api.MaxBulkBody {
+		return none, api.Invalid("bulk: body exceeds %d bytes", api.MaxBulkBody)
 	}
 	c := shards[open]
 	resp, err := c.do(ctx, http.MethodPost, "/v1/bulk", raw, false)
