@@ -15,10 +15,11 @@ vet:
 # range-scan tests (TestConcurrentRangeScanStats, TestConcurrentScansAndReads),
 # the worker-sharded svd/core equivalence tests, the internal/server
 # concurrency tests (TestConcurrentQueriesFileBacked hammering the pooled
-# read buffers + telemetry over a File-backed U, the bulk/plan-cache storms
-# and the graceful-shutdown drain test) and the scatter/gather, hedging and
-# /v1 contract tests of internal/cluster and internal/api exercise the
-# shared counters, the one row-sharding driver of the compressor
+# read buffers + telemetry over a File-backed U, the bulk + compaction +
+# aggregate storms and the graceful-shutdown drain test), the pooled-state
+# plan tests of internal/query and the scatter/gather, hedging and /v1
+# contract tests of internal/cluster and internal/api exercise the shared
+# counters, the one row-sharding driver of the compressor
 # (svd.scanSharded) and the query engine's workers under it. The race detector
 # is ~5-10x slower, so give packages more than the default 10m.
 race:

@@ -42,10 +42,9 @@
 //	                              "cols":"180:187"}: aggregate over a
 //	                              row/column selection; rows/cols accept
 //	                              "3,17,0:10" specs and default to "all";
-//	                              plans (V panel + row-run schedule) are
-//	                              memoized in a plan cache sized by
-//	                              -plan-cache. "explain": true adds the
-//	                              chosen plan, plan-cache outcome, row-run
+//	                              each request builds its own plan (V
+//	                              panel + row-run schedule). "explain":
+//	                              true adds the chosen plan, row-run
 //	                              schedule and cost estimates next to the
 //	                              executed ledger (no extra disk accesses;
 //	                              exact on a cold store). It is the
@@ -65,8 +64,8 @@
 //	                              the response like /v1/bulk; "explain"
 //	                              per query or batch-wide
 //	/v1/metrics                   per-endpoint latency histograms and, per
-//	                              backend, plan-cache hit rate, disk-access
-//	                              counters and corruption count, or
+//	                              backend, disk-access counters and
+//	                              corruption count, or
 //	                              per-shard gauges (inflight, errors,
 //	                              hedges, p99); ?format=prom renders the
 //	                              same snapshot as Prometheus text; behind
@@ -198,8 +197,6 @@ func main() {
 	topoPath := fs.String("topology", "",
 		"JSON shard topology file: serve as the scatter/gather front door over its store nodes instead of a -store; re-read on SIGHUP")
 	addr := fs.String("addr", ":8080", "listen address")
-	planCache := fs.Int("plan-cache", 0,
-		"query-plan cache capacity in plans (0 = default 256, negative disables)")
 	queryWorkers := fs.Int("query-workers", 1,
 		"goroutines per aggregate evaluation (0 = one per CPU)")
 	shardTimeout := fs.Duration("shard-timeout", cluster.DefaultTimeout,
@@ -250,7 +247,6 @@ func main() {
 
 	cfg := server.Config{
 		Addr:            *addr,
-		PlanCacheSize:   *planCache,
 		QueryWorkers:    *queryWorkers,
 		Logger:          logger,
 		SlowQuery:       *slowQuery,

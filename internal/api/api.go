@@ -131,10 +131,8 @@ type AggregateRequest struct {
 // store node's own block.
 type Explain struct {
 	// Plan names the dispatch arm: "count", "factored", "projected" or
-	// "generic". PlanCache reports whether the executed plan came from the
-	// plan cache ("hit", "miss", or "uncached" when no cache applied).
-	Plan      string `json:"plan"`
-	PlanCache string `json:"plan_cache,omitempty"`
+	// "generic".
+	Plan string `json:"plan"`
 
 	Workers int   `json:"workers"`
 	Cells   int64 `json:"cells"`

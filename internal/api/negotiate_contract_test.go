@@ -116,22 +116,17 @@ func phoneSlices(t *testing.T, bounds []int, wrap func(s int, st store.Store) st
 type negotiationExchange [3]string
 
 // negotiationExchanges covers every body the proxy asks a shard for —
-// cells, rows and aggregate batches — through the lone and batch forms.
-// Explain blocks report plan-cache hits, so explain requests appear only
-// where the request sequence is replayed exactly (the twins below).
-func negotiationExchanges(explain bool) []negotiationExchange {
+// cells, rows and aggregate batches — through the lone and batch forms,
+// with and without explain.
+func negotiationExchanges() []negotiationExchange {
 	ex := []negotiationExchange{
 		{"GET", "/v1/cell?i=5&j=7", ""},
 		{"GET", fmt.Sprintf("/v1/cells?at=0:0,%d:3,%d:%d,1:2", contractRows/2, contractRows-1, contractCols-1), ""},
 		{"GET", fmt.Sprintf("/v1/row?i=%d", contractRows/2), ""},
 		{"GET", fmt.Sprintf("/v1/rows?i=0,%d:%d", contractRows/2-1, contractRows/2+1), ""},
 	}
-	explains := []bool{false}
-	if explain {
-		explains = append(explains, true)
-	}
 	for _, f := range []string{"sum", "avg", "stddev", "min", "max", "count"} {
-		for _, e := range explains {
+		for _, e := range []bool{false, true} {
 			q := fmt.Sprintf(`{"f":%q,"rows":"3:30,40","cols":"2:9","explain":%v}`, f, e)
 			ex = append(ex, negotiationExchange{"POST", "/v1/aggregate", q},
 				negotiationExchange{"POST", "/v1/aggregate/batch", `{"queries":[` + q + `,{"f":"median"}]}`})
@@ -217,7 +212,7 @@ func TestV1ContractJSONUnlessFramed(t *testing.T) {
 			// same bytes and the same ledger as shards asked for frames. The
 			// twins run first, so both sides see one request sequence.
 			if stripped, ok := twins[sh]; ok {
-				compareTwins(t, sh, stripped, negotiationExchanges(true))
+				compareTwins(t, sh, stripped, negotiationExchanges())
 				d := damaged[sh]
 				refused := compareTwins(t, d, twins[d], []negotiationExchange{
 					{"POST", "/v1/aggregate/batch", fmt.Sprintf(`{"queries":[{"f":"sum","rows":"0:4"},{"f":"avg","rows":"%d:%d"}]}`, contractRows-6, contractRows)},
@@ -232,7 +227,7 @@ func TestV1ContractJSONUnlessFramed(t *testing.T) {
 			}
 			// Without Accept, with JSON named and with anything accepted,
 			// every body is the same JSON.
-			for _, ex := range negotiationExchanges(false) {
+			for _, ex := range negotiationExchanges() {
 				var first reply
 				for k, accept := range []string{"", "application/json", "*/*"} {
 					hdr := map[string]string{}

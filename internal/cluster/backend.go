@@ -372,10 +372,10 @@ func (p *Proxy) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error) 
 // by shard, nil where a shard had no fragment) into the proxy's top-level
 // view: numeric fields sum across shards (the scattered fragments
 // partition the selection, so the sums describe the whole query), the plan
-// and plan-cache labels survive when the shards agree and degrade to
-// "mixed" otherwise, Workers reports the widest shard, Shards keeps each
-// block in shard order, and Cost is the proxy's own ledger — the fold of
-// every winning attempt's cost headers.
+// label survives when the shards agree and degrades to "mixed" otherwise,
+// Workers reports the widest shard, Shards keeps each block in shard order,
+// and Cost is the proxy's own ledger — the fold of every winning attempt's
+// cost headers.
 func mergeShardExplains(ctx context.Context, exs []*api.Explain) *api.Explain {
 	e := &api.Explain{}
 	for s, se := range exs {
@@ -383,13 +383,10 @@ func mergeShardExplains(ctx context.Context, exs []*api.Explain) *api.Explain {
 			continue
 		}
 		if len(e.Shards) == 0 {
-			e.Plan, e.PlanCache, e.ChunkRows = se.Plan, se.PlanCache, se.ChunkRows
+			e.Plan, e.ChunkRows = se.Plan, se.ChunkRows
 		} else {
 			if se.Plan != e.Plan {
 				e.Plan = "mixed"
-			}
-			if se.PlanCache != e.PlanCache {
-				e.PlanCache = "mixed"
 			}
 			if se.ChunkRows != e.ChunkRows {
 				e.ChunkRows = 0 // per-shard; see Shards

@@ -57,7 +57,7 @@ func BenchmarkProxyHop(b *testing.B) {
 						b.Fatalf("%s %s: status %d", rq.method, rq.path, resp.StatusCode)
 					}
 				}
-				send() // warm the connections and the plan cache
+				send() // warm the connections and the pooled states
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -15,8 +15,9 @@ func (s *Store) Appendable() bool { return s.base.Appendable() }
 // FoldIn appends a new sequence to the SVDD store without recompressing:
 // the row is folded into the SVD part (see svd.Store.FoldIn), its
 // reconstruction error is measured cell by cell, and up to maxDeltas of the
-// worst cells are pinned with exact deltas — the same repair SVDD applies
-// during compression, done incrementally. A Plain store takes no deltas,
+// worst cells are pinned with deltas — the same repair SVDD applies during
+// compression, done incrementally. U row and deltas are kept at the store's
+// precision, as its file will hold them. A Plain store takes no deltas,
 // whatever maxDeltas says: its format has no place to save them.
 //
 // Folded-in deltas grow the store beyond its original budget by 3·maxDeltas
@@ -67,7 +68,7 @@ func (s *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 		if math.Abs(it.Delta) < 1e-12 {
 			continue
 		}
-		s.cols, s.vals = append(s.cols, int32(it.Col)), append(s.vals, it.Delta)
+		s.cols, s.vals = append(s.cols, int32(it.Col)), append(s.vals, s.base.Round(it.Delta))
 	}
 	s.indexFoldedRow(idx)
 	return idx, nil

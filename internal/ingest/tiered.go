@@ -168,10 +168,6 @@ type Tiered struct {
 	wal  *WAL
 	opts Options
 
-	// onChange is the invalidation hook (SetInvalidationHook), read under
-	// mu.
-	onChange func()
-
 	// baseline is the cold segment's stored numbers right after the last
 	// recompression (or at Open); the growth trigger compares against it.
 	baseline int64
@@ -465,28 +461,6 @@ func (t *Tiered) LookupRow(label string) (int, bool) {
 	return i, ok
 }
 
-// SetInvalidationHook sets the callback run, outside all store locks,
-// after every mutation that changes existing rows' reconstructions: a
-// compaction (the folded rows' exact values became approximations) and a
-// recompression (every cold row, and the factors). The serving layer
-// purges its query plans here. Safe to call while the background compactor
-// runs.
-func (t *Tiered) SetInvalidationHook(onChange func()) {
-	t.mu.Lock()
-	t.onChange = onChange
-	t.mu.Unlock()
-}
-
-// invalidated runs the invalidation hook, if one is set.
-func (t *Tiered) invalidated() {
-	t.mu.RLock()
-	onChange := t.onChange
-	t.mu.RUnlock()
-	if onChange != nil {
-		onChange()
-	}
-}
-
 // Stats snapshots the tier's counters.
 func (t *Tiered) Stats() Stats {
 	t.mu.RLock()
@@ -673,7 +647,6 @@ func (t *Tiered) Compact() (int, error) {
 				foldErr = fmt.Errorf("%w (and persist failed: %v)", foldErr, err)
 			}
 		}
-		t.invalidated()
 	}
 	return done, foldErr
 }
@@ -822,8 +795,6 @@ func (t *Tiered) Recompress() error {
 	t.writeMu.Lock()
 	perr := t.saveCold()
 	t.writeMu.Unlock()
-
-	t.invalidated()
 	return perr
 }
 

@@ -13,8 +13,8 @@ import (
 )
 
 // The allocation-budget tests pin the zero-alloc steady state the
-// query-throughput work bought: once the plan cache is warm and the pools
-// are primed, the projected and factored paths over a plain-SVD or an
+// query-throughput work bought: once the pools are primed, so that every
+// evaluation rebuilds its plan in buffers its pooled state already owns, the projected and factored paths over a plain-SVD or an
 // SVDD store must not allocate at all on the serial path, and parallel
 // dispatch may only pay a constant per-query overhead (goroutines +
 // waitgroup), never anything per row; and a batch over resident U reads it
@@ -34,8 +34,8 @@ func allocProbeStore(t testing.TB, rows int) *core.Store {
 	return core.Plain(s)
 }
 
-// steadyStateAllocs warms the cache and pools, then measures allocations
-// per evaluation.
+// steadyStateAllocs warms the pools, then measures allocations per
+// evaluation.
 func steadyStateAllocs(t *testing.T, s store.Store, agg Aggregate, sel Selection, opts Options) float64 {
 	t.Helper()
 	for i := 0; i < 5; i++ {
@@ -50,12 +50,13 @@ func steadyStateAllocs(t *testing.T, s store.Store, agg Aggregate, sel Selection
 	})
 }
 
-// TestSteadyStateZeroAllocSerial: with a warm plan cache, every aggregate
+// TestSteadyStateZeroAllocSerial: with primed pools, every aggregate
 // allocates nothing on the serial path — over a plain-SVD store (the
 // acceptance criterion behind BenchmarkEvaluateProjectedSteadyState) and
 // over an SVDD store, whose delta overlay reads the plan's digest and the
 // store's row index; on ascending rows (the digest is the run schedule)
-// and on a shuffled multiset with repeats (the digest was sorted, once).
+// and on a shuffled multiset with repeats (the digest is sorted in the
+// plan's own scratch).
 func TestSteadyStateZeroAllocSerial(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun budgets only hold without -race")
@@ -74,9 +75,8 @@ func TestSteadyStateZeroAllocSerial(t *testing.T) {
 	shuffled.Rows = append(shuffled.Rows, shuffled.Rows[:n/8]...)
 	for name, s := range map[string]store.Store{"svd": base, "svdd": svdd} {
 		for selName, sel := range map[string]Selection{"full": {Rows: seq(0, n), Cols: seq(0, m)}, "shuffled": shuffled} {
-			pc := NewPlanCache(8)
 			for _, agg := range allAggregates {
-				if got := steadyStateAllocs(t, s, agg, sel, Options{Workers: 1, Plans: pc}); got != 0 {
+				if got := steadyStateAllocs(t, s, agg, sel, Options{Workers: 1}); got != 0 {
 					t.Errorf("%s/%s/%v: %.1f allocs/op in steady state, want 0", name, selName, agg, got)
 				}
 			}
@@ -102,7 +102,6 @@ func TestSteadyStateAllocsDoNotScaleWithRows(t *testing.T) {
 	s := allocProbeStore(t, 1024)
 	n, _ := s.Dims()
 	small := workers * minWorkerWork / s.K()
-	pc := NewPlanCache(8)
 	for _, agg := range []Aggregate{Min, Sum, StdDev} {
 		var got [2]float64
 		for i, rows := range []int{small, 4 * small} {
@@ -111,7 +110,7 @@ func TestSteadyStateAllocsDoNotScaleWithRows(t *testing.T) {
 			for len(sel.Rows) < rows {
 				sel.Rows = append(sel.Rows, seq(0, min(n, rows-len(sel.Rows)))...)
 			}
-			got[i] = steadyStateAllocs(t, s, agg, sel, Options{Workers: workers, Plans: pc})
+			got[i] = steadyStateAllocs(t, s, agg, sel, Options{Workers: workers})
 		}
 		if got[0] == 0 {
 			t.Errorf("%v: no allocation at %d rows: the evaluation did not fan out, so the test pins nothing", agg, small)
@@ -143,7 +142,7 @@ func TestBatchAllocatesLessThanItsUnion(t *testing.T) {
 			distinct[r] = true
 		}
 	}
-	opts := Options{Workers: 1, Plans: NewPlanCache(64)}
+	opts := Options{Workers: 1}
 	run := func() {
 		results, err := EvaluateBatch(s, items, opts)
 		if err != nil {

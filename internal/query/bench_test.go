@@ -85,15 +85,14 @@ func BenchmarkEvaluateFactored(b *testing.B) {
 }
 
 // BenchmarkEvaluateProjectedSteadyState pins the zero-alloc steady state:
-// warm plan cache, primed pools, ReportAllocs. The projected path must
+// primed pools, ReportAllocs. The projected path must
 // report 0 allocs/op; any regression shows up as B/op > 0 here and as a
 // failure in TestSteadyStateZeroAllocSerial.
 func BenchmarkEvaluateProjectedSteadyState(b *testing.B) {
 	s := benchStore(b)
-	pc := NewPlanCache(8)
 	for name, sel := range benchSelections(s) {
 		b.Run(name, func(b *testing.B) {
-			opts := Options{Workers: 1, Plans: pc}
+			opts := Options{Workers: 1}
 			for i := 0; i < 3; i++ {
 				if _, err := EvaluateOpts(s, Min, sel, opts); err != nil {
 					b.Fatal(err)
@@ -116,11 +115,10 @@ func BenchmarkEvaluateProjectedSteadyState(b *testing.B) {
 // Base() is benchmarked directly).
 func BenchmarkEvaluateFactoredSteadyState(b *testing.B) {
 	s := benchStore(b).Base()
-	pc := NewPlanCache(8)
 	for name, sel := range benchSelections2(s.Dims()) {
 		for _, agg := range []Aggregate{Sum, StdDev} {
 			b.Run(name+"/"+agg.String(), func(b *testing.B) {
-				opts := Options{Workers: 1, Plans: pc}
+				opts := Options{Workers: 1}
 				for i := 0; i < 3; i++ {
 					if _, err := EvaluateOpts(s, agg, sel, opts); err != nil {
 						b.Fatal(err)
@@ -154,11 +152,10 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	s := benchStore(b)
 	n, m := s.Dims()
 	items := batchOverlappingItems(n, m)
-	pc := NewPlanCache(32)
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, it := range items {
-				if _, err := EvaluateOpts(s, it.Agg, it.Sel, Options{Workers: 1, Plans: pc}); err != nil {
+				if _, err := EvaluateOpts(s, it.Agg, it.Sel, Options{Workers: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -166,7 +163,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 	})
 	b.Run("batch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			results, err := EvaluateBatch(s, items, Options{Workers: 1, Plans: pc})
+			results, err := EvaluateBatch(s, items, Options{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -183,8 +180,7 @@ func BenchmarkEvaluateBatch(b *testing.B) {
 // customers × 366 days, SVDD at the paper's 10 % budget) and the workload's
 // selection shapes — a contiguous 1–25 % of the rows × a 5–50 % column
 // window, every other one thinned to one weekday — drawn Zipf(1.1) over a
-// pool of 512 through a 256-plan cache, so about a fifth of the draws
-// rebuild their plan. Built once and shared by the sub-benchmarks.
+// pool of 512. Built once and shared by the sub-benchmarks.
 var adhocFixture struct {
 	once  sync.Once
 	err   error
@@ -241,7 +237,7 @@ func BenchmarkEvaluateAdhoc(b *testing.B) {
 		for _, workers := range []int{1, 2} {
 			b.Run(fmt.Sprintf("%v/w%d", agg, workers), func(b *testing.B) {
 				s, sels, draws := adhocSetup(b)
-				opts := Options{Workers: workers, Plans: NewPlanCache(256)}
+				opts := Options{Workers: workers}
 				for _, d := range draws[:512] {
 					if _, err := EvaluateOpts(s, agg, sels[d], opts); err != nil {
 						b.Fatal(err)
@@ -299,7 +295,7 @@ func BenchmarkMomentsAdd(b *testing.B) {
 // four items over one pooled selection's columns whose row ranges overlap
 // by three quarters, each a random sum/avg/stddev/min/max, through one
 // EvaluateBatch ("batch") and as four EvaluateOpts calls ("lone"), both on
-// one worker with a warm plan cache. One op is one batch of four.
+// one worker. One op is one batch of four.
 //
 //	go test -run '^$' -bench BatchAdhoc ./internal/query
 func BenchmarkBatchAdhoc(b *testing.B) {
@@ -317,7 +313,7 @@ func BenchmarkBatchAdhoc(b *testing.B) {
 				Sel: Selection{Rows: seq(start, start+width), Cols: sel.Cols}})
 		}
 	}
-	opts := Options{Workers: 1, Plans: NewPlanCache(256)}
+	opts := Options{Workers: 1}
 	run := map[string]func(items []BatchItem){
 		"batch": func(items []BatchItem) {
 			res, err := EvaluateBatch(s, items, opts)

@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 
 	"seqstore/internal/core"
 )
@@ -12,8 +12,9 @@ import (
 // store's row index hands a run of consecutive rows its deltas as one slab
 // (core.DeltaSlab), and everything that has to be known of the selection
 // to use a slab — which columns are selected, how often, at which
-// positions, and which distinct rows, how often — is derived once per plan
-// into the digest below instead of once per call into maps.
+// positions, and which distinct rows, how often — is derived once per
+// evaluation into the digest below, in buffers the pooled plan reuses,
+// instead of into maps.
 
 // rowRun is a run [lo, hi) of consecutive distinct selected rows that all
 // appear mult times in the selection.
@@ -34,59 +35,68 @@ type selDigest struct {
 	rowRuns  []rowRun
 }
 
-// digestFor returns the plan's selection digest, building it on first use.
-// Strictly ascending rows — every range, every sorted list — are their own
-// digest: each scan run is a row run of multiplicity 1. Any other multiset
-// (duplicates, descending, interleaved) is sorted and counted, once per
-// plan.
-func (p *plan) digestFor() *selDigest {
-	p.digestOnce.Do(func() {
-		d := &p.digest
-		_, m := p.src.Dims()
-		// The counting sort of buildRowIndex: count into colStart[j+2],
-		// prefix-sum, and let the scatter advance colStart[j+1] from column
-		// j's first slot to its end.
-		d.colMult = make([]int32, m)
-		start := make([]int32, m+2)
-		for _, j := range p.cols {
-			d.colMult[j]++
-			start[j+2]++
-		}
-		for j := 2; j < len(start); j++ {
-			start[j] += start[j-1]
-		}
-		d.pos = make([]int32, len(p.cols))
-		for at, j := range p.cols {
-			d.pos[start[j+1]] = int32(at)
-			start[j+1]++
-		}
-		d.colStart = start[:m+1]
+// buildDigest fills the plan's selection digest. Strictly ascending rows —
+// every range, every sorted list — are their own digest: each scan run is a
+// row run of multiplicity 1. Any other multiset (duplicates, descending,
+// interleaved) is sorted and counted.
+func (p *plan) buildDigest() *selDigest {
+	d := &p.digest
+	_, m := p.fac.Dims()
+	// The counting sort of buildRowIndex: count into colStart[j+2],
+	// prefix-sum, and let the scatter advance colStart[j+1] from column
+	// j's first slot to its end.
+	d.colMult = zeroedInt32s(d.colMult, m)
+	start := zeroedInt32s(d.colStart, m+2)
+	for _, j := range p.cols {
+		d.colMult[j]++
+		start[j+2]++
+	}
+	for j := 2; j < len(start); j++ {
+		start[j] += start[j-1]
+	}
+	d.pos = zeroedInt32s(d.pos, len(p.cols))
+	for at, j := range p.cols {
+		d.pos[start[j+1]] = int32(at)
+		start[j+1]++
+	}
+	d.colStart = start[:m+1]
 
-		if p.ascending {
-			d.rowRuns = make([]rowRun, len(p.runs))
-			for r, run := range p.runs {
-				lo := p.rows[run.lo]
-				d.rowRuns[r] = rowRun{lo: lo, hi: lo + run.hi - run.lo, mult: 1}
-			}
-			return
+	d.rowRuns = d.rowRuns[:0]
+	if p.ascending {
+		for _, run := range p.runs {
+			lo := p.rows[run.lo]
+			d.rowRuns = append(d.rowRuns, rowRun{lo: lo, hi: lo + run.hi - run.lo, mult: 1})
 		}
-		sorted := append([]int(nil), p.rows...)
-		sort.Ints(sorted)
-		for a := 0; a < len(sorted); {
-			b := a + 1
-			for b < len(sorted) && sorted[b] == sorted[a] {
-				b++
-			}
-			i, mult := sorted[a], b-a
-			if last := len(d.rowRuns) - 1; last >= 0 && d.rowRuns[last].hi == i && d.rowRuns[last].mult == mult {
-				d.rowRuns[last].hi++
-			} else {
-				d.rowRuns = append(d.rowRuns, rowRun{lo: i, hi: i + 1, mult: mult})
-			}
-			a = b
+		return d
+	}
+	p.sorted = append(p.sorted[:0], p.rows...)
+	slices.Sort(p.sorted)
+	sorted := p.sorted
+	for a := 0; a < len(sorted); {
+		b := a + 1
+		for b < len(sorted) && sorted[b] == sorted[a] {
+			b++
 		}
-	})
-	return &p.digest
+		i, mult := sorted[a], b-a
+		if last := len(d.rowRuns) - 1; last >= 0 && d.rowRuns[last].hi == i && d.rowRuns[last].mult == mult {
+			d.rowRuns[last].hi++
+		} else {
+			d.rowRuns = append(d.rowRuns, rowRun{lo: i, hi: i + 1, mult: mult})
+		}
+		a = b
+	}
+	return d
+}
+
+// zeroedInt32s returns s resized to n and zeroed, reusing its backing array
+// when the capacity allows.
+func zeroedInt32s(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // deltaWalk is the one walk over the deltas of a plan's selected cells:
@@ -115,9 +125,9 @@ type deltaWalk struct {
 	probed int64 // deltas in the buckets of every run opened so far
 }
 
-// deltaWalk starts the walk over the plan's digest.
+// deltaWalk builds the plan's digest and starts the walk over it.
 func (p *plan) deltaWalk() deltaWalk {
-	dg := p.digestFor()
+	dg := p.buildDigest()
 	return deltaWalk{fac: p.fac, dg: dg, runs: dg.rowRuns}
 }
 

@@ -26,22 +26,20 @@ type Options struct {
 	// row chunks and return ctx.Err() (context.Canceled or
 	// DeadlineExceeded) once it fires. A nil Ctx means no cancellation.
 	Ctx context.Context
-	// Plans, when non-nil, memoizes per-query plans — the projected
-	// engine's V panel, the SVDD selection digest and the coalesced
-	// row-run schedule — across evaluations sharing this cache. See
-	// NewPlanCache; the serving layer invalidates it from the ingestion
-	// hooks. A nil Plans rebuilds the plan per call (the previous
-	// behavior).
+	// Plans is ignored: every evaluation builds its plan in its pooled
+	// state. The field remains because the benchmark module's literals
+	// still set it.
+	//
+	// Deprecated: there is no plan cache.
 	Plans *PlanCache
 }
 
 // evalEnv is the resolved per-evaluation environment: context, normalized
-// worker count, optional plan cache, the request's cost ledger, and whether
-// evaluateBatch already charged every U row the evaluation reads (paid).
+// worker count, the request's cost ledger, and whether evaluateBatch
+// already charged every U row the evaluation reads (paid).
 type evalEnv struct {
 	ctx     context.Context
 	workers int
-	plans   *PlanCache
 	led     *trace.Ledger
 	paid    bool
 }
@@ -55,7 +53,6 @@ func (o Options) env() evalEnv {
 	return evalEnv{
 		ctx:     ctx,
 		workers: matio.NumWorkers(o.Workers),
-		plans:   o.Plans,
 		led:     trace.LedgerFrom(ctx),
 	}
 }
@@ -149,15 +146,16 @@ func EvaluateOpts(s store.Store, agg Aggregate, sel Selection, opts Options) (fl
 	return st.value(agg)
 }
 
-// evalState is one evaluation's pooled state: the per-worker scratch and
-// the mergeable result the workers reduce into. The result has two shapes
-// (the ones a Partial carries): cells — the merged accumulator of the
+// evalState is one evaluation's pooled state: its plan, the per-worker
+// scratch and the mergeable result the workers reduce into. The result has
+// two shapes (the ones a Partial carries): cells — the merged accumulator of the
 // projected/generic engine and the data-free Count — and factored — exact
 // row and column moments, the SVDD delta corrections and σ. Pooling it,
 // and growing every slice by capacity, removes all steady-state
 // allocation from the serial path.
 type evalState struct {
 	evalJob
+	pl plan // rebuilt by every evaluate; its buffers persist
 
 	workers []*evalWorker // every worker ever grown; pointer-stable
 	active  []*evalWorker // the ones sharding this evaluation
@@ -177,17 +175,15 @@ type evalState struct {
 	sigma      []float64 // aliases the plan's (or the first merged partial's)
 }
 
-// evalJob is the evaluation in flight. release clears it (and the workers'
-// slabs), so a pooled state pins neither a purged plan's panel, nor a
-// replaced store's deltas, nor a request's context.
+// evalJob is the evaluation in flight. release clears it, the plan's
+// references and the workers' slabs, so a pooled state pins neither a
+// replaced store, nor its deltas, nor a request's selection or context.
 type evalJob struct {
 	env     evalEnv
 	s       store.Store
 	sel     Selection
-	pl      *plan
-	panel   *linalg.Matrix // |C|×k: V rows of the selected columns
-	dg      *selDigest     // projected overlay on SVDD: the columns' positions
-	wantMax bool           // projected: the aggregate is Max, not Min
+	dg      *selDigest // projected overlay on SVDD: the columns' positions
+	wantMax bool       // projected: the aggregate is Max, not Min
 }
 
 var statePool = sync.Pool{New: func() any { return new(evalState) }}
@@ -196,6 +192,7 @@ func getState() *evalState { return statePool.Get().(*evalState) }
 
 func (st *evalState) release() {
 	st.evalJob, st.sigma = evalJob{}, nil
+	st.pl.unref()
 	for _, w := range st.active {
 		w.slab = core.DeltaSlab{}
 	}
@@ -226,8 +223,9 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 		st.cells.n = st.numCells
 		return nil
 	}
-	pl := planFor(s, sel, env)
-	st.evalJob = evalJob{env: env, s: s, sel: sel, pl: pl, wantMax: agg == Max}
+	st.evalJob = evalJob{env: env, s: s, sel: sel, wantMax: agg == Max}
+	pl := &st.pl
+	pl.reset(s, sel)
 	st.factored = pl.fac != nil && (agg == Sum || agg == Avg || agg == StdDev)
 
 	k, wantSq := len(pl.sigma), agg == StdDev
@@ -239,12 +237,12 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	st.active = st.workers[:nw]
 
 	if pl.fac != nil && !st.factored {
-		st.panel = pl.panelFor()
+		pl.buildPanel()
 		if pl.overlay {
-			st.dg = pl.digestFor()
+			st.dg = pl.buildDigest()
 		}
 		st.vhi, st.vlo = ensureFloats(st.vhi, k), ensureFloats(st.vlo, k)
-		panelExtremes(st.panel, st.vhi, st.vlo)
+		panelExtremes(pl.panel, st.vhi, st.vlo)
 	}
 	for _, w := range st.active {
 		w.acc.reset()
@@ -369,7 +367,7 @@ func (st *evalState) chunk(w *evalWorker, lo, hi int) error {
 // deltas, so a piece also opens its slab of the row index. ExplainQuery
 // replays the same pieces.
 func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
-	pl, led, k := st.pl, st.env.led, len(st.pl.sigma)
+	pl, led, k := &st.pl, st.env.led, len(st.pl.sigma)
 	for it := pl.pieces(lo, hi); it.next(); {
 		start, end := it.start, it.end
 		led.AddRowsRead(int64(end - start))
@@ -465,7 +463,7 @@ func (w *evalWorker) project(i int) {
 		w.acc.n += int64(len(vals))
 		return
 	}
-	linalg.DotRows(urow, st.panel.Data(), vals)
+	linalg.DotRows(urow, st.pl.panel, vals)
 	if dg := st.dg; dg != nil {
 		cols, deltas := w.slab.Row(i)
 		for x, col := range cols {
@@ -505,7 +503,8 @@ func (w *evalWorker) cannotWin(i int) bool {
 	for x, col := range cols {
 		// Every position of a column holds the same V row: one cell decides.
 		if a := dg.colStart[col]; a < dg.colStart[col+1] {
-			v := linalg.Dot(w.urow, st.panel.Row(int(dg.pos[a]))) + deltas[x]
+			p := int(dg.pos[a]) * len(w.urow)
+			v := linalg.Dot(w.urow, st.pl.panel[p:p+len(w.urow)]) + deltas[x]
 			if math.IsNaN(v) || (st.wantMax && v > w.acc.max) || (!st.wantMax && v < w.acc.min) {
 				return false
 			}
@@ -538,14 +537,14 @@ func (w *evalWorker) zeroRow() {
 }
 
 // panelExtremes fills hi and lo (k each) with the per-dimension max and min
-// of the panel's rows: every V row a projected cell can meet lies inside
-// [lo, hi].
-func panelExtremes(panel *linalg.Matrix, hi, lo []float64) {
+// of the panel's k-wide rows: every V row a projected cell can meet lies
+// inside [lo, hi].
+func panelExtremes(panel, hi, lo []float64) {
 	for m := range hi {
 		hi[m], lo[m] = math.Inf(-1), math.Inf(1)
 	}
-	for p := range panel.Rows() {
-		for m, v := range panel.Row(p) {
+	for p := 0; p < len(panel); p += len(hi) {
+		for m, v := range panel[p : p+len(hi)] {
 			hi[m], lo[m] = max(hi[m], v), min(lo[m], v)
 		}
 	}

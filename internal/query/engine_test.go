@@ -457,3 +457,29 @@ func TestRowProbesOnlySelectedRows(t *testing.T) {
 		t.Errorf("StdDev over 4 distinct rows probed %d buckets, want 4", got)
 	}
 }
+
+// TestAdaptiveChunkSize pins the chunking contract: pure in (n, workers),
+// small selections split fine enough that every worker gets work, huge
+// serial selections are not over-chunked, and bounds hold.
+func TestAdaptiveChunkSize(t *testing.T) {
+	for _, tc := range []struct {
+		n, workers int
+	}{{0, 1}, {1, 1}, {64, 1}, {64, 8}, {500, 8}, {100000, 1}, {100000, 8}, {3, 0}} {
+		c := evalChunkSize(tc.n, tc.workers)
+		if c < minChunkRows || c > maxChunkRows {
+			t.Errorf("chunk(%d,%d)=%d outside [%d,%d]", tc.n, tc.workers, c, minChunkRows, maxChunkRows)
+		}
+		if c2 := evalChunkSize(tc.n, tc.workers); c2 != c {
+			t.Errorf("chunk(%d,%d) not deterministic: %d then %d", tc.n, tc.workers, c, c2)
+		}
+	}
+	// A 500-position selection at 8 workers must produce at least one
+	// chunk per worker — the fixed 256-row chunking gave only two.
+	if c := evalChunkSize(500, 8); (500+c-1)/c < 8 {
+		t.Errorf("chunk(500,8)=%d starves workers: only %d chunks", c, (500+c-1)/c)
+	}
+	// A huge serial scan should use the coarsest chunk, not 256-row slices.
+	if c := evalChunkSize(1_000_000, 1); c != maxChunkRows {
+		t.Errorf("chunk(1e6,1)=%d, want %d", c, maxChunkRows)
+	}
+}

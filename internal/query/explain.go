@@ -55,34 +55,41 @@ type Explain struct {
 
 // ExplainQuery explains the evaluation of (agg, sel) against s without
 // executing it. The dispatch decision mirrors evaluate exactly — count,
-// factored, projected, generic in that order — and the plan is built
-// transiently (never inserted into opts.Plans), so explaining a query
-// perturbs neither the plan cache nor any ledger.
+// factored, projected, generic in that order — and the plan is built the
+// way evaluate builds it, in a pooled state, so explaining a query charges
+// no ledger.
 func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*Explain, error) {
+	st := getState()
+	defer st.release()
+	return st.pl.explain(s, agg, sel, opts.env().workers)
+}
+
+// explain is ExplainQuery on the plan of a state the caller holds.
+func (p *plan) explain(s store.Store, agg Aggregate, sel Selection, workers int) (*Explain, error) {
 	n, m := s.Dims()
 	if err := sel.Validate(n, m); err != nil {
 		return nil, err
 	}
 	ex := &Explain{
-		Workers: opts.env().workers,
+		Workers: workers,
 		Cells:   int64(sel.NumCells()),
 	}
 	if agg == Count {
 		ex.Plan = PlanCount
 		return ex, nil
 	}
-	pl := buildPlanWith(s, sel, 0, false)
+	p.reset(s, sel)
 	switch {
-	case pl.fac == nil:
+	case p.fac == nil:
 		ex.Plan = PlanGeneric
 	case agg == Sum || agg == Avg || agg == StdDev:
 		ex.Plan = PlanFactored
 	default:
 		ex.Plan = PlanProjected
 	}
-	ex.Runs = len(pl.runs)
+	ex.Runs = len(p.runs)
 
-	nrows := len(pl.rows)
+	nrows := len(p.rows)
 	ex.ChunkRows = evalChunkSize(nrows, ex.Workers)
 	ex.Chunks = (nrows + ex.ChunkRows - 1) / ex.ChunkRows
 
@@ -96,9 +103,9 @@ func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*E
 		return ex, nil
 	}
 
-	ex.replayURows(pl)
-	if ex.Plan == PlanFactored && pl.overlay {
-		ex.replayDeltaWalk(pl, agg)
+	ex.replayURows(p)
+	if ex.Plan == PlanFactored && p.overlay {
+		ex.replayDeltaWalk(p, agg)
 	}
 	return ex, nil
 }

@@ -109,21 +109,6 @@ func TestExplainNoExtraDiskAccesses(t *testing.T) {
 	}
 }
 
-// TestExplainDoesNotTouchPlanCache: explaining builds a transient plan and
-// must neither populate the cache nor count as a hit or miss.
-func TestExplainDoesNotTouchPlanCache(t *testing.T) {
-	s := fileBackedSVD(t, 100)
-	n, m := s.Dims()
-	sel := Selection{Rows: seq(0, n), Cols: seq(0, m)}
-	pc := NewPlanCache(16)
-	if _, err := ExplainQuery(s, Sum, sel, Options{Workers: 1, Plans: pc}); err != nil {
-		t.Fatal(err)
-	}
-	if st := pc.Stats(); st.Size != 0 || st.Hits != 0 || st.Misses != 0 {
-		t.Errorf("explain touched the plan cache: %+v", st)
-	}
-}
-
 // TestExplainRejectsInvalidSelection: validation mirrors evaluate.
 func TestExplainRejectsInvalidSelection(t *testing.T) {
 	s := fileBackedSVD(t, 50)

@@ -170,7 +170,7 @@ type corrections struct {
 // Multiset weighting: a cell selected r·c times (row listed r times,
 // column c times) contributes r·c copies of its correction.
 func (st *evalState) deltaCorrections(wantSq bool) error {
-	pl, led, c := st.pl, st.env.led, &st.corr
+	pl, led, c := &st.pl, st.env.led, &st.corr
 	sigma, v := pl.sigma, pl.fac.Base().V()
 	// The workers are done; the first one's U-row buffers are free.
 	w0 := st.active[0]

@@ -202,12 +202,12 @@ func TestMultisetSelections(t *testing.T) {
 	}
 	for storeName, s := range map[string]*core.Store{"plain": plain, "zeroflags": flagged} {
 		for name, sel := range sels {
-			if _, ascending := buildRuns(sel.Rows); ascending {
+			if _, ascending := buildRuns(nil, sel.Rows); ascending {
 				t.Fatalf("%s: rows are ascending; the fallback would go untested", name)
 			}
 			layers := ascendingLayers(sel.Rows)
 			for _, layer := range layers {
-				if _, ascending := buildRuns(layer); !ascending {
+				if _, ascending := buildRuns(nil, layer); !ascending {
 					t.Fatalf("%s: layer %v is not strictly ascending", name, layer)
 				}
 			}
@@ -217,7 +217,7 @@ func TestMultisetSelections(t *testing.T) {
 			rng.Shuffle(len(shuffled.Cols), func(a, b int) { shuffled.Cols[a], shuffled.Cols[b] = shuffled.Cols[b], shuffled.Cols[a] })
 
 			for _, agg := range []Aggregate{Sum, Avg, StdDev, Min, Max} {
-				got, err := EvaluateOpts(s, agg, sel, Options{Workers: 1, Plans: NewPlanCache(4)})
+				got, err := EvaluateOpts(s, agg, sel, Options{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

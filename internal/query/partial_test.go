@@ -363,8 +363,8 @@ func FuzzPartialUnmarshal(f *testing.F) {
 	})
 }
 
-// Batch partials share the prefetched U pass yet stay bit-identical to
-// independent EvaluatePartial calls.
+// Batch partials share the charged row union and read resident U in place,
+// yet stay bit-identical to independent EvaluatePartial calls.
 func TestEvaluateBatchPartialMatchesIndependent(t *testing.T) {
 	stores := engineStores(t)
 	for _, name := range []string{"svd", "svdd"} {

@@ -142,55 +142,55 @@ func TestPlainSVDPinnedAgainstParent(t *testing.T) {
 }
 
 var pinnedPlainSVD = []string{
-	"ascending/sum/w1 40c60b149ca73345 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:factored Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/sum/w3 40c60b149ca73345 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:factored Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/avg/w1 401f1762e401b165 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:factored Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/avg/w3 401f1762e401b165 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:factored Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/stddev/w1 402b5dba0102f488 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:factored Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/stddev/w3 402b5dba0102f488 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:factored Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/min/w1 bfacbc3648e8edb0 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:projected Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/min/w3 bfacbc3648e8edb0 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:projected Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/max/w1 406de8f1d7f71cee ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:projected Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/max/w3 406de8f1d7f71cee ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=44 explain={Plan:projected Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
-	"ascending/count/w1 4096b00000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=0 explain={Plan:count Workers:1 Cells:1452 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
-	"ascending/count/w3 4096b00000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=0 explain={Plan:count Workers:3 Cells:1452 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
-	"duplicated/sum/w1 4079c7a2434c27df ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:factored Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/sum/w3 4079c7a2434c27df ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:factored Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/avg/w1 4013a44addf0e16d ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:factored Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/avg/w3 4013a44addf0e16d ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:factored Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/stddev/w1 400a919dff0048df ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:factored Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/stddev/w3 400a919dff0048df ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:factored Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/min/w1 3feaf348bd8e9e05 ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:projected Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/min/w3 3feaf348bd8e9e05 ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:projected Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/max/w1 402cb2fbe8a3c35c ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:projected Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/max/w3 402cb2fbe8a3c35c ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=14 explain={Plan:projected Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
-	"duplicated/count/w1 4055000000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=0 explain={Plan:count Workers:1 Cells:84 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
-	"duplicated/count/w3 4055000000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=0 explain={Plan:count Workers:3 Cells:84 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
-	"descending/sum/w1 407ac86f480173ab ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:factored Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/sum/w3 407ac86f480173ab ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:factored Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/avg/w1 401a5ef37a190f6d ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:factored Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/avg/w3 401a5ef37a190f6d ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:factored Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/stddev/w1 4016f35ea749b53d ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:factored Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/stddev/w3 4016f35ea749b53d ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:factored Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/min/w1 0000000000000000 ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:projected Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/min/w3 0000000000000000 ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:projected Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/max/w1 4036d171f8c6c2d3 ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:projected Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/max/w3 4036d171f8c6c2d3 ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=13 explain={Plan:projected Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
-	"descending/count/w1 4050400000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=0 explain={Plan:count Workers:1 Cells:65 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
-	"descending/count/w3 4050400000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=0 explain={Plan:count Workers:3 Cells:65 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
-	"interleaved/sum/w1 40786210a497c620 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:factored Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/sum/w3 40786210a497c620 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:factored Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/avg/w1 4014ce8fe89cd207 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:factored Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/avg/w3 4014ce8fe89cd207 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:factored Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/stddev/w1 401124ccc35528da ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:factored Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/stddev/w3 401124ccc35528da ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:factored Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/min/w1 0000000000000000 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:projected Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/min/w3 0000000000000000 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:projected Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/max/w1 4035131a13c77f18 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:projected Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/max/w3 4035131a13c77f18 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=15 explain={Plan:projected Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
-	"interleaved/count/w1 4052c00000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=0 explain={Plan:count Workers:1 Cells:75 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
-	"interleaved/count/w3 4052c00000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=0 explain={Plan:count Workers:3 Cells:75 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
-	"batch/w1 ledger={RowsRead:430 PagesTouched:47 DeltasProbed:0 WorkerChunks:30 DiskAccesses:47 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=47 40c60b149ca73345 401f1762e401b165 402b5dba0102f488 bfacbc3648e8edb0 406de8f1d7f71cee 4096b00000000000 4079c7a2434c27df 4013a44addf0e16d 400a919dff0048df 3feaf348bd8e9e05 402cb2fbe8a3c35c 4055000000000000 407ac86f480173ab 401a5ef37a190f6d 4016f35ea749b53d 0000000000000000 4036d171f8c6c2d3 4050400000000000 40786210a497c620 4014ce8fe89cd207 401124ccc35528da 0000000000000000 4035131a13c77f18 4052c00000000000",
-	"batch/w3 ledger={RowsRead:430 PagesTouched:47 DeltasProbed:0 WorkerChunks:30 DiskAccesses:47 RowsWritten:0 PlanHits:0 PlanMisses:0} ureads=47 40c60b149ca73345 401f1762e401b165 402b5dba0102f488 bfacbc3648e8edb0 406de8f1d7f71cee 4096b00000000000 4079c7a2434c27df 4013a44addf0e16d 400a919dff0048df 3feaf348bd8e9e05 402cb2fbe8a3c35c 4055000000000000 407ac86f480173ab 401a5ef37a190f6d 4016f35ea749b53d 0000000000000000 4036d171f8c6c2d3 4050400000000000 40786210a497c620 4014ce8fe89cd207 401124ccc35528da 0000000000000000 4035131a13c77f18 4052c00000000000",
+	"ascending/sum/w1 40c60b149ca73345 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:factored Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/sum/w3 40c60b149ca73345 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:factored Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/avg/w1 401f1762e401b165 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:factored Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/avg/w3 401f1762e401b165 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:factored Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/stddev/w1 402b5dba0102f488 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:factored Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/stddev/w3 402b5dba0102f488 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:factored Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/min/w1 bfacbc3648e8edb0 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:projected Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/min/w3 bfacbc3648e8edb0 ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:projected Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/max/w1 406de8f1d7f71cee ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:projected Workers:1 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/max/w3 406de8f1d7f71cee ledger={RowsRead:44 PagesTouched:44 DeltasProbed:0 WorkerChunks:3 DiskAccesses:44 RowsWritten:0} ureads=44 explain={Plan:projected Workers:3 Cells:1452 ChunkRows:16 Chunks:3 Runs:4 CoalescedScans:3 ScanRows:40 PointRows:4 ZeroRows:0 EstRowsRead:44 EstDiskAccesses:44 EstPagesTouched:44 EstDeltasProbed:0}",
+	"ascending/count/w1 4096b00000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0} ureads=0 explain={Plan:count Workers:1 Cells:1452 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
+	"ascending/count/w3 4096b00000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0} ureads=0 explain={Plan:count Workers:3 Cells:1452 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
+	"duplicated/sum/w1 4079c7a2434c27df ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:factored Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/sum/w3 4079c7a2434c27df ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:factored Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/avg/w1 4013a44addf0e16d ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:factored Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/avg/w3 4013a44addf0e16d ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:factored Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/stddev/w1 400a919dff0048df ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:factored Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/stddev/w3 400a919dff0048df ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:factored Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/min/w1 3feaf348bd8e9e05 ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:projected Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/min/w3 3feaf348bd8e9e05 ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:projected Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/max/w1 402cb2fbe8a3c35c ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:projected Workers:1 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/max/w3 402cb2fbe8a3c35c ledger={RowsRead:14 PagesTouched:14 DeltasProbed:0 WorkerChunks:1 DiskAccesses:14 RowsWritten:0} ureads=14 explain={Plan:projected Workers:3 Cells:84 ChunkRows:16 Chunks:1 Runs:8 CoalescedScans:1 ScanRows:5 PointRows:9 ZeroRows:0 EstRowsRead:14 EstDiskAccesses:14 EstPagesTouched:14 EstDeltasProbed:0}",
+	"duplicated/count/w1 4055000000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0} ureads=0 explain={Plan:count Workers:1 Cells:84 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
+	"duplicated/count/w3 4055000000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0} ureads=0 explain={Plan:count Workers:3 Cells:84 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
+	"descending/sum/w1 407ac86f480173ab ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:factored Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/sum/w3 407ac86f480173ab ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:factored Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/avg/w1 401a5ef37a190f6d ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:factored Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/avg/w3 401a5ef37a190f6d ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:factored Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/stddev/w1 4016f35ea749b53d ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:factored Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/stddev/w3 4016f35ea749b53d ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:factored Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/min/w1 0000000000000000 ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:projected Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/min/w3 0000000000000000 ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:projected Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/max/w1 4036d171f8c6c2d3 ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:projected Workers:1 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/max/w3 4036d171f8c6c2d3 ledger={RowsRead:13 PagesTouched:13 DeltasProbed:0 WorkerChunks:1 DiskAccesses:13 RowsWritten:0} ureads=13 explain={Plan:projected Workers:3 Cells:65 ChunkRows:16 Chunks:1 Runs:13 CoalescedScans:0 ScanRows:0 PointRows:13 ZeroRows:0 EstRowsRead:13 EstDiskAccesses:13 EstPagesTouched:13 EstDeltasProbed:0}",
+	"descending/count/w1 4050400000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0} ureads=0 explain={Plan:count Workers:1 Cells:65 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
+	"descending/count/w3 4050400000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0} ureads=0 explain={Plan:count Workers:3 Cells:65 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
+	"interleaved/sum/w1 40786210a497c620 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:factored Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/sum/w3 40786210a497c620 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:factored Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/avg/w1 4014ce8fe89cd207 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:factored Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/avg/w3 4014ce8fe89cd207 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:factored Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/stddev/w1 401124ccc35528da ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:factored Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/stddev/w3 401124ccc35528da ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:factored Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/min/w1 0000000000000000 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:projected Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/min/w3 0000000000000000 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:projected Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/max/w1 4035131a13c77f18 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:projected Workers:1 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/max/w3 4035131a13c77f18 ledger={RowsRead:15 PagesTouched:15 DeltasProbed:0 WorkerChunks:1 DiskAccesses:15 RowsWritten:0} ureads=15 explain={Plan:projected Workers:3 Cells:75 ChunkRows:16 Chunks:1 Runs:12 CoalescedScans:1 ScanRows:4 PointRows:11 ZeroRows:0 EstRowsRead:15 EstDiskAccesses:15 EstPagesTouched:15 EstDeltasProbed:0}",
+	"interleaved/count/w1 4052c00000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0} ureads=0 explain={Plan:count Workers:1 Cells:75 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
+	"interleaved/count/w3 4052c00000000000 ledger={RowsRead:0 PagesTouched:0 DeltasProbed:0 WorkerChunks:0 DiskAccesses:0 RowsWritten:0} ureads=0 explain={Plan:count Workers:3 Cells:75 ChunkRows:0 Chunks:0 Runs:0 CoalescedScans:0 ScanRows:0 PointRows:0 ZeroRows:0 EstRowsRead:0 EstDiskAccesses:0 EstPagesTouched:0 EstDeltasProbed:0}",
+	"batch/w1 ledger={RowsRead:430 PagesTouched:47 DeltasProbed:0 WorkerChunks:30 DiskAccesses:47 RowsWritten:0} ureads=47 40c60b149ca73345 401f1762e401b165 402b5dba0102f488 bfacbc3648e8edb0 406de8f1d7f71cee 4096b00000000000 4079c7a2434c27df 4013a44addf0e16d 400a919dff0048df 3feaf348bd8e9e05 402cb2fbe8a3c35c 4055000000000000 407ac86f480173ab 401a5ef37a190f6d 4016f35ea749b53d 0000000000000000 4036d171f8c6c2d3 4050400000000000 40786210a497c620 4014ce8fe89cd207 401124ccc35528da 0000000000000000 4035131a13c77f18 4052c00000000000",
+	"batch/w3 ledger={RowsRead:430 PagesTouched:47 DeltasProbed:0 WorkerChunks:30 DiskAccesses:47 RowsWritten:0} ureads=47 40c60b149ca73345 401f1762e401b165 402b5dba0102f488 bfacbc3648e8edb0 406de8f1d7f71cee 4096b00000000000 4079c7a2434c27df 4013a44addf0e16d 400a919dff0048df 3feaf348bd8e9e05 402cb2fbe8a3c35c 4055000000000000 407ac86f480173ab 401a5ef37a190f6d 4016f35ea749b53d 0000000000000000 4036d171f8c6c2d3 4050400000000000 40786210a497c620 4014ce8fe89cd207 401124ccc35528da 0000000000000000 4035131a13c77f18 4052c00000000000",
 	"cells+rows sha256=9dc318a52d57abbca7d7d8566ea917e7eaf4189c1801df0fd1a80991ad08b5de",
 }

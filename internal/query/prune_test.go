@@ -310,7 +310,7 @@ func sameValue(a, b float64) bool {
 
 // TestPrunedExtremaMatchNaive holds min and max, with the skip, to the
 // naive EvaluateMatrix over store.Row bit for bit — lone calls and
-// EvaluateBatch with its shared prefetch, at workers {1, 3, 8} — on plain
+// EvaluateBatch with its charged row union, at workers {1, 3, 8} — on plain
 // SVD, SVDD whose deltas carry the extrema, §6.2 zero rows, FoldIn'd rows,
 // exact-zero ties, a NaN delta and a σ whose bound overflows.
 func TestPrunedExtremaMatchNaive(t *testing.T) {

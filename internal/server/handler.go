@@ -3,7 +3,7 @@
 // around it. The backend answers typed requests from one open store —
 // batches of cell/row reads (a lone read is a batch of one), each read one
 // reconstruction from the compressed form, batches of aggregates through
-// the scan-sharing query engine and its plan cache, axis-label
+// the scan-sharing query engine, axis-label
 // addressing, NDJSON bulk appends into an ingestion tier — and charges
 // every reconstruction to the request's cost ledger, so the paper's
 // one-access-per-cell claim is verifiable live under load.
@@ -36,10 +36,10 @@ import (
 	"seqstore/internal/trace"
 )
 
-// DefaultPlanCacheSize is the query-plan cache capacity when
-// Options.PlanCacheSize is 0. A plan is a selection's V panel, run
-// schedule and column index — a few rows' worth of numbers — so the
-// default comfortably covers a dashboard's working set.
+// DefaultPlanCacheSize was the query-plan cache's capacity. It remains
+// because the benchmark module still passes it to query.NewPlanCache.
+//
+// Deprecated: there is no plan cache.
 const DefaultPlanCacheSize = 256
 
 // Options configures a Handler.
@@ -57,11 +57,6 @@ type Options struct {
 	// MaxBatchQueries bounds one /v1/aggregate/batch request; 0 means
 	// api.DefaultMaxBatchQueries.
 	MaxBatchQueries int
-	// PlanCacheSize is the capacity, in memoized query plans, of the plan
-	// cache fronting /v1/aggregate and /v1/aggregate/batch. 0 selects
-	// DefaultPlanCacheSize; negative disables plan caching (every aggregate
-	// re-derives its panel and run schedule).
-	PlanCacheSize int
 	// QueryWorkers shards aggregate evaluation across this many goroutines:
 	// 0 means one per CPU, 1 evaluates serially.
 	QueryWorkers int
@@ -97,7 +92,6 @@ type Handler struct {
 
 	rowIndex, colIndex map[string]int // label → index; nil when unlabeled
 
-	plans       *query.PlanCache   // nil when disabled
 	corruptions *telemetry.Counter // store reads that surfaced ErrCorrupt
 
 	tel  *telemetry.Registry
@@ -109,9 +103,6 @@ var _ api.Backend = (*Handler)(nil)
 // NewHandler builds the HTTP API around an open store and optional axis
 // labels.
 func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
-	if opts.PlanCacheSize == 0 {
-		opts.PlanCacheSize = DefaultPlanCacheSize
-	}
 	cfg := api.Config{
 		MaxBatchCells:   opts.MaxBatchCells,
 		MaxBatchRows:    opts.MaxBatchRows,
@@ -134,20 +125,12 @@ func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
 	}
 	h.writable, _ = st.(*ingest.Tiered)
 	h.corruptions = h.tel.Counter("store_corruptions")
-	h.plans = query.NewPlanCache(opts.PlanCacheSize) // nil when size < 0
-	if h.writable != nil && h.plans != nil {
-		// Keep the plan cache coherent with the write path: a full purge
-		// after every fold and recompression — conservative for fold-in
-		// (run schedules are selection-pure), required for recompression,
-		// which changes every plan's V panel.
-		h.writable.SetInvalidationHook(h.plans.Invalidate)
-	}
 	h.registerGauges()
 	h.http = api.NewHandler(h, h.tel, cfg)
 	return h
 }
 
-// registerGauges wires the store, IO, plan-cache and SVDD counters into the
+// registerGauges wires the store, IO and SVDD counters into the
 // registry as collection-time gauges, so the Prometheus rendering covers the
 // same ground as the hand-built /metrics JSON body. Monotonic sources get a
 // _total suffix (typed counter in the exposition).
@@ -158,20 +141,6 @@ func (h *Handler) registerGauges() {
 	h.tel.RegisterGauge("store_space_ratio", func() float64 {
 		return store.SpaceRatio(h.st)
 	})
-	if h.plans != nil {
-		h.tel.RegisterGauge("plan_cache_hits_total", func() float64 {
-			return float64(h.plans.Stats().Hits)
-		})
-		h.tel.RegisterGauge("plan_cache_misses_total", func() float64 {
-			return float64(h.plans.Stats().Misses)
-		})
-		h.tel.RegisterGauge("plan_cache_evictions_total", func() float64 {
-			return float64(h.plans.Stats().Evictions)
-		})
-		h.tel.RegisterGauge("plan_cache_size", func() float64 {
-			return float64(h.plans.Stats().Size)
-		})
-	}
 	// The IO and SVDD gauges re-resolve the factored store on every
 	// collection: with a writable tier behind the handler, recompression
 	// swaps the cold segment, and a gauge bound to the pointer at startup
@@ -356,7 +325,7 @@ func (h *Handler) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error
 // queryOptions is the evaluation configuration shared by every aggregate
 // endpoint.
 func (h *Handler) queryOptions(ctx context.Context) query.Options {
-	return query.Options{Workers: h.queryWorkers, Ctx: ctx, Plans: h.plans}
+	return query.Options{Workers: h.queryWorkers, Ctx: ctx}
 }
 
 // AggregateBatch evaluates the queries through the scan-sharing batch
@@ -413,10 +382,8 @@ func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.A
 }
 
 // explainBody builds the explain block for an already-executed query: the
-// transient plan derivation from query.ExplainQuery (in-memory only — no
-// store reads, no plan-cache traffic) joined with the request's executed
-// ledger, whose plan_hits/plan_misses reveal how the real evaluation fared
-// in the plan cache.
+// plan derivation from query.ExplainQuery (in-memory only — no store
+// reads) joined with the request's executed ledger.
 func (h *Handler) explainBody(ctx context.Context, q api.AggregateQuery) *api.Explain {
 	ex, err := query.ExplainQuery(h.st, q.Agg, q.Sel, h.queryOptions(ctx))
 	if err != nil {
@@ -425,8 +392,7 @@ func (h *Handler) explainBody(ctx context.Context, q api.AggregateQuery) *api.Ex
 		// than fail a query that already produced its answer.
 		return nil
 	}
-	cost := trace.LedgerFrom(ctx).Snapshot()
-	e := &api.Explain{
+	return &api.Explain{
 		Plan:            ex.Plan,
 		Workers:         ex.Workers,
 		Cells:           ex.Cells,
@@ -441,17 +407,8 @@ func (h *Handler) explainBody(ctx context.Context, q api.AggregateQuery) *api.Ex
 		EstDiskAccesses: ex.EstDiskAccesses,
 		EstPagesTouched: ex.EstPagesTouched,
 		EstDeltasProbed: ex.EstDeltasProbed,
-		Cost:            cost,
+		Cost:            trace.LedgerFrom(ctx).Snapshot(),
 	}
-	switch {
-	case cost.PlanHits > 0:
-		e.PlanCache = "hit"
-	case cost.PlanMisses > 0:
-		e.PlanCache = "miss"
-	default:
-		e.PlanCache = "uncached"
-	}
-	return e
 }
 
 // --- api.Backend: writes -----------------------------------------------------
@@ -573,27 +530,15 @@ func (h *Handler) Health(context.Context) api.HealthzResponse {
 	return api.HealthzResponse{Status: "ok"}
 }
 
-// Metrics is the store node's part of /v1/metrics: the plan-cache, store,
-// IO, SVDD and ingest sections of the JSON body. The Prometheus view needs
+// Metrics is the store node's part of /v1/metrics: the store, IO, SVDD and
+// ingest sections of the JSON body. The Prometheus view needs
 // nothing here — registerGauges put the same numbers in the registry.
 func (h *Handler) Metrics(_ context.Context, req api.MetricsRequest) (api.MetricsResponse, error) {
 	if req.Prom {
 		return api.MetricsResponse{}, nil
 	}
 	rows, cols := h.st.Dims()
-	planCache := map[string]interface{}{"enabled": h.plans != nil}
-	if h.plans != nil {
-		ps := h.plans.Stats()
-		planCache["hits"] = ps.Hits
-		planCache["misses"] = ps.Misses
-		planCache["evictions"] = ps.Evictions
-		planCache["size"] = ps.Size
-		planCache["capacity"] = ps.Capacity
-		planCache["epoch"] = h.plans.Epoch()
-		planCache["hit_rate"] = telemetry.Rate(ps.Hits, ps.Misses)
-	}
 	body := map[string]interface{}{
-		"plan_cache":        planCache,
 		"store_corruptions": h.corruptions.Load(),
 		"store": map[string]interface{}{
 			"method":         h.st.Method().String(),

@@ -28,9 +28,6 @@ type Config struct {
 	MaxBatchCells   int
 	MaxBatchRows    int
 	MaxBatchQueries int
-	// PlanCacheSize sizes the query-plan cache; 0 selects
-	// DefaultPlanCacheSize, negative disables it.
-	PlanCacheSize int
 	// QueryWorkers shards aggregate evaluation across this many goroutines:
 	// 0 means one per CPU, 1 evaluates serially.
 	QueryWorkers int
@@ -105,7 +102,6 @@ func New(st store.Store, labels *store.Labels, cfg Config) *Server {
 		MaxBatchCells:   cfg.MaxBatchCells,
 		MaxBatchRows:    cfg.MaxBatchRows,
 		MaxBatchQueries: cfg.MaxBatchQueries,
-		PlanCacheSize:   cfg.PlanCacheSize,
 		QueryWorkers:    cfg.QueryWorkers,
 		Logger:          cfg.Logger,
 		SlowQuery:       cfg.SlowQuery,

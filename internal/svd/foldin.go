@@ -40,8 +40,9 @@ func (s *Store) Appendable() bool {
 // the original subspace reconstruct poorly until the next recompression
 // (SVDD's FoldIn can pin their worst cells with deltas).
 //
-// It returns the index of the new row; on error the store is untouched and
-// the index is -1 (never a live row's index). The store must be
+// The U row is kept at the store's precision (Round), as its file will hold
+// it. It returns the index of the new row; on error the store is untouched
+// and the index is -1 (never a live row's index). The store must be
 // memory-backed.
 func (s *Store) FoldIn(row []float64) (int, error) {
 	if len(row) != s.cols {
@@ -62,7 +63,7 @@ func (s *Store) FoldIn(row []float64) (int, error) {
 		}
 	}
 	for mm := range urow {
-		urow[mm] /= s.sigma[mm]
+		urow[mm] = s.Round(urow[mm] / s.sigma[mm])
 	}
 	idx := app.AppendRow(urow)
 	s.rows++

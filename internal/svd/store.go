@@ -114,6 +114,16 @@ func (s *Store) SetPrecision(bytes int) error {
 // Precision returns b, the bytes per stored number (4 or 8).
 func (s *Store) Precision() int { return s.prec }
 
+// Round returns v as the store's file holds it: rounded to float32 at
+// b = 4, unchanged at b = 8. Numbers added to a loaded store go through it,
+// so the store serves what a reload of its file would.
+func (s *Store) Round(v float64) float64 {
+	if s.prec == 4 {
+		return float64(float32(v))
+	}
+	return v
+}
+
 // StoredBytes returns the serialized size of the numeric payload:
 // StoredNumbers()·b.
 func (s *Store) StoredBytes() int64 { return s.StoredNumbers() * int64(s.prec) }

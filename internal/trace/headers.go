@@ -18,8 +18,6 @@ const (
 	HeaderDeltasProbed = "X-Cost-Deltas-Probed"
 	HeaderWorkerChunks = "X-Cost-Worker-Chunks"
 	HeaderRowsWritten  = "X-Cost-Rows-Written"
-	HeaderPlanHits     = "X-Cost-Plan-Hits"
-	HeaderPlanMisses   = "X-Cost-Plan-Misses"
 )
 
 // costHeaderNames and costCounts pair each header name with its
@@ -35,8 +33,6 @@ var costHeaderNames = [...]string{
 	HeaderDeltasProbed,
 	HeaderWorkerChunks,
 	HeaderRowsWritten,
-	HeaderPlanHits,
-	HeaderPlanMisses,
 }
 
 func (s *LedgerSnapshot) costCounts() [len(costHeaderNames)]*int64 {
@@ -47,8 +43,6 @@ func (s *LedgerSnapshot) costCounts() [len(costHeaderNames)]*int64 {
 		&s.DeltasProbed,
 		&s.WorkerChunks,
 		&s.RowsWritten,
-		&s.PlanHits,
-		&s.PlanMisses,
 	}
 }
 
@@ -105,6 +99,4 @@ func (l *Ledger) AddSnapshot(s LedgerSnapshot) {
 	l.workerChunks.Add(s.WorkerChunks)
 	l.diskAccesses.Add(s.DiskAccesses)
 	l.rowsWritten.Add(s.RowsWritten)
-	l.planHits.Add(s.PlanHits)
-	l.planMisses.Add(s.PlanMisses)
 }

@@ -9,7 +9,7 @@ func TestCostHeadersRoundTrip(t *testing.T) {
 	snap := LedgerSnapshot{
 		RowsRead: 3, PagesTouched: 7,
 		DeltasProbed: 11, WorkerChunks: 4, DiskAccesses: 9,
-		RowsWritten: 5, PlanHits: 6, PlanMisses: 8,
+		RowsWritten: 5,
 	}
 	for _, big := range []int64{0, 255, 256, 1 << 40} {
 		snap.RowsRead = big
@@ -43,10 +43,10 @@ func TestCostHeadersRoundTrip(t *testing.T) {
 func TestLedgerAddSnapshot(t *testing.T) {
 	var l Ledger
 	l.AddDiskAccesses(2)
-	l.AddSnapshot(LedgerSnapshot{DiskAccesses: 5, RowsRead: 3, PlanMisses: 1})
+	l.AddSnapshot(LedgerSnapshot{DiskAccesses: 5, RowsRead: 3, DeltasProbed: 1})
 	l.AddSnapshot(LedgerSnapshot{DiskAccesses: 4})
 	got := l.Snapshot()
-	if got.DiskAccesses != 11 || got.RowsRead != 3 || got.PlanMisses != 1 {
+	if got.DiskAccesses != 11 || got.RowsRead != 3 || got.DeltasProbed != 1 {
 		t.Fatalf("folded snapshot = %+v", got)
 	}
 	// Nil-safety matches the rest of the Ledger API.

@@ -92,8 +92,6 @@ type Ledger struct {
 	workerChunks atomic.Int64
 	diskAccesses atomic.Int64
 	rowsWritten  atomic.Int64
-	planHits     atomic.Int64
-	planMisses   atomic.Int64
 }
 
 // AddRowsRead records n row reconstructions served to the request.
@@ -139,22 +137,6 @@ func (l *Ledger) AddRowsWritten(n int64) {
 	}
 }
 
-// PlanHit records one query-plan cache hit (the request reused a memoized
-// V panel / run schedule instead of rebuilding it).
-func (l *Ledger) PlanHit() {
-	if l != nil {
-		l.planHits.Add(1)
-	}
-}
-
-// PlanMiss records one query-plan cache miss (the plan was built from
-// scratch for this request).
-func (l *Ledger) PlanMiss() {
-	if l != nil {
-		l.planMisses.Add(1)
-	}
-}
-
 // DiskAccesses returns the disk accesses charged so far (0 on nil).
 func (l *Ledger) DiskAccesses() int64 {
 	if l == nil {
@@ -172,8 +154,6 @@ type LedgerSnapshot struct {
 	WorkerChunks int64 `json:"worker_chunks"`
 	DiskAccesses int64 `json:"disk_accesses"`
 	RowsWritten  int64 `json:"rows_written"`
-	PlanHits     int64 `json:"plan_hits"`
-	PlanMisses   int64 `json:"plan_misses"`
 }
 
 // Snapshot captures the ledger (zero value on nil).
@@ -188,8 +168,6 @@ func (l *Ledger) Snapshot() LedgerSnapshot {
 		WorkerChunks: l.workerChunks.Load(),
 		DiskAccesses: l.diskAccesses.Load(),
 		RowsWritten:  l.rowsWritten.Load(),
-		PlanHits:     l.planHits.Load(),
-		PlanMisses:   l.planMisses.Load(),
 	}
 }
 
