@@ -68,15 +68,20 @@ fuzz-smoke:
 golden-check:
 	$(GO) test -run 'TestGolden' -v ./internal/matio ./internal/store
 
-# metrics-golden pins the observable metrics schemas: the /v1/metrics JSON
-# key structure and the Prometheus exposition's family names/types are
-# diffed against internal/server/testdata/*.golden, and the new
-# observability packages get a dedicated vet pass. Regenerate the goldens
-# after an intentional schema change with:
+# metrics-golden pins the observable metrics schemas, four goldens: a
+# node's /v1/metrics JSON key structure (metrics_json_schema.golden) and
+# Prometheus families/types (metrics_prom_schema.golden) under
+# internal/server/testdata, and the proxy's cluster-scope and own-scope
+# Prometheus families (cluster_prom_schema.golden, proxy_prom_schema.golden)
+# under internal/cluster/testdata. The observability packages, the
+# Prometheus test parser among them, get a dedicated vet pass. Regenerate
+# the goldens after an intentional schema change with:
 #	go test ./internal/server -run Golden -update-golden
+#	go test ./internal/cluster -run PromGolden -update-golden
 metrics-golden:
-	$(GO) vet ./internal/trace ./internal/telemetry ./internal/server
+	$(GO) vet ./internal/trace ./internal/telemetry ./internal/telemetry/promcheck ./internal/server ./internal/cluster
 	$(GO) test -run 'TestMetrics.*SchemaGolden' -v ./internal/server
+	$(GO) test -run 'TestClusterPromGolden|TestProxyPromGolden' -v ./internal/cluster
 
 # bench-smoke vets and tests the benchmark module. bench/ is a module of
 # its own, so `go build ./...` and `go test ./...` do not reach it: this is

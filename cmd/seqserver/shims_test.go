@@ -27,6 +27,33 @@ var planCacheShims = map[string]bool{
 // uses a plan-cache shim or sets or reads an Options.Plans field. Their own
 // declarations are the one place the names may appear.
 func TestPlanCacheShimsOnlyForBench(t *testing.T) {
+	walkNonTest(t, func(fset *token.FileSet, f *ast.File) {
+		for _, use := range shimUses(f) {
+			t.Errorf("%s: %s is a deprecated plan-cache shim kept for bench/ only", fset.Position(use.Pos()), use.Name)
+		}
+	})
+}
+
+// promcheckPath is the Prometheus text parser, a test-support package:
+// production code renders expositions and never parses one.
+const promcheckPath = "seqstore/internal/telemetry/promcheck"
+
+// TestPromcheckOnlyInTests fails if a non-test file imports the
+// Prometheus text parser.
+func TestPromcheckOnlyInTests(t *testing.T) {
+	walkNonTest(t, func(fset *token.FileSet, f *ast.File) {
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, "`\"") == promcheckPath {
+				t.Errorf("%s: a non-test file imports %s", fset.Position(imp.Pos()), promcheckPath)
+			}
+		}
+	})
+}
+
+// walkNonTest parses every non-test Go file of the module outside bench/
+// and hands it to check.
+func walkNonTest(t *testing.T, check func(fset *token.FileSet, f *ast.File)) {
+	t.Helper()
 	const root = "../.."
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -46,9 +73,7 @@ func TestPlanCacheShimsOnlyForBench(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		for _, use := range shimUses(f) {
-			t.Errorf("%s: %s is a deprecated plan-cache shim kept for bench/ only", fset.Position(use.Pos()), use.Name)
-		}
+		check(fset, f)
 		return nil
 	})
 	if err != nil {

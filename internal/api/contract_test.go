@@ -655,6 +655,8 @@ func TestV1Contract(t *testing.T) {
 			wantStatus: 400, wantCode: api.CodeBadRequest, wantMessage: "batch of 3 queries exceeds limit 2"},
 
 		// --- the error envelope and its codes, with one set of messages ---
+		{name: "metrics scope unknown", method: "GET", path: "/v1/metrics?scope=clustr&format=prom", wantStatus: 400,
+			wantCode: api.CodeBadRequest, wantMessage: `unknown scope "clustr": accepted values are "cluster" or none`},
 		{name: "cell without j", method: "GET", path: "/v1/cell?i=5", wantStatus: 400,
 			wantCode: api.CodeBadRequest, wantMessage: "cell needs integer i and j (or label row and col) parameters"},
 		{name: "cell row out of range", method: "GET", path: "/v1/cell?i=99999&j=0", wantStatus: 400,

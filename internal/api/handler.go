@@ -604,10 +604,15 @@ func (h *Handler) bulk(r *http.Request) (interface{}, error) {
 // metrics serves the metrics snapshot: JSON by default, ?format=prom for
 // Prometheus text exposition format 0.0.4. Either view is this layer's
 // registry (endpoint histograms, runtime, SLO, the gauges the backend
-// registered) followed by the backend's own part.
+// registered) followed by the backend's own part. ?scope= is "" (this
+// process) or "cluster"; anything else is refused rather than answered
+// with this process's numbers.
 func (h *Handler) metrics(r *http.Request) (interface{}, error) {
 	q := r.URL.Query()
 	req := MetricsRequest{Scope: q.Get("scope"), Prom: q.Get("format") == "prom"}
+	if req.Scope != "" && req.Scope != "cluster" {
+		return nil, Invalid(`unknown scope %q: accepted values are "cluster" or none`, req.Scope)
+	}
 	own, err := h.b.Metrics(r.Context(), req)
 	if err != nil {
 		return nil, err
@@ -617,7 +622,7 @@ func (h *Handler) metrics(r *http.Request) (interface{}, error) {
 			return promText(own.Prom), nil
 		}
 		var buf bytes.Buffer
-		if err := telemetry.WritePrometheus(&buf, h.tel.Snapshot()); err != nil {
+		if err := telemetry.WritePrometheus(&buf, telemetry.Part{Snapshot: h.tel.Snapshot()}); err != nil {
 			return nil, fmt.Errorf("prometheus render: %w", err)
 		}
 		buf.Write(own.Prom)

@@ -15,6 +15,7 @@ import (
 
 	"seqstore/internal/seqerr"
 	"seqstore/internal/telemetry"
+	"seqstore/internal/telemetry/promcheck"
 	"seqstore/internal/trace"
 )
 
@@ -282,7 +283,7 @@ func TestHandlerMetricsAndHealthFraming(t *testing.T) {
 	if ct := w.Header().Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("prom Content-Type = %q", ct)
 	}
-	pm, err := telemetry.ParsePrometheus(w.Body)
+	pm, err := promcheck.ParsePrometheus(w.Body)
 	if err != nil {
 		t.Fatalf("framed exposition does not parse: %v", err)
 	}

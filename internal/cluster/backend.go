@@ -128,12 +128,8 @@ func (p *Proxy) Health(ctx context.Context) api.HealthzResponse {
 func (p *Proxy) Metrics(ctx context.Context, req api.MetricsRequest) (api.MetricsResponse, error) {
 	topo, shards := p.view()
 	switch {
-	case req.Scope == "cluster" && req.Prom:
-		text, err := p.clusterProm(ctx, shards)
-		return api.MetricsResponse{Prom: text, Whole: true}, err
 	case req.Scope == "cluster":
-		body, err := p.clusterJSON(ctx, topo, shards)
-		return api.MetricsResponse{Sections: body, Whole: true}, err
+		return p.clusterMetrics(ctx, topo, shards, req.Prom)
 	case req.Prom:
 		var buf bytes.Buffer
 		writeShardGauges(&buf, topo, shards)
@@ -200,73 +196,48 @@ func writeShardGauges(w *bytes.Buffer, topo *Topology, shards []*shardClient) {
 	}
 }
 
-// scrape fetches one metrics view from every shard, handing each 200 body
-// to keep.
-func (p *Proxy) scrape(ctx context.Context, shards []*shardClient, path string, keep func(c *shardClient, body []byte) error) error {
+// clusterMetrics scrapes every shard's JSON /v1/metrics once and serves
+// either cluster view from the bodies. Each body decodes into the node
+// registry's Snapshot, which also validates it. The Prometheus view renders
+// the snapshots through the node's own writer, a shard label on every
+// sample; the JSON view embeds the bodies verbatim under per-shard
+// entries. A scrape pointed at the proxy therefore sees the whole
+// cluster's registries without knowing the store nodes exist.
+func (p *Proxy) clusterMetrics(ctx context.Context, topo *Topology, shards []*shardClient, prom bool) (api.MetricsResponse, error) {
+	type shardMetrics struct {
+		Shard   int             `json:"shard"`
+		Addr    string          `json:"addr"`
+		Metrics json.RawMessage `json:"metrics"`
+	}
+	bodies := make([]shardMetrics, len(shards))
+	parts := make([]telemetry.Part, len(shards))
 	fails := scatter(shards, allShards(shards), func(c *shardClient) error {
-		resp, err := c.do(ctx, http.MethodGet, path, nil, true)
+		resp, err := c.do(ctx, http.MethodGet, "/v1/metrics", nil, true)
 		if err != nil {
 			return err
 		}
 		if resp.status != http.StatusOK {
 			return fmt.Errorf("shard %d: metrics scrape returned %d", c.shard, resp.status)
 		}
-		return keep(c, resp.body)
+		part := telemetry.Part{Label: "shard", Value: strconv.Itoa(c.shard)}
+		if err := json.Unmarshal(resp.body, &part.Snapshot); err != nil {
+			return fmt.Errorf("shard %d: undecodable metrics body: %v", c.shard, err)
+		}
+		parts[c.shard] = part
+		bodies[c.shard] = shardMetrics{Shard: c.shard, Addr: topo.Shards[c.shard].Addr, Metrics: resp.body}
+		return nil
 	})
 	if len(fails) > 0 {
-		return p.scatterError(fails)
+		return api.MetricsResponse{}, p.scatterError(fails)
 	}
-	return nil
-}
-
-// clusterProm scrapes every shard's /v1/metrics?format=prom, parses the
-// expositions (structural validation included) and re-renders them as one
-// merged exposition with a shard label on every sample. A scrape pointed
-// at the proxy therefore sees the whole cluster's registries without
-// knowing the store nodes exist.
-func (p *Proxy) clusterProm(ctx context.Context, shards []*shardClient) ([]byte, error) {
-	parts := make([]telemetry.LabeledMetrics, len(shards))
-	err := p.scrape(ctx, shards, "/v1/metrics?format=prom", func(c *shardClient, body []byte) error {
-		m, err := telemetry.ParsePrometheus(bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("shard %d: unparseable exposition: %v", c.shard, err)
-		}
-		parts[c.shard] = telemetry.LabeledMetrics{
-			Labels: map[string]string{"shard": strconv.Itoa(c.shard)},
-			M:      m,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	if !prom {
+		return api.MetricsResponse{Sections: map[string]interface{}{"scope": "cluster", "shards": bodies}, Whole: true}, nil
 	}
 	var buf bytes.Buffer
-	if err := telemetry.WriteMergedPrometheus(&buf, parts); err != nil {
-		return nil, fmt.Errorf("cluster: prometheus render: %w", err)
+	if err := telemetry.WritePrometheus(&buf, parts...); err != nil {
+		return api.MetricsResponse{}, fmt.Errorf("cluster: prometheus render: %w", err)
 	}
-	return buf.Bytes(), nil
-}
-
-// clusterJSON scrapes every shard's JSON metrics body and embeds them
-// verbatim under per-shard entries.
-func (p *Proxy) clusterJSON(ctx context.Context, topo *Topology, shards []*shardClient) (map[string]interface{}, error) {
-	type shardMetrics struct {
-		Shard   int             `json:"shard"`
-		Addr    string          `json:"addr"`
-		Metrics json.RawMessage `json:"metrics"`
-	}
-	out := make([]shardMetrics, len(shards))
-	err := p.scrape(ctx, shards, "/v1/metrics", func(c *shardClient, body []byte) error {
-		if !json.Valid(body) {
-			return fmt.Errorf("shard %d: metrics body is not valid JSON", c.shard)
-		}
-		out[c.shard] = shardMetrics{Shard: c.shard, Addr: topo.Shards[c.shard].Addr, Metrics: body}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return map[string]interface{}{"scope": "cluster", "shards": out}, nil
+	return api.MetricsResponse{Prom: buf.Bytes(), Whole: true}, nil
 }
 
 // --- Point reads -------------------------------------------------------------

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"net/http"
@@ -12,12 +13,13 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"seqstore/internal/api"
-	"seqstore/internal/telemetry"
+	"seqstore/internal/telemetry/promcheck"
 	"seqstore/internal/trace"
 )
 
@@ -358,7 +360,7 @@ func checkGolden(t *testing.T, name string, lines []string) {
 
 // promFamilyLines renders "family type" lines, sorted — the schema view of
 // an exposition that stays stable across runs while values churn.
-func promFamilyLines(m *telemetry.PromMetrics) []string {
+func promFamilyLines(m *promcheck.PromMetrics) []string {
 	var lines []string
 	for _, fam := range m.Families() {
 		lines = append(lines, fam+" "+m.Types[fam])
@@ -383,7 +385,7 @@ func TestClusterPromGolden(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("cluster prom status %d: %s", w.Code, w.Body.String())
 	}
-	m, err := telemetry.ParsePrometheus(bytes.NewReader(w.Body.Bytes()))
+	m, err := promcheck.ParsePrometheus(bytes.NewReader(w.Body.Bytes()))
 	if err != nil {
 		t.Fatalf("cluster exposition does not parse: %v", err)
 	}
@@ -408,6 +410,101 @@ func TestClusterPromGolden(t *testing.T) {
 	checkGolden(t, "cluster_prom_schema.golden", promFamilyLines(m))
 }
 
+// TestClusterMetricsJSON pins the cluster-scope JSON view — its scope, one
+// entry per shard with the shard's index and address, each embedding the
+// node's own metrics body — and checks that both cluster views come from
+// one kind of shard request, the node's JSON /v1/metrics, and report what
+// each node reports about itself.
+func TestClusterMetricsJSON(t *testing.T) {
+	x := phoneMatrix(t, 48, 20)
+	full := compressStore(t, x)
+	var mu sync.Mutex
+	scrapes := map[string]int{} // request URI → count, over all shards
+	record := func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/metrics" {
+				mu.Lock()
+				scrapes[r.URL.RequestURI()]++
+				mu.Unlock()
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	tc := startCluster(t, full, 2, 1, Options{}, record)
+	if w := tc.get(t, "/v1/aggregate?f=sum"); w.Code != http.StatusOK {
+		t.Fatalf("warmup aggregate failed: %d", w.Code)
+	}
+
+	w := tc.get(t, "/v1/metrics?scope=cluster")
+	if w.Code != http.StatusOK {
+		t.Fatalf("cluster JSON status %d: %s", w.Code, w.Body.String())
+	}
+	var body struct {
+		Scope  string `json:"scope"`
+		Shards []struct {
+			Shard   int                        `json:"shard"`
+			Addr    string                     `json:"addr"`
+			Metrics map[string]json.RawMessage `json:"metrics"`
+		} `json:"shards"`
+	}
+	decodeBody(t, w, &body)
+	if body.Scope != "cluster" || len(body.Shards) != 2 {
+		t.Fatalf("cluster JSON: scope %q, %d shard entries, want cluster over 2", body.Scope, len(body.Shards))
+	}
+	for i, sh := range body.Shards {
+		if sh.Shard != i || sh.Addr != tc.topo.Shards[i].Addr {
+			t.Errorf("entry %d names shard %d at %q, want shard %d at %q", i, sh.Shard, sh.Addr, i, tc.topo.Shards[i].Addr)
+		}
+		for _, key := range []string{"store", "gauges", "endpoints", "traces"} {
+			if _, ok := sh.Metrics[key]; !ok {
+				t.Errorf("shard %d metrics lack the node key %q", i, key)
+			}
+		}
+	}
+
+	w = tc.get(t, "/v1/metrics?scope=cluster&format=prom")
+	if w.Code != http.StatusOK {
+		t.Fatalf("cluster prom status %d: %s", w.Code, w.Body.String())
+	}
+	m, err := promcheck.ParsePrometheus(bytes.NewReader(w.Body.Bytes()))
+	if err != nil {
+		t.Fatalf("cluster exposition does not parse: %v", err)
+	}
+	mu.Lock()
+	if len(scrapes) != 1 || scrapes["/v1/metrics"] != 4 {
+		t.Errorf("shards saw metrics requests %v, want only /v1/metrics, once per shard per view", scrapes)
+	}
+	mu.Unlock()
+
+	for i, node := range tc.servers {
+		resp, err := http.Get(node.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var own struct {
+			Gauges map[string]float64 `json:"gauges"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&own)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, ok := own.Gauges["store_stored_numbers"]
+		if !ok {
+			t.Fatalf("shard %d reports no store_stored_numbers gauge", i)
+		}
+		var got []float64
+		for _, s := range m.Samples {
+			if s.Name == "seqstore_store_stored_numbers" && s.Labels["shard"] == strconv.Itoa(i) {
+				got = append(got, s.Value)
+			}
+		}
+		if len(got) != 1 || got[0] != want {
+			t.Errorf(`seqstore_store_stored_numbers{shard="%d"} = %v, the shard's own gauge %v`, i, got, want)
+		}
+	}
+}
+
 // TestProxyPromGolden pins the proxy-scope exposition: the proxy's own
 // registry plus the per-shard client gauges, parsed and schema-pinned.
 func TestProxyPromGolden(t *testing.T) {
@@ -422,7 +519,7 @@ func TestProxyPromGolden(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("proxy prom status %d: %s", w.Code, w.Body.String())
 	}
-	m, err := telemetry.ParsePrometheus(bytes.NewReader(w.Body.Bytes()))
+	m, err := promcheck.ParsePrometheus(bytes.NewReader(w.Body.Bytes()))
 	if err != nil {
 		t.Fatalf("proxy exposition does not parse: %v", err)
 	}

@@ -24,6 +24,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"seqstore/internal/api"
@@ -92,7 +93,7 @@ type Handler struct {
 
 	rowIndex, colIndex map[string]int // label → index; nil when unlabeled
 
-	corruptions *telemetry.Counter // store reads that surfaced ErrCorrupt
+	corruptions atomic.Int64 // store reads that surfaced ErrCorrupt
 
 	tel  *telemetry.Registry
 	http *api.Handler
@@ -124,17 +125,19 @@ func NewHandler(st store.Store, labels *store.Labels, opts Options) *Handler {
 		h.colIndex = indexLabels(labels.Cols)
 	}
 	h.writable, _ = st.(*ingest.Tiered)
-	h.corruptions = h.tel.Counter("store_corruptions")
 	h.registerGauges()
 	h.http = api.NewHandler(h, h.tel, cfg)
 	return h
 }
 
-// registerGauges wires the store, IO and SVDD counters into the
-// registry as collection-time gauges, so the Prometheus rendering covers the
-// same ground as the hand-built /metrics JSON body. Monotonic sources get a
-// _total suffix (typed counter in the exposition).
+// registerGauges wires the corruption count and the store, IO and SVDD
+// counters into the registry as collection-time gauges, so the Prometheus
+// rendering covers the same ground as the hand-built /metrics JSON body.
+// Monotonic sources get a _total suffix (typed counter in the exposition).
 func (h *Handler) registerGauges() {
+	h.tel.RegisterGauge("store_corruptions_total", func() float64 {
+		return float64(h.corruptions.Load())
+	})
 	h.tel.RegisterGauge("store_stored_numbers", func() float64 {
 		return float64(h.st.StoredNumbers())
 	})
@@ -246,11 +249,11 @@ func (h *Handler) chargeRowRead(led *trace.Ledger, i int) {
 
 // seen is the monitoring side channel of error classification: every
 // corruption surfaced to a client increments the store_corruptions counter
-// on /v1/metrics, so a damaged store is visible to monitoring even while
-// healthy endpoints keep serving.
+// on /v1/metrics (store_corruptions_total among its gauges), so a damaged
+// store is visible to monitoring even while healthy endpoints keep serving.
 func (h *Handler) seen(err error) error {
 	if status, _ := api.Classify(err); status == http.StatusServiceUnavailable {
-		h.corruptions.Inc()
+		h.corruptions.Add(1)
 	}
 	return err
 }

@@ -462,6 +462,11 @@ func TestCorruptStoreReturns503(t *testing.T) {
 	if n := metrics["store_corruptions"].(float64); n != 3 {
 		t.Errorf("store_corruptions = %v, want 3", n)
 	}
+	// The same count is the registry gauge the Prometheus view renders as
+	// seqstore_store_corruptions_total.
+	if n := metrics["gauges"].(map[string]interface{})["store_corruptions_total"]; n != 3.0 {
+		t.Errorf("gauges.store_corruptions_total = %v, want 3", n)
+	}
 }
 
 // TestCancelledRequestIs499 pins the context satellite: a client that goes

@@ -18,7 +18,7 @@ import (
 	"seqstore/internal/dataset"
 	"seqstore/internal/ingest"
 	"seqstore/internal/matio"
-	"seqstore/internal/telemetry"
+	"seqstore/internal/telemetry/promcheck"
 	"seqstore/internal/trace"
 )
 
@@ -187,7 +187,7 @@ func TestMetricsPromLive(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	pm, err := telemetry.ParsePrometheus(strings.NewReader(string(body)))
+	pm, err := promcheck.ParsePrometheus(strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatalf("live exposition does not parse: %v", err)
 	}
@@ -288,7 +288,7 @@ func TestMetricsPromSchemaGolden(t *testing.T) {
 	srv, _, _ := newTestServer(t, Options{})
 	get(t, srv.URL+"/v1/cell?i=1&j=1", nil)
 	_, body := get(t, srv.URL+"/v1/metrics?format=prom", nil)
-	pm, err := telemetry.ParsePrometheus(strings.NewReader(string(body)))
+	pm, err := promcheck.ParsePrometheus(strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}

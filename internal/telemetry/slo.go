@@ -1,11 +1,5 @@
 package telemetry
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
-
 // Latency SLOs. A registry can carry one latency objective — "this fraction
 // of requests answers within this many milliseconds" — and every endpoint's
 // attainment and burn rate are then derived from the same histograms the
@@ -95,73 +89,4 @@ func sloReport(objectiveMs, target float64, eps map[string]EndpointSnapshot) *SL
 		})
 	}
 	return rep
-}
-
-// --- Merged (cluster-scope) exposition --------------------------------------
-
-// LabeledMetrics pairs one parsed exposition with labels to inject on every
-// sample — the per-shard labels of the cluster-scope merge.
-type LabeledMetrics struct {
-	Labels map[string]string
-	M      *PromMetrics
-}
-
-// WriteMergedPrometheus renders several parsed expositions as one: each
-// family is declared once (first declaration wins on a type conflict) and
-// every part's samples follow in part order with the part's labels injected
-// (injected labels override same-named sample labels). Because each part
-// carries distinct injected labels, merged histograms stay per-series
-// monotone and the output re-parses under ParsePrometheus.
-func WriteMergedPrometheus(w io.Writer, parts []LabeledMetrics) error {
-	types := make(map[string]string)
-	var fams []string
-	for _, p := range parts {
-		for fam, typ := range p.M.Types {
-			if _, ok := types[fam]; !ok {
-				types[fam] = typ
-				fams = append(fams, fam)
-			}
-		}
-	}
-	sort.Strings(fams)
-	bw := &errWriter{w: w}
-	for _, fam := range fams {
-		bw.printf("# TYPE %s %s\n", fam, types[fam])
-		for _, p := range parts {
-			for _, s := range p.M.Samples {
-				if sampleFamily(s.Name, p.M.Types) != fam {
-					continue
-				}
-				bw.printf("%s%s %s\n", s.Name, renderLabels(s.Labels, p.Labels), formatPromValue(s.Value))
-			}
-		}
-	}
-	return bw.err
-}
-
-// renderLabels renders the union of sample and injected labels, sorted by
-// name, injected values winning.
-func renderLabels(sample, injected map[string]string) string {
-	if len(sample) == 0 && len(injected) == 0 {
-		return ""
-	}
-	merged := make(map[string]string, len(sample)+len(injected))
-	for k, v := range sample {
-		merged[k] = v
-	}
-	for k, v := range injected {
-		merged[k] = v
-	}
-	out := "{"
-	for i, k := range sortedKeys(merged) {
-		if i > 0 {
-			out += ","
-		}
-		out += fmt.Sprintf("%s=%q", k, promEscapeLabel(merged[k]))
-	}
-	return out + "}"
-}
-
-func formatPromValue(v float64) string {
-	return fmt.Sprintf("%g", v)
 }

@@ -1,9 +1,7 @@
 package telemetry
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -86,65 +84,5 @@ func TestSLOReport(t *testing.T) {
 	r3 := NewRegistry()
 	if r3.Snapshot().SLO != nil {
 		t.Fatal("SLO report present without an objective")
-	}
-}
-
-// TestWriteMergedPrometheus round-trips a two-shard merge through the
-// structural parser: one TYPE line per family, every sample tagged with its
-// injected labels, injected labels overriding same-named scraped ones.
-func TestWriteMergedPrometheus(t *testing.T) {
-	scrape := func(extra string) *PromMetrics {
-		reg := NewRegistry()
-		ep := reg.Endpoint("/v1/cell")
-		ep.Requests.Add(3)
-		ep.Latency.Observe(2 * time.Millisecond)
-		reg.Counter("cache_hits").Add(7)
-		var buf bytes.Buffer
-		if err := WritePrometheus(&buf, reg.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-		if extra != "" {
-			buf.WriteString(extra)
-		}
-		m, err := ParsePrometheus(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
-	parts := []LabeledMetrics{
-		{Labels: map[string]string{"shard": "0"}, M: scrape("")},
-		{Labels: map[string]string{"shard": "1"},
-			M: scrape("# TYPE extra_family gauge\nextra_family{shard=\"WRONG\"} 1\n")},
-	}
-	var out bytes.Buffer
-	if err := WriteMergedPrometheus(&out, parts); err != nil {
-		t.Fatal(err)
-	}
-	merged, err := ParsePrometheus(bytes.NewReader(out.Bytes()))
-	if err != nil {
-		t.Fatalf("merged exposition does not re-parse: %v\n%s", err, out.String())
-	}
-	for _, s := range merged.Samples {
-		if s.Labels["shard"] != "0" && s.Labels["shard"] != "1" {
-			t.Fatalf("sample %s lost its shard label: %v", s.Name, s.Labels)
-		}
-	}
-	// The injected shard label beat the scraped one.
-	for _, s := range merged.Samples {
-		if s.Name == "extra_family" && s.Labels["shard"] != "1" {
-			t.Fatalf("injected label did not override scraped: %v", s.Labels)
-		}
-	}
-	// Both shards' cache counters survive as distinct series.
-	if got := len(merged.Get("seqstore_cache_hits_total")); got != 2 {
-		t.Fatalf("merged cache counter has %d series, want 2", got)
-	}
-	// Exactly one TYPE line per family.
-	for fam := range merged.Types {
-		if n := strings.Count(out.String(), "# TYPE "+fam+" "); n != 1 {
-			t.Fatalf("family %s has %d TYPE lines", fam, n)
-		}
 	}
 }

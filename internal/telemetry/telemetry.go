@@ -3,9 +3,9 @@
 // library. Everything is safe for concurrent use: counters and histogram
 // buckets are atomics, so the hot path never takes a lock.
 //
-// A Registry groups per-endpoint metrics plus free-form named counters
-// (cache hits/misses, …) and renders a point-in-time Snapshot that
-// marshals directly to the /metrics JSON schema documented in README.md.
+// A Registry groups per-endpoint metrics plus named collection-time gauges
+// and renders a point-in-time Snapshot that marshals directly to the
+// /v1/metrics JSON schema documented in README.md.
 package telemetry
 
 import (
@@ -192,15 +192,14 @@ type EndpointSnapshot struct {
 }
 
 // Registry holds all metrics of one server: per-endpoint request metrics
-// plus named counters for everything else (cache hits, …). Endpoint and
-// Counter return stable pointers, so callers resolve them once and then
-// update lock-free.
+// plus named gauges read at collection time for everything else. Endpoint
+// returns stable pointers, so callers resolve them once and then update
+// lock-free.
 type Registry struct {
 	start time.Time
 
 	mu        sync.Mutex
 	endpoints map[string]*Endpoint
-	counters  map[string]*Counter
 	gauges    map[string]func() float64
 
 	// Latency objective (see SetSLO); 0 means no SLO configured.
@@ -213,7 +212,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		start:     time.Now(),
 		endpoints: make(map[string]*Endpoint),
-		counters:  make(map[string]*Counter),
 		gauges:    make(map[string]func() float64),
 	}
 }
@@ -229,18 +227,6 @@ func (r *Registry) Endpoint(name string) *Endpoint {
 		r.endpoints[name] = e
 	}
 	return e
-}
-
-// Counter returns (creating on first use) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
 }
 
 // RegisterGauge registers a named gauge rendered by Snapshot at collection
@@ -282,7 +268,6 @@ func readRuntime() RuntimeSnapshot {
 type Snapshot struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
-	Counters      map[string]int64            `json:"counters,omitempty"`
 	Gauges        map[string]float64          `json:"gauges,omitempty"`
 	Runtime       RuntimeSnapshot             `json:"runtime"`
 	// SLO is present when the registry has a latency objective (SetSLO).
@@ -295,10 +280,6 @@ func (r *Registry) Snapshot() Snapshot {
 	eps := make(map[string]*Endpoint, len(r.endpoints))
 	for k, v := range r.endpoints {
 		eps[k] = v
-	}
-	ctrs := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		ctrs[k] = v
 	}
 	gauges := make(map[string]func() float64, len(r.gauges))
 	for k, v := range r.gauges {
@@ -320,12 +301,6 @@ func (r *Registry) Snapshot() Snapshot {
 			Latency:  e.Latency.Snapshot(),
 		}
 	}
-	if len(ctrs) > 0 {
-		s.Counters = make(map[string]int64, len(ctrs))
-		for name, c := range ctrs {
-			s.Counters[name] = c.Load()
-		}
-	}
 	if len(gauges) > 0 {
 		s.Gauges = make(map[string]float64, len(gauges))
 		for name, fn := range gauges {
@@ -334,13 +309,4 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	s.SLO = sloReport(sloMs, sloTarget, s.Endpoints)
 	return s
-}
-
-// Rate returns a/(a+b), or 0 when both are zero — the hit-rate convenience
-// used for cache metrics.
-func Rate(a, b int64) float64 {
-	if a+b == 0 {
-		return 0
-	}
-	return float64(a) / float64(a+b)
 }

@@ -135,7 +135,6 @@ func TestRegistry(t *testing.T) {
 	ep.Requests.Inc()
 	ep.Errors.Inc()
 	ep.Latency.Observe(time.Millisecond)
-	r.Counter("cache_hits").Add(7)
 
 	s := r.Snapshot()
 	if s.UptimeSeconds < 0 {
@@ -144,9 +143,6 @@ func TestRegistry(t *testing.T) {
 	cell := s.Endpoints["/cell"]
 	if cell.Requests != 1 || cell.Errors != 1 || cell.Latency.Count != 1 {
 		t.Errorf("endpoint snapshot: %+v", cell)
-	}
-	if s.Counters["cache_hits"] != 7 {
-		t.Errorf("counters: %+v", s.Counters)
 	}
 	// The snapshot must be JSON-marshalable (it backs /metrics).
 	if _, err := json.Marshal(s); err != nil {
@@ -176,14 +172,5 @@ func TestRegistryGaugesAndRuntime(t *testing.T) {
 	}
 	if s.Runtime.HeapAllocBytes == 0 || s.Runtime.HeapSysBytes == 0 {
 		t.Errorf("heap stats zero: %+v", s.Runtime)
-	}
-}
-
-func TestRate(t *testing.T) {
-	if Rate(0, 0) != 0 {
-		t.Error("Rate(0,0) != 0")
-	}
-	if got := Rate(3, 1); got != 0.75 {
-		t.Errorf("Rate(3,1) = %v", got)
 	}
 }
