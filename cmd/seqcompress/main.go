@@ -41,8 +41,6 @@ func run(args []string) error {
 	robust := fs.Bool("robust", false, "outlier-resistant factors (svd/svdd; loads the matrix into memory)")
 	zeroFlags := fs.Bool("zero-flags", false, "flag all-zero rows for instant reconstruction (svdd)")
 	workers := fs.Int("workers", 0, "worker goroutines for the compression passes (svd/svdd): 0 = all CPUs, 1 = serial")
-	compressor := fs.String("compressor", "gram", "factor algorithm (svd/svdd): gram builds the M×M similarity matrix; randomized streams an O(M·(k+p))-memory sketch — use it when sequences are very long")
-	powerIters := fs.Int("power-iters", 0, "randomized compressor refinement passes (one extra streaming pass each): 0 = method default, -1 = none")
 	verify := fs.Bool("verify", false, "report reconstruction error against the input")
 	progress := fs.Bool("progress", false, "log per-pass compression progress to stderr")
 	logFormat := fs.String("log-format", "text", "progress log format: json or text")
@@ -75,8 +73,6 @@ func run(args []string) error {
 		Robust:        *robust,
 		FlagZeroRows:  *zeroFlags,
 		Workers:       *workers,
-		Compressor:    *compressor,
-		PowerIters:    *powerIters,
 	}
 	start := time.Now()
 	st, err := seqstore.CompressFile(*in, opts)

@@ -50,6 +50,38 @@ func TestPromcheckOnlyInTests(t *testing.T) {
 	})
 }
 
+// TestWidthChoosesCompressor fails if a non-test file outside bench/ sets
+// a Compressor field (core.Options.Compressor is the one left, deprecated)
+// or names svd.CompressorGram or svd.CompressorRandomized: the source's
+// width chooses the factor algorithm (svd.FactorsByWidth). core's
+// forcedFactors, which honours the deprecated field for bench/, is the one
+// place the names may appear.
+func TestWidthChoosesCompressor(t *testing.T) {
+	walkNonTest(t, func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				return !(f.Name.Name == "core" && n.Name.Name == "forcedFactors")
+			case *ast.KeyValueExpr:
+				if key, ok := n.Key.(*ast.Ident); ok && key.Name == "Compressor" {
+					t.Errorf("%s: sets a Compressor field; the source's width chooses the factor algorithm", fset.Position(key.Pos()))
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && sel.Sel.Name == "Compressor" {
+						t.Errorf("%s: sets a Compressor field; the source's width chooses the factor algorithm", fset.Position(sel.Pos()))
+					}
+				}
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "svd" && (n.Sel.Name == "CompressorGram" || n.Sel.Name == "CompressorRandomized") {
+					t.Errorf("%s: names svd.%s; the source's width chooses the factor algorithm", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			}
+			return true
+		})
+	})
+}
+
 // walkNonTest parses every non-test Go file of the module outside bench/
 // and hands it to check.
 func walkNonTest(t *testing.T, check func(fset *token.FileSet, f *ast.File)) {

@@ -203,11 +203,17 @@ func writeShardGauges(w *bytes.Buffer, topo *Topology, shards []*shardClient) {
 // sample; the JSON view embeds the bodies verbatim under per-shard
 // entries. A scrape pointed at the proxy therefore sees the whole
 // cluster's registries without knowing the store nodes exist.
+//
+// A shard the scrape cannot reach costs only its own numbers: the view
+// renders the shards that answered, seqstore_shard_scrape_up says which
+// ones did, and a dead shard's JSON entry carries its error instead of
+// metrics. The view fails (503) only when no shard answered.
 func (p *Proxy) clusterMetrics(ctx context.Context, topo *Topology, shards []*shardClient, prom bool) (api.MetricsResponse, error) {
 	type shardMetrics struct {
 		Shard   int             `json:"shard"`
 		Addr    string          `json:"addr"`
-		Metrics json.RawMessage `json:"metrics"`
+		Metrics json.RawMessage `json:"metrics,omitempty"`
+		Error   string          `json:"error,omitempty"`
 	}
 	bodies := make([]shardMetrics, len(shards))
 	parts := make([]telemetry.Part, len(shards))
@@ -227,15 +233,33 @@ func (p *Proxy) clusterMetrics(ctx context.Context, topo *Topology, shards []*sh
 		bodies[c.shard] = shardMetrics{Shard: c.shard, Addr: topo.Shards[c.shard].Addr, Metrics: resp.body}
 		return nil
 	})
-	if len(fails) > 0 {
+	if len(fails) > 0 && len(fails) == len(shards) {
 		return api.MetricsResponse{}, p.scatterError(fails)
+	}
+	for _, f := range fails {
+		bodies[f.shard] = shardMetrics{Shard: f.shard, Addr: topo.Shards[f.shard].Addr, Error: f.err.Error()}
 	}
 	if !prom {
 		return api.MetricsResponse{Sections: map[string]interface{}{"scope": "cluster", "shards": bodies}, Whole: true}, nil
 	}
+	// Only an answering shard's part is labelled.
+	var live []telemetry.Part
+	for _, part := range parts {
+		if part.Label != "" {
+			live = append(live, part)
+		}
+	}
 	var buf bytes.Buffer
-	if err := telemetry.WritePrometheus(&buf, parts...); err != nil {
+	if err := telemetry.WritePrometheus(&buf, live...); err != nil {
 		return api.MetricsResponse{}, fmt.Errorf("cluster: prometheus render: %w", err)
+	}
+	buf.WriteString("# HELP seqstore_shard_scrape_up Whether this scrape reached the shard.\n# TYPE seqstore_shard_scrape_up gauge\n")
+	for s, part := range parts {
+		up := 0
+		if part.Label != "" {
+			up = 1
+		}
+		fmt.Fprintf(&buf, "seqstore_shard_scrape_up{shard=\"%d\"} %d\n", s, up)
 	}
 	return api.MetricsResponse{Prom: buf.Bytes(), Whole: true}, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"seqstore/internal/api"
+	"seqstore/internal/telemetry"
 	"seqstore/internal/telemetry/promcheck"
 	"seqstore/internal/trace"
 )
@@ -501,6 +503,153 @@ func TestClusterMetricsJSON(t *testing.T) {
 		}
 		if len(got) != 1 || got[0] != want {
 			t.Errorf(`seqstore_store_stored_numbers{shard="%d"} = %v, the shard's own gauge %v`, i, got, want)
+		}
+	}
+}
+
+// TestClusterMetricsDeadShard kills one of two shards and pins the cluster
+// metrics view's partial answer: both views answer 200; the healthy
+// shard's samples are exactly what its own scrape held, value bits
+// included; seqstore_shard_scrape_up says which shard was reached; the
+// dead shard's JSON entry carries an error instead of metrics. /v1/info,
+// which needs every shard's dims, still fails, and the view fails once no
+// shard answers.
+func TestClusterMetricsDeadShard(t *testing.T) {
+	x := phoneMatrix(t, 48, 20)
+	full := compressStore(t, x)
+	var (
+		mu   sync.Mutex
+		last []byte // shard 0's latest /v1/metrics body
+	)
+	record := func(shard int, h http.Handler) http.Handler {
+		if shard != 0 {
+			return h
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/metrics" {
+				h.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, r)
+			mu.Lock()
+			last = rec.Body.Bytes()
+			mu.Unlock()
+			for k, v := range rec.Header() {
+				w.Header()[k] = v
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(rec.Body.Bytes())
+		})
+	}
+	tc := startCluster(t, full, 2, 1, Options{Timeout: 2 * time.Second}, record)
+	if w := tc.get(t, "/v1/aggregate?f=sum"); w.Code != http.StatusOK {
+		t.Fatalf("warmup aggregate failed: %d", w.Code)
+	}
+	tc.servers[1].Close()
+
+	w := tc.get(t, "/v1/metrics?scope=cluster&format=prom")
+	if w.Code != http.StatusOK {
+		t.Fatalf("cluster prom with a dead shard: status %d: %s", w.Code, w.Body.String())
+	}
+	m, err := promcheck.ParsePrometheus(bytes.NewReader(w.Body.Bytes()))
+	if err != nil {
+		t.Fatalf("cluster exposition does not parse: %v", err)
+	}
+	mu.Lock()
+	scraped := last
+	mu.Unlock()
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal(scraped, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var ownText bytes.Buffer
+	if err := telemetry.WritePrometheus(&ownText, telemetry.Part{Snapshot: snap}); err != nil {
+		t.Fatal(err)
+	}
+	own, err := promcheck.ParsePrometheus(&ownText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sampleKey names a sample by family and labels, the shard label aside.
+	sampleKey := func(s promcheck.PromSample) string {
+		var labels []string
+		for k, v := range s.Labels {
+			if k != "shard" {
+				labels = append(labels, k+"="+v)
+			}
+		}
+		sort.Strings(labels)
+		return s.Name + "{" + strings.Join(labels, ",") + "}"
+	}
+	want := map[string]float64{}
+	for _, s := range own.Samples {
+		want[sampleKey(s)] = s.Value
+	}
+	got := map[string]float64{}
+	up := map[string]float64{}
+	for _, s := range m.Samples {
+		switch {
+		case s.Name == "seqstore_shard_scrape_up":
+			up[s.Labels["shard"]] = s.Value
+		case s.Labels["shard"] != "0":
+			t.Errorf("sample %s %v comes from a shard that did not answer", s.Name, s.Labels)
+		default:
+			got[sampleKey(s)] = s.Value
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("healthy shard contributed %d samples, its own scrape holds %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if g, ok := got[k]; !ok || math.Float64bits(g) != math.Float64bits(v) {
+			t.Errorf("%s = %v (present %v), the shard's own scrape holds %v", k, g, ok, v)
+		}
+	}
+	if len(up) != 2 || up["0"] != 1 || up["1"] != 0 {
+		t.Errorf("seqstore_shard_scrape_up = %v, want shard 0 up and shard 1 down", up)
+	}
+
+	w = tc.get(t, "/v1/metrics?scope=cluster")
+	if w.Code != http.StatusOK {
+		t.Fatalf("cluster JSON with a dead shard: status %d: %s", w.Code, w.Body.String())
+	}
+	var body struct {
+		Shards []struct {
+			Shard   int             `json:"shard"`
+			Metrics json.RawMessage `json:"metrics"`
+			Error   string          `json:"error"`
+		} `json:"shards"`
+	}
+	decodeBody(t, w, &body)
+	if len(body.Shards) != 2 {
+		t.Fatalf("cluster JSON has %d shard entries, want 2", len(body.Shards))
+	}
+	mu.Lock()
+	scraped = last
+	mu.Unlock()
+	var gotBody, wantBody bytes.Buffer
+	if err := json.Compact(&gotBody, body.Shards[0].Metrics); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&wantBody, scraped); err != nil {
+		t.Fatal(err)
+	}
+	if body.Shards[0].Error != "" || !bytes.Equal(gotBody.Bytes(), wantBody.Bytes()) {
+		t.Errorf("healthy shard's entry: error %q, metrics differ from its own scrape: %v", body.Shards[0].Error, !bytes.Equal(gotBody.Bytes(), wantBody.Bytes()))
+	}
+	if body.Shards[1].Error == "" || body.Shards[1].Metrics != nil {
+		t.Errorf("dead shard's entry: error %q, metrics %s; want an error and no metrics", body.Shards[1].Error, body.Shards[1].Metrics)
+	}
+
+	if w := tc.get(t, "/v1/info"); w.Code != http.StatusServiceUnavailable {
+		t.Errorf("/v1/info with a dead shard: status %d, want 503", w.Code)
+	}
+	tc.servers[0].Close()
+	for _, path := range []string{"/v1/metrics?scope=cluster", "/v1/metrics?scope=cluster&format=prom"} {
+		w := tc.get(t, path)
+		if d := envelope(t, w); w.Code != http.StatusServiceUnavailable || d.Code != api.CodeUnavailable {
+			t.Errorf("%s with every shard dead: status %d code %q, want 503 unavailable", path, w.Code, d.Code)
 		}
 	}
 }

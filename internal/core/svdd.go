@@ -7,7 +7,8 @@
 // the paper's third, a separate scan that emits U, is fused into the second:
 //
 //	pass 1  stream X once to build C = XᵀX; eigendecompose for Λ and V,
-//	        keeping k_max components; size the outlier budgets γ_k.
+//	        keeping k_max components; size the outlier budgets γ_k. (A
+//	        wide matrix may be sketched instead: svd.FactorsByWidth.)
 //	pass 2  stream X again; for every cell compute its reconstruction error
 //	        under every candidate cutoff k (incremental partial sums make
 //	        this O(k_max) per cell); feed one bounded top-γ_k collection
@@ -75,25 +76,13 @@ type Options struct {
 	// deterministic for a given worker count and agree across counts to
 	// reduction-order tolerance.
 	Workers int
-	// Compressor selects the pass-1 factor algorithm: svd.CompressorGram
-	// (default, also "") accumulates the M×M matrix C = XᵀX;
-	// svd.CompressorRandomized uses the O(M·(k+p))-memory sketch pipeline
-	// and never builds C — the only option when M is in the tens of
-	// thousands.
+	// Compressor forces the pass-1 factor algorithm: svd.CompressorGram or
+	// svd.CompressorRandomized (the single-pass sketch).
+	//
+	// Deprecated: leave it empty; the source's shape and the budget's rank
+	// choose the algorithm (svd.FactorsByWidth). It remains for the
+	// benchmark module, which times the sketch at M = 366.
 	Compressor string
-	// PowerIters tunes the randomized compressor's refinement passes (each
-	// is one extra streaming pass). ≤ 0 selects SVDD's default of zero
-	// iterations — the single-pass Nyström recovery, which keeps the whole
-	// compression at 2 streaming passes. Ignored for the Gram compressor.
-	PowerIters int
-}
-
-// compressor returns the effective pass-1 algorithm name.
-func (o Options) compressor() string {
-	if o.Compressor == "" {
-		return svd.CompressorGram
-	}
-	return o.Compressor
 }
 
 // CandidateStat records the pass-2 evaluation of one candidate cutoff.
@@ -119,9 +108,8 @@ var (
 	ErrBadCompressor  = errors.New("core: unknown compressor")
 )
 
-// Compress runs the SVDD algorithm over src: one factor pass (or more with
-// randomized power iterations), then the fused scoring+emission pass — two
-// streaming passes in the default configuration, one fewer than the
+// Compress runs the SVDD algorithm over src: one factor pass, then the
+// fused scoring+emission pass — two streaming passes, one fewer than the
 // paper's Figure 5, whose separate U projection scan (pass 3) the fused
 // pass reproduces bit for bit.
 func Compress(src matio.RowSource, opts Options) (*Store, error) {
@@ -129,37 +117,38 @@ func Compress(src matio.RowSource, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadBudget, opts.Budget)
 	}
 	// ---- pass 1: factors -------------------------------------------------
-	var (
-		f   *svd.Factors
-		err error
-	)
-	switch opts.compressor() {
-	case svd.CompressorGram:
-		f, err = svd.ComputeFactorsWorkers(src, opts.Workers)
-	case svd.CompressorRandomized:
-		// The sketch rank must be fixed before the factors exist: use the
-		// largest cutoff the budget could possibly afford (k_max), so the
-		// recovered factors cover every candidate pass 2 may evaluate.
-		rank, rerr := budgetRank(src, opts)
-		if rerr != nil {
-			return nil, rerr
-		}
-		piters := opts.PowerIters
-		if piters <= 0 {
-			piters = -1 // SVDD default: single-pass Nyström recovery
-		}
-		f, err = svd.ComputeFactorsRandWorkers(src, svd.RandOptions{
-			Rank:       rank,
-			PowerIters: piters,
-			Workers:    opts.Workers,
-		})
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrBadCompressor, opts.Compressor)
+	// A sketch's rank must be fixed before the factors exist: use the
+	// largest cutoff the budget could possibly afford (k_max), so the
+	// factors cover every candidate pass 2 may evaluate.
+	rank, err := budgetRank(src, opts)
+	if err != nil {
+		return nil, err
+	}
+	var f *svd.Factors
+	if opts.Compressor == "" {
+		f, err = svd.FactorsByWidth(src, rank, opts.Workers)
+	} else {
+		f, err = forcedFactors(src, rank, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
 	return CompressWithFactors(src, f, opts)
+}
+
+// forcedFactors honours the deprecated Options.Compressor.
+func forcedFactors(src matio.RowSource, rank int, opts Options) (*svd.Factors, error) {
+	switch opts.Compressor {
+	case svd.CompressorGram:
+		return svd.ComputeFactorsWorkers(src, opts.Workers)
+	case svd.CompressorRandomized:
+		return svd.ComputeFactorsRandWorkers(src, svd.RandOptions{
+			Rank:       rank,
+			PowerIters: svd.SVDDPowerIters,
+			Workers:    opts.Workers,
+		})
+	}
+	return nil, fmt.Errorf("%w: %q", ErrBadCompressor, opts.Compressor)
 }
 
 // kMax returns the largest cutoff k ≤ limit whose plain-SVD representation
@@ -177,7 +166,7 @@ func kMax(n, m, limit int, budget float64) (int, error) {
 }
 
 // budgetRank returns the largest cutoff whose plain-SVD representation fits
-// the budget — the sketch rank the randomized compressor must recover.
+// the budget — the rank a sketch must recover.
 func budgetRank(src matio.RowSource, opts Options) (int, error) {
 	n, m := src.Dims()
 	if n == 0 || m == 0 {

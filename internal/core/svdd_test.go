@@ -481,3 +481,59 @@ func TestDecisionsMatchPublishedResults(t *testing.T) {
 		t.Errorf("toy: rank %d, σ and patterns %s; published rank 2, %s", f.Rank(), s, want)
 	}
 }
+
+// TestCompressSketchesWideMatrix: at svd.SketchMinCols columns Compress
+// takes its factors from the sketch, in two passes, at the rank the budget
+// affords (budgetRank) — or at ForceK when that is lower — so the store is
+// byte for byte the one built over those sketched factors, whether pass 2
+// is forced to one cutoff or searches a candidate list.
+func TestCompressSketchesWideMatrix(t *testing.T) {
+	cfg := dataset.DefaultPhoneConfig(60)
+	cfg.M = svd.SketchMinCols
+	x := dataset.GeneratePhone(cfg)
+	kmax, err := kMax(cfg.N, cfg.M, cfg.M, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		rank int
+	}{
+		{"ForceK", Options{Budget: 0.15, ForceK: 3, Workers: 1}, 3},
+		{"CandidateKs", Options{Budget: 0.15, CandidateKs: []int{1, 3, 100}, Workers: 1}, kmax},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := matio.NewMem(x)
+			got, err := Compress(mem, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := mem.Stats().Passes(); p != 2 {
+				t.Errorf("Compress made %d passes, want 2 (sketch, fused scoring)", p)
+			}
+			f, err := svd.ComputeFactorsRandWorkers(matio.NewMem(x), svd.RandOptions{Rank: tc.rank, PowerIters: svd.SVDDPowerIters, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := CompressWithFactors(matio.NewMem(x), f, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gb, wb bytes.Buffer
+			if err := store.Write(&gb, got); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Write(&wb, want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gb.Bytes(), wb.Bytes()) {
+				t.Errorf("encoding differs from the store over the rank-%d sketch (k = %d and %d, %d and %d deltas)",
+					tc.rank, got.K(), want.K(), got.NumOutliers(), want.NumOutliers())
+			}
+			if tc.opts.ForceK > 0 && got.K() != tc.opts.ForceK {
+				t.Errorf("k = %d, want ForceK = %d", got.K(), tc.opts.ForceK)
+			}
+		})
+	}
+}

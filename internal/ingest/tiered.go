@@ -47,10 +47,6 @@ type Options struct {
 	// CompactAfter is the hot-segment row count that wakes the background
 	// compactor; 0 means DefaultCompactAfter.
 	CompactAfter int
-	// CompactBatch caps the rows folded per compaction run; 0 means
-	// CompactAfter (drain to empty in one pause when triggered at the
-	// threshold).
-	CompactBatch int
 	// MaxDeltas is the outlier budget granted to each folded SVDD row
 	// (ignored for plain SVD); 0 means DefaultMaxDeltas, negative means no
 	// deltas.
@@ -60,12 +56,6 @@ type Options struct {
 	// runs; 0 means DefaultRecompressGrowth, negative disables automatic
 	// recompression.
 	RecompressGrowth float64
-	// Compressor selects the recompression factor algorithm:
-	// svd.CompressorRandomized (default, also "") — the O(M·(k+p)) sketch
-	// pipeline — or svd.CompressorGram.
-	Compressor string
-	// PowerIters tunes the randomized compressor's refinement passes.
-	PowerIters int
 	// Workers parallelizes compression scans; 0 means runtime.GOMAXPROCS(0).
 	Workers int
 	// PersistPath, when non-empty, is where the cold segment is atomically
@@ -90,13 +80,6 @@ func (o Options) compactAfter() int {
 	return o.CompactAfter
 }
 
-func (o Options) compactBatch() int {
-	if o.CompactBatch <= 0 {
-		return o.compactAfter()
-	}
-	return o.CompactBatch
-}
-
 func (o Options) maxDeltas() int {
 	if o.MaxDeltas == 0 {
 		return DefaultMaxDeltas
@@ -112,13 +95,6 @@ func (o Options) recompressGrowth() float64 {
 		return DefaultRecompressGrowth
 	}
 	return o.RecompressGrowth
-}
-
-func (o Options) compressor() string {
-	if o.Compressor == "" {
-		return svd.CompressorRandomized
-	}
-	return o.Compressor
 }
 
 func (o Options) logger() *slog.Logger {
@@ -570,7 +546,7 @@ func (t *Tiered) AppendBatch(ctx context.Context, labels []string, rows [][]floa
 
 // --- Compaction ------------------------------------------------------------
 
-// Compact folds up to CompactBatch of the oldest hot rows into the cold
+// Compact folds up to CompactAfter of the oldest hot rows into the cold
 // segment, persists the cold segment (when PersistPath is set) and
 // checkpoints the WAL down to the rows still hot. Readers are blocked only
 // for the in-memory fold (the reported pause); writers additionally wait
@@ -592,7 +568,7 @@ func (t *Tiered) Compact() (int, error) {
 	if n == 0 {
 		return 0, nil
 	}
-	if b := t.opts.compactBatch(); n > b {
+	if b := t.opts.compactAfter(); n > b {
 		n = b
 	}
 
@@ -711,8 +687,9 @@ func anyLabeled(ss []string) bool {
 // projected onto stale components and participate in the factorization.
 // The input is the cold segment's own reconstruction (folded rows' worst
 // cells are delta-pinned exact under SVDD, so the rebuild sees them
-// faithfully) — the incremental-block-then-recompress shape, with the
-// randomized sketch pipeline by default.
+// faithfully) — the incremental-block-then-recompress shape. The
+// segment's shape and rank choose the factor algorithm, as for any
+// compression (svd.FactorsByWidth).
 //
 // Appends and reads proceed concurrently; only the final pointer swap
 // takes the view lock. Compact is excluded for the duration (maintMu), so
@@ -746,17 +723,8 @@ func (t *Tiered) Recompress() error {
 	)
 	if cold.Method() == store.MethodSVD {
 		// A plain segment stays plain, at its k.
-		k := cold.K()
 		var base *svd.Store
-		if t.opts.compressor() == svd.CompressorRandomized {
-			base, err = svd.CompressRandWorkers(src, k, svd.RandOptions{
-				Rank:       k,
-				PowerIters: t.opts.PowerIters,
-				Workers:    t.opts.Workers,
-			})
-		} else {
-			base, err = svd.CompressWorkers(src, k, t.opts.Workers)
-		}
+		base, err = svd.CompressByWidth(src, cold.K(), t.opts.Workers)
 		if err == nil {
 			next = core.Plain(base)
 		}
@@ -768,12 +736,7 @@ func (t *Tiered) Recompress() error {
 		if budget > 1 {
 			budget = 1
 		}
-		next, err = core.Compress(src, core.Options{
-			Budget:     budget,
-			Compressor: t.opts.compressor(),
-			PowerIters: t.opts.PowerIters,
-			Workers:    t.opts.Workers,
-		})
+		next, err = core.Compress(src, core.Options{Budget: budget, Workers: t.opts.Workers})
 	}
 	if b := cold.Precision(); err == nil && b != next.Precision() {
 		next, err = withPrecision(next, b)

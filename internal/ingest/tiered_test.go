@@ -18,6 +18,7 @@ import (
 	"seqstore/internal/dct"
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
+	"seqstore/internal/metrics"
 	"seqstore/internal/store"
 	"seqstore/internal/svd"
 )
@@ -512,7 +513,10 @@ func kOf(t *testing.T, s store.Store) int {
 // stores, at b = 8 and b = 4 — except the b = 4 recompression's, which is
 // what that commit wrote when the tier was reopened between the fold and
 // the recompression: a fold now keeps its U row at b = 4 as the file does,
-// so the tier recompresses the values its file holds, restart or not.
+// so the tier recompresses the values its file holds, restart or not. The
+// two recompression hashes were recorded again when the segment's width
+// began to choose the factor algorithm: this 48-column tier recompresses
+// through the Gram pass, where it used the sketch before.
 func TestTieredPlainSVD(t *testing.T) {
 	for _, tc := range []struct {
 		prec               int
@@ -520,10 +524,10 @@ func TestTieredPlainSVD(t *testing.T) {
 	}{
 		{8,
 			"31388a28b7502b9429a45c8a57d8fef7aecf740f7e1a2086aa01f37fdb2417db",
-			"646bdb5ced74bcf8b76732eb3d448d08d48758cc3af2370d2a34735030d861ed"},
+			"8442b3fabff15bb8eff7f2c43665ac5dedd747fbbe1b982c6a872ec88fb5982b"},
 		{4,
 			"60d8d57dabe24b00e0d02051025178ba8d370f3f2a32aea60d2b429757fced64",
-			"4f587a7875b00d920f02f321b1cfbb3b6611b3168747735c1fd6b01b026f1a42"},
+			"7b19bc7f2ca5c4aab2abdc6cea582464b9f9eee09cda5833ed0abfe19fbedd7f"},
 	} {
 		t.Run(fmt.Sprintf("b%d", tc.prec), func(t *testing.T) {
 			plain, err := svd.Compress(matio.NewMem(phoneData(30)), 6)
@@ -739,4 +743,128 @@ func TestRecompressKeepsPrecisionSVDD(t *testing.T) {
 			t.Fatalf("row %d served as %v, saved as %v", i, got, want)
 		}
 	}
+}
+
+// TestRecompressSketchesWideSegment: a segment svd.SketchMinCols wide is
+// rebuilt through the sketch, whatever its method: the rebuilt segment is
+// bit for bit what the sketch, in that method's two passes, makes of the
+// cold segment's reconstruction (the input Recompress compresses), at the
+// precision the segment was stored with, and it reads back within a stated
+// RMSPE of the rows written. The plain segment is kept at b = 8: its input
+// is exactly rank k, so at b = 4 the Gram pass's rebuild rounds to the
+// same values as the sketch's.
+func TestRecompressSketchesWideSegment(t *testing.T) {
+	const n, folded = 40, 10
+	cfg := dataset.DefaultPhoneConfig(n + folded)
+	cfg.M = svd.SketchMinCols
+	x := dataset.GeneratePhone(cfg)
+	head := linalg.NewMatrix(n, cfg.M)
+	for i := 0; i < n; i++ {
+		copy(head.Row(i), x.Row(i))
+	}
+	for _, tc := range []struct {
+		method store.Method
+		prec   int
+		cold   func() (*core.Store, error)
+		// sketch compresses src through the sketch as Recompress would,
+		// at the segment's budget or cutoff.
+		sketch   func(src matio.RowSource, budget float64, k int) (*core.Store, error)
+		maxRMSPE float64 // percent, against the rows written
+	}{
+		{store.MethodSVD, 8,
+			func() (*core.Store, error) { return plainOf(svd.Compress(matio.NewMem(head), 6)) },
+			func(src matio.RowSource, _ float64, k int) (*core.Store, error) {
+				return plainOf(svd.CompressRandWorkers(src, k, svd.RandOptions{Rank: k, PowerIters: svd.SVDPowerIters, Workers: 1}))
+			},
+			48.5}, // 48.455 before the rebuild and after: rank 6 recovers a rank-6 input
+		{store.MethodSVDD, 4,
+			func() (*core.Store, error) { return core.Compress(matio.NewMem(head), core.Options{Budget: 0.2}) },
+			func(src matio.RowSource, budget float64, _ int) (*core.Store, error) {
+				return core.Compress(src, core.Options{Budget: budget, Compressor: svd.CompressorRandomized, Workers: 1})
+			},
+			10}, // 8.278 before the rebuild, 9.571 after
+	} {
+		t.Run(tc.method.String(), func(t *testing.T) {
+			cold, err := tc.cold()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cold.SetPrecision(tc.prec); err != nil {
+				t.Fatal(err)
+			}
+			budget, k := store.SpaceRatio(cold), cold.K()
+			dir := t.TempDir()
+			sqz := filepath.Join(dir, "cold.sqz")
+			ti := openTiered(t, cold, dir, Options{DisableBackground: true, PersistPath: sqz, MaxDeltas: 8, Workers: 1})
+			defer ti.Close()
+			var rows [][]float64
+			for i := n; i < n+folded; i++ {
+				rows = append(rows, x.Row(i))
+			}
+			if _, err := ti.AppendBatch(context.Background(), nil, rows); err != nil {
+				t.Fatal(err)
+			}
+			if done, err := ti.Compact(); err != nil || done != folded {
+				t.Fatalf("Compact = %d, %v; want %d rows", done, err, folded)
+			}
+			recon := linalg.NewMatrix(n+folded, cfg.M)
+			for i := 0; i < n+folded; i++ {
+				if _, err := ti.Cold().Row(i, recon.Row(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := ti.Recompress(); err != nil {
+				t.Fatal(err)
+			}
+
+			src := matio.NewMem(recon)
+			want, err := tc.sketch(src, budget, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := src.Stats().Passes(); p != 2 {
+				t.Fatalf("the sketch made %d passes, want 2", p)
+			}
+			if want, err = withPrecision(want, tc.prec); err != nil {
+				t.Fatal(err)
+			}
+			if ti.Method() != tc.method {
+				t.Fatalf("recompressed to %v, want %v", ti.Method(), tc.method)
+			}
+			if got := ti.Cold().Precision(); got != tc.prec {
+				t.Fatalf("recompressed at b = %d, want b = %d kept", got, tc.prec)
+			}
+			saved, err := store.Load(sqz)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acc metrics.Accumulator
+			for i := 0; i < n+folded; i++ {
+				got, err := ti.Cold().Row(i, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, s := range map[string]store.Store{"the sketch's store": want, "the saved file": saved} {
+					other, err := s.Row(i, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, other) {
+						t.Fatalf("row %d of the rebuilt segment differs from %s", i, name)
+					}
+				}
+				acc.AddRow(i, x.Row(i), got)
+			}
+			if got := 100 * acc.RMSPE(); got > tc.maxRMSPE {
+				t.Errorf("rebuilt segment reads back at RMSPE %.3f %%, want ≤ %.1f %%", got, tc.maxRMSPE)
+			}
+		})
+	}
+}
+
+func plainOf(s *svd.Store, err error) (*core.Store, error) {
+	if err != nil {
+		return nil, err
+	}
+	return core.Plain(s), nil
 }

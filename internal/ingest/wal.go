@@ -10,7 +10,7 @@
 // queries see hot and cold rows through a single logical view, and the
 // compressed representation is re-optimized in the background — the same
 // incremental-block-then-recompress shape Zoom-SVD uses for time-windowed
-// factors, with recompression able to use the randomized sketch path.
+// factors.
 package ingest
 
 import (

@@ -29,7 +29,8 @@ import (
 	"seqstore/internal/matio"
 )
 
-// Compressor names accepted by the facade and SVDD layers.
+// Compressor names accepted by the deprecated core.Options.Compressor.
+// Every other caller lets the rule in width.go choose.
 const (
 	// CompressorGram is the paper's pass-1: accumulate the full M×M Gram
 	// matrix C = XᵀX and eigendecompose it (linalg.SymEigen).
@@ -39,44 +40,28 @@ const (
 	CompressorRandomized = "randomized"
 )
 
-// DefaultOversample is the sketch-width margin p added to the requested
-// rank: the sketch has b = k + p columns.
-const DefaultOversample = 8
+// oversample is the sketch-width margin p added to the requested rank: the
+// sketch has b = k + p columns.
+const oversample = 8
 
-// DefaultSketchSeed seeds Ω when RandOptions.Seed is zero. It is distinct
-// from the subspace-iteration start-basis seed so the two randomized paths
-// cannot accidentally share structure.
-const DefaultSketchSeed = 0x0c0ffeed00d5eed5
+// sketchSeed seeds Ω. It is distinct from the subspace-iteration
+// start-basis seed so the two randomized paths cannot accidentally share
+// structure.
+const sketchSeed = 0x0c0ffeed00d5eed5
 
 // RandOptions configures the randomized compression path.
 type RandOptions struct {
 	// Rank is the number of components to recover (required, ≥ 1). It is
 	// clamped to M.
 	Rank int
-	// Oversample widens the sketch to Rank+Oversample columns; 0 selects
-	// DefaultOversample, negative means no oversampling.
-	Oversample int
 	// PowerIters is the number of power-iteration refinement passes, each
 	// costing one additional streaming pass over the data. 0 selects the
 	// default of 1 (total 2 passes, like the paper's pipeline); −1 requests
 	// the single-pass Nyström recovery (1 factor pass, best for SVDD where
 	// the scoring scan is fused separately); n > 0 runs n passes.
 	PowerIters int
-	// Seed seeds the deterministic test matrix Ω; 0 selects
-	// DefaultSketchSeed.
-	Seed uint64
 	// Workers shards every streaming pass (0 ⇒ GOMAXPROCS, 1 ⇒ serial).
 	Workers int
-}
-
-func (o RandOptions) oversample() int {
-	if o.Oversample == 0 {
-		return DefaultOversample
-	}
-	if o.Oversample < 0 {
-		return 0
-	}
-	return o.Oversample
 }
 
 func (o RandOptions) powerIters() int {
@@ -90,30 +75,10 @@ func (o RandOptions) powerIters() int {
 	}
 }
 
-func (o RandOptions) seed() uint64 {
-	if o.Seed == 0 {
-		return DefaultSketchSeed
-	}
-	return o.Seed
-}
-
-// SketchWidth returns b = min(Rank+oversample, m), the number of sketch
-// columns these options use on an M-wide matrix — the factor that sizes the
-// O(M·b) working set. Exposed so harnesses can report the memory model.
-func (o RandOptions) SketchWidth(m int) int { return o.sketchWidth(m) }
-
 // sketchWidth returns b = min(Rank+oversample, m), the number of sketch
 // columns for an M-wide matrix.
 func (o RandOptions) sketchWidth(m int) int {
-	rank := o.Rank
-	if rank > m {
-		rank = m
-	}
-	b := rank + o.oversample()
-	if b > m {
-		b = m
-	}
-	return b
+	return min(min(o.Rank, m)+oversample, m)
 }
 
 // ComputeFactorsRandWorkers recovers the top-Rank factors of src with the
@@ -148,7 +113,7 @@ func randFactors(src matio.RowSource, opts RandOptions, zsink func(i int, t []fl
 	workers := matio.NumWorkers(opts.Workers)
 	q := opts.powerIters()
 
-	omega := linalg.GaussianSketch(m, b, opts.seed())
+	omega := linalg.GaussianSketch(m, b, sketchSeed)
 	y, _, err := sketchPass(src, "pass 1: sketch Y = C·Ω", omega, workers, true, false, nil)
 	if err != nil {
 		return nil, nil, err

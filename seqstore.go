@@ -66,21 +66,11 @@ const (
 	Wavelet Method = "wavelet"
 )
 
-// Compressor names for Options.Compressor (SVD/SVDD methods only).
-const (
-	// CompressorGram is the paper's pass 1: accumulate the M×M similarity
-	// matrix C = XᵀX in memory and eigendecompose it. Exact, but its working
-	// set grows as M² — fine for daily data (M a few hundred), impractical
-	// when sequences are tens of thousands of points long.
-	CompressorGram = svd.CompressorGram
-	// CompressorRandomized recovers the factors from an M×(k+p) random
-	// sketch accumulated in one streaming pass, never building C. Working
-	// memory is O(M·(k+p)); accuracy is within a fraction of a percent of
-	// the Gram path on decaying spectra and tunable via Options.PowerIters.
-	CompressorRandomized = svd.CompressorRandomized
-)
-
-// Options configures Compress.
+// Options configures Compress. For SVD and SVDD the matrix's shape and
+// the rank the budget affords choose the factor algorithm: the paper's
+// M×M Gram pass, or a randomized sketch that never builds it, on a matrix
+// at least svd.SketchMinCols wide where the sketch would take at most half
+// the Gram pass's time (svd.FactorsByWidth).
 type Options struct {
 	// Method selects the algorithm; default SVDD.
 	Method Method
@@ -111,18 +101,6 @@ type Options struct {
 	// worker count up to the floating-point reduction order of the factor
 	// pass (see DESIGN.md §8). Other methods ignore it.
 	Workers int
-	// Compressor selects the factor algorithm for SVD/SVDD:
-	// CompressorGram (default, also "") or CompressorRandomized. The
-	// randomized compressor never materializes the M×M similarity matrix,
-	// making very long sequences compressible; it is incompatible with
-	// Robust (which is inherently in-memory).
-	Compressor string
-	// PowerIters tunes the randomized compressor's accuracy/pass tradeoff;
-	// each power iteration costs one extra streaming pass. 0 picks the
-	// method default (1 for SVD — two passes total, like the Gram path;
-	// 0 for SVDD, whose fused pipeline then stays at two passes), negative
-	// requests zero iterations explicitly. Ignored for CompressorGram.
-	PowerIters int
 }
 
 // ErrNoBudget is returned when neither Budget nor K is provided.
@@ -254,18 +232,6 @@ func compress(ctx context.Context, src matio.RowSource, full *linalg.Matrix, opt
 		s   store.Encoder
 		err error
 	)
-	switch opts.Compressor {
-	case "", CompressorGram:
-	case CompressorRandomized:
-		if opts.Method != SVD && opts.Method != SVDD {
-			return nil, fmt.Errorf("seqstore: Compressor applies only to svd/svdd, not %s", opts.Method)
-		}
-		if opts.Robust {
-			return nil, errors.New("seqstore: Robust requires the in-memory Gram path; it cannot combine with the randomized compressor")
-		}
-	default:
-		return nil, fmt.Errorf("seqstore: unknown compressor %q", opts.Compressor)
-	}
 	// Robust factor computation (future work (b)) needs the full matrix.
 	var robustFactors *svd.Factors
 	if opts.Robust {
@@ -308,8 +274,6 @@ func compress(ctx context.Context, src matio.RowSource, full *linalg.Matrix, opt
 			CandidateKs:  opts.CandidateKs,
 			FlagZeroRows: opts.FlagZeroRows,
 			Workers:      opts.Workers,
-			Compressor:   opts.Compressor,
-			PowerIters:   opts.PowerIters,
 		}
 		if opts.K > 0 && opts.Budget > 0 {
 			o.ForceK = opts.K
@@ -325,17 +289,10 @@ func compress(ctx context.Context, src matio.RowSource, full *linalg.Matrix, opt
 			k = svd.KForBudget(n, m, opts.Budget)
 		}
 		var base *svd.Store
-		switch {
-		case robustFactors != nil:
+		if robustFactors != nil {
 			base, err = svd.CompressWithFactorsWorkers(src, robustFactors, k, opts.Workers)
-		case opts.Compressor == CompressorRandomized:
-			base, err = svd.CompressRandWorkers(src, k, svd.RandOptions{
-				Rank:       k,
-				PowerIters: opts.PowerIters,
-				Workers:    opts.Workers,
-			})
-		default:
-			base, err = svd.CompressWorkers(src, k, opts.Workers)
+		} else {
+			base, err = svd.CompressByWidth(src, k, opts.Workers)
 		}
 		if err == nil {
 			s = core.Plain(base)
