@@ -46,7 +46,10 @@ race:
 # fold bit for bit), FuzzChannelFrame on the request and response frames of
 # the proxy's shard channels (no panic, allocation bounded by the declared
 # length capped at the 1 GiB cap, every strict prefix refused, decode
-# then encode gives back the same bytes). `go test -fuzz` accepts one
+# then encode gives back the same bytes), FuzzFoldBound on sequences of
+# bulk appends, compactions and reopens of a tiered SVDD store at b = 8
+# and b = 4 (every cold cell a stored delta or within the store's bound τ
+# of the value written, and τ never moves). `go test -fuzz` accepts one
 # target per invocation, hence one run per fuzzer.
 fuzz-smoke:
 	$(GO) test -run FuzzOpen -fuzz FuzzOpen -fuzztime 10s ./internal/matio
@@ -61,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzStagedMoments -fuzz FuzzStagedMoments -fuzztime 10s ./internal/exact
 	$(GO) test -run FuzzChannelFrame -fuzz FuzzChannelFrame -fuzztime 10s ./internal/api
+	$(GO) test -run FuzzFoldBound -fuzz FuzzFoldBound -fuzztime 10s ./internal/ingest
 
 # golden-check re-runs only the frozen-fixture compatibility tests: the v1
 # .smx and .sqz binaries and the v2 .sqz that still carries filter bytes,
@@ -117,15 +121,24 @@ loc:
 # change's wins, its shift against the bound in BENCHMARK.json and a
 # verdict, and fails if any median is worse than the
 # parent's by more than its bound (the rule a change claiming no gain is
-# held to), any run reports correct: false, or any op failed:
-#	make bench-gate WORKLOAD=point_read,agg_adhoc,proxy_mixed,ingest_mixed PAIRS=5
+# held to), any run reports correct: false, or any op failed. RECORD=1
+# also appends one JSON record per workload and metric (refs, pairs and
+# seeds, both medians, the parent's IQR, wins, shift, verdict, both line
+# counts, the moved hot symbols, nproc and gomaxprocs) to
+# BENCH_TRAJECTORY.json:
+#	make bench-gate WORKLOAD=point_read,agg_adhoc,proxy_mixed,ingest_mixed PAIRS=5 RECORD=1
 PARENT ?= HEAD
 WORKLOAD ?= point_read
 PAIRS ?= 10
 FIRST_SEED ?= 1
+RECORD ?=
 bench-gate:
-	@echo "non-test Go lines: parent $$($(MAKE) -s --no-print-directory loc REV=$(PARENT)), change $$($(MAKE) -s --no-print-directory loc)"
-	$(GO) run ./scripts/benchgate -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -first-seed $(FIRST_SEED)
+	@loc_parent=$$($(MAKE) -s --no-print-directory loc REV=$(PARENT)); \
+	loc_change=$$($(MAKE) -s --no-print-directory loc); \
+	echo "non-test Go lines: parent $$loc_parent, change $$loc_change"; \
+	echo "$(GO) run ./scripts/benchgate -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -first-seed $(FIRST_SEED)$(if $(RECORD), -record)"; \
+	$(GO) run ./scripts/benchgate -parent $(PARENT) -workload $(WORKLOAD) -pairs $(PAIRS) -first-seed $(FIRST_SEED) \
+		$(if $(RECORD),-record -loc-parent $$loc_parent -loc-change $$loc_change)
 
 # bench-parallel runs the worker-count sub-benchmarks: the two sharded hot
 # loops (pass-1 C accumulation, U projection) at workers {1,2,4,8} and the

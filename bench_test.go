@@ -375,7 +375,7 @@ func BenchmarkFoldIn(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.FoldIn(row, 4); err != nil {
+		if _, err := s.Fold(row); err != nil {
 			b.Fatal(err)
 		}
 	}

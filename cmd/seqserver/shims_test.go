@@ -82,6 +82,36 @@ func TestWidthChoosesCompressor(t *testing.T) {
 	})
 }
 
+// TestCapFoldOnlyForBench fails if a non-test file outside bench/ calls
+// the two-argument core.(*Store).FoldIn — the per-row delta cap, which
+// breaks the store's bound on the cells it leaves out — or names
+// ingest.DefaultMaxDeltas: a fold pins what the store's bound τ says
+// (core.(*Store).Fold). Both are kept, deprecated, for bench/ only; the
+// constant's own declaration is the one place its name may appear.
+func TestCapFoldOnlyForBench(t *testing.T) {
+	walkNonTest(t, func(fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ValueSpec:
+				for _, name := range n.Names {
+					if name.Name == "DefaultMaxDeltas" {
+						return false
+					}
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "FoldIn" && len(n.Args) == 2 {
+					t.Errorf("%s: calls the capped FoldIn(row, maxDeltas); fold with Fold(row), which pins by the store's bound", fset.Position(n.Pos()))
+				}
+			case *ast.Ident:
+				if n.Name == "DefaultMaxDeltas" {
+					t.Errorf("%s: names DefaultMaxDeltas; a fold pins by the store's bound, not a per-row cap", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	})
+}
+
 // walkNonTest parses every non-test Go file of the module outside bench/
 // and hands it to check.
 func walkNonTest(t *testing.T, check func(fset *token.FileSet, f *ast.File)) {

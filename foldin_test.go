@@ -17,7 +17,7 @@ func TestFoldInFacadeSVDD(t *testing.T) {
 	}
 	n0, m := st.Dims()
 	newCustomer := x.Row(5) // same pattern as an existing customer
-	idx, err := st.FoldIn(newCustomer, 5)
+	idx, err := st.FoldIn(newCustomer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFoldInFacadeSVD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.FoldIn(x.Row(3), 0); err != nil {
+	if _, err := st.FoldIn(x.Row(3)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -64,7 +64,7 @@ func TestFoldInFacadeUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.FoldIn(x.Row(0), 0); err == nil {
+	if _, err := st.FoldIn(x.Row(0)); err == nil {
 		t.Error("DCT fold-in accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestFoldInExtendsRowLabels(t *testing.T) {
 	if err := st.SetLabels(rows, nil); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := st.FoldIn(x.Row(2), 3)
+	idx, err := st.FoldIn(x.Row(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFoldInConcurrentWithQueries(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for f := 0; f < foldIns; f++ {
-					if _, err := st.FoldIn(x.Row(f%10), 2); err != nil {
+					if _, err := st.FoldIn(x.Row(f % 10)); err != nil {
 						t.Errorf("fold-in %d: %v", f, err)
 						return
 					}

@@ -1,13 +1,14 @@
 package core
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"seqstore/internal/dataset"
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
+	"seqstore/internal/pqueue"
 	"seqstore/internal/svd"
 )
 
@@ -81,126 +82,124 @@ func TestFoldInPreservesExistingCells(t *testing.T) {
 	}
 }
 
-// failingU is a Mem-backed U whose reads fail from row failFrom on, so a
-// fold-in's append can succeed while the post-append reconstruction read
-// fails — the exact window of the historical partial-mutation bug.
-type failingU struct {
-	*matio.Mem
-	failFrom int
+// minAbsDelta is τ worked out from what the store holds: the smallest
+// |δ| over its deltas, +Inf when there are none.
+func minAbsDelta(s *Store) float64 {
+	tau := math.Inf(1)
+	s.Deltas(func(_, _ int, d float64) { tau = min(tau, math.Abs(d)) })
+	return tau
 }
 
-var errInjectedURead = errors.New("injected U read failure")
-
-func (f *failingU) ReadRow(i int, dst []float64) error {
-	if i >= f.failFrom {
-		return errInjectedURead
-	}
-	return f.Mem.ReadRow(i, dst)
-}
-
-// appendOnlyU hides failingU's TruncateRows: a fold-in can be appended to
-// it but never undone — the "rollback also failed" window.
-type appendOnlyU struct {
-	matio.RowReader
-	fu *failingU
-}
-
-func (a appendOnlyU) AppendRow(row []float64) int { return a.fu.AppendRow(row) }
-
-// buildStoreWithFailingU assembles an SVDD store whose base U backing
-// rejects reads of any folded-in row.
-func buildStoreWithFailingU(t *testing.T, x *linalg.Matrix, k int) (*Store, *failingU) {
-	t.Helper()
-	return buildStoreOverFailingU(t, x, k, func(fu *failingU) matio.RowReader { return fu })
-}
-
-// buildStoreOverFailingU is buildStoreWithFailingU with the backing handed
-// to the base through wrap.
-func buildStoreOverFailingU(t *testing.T, x *linalg.Matrix, k int, wrap func(*failingU) matio.RowReader) (*Store, *failingU) {
-	t.Helper()
-	f, err := svd.ComputeFactors(matio.NewMem(x))
+// TestFoldKeepsTau: a fold pins exactly the cells whose residual exceeds
+// the store's τ, in column order, so every cell of a folded row is a stored
+// delta or within τ of the value written, and τ does not move.
+func TestFoldKeepsTau(t *testing.T) {
+	x := phoneSmall(100) // rows 60–99 are new to the store
+	s, err := Compress(matio.NewMem(phoneSmall(60)), Options{Budget: 0.10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k = f.Clamp(k)
-	n, m := x.Dims()
-	// Pass-2 projection by hand: u_i = x_i · V[:, :k] · Σ⁻¹.
-	u := linalg.NewMatrix(n, k)
-	for i := 0; i < n; i++ {
-		urow := u.Row(i)
+	tau := minAbsDelta(s)
+	if s.tau != tau || math.IsInf(tau, 1) {
+		t.Fatalf("store τ = %v, its deltas say %v", s.tau, tau)
+	}
+	_, m := s.Dims()
+	pinned := 0
+	for i := 60; i < 100; i++ {
+		row := x.Row(i)
+		idx, err := s.Fold(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := s.base.Row(idx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int
 		for j := 0; j < m; j++ {
-			xv := x.At(i, j)
-			if xv == 0 {
-				continue
-			}
-			vrow := f.V.Row(j)
-			for c := 0; c < k; c++ {
-				urow[c] += xv * vrow[c]
+			if math.Abs(row[j]-base[j]) > tau {
+				want = append(want, j)
 			}
 		}
-		for c := 0; c < k; c++ {
-			urow[c] /= f.Sigma[c]
+		var got []int
+		s.RowDeltas(idx, func(col int, d float64) {
+			got = append(got, col)
+			if d != row[col]-base[col] {
+				t.Errorf("row %d col %d: δ %v, residual %v", idx, col, d, row[col]-base[col])
+			}
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("row %d pinned columns %v, want %v", idx, got, want)
+		}
+		pinned += len(got)
+		for j := 0; j < m; j++ {
+			v, err := s.Cell(idx, j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(v-row[j]) > tau {
+				t.Fatalf("cell (%d, %d) = %v, written %v: outside τ = %v", idx, j, v, row[j], tau)
+			}
 		}
 	}
-	fu := &failingU{Mem: matio.NewMem(u), failFrom: n}
-	base, err := svd.New(f, k, wrap(fu))
-	if err != nil {
-		t.Fatal(err)
+	if pinned == 0 {
+		t.Fatal("forty folds pinned nothing: the test exercises no delta")
 	}
-	return newStore(base, nil, nil, 0, Diagnostics{ChosenK: k}), fu
+	if got := minAbsDelta(s); got != tau {
+		t.Errorf("τ moved from %v to %v", tau, got)
+	}
+	// Every reader of the delta index agrees with it over the folded rows.
+	checkDeltaIndex(t, s, snapshotDeltas(s))
 }
 
-// TestFoldInRollsBackOnReconstructionFailure pins the fixed error contract:
-// when the post-append read fails, the append is undone — the store keeps
-// its old dimensions, the returned index is -1 (never 0), and a later
-// fold-in lands at the same index the failed one briefly occupied.
-func TestFoldInRollsBackOnReconstructionFailure(t *testing.T) {
-	x := phoneSmall(40)
-	s, fu := buildStoreWithFailingU(t, x, 6)
-	n0, m := s.Dims()
-
-	row := make([]float64, m)
-	row[3] = 42
-	idx, err := s.FoldIn(row, 4)
-	if !errors.Is(err, errInjectedURead) {
-		t.Fatalf("err = %v, want injected U read failure", err)
-	}
-	if idx != -1 {
-		t.Errorf("failed fold-in returned index %d, want -1", idx)
-	}
-	if n, _ := s.Dims(); n != n0 {
-		t.Errorf("store grew to %d rows despite failed fold-in, want %d", n, n0)
-	}
-	if got := s.NumOutliers(); got != 0 {
-		t.Errorf("failed fold-in left %d deltas behind", got)
-	}
-
-	// Heal the backing: the next fold-in must reuse the rolled-back slot.
-	fu.failFrom = n0 + 1
-	idx, err = s.FoldIn(row, 4)
+// TestFoldWithoutBound: a Plain store and an SVDD store with no deltas
+// (τ = +Inf) fold without pinning, and a store whose τ is rounding noise
+// pins no cell below the negligible-delta floor.
+func TestFoldWithoutBound(t *testing.T) {
+	x := phoneSmall(41)
+	plainBase, err := svd.Compress(matio.NewMem(phoneSmall(40)), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != n0 {
-		t.Errorf("post-rollback fold-in index = %d, want %d", idx, n0)
-	}
-	if v, err := s.Cell(idx, 3); err != nil || math.Abs(v-42) > 1e-6 {
-		t.Errorf("Cell(%d,3) = %v, %v; want 42 (delta-pinned)", idx, v, err)
-	}
-}
-
-// TestFoldInNoDeltasSkipsReconstruction proves the maxDeltas<=0 path never
-// performs the post-append read, so it succeeds even on a read-degraded
-// backing.
-func TestFoldInNoDeltasSkipsReconstruction(t *testing.T) {
-	x := phoneSmall(30)
-	s, _ := buildStoreWithFailingU(t, x, 5)
-	n0, m := s.Dims()
-	idx, err := s.FoldIn(make([]float64, m), 0)
+	noDeltas, err := svd.Compress(matio.NewMem(phoneSmall(40)), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx != n0 {
-		t.Errorf("index = %d, want %d", idx, n0)
+	for name, s := range map[string]*Store{
+		"plain":     Plain(plainBase),
+		"no deltas": newStore(noDeltas, nil, nil, DefaultOutlierCost, Diagnostics{}),
+	} {
+		if !math.IsInf(s.tau, 1) {
+			t.Errorf("%s: τ = %v, want +Inf", name, s.tau)
+		}
+		if _, err := s.Fold(x.Row(40)); err != nil {
+			t.Fatal(err)
+		}
+		if s.NumOutliers() != 0 {
+			t.Errorf("%s: fold stored %d deltas", name, s.NumOutliers())
+		}
+	}
+
+	// Rank-2 data: the components express every row up to rounding, and
+	// so does the one delta, 1e-15.
+	lowRank := func(n int) *linalg.Matrix {
+		x := linalg.NewMatrix(n, 8)
+		for i := 0; i < n; i++ {
+			for j := 0; j < 8; j++ {
+				x.Set(i, j, float64(i+1)*float64(j%3)+float64(j))
+			}
+		}
+		return x
+	}
+	base, err := svd.Compress(matio.NewMem(lowRank(19)), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newStore(base, []pqueue.Item{{Row: 0, Col: 0, Delta: 1e-15}}, nil, DefaultOutlierCost, Diagnostics{})
+	if _, err := s.Fold(lowRank(20).Row(19)); err != nil {
+		t.Fatal(err)
+	}
+	if s.NumOutliers() != 1 {
+		t.Errorf("a fold into a store with τ = 1e-15 pinned %d rounding residuals", s.NumOutliers()-1)
 	}
 }

@@ -283,9 +283,8 @@ func TestRowIndexMatchesReference(t *testing.T) {
 }
 
 // TestRowIndexEdgeCases: a row outside the store is an empty bucket, and a
-// fold-in that stores no deltas — by request, because it was rolled back, or
-// because it could be neither read back nor rolled back — leaves the index
-// N+1 offsets long and holding what it held.
+// fold-in that stores no deltas by request leaves the index N+1 offsets long
+// and holding what it held.
 func TestRowIndexEdgeCases(t *testing.T) {
 	t.Run("RowDeltasOutOfRange", func(t *testing.T) {
 		s, err := Compress(matio.NewMem(phoneSmall(40)), Options{Budget: 0.15})
@@ -322,97 +321,6 @@ func TestRowIndexEdgeCases(t *testing.T) {
 			s.RowDeltas(idx, func(int, float64) { t.Errorf("maxDeltas=%d stored a delta", maxDeltas) })
 			if _, err := s.Row(idx, nil); err != nil {
 				t.Errorf("maxDeltas=%d: folded row unreadable: %v", maxDeltas, err)
-			}
-		}
-	})
-
-	t.Run("FoldInRollbackFails", func(t *testing.T) {
-		s, fu := buildStoreOverFailingU(t, phoneSmall(40), 6, func(fu *failingU) matio.RowReader {
-			return appendOnlyU{RowReader: fu, fu: fu}
-		})
-		n0, m := s.Dims()
-		row := make([]float64, m)
-		row[3], row[40], row[11] = 42, -17, 9
-
-		// The append succeeds, the read-back fails and so does the undo: the
-		// row stays in the base, so it gets its (empty) bucket.
-		idx, err := s.FoldIn(row, 4)
-		if !errors.Is(err, errInjectedURead) || idx != n0 {
-			t.Fatalf("fold-in: idx %d, err %v; want row %d reported with the read failure", idx, err, n0)
-		}
-		if n, _ := s.Dims(); n != n0+1 {
-			t.Fatalf("store holds %d rows, want %d: the rollback was meant to fail", n, n0+1)
-		}
-		fu.failFrom = n0 + 2 // heal the backing: the check reads every row
-		ref := refDeltas{}
-		checkDeltaIndex(t, s, ref)
-		s.RowDeltas(idx, func(int, float64) { t.Error("unreadable row stored a delta") })
-
-		if idx, err = s.FoldIn(row, 4); err != nil || idx != n0+1 {
-			t.Fatalf("next fold-in: idx %d, err %v; want %d", idx, err, n0+1)
-		}
-		ref.fold(t, s, idx, row, 4)
-		checkDeltaIndex(t, s, ref)
-		if s.NumOutliers() == 0 {
-			t.Fatal("next fold-in stored no deltas")
-		}
-	})
-
-	t.Run("FoldUndoFold", func(t *testing.T) {
-		s, fu := buildStoreWithFailingU(t, phoneSmall(40), 6)
-		n0, m := s.Dims()
-		row := make([]float64, m)
-		row[3], row[40], row[11] = 42, -17, 9
-
-		fu.failFrom = n0 + 1
-		ref := refDeltas{}
-		idx, err := s.FoldIn(row, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref.fold(t, s, idx, row, 4)
-		checkDeltaIndex(t, s, ref)
-		held := s.NumOutliers()
-		if held == 0 {
-			t.Fatal("first fold-in stored no deltas")
-		}
-
-		// The append succeeds, the read-back fails, the U row is undone:
-		// the index must not have moved.
-		if idx, err := s.FoldIn(row, 4); !errors.Is(err, errInjectedURead) || idx != -1 {
-			t.Fatalf("second fold-in: idx %d, err %v; want a rolled-back read failure", idx, err)
-		}
-		checkDeltaIndex(t, s, ref)
-		if s.NumOutliers() != held {
-			t.Fatalf("rolled-back fold-in changed the delta count %d → %d", held, s.NumOutliers())
-		}
-
-		fu.failFrom = n0 + 2
-		idx, err = s.FoldIn(row, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if idx != n0+1 {
-			t.Fatalf("fold after undo landed at %d, want %d", idx, n0+1)
-		}
-		ref.fold(t, s, idx, row, 4)
-		checkDeltaIndex(t, s, ref)
-		for _, j := range []int{3, 40, 11} {
-			if v, err := s.Cell(idx, j); err != nil || math.Abs(v-row[j]) > 1e-6 {
-				t.Errorf("Cell(%d,%d) = %v, %v; want %v (delta-pinned)", idx, j, v, err, row[j])
-			}
-		}
-		got, err := s.Row(idx, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range got {
-			want, err := s.Cell(idx, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got[j]-want) > 1e-9*math.Max(1, math.Abs(want)) {
-				t.Errorf("Row(%d)[%d] = %v, Cell = %v", idx, j, got[j], want)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync/atomic"
@@ -39,9 +40,13 @@ type Store struct {
 	cols     []int32
 	vals     []float64
 
+	// tau is τ = min |δ| when the store was built or loaded, +Inf with no
+	// deltas: §4.2's bound on every other cell, which Fold keeps.
+	tau float64
+
 	// §6.2 zero-row flags: rows that are entirely zero reconstruct to 0
 	// without any U access. zeroBits is an exact bitset over the rows the
-	// store was built with (bit i of word i/64); rows FoldIn appends lie
+	// store was built with (bit i of word i/64); rows a fold appends lie
 	// past it and are never zero. Both nil when the feature is off.
 	zeroList []int32 // sorted, for serialization and space accounting
 	zeroBits []uint64
@@ -69,11 +74,11 @@ func newStore(base *svd.Store, items []pqueue.Item, zeroRows []int32, outlierCos
 
 // Plain wraps a plain-SVD store as a Store with no deltas and no zero-row
 // flags. Its method stays store.MethodSVD, so Method, EncodePayload and
-// StoredNumbers give the plain store's method, bytes and cost, and FoldIn
+// StoredNumbers give the plain store's method, bytes and cost, and a fold
 // never adds a delta to it.
 func Plain(base *svd.Store) *Store {
 	n, _ := base.Dims()
-	return &Store{base: base, method: store.MethodSVD, rowStart: make([]uint32, n+1)}
+	return &Store{base: base, method: store.MethodSVD, rowStart: make([]uint32, n+1), tau: math.Inf(1)}
 }
 
 // cellKey packs a matrix cell (row, col) into row·M + col, the row-major
@@ -87,9 +92,14 @@ func cellKey(row, col, cols int) uint64 {
 // order) and their deltas with one counting sort by row: count into
 // rowStart, prefix-sum, scatter. The scatter keeps each row's entries in
 // input order, so keys that arrive ascending — what EncodePayload writes —
-// need no more; any other bucket is then sorted by column.
+// need no more; any other bucket is then sorted by column. It also fixes
+// τ, the smallest |δ|.
 func (s *Store) indexDeltas(keys []uint64, vals []float64) {
 	n, m := s.base.Dims()
+	s.tau = math.Inf(1)
+	for _, v := range vals {
+		s.tau = min(s.tau, math.Abs(v))
+	}
 	start := make([]uint32, n+2)
 	for _, key := range keys {
 		start[key/uint64(m)+2]++

@@ -17,9 +17,9 @@ import (
 // for: Compact of 64 hot rows — the fold, the whole-segment persist, the WAL
 // checkpoint — into a cold segment of N rows, shaped like the one the bench
 // module's ingest_mixed workload grows (phone data, 366 days, 4 000 rows
-// compressed at a 10 % budget, the rest folded in 8 deltas a row). The 64-row
-// append that feeds each compaction is outside the timer; N creeps up by 64
-// per iteration. The in-tree twin of bench's ingest.compact_ms and
+// compressed at a 10 % budget, the rest folded in as a compaction folds).
+// The 64-row append that feeds each compaction is outside the timer; N
+// creeps up by 64 per iteration. The in-tree twin of bench's ingest.compact_ms and
 // ingest.max_compact_pause_us.
 func BenchmarkCompactPersist(b *testing.B) {
 	const compressed, batch = 4000, 64
@@ -40,7 +40,7 @@ func BenchmarkCompactPersist(b *testing.B) {
 			}
 			cold := decoded.(*core.Store)
 			for i := compressed; i < n; i++ {
-				if _, err := cold.FoldIn(fresh.Row(i), DefaultMaxDeltas); err != nil {
+				if _, err := cold.Fold(fresh.Row(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -25,8 +25,12 @@ const (
 	// DefaultCompactAfter is the hot-row count that wakes the background
 	// compactor.
 	DefaultCompactAfter = 256
-	// DefaultMaxDeltas is the per-row delta budget a compaction grants each
-	// folded SVDD row.
+	// DefaultMaxDeltas is the per-row delta cap compactions used to fold
+	// SVDD rows with (core.Store.FoldIn).
+	//
+	// Deprecated: compactions fold with core.Store.Fold, which pins by the
+	// store's bound τ and takes no cap; it is kept for the frozen
+	// benchmark.
 	DefaultMaxDeltas = 8
 	// DefaultRecompressGrowth triggers a full recompression once fold-in
 	// growth pushes the cold segment's stored numbers past this multiple of
@@ -47,10 +51,6 @@ type Options struct {
 	// CompactAfter is the hot-segment row count that wakes the background
 	// compactor; 0 means DefaultCompactAfter.
 	CompactAfter int
-	// MaxDeltas is the outlier budget granted to each folded SVDD row
-	// (ignored for plain SVD); 0 means DefaultMaxDeltas, negative means no
-	// deltas.
-	MaxDeltas int
 	// RecompressGrowth sets the stored-numbers growth factor (relative to
 	// the last recompression baseline) past which a full recompression
 	// runs; 0 means DefaultRecompressGrowth, negative disables automatic
@@ -78,16 +78,6 @@ func (o Options) compactAfter() int {
 		return DefaultCompactAfter
 	}
 	return o.CompactAfter
-}
-
-func (o Options) maxDeltas() int {
-	if o.MaxDeltas == 0 {
-		return DefaultMaxDeltas
-	}
-	if o.MaxDeltas < 0 {
-		return 0
-	}
-	return o.MaxDeltas
 }
 
 func (o Options) recompressGrowth() float64 {
@@ -577,7 +567,7 @@ func (t *Tiered) Compact() (int, error) {
 	done := 0
 	var foldErr error
 	for i := 0; i < n; i++ {
-		idx, err := t.cold.FoldIn(t.hotRows[i], t.opts.maxDeltas())
+		idx, err := t.cold.Fold(t.hotRows[i])
 		if err != nil {
 			foldErr = fmt.Errorf("ingest: fold row %d: %w", t.coldRows+i, err)
 			break
@@ -685,11 +675,11 @@ func anyLabeled(ss []string) bool {
 // Recompress rebuilds the cold segment from scratch, re-targeting the
 // space ratio it had at Open: folded-in rows stop being afterthoughts
 // projected onto stale components and participate in the factorization.
-// The input is the cold segment's own reconstruction (folded rows' worst
-// cells are delta-pinned exact under SVDD, so the rebuild sees them
-// faithfully) — the incremental-block-then-recompress shape. The
-// segment's shape and rank choose the factor algorithm, as for any
-// compression (svd.FactorsByWidth).
+// The input is the cold segment's own reconstruction (under SVDD a folded
+// row's cells past the store's bound τ are delta-pinned exact, so the
+// rebuild sees them faithfully) — the incremental-block-then-recompress
+// shape. The segment's shape and rank choose the factor algorithm, as for
+// any compression (svd.FactorsByWidth).
 //
 // Appends and reads proceed concurrently; only the final pointer swap
 // takes the view lock. Compact is excluded for the duration (maintMu), so

@@ -2,7 +2,7 @@
 // write-ahead log feeding an uncompressed in-memory hot segment, unified
 // with the SVD/SVDD cold segment (a core.Store either way) behind one
 // store.Store view, and a background compactor that folds cooled rows into
-// the compressed form (core.Store.FoldIn) and triggers full recompression
+// the compressed form (core.Store.Fold) and triggers full recompression
 // once fold-in growth passes a threshold.
 //
 // This implements the paper's batched-updates assumption (§1) as an online

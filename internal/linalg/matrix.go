@@ -122,17 +122,6 @@ func (m *Matrix) AppendRow(row []float64) {
 	m.rows++
 }
 
-// TruncateRows shrinks the matrix to its first n rows. It panics if n is
-// negative or exceeds the current row count. The backing array is retained,
-// so a truncate immediately after AppendRow is free.
-func (m *Matrix) TruncateRows(n int) {
-	if n < 0 || n > m.rows {
-		panic(fmt.Sprintf("linalg: truncating %d-row matrix to %d rows", m.rows, n))
-	}
-	m.data = m.data[:n*m.cols]
-	m.rows = n
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)

@@ -769,14 +769,6 @@ func (s *Mem) AppendRow(row []float64) int {
 	return s.m.Rows() - 1
 }
 
-// TruncateRows shrinks the in-memory matrix to its first n rows, undoing
-// recent appends. Like AppendRow it exists only on the memory-backed
-// implementation; fold-in rollback uses it to restore the pre-append state
-// when a post-append step fails.
-func (s *Mem) TruncateRows(n int) {
-	s.m.TruncateRows(n)
-}
-
 var (
 	_ RowReader    = (*File)(nil)
 	_ RowReader    = (*Mem)(nil)

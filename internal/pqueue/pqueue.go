@@ -156,10 +156,9 @@ func (q *TopK) settle() {
 // entries or more takes its pivot from an evenly spaced sample, the entry
 // whose rank in the sample matches n's relative position in the range, so
 // the partition lands next to n; a smaller range pivots on the median of
-// three. A range under a dozen entries
-// is insertion-sorted — all a small TopK (FoldIn's γ = 8) ever runs — and one
-// that bad pivots failed to shrink in 2·log₂ len rounds goes to the library
-// sort. The pivots decide only how the work goes, never what is kept: the
+// three. A range under a dozen entries is insertion-sorted — all a small
+// TopK (the capped fold's γ = 8) ever runs — and one that bad pivots failed
+// to shrink in 2·log₂ len rounds goes to the library sort. The pivots decide only how the work goes, never what is kept: the
 // result is the order's, whichever pivots were taken.
 func selectNth(a []entry, n int) {
 	lo, hi := 0, len(a)-1

@@ -19,7 +19,7 @@ func TestFoldInExistingSubspace(t *testing.T) {
 	}
 	// "New customer": double of ABC Inc.'s pattern — pure weekday blob.
 	newRow := []float64{2, 2, 2, 0, 0}
-	idx, err := s.FoldIn(newRow)
+	idx, recon, err := s.FoldIn(newRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +37,10 @@ func TestFoldInExistingSubspace(t *testing.T) {
 		if math.Abs(got[j]-newRow[j]) > 1e-9 {
 			t.Errorf("folded row col %d = %v, want %v", j, got[j], newRow[j])
 		}
+		// The reconstruction FoldIn computed is the one the row reads back.
+		if math.Float64bits(recon[j]) != math.Float64bits(got[j]) {
+			t.Errorf("col %d: fold-in reconstruction %v, read back %v", j, recon[j], got[j])
+		}
 	}
 	// Existing rows are untouched.
 	v, _ := s.Cell(3, 0)
@@ -53,7 +57,7 @@ func TestFoldInOutOfSubspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := s.FoldIn([]float64{0, 0, 0, 4, 4}) // pure weekend caller
+	idx, _, err := s.FoldIn([]float64{0, 0, 0, 4, 4}) // pure weekend caller
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +72,7 @@ func TestFoldInOutOfSubspace(t *testing.T) {
 func TestFoldInValidation(t *testing.T) {
 	x := dataset.Toy()
 	s, _ := Compress(matio.NewMem(x), 2)
-	if _, err := s.FoldIn([]float64{1, 2}); err == nil {
+	if _, _, err := s.FoldIn([]float64{1, 2}); err == nil {
 		t.Error("wrong-length row accepted")
 	}
 }
@@ -98,7 +102,7 @@ func TestFoldInDiskBackedRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.FoldIn([]float64{1, 1, 1, 0, 0}); !errors.Is(err, ErrNotAppendable) {
+	if _, _, err := s.FoldIn([]float64{1, 1, 1, 0, 0}); !errors.Is(err, ErrNotAppendable) {
 		t.Errorf("disk-backed fold-in: %v", err)
 	}
 }

@@ -213,19 +213,18 @@ func (s *Store) Cell(i, j int) (float64, error) {
 		return 0, fmt.Errorf("svd: column %d out of range %d (%w)", j, s.cols, seqerr.ErrOutOfRange)
 	}
 	var x float64
-	err := s.withScaledURow(i, func(su []float64) { x = linalg.Dot(su, s.v.Row(j)) })
+	err := s.withURow(i, func(u []float64) { x = linalg.Dot(s.scale(u), s.v.Row(j)) })
 	return x, err
 }
 
-// Row reconstructs row i with a single U access plus O(k·M) arithmetic:
-// linalg.DotRows over V, whose every entry is bit-equal to Cell's Dot.
+// Row reconstructs row i with a single U access plus O(k·M) arithmetic
+// (rowFrom).
 func (s *Store) Row(i int, dst []float64) ([]float64, error) {
 	if cap(dst) < s.cols {
 		dst = make([]float64, s.cols)
 	}
 	dst = dst[:s.cols]
-	err := s.withScaledURow(i, func(su []float64) { linalg.DotRows(su, s.v.Data(), dst) })
-	if err != nil {
+	if err := s.withURow(i, func(u []float64) { s.rowFrom(u, dst) }); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -234,27 +233,36 @@ func (s *Store) Row(i int, dst []float64) ([]float64, error) {
 // urowScratch recycles the k-float buffers U rows are read into.
 var urowScratch = sync.Pool{New: func() any { return new([]float64) }}
 
-// withScaledURow reads U row i (one access), pre-scales it by σ so every
-// entry of the row is a plain dot product with a row of V, and hands it to
-// fn; the slice is only valid during the call. Cell and Row both
-// reconstruct through here, which is what keeps them bit-equal.
-func (s *Store) withScaledURow(i int, fn func(su []float64)) error {
+// withURow reads U row i (one access) and hands it to fn, which may scale
+// it in place; the slice is only valid during the call.
+func (s *Store) withURow(i int, fn func(u []float64)) error {
 	buf := urowScratch.Get().(*[]float64)
 	defer urowScratch.Put(buf)
 	k := len(s.sigma)
 	if cap(*buf) < k {
 		*buf = make([]float64, k)
 	}
-	su := (*buf)[:k]
-	if err := s.u.ReadRow(i, su); err != nil {
+	u := (*buf)[:k]
+	if err := s.u.ReadRow(i, u); err != nil {
 		return err
 	}
-	for m := range su {
-		su[m] *= s.sigma[m]
-	}
-	fn(su)
+	fn(u)
 	return nil
 }
+
+// scale pre-scales U row u by σ in place and returns it: every entry of its
+// row is then a plain dot product with a row of V.
+func (s *Store) scale(u []float64) []float64 {
+	for m := range u {
+		u[m] *= s.sigma[m]
+	}
+	return u
+}
+
+// rowFrom reconstructs into dst the row whose U row is u, scaling u in
+// place: Row runs it on a U row read back and FoldIn on the one it appends,
+// so the two are bit-equal, and each entry is bit-equal to Cell's Dot.
+func (s *Store) rowFrom(u, dst []float64) { linalg.DotRows(s.scale(u), s.v.Data(), dst) }
 
 // StoredNumbers returns N·k + k + k·M (Eq. 9).
 func (s *Store) StoredNumbers() int64 {

@@ -21,6 +21,10 @@
 // moved in code the change did not touch is only believed once this table
 // shows that code did not move.
 //
+// With -record it appends one record per workload and end-to-end metric
+// to BENCH_TRAJECTORY.json at the repository root (see record), the file
+// that keeps every gate a change cites.
+//
 // The parent's tree is exported with git archive into a temporary
 // directory, so the repository's .git is left as it was. Each side's
 // benchmark binary is built once, and every run starts in a temporary
@@ -37,6 +41,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,14 +68,18 @@ func main() {
 	workloads := flag.String("workload", "point_read", "benchmark workloads to run, comma-separated")
 	pairs := flag.Int("pairs", 10, "alternating parent/change pairs per workload")
 	firstSeed := flag.Int("first-seed", 1, "seed of the first pair; pair p runs seed first-seed+p-1")
+	rec := flag.Bool("record", false, "append one record per workload and metric to "+trajectoryFile)
+	var loc [2]int
+	flag.IntVar(&loc[0], "loc-parent", 0, "the parent's non-test Go line count (make loc), for the records")
+	flag.IntVar(&loc[1], "loc-change", 0, "the working tree's non-test Go line count (make loc), for the records")
 	flag.Parse()
-	if err := gate(*parent, strings.Split(*workloads, ","), *pairs, *firstSeed); err != nil {
+	if err := gate(*parent, strings.Split(*workloads, ","), *pairs, *firstSeed, *rec, loc); err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 }
 
-func gate(parent string, workloads []string, pairs, firstSeed int) error {
+func gate(parent string, workloads []string, pairs, firstSeed int, rec bool, loc [2]int) error {
 	if pairs < 1 {
 		return errors.New("-pairs must be at least 1")
 	}
@@ -112,16 +121,23 @@ func gate(parent string, workloads []string, pairs, firstSeed int) error {
 			return err
 		}
 	}
-	if err := printLayout(bins); err != nil {
+	moved, err := printLayout(bins)
+	if err != nil {
 		return err
 	}
 	var problems []string
+	var recs []record
 	for _, workload := range workloads {
-		p, err := measure(bins, tmp, strings.TrimSpace(workload), parent, pairs, firstSeed, decl.EndToEnd)
+		p, r, err := measure(bins, tmp, strings.TrimSpace(workload), parent, pairs, firstSeed, decl.EndToEnd)
 		if err != nil {
 			return err
 		}
-		problems = append(problems, p...)
+		problems, recs = append(problems, p...), append(recs, r...)
+	}
+	if rec {
+		if err := writeRecords(root, parent, moved, loc, recs); err != nil {
+			return err
+		}
 	}
 	if len(problems) > 0 {
 		return errors.New(strings.Join(problems, "; "))
@@ -130,8 +146,8 @@ func gate(parent string, workloads []string, pairs, firstSeed int) error {
 }
 
 // measure runs one workload's pairs, prints its table, and returns what
-// breaks the gate.
-func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int, metrics []metric) ([]string, error) {
+// breaks the gate and a record of each row.
+func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int, metrics []metric) ([]string, []record, error) {
 	// values[side][metric] holds one value per pair, in seed order.
 	var values [2]map[string][]float64
 	sides := [2]string{"parent", "change"}
@@ -144,11 +160,11 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 		for _, side := range order {
 			dir := filepath.Join(tmp, fmt.Sprintf("%s-%s-%d", workload, sides[side], seed))
 			if err := os.Mkdir(dir, 0o755); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			r, err := runOnce(bins[side], dir, workload, seed)
 			if err != nil {
-				return nil, fmt.Errorf("%s %s seed %d: %w", workload, sides[side], seed, err)
+				return nil, nil, fmt.Errorf("%s %s seed %d: %w", workload, sides[side], seed, err)
 			}
 			if !r.Correct {
 				incorrect++
@@ -168,6 +184,7 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 	}
 
 	var problems []string
+	var recs []record
 	fmt.Printf("%s, %d pairs (seeds %d–%d), %s against the working tree\n", workload, pairs, firstSeed, firstSeed+pairs-1, parent)
 	fmt.Printf("%-15s %12s %12s %12s %6s %8s %6s  %s\n", "metric", "parent", "change", "parent IQR", "wins", "shift", "bound", "verdict")
 	for _, m := range metrics {
@@ -178,6 +195,8 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 		if v == "WORSE" {
 			problems = append(problems, fmt.Sprintf("%s: %s is %.1f%% worse, bound %.0f%%", workload, m.Name, -100*s.shift, 100*m.Bound))
 		}
+		recs = append(recs, record{Workload: workload, Metric: m.Name, Pairs: pairs, Seeds: [2]int{firstSeed, firstSeed + pairs - 1},
+			ParentMedian: &s.parent, ChangeMedian: &s.change, ParentIQR: &s.iqr, Wins: &s.wins, Shift: &s.shift, Bound: m.Bound, Verdict: v})
 	}
 	if incorrect > 0 {
 		problems = append(problems, fmt.Sprintf("%s: %d runs reported correct: false", workload, incorrect))
@@ -185,7 +204,7 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 	if failed > 0 {
 		problems = append(problems, fmt.Sprintf("%s: %d ops failed", workload, failed))
 	}
-	return problems, nil
+	return problems, recs, nil
 }
 
 // hotSymbols are the functions whose placement the compression, set-up and
@@ -209,17 +228,19 @@ var hotSymbols = []string{
 }
 
 // printLayout prints each hot symbol's address mod 64 in both binaries, "-"
-// where a binary has no such symbol, and marks the rows where the two differ.
-func printLayout(bins [2]string) error {
+// where a binary has no such symbol, and marks and returns the symbols where
+// the two differ.
+func printLayout(bins [2]string) ([]string, error) {
 	var mods [2]map[string]uint64
 	for side, bin := range bins {
 		out, err := output("go", "tool", "nm", bin)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		mods[side] = addrMod64(out, hotSymbols)
 	}
 	fmt.Printf("%-46s %6s %6s\n", "layout (address mod 64)", "parent", "change")
+	moved := []string{}
 	for _, sym := range hotSymbols {
 		cell := func(side int) string {
 			if a, ok := mods[side][sym]; ok {
@@ -227,14 +248,14 @@ func printLayout(bins [2]string) error {
 			}
 			return "-"
 		}
-		moved := ""
+		mark := ""
 		if cell(0) != cell(1) {
-			moved = "  moved"
+			mark, moved = "  moved", append(moved, sym)
 		}
-		fmt.Printf("%-46s %6s %6s%s\n", sym, cell(0), cell(1), moved)
+		fmt.Printf("%-46s %6s %6s%s\n", sym, cell(0), cell(1), mark)
 	}
 	fmt.Println()
-	return nil
+	return moved, nil
 }
 
 // addrMod64 reads go tool nm output — "address type name" per line — and
@@ -259,6 +280,92 @@ func addrMod64(nm string, want []string) map[string]uint64 {
 		}
 	}
 	return mods
+}
+
+// trajectoryFile is the performance trajectory at the repository root: a
+// JSON array of records, one per line.
+const trajectoryFile = "BENCH_TRAJECTORY.json"
+
+// record is one workload's row for one end-to-end metric in one gate. A
+// record transcribed from older prose names that document as its source,
+// and holds null where it gave no figure.
+type record struct {
+	Source       string   `json:"source"` // "benchgate", or the document transcribed
+	Change       string   `json:"change"` // a commit, +dirty for a working tree with changes
+	Parent       string   `json:"parent"`
+	Workload     string   `json:"workload"`
+	Metric       string   `json:"metric"`
+	Pairs        int      `json:"pairs"`
+	Seeds        [2]int   `json:"seeds"` // first and last
+	ParentMedian *float64 `json:"parent_median"`
+	ChangeMedian *float64 `json:"change_median"`
+	ParentIQR    *float64 `json:"parent_iqr"`
+	Wins         *int     `json:"wins"`
+	Shift        *float64 `json:"shift"` // (change − parent) / parent median, > 0 when better
+	Bound        float64  `json:"bound"`
+	Verdict      string   `json:"verdict"`
+	LocParent    *int     `json:"loc_parent"` // make loc of each side
+	LocChange    *int     `json:"loc_change"`
+	LayoutMoved  []string `json:"layout_moved"` // hot symbols whose address mod 64 differs
+	Nproc        *int     `json:"nproc"`
+	Gomaxprocs   *int     `json:"gomaxprocs"`
+}
+
+// writeRecords stamps recs with what the whole gate shares and appends
+// them to the trajectory file.
+func writeRecords(root, parent string, moved []string, loc [2]int, recs []record) error {
+	var refs [2]string
+	for i, ref := range [2]string{parent, "HEAD"} {
+		out, err := output("git", "-C", root, "rev-parse", "--short", ref)
+		if err != nil {
+			return err
+		}
+		refs[i] = strings.TrimSpace(out)
+	}
+	if st, err := output("git", "-C", root, "status", "--porcelain"); err != nil {
+		return err
+	} else if strings.TrimSpace(st) != "" {
+		refs[1] += "+dirty"
+	}
+	nproc, gomaxprocs := runtime.NumCPU(), runtime.GOMAXPROCS(0)
+	for i := range recs {
+		r := &recs[i]
+		r.Source, r.Parent, r.Change, r.LayoutMoved = "benchgate", refs[0], refs[1], moved
+		r.LocParent, r.LocChange, r.Nproc, r.Gomaxprocs = &loc[0], &loc[1], &nproc, &gomaxprocs
+	}
+	path := filepath.Join(root, trajectoryFile)
+	old, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return err
+	}
+	out, err := appendRecords(old, recs)
+	if err != nil {
+		return fmt.Errorf("%s: %w", trajectoryFile, err)
+	}
+	return os.WriteFile(path, out, 0o644)
+}
+
+// appendRecords returns the trajectory file old (empty when there is none
+// yet) with recs appended.
+func appendRecords(old []byte, recs []record) ([]byte, error) {
+	var all []record
+	if len(bytes.TrimSpace(old)) > 0 {
+		if err := json.Unmarshal(old, &all); err != nil {
+			return nil, err
+		}
+	}
+	out := []byte{'['}
+	for i, r := range append(all, recs...) {
+		line, err := json.Marshal(r)
+		if err != nil {
+			return nil, err
+		}
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(append(out, '\n'), line...)
+	}
+	return append(out, "\n]\n"...), nil
 }
 
 // runOnce runs one benchmark binary in dir and parses its result line.

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"encoding/json"
+	"reflect"
+	"strings"
+	"testing"
+)
 
 func TestQuartilesMatchPython(t *testing.T) {
 	// statistics.quantiles([1..10], n=4) == [2.75, 5.5, 8.25]
@@ -85,5 +90,51 @@ garbage
 		if got[sym] != mod {
 			t.Errorf("%s: mod 64 = %d, want %d", sym, got[sym], mod)
 		}
+	}
+}
+
+func TestAppendRecordsKeepsOneRecordPerLine(t *testing.T) {
+	med, iqr, wins, loc, procs := 1.5, 0.25, 9, 100, 2
+	first := record{Source: "EXPERIMENTS.md", Change: "1111111", Parent: "2222222", Workload: "compress_batch",
+		Metric: "primary_p50_ms", Pairs: 10, Seeds: [2]int{1, 10}, ParentMedian: &med, Bound: 0.25, Verdict: "ok"}
+	second := record{Source: "benchgate", Change: "abc1234+dirty", Parent: "def5678", Workload: "point_read",
+		Metric: "ops_per_s", Pairs: 10, Seeds: [2]int{1, 10}, ParentMedian: &med, ChangeMedian: &med, ParentIQR: &iqr,
+		Wins: &wins, Bound: 0.25, Verdict: "unresolved", LocParent: &loc, LocChange: &loc,
+		LayoutMoved: []string{"seqstore/internal/linalg.Dot"}, Nproc: &procs, Gomaxprocs: &procs}
+
+	for _, old := range []string{"", "  \n", "[\n]\n"} {
+		out, err := appendRecords([]byte(old), []record{first})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(string(out), "\n"); got != 3 {
+			t.Fatalf("one record from %q: %d lines, want the record and the bracket on their own:\n%s", old, got, out)
+		}
+	}
+	out, err := appendRecords(nil, []record{first})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = appendRecords(out, []record{second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+	if len(lines) != 4 || lines[0] != "[" || lines[3] != "]" {
+		t.Fatalf("two records: want one per line inside the brackets, got\n%s", out)
+	}
+	// A figure the source did not record stays null, not 0.
+	if !strings.Contains(lines[1], `"change_median":null`) || !strings.Contains(lines[1], `"parent_median":1.5`) {
+		t.Errorf("first record = %s", lines[1])
+	}
+	var back []record
+	if err := json.Unmarshal(out, &back); err != nil {
+		t.Fatal(err)
+	}
+	if len(back) != 2 || !reflect.DeepEqual(back[1], second) || *back[0].ParentMedian != med || back[0].Wins != nil || back[0].LocParent != nil {
+		t.Fatalf("read back %+v", back)
+	}
+	if _, err := appendRecords([]byte("{"), nil); err == nil {
+		t.Error("a trajectory file that is not a JSON array was overwritten")
 	}
 }
