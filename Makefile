@@ -42,8 +42,12 @@ race:
 # proxy decodes (no panic, allocation bounded by the frame's size, every
 # strict prefix refused, a decoded body re-encodes to the same JSON),
 # FuzzStagedMoments on raw float bit patterns as factor rows across the
-# 1 024-row flush (the staged moments' registers equal a per-term exact.Sum
-# fold bit for bit), FuzzChannelFrame on the request and response frames of
+# 1 024-row flush, with fuzzed 64-row blocks added as their moment-index
+# entries in between the rows (the staged moments' registers equal a
+# per-term exact.Sum fold bit for bit), FuzzScaledTerms on raw float bit
+# patterns and fuzzed bounds as delta-correction terms through the scaled
+# stage (its register equals a per-term exact.Sum fold bit for bit),
+# FuzzChannelFrame on the request and response frames of
 # the proxy's shard channels (no panic, allocation bounded by the declared
 # length capped at the 1 GiB cap, every strict prefix refused, decode
 # then encode gives back the same bytes), FuzzFoldBound on sequences of
@@ -63,6 +67,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzDotBounds -fuzz FuzzDotBounds -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzStagedMoments -fuzz FuzzStagedMoments -fuzztime 10s ./internal/exact
+	$(GO) test -run FuzzScaledTerms -fuzz FuzzScaledTerms -fuzztime 10s ./internal/exact
 	$(GO) test -run FuzzChannelFrame -fuzz FuzzChannelFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzFoldBound -fuzz FuzzFoldBound -fuzztime 10s ./internal/ingest
 

@@ -148,10 +148,15 @@ func proxyShape(t *testing.T, name string, shards []store.Store) *shape {
 	return sh
 }
 
-// phoneShapes are the four shapes over the same compressed phone matrix.
-func phoneShapes(t *testing.T) []*shape {
+// phoneShapes are the four shapes over the same compressed phone matrix,
+// contractRows × contractCols.
+func phoneShapes(t *testing.T) []*shape { return phoneShapesOf(t, contractRows) }
+
+// phoneShapesOf is phoneShapes over a matrix of the given number of rows;
+// proxy×2 splits it in halves.
+func phoneShapesOf(t *testing.T, rows int) []*shape {
 	t.Helper()
-	cfg := dataset.DefaultPhoneConfig(contractRows)
+	cfg := dataset.DefaultPhoneConfig(rows)
 	cfg.M = contractCols
 	cfg.ZeroFrac = 0
 	x := dataset.GeneratePhone(cfg)
@@ -181,8 +186,8 @@ func phoneShapes(t *testing.T) []*shape {
 	return []*shape{
 		localShape(t, "store", full),
 		localShape(t, "tiered", tier),
-		proxyShape(t, "proxy×1", []store.Store{slice(0, contractRows)}),
-		proxyShape(t, "proxy×2", []store.Store{slice(0, contractRows/2), slice(contractRows/2, contractRows)}),
+		proxyShape(t, "proxy×1", []store.Store{slice(0, rows)}),
+		proxyShape(t, "proxy×2", []store.Store{slice(0, rows/2), slice(rows/2, rows)}),
 	}
 }
 
@@ -726,6 +731,50 @@ func TestV1Contract(t *testing.T) {
 			}},
 	}...)
 	run(t, phoneShapes(t), cases)
+}
+
+// TestV1ContractBlocks: a factored aggregate over a range spanning several
+// 64-row blocks of the stores' moment index answers the same bits through
+// every door that plans it factored, reads fewer U rows than it selects,
+// and costs exactly what its EXPLAIN predicts — rows read, disk accesses,
+// pages — through every door. Each door counts its own blocks: a shard's
+// are aligned to its own first row, so proxy×2 reads different rows than
+// the store does. The tiered shape plans no aggregate factored (it
+// reconstructs rows), so it reads every selected row.
+func TestV1ContractBlocks(t *testing.T) {
+	const rows, lo, hi = 320, 5, 300
+	want := map[string]uint64{}
+	var cases []contractCase
+	for _, f := range []string{"sum", "avg", "stddev"} {
+		body := fmt.Sprintf(`{"f":%q,"rows":"%d:%d","cols":"2:9","explain":true}`, f, lo, hi)
+		cases = append(cases, contractCase{name: f + " over several blocks", method: "POST", path: "/v1/aggregate",
+			body: body, wantStatus: 200,
+			check: func(t *testing.T, sh *shape, r reply) {
+				var a api.AggregateResponse
+				if err := json.Unmarshal(r.raw, &a); err != nil || a.Explain == nil {
+					t.Fatalf("%s: %v", r.raw, err)
+				}
+				ex := a.Explain
+				if ex.EstRowsRead != ex.Cost.RowsRead || ex.EstDiskAccesses != ex.Cost.DiskAccesses ||
+					ex.EstPagesTouched != ex.Cost.PagesTouched {
+					t.Errorf("%s: estimate (rows %d, disk %d, pages %d) != ledger %+v",
+						f, ex.EstRowsRead, ex.EstDiskAccesses, ex.EstPagesTouched, ex.Cost)
+				}
+				if ex.Plan != "factored" {
+					return
+				}
+				bits := math.Float64bits(api.NumValue(a.Value, a.Nonfinite))
+				if w, ok := want[f]; !ok {
+					want[f] = bits // the store shape runs first
+				} else if bits != w {
+					t.Errorf("%s: value bits %016x, the store's %016x", f, bits, w)
+				}
+				if f != "stddev" && (ex.Cost.RowsRead >= hi-lo || ex.Cost.RowsRead == 0) {
+					t.Errorf("%s: %d U rows read for %d selected", f, ex.Cost.RowsRead, hi-lo)
+				}
+			}})
+	}
+	run(t, phoneShapesOf(t, rows), cases)
 }
 
 // TestV1ContractNonFinite: NaN/±Inf reconstructions serialize as null with

@@ -91,5 +91,7 @@ func (s *Store) fold(row []float64, choose func(resid []float64)) (int, error) {
 
 // pin stores a delta in column col of the row being folded.
 func (s *Store) pin(col int, d float64) {
-	s.cols, s.vals = append(s.cols, int32(col)), append(s.vals, s.base.Round(d))
+	d = s.base.Round(d)
+	s.cols, s.vals = append(s.cols, int32(col)), append(s.vals, d)
+	s.deltaMax = max(s.deltaMax, math.Abs(d))
 }

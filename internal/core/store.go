@@ -43,6 +43,8 @@ type Store struct {
 	// tau is τ = min |δ| when the store was built or loaded, +Inf with no
 	// deltas: §4.2's bound on every other cell, which Fold keeps.
 	tau float64
+	// deltaMax is the largest |δ| stored, folds included (0 with none).
+	deltaMax float64
 
 	// §6.2 zero-row flags: rows that are entirely zero reconstruct to 0
 	// without any U access. zeroBits is an exact bitset over the rows the
@@ -96,9 +98,9 @@ func cellKey(row, col, cols int) uint64 {
 // τ, the smallest |δ|.
 func (s *Store) indexDeltas(keys []uint64, vals []float64) {
 	n, m := s.base.Dims()
-	s.tau = math.Inf(1)
+	s.tau, s.deltaMax = math.Inf(1), 0
 	for _, v := range vals {
-		s.tau = min(s.tau, math.Abs(v))
+		s.tau, s.deltaMax = min(s.tau, math.Abs(v)), max(s.deltaMax, math.Abs(v))
 	}
 	start := make([]uint32, n+2)
 	for _, key := range keys {
@@ -174,6 +176,9 @@ func (s *Store) Method() store.Method { return s.method }
 
 // K returns the chosen cutoff k_opt.
 func (s *Store) K() int { return s.base.K() }
+
+// MaxDelta returns the largest |δ| the store holds, 0 with no deltas.
+func (s *Store) MaxDelta() float64 { return s.deltaMax }
 
 // NumOutliers returns the number of stored deltas.
 func (s *Store) NumOutliers() int { return len(s.cols) }

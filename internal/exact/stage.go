@@ -41,6 +41,11 @@ import "math"
 // multiply into the split's first addition, which on an FMA target would
 // split the unrounded product and stage a different term.
 //
+// The bins sit in a packed layout: the k component sums, then, when the
+// Gram is staged, its k(k+1)/2 upper-triangle terms row by row (a, b ≥ a).
+// That is also the layout of a Blocks entry, so AddBlock adds an entry
+// slot for slot.
+//
 // The zero Stage is ready for Reset, which reuses the bin slices when
 // they are large enough, so a pooled Stage allocates once.
 type Stage struct {
@@ -55,9 +60,19 @@ const (
 	split2    = 0x1.8p-32 // c2 = 1.5·2^-32
 )
 
-// Reset empties the stage and sizes it for n slots: k component sums
-// followed by the k×k Gram, or k alone when there is no Gram.
-func (s *Stage) Reset(n int) {
+// slots returns the number of bins a Stage over k-vectors keeps: k, plus
+// k(k+1)/2 with the Gram.
+func slots(k int, gram bool) int {
+	if gram {
+		return k + k*(k+1)/2
+	}
+	return k
+}
+
+// Reset empties the stage and sizes it for k-vectors: their k component
+// sums and, with gram, their Gram.
+func (s *Stage) Reset(k int, gram bool) {
+	n := slots(k, gram)
 	if cap(s.hi) < n {
 		s.hi, s.lo = make([]float64, n), make([]float64, n)
 	}
@@ -70,9 +85,9 @@ func (s *Stage) Reset(n int) {
 // AddMoments folds one row into acc (acc[m] += row[m]) and, when g is not
 // empty, into the upper triangle of the k×k row-major Gram g
 // (g[a·k+b] += row[a]·row[b] for a ≤ b), through the stage's bins. The
-// stage must have been Reset for len(acc)+len(g) slots, and len(row) must
-// be len(acc). Terms reach acc and g exactly as Sum.Add would put them
-// there once Flush has run.
+// stage must have been Reset for len(row) = len(acc) and a Gram exactly
+// when g is not empty. Terms reach acc and g exactly as Sum.Add would put
+// them there once Flush has run.
 func (s *Stage) AddMoments(acc, g []Sum, row []float64) {
 	for _, x := range row {
 		if !(math.Abs(x) <= 1) {
@@ -91,24 +106,55 @@ func (s *Stage) AddMoments(acc, g []Sum, row []float64) {
 		}
 	}
 	if len(g) != 0 {
+		off := k
 		for a, ra := range row {
-			if ra == 0 {
-				continue
-			}
-			base := a*k + a
 			rb := row[a:]
-			gh, gl := s.hi[k+base:][:len(rb)], s.lo[k+base:][:len(rb)]
-			for j, x := range rb {
-				q1, q2, r := split(float64(ra * x))
-				gh[j] += q1
-				gl[j] += q2
-				if r != 0 {
-					g[base+j].Add(r)
+			if ra != 0 {
+				gh, gl := s.hi[off:][:len(rb)], s.lo[off:][:len(rb)]
+				for j, x := range rb {
+					q1, q2, r := split(float64(ra * x))
+					gh[j] += q1
+					gl[j] += q2
+					if r != 0 {
+						g[a*k+a+j].Add(r)
+					}
 				}
 			}
+			off += len(rb)
 		}
 	}
 	if s.rows++; s.rows == stageRows {
+		s.Flush(acc, g)
+	}
+}
+
+// AddBlock adds a Blocks entry — the staged bins of BlockRows rows and the
+// terms their staging spilled — to the stage and its registers in place of
+// the rows, and counts them toward the flush. Only the stage's own slots
+// are read, so a stage without the Gram takes the entry's component sums
+// alone. Both bins stay exact: the entry's bins are sums of the very grid
+// values its rows would have added, and the stage flushes first when the
+// block's rows would carry it past stageRows.
+func (s *Stage) AddBlock(acc, g []Sum, e Entry) {
+	if s.rows > stageRows-BlockRows {
+		s.Flush(acc, g)
+	}
+	sh, sl := s.hi, s.lo
+	for i, x := range e.Hi[:len(sh)] {
+		sh[i] += x
+	}
+	for i, x := range e.Lo[:len(sl)] {
+		sl[i] += x
+	}
+	k := len(acc)
+	for x, at := range e.Regs {
+		if int(at) < k {
+			acc[at].Add(e.Vals[x])
+		} else if len(g) != 0 {
+			g[int(at)-k].Add(e.Vals[x])
+		}
+	}
+	if s.rows += BlockRows; s.rows == stageRows {
 		s.Flush(acc, g)
 	}
 }
@@ -153,7 +199,14 @@ func (s *Stage) Flush(acc, g []Sum) {
 	}
 	k := len(acc)
 	flushBins(acc, s.hi[:k], s.lo[:k])
-	flushBins(g, s.hi[k:], s.lo[k:])
+	if len(g) != 0 {
+		off := k
+		for a := 0; a < k; a++ {
+			n := k - a
+			flushBins(g[a*k+a:][:n], s.hi[off:][:n], s.lo[off:][:n])
+			off += n
+		}
+	}
 	s.rows = 0
 }
 
@@ -169,4 +222,63 @@ func flushBins(sums []Sum, hi, lo []float64) {
 			lo[i] = 0
 		}
 	}
+}
+
+// Scaled stages single terms of any magnitude into one Sum through the
+// same two bins, at one power-of-two scale 2^e fixed by Reset: a term t is
+// staged as x = t·2^-e when that is exact and |x| ≤ 1, and the bins reach
+// the Sum multiplied back by 2^e. Scaling by a power of two moves the
+// exponent and no bit, so the Sum ends up holding exactly the register a
+// per-term Add of every t builds. Anything else — a term above the bound,
+// one whose scaled value would lose bits as a subnormal, NaN, ±Inf — is
+// added to the Sum at once; the bound is a speed hint, as on Stage.
+type Scaled struct {
+	scale, inv float64 // 2^e and 2^-e
+	hi, lo     float64
+	terms      int // terms staged since the last flush
+}
+
+// maxScaleExp keeps 2^e·stageRows, the largest flushed bin, finite.
+const maxScaleExp = 1000
+
+// Reset empties the stage and fixes its scale: the least power of two, at
+// least 1, above bound. A bound too large to scale the bins back, or not
+// finite, gets scale 1.
+func (s *Scaled) Reset(bound float64) {
+	e := 0
+	if _, be := math.Frexp(bound); be > 0 && be <= maxScaleExp {
+		e = be
+	}
+	s.scale, s.inv = math.Ldexp(1, e), math.Ldexp(1, -e)
+	s.hi, s.lo, s.terms = 0, 0, 0
+}
+
+// Add folds t into sum through the stage.
+func (s *Scaled) Add(sum *Sum, t float64) {
+	x := float64(t * s.inv)
+	if !(math.Abs(x) <= 1) || float64(x*s.scale) != t {
+		sum.Add(t)
+		return
+	}
+	q1, q2, r := split(x)
+	s.hi += q1
+	s.lo += q2
+	if r != 0 {
+		sum.Add(float64(r * s.scale))
+	}
+	if s.terms++; s.terms == stageRows {
+		s.Flush(sum)
+	}
+}
+
+// Flush adds the staged bins, scaled back, to sum (the Sum Add was given)
+// and empties the stage.
+func (s *Scaled) Flush(sum *Sum) {
+	if s.hi != 0 {
+		sum.Add(float64(s.hi * s.scale))
+	}
+	if s.lo != 0 {
+		sum.Add(float64(s.lo * s.scale))
+	}
+	s.hi, s.lo, s.terms = 0, 0, 0
 }

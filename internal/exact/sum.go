@@ -31,7 +31,10 @@
 // once per flush. The flushed registers are the ones per-term Adds build,
 // bit for bit, so Value, Merge and the encoding cannot tell the paths
 // apart; anything else — a row with an entry outside [-1, 1], NaN or
-// ±Inf — is added term by term.
+// ±Inf — is added term by term. Blocks (blocks.go) keeps a Stage's bins
+// per aligned block of 64 rows, so a long run of rows adds one entry per
+// block instead of its rows; Scaled stages single terms of any magnitude
+// at one power-of-two scale. Both flush to the same registers, bit for bit.
 package exact
 
 import (

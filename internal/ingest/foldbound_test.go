@@ -11,10 +11,13 @@ import (
 
 	"seqstore/internal/core"
 	"seqstore/internal/dataset"
+	"seqstore/internal/exact"
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/metrics"
+	"seqstore/internal/query"
 	"seqstore/internal/store"
+	"seqstore/internal/trace"
 )
 
 // The fold-bound sequences run over one phone set, a year of days wide:
@@ -54,10 +57,11 @@ type foldBoundResult struct {
 // close-and-reopens on a tiered SVDD store at b bytes per number, one
 // operation per byte of ops: low two bits 0 or 1 append a bulk of
 // 1 + (op>>2)%16 rows, 2 compacts, 3 closes the tier and opens it again from
-// its saved segment and WAL. After every step each cold cell must be a
-// stored delta or lie within max(τ, 1e-12) + ε of the value
-// written, where τ is the smallest stored |δ| when the tier opened and, at
-// b = 4,
+// its saved segment and WAL. After every step the cold segment's factored
+// sum and stddev registers must be a per-row fold's (checkFoldMoments), and
+// each cold cell must be a stored delta or lie within max(τ, 1e-12) + ε of
+// the value written, where τ is the smallest stored |δ| when the tier
+// opened and, at b = 4,
 //
 //	ε = 2⁻²²·Σ_m |σ_m·u_im·v_jm| + 2⁻²⁴·τ.
 //
@@ -100,6 +104,7 @@ func runFoldBound(t *testing.T, prec int, ops []byte) foldBoundResult {
 	// compaction, and every row after a reopen.
 	outside := make([]int, x.Rows())
 	checkFoldBound(t, ti, x, tau, prec, 0, outside)
+	checkFoldMoments(t, ti)
 	next := foldBoundCold
 	var res foldBoundResult
 	for _, op := range ops {
@@ -133,6 +138,7 @@ func runFoldBound(t *testing.T, prec int, ops []byte) foldBoundResult {
 			checked = 0
 		}
 		checkFoldBound(t, ti, x, tau, prec, checked, outside)
+		checkFoldMoments(t, ti)
 		if got := minAbsDelta(ti.Cold()); got != tau {
 			res.tauMoved++
 		}
@@ -190,6 +196,102 @@ func checkFoldBound(t *testing.T, ti *Tiered, x *linalg.Matrix, tau float64, pre
 			if !pinned[j] && math.Abs(row[j]-x.At(i, j)) > limit {
 				outside[i]++
 			}
+		}
+	}
+}
+
+// checkFoldMoments evaluates a factored sum and stddev over the cold
+// segment of ti — over a range that straddles the folded tail (from 70 rows
+// before the first folded row to the last cold row) and over the whole
+// segment — and requires every register of each partial to equal,
+// register for register, a per-term exact.Sum fold over the same rows: the
+// U components and Gram, the V components and Gram, and the delta
+// corrections δ and 2bδ+δ². The cold store's moment index must cover every
+// whole 64-row block, folds and reopens included, so whole blocks are
+// staged from the index while the ragged rows are folded one by one.
+func checkFoldMoments(t *testing.T, ti *Tiered) {
+	t.Helper()
+	cold := ti.Cold()
+	base := cold.Base()
+	n, m := cold.Dims()
+	if got := base.RowMoments().Len(); got != n/exact.BlockRows {
+		t.Fatalf("%d cold rows, %d blocks indexed", n, got)
+	}
+	sigma, v, k := base.Sigma(), base.V(), base.K()
+	cols := make([]int, 0, m)
+	for j := 3; j < m; j += 2 {
+		cols = append(cols, j)
+	}
+	for _, lo := range []int{foldBoundCold - 70, 0} {
+		sel := query.Selection{Cols: cols}
+		for i := lo; i < n; i++ {
+			sel.Rows = append(sel.Rows, i)
+		}
+		rowSum, rowG := make([]exact.Sum, k), make([]exact.Sum, k*k)
+		colSum, colG := make([]exact.Sum, k), make([]exact.Sum, k*k)
+		var corr, corrSq exact.Sum
+		selected := make([]bool, m)
+		for _, j := range cols {
+			selected[j] = true
+			foldTerms(colSum, colG, v.Row(j))
+		}
+		u, su := make([]float64, k), make([]float64, k)
+		for _, i := range sel.Rows {
+			if err := base.URow(i, u); err != nil {
+				t.Fatal(err)
+			}
+			foldTerms(rowSum, rowG, u)
+			for c := range u {
+				su[c] = u[c] * sigma[c]
+			}
+			cold.RowDeltas(i, func(j int, d float64) {
+				if selected[j] {
+					b := linalg.Dot(su, v.Row(j))
+					corr.Add(1 * d)
+					corrSq.Add(1 * (2*b*d + d*d))
+				}
+			})
+		}
+		for _, agg := range []query.Aggregate{query.Sum, query.StdDev} {
+			for _, workers := range []int{1, 2} {
+				tr := trace.New("t", "/test")
+				p, err := query.EvaluatePartial(cold, agg, sel, query.Options{Workers: workers, Ctx: trace.NewContext(context.Background(), tr)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if read := tr.Ledger.Snapshot().RowsRead; lo == 0 && agg == query.Sum && read >= int64(n) {
+					t.Fatalf("sum/w%d over all %d cold rows read %d: no block staged from the index", workers, n, read)
+				}
+				want := [][]exact.Sum{rowSum, colSum, {corr}}
+				got := [][]exact.Sum{p.RowSum, p.ColSum, {p.CorrSum}}
+				if agg == query.StdDev {
+					want = append(want, rowG, colG, []exact.Sum{corrSq})
+					got = append(got, p.RowG, p.ColG, []exact.Sum{p.CorrSumSq})
+				}
+				for r := range want {
+					for i := range want[r] {
+						if !got[r][i].Equal(&want[r][i]) {
+							t.Fatalf("%v/w%d over rows [%d, %d): register %d.%d is not the per-row fold's", agg, workers, lo, n, r, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// foldTerms adds row's components to acc and its upper-triangle products
+// to the k×k Gram g, one exact.Sum.Add per term, a zero entry's products
+// skipped.
+func foldTerms(acc, g []exact.Sum, row []float64) {
+	k := len(row)
+	for a, ra := range row {
+		acc[a].Add(ra)
+		if ra == 0 {
+			continue
+		}
+		for b := a; b < k; b++ {
+			g[a*k+b].Add(ra * row[b])
 		}
 	}
 }

@@ -1,16 +1,15 @@
 package query
 
 import (
+	"seqstore/internal/core"
 	"seqstore/internal/store"
-	"seqstore/internal/svd"
-	"seqstore/internal/trace"
 )
 
 // This file implements scan-sharing batch evaluation. A dashboard refresh
 // or a proxy tier fans one user action into many aggregates whose
 // selections overlap heavily; evaluated independently, each re-reads the
 // same U rows. When U is resident, EvaluateBatch instead charges the union
-// of the selected rows once — one access per row and the pages of each run,
+// of the U rows its items read once — one access per row and the pages of each run,
 // the cost of one coalesced pass — and every aggregate then reads resident U
 // in place with exactly the sequential engine's arithmetic and no second
 // charge. k overlapping queries therefore cost ~one scan instead of k, and
@@ -80,11 +79,11 @@ func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx
 			readers++
 		}
 	}
-	if fac := factored(s); fac != nil && readers >= 2 && fac.Base().UResident() {
-		env.paid = chargeBatchUnion(fac.Base(), n, items, invalid, env.led)
-	}
 	st := getState()
 	defer st.release()
+	if fac := factored(s); fac != nil && readers >= 2 && fac.Base().UResident() {
+		env.paid = st.pl.chargeBatchUnion(fac, items, invalid, env)
+	}
 	for idx := range items {
 		if invalid != nil && invalid[idx] {
 			continue
@@ -97,15 +96,20 @@ func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx
 	return nil
 }
 
-// chargeBatchUnion charges the union of the valid items' selected rows
+// chargeBatchUnion charges the union of the U rows the valid items read
 // once, as one pass over resident U would cost it: per run of consecutive
 // union rows, one disk access per row and the pages spanned on the ledger,
-// and the rows on U's read counter. It reports whether it did, after which
-// the items read U in place uncharged. skip, when non-nil, marks the items
-// that failed validation and stay out of the union. A batch with no row
-// overlap has nothing to share and charges nothing here: its items pay for
-// their reads as lone queries do.
-func chargeBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, led *trace.Ledger) bool {
+// and the rows on U's read counter. Each item's reads are replayed on the
+// plan p (plan.reads), at the chunking its evaluation will use, so rows
+// no item reads — an indexed block a factored item stages whole, an
+// isolated zero-flagged row — are not charged. It reports whether it
+// charged, after which the items read U in place uncharged. skip, when
+// non-nil, marks the items that failed validation and stay out of the
+// union. A batch with no row overlap has nothing to share and charges
+// nothing here: its items pay for their reads as lone queries do.
+func (p *plan) chargeBatchUnion(fac *core.Store, items []BatchItem, skip []bool, env evalEnv) bool {
+	base := fac.Base()
+	n, _ := base.Dims()
 	union := make([]uint64, (n+63)/64)
 	in := func(i int) bool { return union[i/64]&(1<<(i%64)) != 0 }
 	total, distinct := 0, 0
@@ -113,14 +117,19 @@ func chargeBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, le
 		if (skip != nil && skip[idx]) || items[idx].Agg == Count {
 			continue
 		}
-		for _, r := range items[idx].Sel.Rows {
-			total++
-			if !in(r) {
-				union[r/64] |= 1 << (r % 64)
-				distinct++
+		sel := items[idx].Sel
+		p.reset(fac, sel)
+		p.reads(items[idx].Agg, evalChunkSize(len(sel.Rows), env.workers), func(start, end int, zero bool) {
+			for r := start; r < end && !zero; r++ {
+				total++
+				if !in(r) {
+					union[r/64] |= 1 << (r % 64)
+					distinct++
+				}
 			}
-		}
+		})
 	}
+	p.unref()
 	if total <= distinct {
 		return false
 	}
@@ -133,8 +142,8 @@ func chargeBatchUnion(base *svd.Store, n int, items []BatchItem, skip []bool, le
 		for end < n && in(end) {
 			end++
 		}
-		led.AddDiskAccesses(int64(end - start))
-		led.AddPagesTouched(int64(base.UPageSpan(start, end)))
+		env.led.AddDiskAccesses(int64(end - start))
+		env.led.AddPagesTouched(int64(base.UPageSpan(start, end)))
 		if _, err := base.URows(start, end, nil, true); err != nil {
 			return false
 		}

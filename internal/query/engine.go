@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"seqstore/internal/core"
+	"seqstore/internal/exact"
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/store"
@@ -173,6 +174,8 @@ type evalState struct {
 	corr       corrections
 	hasCorr    bool      // store is SVDD: corr is meaningful
 	sigma      []float64 // aliases the plan's (or the first merged partial's)
+
+	dsum, dsq exact.Scaled // deltaCorrections' stages for corr's two sums
 }
 
 // evalJob is the evaluation in flight. release clears it, the plan's
@@ -357,42 +360,55 @@ func (st *evalState) chunk(w *evalWorker, lo, hi int) error {
 }
 
 // readURows is the engine's U-row loop. It walks the plan's pieces of
-// positions [lo, hi): an isolated §6.2 zero-flagged row is served from its
-// flag (a row read with no disk access — an all-zero U row adds nothing to
-// the factored moments and |C| zero cells to the projected accumulator);
-// every other piece, one sequential run or one random row, is read through
-// uRows and folded row by row into the factored moments or the projection. Zero rows inside a run are simply read:
-// skipping mid-run would cost more than it saves. On SVDD stores the
-// projected engine overlays each row it holds a U row for with that row's
-// deltas, so a piece also opens its slab of the row index. ExplainQuery
-// replays the same pieces.
+// positions [lo, hi): one sequential run or one random row each, read
+// through uRows and folded row by row into the factored moments or the
+// projection. An isolated §6.2 zero-flagged row is served from its flag (a
+// row read with no disk access — an all-zero U row adds nothing to the
+// factored moments and |C| zero cells to the projected accumulator); zero
+// rows inside a run are simply read: skipping mid-run would cost more than
+// it saves. The factored moments read a piece by its segments (segIter):
+// a block of the store's moment index that lies wholly inside the piece's
+// run is staged from the index, with no U read and no charge, and only the
+// rows outside such blocks are read. On SVDD stores the projected engine
+// overlays each row it holds a U row for with that row's deltas, so a
+// piece also opens its slab of the row index. ExplainQuery replays the
+// same reads (plan.reads).
 func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
 	pl, led, k := &st.pl, st.env.led, len(st.pl.sigma)
 	for it := pl.pieces(lo, hi); it.next(); {
-		start, end := it.start, it.end
-		led.AddRowsRead(int64(end - start))
-		if it.zeroFlagged() {
-			w.zeroRow()
-			continue
-		}
-		if st.dg != nil {
-			w.slab = pl.fac.DeltaSlab(start, end)
-			led.AddDeltasProbed(int64(w.slab.Len()))
-		}
-		u, err := st.uRows(start, end, &w.scratch)
-		if err != nil {
-			return fmt.Errorf("query: U rows [%d,%d): %w", start, end, err)
-		}
-		if st.factored {
-			for r := 0; r < len(u); r += k {
-				w.um.add(u[r : r+k])
+		for sg := pl.segments(&it, st.factored); sg.next(); {
+			if sg.staged {
+				w.um.addBlock(&sg.entry)
+				continue
 			}
-			continue
-		}
-		// u may be resident U itself: project scales its own copy.
-		for i := start; i < end; i++ {
-			copy(w.urow, u[(i-start)*k:])
-			w.project(i)
+			if sg.skip {
+				continue
+			}
+			start, end := sg.start, sg.end
+			led.AddRowsRead(int64(end - start))
+			if it.zeroFlagged() {
+				w.zeroRow()
+				continue
+			}
+			if st.dg != nil {
+				w.slab = pl.fac.DeltaSlab(start, end)
+				led.AddDeltasProbed(int64(w.slab.Len()))
+			}
+			u, err := st.uRows(start, end, &w.scratch)
+			if err != nil {
+				return fmt.Errorf("query: U rows [%d,%d): %w", start, end, err)
+			}
+			if st.factored {
+				for r := 0; r < len(u); r += k {
+					w.um.add(u[r : r+k])
+				}
+				continue
+			}
+			// u may be resident U itself: project scales its own copy.
+			for i := start; i < end; i++ {
+				copy(w.urow, u[(i-start)*k:])
+				w.project(i)
+			}
 		}
 	}
 	return nil

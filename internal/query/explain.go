@@ -103,54 +103,46 @@ func (p *plan) explain(s store.Store, agg Aggregate, sel Selection, workers int)
 		return ex, nil
 	}
 
-	ex.replayURows(p)
-	if ex.Plan == PlanFactored && p.overlay {
-		ex.replayDeltaWalk(p, agg)
-	}
+	ex.replay(p, agg)
 	return ex, nil
 }
 
-// replayURows walks the pieces readURows would, chunk by chunk, charging
-// what a cold store charges for each without reading anything: every
-// piece is rows read; all but the flag-answered zero rows are one access
-// per row plus the pages spanned. The projected plan also opens the slab
-// of the row index of every piece it holds U rows for.
-func (ex *Explain) replayURows(pl *plan) {
+// replay predicts what readURows and deltaCorrections charge on a cold
+// store without reading anything. The schedule counts the pieces
+// readURows walks, chunk by chunk; the projected plan on an SVDD store
+// opens the slab of the row index of every piece but an isolated
+// zero-flagged row, and the factored plan probes every bucket of the
+// distinct selected rows. The charges are plan.reads' runs of rows: each
+// a row read per row, and, but for a zero-flagged row, one access per row
+// plus the pages spanned.
+func (ex *Explain) replay(pl *plan, agg Aggregate) {
 	for lo := 0; lo < len(pl.rows); lo += ex.ChunkRows {
 		for it := pl.pieces(lo, min(lo+ex.ChunkRows, len(pl.rows))); it.next(); {
-			n := it.end - it.start
-			ex.EstRowsRead += int64(n)
 			if it.scan {
 				ex.CoalescedScans++
-				ex.ScanRows += n
+				ex.ScanRows += it.end - it.start
 			} else {
 				ex.PointRows++
 			}
 			if it.zeroFlagged() {
 				ex.ZeroRows++
-				continue
-			}
-			ex.EstDiskAccesses += int64(n)
-			ex.EstPagesTouched += int64(pl.fac.Base().UPageSpan(it.start, it.end))
-			if ex.Plan == PlanProjected && pl.overlay {
+			} else if ex.Plan == PlanProjected && pl.overlay {
 				ex.EstDeltasProbed += int64(pl.fac.DeltaSlab(it.start, it.end).Len())
 			}
 		}
 	}
-}
-
-// replayDeltaWalk predicts the factored plan's SVDD delta charges by
-// running the walk deltaCorrections runs: every bucket of the distinct
-// selected rows is probed, and StdDev additionally reconstructs the
-// baseline of every row the walk stops at — one U read each.
-func (ex *Explain) replayDeltaWalk(pl *plan, agg Aggregate) {
-	w := pl.deltaWalk()
-	for w.next() {
-		if agg == StdDev {
-			ex.EstRowsRead++
-			ex.EstDiskAccesses++
-			ex.EstPagesTouched += int64(pl.fac.Base().UPageSpan(w.row, w.row+1))
+	base := pl.fac.Base()
+	pl.reads(agg, ex.ChunkRows, func(start, end int, zero bool) {
+		ex.EstRowsRead += int64(end - start)
+		if !zero {
+			ex.EstDiskAccesses += int64(end - start)
+			ex.EstPagesTouched += int64(base.UPageSpan(start, end))
 		}
+	})
+	if ex.Plan == PlanFactored && pl.overlay {
+		w := pl.deltaWalk()
+		for w.next() {
+		}
+		ex.EstDeltasProbed += w.probed
 	}
-	ex.EstDeltasProbed += w.probed
 }

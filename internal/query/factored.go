@@ -82,8 +82,9 @@ func (st *evalState) finalizeFactoredStdDev() float64 {
 // per-shard) partials merge to the identical bit pattern as a serial pass.
 //
 // add goes through an exact.Stage: a row's terms land in error-free
-// float64 bins that reach acc and g once per 1 024 rows and at flush. Only
-// the workers' moments and the column pass stage rows; merge flushes the
+// float64 bins that reach acc and g once per 1 024 rows and at flush;
+// addBlock adds a whole indexed block of rows to the same bins. Only the
+// workers' moments and the column pass stage rows; merge flushes the
 // moments it folds in and evaluate flushes the column pass, so the
 // moments export and value read are always fully flushed — the very
 // registers a per-term Sum.Add fold builds.
@@ -110,7 +111,7 @@ func (um *uMoments) reset(k int, wantSq bool) {
 			um.g[i].Reset()
 		}
 	}
-	um.stage.Reset(len(um.acc) + len(um.g))
+	um.stage.Reset(k, wantSq)
 }
 
 // set makes um a copy of the given moments (a Partial's), reusing its
@@ -123,6 +124,12 @@ func (um *uMoments) set(k int, wantSq bool, acc, g []exact.Sum) {
 
 func (um *uMoments) add(row []float64) {
 	um.stage.AddMoments(um.acc, um.g, row)
+}
+
+// addBlock stages an entry of the store's moment index in place of its
+// exact.BlockRows rows.
+func (um *uMoments) addBlock(e *exact.Entry) {
+	um.stage.AddBlock(um.acc, um.g, *e)
 }
 
 // flush moves the staged rows into acc and g.
@@ -167,11 +174,24 @@ type corrections struct {
 // the walk stops at, through the engine's uRows (uncharged when
 // EvaluateBatch already paid for it).
 //
+// The terms go through one exact.Scaled stage per sum, each at the power
+// of two that brings its terms into [−1, 1]: |wt·δ| ≤ max |δ| for a
+// selection without repeats, and |b| ≤ σ₁ (a U row and a V row have norm
+// at most 1), so |wt·(2bδ+δ²)| ≤ max |δ|·(2σ₁ + max |δ|). A term the
+// bound misses is added to its sum directly; the registers are the
+// per-term fold's either way.
+//
 // Multiset weighting: a cell selected r·c times (row listed r times,
 // column c times) contributes r·c copies of its correction.
 func (st *evalState) deltaCorrections(wantSq bool) error {
 	pl, led, c := &st.pl, st.env.led, &st.corr
 	sigma, v := pl.sigma, pl.fac.Base().V()
+	dmax, sig1 := pl.fac.MaxDelta(), 0.0
+	for _, s := range sigma {
+		sig1 = max(sig1, s)
+	}
+	st.dsum.Reset(dmax)
+	st.dsq.Reset(dmax * (2*sig1 + dmax))
 	// The workers are done; the first one's U-row buffers are free.
 	w0 := st.active[0]
 	urow := w0.urow
@@ -185,7 +205,7 @@ func (st *evalState) deltaCorrections(wantSq bool) error {
 				continue
 			}
 			wt := float64(w.mult * int(cj))
-			c.sum.Add(wt * delta)
+			st.dsum.Add(&c.sum, wt*delta)
 			if !wantSq {
 				continue
 			}
@@ -201,9 +221,11 @@ func (st *evalState) deltaCorrections(wantSq bool) error {
 				haveU = true
 			}
 			b := linalg.Dot(urow, v.Row(int(col)))
-			c.sumSq.Add(wt * (2*b*delta + delta*delta))
+			st.dsq.Add(&c.sumSq, wt*(2*b*delta+delta*delta))
 		}
 	}
+	st.dsum.Flush(&c.sum)
+	st.dsq.Flush(&c.sumSq)
 	led.AddDeltasProbed(w.probed)
 	return nil
 }

@@ -74,13 +74,23 @@ func TestLedgerMatchesUStats(t *testing.T) {
 				t.Errorf("%v/w%d: ledger disk accesses %d != stats row reads %d",
 					agg, workers, cost.DiskAccesses, delta)
 			}
-			if cost.RowsRead != int64(n) {
-				t.Errorf("%v/w%d: rows read %d, want %d", agg, workers, cost.RowsRead, n)
+			// The 64 rows are one block of the moment index, which a
+			// factored sum or stddev stages without reading a row.
+			want := int64(n)
+			if agg != Min {
+				want = 0
+			}
+			if cost.RowsRead != want {
+				t.Errorf("%v/w%d: rows read %d, want %d", agg, workers, cost.RowsRead, want)
 			}
 			if cost.WorkerChunks < 1 {
 				t.Errorf("%v/w%d: no worker chunks", agg, workers)
 			}
-			if cost.PagesTouched < 1 || cost.PagesTouched > cost.RowsRead {
+			if want == 0 {
+				if cost.PagesTouched != 0 {
+					t.Errorf("%v/w%d: pages touched %d with no row read", agg, workers, cost.PagesTouched)
+				}
+			} else if cost.PagesTouched < 1 || cost.PagesTouched > cost.RowsRead {
 				t.Errorf("%v/w%d: pages touched %d outside [1, %d]",
 					agg, workers, cost.PagesTouched, cost.RowsRead)
 			}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"seqstore/internal/core"
+	"seqstore/internal/exact"
 	"seqstore/internal/store"
 )
 
@@ -166,4 +167,104 @@ func (it *pieceIter) next() bool {
 // Zero rows inside a scan are scanned like any other.
 func (it *pieceIter) zeroFlagged() bool {
 	return !it.scan && it.pl.fac.IsZeroRow(it.start)
+}
+
+// segIter splits one piece, U rows [start, end), into what the engine
+// reads of it. A factored plan takes every indexed block of the store's
+// moment index (svd.Store.RowMoments) that lies wholly inside the piece's
+// run from the index instead of reading its rows: the piece holding the
+// block's first row stages the block's entry (a block segment, staged
+// set), and the block's other rows — in that piece or in the next chunk's
+// — are skipped. Which piece owns a block is a matter of positions alone,
+// so every worker count stages every taken block exactly once, and a
+// multiset that lists a range twice takes its blocks twice. The rows
+// outside taken blocks — a run's ragged ends, and any block the index left
+// out — are read segments, as is every piece of any other plan. A value
+// type driven by next; nothing here allocates.
+type segIter struct {
+	idx      *exact.Blocks // nil: the piece is read whole
+	rs, re   int           // the piece's run: U rows [rs, re)
+	at, stop int           // rows [at, stop) of the piece still to cover
+
+	// The current segment: rows [start, end); staged, a block it stages
+	// from entry; or skip, rows of a block another segment stages.
+	start, end int
+	staged     bool
+	entry      exact.Entry
+	skip       bool
+}
+
+// segments starts the split of the iterator's current piece.
+func (p *plan) segments(it *pieceIter, factored bool) segIter {
+	sg := segIter{at: it.start, stop: it.end}
+	if factored {
+		run := p.runs[it.ri]
+		sg.idx, sg.rs = p.fac.Base().RowMoments(), p.rows[run.lo]
+		sg.re = sg.rs + run.hi - run.lo
+	}
+	return sg
+}
+
+// taken returns the entry of the block holding row i if the factored path
+// takes that block whole: indexed, and wholly inside the piece's run.
+func (sg *segIter) taken(i int) (exact.Entry, bool) {
+	b0 := i - i%exact.BlockRows
+	if sg.idx == nil || b0 < sg.rs || b0+exact.BlockRows > sg.re {
+		return exact.Entry{}, false
+	}
+	return sg.idx.Block(b0 / exact.BlockRows)
+}
+
+// next advances to the next segment, reporting false when the piece is
+// covered.
+func (sg *segIter) next() bool {
+	if sg.at >= sg.stop {
+		return false
+	}
+	sg.start = sg.at
+	sg.staged, sg.skip = false, false
+	if sg.idx == nil {
+		sg.at, sg.end = sg.stop, sg.stop
+		return true
+	}
+	b0 := sg.at - sg.at%exact.BlockRows
+	sg.at = min(b0+exact.BlockRows, sg.stop)
+	var ok bool
+	if sg.entry, ok = sg.taken(sg.start); ok {
+		sg.staged, sg.skip = sg.start == b0, sg.start != b0
+	} else {
+		for sg.at < sg.stop {
+			if _, ok := sg.taken(sg.at); ok {
+				break
+			}
+			sg.at = min(sg.at+exact.BlockRows, sg.stop)
+		}
+	}
+	sg.end = sg.at
+	return true
+}
+
+// reads replays the U reads of an evaluation of agg over the plan's
+// selection in chunks of chunk positions, without reading: fn gets each
+// run of rows [start, end) readURows reads — the read segments of every
+// piece, zero set for an isolated zero-flagged row, which is answered from
+// its flag — and, for a StdDev on an SVDD store, each row deltaCorrections
+// reconstructs a baseline from. EXPLAIN charges what it gets and a batch's
+// shared charge marks it, so neither can drift from the engine.
+func (p *plan) reads(agg Aggregate, chunk int, fn func(start, end int, zero bool)) {
+	factored := agg == Sum || agg == Avg || agg == StdDev
+	for lo := 0; lo < len(p.rows); lo += chunk {
+		for it := p.pieces(lo, min(lo+chunk, len(p.rows))); it.next(); {
+			for sg := p.segments(&it, factored); sg.next(); {
+				if !sg.staged && !sg.skip {
+					fn(sg.start, sg.end, it.zeroFlagged())
+				}
+			}
+		}
+	}
+	if agg == StdDev && p.overlay {
+		for w := p.deltaWalk(); w.next(); {
+			fn(w.row, w.row+1, false)
+		}
+	}
 }

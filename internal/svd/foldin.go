@@ -3,6 +3,8 @@ package svd
 import (
 	"errors"
 	"fmt"
+
+	"seqstore/internal/exact"
 )
 
 // ErrNotAppendable is returned by FoldIn when the store's U backing cannot
@@ -64,6 +66,15 @@ func (s *Store) FoldIn(row []float64) (int, []float64, error) {
 	}
 	idx := app.AppendRow(urow)
 	s.rows++
+	if nb := s.rows / exact.BlockRows; s.rows%exact.BlockRows == 0 && s.moments.Len() == nb-1 {
+		// A block filled: index it. An appendable U is resident, where
+		// URows reads in place and does not fail; were it to, the index
+		// would stop short, which costs speed and never bits.
+		var scratch []float64
+		if rows, err := s.URows(s.rows-exact.BlockRows, s.rows, &scratch, false); err == nil {
+			s.moments.Append(rows)
+		}
+	}
 	recon := make([]float64, s.cols)
 	s.rowFrom(urow, recon)
 	return idx, recon, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"seqstore/internal/exact"
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/seqerr"
@@ -24,6 +25,10 @@ type Store struct {
 	// b bytes per stored number): 8 (float64, default) or 4 (float32,
 	// lossy on serialization).
 	prec int
+	// moments indexes U's exact row moments per aligned block of
+	// exact.BlockRows rows (RowMoments). It is built wherever a store is
+	// made, extended by FoldIn, and never persisted.
+	moments exact.Blocks
 }
 
 // Compress builds a plain-SVD store with cutoff k from src, making exactly
@@ -74,8 +79,30 @@ func New(f *Factors, k int, u matio.RowReader) (*Store, error) {
 	}
 	sigma := make([]float64, k)
 	copy(sigma, f.Sigma[:k])
-	return &Store{rows: un, cols: f.Cols, sigma: sigma, v: v, u: u, prec: 8}, nil
+	return indexed(&Store{rows: un, cols: f.Cols, sigma: sigma, v: v, u: u, prec: 8})
 }
+
+// indexed builds s's moment index over every whole block of U and returns
+// s. A U on disk is read once for it, block by block.
+func indexed(s *Store) (*Store, error) {
+	nb := s.rows / exact.BlockRows
+	s.moments = exact.NewBlocks(len(s.sigma), nb)
+	var scratch []float64
+	for b := 0; b < nb; b++ {
+		rows, err := s.URows(b*exact.BlockRows, (b+1)*exact.BlockRows, &scratch, false)
+		if err != nil {
+			return nil, fmt.Errorf("svd: index U block %d: %w", b, err)
+		}
+		s.moments.Append(rows)
+	}
+	return s, nil
+}
+
+// RowMoments returns the index of U's exact row moments: block b is U rows
+// [b·exact.BlockRows, (b+1)·exact.BlockRows) as an exact.Stage would stage
+// them with the Gram, for exact.(*Stage).AddBlock. Read-only; FoldIn
+// extends it when a block fills.
+func (s *Store) RowMoments() *exact.Blocks { return &s.moments }
 
 // Dims returns the dimensions of the represented matrix.
 func (s *Store) Dims() (int, int) { return s.rows, s.cols }
@@ -97,7 +124,7 @@ func (s *Store) SliceRows(lo, hi int) (*Store, error) {
 			return nil, fmt.Errorf("svd: slice U row %d: %w", i, err)
 		}
 	}
-	return &Store{rows: hi - lo, cols: s.cols, sigma: s.sigma, v: s.v, u: matio.NewMem(u), prec: s.prec}, nil
+	return indexed(&Store{rows: hi - lo, cols: s.cols, sigma: s.sigma, v: s.v, u: matio.NewMem(u), prec: s.prec})
 }
 
 // SetPrecision selects b, the bytes per stored number used when the store
@@ -329,7 +356,7 @@ func DecodePayload(r *store.Reader) (*Store, error) {
 			return nil, r.Err()
 		}
 	}
-	return &Store{rows: rows, cols: cols, sigma: sigma, v: v, u: matio.NewMem(u), prec: prec}, nil
+	return indexed(&Store{rows: rows, cols: cols, sigma: sigma, v: v, u: matio.NewMem(u), prec: prec})
 }
 
 var _ store.Encoder = (*Store)(nil)

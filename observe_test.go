@@ -7,15 +7,16 @@ import (
 
 // TestWithCostAttributesAggregates: a ledger attached via WithCost picks up
 // the disk accesses of a facade aggregate, and the traced evaluation
-// returns the same value as the untraced one.
+// returns the same value as the untraced one. The store is 100 rows, so
+// the sum reads the 36 past the first 64-row block of the moment index.
 func TestWithCostAttributesAggregates(t *testing.T) {
-	x := GeneratePhone(64)
+	x := GeneratePhone(100)
 	st, err := Compress(x, Options{Budget: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, m := x.Dims()
-	rows, cols := seqIdx(0, 64), seqIdx(0, m)
+	rows, cols := seqIdx(0, 100), seqIdx(0, m)
 
 	// Same worker count on both sides: Sum's summation order is only
 	// deterministic for a fixed count, and adaptive chunking parallelizes
