@@ -47,6 +47,10 @@ race:
 # per-term exact.Sum fold bit for bit), FuzzScaledTerms on raw float bit
 # patterns and fuzzed bounds as delta-correction terms through the scaled
 # stage (its register equals a per-term exact.Sum fold bit for bit),
+# FuzzDeltaWalks on fuzzed row runs, repeats and column lists over b = 8
+# and b = 4 SVDD stores and row slices of them (the row walk and the column
+# walk of the delta corrections each give the sum and sumSq registers of a
+# per-delta fold with a U read and a Dot, and probe what they should),
 # FuzzChannelFrame on the request and response frames of
 # the proxy's shard channels (no panic, allocation bounded by the declared
 # length capped at the 1 GiB cap, every strict prefix refused, decode
@@ -68,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzStagedMoments -fuzz FuzzStagedMoments -fuzztime 10s ./internal/exact
 	$(GO) test -run FuzzScaledTerms -fuzz FuzzScaledTerms -fuzztime 10s ./internal/exact
+	$(GO) test -run FuzzDeltaWalks -fuzz FuzzDeltaWalks -fuzztime 10s ./internal/query
 	$(GO) test -run FuzzChannelFrame -fuzz FuzzChannelFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzFoldBound -fuzz FuzzFoldBound -fuzztime 10s ./internal/ingest
 

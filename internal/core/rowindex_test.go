@@ -8,8 +8,10 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
 	"seqstore/internal/pqueue"
 	"seqstore/internal/store"
@@ -160,6 +162,93 @@ func checkDeltaIndex(t *testing.T, s *Store, ref refDeltas) {
 		if got := s.RowProbes() - rows0; got != 1 {
 			t.Fatalf("row %d: one Row and %d Cells read %d buckets, want 1", i, m, got)
 		}
+	}
+	checkDeltaColumns(t, s, ref)
+}
+
+// checkDeltaColumns asserts that the column-major view of s, built by
+// several goroutines at once (one build, one view, no bucket read
+// charged), holds exactly the index by column: each column lists the
+// row-major positions of its deltas, strictly ascending, each once; every
+// position's row bounds hold it; and every term is 2·b·δ + δ² with δ the
+// reference's and b the Dot of the σ-scaled U row and the column's V row.
+func checkDeltaColumns(t *testing.T, s *Store, ref refDeltas) {
+	t.Helper()
+	n, m := s.Dims()
+	rows0 := s.RowProbes()
+	views := make([]*DeltaColumns, 4)
+	var wg sync.WaitGroup
+	for g := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dc, err := s.DeltaColumns()
+			if err != nil {
+				t.Error(err)
+			}
+			views[g] = dc
+		}()
+	}
+	wg.Wait()
+	dc := views[0]
+	for _, v := range views {
+		if v != dc || v == nil {
+			t.Fatal("concurrent first calls built more than one view")
+		}
+	}
+	if got := s.RowProbes() - rows0; got != 0 {
+		t.Fatalf("building the view charged %d bucket reads", got)
+	}
+	if got, want := s.DeltaColumnsBytes(), 12*len(ref)+4*(m+1); got != want {
+		t.Fatalf("view holds %d bytes, want %d", got, want)
+	}
+	vals, terms := dc.Values()
+	if len(vals) != len(ref) || len(terms) != len(ref) {
+		t.Fatalf("view holds %d deltas and %d terms, reference %d", len(vals), len(terms), len(ref))
+	}
+	colOf := make([]int, len(ref))
+	for i := range colOf {
+		colOf[i] = -1
+	}
+	for j := 0; j < m; j++ {
+		pos := dc.Column(j)
+		if len(pos) != dc.Len(j) {
+			t.Fatalf("column %d: %d positions, Len %d", j, len(pos), dc.Len(j))
+		}
+		for x, q := range pos {
+			if x > 0 && q <= pos[x-1] {
+				t.Fatalf("column %d: position %d after %d", j, q, pos[x-1])
+			}
+			if colOf[q] != -1 {
+				t.Fatalf("position %d listed in columns %d and %d", q, colOf[q], j)
+			}
+			colOf[q] = j
+		}
+	}
+	sigma, v := s.base.Sigma(), s.base.V()
+	u := make([]float64, len(sigma))
+	p := 0
+	s.Deltas(func(row, col int, d float64) {
+		if colOf[p] != col {
+			t.Fatalf("position %d, cell (%d, %d): listed in column %d", p, row, col, colOf[p])
+		}
+		if a, b := dc.RowBounds(row, row+1); uint32(p) < a || uint32(p) >= b {
+			t.Fatalf("position %d, cell (%d, %d): row %d bounds [%d, %d)", p, row, col, row, a, b)
+		}
+		if err := s.base.URow(row, u); err != nil {
+			t.Fatal(err)
+		}
+		for c := range u {
+			u[c] *= sigma[c]
+		}
+		b := linalg.Dot(u, v.Row(col))
+		if want := ref[[2]int{row, col}]; !sameBits(vals[p], want) || !sameBits(terms[p], 2*b*want+want*want) {
+			t.Fatalf("cell (%d, %d): view holds δ %v, t %v; want %v, %v", row, col, vals[p], terms[p], want, 2*b*want+want*want)
+		}
+		p++
+	})
+	if a, b := dc.RowBounds(0, n); a != 0 || int(b) != len(ref) {
+		t.Fatalf("all rows bound positions [%d, %d), want [0, %d)", a, b, len(ref))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"seqstore/internal/pqueue"
@@ -53,8 +54,15 @@ type Store struct {
 	zeroList []int32 // sorted, for serialization and space accounting
 	zeroBits []uint64
 
+	// colView is the column-major view of the delta index with its
+	// precomputed second-moment terms (DeltaColumns): nil until the first
+	// factored aggregate builds it under colViewMu, and nil again after a
+	// fold.
+	colView   atomic.Pointer[DeltaColumns]
+	colViewMu sync.Mutex
+
 	probes    atomic.Int64 // delta-index point lookups performed
-	rowProbes atomic.Int64 // whole-bucket reads (rows, aggregate slabs)
+	rowProbes atomic.Int64 // bucket reads (rows, aggregate slabs, column walks)
 	zeroHits  atomic.Int64 // lookups answered by the zero-row flags
 }
 
@@ -271,14 +279,20 @@ func (d DeltaSlab) Row(i int) ([]int32, []float64) {
 	return d.cols[a:b], d.vals[a:b]
 }
 
+// Slot returns the position of row i's first delta in the row-major
+// index, where DeltaColumns.Term finds its term; i must lie in the slab's
+// run.
+func (d DeltaSlab) Slot(i int) int { return int(d.start[i-d.lo]) }
+
 // ProbeStats reports how many delta-index point lookups were performed and
 // how many cell and row lookups the zero-row flags answered instead.
 func (s *Store) ProbeStats() (probes, zeroHits int64) {
 	return s.probes.Load(), s.zeroHits.Load()
 }
 
-// RowProbes reports how many whole-bucket reads the delta index served (row
-// reconstructions and selection-restricted aggregate corrections).
+// RowProbes reports how many bucket reads the delta index served: row
+// reconstructions, and the row or column buckets a selection-restricted
+// aggregate's corrections walked.
 func (s *Store) RowProbes() int64 { return s.rowProbes.Load() }
 
 // delta returns the stored correction for cell (i, j) of the store and

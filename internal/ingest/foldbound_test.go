@@ -58,7 +58,8 @@ type foldBoundResult struct {
 // operation per byte of ops: low two bits 0 or 1 append a bulk of
 // 1 + (op>>2)%16 rows, 2 compacts, 3 closes the tier and opens it again from
 // its saved segment and WAL. After every step the cold segment's factored
-// sum and stddev registers must be a per-row fold's (checkFoldMoments), and
+// sum and stddev registers must be a per-row fold's (checkFoldMoments, run
+// before each compaction too, so the folds meet a built delta view), and
 // each cold cell must be a stored delta or lie within max(τ, 1e-12) + ε of
 // the value written, where τ is the smallest stored |δ| when the tier
 // opened and, at b = 4,
@@ -123,8 +124,20 @@ func runFoldBound(t *testing.T, prec int, ops []byte) foldBoundResult {
 				t.Fatal(err)
 			}
 		case 2:
-			if _, err := ti.Compact(); err != nil {
+			// The factored stddev of checkFoldMoments builds the cold
+			// store's column-major delta view before the compaction, and
+			// the folds must drop it: the check after this step rebuilds
+			// it over the folded rows' deltas.
+			checkFoldMoments(t, ti)
+			if ti.Cold().NumOutliers() > 0 && ti.Cold().DeltaColumnsBytes() == 0 {
+				t.Fatal("a factored stddev left the delta view unbuilt")
+			}
+			folded, err := ti.Compact()
+			if err != nil {
 				t.Fatal(err)
+			}
+			if folded > 0 && ti.Cold().DeltaColumnsBytes() != 0 {
+				t.Fatalf("%d rows folded and the delta view was kept", folded)
 			}
 		case 3:
 			if err := ti.Close(); err != nil {
@@ -352,4 +365,61 @@ func FuzzFoldBound(f *testing.F) {
 			t.Fatalf("b = %d: %d cells outside the bound, τ moved after %d steps", prec, res.outside, res.tauMoved)
 		}
 	})
+}
+
+// TestTieredBuildsNoDeltaView pins where the cold store's column-major
+// delta view is built: the tiered door plans every aggregate generic, so
+// no aggregate, batch or EXPLAIN through it builds the view and a writable
+// node holds none of its memory, while one factored stddev on the cold
+// store itself builds it at 12 bytes per delta plus the column offsets.
+func TestTieredBuildsNoDeltaView(t *testing.T) {
+	cold, err := core.Compress(matio.NewMem(phoneData(200)), core.Options{Budget: 0.2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ti := openTiered(t, cold, t.TempDir(), Options{DisableBackground: true, Workers: 1})
+	defer ti.Close()
+	x := phoneData(240)
+	var rows [][]float64
+	for i := 200; i < 240; i++ {
+		rows = append(rows, x.Row(i))
+	}
+	if _, err := ti.AppendBatch(context.Background(), nil, rows); err != nil {
+		t.Fatal(err)
+	}
+	_, m := ti.Dims()
+	ints := func(lo, hi int) []int {
+		var out []int
+		for i := lo; i < hi; i++ {
+			out = append(out, i)
+		}
+		return out
+	}
+	sel := query.Selection{Rows: ints(10, 230), Cols: ints(2, m-3)}
+	var items []query.BatchItem
+	for _, agg := range []query.Aggregate{query.Sum, query.Avg, query.StdDev, query.Min, query.Max} {
+		if _, err := query.EvaluateOpts(ti, agg, sel, query.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := query.ExplainQuery(ti, agg, sel, query.Options{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+		items = append(items, query.BatchItem{Agg: agg, Sel: sel})
+	}
+	if _, err := query.EvaluateBatch(ti, items, query.Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := ti.Cold().DeltaColumnsBytes(); got != 0 {
+		t.Fatalf("aggregates through the tiered door built a %d-byte delta view", got)
+	}
+	cold = ti.Cold()
+	if cold.NumOutliers() == 0 {
+		t.Fatal("the cold store holds no deltas")
+	}
+	if _, err := query.Evaluate(cold, query.StdDev, query.Selection{Rows: ints(10, 200), Cols: sel.Cols}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cold.DeltaColumnsBytes(), 12*cold.NumOutliers()+4*(m+1); got != want {
+		t.Fatalf("a factored stddev on the cold store built a %d-byte view, want %d", got, want)
+	}
 }

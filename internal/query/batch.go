@@ -1,6 +1,8 @@
 package query
 
 import (
+	"math/bits"
+
 	"seqstore/internal/core"
 	"seqstore/internal/store"
 )
@@ -133,21 +135,31 @@ func (p *plan) chargeBatchUnion(fac *core.Store, items []BatchItem, skip []bool,
 	if total <= distinct {
 		return false
 	}
-	for start := 0; start < n; {
-		if !in(start) {
-			start++
-			continue
-		}
-		end := start + 1
-		for end < n && in(end) {
-			end++
-		}
+	for start := nextBit(union, 0, n, true); start < n; {
+		end := nextBit(union, start, n, false)
 		env.led.AddDiskAccesses(int64(end - start))
 		env.led.AddPagesTouched(int64(base.UPageSpan(start, end)))
 		if _, err := base.URows(start, end, nil, true); err != nil {
 			return false
 		}
-		start = end
+		start = nextBit(union, end, n, true)
 	}
 	return true
+}
+
+// nextBit returns the first row at or after i, below n, whose bit in set
+// is on (on) or off (!on), or n if there is none; whole words without one
+// are skipped at once.
+func nextBit(set []uint64, i, n int, on bool) int {
+	for i < n {
+		w := set[i/64]
+		if !on {
+			w = ^w
+		}
+		if w >>= uint(i % 64); w != 0 {
+			return min(i+bits.TrailingZeros64(w), n)
+		}
+		i = (i/64 + 1) * 64
+	}
+	return n
 }

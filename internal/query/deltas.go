@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math/bits"
 	"slices"
 
 	"seqstore/internal/core"
@@ -99,14 +100,27 @@ func zeroedInt32s(s []int32, n int) []int32 {
 	return s
 }
 
-// deltaWalk is the one walk over the deltas of a plan's selected cells:
-// the distinct selected rows in ascending order, a slab per run, stopping
-// at each row that holds a delta in a selected column. The factored
-// corrections fold what it stops at and EXPLAIN counts it, so the cost
-// model is the engine's own loop. (The projected overlay meets its rows in
-// selection order, a piece at a time — readURows — and reads each piece's
-// slab through the same digest.) A value type driven by next; nothing here
-// allocates.
+// The factored corrections reach the deltas of the selected cells by one
+// of two walks, chosen per evaluation by selDigest.columnWalk:
+//
+//   - the row walk (deltaWalk): the distinct selected rows in ascending
+//     order, a slab of the row index per run, every delta of every such row
+//     probed whatever its column;
+//   - the column walk (evalState.columnCorrections): for each distinct
+//     selected column, the span of each row run among the column's deltas
+//     (core.DeltaColumns), bounded by two binary searches, so only the
+//     deltas of selected cells are visited.
+//
+// Both fold the same terms — δ and the precomputed 2·b·δ + δ², scaled by
+// the cell's multiplicity — into exact sums, which do not depend on order,
+// so the choice reaches the cost and never a register.
+
+// deltaWalk is the row walk over the deltas of a plan's selected cells: the
+// distinct selected rows in ascending order, a slab per run, stopping at
+// each row that holds a delta in a selected column. (The projected overlay
+// meets its rows in selection order, a piece at a time — readURows — and
+// reads each piece's slab through the same digest.) A value type driven by
+// next; nothing here allocates.
 type deltaWalk struct {
 	fac  *core.Store
 	dg   *selDigest
@@ -125,9 +139,8 @@ type deltaWalk struct {
 	probed int64 // deltas in the buckets of every run opened so far
 }
 
-// deltaWalk builds the plan's digest and starts the walk over it.
-func (p *plan) deltaWalk() deltaWalk {
-	dg := p.buildDigest()
+// deltaWalk starts the row walk over the plan's digest dg.
+func (p *plan) deltaWalk(dg *selDigest) deltaWalk {
 	return deltaWalk{fac: p.fac, dg: dg, runs: dg.rowRuns}
 }
 
@@ -156,4 +169,60 @@ func (w *deltaWalk) next() bool {
 		w.at, w.end, w.mult = run.lo, run.hi, run.mult
 		w.probed += int64(w.slab.Len())
 	}
+}
+
+// columnWalk reports whether the corrections take the column walk: whether
+// it is expected to probe fewer deltas than the row walk. The row walk
+// probes every delta of the distinct selected rows, which the row offsets
+// count. The column walk probes, per distinct selected column and row run,
+// the entries its two binary searches read (searchReads of the column's
+// length each, from the column offsets), plus the deltas inside the spans
+// — unknown before the walk, and estimated as the selected columns' share
+// of the row walk's. The inputs are the digest and the offsets alone, so
+// EXPLAIN makes the same choice.
+func (dg *selDigest) columnWalk(dc *core.DeltaColumns) bool {
+	var rowCost int64
+	for _, run := range dg.rowRuns {
+		a, b := dc.RowBounds(run.lo, run.hi)
+		rowCost += int64(b - a)
+	}
+	var search, cols int64
+	for j, cj := range dg.colMult {
+		if cj != 0 {
+			cols++
+			search += int64(2 * len(dg.rowRuns) * searchReads(dc.Len(j)))
+		}
+	}
+	return float64(search)+float64(rowCost)*float64(cols)/float64(len(dg.colMult)) < float64(rowCost)
+}
+
+// lowerBound returns the index of the first entry of pos (ascending) that
+// is at least x, len(pos) if none. It halves a fixed number of times, so
+// it always reads exactly searchReads(len(pos)) entries.
+func lowerBound(pos []uint32, x uint32) int {
+	n := len(pos)
+	if n == 0 {
+		return 0
+	}
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		if pos[base+half] < x {
+			base += half
+		}
+		n -= half
+	}
+	if pos[base] < x {
+		base++
+	}
+	return base
+}
+
+// searchReads is the number of entries lowerBound reads in n entries:
+// ⌈log₂ n⌉ halvings and a last comparison.
+func searchReads(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return bits.Len(uint(n-1)) + 1
 }

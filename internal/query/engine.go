@@ -282,7 +282,9 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	st.colM.flush()
 	st.sigma, st.hasCorr, st.corr = pl.sigma, pl.overlay, corrections{}
 	if st.hasCorr {
-		return st.deltaCorrections(wantSq)
+		probed, err := st.deltaCorrections(wantSq)
+		env.led.AddDeltasProbed(probed)
+		return err
 	}
 	return nil
 }

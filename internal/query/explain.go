@@ -13,9 +13,11 @@ const (
 
 // Explain describes the plan evaluate would choose for (s, agg, sel) and
 // predicts its ledger charges. It is derived entirely from in-memory
-// metadata — the run schedule, the SVDD zero-row flags and the row index
-// of the deltas — so producing an explanation performs no store reads and adds zero
-// disk accesses (the §17 invariant pinned by TestExplainNoExtraDiskAccesses).
+// metadata — the run schedule, the SVDD zero-row flags, the row index of
+// the deltas and their column-major view (which a factored explanation
+// builds if no aggregate has yet) — so producing an explanation performs
+// no request's store reads and adds zero disk accesses (the §17 invariant
+// pinned by TestExplainNoExtraDiskAccesses).
 //
 // The estimates model a query alone, not a batch's shared union charge.
 // On a cold store they equal the executed ledger exactly, including the
@@ -61,11 +63,11 @@ type Explain struct {
 func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*Explain, error) {
 	st := getState()
 	defer st.release()
-	return st.pl.explain(s, agg, sel, opts.env().workers)
+	return st.explain(s, agg, sel, opts.env().workers)
 }
 
-// explain is ExplainQuery on the plan of a state the caller holds.
-func (p *plan) explain(s store.Store, agg Aggregate, sel Selection, workers int) (*Explain, error) {
+// explain is ExplainQuery on a state the caller holds.
+func (st *evalState) explain(s store.Store, agg Aggregate, sel Selection, workers int) (*Explain, error) {
 	n, m := s.Dims()
 	if err := sel.Validate(n, m); err != nil {
 		return nil, err
@@ -78,6 +80,7 @@ func (p *plan) explain(s store.Store, agg Aggregate, sel Selection, workers int)
 		ex.Plan = PlanCount
 		return ex, nil
 	}
+	p := &st.pl
 	p.reset(s, sel)
 	switch {
 	case p.fac == nil:
@@ -104,17 +107,24 @@ func (p *plan) explain(s store.Store, agg Aggregate, sel Selection, workers int)
 	}
 
 	ex.replay(p, agg)
+	if ex.Plan == PlanFactored && p.overlay {
+		// The corrections read no U row: running them is their replay,
+		// the walk's choice included.
+		probed, err := st.deltaCorrections(agg == StdDev)
+		if err != nil {
+			return nil, err
+		}
+		ex.EstDeltasProbed += probed
+	}
 	return ex, nil
 }
 
-// replay predicts what readURows and deltaCorrections charge on a cold
-// store without reading anything. The schedule counts the pieces
-// readURows walks, chunk by chunk; the projected plan on an SVDD store
-// opens the slab of the row index of every piece but an isolated
-// zero-flagged row, and the factored plan probes every bucket of the
-// distinct selected rows. The charges are plan.reads' runs of rows: each
-// a row read per row, and, but for a zero-flagged row, one access per row
-// plus the pages spanned.
+// replay predicts what readURows charges on a cold store without reading
+// anything. The schedule counts the pieces readURows walks, chunk by
+// chunk; the projected plan on an SVDD store opens the slab of the row
+// index of every piece but an isolated zero-flagged row. The charges are
+// plan.reads' runs of rows: each a row read per row, and, but for a
+// zero-flagged row, one access per row plus the pages spanned.
 func (ex *Explain) replay(pl *plan, agg Aggregate) {
 	for lo := 0; lo < len(pl.rows); lo += ex.ChunkRows {
 		for it := pl.pieces(lo, min(lo+ex.ChunkRows, len(pl.rows))); it.next(); {
@@ -139,10 +149,4 @@ func (ex *Explain) replay(pl *plan, agg Aggregate) {
 			ex.EstPagesTouched += int64(base.UPageSpan(start, end))
 		}
 	})
-	if ex.Plan == PlanFactored && pl.overlay {
-		w := pl.deltaWalk()
-		for w.next() {
-		}
-		ex.EstDeltasProbed += w.probed
-	}
 }

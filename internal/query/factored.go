@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
+	"seqstore/internal/core"
 	"seqstore/internal/exact"
-	"seqstore/internal/linalg"
 )
 
 // This file holds the factored aggregate paths. With x̂ = U·Σ·Vᵀ, the first
@@ -21,9 +21,9 @@ import (
 // (O(k²·(|R|+|C|))), which gives StdDev without touching any of the
 // |R|·|C| cells; its accuracy is limited by cancellation in Σx²−(Σx)²/n,
 // and property tests pin it within 1e-6 relative of the naive evaluation.
-// SVDD stores add corrections from the outlier deltas of the selected rows,
-// visited through the store's row index by the plan's delta walk
-// (deltas.go).
+// SVDD stores add corrections from the outlier deltas of the selected
+// cells, reached by a walk of the store's row index or of its column-major
+// view, whichever probes fewer (deltas.go).
 //
 // The moments live in the pooled evalState (engine.go) and the walk reads
 // the plan's digest, so the steady-state factored path allocates nothing,
@@ -166,66 +166,114 @@ type corrections struct {
 }
 
 // deltaCorrections folds the outlier deltas lying inside the selection
-// into st.corr, along the plan's delta walk: only the buckets of the
-// distinct selected rows are looked at (one row-index lookup each — the
-// counter pinned by tests). For the second moment, a delta δ on a cell
-// with SVD baseline b shifts that cell's square by (b+δ)²−b² = 2bδ+δ², so
-// only delta cells need their baseline reconstructed: one U read per row
-// the walk stops at, through the engine's uRows (uncharged when
-// EvaluateBatch already paid for it).
+// into st.corr and returns how many deltas its walk probed. It takes the
+// cheaper of the two walks (deltas.go, selDigest.columnWalk) over the
+// store's column-major view (core.DeltaColumns), which holds, beside each
+// δ, the term a delta adds to the second moment: a delta δ on a cell with
+// SVD baseline b shifts that cell's square by (b+δ)²−b² = 2bδ+δ², which
+// depends on the store alone and is computed once per store. So no walk
+// reads a U row or runs a dot, and neither charges a row.
 //
 // The terms go through one exact.Scaled stage per sum, each at the power
 // of two that brings its terms into [−1, 1]: |wt·δ| ≤ max |δ| for a
 // selection without repeats, and |b| ≤ σ₁ (a U row and a V row have norm
 // at most 1), so |wt·(2bδ+δ²)| ≤ max |δ|·(2σ₁ + max |δ|). A term the
 // bound misses is added to its sum directly; the registers are the
-// per-term fold's either way.
+// per-term fold's either way, in any order.
 //
 // Multiset weighting: a cell selected r·c times (row listed r times,
 // column c times) contributes r·c copies of its correction.
-func (st *evalState) deltaCorrections(wantSq bool) error {
-	pl, led, c := &st.pl, st.env.led, &st.corr
-	sigma, v := pl.sigma, pl.fac.Base().V()
+func (st *evalState) deltaCorrections(wantSq bool) (int64, error) {
+	pl := &st.pl
+	dc, err := pl.fac.DeltaColumns()
+	if err != nil {
+		return 0, fmt.Errorf("query: delta columns: %w", err)
+	}
+	dg := pl.buildDigest()
+	return st.foldCorrections(dg, dc, dg.columnWalk(dc), wantSq), nil
+}
+
+// foldCorrections empties st.corr, folds the selection's deltas into it by
+// the column walk or the row walk, and returns the deltas probed.
+func (st *evalState) foldCorrections(dg *selDigest, dc *core.DeltaColumns, column, wantSq bool) int64 {
+	pl := &st.pl
 	dmax, sig1 := pl.fac.MaxDelta(), 0.0
-	for _, s := range sigma {
+	for _, s := range pl.sigma {
 		sig1 = max(sig1, s)
 	}
+	st.corr = corrections{}
 	st.dsum.Reset(dmax)
 	st.dsq.Reset(dmax * (2*sig1 + dmax))
-	// The workers are done; the first one's U-row buffers are free.
-	w0 := st.active[0]
-	urow := w0.urow
-	w := pl.deltaWalk()
+	var probed int64
+	if column {
+		probed = st.columnCorrections(dg, dc, wantSq)
+	} else {
+		probed = st.rowCorrections(dg, dc, wantSq)
+	}
+	st.dsum.Flush(&st.corr.sum)
+	st.dsq.Flush(&st.corr.sumSq)
+	return probed
+}
+
+// rowCorrections is the row walk's fold: every delta of the distinct
+// selected rows is probed, and those in selected columns are folded, each
+// term read at the delta's own row-major position.
+func (st *evalState) rowCorrections(dg *selDigest, dc *core.DeltaColumns, wantSq bool) int64 {
+	c := &st.corr
+	_, terms := dc.Values()
+	w := st.pl.deltaWalk(dg)
 	for w.next() {
-		haveU := false
+		slot := w.slab.Slot(w.row)
 		for x := w.first; x < len(w.cols); x++ {
-			col, delta := w.cols[x], w.vals[x]
-			cj := w.dg.colMult[col]
+			cj := dg.colMult[w.cols[x]]
 			if cj == 0 {
 				continue
 			}
 			wt := float64(w.mult * int(cj))
-			st.dsum.Add(&c.sum, wt*delta)
-			if !wantSq {
-				continue
+			st.dsum.Add(&c.sum, wt*w.vals[x])
+			if wantSq {
+				st.dsq.Add(&c.sumSq, wt*terms[slot+x])
 			}
-			if !haveU {
-				u, err := st.uRows(w.row, w.row+1, &w0.scratch)
-				if err != nil {
-					return fmt.Errorf("query: delta row %d: %w", w.row, err)
-				}
-				led.AddRowsRead(1)
-				for m := range urow {
-					urow[m] = u[m] * sigma[m]
-				}
-				haveU = true
-			}
-			b := linalg.Dot(urow, v.Row(int(col)))
-			st.dsq.Add(&c.sumSq, wt*(2*b*delta+delta*delta))
 		}
 	}
-	st.dsum.Flush(&c.sum)
-	st.dsq.Flush(&c.sumSq)
-	led.AddDeltasProbed(w.probed)
-	return nil
+	return w.probed
+}
+
+// columnCorrections is the column walk's fold: for each distinct selected
+// column, each row run's span of the column's positions is found by two
+// binary searches and folded whole. It probes the entries the searches
+// read and the spans' deltas, and charges the store one bucket read per
+// column.
+func (st *evalState) columnCorrections(dg *selDigest, dc *core.DeltaColumns, wantSq bool) int64 {
+	c := &st.corr
+	vals, terms := dc.Values()
+	var probed int64
+	opened := 0
+	for j, cj := range dg.colMult {
+		if cj == 0 {
+			continue
+		}
+		opened++
+		pos := dc.Column(j)
+		if len(pos) == 0 {
+			continue
+		}
+		search := int64(2 * searchReads(len(pos)))
+		for _, run := range dg.rowRuns {
+			lo, hi := dc.RowBounds(run.lo, run.hi)
+			span := pos[lowerBound(pos, lo):lowerBound(pos, hi)]
+			probed += search + int64(len(span))
+			wt := float64(run.mult * int(cj))
+			for _, q := range span {
+				st.dsum.Add(&c.sum, wt*vals[q])
+			}
+			if wantSq {
+				for _, q := range span {
+					st.dsq.Add(&c.sumSq, wt*terms[q])
+				}
+			}
+		}
+	}
+	dc.ChargeColumns(opened)
+	return probed
 }

@@ -248,9 +248,9 @@ func (sg *segIter) next() bool {
 // selection in chunks of chunk positions, without reading: fn gets each
 // run of rows [start, end) readURows reads — the read segments of every
 // piece, zero set for an isolated zero-flagged row, which is answered from
-// its flag — and, for a StdDev on an SVDD store, each row deltaCorrections
-// reconstructs a baseline from. EXPLAIN charges what it gets and a batch's
-// shared charge marks it, so neither can drift from the engine.
+// its flag. The delta corrections read no U row. EXPLAIN charges what fn
+// gets and a batch's shared charge marks it, so neither can drift from the
+// engine.
 func (p *plan) reads(agg Aggregate, chunk int, fn func(start, end int, zero bool)) {
 	factored := agg == Sum || agg == Avg || agg == StdDev
 	for lo := 0; lo < len(p.rows); lo += chunk {
@@ -260,11 +260,6 @@ func (p *plan) reads(agg Aggregate, chunk int, fn func(start, end int, zero bool
 					fn(sg.start, sg.end, it.zeroFlagged())
 				}
 			}
-		}
-	}
-	if agg == StdDev && p.overlay {
-		for w := p.deltaWalk(); w.next(); {
-			fn(w.row, w.row+1, false)
 		}
 	}
 }

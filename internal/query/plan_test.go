@@ -254,11 +254,11 @@ func TestPooledPlanMatchesFresh(t *testing.T) {
 							t.Errorf("%s/store %d/%s/%v/w%d: pooled %016x %+v, fresh %016x %+v",
 								phase, si, selName, agg, workers, got, gotLed, want, wantLed)
 						}
-						gotEx, err := st.pl.explain(s, agg, sel, workers)
+						gotEx, err := st.explain(s, agg, sel, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
-						wantEx, err := new(plan).explain(s, agg, sel, workers)
+						wantEx, err := new(evalState).explain(s, agg, sel, workers)
 						if err != nil {
 							t.Fatal(err)
 						}

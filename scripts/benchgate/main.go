@@ -211,7 +211,8 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 // aggregate metrics are sensitive to: the Gram kernel, the top-γ selection,
 // the pass-2 row scorer, the reconstruction kernels, the engine's U-row
 // loop, the projected engine's row bound and row projection, the factored
-// moments' staged kernel and the exact add behind it, and the point read.
+// moments' staged kernel and the exact add behind it, the column walk of
+// the delta corrections, and the point read.
 var hotSymbols = []string{
 	"seqstore/internal/linalg.AxpyRows",
 	"seqstore/internal/pqueue.selectNth",
@@ -224,6 +225,7 @@ var hotSymbols = []string{
 	"seqstore/internal/query.(*evalWorker).project",
 	"seqstore/internal/exact.(*Stage).AddMoments",
 	"seqstore/internal/exact.(*Sum).Add",
+	"seqstore/internal/query.(*evalState).columnCorrections",
 	"seqstore/internal/core.(*Store).Cell",
 }
 
