@@ -51,6 +51,10 @@ race:
 # and b = 4 SVDD stores and row slices of them (the row walk and the column
 # walk of the delta corrections each give the sum and sumSq registers of a
 # per-delta fold with a U read and a Dot, and probe what they should),
+# FuzzExtremaIndex on fuzzed row runs, repeats and column lists over stores
+# with zero ties, §6.2 zero rows, NaN and ±Inf cells, their row slices and a
+# b = 4 file (a min or max through the extremum index, lone, batched and as
+# a partial, equals the naive fold over store.Row bit for bit),
 # FuzzChannelFrame on the request and response frames of
 # the proxy's shard channels (no panic, allocation bounded by the declared
 # length capped at the 1 GiB cap, every strict prefix refused, decode
@@ -73,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzStagedMoments -fuzz FuzzStagedMoments -fuzztime 10s ./internal/exact
 	$(GO) test -run FuzzScaledTerms -fuzz FuzzScaledTerms -fuzztime 10s ./internal/exact
 	$(GO) test -run FuzzDeltaWalks -fuzz FuzzDeltaWalks -fuzztime 10s ./internal/query
+	$(GO) test -run FuzzExtremaIndex -fuzz FuzzExtremaIndex -fuzztime 10s ./internal/query
 	$(GO) test -run FuzzChannelFrame -fuzz FuzzChannelFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzFoldBound -fuzz FuzzFoldBound -fuzztime 10s ./internal/ingest
 

@@ -228,7 +228,7 @@ func main() {
 	compactAfter := fs.Int("compact-after", 0,
 		"hot rows that wake the background compactor (0 = default 256)")
 	recompressGrowth := fs.Float64("recompress-growth", 0,
-		"cold-segment growth factor that triggers full recompression (0 = default 1.5, negative disables)")
+		"negative disables automatic recompression; otherwise the cold segment recompresses once its space ratio passes its budget by 2% (deprecated: the growth factor is gone)")
 	fs.Parse(os.Args[1:])
 	switch {
 	case (*storePath == "") == (*topoPath == ""):

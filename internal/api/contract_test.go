@@ -774,6 +774,39 @@ func TestV1ContractBlocks(t *testing.T) {
 				}
 			}})
 	}
+	// A min or max through the extremum index, over many rows and over a
+	// few: every door answers the same bits, and the ledger is what EXPLAIN
+	// predicts — no U row read, but at the tiered door, which plans generic
+	// and reads its rows.
+	for _, f := range []string{"min", "max"} {
+		for _, rng := range []string{fmt.Sprintf("%d:%d", lo, hi), "100:103"} {
+			key := f + " " + rng
+			body := fmt.Sprintf(`{"f":%q,"rows":%q,"cols":"2:9","explain":true}`, f, rng)
+			cases = append(cases, contractCase{name: key + " through the extremum index", method: "POST", path: "/v1/aggregate",
+				body: body, wantStatus: 200,
+				check: func(t *testing.T, sh *shape, r reply) {
+					var a api.AggregateResponse
+					if err := json.Unmarshal(r.raw, &a); err != nil || a.Explain == nil {
+						t.Fatalf("%s: %v", r.raw, err)
+					}
+					ex := a.Explain
+					if ex.EstRowsRead != ex.Cost.RowsRead || ex.EstDiskAccesses != ex.Cost.DiskAccesses ||
+						ex.EstPagesTouched != ex.Cost.PagesTouched || ex.EstDeltasProbed != ex.Cost.DeltasProbed {
+						t.Errorf("%s: estimate (rows %d, disk %d, pages %d, deltas %d) != ledger %+v",
+							key, ex.EstRowsRead, ex.EstDiskAccesses, ex.EstPagesTouched, ex.EstDeltasProbed, ex.Cost)
+					}
+					if sh.name != "tiered" && ex.Cost.RowsRead != 0 {
+						t.Errorf("%s: %d U rows read: the extremum index did not answer", key, ex.Cost.RowsRead)
+					}
+					bits := math.Float64bits(api.NumValue(a.Value, a.Nonfinite))
+					if w, ok := want[key]; !ok {
+						want[key] = bits // the store shape runs first
+					} else if bits != w {
+						t.Errorf("%s: value bits %016x, the store's %016x", key, bits, w)
+					}
+				}})
+		}
+	}
 	run(t, phoneShapesOf(t, rows), cases)
 }
 

@@ -73,14 +73,15 @@ func (s *Store) FoldIn(row []float64, maxDeltas int) (int, error) {
 // svd.Store.FoldIn computed, bit-equal to the row's reads, so nothing is
 // read back and nothing can fail past the append. It then closes the delta
 // index over the new last row, whose deltas choose appended at the tail,
-// and drops the column-major view, which the next factored aggregate
-// rebuilds over the grown index.
+// and drops the column-major view and the extremum index, which the next
+// factored aggregate and the next min or max rebuild over the grown store.
 func (s *Store) fold(row []float64, choose func(resid []float64)) (int, error) {
 	idx, recon, err := s.base.FoldIn(row)
 	if err != nil {
 		return -1, err
 	}
 	s.colView.Store(nil)
+	s.extrema.Store(nil)
 	if s.method == store.MethodSVDD {
 		for j, xv := range row {
 			recon[j] = xv - recon[j]

@@ -60,6 +60,11 @@ type Store struct {
 	// fold.
 	colView   atomic.Pointer[DeltaColumns]
 	colViewMu sync.Mutex
+	// extrema is the per-column extremum index (Extrema): nil until the
+	// first min or max builds it under extremaMu, and nil again after a
+	// fold.
+	extrema   atomic.Pointer[Extrema]
+	extremaMu sync.Mutex
 
 	probes    atomic.Int64 // delta-index point lookups performed
 	rowProbes atomic.Int64 // bucket reads (rows, aggregate slabs, column walks)

@@ -126,11 +126,14 @@ func runFoldBound(t *testing.T, prec int, ops []byte) foldBoundResult {
 		case 2:
 			// The factored stddev of checkFoldMoments builds the cold
 			// store's column-major delta view before the compaction, and
-			// the folds must drop it: the check after this step rebuilds
-			// it over the folded rows' deltas.
+			// its min and max the extremum index; the folds must drop both:
+			// the check after this step rebuilds them over the folded rows.
 			checkFoldMoments(t, ti)
 			if ti.Cold().NumOutliers() > 0 && ti.Cold().DeltaColumnsBytes() == 0 {
 				t.Fatal("a factored stddev left the delta view unbuilt")
+			}
+			if ti.Cold().ExtremaBytes() == 0 {
+				t.Fatal("a min and a max left the extremum index unbuilt")
 			}
 			folded, err := ti.Compact()
 			if err != nil {
@@ -138,6 +141,9 @@ func runFoldBound(t *testing.T, prec int, ops []byte) foldBoundResult {
 			}
 			if folded > 0 && ti.Cold().DeltaColumnsBytes() != 0 {
 				t.Fatalf("%d rows folded and the delta view was kept", folded)
+			}
+			if folded > 0 && ti.Cold().ExtremaBytes() != 0 {
+				t.Fatalf("%d rows folded and the extremum index was kept", folded)
 			}
 		case 3:
 			if err := ti.Close(); err != nil {
@@ -221,7 +227,9 @@ func checkFoldBound(t *testing.T, ti *Tiered, x *linalg.Matrix, tau float64, pre
 // U components and Gram, the V components and Gram, and the delta
 // corrections δ and 2bδ+δ². The cold store's moment index must cover every
 // whole 64-row block, folds and reopens included, so whole blocks are
-// staged from the index while the ragged rows are folded one by one.
+// staged from the index while the ragged rows are folded one by one. A min
+// and a max over the same selections, which build the cold store's
+// extremum index, must be the naive fold of its rows.
 func checkFoldMoments(t *testing.T, ti *Tiered) {
 	t.Helper()
 	cold := ti.Cold()
@@ -288,6 +296,23 @@ func checkFoldMoments(t *testing.T, ti *Tiered) {
 						}
 					}
 				}
+			}
+		}
+		// Min and max through the cold store's extremum index are the
+		// naive fold of its rows.
+		lowest, highest := math.Inf(1), math.Inf(-1)
+		for _, i := range sel.Rows {
+			row, err := cold.Row(i, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, j := range cols {
+				lowest, highest = min(lowest, row[j]), max(highest, row[j])
+			}
+		}
+		for agg, want := range map[query.Aggregate]float64{query.Min: lowest, query.Max: highest} {
+			if got, err := query.Evaluate(cold, agg, sel); err != nil || math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v over rows [%d, %d) = %v (%v), the naive fold's %v", agg, lo, n, got, err, want)
 			}
 		}
 	}
@@ -368,10 +393,12 @@ func FuzzFoldBound(f *testing.F) {
 }
 
 // TestTieredBuildsNoDeltaView pins where the cold store's column-major
-// delta view is built: the tiered door plans every aggregate generic, so
-// no aggregate, batch or EXPLAIN through it builds the view and a writable
-// node holds none of its memory, while one factored stddev on the cold
-// store itself builds it at 12 bytes per delta plus the column offsets.
+// delta view and extremum index are built: the tiered door plans every
+// aggregate generic, so no aggregate, batch or EXPLAIN through it builds
+// either and a writable node holds none of their memory, while one
+// factored stddev on the cold store itself builds the view at 12 bytes per
+// delta plus the column offsets, and one min the index at 24·L bytes per
+// column plus its flags and a bit per row.
 func TestTieredBuildsNoDeltaView(t *testing.T) {
 	cold, err := core.Compress(matio.NewMem(phoneData(200)), core.Options{Budget: 0.2, Workers: 1})
 	if err != nil {
@@ -412,6 +439,9 @@ func TestTieredBuildsNoDeltaView(t *testing.T) {
 	if got := ti.Cold().DeltaColumnsBytes(); got != 0 {
 		t.Fatalf("aggregates through the tiered door built a %d-byte delta view", got)
 	}
+	if got := ti.Cold().ExtremaBytes(); got != 0 {
+		t.Fatalf("aggregates through the tiered door built a %d-byte extremum index", got)
+	}
 	cold = ti.Cold()
 	if cold.NumOutliers() == 0 {
 		t.Fatal("the cold store holds no deltas")
@@ -421,5 +451,11 @@ func TestTieredBuildsNoDeltaView(t *testing.T) {
 	}
 	if got, want := cold.DeltaColumnsBytes(), 12*cold.NumOutliers()+4*(m+1); got != want {
 		t.Fatalf("a factored stddev on the cold store built a %d-byte view, want %d", got, want)
+	}
+	if _, err := query.Evaluate(cold, query.Min, query.Selection{Rows: ints(10, 200), Cols: sel.Cols}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cold.ExtremaBytes(), 24*core.ExtremaDepth*m+4*m+8*((m+63)/64)+8*((200+63)/64); got != want {
+		t.Fatalf("a min on the cold store built a %d-byte extremum index, want %d", got, want)
 	}
 }

@@ -32,10 +32,13 @@ const (
 	// store's bound τ and takes no cap; it is kept for the frozen
 	// benchmark.
 	DefaultMaxDeltas = 8
-	// DefaultRecompressGrowth triggers a full recompression once fold-in
-	// growth pushes the cold segment's stored numbers past this multiple of
-	// its post-recompression baseline.
-	DefaultRecompressGrowth = 1.5
+	// recompressSlack is how far, relative, the cold segment's space ratio
+	// may exceed the ratio it opened with before the background compactor
+	// recompresses it: the 2 % the benchmark gates space_ratio by. Folds
+	// at the store's bound τ hold the ratio about the budget, so the
+	// trigger fires only when folds have spent space the budget does not
+	// cover (TestDefaultTierFoldsWithoutRecompressing).
+	recompressSlack = 0.02
 )
 
 // ErrNotWritable is returned by Open when the cold store cannot absorb
@@ -51,10 +54,12 @@ type Options struct {
 	// CompactAfter is the hot-segment row count that wakes the background
 	// compactor; 0 means DefaultCompactAfter.
 	CompactAfter int
-	// RecompressGrowth sets the stored-numbers growth factor (relative to
-	// the last recompression baseline) past which a full recompression
-	// runs; 0 means DefaultRecompressGrowth, negative disables automatic
-	// recompression.
+	// RecompressGrowth, when negative, turns automatic recompression off;
+	// any other value leaves it on: the compactor recompresses once the
+	// cold segment's space ratio passes the ratio it opened with by 2 %.
+	//
+	// Deprecated: the growth factor it once set is gone; the field remains
+	// as the off switch the benchmark module sets.
 	RecompressGrowth float64
 	// Workers parallelizes compression scans; 0 means runtime.GOMAXPROCS(0).
 	Workers int
@@ -80,13 +85,6 @@ func (o Options) compactAfter() int {
 	return o.CompactAfter
 }
 
-func (o Options) recompressGrowth() float64 {
-	if o.RecompressGrowth == 0 {
-		return DefaultRecompressGrowth
-	}
-	return o.RecompressGrowth
-}
-
 func (o Options) logger() *slog.Logger {
 	if o.Logger == nil {
 		return slog.Default()
@@ -97,8 +95,8 @@ func (o Options) logger() *slog.Logger {
 // Tiered unifies a compressed cold segment and a WAL-backed uncompressed
 // hot segment behind one store.Store view. Rows append to the hot segment
 // (durable in the WAL before the write is acknowledged) and are folded
-// into the cold segment by Compact; once fold-in growth passes the
-// threshold, Recompress rebuilds the cold segment from scratch.
+// into the cold segment by Compact; once the folds push the segment's space
+// ratio past its budget, Recompress rebuilds the cold segment from scratch.
 //
 // Lock order (always acquired in this order, never reversed):
 //
@@ -134,11 +132,9 @@ type Tiered struct {
 	wal  *WAL
 	opts Options
 
-	// baseline is the cold segment's stored numbers right after the last
-	// recompression (or at Open); the growth trigger compares against it.
-	baseline int64
-	// origRatio is the cold segment's space ratio at Open — recompression
-	// re-targets it so the store keeps its configured budget as it grows.
+	// origRatio is the cold segment's space ratio at Open: the budget the
+	// recompression trigger compares against, and the ratio a
+	// recompression re-targets, so the store keeps its budget as it grows.
 	origRatio float64
 
 	epoch          atomic.Uint64
@@ -206,7 +202,6 @@ func Open(st store.Store, labels *store.Labels, walPath string, opts Options) (*
 		coldRows:  n,
 		cols:      m,
 		opts:      opts,
-		baseline:  cold.StoredNumbers(),
 		origRatio: store.SpaceRatio(cold),
 		kick:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
@@ -286,7 +281,7 @@ func (t *Tiered) background() {
 }
 
 // maintain folds hot rows while the threshold holds (or force drains), then
-// recompresses if fold-in growth crossed the line.
+// recompresses if the folds pushed the space ratio past the budget.
 func (t *Tiered) maintain(force bool) {
 	log := t.opts.logger()
 	for {
@@ -298,21 +293,19 @@ func (t *Tiered) maintain(force bool) {
 			return
 		}
 	}
-	if g := t.opts.recompressGrowth(); g > 0 && t.growthFactor() > g {
+	if t.opts.RecompressGrowth >= 0 && t.overBudget() {
 		if err := t.Recompress(); err != nil {
 			log.Error("ingest: background recompression failed", "err", err)
 		}
 	}
 }
 
-// growthFactor returns cold stored numbers relative to the baseline.
-func (t *Tiered) growthFactor() float64 {
+// overBudget reports whether the cold segment's space ratio exceeds the
+// ratio it opened with by more than recompressSlack.
+func (t *Tiered) overBudget() bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.baseline <= 0 {
-		return 1
-	}
-	return float64(t.cold.StoredNumbers()) / float64(t.baseline)
+	return store.SpaceRatio(t.cold) > t.origRatio*(1+recompressSlack)
 }
 
 // --- store.Store view ------------------------------------------------------
@@ -737,7 +730,6 @@ func (t *Tiered) Recompress() error {
 
 	t.mu.Lock()
 	t.cold = next
-	t.baseline = next.StoredNumbers()
 	t.epoch.Add(1)
 	t.mu.Unlock()
 	t.recompressions.Add(1)

@@ -416,14 +416,15 @@ func TestTieredRecompress(t *testing.T) {
 	}
 }
 
-// TestRecompressGrowthCountsFoldDeltas: the recompression trigger charges
+// TestRecompressBudgetCountsFoldDeltas: the recompression trigger charges
 // a fold's deltas, not only its U rows. Rows whose spikes the components
-// cannot express fold with many deltas each, and the factor is set between
-// the growth their U rows alone would make and the growth they make with
-// their deltas: the deltas alone push the tier past it.
-func TestRecompressGrowthCountsFoldDeltas(t *testing.T) {
+// cannot express fold with many deltas each: their U rows alone would
+// lower the space ratio, their deltas push it past the budget the tier
+// opened with, and the compactor's check recompresses once.
+func TestRecompressBudgetCountsFoldDeltas(t *testing.T) {
 	cold := coldStore(t, phoneData(30))
-	baseline, k, deltas0 := cold.StoredNumbers(), int64(cold.K()), cold.NumOutliers()
+	n0, m := cold.Dims()
+	ratio0, stored0, k, deltas0 := store.SpaceRatio(cold), cold.StoredNumbers(), int64(cold.K()), cold.NumOutliers()
 	fresh := phoneData(40)
 	var rows [][]float64
 	for i := 30; i < 40; i++ {
@@ -433,9 +434,12 @@ func TestRecompressGrowthCountsFoldDeltas(t *testing.T) {
 		}
 		rows = append(rows, row)
 	}
-	uOnly := float64(baseline+int64(len(rows))*k) / float64(baseline)
-	// Compact runs by hand first, so the factor is known before the
-	// trigger is armed; maintain then only checks growth.
+	uOnly := float64(stored0+int64(len(rows))*k) / float64((n0+len(rows))*m)
+	if uOnly > ratio0 {
+		t.Fatalf("U rows alone raise the space ratio from %.4f to %.4f: the fixture shows nothing", ratio0, uOnly)
+	}
+	// Compact runs by hand first, so the ratio is known before the check;
+	// maintain then only checks the budget.
 	ti := openTiered(t, cold, t.TempDir(), Options{DisableBackground: true})
 	defer ti.Close()
 	if _, err := ti.AppendBatch(context.Background(), nil, rows); err != nil {
@@ -444,19 +448,59 @@ func TestRecompressGrowthCountsFoldDeltas(t *testing.T) {
 	if done, err := ti.Compact(); err != nil || done != len(rows) {
 		t.Fatalf("Compact = %d, %v; want %d rows", done, err, len(rows))
 	}
-	grown := ti.growthFactor()
 	if ti.Cold().NumOutliers() == deltas0 {
 		t.Fatal("the folds stored no deltas")
 	}
-	if grown <= uOnly {
-		t.Fatalf("growth %.3f with %d fold deltas, %.3f for U rows alone: the deltas are not charged",
-			grown, ti.Cold().NumOutliers()-deltas0, uOnly)
+	ratio := store.SpaceRatio(ti.Cold())
+	if ratio <= ratio0*(1+recompressSlack) {
+		t.Fatalf("space ratio %.4f with %d fold deltas, budget %.4f: the deltas are not charged",
+			ratio, ti.Cold().NumOutliers()-deltas0, ratio0)
 	}
-	ti.opts.RecompressGrowth = (uOnly + grown) / 2
 	ti.maintain(false)
 	if got := ti.Stats().Recompressions; got != 1 {
-		t.Errorf("growth %.3f (U rows alone %.3f) past factor %.3f ran %d recompressions, want 1",
-			grown, uOnly, ti.opts.RecompressGrowth, got)
+		t.Errorf("space ratio %.4f past the budget %.4f (U rows alone %.4f) ran %d recompressions, want 1",
+			ratio, ratio0, uOnly, got)
+	}
+}
+
+// TestDefaultTierFoldsWithoutRecompressing: a tier with the default
+// options over 4 000 phone rows at budget 0.10 — the store ingest_mixed
+// opens — folds 4 000 more through its background compactor without a
+// recompression. Folds at the store's bound keep the space ratio about the
+// budget, so a rebuild would have nothing to reclaim.
+func TestDefaultTierFoldsWithoutRecompressing(t *testing.T) {
+	const cold, folded = 4000, 4000
+	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(cold + folded))
+	head := linalg.NewMatrix(cold, x.Cols())
+	for i := 0; i < cold; i++ {
+		copy(head.Row(i), x.Row(i))
+	}
+	s, err := core.Compress(matio.NewMem(head), core.Options{Budget: 0.10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio0 := store.SpaceRatio(s)
+	ti := openTiered(t, s, t.TempDir(), Options{})
+	var rows [][]float64
+	for i := cold; i < cold+folded; i++ {
+		if rows = append(rows, x.Row(i)); len(rows) == 500 || i == cold+folded-1 {
+			if _, err := ti.AppendBatch(context.Background(), nil, rows); err != nil {
+				t.Fatal(err)
+			}
+			rows = rows[:0]
+		}
+	}
+	if err := ti.Close(); err != nil { // drains the hot rows through maintain
+		t.Fatal(err)
+	}
+	st := ti.Stats()
+	ratio := store.SpaceRatio(ti.Cold())
+	t.Logf("%d rows folded in %d compactions; space ratio %.4f → %.4f", st.Folded, st.Compactions, ratio0, ratio)
+	if st.Folded != folded {
+		t.Fatalf("%d rows folded, want %d", st.Folded, folded)
+	}
+	if st.Recompressions != 0 {
+		t.Errorf("%d recompressions with the space ratio at %.4f against a %.4f budget", st.Recompressions, ratio, ratio0)
 	}
 }
 

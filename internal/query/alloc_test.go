@@ -90,7 +90,9 @@ func TestSteadyStateZeroAllocSerial(t *testing.T) {
 // not change the per-query allocation count at all. A selection too short
 // to share runs on one goroutine (evalWorkers), so both sizes are taken
 // from minWorkerWork: the smaller already holds a share of factored work
-// for each of the four workers, and more than that of projected work.
+// for each of the four workers, and more than that of projected work. The
+// min runs on a store too short for the extremum index (core.Extrema),
+// which would answer it with no dispatch at all, so it is projected.
 func TestSteadyStateAllocsDoNotScaleWithRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun budgets only hold without -race")
@@ -99,10 +101,14 @@ func TestSteadyStateAllocsDoNotScaleWithRows(t *testing.T) {
 		workers        = 4
 		parallelBudget = 24 // dispatch-only; measured ~11 at 4 workers
 	)
-	s := allocProbeStore(t, 1024)
-	n, _ := s.Dims()
+	s, short := allocProbeStore(t, 1024), allocProbeStore(t, 2*core.ExtremaDepth)
 	small := workers * minWorkerWork / s.K()
 	for _, agg := range []Aggregate{Min, Sum, StdDev} {
+		s := s
+		if agg == Min {
+			s = short
+		}
+		n, _ := s.Dims()
 		var got [2]float64
 		for i, rows := range []int{small, 4 * small} {
 			// The store's rows over and over: a selection is a multiset.

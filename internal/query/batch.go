@@ -104,7 +104,8 @@ func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx
 // and the rows on U's read counter. Each item's reads are replayed on the
 // plan p (plan.reads), at the chunking its evaluation will use, so rows
 // no item reads — an indexed block a factored item stages whole, an
-// isolated zero-flagged row — are not charged. It reports whether it
+// isolated zero-flagged row, every row of a min or max the extremum index
+// answers alone — are not charged. It reports whether it
 // charged, after which the items read U in place uncharged. skip, when
 // non-nil, marks the items that failed validation and stay out of the
 // union. A batch with no row overlap has nothing to share and charges
@@ -121,6 +122,11 @@ func (p *plan) chargeBatchUnion(fac *core.Store, items []BatchItem, skip []bool,
 		}
 		sel := items[idx].Sel
 		p.reset(fac, sel)
+		if agg := items[idx].Agg; agg == Min || agg == Max {
+			if err := p.lookup(agg == Max); err != nil {
+				return false
+			}
+		}
 		p.reads(items[idx].Agg, evalChunkSize(len(sel.Rows), env.workers), func(start, end int, zero bool) {
 			for r := start; r < end && !zero; r++ {
 				total++

@@ -230,6 +230,17 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	pl := &st.pl
 	pl.reset(s, sel)
 	st.factored = pl.fac != nil && (agg == Sum || agg == Avg || agg == StdDev)
+	if pl.fac != nil && !st.factored {
+		if err := pl.lookup(st.wantMax); err != nil {
+			return fmt.Errorf("query: extrema: %w", err)
+		}
+		if pl.answered() {
+			st.cells.n = st.numCells
+			st.cells.setExtremum(pl.best, st.wantMax)
+			return nil
+		}
+		st.sel.Cols = pl.cols
+	}
 
 	k, wantSq := len(pl.sigma), agg == StdDev
 	chunk := evalChunkSize(len(sel.Rows), env.workers)
@@ -249,6 +260,9 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	}
 	for _, w := range st.active {
 		w.acc.reset()
+		if pl.indexed {
+			w.acc.setExtremum(pl.best, st.wantMax)
+		}
 		if pl.fac == nil {
 			w.row = ensureFloats(w.row, m)
 			continue
@@ -257,7 +271,7 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 		if st.factored {
 			w.um.reset(k, wantSq)
 		} else {
-			w.vals = ensureFloats(w.vals, len(sel.Cols))
+			w.vals = ensureFloats(w.vals, len(st.sel.Cols))
 		}
 	}
 	if err := st.runSharded(chunk); err != nil {
@@ -266,6 +280,10 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 	if !st.factored {
 		for _, w := range st.active {
 			st.cells.Merge(&w.acc)
+		}
+		if pl.indexed {
+			// The seeded workers counted the unresolved columns' cells only.
+			st.cells.n = st.numCells
 		}
 		return nil
 	}

@@ -15,7 +15,8 @@ const (
 // predicts its ledger charges. It is derived entirely from in-memory
 // metadata — the run schedule, the SVDD zero-row flags, the row index of
 // the deltas and their column-major view (which a factored explanation
-// builds if no aggregate has yet) — so producing an explanation performs
+// builds if no aggregate has yet), and for a min or max the extremum index
+// (likewise) — so producing an explanation performs
 // no request's store reads and adds zero disk accesses (the §17 invariant
 // pinned by TestExplainNoExtraDiskAccesses).
 //
@@ -106,6 +107,19 @@ func (st *evalState) explain(s store.Store, agg Aggregate, sel Selection, worker
 		return ex, nil
 	}
 
+	if ex.Plan == PlanProjected {
+		// A min or max the extremum index answers alone reads nothing and
+		// dispatches no chunk; one it answers in part projects the open
+		// columns over every selected row, which reads what projecting them
+		// all would.
+		if err := p.lookup(agg == Max); err != nil {
+			return nil, err
+		}
+		if p.answered() {
+			ex.Chunks = 0
+			return ex, nil
+		}
+	}
 	ex.replay(p, agg)
 	if ex.Plan == PlanFactored && p.overlay {
 		// The corrections read no U row: running them is their replay,

@@ -98,3 +98,36 @@ func TestDuplicateIndicesWeightCells(t *testing.T) {
 		t.Errorf("compressed sum with duplicated row = %v, want 4", got)
 	}
 }
+
+// TestParseAndSplitAllocateOnce: a range spec and a shard split allocate
+// their indices once, at their final length — the proxy parses and splits
+// every aggregate's selection, and appended one by one a range of thousands
+// of rows allocated several times its size.
+func TestParseAndSplitAllocateOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; AllocsPerRun budgets only hold without -race")
+	}
+	rows, err := ParseIndexSpec("0:5000, 7 ,10:20", 0)
+	if err != nil || len(rows) != 5011 || cap(rows) != len(rows) {
+		t.Fatalf("parsed %d rows (cap %d), %v; want 5011 at capacity", len(rows), cap(rows), err)
+	}
+	// The part list, the parsed parts and the indices.
+	if got := testing.AllocsPerRun(20, func() { _, _ = ParseIndexSpec("0:5000, 7 ,10:20", 0) }); got > 3 {
+		t.Errorf("ParseIndexSpec: %.0f allocations, want at most 3", got)
+	}
+	sel := Selection{Rows: seq(0, 20000), Cols: []int{1}}
+	ranges := []RowRange{{Lo: 0, Hi: 12000}, {Lo: 12000, Hi: -1}}
+	frags, err := SplitSelection(sel, ranges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, f := range frags {
+		if cap(f.Rows) != len(f.Rows) {
+			t.Errorf("fragment %d: %d rows at capacity %d", s, len(f.Rows), cap(f.Rows))
+		}
+	}
+	// The counts, the fragments and each fragment's rows.
+	if got := testing.AllocsPerRun(20, func() { _, _ = SplitSelection(sel, ranges) }); got > 4 {
+		t.Errorf("SplitSelection: %.0f allocations, want at most 4", got)
+	}
+}

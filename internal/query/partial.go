@@ -41,30 +41,38 @@ func (r RowRange) Contains(i int) bool {
 // full column list (aliasing sel.Cols). A row covered by no range is an
 // out-of-range error; shards with no selected rows get an empty fragment.
 func SplitSelection(sel Selection, ranges []RowRange) ([]Selection, error) {
-	out := make([]Selection, len(ranges))
+	// Two passes over the rows: the first finds each row's range and
+	// counts, so every fragment is allocated once, at its final length.
+	counts := make([]int, len(ranges))
 	last := 0 // range memo: selections cluster into runs
-	for _, i := range sel.Rows {
-		s := -1
+	shardOf := func(i int) int {
 		if last < len(ranges) && ranges[last].Contains(i) {
-			s = last
-		} else {
-			for ri := range ranges {
-				if ranges[ri].Contains(i) {
-					s = ri
-					break
-				}
+			return last
+		}
+		for ri := range ranges {
+			if ranges[ri].Contains(i) {
+				last = ri
+				return ri
 			}
 		}
+		return -1
+	}
+	for _, i := range sel.Rows {
+		s := shardOf(i)
 		if s < 0 {
 			return nil, fmt.Errorf("query: row %d not covered by any shard range (%w)", i, seqerr.ErrOutOfRange)
 		}
-		last = s
-		out[s].Rows = append(out[s].Rows, i-ranges[s].Lo)
+		counts[s]++
 	}
-	for s := range out {
-		if len(out[s].Rows) > 0 {
-			out[s].Cols = sel.Cols
+	out := make([]Selection, len(ranges))
+	for s, c := range counts {
+		if c > 0 {
+			out[s] = Selection{Rows: make([]int, 0, c), Cols: sel.Cols}
 		}
+	}
+	for _, i := range sel.Rows {
+		s := shardOf(i)
+		out[s].Rows = append(out[s].Rows, i-ranges[s].Lo)
 	}
 	return out, nil
 }

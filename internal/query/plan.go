@@ -50,6 +50,15 @@ type plan struct {
 	// copy of a selection that is not ascending.
 	digest selDigest
 	sorted []int
+
+	// The extremum index's answer to a min or max (lookup): indexed when
+	// the index decides it, best the extremum of the cells its lists found,
+	// and unresolved the columns they left open, which cols then aliases.
+	// rowMark and colMark are lookup's bitsets over rows and columns.
+	indexed          bool
+	best             float64
+	unresolved       []int
+	rowMark, colMark []uint64
 }
 
 // reset points the plan at (s, sel), a validated selection, and builds its
@@ -57,7 +66,7 @@ type plan struct {
 func (p *plan) reset(s store.Store, sel Selection) {
 	p.rows, p.cols = sel.Rows, sel.Cols
 	p.runs, p.ascending = buildRuns(p.runs[:0], sel.Rows)
-	p.fac, p.overlay, p.sigma = factored(s), false, nil
+	p.fac, p.overlay, p.sigma, p.indexed = factored(s), false, nil, false
 	if p.fac != nil {
 		p.overlay = p.fac.Method() == store.MethodSVDD
 		p.sigma = p.fac.Base().Sigma()
@@ -76,6 +85,10 @@ func factored(s store.Store) *core.Store {
 	c, _ := s.(*core.Store)
 	return c
 }
+
+// answered reports whether the extremum index answered the plan's min or
+// max with no U row read: it decided the aggregate and left no column open.
+func (p *plan) answered() bool { return p.indexed && len(p.cols) == 0 }
 
 // buildPanel fills the plan's projection panel.
 func (p *plan) buildPanel() {
@@ -245,13 +258,17 @@ func (sg *segIter) next() bool {
 }
 
 // reads replays the U reads of an evaluation of agg over the plan's
-// selection in chunks of chunk positions, without reading: fn gets each
+// selection in chunks of chunk positions, without reading — none when the
+// extremum index answered a min or max alone (lookup): fn gets each
 // run of rows [start, end) readURows reads — the read segments of every
 // piece, zero set for an isolated zero-flagged row, which is answered from
 // its flag. The delta corrections read no U row. EXPLAIN charges what fn
 // gets and a batch's shared charge marks it, so neither can drift from the
 // engine.
 func (p *plan) reads(agg Aggregate, chunk int, fn func(start, end int, zero bool)) {
+	if p.answered() {
+		return
+	}
 	factored := agg == Sum || agg == Avg || agg == StdDev
 	for lo := 0; lo < len(p.rows); lo += chunk {
 		for it := p.pieces(lo, min(lo+chunk, len(p.rows))); it.next(); {

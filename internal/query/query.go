@@ -138,8 +138,14 @@ func ParseIndexSpec(spec string, n int) ([]int, error) {
 	if strings.TrimSpace(spec) == "" {
 		return All(n), nil
 	}
-	var out []int
-	for _, part := range strings.Split(spec, ",") {
+	// Every part is parsed and checked before any index is written, so the
+	// indices are allocated once, at their final length: appended one by
+	// one, a range of thousands of rows allocated several times its size.
+	type span struct{ lo, n int }
+	parts := strings.Split(spec, ",")
+	spans := make([]span, 0, len(parts))
+	total := 0
+	for _, part := range parts {
 		part = strings.TrimSpace(part)
 		if lo, hi, ok := strings.Cut(part, ":"); ok {
 			a, err := strconv.Atoi(strings.TrimSpace(lo))
@@ -156,9 +162,8 @@ func ParseIndexSpec(spec string, n int) ([]int, error) {
 			if b < a {
 				return nil, fmt.Errorf("query: inverted range %q", part)
 			}
-			for i := a; i < b; i++ {
-				out = append(out, i)
-			}
+			spans = append(spans, span{a, b - a})
+			total += b - a
 		} else {
 			v, err := strconv.Atoi(part)
 			if err != nil {
@@ -167,7 +172,17 @@ func ParseIndexSpec(spec string, n int) ([]int, error) {
 			if v < 0 {
 				return nil, fmt.Errorf("query: negative index %d", v)
 			}
-			out = append(out, v)
+			spans = append(spans, span{v, 1})
+			total++
+		}
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]int, 0, total)
+	for _, sp := range spans {
+		for i := 0; i < sp.n; i++ {
+			out = append(out, sp.lo+i)
 		}
 	}
 	return out, nil
@@ -273,6 +288,17 @@ func (a *accum) addMinAll(vs []float64) {
 	}
 	a.n += int64(len(vs))
 	a.min = lo
+}
+
+// setExtremum sets the one extremum a Max (wantMax) or Min fold reads to
+// v, a selected cell found without folding it: the extremum index's answer,
+// or the seed of a projection of the columns it left open.
+func (a *accum) setExtremum(v float64, wantMax bool) {
+	if wantMax {
+		a.max = v
+	} else {
+		a.min = v
+	}
 }
 
 // Merge folds b into a — the parallel engine's (and the distributed

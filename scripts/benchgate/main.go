@@ -212,7 +212,7 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 // the pass-2 row scorer, the reconstruction kernels, the engine's U-row
 // loop, the projected engine's row bound and row projection, the factored
 // moments' staged kernel and the exact add behind it, the column walk of
-// the delta corrections, and the point read.
+// the delta corrections, the extremum index's walk, and the point read.
 var hotSymbols = []string{
 	"seqstore/internal/linalg.AxpyRows",
 	"seqstore/internal/pqueue.selectNth",
@@ -226,6 +226,7 @@ var hotSymbols = []string{
 	"seqstore/internal/exact.(*Stage).AddMoments",
 	"seqstore/internal/exact.(*Sum).Add",
 	"seqstore/internal/query.(*evalState).columnCorrections",
+	"seqstore/internal/query.(*plan).lookup",
 	"seqstore/internal/core.(*Store).Cell",
 }
 
