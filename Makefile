@@ -36,11 +36,10 @@ race:
 # write encoding/json's bytes, labels and edge floats included), FuzzDotRows
 # on raw float bit patterns (the panel kernel equals per-row Dot bit for
 # bit), FuzzAxpyRows on raw float bit patterns (the Gram kernel equals
-# sequential Axpy calls bit for bit), FuzzDotBounds on raw float bit
-# patterns (a finite interval bound encloses every Dot inside its box, and
-# its corners attain it), FuzzDecodeFrame on the binary shard answers the
-# proxy decodes (no panic, allocation bounded by the frame's size, every
-# strict prefix refused, a decoded body re-encodes to the same JSON),
+# sequential Axpy calls bit for bit), FuzzDecodeFrame on the binary shard
+# answers the proxy decodes (no panic, allocation bounded by the frame's
+# size, every strict prefix refused, a decoded body re-encodes to the same
+# JSON),
 # FuzzStagedMoments on raw float bit patterns as factor rows across the
 # 1 024-row flush, with fuzzed 64-row blocks added as their moment-index
 # entries in between the rows (the staged moments' registers equal a
@@ -72,7 +71,6 @@ fuzz-smoke:
 	$(GO) test -run FuzzPointReadEncoding -fuzz FuzzPointReadEncoding -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzDotRows -fuzz FuzzDotRows -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzAxpyRows -fuzz FuzzAxpyRows -fuzztime 10s ./internal/linalg
-	$(GO) test -run FuzzDotBounds -fuzz FuzzDotBounds -fuzztime 10s ./internal/linalg
 	$(GO) test -run FuzzDecodeFrame -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzStagedMoments -fuzz FuzzStagedMoments -fuzztime 10s ./internal/exact
 	$(GO) test -run FuzzScaledTerms -fuzz FuzzScaledTerms -fuzztime 10s ./internal/exact

@@ -50,9 +50,9 @@
 //	                              exact on a cold store). It is the
 //	                              /v1/aggregate/batch of one, answered with
 //	                              the lone body and error envelope
-//	/v1/aggregate/batch           POST: N aggregates in one request sharing
-//	                              one pass over the selections' U-row union
-//	                              (a batch of one shares nothing). Behind
+//	/v1/aggregate/batch           POST: N aggregates in one request, each
+//	                              answered and charged as it is alone, so
+//	                              the batch costs its items' sum. Behind
 //	                              -topology each selection splits by shard
 //	                              row range, each touched shard evaluates
 //	                              its fragments of the whole batch into

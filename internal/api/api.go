@@ -154,7 +154,9 @@ type Explain struct {
 
 	// Cost is the request's executed ledger at response time (the same
 	// numbers the X-Cost-* headers carry). For batch requests it covers the
-	// whole shared-scan batch, not the single item.
+	// whole batch, not the single item: each item is charged as it is
+	// alone, so on a cold store the batch's disk accesses, rows and pages
+	// are the sums of its items' est_* values.
 	Cost trace.LedgerSnapshot `json:"cost"`
 
 	// Shards carries the per-shard explain blocks when the query was

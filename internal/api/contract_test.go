@@ -698,9 +698,15 @@ func TestV1Contract(t *testing.T) {
 			wantStatus: 400, wantCode: api.CodeBadRequest, wantMessage: `unknown aggregate "median"`},
 		{name: "inverted range", method: "POST", path: "/v1/aggregate", body: `{"rows":"9:1"}`,
 			wantStatus: 400, wantCode: api.CodeBadRequest, wantMessage: `rows: query: inverted range "9:1"`},
+		// A spec is bounded by the axis before its indices are allocated.
+		{name: "rows spec past the axis", method: "GET", path: "/v1/rows?i=0:4000000000000000000", wantStatus: 400,
+			wantCode: api.CodeOutOfRange, wantMessage: fmt.Sprintf("i: query: index %d out of range %d", contractRows, contractRows)},
+		{name: "aggregate spec past the axis", method: "POST", path: "/v1/aggregate", body: `{"rows":"0:4000000000000000000"}`,
+			wantStatus: 400, wantCode: api.CodeOutOfRange,
+			wantMessage: fmt.Sprintf("rows: query: index %d out of range %d", contractRows, contractRows)},
 		{name: "selection out of range", method: "POST", path: "/v1/aggregate",
 			body: `{"rows":"0:10","cols":"999:1000"}`, wantStatus: 400, wantCode: api.CodeOutOfRange,
-			wantMessage: fmt.Sprintf("query: column 999 out of range %d", contractCols)},
+			wantMessage: fmt.Sprintf("cols: query: index 999 out of range %d", contractCols)},
 		{name: "selection empty", method: "POST", path: "/v1/aggregate", body: `{"rows":"5:5"}`,
 			wantStatus: 400, wantCode: api.CodeEmptySelection, wantMessage: "empty selection"},
 		{name: "batch items fail alone, by one rule", method: "POST", path: "/v1/aggregate/batch",
@@ -740,7 +746,8 @@ func TestV1Contract(t *testing.T) {
 // pages — through every door. Each door counts its own blocks: a shard's
 // are aligned to its own first row, so proxy×2 reads different rows than
 // the store does. The tiered shape plans no aggregate factored (it
-// reconstructs rows), so it reads every selected row.
+// reconstructs rows), so it reads every selected row. A batch of such
+// aggregates costs the sum of its items' estimates through every door.
 func TestV1ContractBlocks(t *testing.T) {
 	const rows, lo, hi = 320, 5, 300
 	want := map[string]uint64{}
@@ -806,6 +813,43 @@ func TestV1ContractBlocks(t *testing.T) {
 					}
 				}})
 		}
+	}
+	// A batch of overlapping items costs its items: each is charged as it
+	// is alone, so the request's ledger — its X-Cost-Disk-Accesses and
+	// every item's explain Cost — is the sum of the items' estimates. The
+	// shapes take two queries a batch.
+	for _, b := range [][3]string{
+		{"sum+stddev", fmt.Sprintf(`"f":"sum","rows":"%d:%d"`, lo, hi), `"f":"stddev","rows":"40:200"`},
+		{"min+max", fmt.Sprintf(`"f":"min","rows":"%d:%d"`, lo, hi), `"f":"max","rows":"100:103"`},
+		{"avg+max", `"f":"avg","rows":"3:30,40,41"`, `"f":"max","rows":"3:30"`},
+	} {
+		body := fmt.Sprintf(`{"explain":true,"queries":[{%s,"cols":"2:9"},{%s,"cols":"1:5"}]}`, b[1], b[2])
+		cases = append(cases, contractCase{name: "batch " + b[0] + " costs its items", method: "POST",
+			path: "/v1/aggregate/batch", body: body, wantStatus: 200,
+			check: func(t *testing.T, sh *shape, r reply) {
+				var resp api.BatchAggregateResponse
+				if err := json.Unmarshal(r.raw, &resp); err != nil || resp.Errors {
+					t.Fatalf("%s: %v", r.raw, err)
+				}
+				var est api.Explain
+				for _, it := range resp.Items {
+					est.EstRowsRead += it.Explain.EstRowsRead
+					est.EstDiskAccesses += it.Explain.EstDiskAccesses
+					est.EstPagesTouched += it.Explain.EstPagesTouched
+					est.EstDeltasProbed += it.Explain.EstDeltasProbed
+				}
+				if got := r.header.Get("X-Cost-Disk-Accesses"); got != strconv.FormatInt(est.EstDiskAccesses, 10) {
+					t.Errorf("X-Cost-Disk-Accesses %s, the items' estimates sum to %d", got, est.EstDiskAccesses)
+				}
+				for i, it := range resp.Items {
+					c := it.Explain.Cost
+					if c.RowsRead != est.EstRowsRead || c.DiskAccesses != est.EstDiskAccesses ||
+						c.PagesTouched != est.EstPagesTouched || c.DeltasProbed != est.EstDeltasProbed {
+						t.Errorf("item %d: cost %+v, the items' estimates sum to rows %d, disk %d, pages %d, deltas %d",
+							i, c, est.EstRowsRead, est.EstDiskAccesses, est.EstPagesTouched, est.EstDeltasProbed)
+					}
+				}
+			}})
 	}
 	run(t, phoneShapesOf(t, rows), cases)
 }

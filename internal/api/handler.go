@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"seqstore/internal/query"
+	"seqstore/internal/seqerr"
 	"seqstore/internal/telemetry"
 	"seqstore/internal/trace"
 )
@@ -431,24 +433,29 @@ func queryValue(rawQuery, key string) string {
 
 // rows reconstructs a batch of rows: /v1/rows?i=0:8,17 with the same
 // index-spec syntax as aggregate selections (the spec must be non-empty —
-// an unbounded "all rows" response is refused).
+// an unbounded "all rows" response is refused). The spec is resolved
+// against Backend.Dims and the batch limit before its indices are
+// allocated.
 func (h *Handler) rows(r *http.Request) (interface{}, error) {
 	spec := queryValue(r.URL.RawQuery, "i")
 	if strings.TrimSpace(spec) == "" {
 		return nil, Invalid("rows needs an i index spec, e.g. i=0:8,17")
 	}
-	// Only an empty spec consults the axis length, and that was refused.
-	idx, err := query.ParseIndexSpec(spec, 0)
+	n, _, err := h.b.Dims(r.Context())
 	if err != nil {
-		return nil, Invalid("%v", err)
+		return nil, err
 	}
-	if len(idx) == 0 {
+	sp, err := query.ScanIndexSpec(spec, n)
+	if err != nil {
+		return nil, specError("i", err)
+	}
+	if sp.Len() == 0 {
 		return nil, Invalid("rows selection is empty")
 	}
-	if len(idx) > h.cfg.MaxBatchRows {
-		return nil, Invalid("batch of %d rows exceeds limit %d", len(idx), h.cfg.MaxBatchRows)
+	if sp.Len() > h.cfg.MaxBatchRows {
+		return nil, Invalid("batch of %d rows exceeds limit %d", sp.Len(), h.cfg.MaxBatchRows)
 	}
-	rows, err := h.b.Rows(r.Context(), idx)
+	rows, err := h.b.Rows(r.Context(), sp.Indices())
 	if err != nil {
 		return nil, err
 	}
@@ -472,11 +479,11 @@ func parseAggQuery(req AggregateRequest, n, m int) (AggregateQuery, error) {
 	}
 	rows, err := query.ParseIndexSpec(req.Rows, n)
 	if err != nil {
-		return AggregateQuery{}, Invalid("rows: %v", err)
+		return AggregateQuery{}, specError("rows", err)
 	}
 	cols, err := query.ParseIndexSpec(req.Cols, m)
 	if err != nil {
-		return AggregateQuery{}, Invalid("cols: %v", err)
+		return AggregateQuery{}, specError("cols", err)
 	}
 	q := AggregateQuery{
 		F: f, Agg: agg, Sel: query.Selection{Rows: rows, Cols: cols},
@@ -486,6 +493,16 @@ func parseAggQuery(req AggregateRequest, n, m int) (AggregateQuery, error) {
 		return AggregateQuery{}, err
 	}
 	return q, nil
+}
+
+// specError names the parameter of an index spec that failed to parse: an
+// index outside the axis keeps its out-of-range class, anything else is a
+// malformed request.
+func specError(param string, err error) error {
+	if errors.Is(err, seqerr.ErrOutOfRange) {
+		return fmt.Errorf("%s: %w", param, err)
+	}
+	return Invalid("%s: %v", param, err)
 }
 
 // decodeAggBody decodes a bounded JSON request body into out.

@@ -129,12 +129,15 @@ func TestHandlerParsesIntoTypedRequests(t *testing.T) {
 	if want := []CellRequest{{I: 1, J: 2}, {I: 3, J: 0}, {I: 9, J: 9}}; !reflect.DeepEqual(fb.cells, want) || cells.Count != 3 {
 		t.Fatalf("cells: backend saw %v, count %d", fb.cells, cells.Count)
 	}
-	// /v1/rows resolves its spec without asking the backend for dimensions.
-	fb.rows = -1
+	// /v1/rows resolves its spec against Backend.Dims: a row past them is
+	// refused before the backend sees the request.
 	if serve(t, h, "GET", "/v1/rows?i=7,0:3", ""); !reflect.DeepEqual(fb.idx, []int{7, 0, 1, 2}) {
 		t.Fatalf("rows: backend saw %v", fb.idx)
 	}
-	fb.rows = 10
+	if w := serve(t, h, "GET", "/v1/rows?i=0:11", ""); w.Code != 400 || !strings.Contains(w.Body.String(), CodeOutOfRange) ||
+		!reflect.DeepEqual(fb.idx, []int{7, 0, 1, 2}) {
+		t.Fatalf("rows past the dimensions: %d %s, backend saw %v", w.Code, w.Body, fb.idx)
+	}
 
 	// Aggregates: a batch of one, f defaults to avg, empty specs select the
 	// full axes of Backend.Dims, the flags ride along, and the ledger the

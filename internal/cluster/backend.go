@@ -409,8 +409,8 @@ func mergeShardExplains(ctx context.Context, exs []*api.Explain) *api.Explain {
 
 // AggregateBatch scatters a whole aggregate batch: split each validated
 // selection by shard row ranges, send each shard one /v1/aggregate/batch
-// carrying the fragments of every query that touches it (keeping the store
-// nodes' scan-sharing across queries), and merge each query's exact
+// carrying the fragments of every query that touches it (one round trip per
+// touched shard), and merge each query's exact
 // partials in shard order. Because every partial carries exact accumulator
 // state and the final rounding runs through the same finalize code a store
 // node uses, each result is bit-identical to a single node evaluating the

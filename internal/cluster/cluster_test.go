@@ -282,8 +282,8 @@ func TestClusterAggregatesBitIdentical(t *testing.T) {
 						batchKeys = append(batchKeys, key)
 					}
 				}
-				// The whole grid again as one scattered batch (scan-sharing on
-				// the store nodes), still bit-identical per item.
+				// The whole grid again as one scattered batch, still
+				// bit-identical per item.
 				raw, _ := json.Marshal(batch)
 				w := tc.post(t, "/v1/aggregate/batch", string(raw))
 				if w.Code != http.StatusOK {

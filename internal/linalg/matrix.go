@@ -472,46 +472,3 @@ func (m *Matrix) String() string {
 	}
 	return s
 }
-
-// DotBounds returns an interval that holds Dot(a, v) for every v with
-// lo[i] ≤ v[i] ≤ hi[i]: upper sums max(a[i]·hi[i], a[i]·lo[i]) and lower
-// sums their min, each in Dot's own order — four lane sums,
-// (s0+s1)+(s2+s3), then the tail in order. Round-to-nearest is monotone in
-// each operand of a product and of a sum, so term by term and partial sum
-// by partial sum the bound's value is at least (at most) the rounded value
-// Dot computes: a finite upper is ≥ every such Dot(a, v) and no such
-// Dot(a, v) is NaN, and a finite lower is ≤ every one and none is NaN, bit
-// for bit, with no slack. A NaN anywhere in a, hi or lo, or an infinite a[i]
-// against a zero end, makes both bounds NaN. The enclosure holds where each
-// product is rounded on its own, as Dot compiles on amd64; a target that
-// fuses Dot's multiply-adds may round past it. It panics on a length
-// mismatch, as Dot does.
-func DotBounds(a, hi, lo []float64) (upper, lower float64) {
-	if len(hi) != len(a) || len(lo) != len(a) {
-		panic(fmt.Sprintf("linalg: dot bounds length mismatch %d vs %d/%d", len(a), len(hi), len(lo)))
-	}
-	var u0, u1, u2, u3, l0, l1, l2, l3 float64
-	i := 0
-	for ; i+4 <= len(a); i += 4 {
-		x, h, l := a[i:i+4:i+4], hi[i:i+4:i+4], lo[i:i+4:i+4]
-		p0, q0 := x[0]*h[0], x[0]*l[0]
-		p1, q1 := x[1]*h[1], x[1]*l[1]
-		p2, q2 := x[2]*h[2], x[2]*l[2]
-		p3, q3 := x[3]*h[3], x[3]*l[3]
-		u0 += max(p0, q0)
-		u1 += max(p1, q1)
-		u2 += max(p2, q2)
-		u3 += max(p3, q3)
-		l0 += min(p0, q0)
-		l1 += min(p1, q1)
-		l2 += min(p2, q2)
-		l3 += min(p3, q3)
-	}
-	upper, lower = (u0+u1)+(u2+u3), (l0+l1)+(l2+l3)
-	for ; i < len(a); i++ {
-		p, q := a[i]*hi[i], a[i]*lo[i]
-		upper += max(p, q)
-		lower += min(p, q)
-	}
-	return upper, lower
-}

@@ -2,7 +2,6 @@ package query
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"seqstore/internal/core"
@@ -17,8 +16,8 @@ import (
 // evaluation rebuilds its plan in buffers its pooled state already owns, the projected and factored paths over a plain-SVD or an
 // SVDD store must not allocate at all on the serial path, and parallel
 // dispatch may only pay a constant per-query overhead (goroutines +
-// waitgroup), never anything per row; and a batch over resident U reads it
-// in place, never copying its row union. If a change reintroduces a
+// waitgroup), never anything per row; and a batch allocates what its items
+// do, plus its results. If a change reintroduces a
 // per-row, per-chunk or per-call allocation — a closure escaping into a
 // row scan, a scratch slice rebuilt per call, a multiset map of the
 // selection, an accumulator returned by pointer, a staged copy of U rows —
@@ -130,50 +129,49 @@ func TestSteadyStateAllocsDoNotScaleWithRows(t *testing.T) {
 	}
 }
 
-// TestBatchAllocatesLessThanItsUnion: a batch of overlapping items over
-// resident U charges its row union and reads U in place, so one
-// EvaluateBatch allocates less than a copy of the union's U rows alone
-// would take (distinct·k·8 bytes): the results, the union's bitset and the
-// items' dispatch, never the rows.
-func TestBatchAllocatesLessThanItsUnion(t *testing.T) {
+// TestBatchAllocatesWhatItsItemsDo: a batch of four overlapping items
+// allocates at most one more than its four items run alone — the results
+// slice — and nothing per item or per row, whether it rounds values or
+// exports partials; TestBatchOfOneCostsTheQuery holds a batch of one to
+// the same budget.
+func TestBatchAllocatesWhatItsItemsDo(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race-detector instrumentation allocates; allocation budgets only hold without -race")
+		t.Skip("race-detector instrumentation allocates; AllocsPerRun budgets only hold without -race")
 	}
-	s := allocProbeStore(t, 512)
-	n, m := s.Dims()
-	items := batchOverlappingItems(n, m)
-	distinct := make(map[int]bool)
-	for _, it := range items {
-		for _, r := range it.Sel.Rows {
-			distinct[r] = true
-		}
+	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(512))
+	svdd, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	opts := Options{Workers: 1}
-	run := func() {
-		results, err := EvaluateBatch(s, items, opts)
-		if err != nil {
-			t.Fatal(err)
+	for name, s := range map[string]store.Store{"svd": allocProbeStore(t, 512), "svdd": svdd} {
+		n, m := s.Dims()
+		var items []BatchItem
+		for i, agg := range []Aggregate{Sum, StdDev, Min, Max} {
+			items = append(items, BatchItem{Agg: agg, Sel: Selection{Rows: seq(i*n/8, i*n/8+n/2), Cols: seq(i, m/2+i)}})
 		}
-		for idx, r := range results {
-			if r.Err != nil {
-				t.Fatalf("item %d: %v", idx, r.Err)
+		opts := Options{Workers: 1}
+		var lone, lonePartial float64
+		for _, it := range items {
+			lone += steadyStateAllocs(t, s, it.Agg, it.Sel, opts)
+			lonePartial += testing.AllocsPerRun(20, func() {
+				if _, err := EvaluatePartial(s, it.Agg, it.Sel, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		batch := testing.AllocsPerRun(20, func() {
+			if _, err := EvaluateBatch(s, items, opts); err != nil {
+				t.Fatal(err)
 			}
+		})
+		batchPartial := testing.AllocsPerRun(20, func() {
+			if _, err := EvaluateBatchPartial(s, items, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if batch > lone+1 || batchPartial > lonePartial+1 {
+			t.Errorf("%s: a batch of four allocates %.0f (its items %.0f), partial %.0f (its items %.0f); want at most one more",
+				name, batch, lone, batchPartial, lonePartial)
 		}
 	}
-	for i := 0; i < 5; i++ {
-		run()
-	}
-	const runs = 20
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		run()
-	}
-	runtime.ReadMemStats(&after)
-	perBatch := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(len(distinct) * s.K() * 8); perBatch >= limit {
-		t.Errorf("one batch allocates %d bytes, not below its union's U rows (%d rows × k = %d × 8 = %d bytes)",
-			perBatch, len(distinct), s.K(), limit)
-	}
-	t.Logf("%d bytes per batch against a %d-row union", perBatch, len(distinct))
 }

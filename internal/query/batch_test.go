@@ -16,8 +16,8 @@ import (
 )
 
 // batchOverlappingItems builds a batch whose selections overlap heavily —
-// every aggregate over shifted windows of the same row range — the shape
-// scan sharing exists for.
+// every aggregate over shifted windows of the same row range — the shape a
+// dashboard refresh sends.
 func batchOverlappingItems(n, m int) []BatchItem {
 	items := make([]BatchItem, 0, len(allAggregates)*2)
 	for i, agg := range allAggregates {
@@ -32,8 +32,7 @@ func batchOverlappingItems(n, m int) []BatchItem {
 
 // TestBatchBitIdenticalEveryStoreAndWorkerCount is the batch acceptance
 // sweep: EvaluateBatch must reproduce the sequential EvaluateOpts result
-// bit-for-bit for every aggregate × store method × worker count — the
-// shared U buffer changes where bits are read from, never the arithmetic.
+// bit-for-bit for every aggregate × store method × worker count.
 func TestBatchBitIdenticalEveryStoreAndWorkerCount(t *testing.T) {
 	stores := engineStores(t)
 	stores["svd-file"] = fileBackedSVD(t, 256)
@@ -66,60 +65,75 @@ func TestBatchBitIdenticalEveryStoreAndWorkerCount(t *testing.T) {
 	}
 }
 
-// TestBatchSharesScans is the cost acceptance criterion: over resident U,
-// a batch of overlapping selections must be charged strictly fewer U disk
-// accesses than the same queries evaluated independently, while serving
-// the same number of logical row reads. (Over a U on disk a batch shares
-// nothing: TestLedgerMatchesUStats charges it as its lone queries.) The
-// store is too short for the extremum index (core.Extrema), so the min and
-// max items read their rows too instead of being answered with none.
-func TestBatchSharesScans(t *testing.T) {
-	s := allocProbeStore(t, 2*core.ExtremaDepth)
-	n, m := s.Dims()
-	items := batchOverlappingItems(n, m)
-
-	ledgerFor := func(run func(ctx context.Context)) trace.LedgerSnapshot {
-		tr := trace.New("t", "/test")
-		ctx := trace.NewContext(context.Background(), tr)
-		run(ctx)
-		return tr.Ledger.Snapshot()
+// TestBatchCostsItsItems is the batch's cost model: a batch is its items
+// run alone on one pooled state, so its ledger is exactly its items' lone
+// ledgers together, and — every store here holds U in memory, so nothing
+// is warm — exactly the sum of their EXPLAIN estimates. It runs on every
+// engine store and on an SVDD store above the extremum index's floor
+// (core.Extrema), whose min and max items the index answers with few or
+// no reads, at workers {1, 3, 8}, over overlapping items, items repeated
+// verbatim, a duplicated-row selection and items that fail validation.
+func TestBatchCostsItsItems(t *testing.T) {
+	stores := engineStores(t)
+	x := dataset.GeneratePhone(dataset.DefaultPhoneConfig(4 * core.ExtremaDepth))
+	indexed, err := core.Compress(matio.NewMem(x), core.Options{Budget: 0.10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	seqCost := ledgerFor(func(ctx context.Context) {
-		for _, it := range items {
-			if _, err := EvaluateOpts(s, it.Agg, it.Sel, Options{Workers: 1, Ctx: ctx}); err != nil {
-				t.Fatal(err)
+	stores["svdd-indexed"] = indexed
+	for name, s := range stores {
+		n, m := s.Dims()
+		items := batchOverlappingItems(n, m)
+		items = append(items, items[:4]...)
+		for _, agg := range allAggregates {
+			items = append(items, BatchItem{Agg: agg, Sel: batchOfOneSelection(n, m)})
+		}
+		items = append(items,
+			BatchItem{Agg: Min, Sel: Selection{Rows: []int{0, n}, Cols: seq(0, m)}},
+			BatchItem{Agg: Sum, Sel: Selection{Rows: seq(0, n)}})
+		for _, workers := range []int{1, 3, 8} {
+			lone := tracedLedger(func(ctx context.Context) {
+				for _, it := range items {
+					_, _ = EvaluateOpts(s, it.Agg, it.Sel, Options{Workers: workers, Ctx: ctx})
+				}
+			})
+			var est Explain
+			for _, it := range items {
+				ex, err := ExplainQuery(s, it.Agg, it.Sel, Options{Workers: workers})
+				if err != nil {
+					continue
+				}
+				est.EstRowsRead += ex.EstRowsRead
+				est.EstDiskAccesses += ex.EstDiskAccesses
+				est.EstPagesTouched += ex.EstPagesTouched
+				est.EstDeltasProbed += ex.EstDeltasProbed
+				est.Chunks += ex.Chunks
+			}
+			var results []BatchResult
+			batch := tracedLedger(func(ctx context.Context) {
+				var err error
+				if results, err = EvaluateBatch(s, items, Options{Workers: workers, Ctx: ctx}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if results[len(items)-2].Err == nil || results[len(items)-1].Err == nil {
+				t.Fatalf("%s/w%d: the invalid items did not fail: %+v", name, workers, results[len(items)-2:])
+			}
+			if batch != lone {
+				t.Errorf("%s/w%d: batch ledger %+v != its items' lone ledgers %+v", name, workers, batch, lone)
+			}
+			if batch.RowsRead != est.EstRowsRead || batch.DiskAccesses != est.EstDiskAccesses ||
+				batch.PagesTouched != est.EstPagesTouched || batch.DeltasProbed != est.EstDeltasProbed ||
+				batch.WorkerChunks != int64(est.Chunks) {
+				t.Errorf("%s/w%d: batch ledger %+v != its items' estimates (rows %d, disk %d, pages %d, deltas %d, chunks %d)",
+					name, workers, batch, est.EstRowsRead, est.EstDiskAccesses, est.EstPagesTouched, est.EstDeltasProbed, est.Chunks)
 			}
 		}
-	})
-	batchCost := ledgerFor(func(ctx context.Context) {
-		results, err := EvaluateBatch(s, items, Options{Workers: 1, Ctx: ctx})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for idx, r := range results {
-			if r.Err != nil {
-				t.Fatalf("item %d: %v", idx, r.Err)
-			}
-		}
-	})
-	if batchCost.DiskAccesses >= seqCost.DiskAccesses {
-		t.Errorf("batch disk accesses %d not below sequential %d",
-			batchCost.DiskAccesses, seqCost.DiskAccesses)
-	}
-	if batchCost.RowsRead != seqCost.RowsRead {
-		t.Errorf("batch rows read %d != sequential %d (logical reads must match)",
-			batchCost.RowsRead, seqCost.RowsRead)
-	}
-	// The union of the overlapping windows is ~3n/4 distinct rows; the
-	// batch should be charged that union once, not Σ|rows_i|.
-	if batchCost.DiskAccesses > int64(n) {
-		t.Errorf("batch disk accesses %d exceed the whole store (%d rows)",
-			batchCost.DiskAccesses, n)
 	}
 }
 
-// batchOfOneSelection has repeated rows: one query has no other to share
-// a scan with, so even its repeats must not be charged as a row union.
+// batchOfOneSelection has repeated rows, each charged as often as it is
+// listed.
 func batchOfOneSelection(n, m int) Selection {
 	return Selection{Rows: append(seq(1, n/2), 3, 3, n-1), Cols: seq(2, m/2)}
 }
@@ -163,9 +177,7 @@ func TestBatchOfOneIsTheQuery(t *testing.T) {
 }
 
 // TestBatchOfOneCostsTheQuery: a batch of one charges the query's ledger
-// and allocates its results slice on top of the single call, nothing else
-// — no charged row union and no shared buffer, which a batch with fewer
-// than two queries cannot use.
+// and allocates its results slice on top of the single call, nothing else.
 func TestBatchOfOneCostsTheQuery(t *testing.T) {
 	ledgerOf := func(run func(opts Options) error) trace.LedgerSnapshot {
 		t.Helper()
@@ -330,8 +342,7 @@ func TestBatchWithPlanCache(t *testing.T) {
 }
 
 // TestBatchRandomizedSelections cross-checks batch against sequential on
-// random (non-overlapping-friendly) selections, where the charged row
-// union may share nothing — results must be identical either way.
+// random selections.
 func TestBatchRandomizedSelections(t *testing.T) {
 	s := fileBackedSVD(t, 200)
 	n, m := s.Dims()

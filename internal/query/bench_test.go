@@ -147,7 +147,7 @@ func benchSelections2(n, m int) map[string]Selection {
 }
 
 // BenchmarkEvaluateBatch compares N overlapping aggregates evaluated
-// independently versus through the scan-sharing batch path.
+// independently versus through the batch path.
 func BenchmarkEvaluateBatch(b *testing.B) {
 	s := benchStore(b)
 	n, m := s.Dims()

@@ -3,7 +3,6 @@ package query
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"seqstore/internal/core"
@@ -36,13 +35,11 @@ type Options struct {
 }
 
 // evalEnv is the resolved per-evaluation environment: context, normalized
-// worker count, the request's cost ledger, and whether evaluateBatch
-// already charged every U row the evaluation reads (paid).
+// worker count and the request's cost ledger.
 type evalEnv struct {
 	ctx     context.Context
 	workers int
 	led     *trace.Ledger
-	paid    bool
 }
 
 // env resolves the options once per entry point.
@@ -161,11 +158,6 @@ type evalState struct {
 	workers []*evalWorker // every worker ever grown; pointer-stable
 	active  []*evalWorker // the ones sharding this evaluation
 
-	// The panel's per-dimension extremes, vhi[m] = max_p panel[p][m] and
-	// vlo[m] the min: the interval the projected engine bounds a row's cells
-	// by. Filled once per projected evaluation.
-	vhi, vlo []float64
-
 	// The result.
 	factored   bool
 	numCells   int64
@@ -255,8 +247,6 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 		if pl.overlay {
 			st.dg = pl.buildDigest()
 		}
-		st.vhi, st.vlo = ensureFloats(st.vhi, k), ensureFloats(st.vlo, k)
-		panelExtremes(pl.panel, st.vhi, st.vlo)
 	}
 	for _, w := range st.active {
 		w.acc.reset()
@@ -436,15 +426,12 @@ func (st *evalState) readURows(w *evalWorker, lo, hi int) error {
 
 // uRows is the one place U rows are read and charged: U rows [start, end)
 // through svd.Store.URows, in place when U is resident, charged one disk
-// access per row plus the pages spanned — unless the batch already paid
-// for them, in which case they are read uncharged, U's counter included.
+// access per row plus the pages spanned.
 func (st *evalState) uRows(start, end int, scratch *[]float64) ([]float64, error) {
-	base, paid := st.pl.fac.Base(), st.env.paid
-	if !paid {
-		st.env.led.AddDiskAccesses(int64(end - start))
-		st.env.led.AddPagesTouched(int64(base.UPageSpan(start, end)))
-	}
-	return base.URows(start, end, scratch, !paid)
+	base := st.pl.fac.Base()
+	st.env.led.AddDiskAccesses(int64(end - start))
+	st.env.led.AddPagesTouched(int64(base.UPageSpan(start, end)))
+	return base.URows(start, end, scratch, true)
 }
 
 // genericRows is the fallback for stores without a U/V factorization:
@@ -484,8 +471,7 @@ type evalWorker struct {
 // selected cells, with SVDD deltas applied from the piece's slab of the
 // row index. On a factorable store this engine serves Min and Max alone
 // (Sum/Avg/StdDev factor, Count is data-free), so it folds only the count
-// and the one extremum the aggregate reads — and a row none of whose cells
-// can move that extremum is counted without being projected at all.
+// and the one extremum the aggregate reads.
 func (w *evalWorker) project(i int) {
 	st := w.st
 	// Pre-scale by σ so each projected cell is the same dot product the
@@ -494,10 +480,6 @@ func (w *evalWorker) project(i int) {
 	urow, vals, sigma := w.urow, w.vals, st.pl.sigma
 	for m := range urow {
 		urow[m] *= sigma[m]
-	}
-	if w.cannotWin(i) {
-		w.acc.n += int64(len(vals))
-		return
 	}
 	linalg.DotRows(urow, st.pl.panel, vals)
 	if dg := st.dg; dg != nil {
@@ -509,44 +491,6 @@ func (w *evalWorker) project(i int) {
 		}
 	}
 	w.fold(vals)
-}
-
-// cannotWin reports whether no selected cell of U row i (w.urow, σ-scaled)
-// can move the worker's running extremum, so that folding the row would
-// change nothing but the count. For Max: every plain cell is Dot(urow, V
-// row) over a V row inside [vlo, vhi], so when linalg.DotBounds' upper
-// bound is finite no such cell is NaN or above it, bit for bit; if that
-// bound is ≤ the running max (a NaN max never is), folding those cells
-// leaves the max as it is, ±0 ties included — a tie never replaces it. A
-// cell carrying a delta is Dot + δ, outside the bound, so each one is
-// computed exactly and must neither beat the max nor be NaN. Min is the
-// mirror image. Anything else — a non-finite bound included — is projected.
-func (w *evalWorker) cannotWin(i int) bool {
-	st := w.st
-	upper, lower := linalg.DotBounds(w.urow, st.vhi, st.vlo)
-	if st.wantMax {
-		if !(upper <= w.acc.max) || math.IsInf(upper, 0) {
-			return false
-		}
-	} else if !(lower >= w.acc.min) || math.IsInf(lower, 0) {
-		return false
-	}
-	dg := st.dg
-	if dg == nil {
-		return true
-	}
-	cols, deltas := w.slab.Row(i)
-	for x, col := range cols {
-		// Every position of a column holds the same V row: one cell decides.
-		if a := dg.colStart[col]; a < dg.colStart[col+1] {
-			p := int(dg.pos[a]) * len(w.urow)
-			v := linalg.Dot(w.urow, st.pl.panel[p:p+len(w.urow)]) + deltas[x]
-			if math.IsNaN(v) || (st.wantMax && v > w.acc.max) || (!st.wantMax && v < w.acc.min) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // fold folds one row's cell values into the count and the aggregate's
@@ -569,20 +513,6 @@ func (w *evalWorker) zeroRow() {
 	if n := len(w.st.sel.Cols); !w.st.factored && n > 0 {
 		w.fold(zeroCell)
 		w.acc.n += int64(n - 1)
-	}
-}
-
-// panelExtremes fills hi and lo (k each) with the per-dimension max and min
-// of the panel's k-wide rows: every V row a projected cell can meet lies
-// inside [lo, hi].
-func panelExtremes(panel, hi, lo []float64) {
-	for m := range hi {
-		hi[m], lo[m] = math.Inf(-1), math.Inf(1)
-	}
-	for p := 0; p < len(panel); p += len(hi) {
-		for m, v := range panel[p : p+len(hi)] {
-			hi[m], lo[m] = max(hi[m], v), min(lo[m], v)
-		}
 	}
 }
 

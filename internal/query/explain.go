@@ -20,7 +20,8 @@ const (
 // no request's store reads and adds zero disk accesses (the §17 invariant
 // pinned by TestExplainNoExtraDiskAccesses).
 //
-// The estimates model a query alone, not a batch's shared union charge.
+// The estimates model a query alone, and a batch is charged its items'
+// lone ledgers, so a batch's ledger is the sum of its items' estimates.
 // On a cold store they equal the executed ledger exactly, including the
 // chunk-clipping of scan runs at the requested worker count, because they
 // are a replay of the very pieces the engine reads (plan.pieces); warm

@@ -26,9 +26,8 @@ import "math"
 // ±Inf for none — and narrows the plan's columns to the ones left open,
 // which the engine still projects (none when the lists settled every
 // column). With no index or an unordered column it leaves the plan as it
-// was. Deterministic in
-// the index and the selection, so an evaluation, its EXPLAIN and a batch's
-// charge pass all reach the same decision.
+// was. Deterministic in the index and the selection, so an evaluation and
+// its EXPLAIN reach the same decision.
 func (p *plan) lookup(wantMax bool) error {
 	ix, err := p.fac.Extrema()
 	if err != nil || ix == nil {

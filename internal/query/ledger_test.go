@@ -15,8 +15,8 @@ import (
 // disk_accesses must equal the store's RowReads delta (the paper's
 // one-row-one-block model), and rows_read / worker_chunks / pages_touched
 // must be populated. A batch of overlapping items is held to the same
-// equality over U on disk and resident U; on disk, where it shares nothing,
-// its ledger is also exactly its items' lone ledgers together.
+// equality over U on disk and resident U, and its ledger is exactly its
+// items' lone ledgers together on both.
 func TestLedgerMatchesUStats(t *testing.T) {
 	s := fileBackedSVD(t, 64)
 	n, m := s.Dims()
@@ -42,9 +42,6 @@ func TestLedgerMatchesUStats(t *testing.T) {
 			if delta := bs.Base().UStats().RowReads() - before; batch.DiskAccesses != delta {
 				t.Errorf("%s/w%d batch: ledger disk accesses %d != stats row reads %d",
 					name, workers, batch.DiskAccesses, delta)
-			}
-			if name != "file" {
-				continue
 			}
 			lone := tracedLedger(func(ctx context.Context) {
 				opts.Ctx = ctx

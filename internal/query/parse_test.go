@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -8,6 +10,7 @@ import (
 	"seqstore/internal/core"
 	"seqstore/internal/linalg"
 	"seqstore/internal/matio"
+	"seqstore/internal/seqerr"
 	"seqstore/internal/svd"
 )
 
@@ -63,6 +66,27 @@ func TestParseIndexSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseIndexSpecBoundsBeforeAllocating: an index past the axis is
+// refused at parse time with ErrOutOfRange, before a range's size is
+// allocated — a range of 4·10¹⁸ rows is an error, not a panic — and a
+// spec's count of indices is added up without overflowing.
+func TestParseIndexSpecBoundsBeforeAllocating(t *testing.T) {
+	for _, spec := range []string{"0:4000000000000000000", "10", "5:11", "3,9223372036854775807", "9223372036854775806:9223372036854775807"} {
+		if _, err := ParseIndexSpec(spec, 10); !errors.Is(err, seqerr.ErrOutOfRange) {
+			t.Errorf("ParseIndexSpec(%q, 10): %v, want ErrOutOfRange", spec, err)
+		}
+	}
+	for spec, want := range map[string]int{"9": 1, "0:10": 10, "10:10": 0, "0:10,0:10,3": 21} {
+		sp, err := ScanIndexSpec(spec, 10)
+		if err != nil || sp.Len() != want || len(sp.Indices()) != want {
+			t.Errorf("ScanIndexSpec(%q, 10): %v, %d indices; want %d", spec, err, sp.Len(), want)
+		}
+	}
+	if _, err := ScanIndexSpec("0:9223372036854775807,0:1", math.MaxInt); err == nil || errors.Is(err, seqerr.ErrOutOfRange) {
+		t.Errorf("a spec of more than MaxInt indices: %v, want a malformed-spec error", err)
+	}
+}
+
 // TestDuplicateIndicesWeightCells pins the documented multiset semantics:
 // duplicating an index in a selection weights its cells in aggregates.
 func TestDuplicateIndicesWeightCells(t *testing.T) {
@@ -107,12 +131,12 @@ func TestParseAndSplitAllocateOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun budgets only hold without -race")
 	}
-	rows, err := ParseIndexSpec("0:5000, 7 ,10:20", 0)
+	rows, err := ParseIndexSpec("0:5000, 7 ,10:20", 5000)
 	if err != nil || len(rows) != 5011 || cap(rows) != len(rows) {
 		t.Fatalf("parsed %d rows (cap %d), %v; want 5011 at capacity", len(rows), cap(rows), err)
 	}
 	// The part list, the parsed parts and the indices.
-	if got := testing.AllocsPerRun(20, func() { _, _ = ParseIndexSpec("0:5000, 7 ,10:20", 0) }); got > 3 {
+	if got := testing.AllocsPerRun(20, func() { _, _ = ParseIndexSpec("0:5000, 7 ,10:20", 5000) }); got > 3 {
 		t.Errorf("ParseIndexSpec: %.0f allocations, want at most 3", got)
 	}
 	sel := Selection{Rows: seq(0, 20000), Cols: []int{1}}

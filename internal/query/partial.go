@@ -154,8 +154,7 @@ type PartialResult struct {
 }
 
 // EvaluateBatchPartial is EvaluateBatch exporting each item's state
-// instead of rounding it: same loop, same single charge for the U-row
-// union. Sharing changes only what the ledger charges, so each Partial is
+// instead of rounding it: same loop, same charges, so each Partial is
 // bit-identical to an independent EvaluatePartial call.
 func EvaluateBatchPartial(s store.Store, items []BatchItem, opts Options) ([]PartialResult, error) {
 	results := make([]PartialResult, len(items))

@@ -363,8 +363,7 @@ func FuzzPartialUnmarshal(f *testing.F) {
 	})
 }
 
-// Batch partials share the charged row union and read resident U in place,
-// yet stay bit-identical to independent EvaluatePartial calls.
+// Batch partials stay bit-identical to independent EvaluatePartial calls.
 func TestEvaluateBatchPartialMatchesIndependent(t *testing.T) {
 	stores := engineStores(t)
 	for _, name := range []string{"svd", "svdd"} {

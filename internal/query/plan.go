@@ -263,8 +263,7 @@ func (sg *segIter) next() bool {
 // run of rows [start, end) readURows reads — the read segments of every
 // piece, zero set for an isolated zero-flagged row, which is answered from
 // its flag. The delta corrections read no U row. EXPLAIN charges what fn
-// gets and a batch's shared charge marks it, so neither can drift from the
-// engine.
+// gets, so it cannot drift from the engine.
 func (p *plan) reads(agg Aggregate, chunk int, fn func(start, end int, zero bool)) {
 	if p.answered() {
 		return

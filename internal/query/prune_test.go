@@ -15,10 +15,10 @@ import (
 	"seqstore/internal/svd"
 )
 
-// The projected engine skips a U row whose cells cannot move the running
-// min/max (evalWorker.cannotWin). These tests hold the skip to the bits of
-// the reconstruction it avoids, on stores built to hold what the rule could
-// get wrong.
+// A min or max is answered from the extremum index where it can and by the
+// projected engine where it cannot. These tests hold both to the bits of
+// the naive reconstruction, on stores built to hold what an extremum could
+// get wrong: deltas that carry it, zero rows and ties, NaN, a huge σ.
 
 // pruneMatrix is tall enough that workers {3, 8} really run 3 and 8
 // goroutines (evalWorkers), and holds the phone generator's all-zero rows.
@@ -152,15 +152,14 @@ func zeroCellStore(t *testing.T, n, m int) *core.Store {
 }
 
 // overflowStore is a plain-SVD store with σ at the top of the float64
-// range. On every third row σ·u reaches 1e308, where the interval bound
-// overflows and some cells do; the other rows stay finite. Rows 0 and 4 of
+// range. On every third row σ·u reaches 1e308, where some cells
+// overflow; the other rows stay finite. Rows 0 and 4 of
 // every twelve scale to σ·u = ±Inf in the first factor, so their cells are
 // +Inf and −Inf; rows 11 and 6 pair an infinite first factor with the
 // opposite infinity in the second, so a cell is NaN wherever those products
-// meet. A bound that overflows to ±Inf must never let such a row be
-// skipped, although an Inf running extremum is ≥ (≤) it: the no-neg
-// selection puts row 11's NaNs alone behind a +Inf max, no-pos row 6's
-// behind a −Inf min.
+// meet. A NaN must win although an Inf running extremum is ≥ (≤) every
+// other cell: the no-neg selection puts row 11's NaNs alone behind a +Inf
+// max, no-pos row 6's behind a −Inf min.
 func overflowStore(t *testing.T, n, m int) *core.Store {
 	t.Helper()
 	rng := rand.New(rand.NewSource(6))
@@ -308,11 +307,11 @@ func sameValue(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-// TestPrunedExtremaMatchNaive holds min and max, with the skip, to the
-// naive EvaluateMatrix over store.Row bit for bit — lone calls and
-// EvaluateBatch with its charged row union, at workers {1, 3, 8} — on plain
+// TestPrunedExtremaMatchNaive holds min and max to the naive
+// EvaluateMatrix over store.Row bit for bit — lone calls and
+// EvaluateBatch, at workers {1, 3, 8} — on plain
 // SVD, SVDD whose deltas carry the extrema, §6.2 zero rows, FoldIn'd rows,
-// exact-zero ties, a NaN delta and a σ whose bound overflows.
+// exact-zero ties, a NaN delta and a σ whose cells overflow.
 func TestPrunedExtremaMatchNaive(t *testing.T) {
 	for name, s := range pruneStores(t) {
 		recon := naiveRecon(t, s)
@@ -363,7 +362,7 @@ func sliceStore(t *testing.T, s store.Store, lo, hi int) store.Store {
 
 // TestMinMaxPartialBytesInvariant pins what a min/max Partial carries: the
 // count and its own extremum (the other is the empty ±Inf fold), so its
-// bytes are the same at workers {1, 3, 8} although each worker skips
+// bytes are the same at workers {1, 3, 8} although each worker folds
 // different rows; and two shards' partials of a SplitSelection merge to the
 // single-node bits.
 func TestMinMaxPartialBytesInvariant(t *testing.T) {

@@ -128,64 +128,106 @@ func All(n int) []int {
 // ParseIndexSpec parses a human-friendly index selection — comma-separated
 // indices and half-open lo:hi ranges, mixed freely ("3,17,0:10") — used by
 // the CLI and HTTP query front ends. An empty spec selects all of [0, n).
-// Negative indices and inverted ranges are rejected here, at parse time,
-// so callers get a clear message instead of a downstream validation error.
+// It is ScanIndexSpec followed by Indices: every index is checked against
+// [0, n) before any is allocated.
 //
 // A selection is a multiset: duplicate indices ("3,3" or overlapping
 // ranges) are deliberately kept, so the duplicated rows/columns weight
 // their cells multiply in aggregates over the selection cross product.
 func ParseIndexSpec(spec string, n int) ([]int, error) {
-	if strings.TrimSpace(spec) == "" {
-		return All(n), nil
+	sp, err := ScanIndexSpec(spec, n)
+	if err != nil {
+		return nil, err
 	}
-	// Every part is parsed and checked before any index is written, so the
-	// indices are allocated once, at their final length: appended one by
-	// one, a range of thousands of rows allocated several times its size.
-	type span struct{ lo, n int }
+	return sp.Indices(), nil
+}
+
+// IndexSpec is a parsed index spec whose indices are not yet allocated:
+// its runs of consecutive indices, each inside the axis it was parsed
+// against. The empty spec keeps no runs: it lists [0, total).
+type IndexSpec struct {
+	runs  []indexRun
+	total int
+}
+
+type indexRun struct{ lo, n int }
+
+// ScanIndexSpec parses spec (ParseIndexSpec's syntax) against an axis of n
+// indices without allocating them. Negative indices and inverted ranges are
+// malformed; an index ≥ n is refused with ErrOutOfRange, as Validate
+// refuses it. Either way the caller hears of it before a range's size is
+// allocated, and the count of indices is added up without overflow.
+func ScanIndexSpec(spec string, n int) (IndexSpec, error) {
+	if strings.TrimSpace(spec) == "" {
+		return IndexSpec{total: n}, nil
+	}
 	parts := strings.Split(spec, ",")
-	spans := make([]span, 0, len(parts))
-	total := 0
+	sp := IndexSpec{runs: make([]indexRun, 0, len(parts))}
 	for _, part := range parts {
 		part = strings.TrimSpace(part)
+		var a, b int
 		if lo, hi, ok := strings.Cut(part, ":"); ok {
-			a, err := strconv.Atoi(strings.TrimSpace(lo))
-			if err != nil {
-				return nil, fmt.Errorf("query: bad range start %q: %w", lo, err)
+			var err error
+			if a, err = strconv.Atoi(strings.TrimSpace(lo)); err != nil {
+				return IndexSpec{}, fmt.Errorf("query: bad range start %q: %w", lo, err)
 			}
-			b, err := strconv.Atoi(strings.TrimSpace(hi))
-			if err != nil {
-				return nil, fmt.Errorf("query: bad range end %q: %w", hi, err)
+			if b, err = strconv.Atoi(strings.TrimSpace(hi)); err != nil {
+				return IndexSpec{}, fmt.Errorf("query: bad range end %q: %w", hi, err)
 			}
 			if a < 0 || b < 0 {
-				return nil, fmt.Errorf("query: negative index in range %q", part)
+				return IndexSpec{}, fmt.Errorf("query: negative index in range %q", part)
 			}
 			if b < a {
-				return nil, fmt.Errorf("query: inverted range %q", part)
+				return IndexSpec{}, fmt.Errorf("query: inverted range %q", part)
 			}
-			spans = append(spans, span{a, b - a})
-			total += b - a
 		} else {
 			v, err := strconv.Atoi(part)
 			if err != nil {
-				return nil, fmt.Errorf("query: bad index %q: %w", part, err)
+				return IndexSpec{}, fmt.Errorf("query: bad index %q: %w", part, err)
 			}
 			if v < 0 {
-				return nil, fmt.Errorf("query: negative index %d", v)
+				return IndexSpec{}, fmt.Errorf("query: negative index %d", v)
 			}
-			spans = append(spans, span{v, 1})
-			total++
+			if v >= n {
+				return IndexSpec{}, indexOutOfRange(v, n)
+			}
+			a, b = v, v+1
+		}
+		if b > a && b > n {
+			return IndexSpec{}, indexOutOfRange(max(a, n), n)
+		}
+		if b-a > math.MaxInt-sp.total {
+			return IndexSpec{}, fmt.Errorf("query: spec lists more than %d indices", math.MaxInt)
+		}
+		sp.runs = append(sp.runs, indexRun{a, b - a})
+		sp.total += b - a
+	}
+	return sp, nil
+}
+
+func indexOutOfRange(i, n int) error {
+	return fmt.Errorf("query: index %d out of range %d (%w)", i, n, seqerr.ErrOutOfRange)
+}
+
+// Len is the number of indices the spec lists, repeats included.
+func (sp IndexSpec) Len() int { return sp.total }
+
+// Indices allocates the spec's indices once, at their final length; a spec
+// that lists none gives nil.
+func (sp IndexSpec) Indices() []int {
+	if sp.total == 0 {
+		return nil
+	}
+	if sp.runs == nil {
+		return All(sp.total)
+	}
+	out := make([]int, 0, sp.total)
+	for _, r := range sp.runs {
+		for i := 0; i < r.n; i++ {
+			out = append(out, r.lo+i)
 		}
 	}
-	if total == 0 {
-		return nil, nil
-	}
-	out := make([]int, 0, total)
-	for _, sp := range spans {
-		for i := 0; i < sp.n; i++ {
-			out = append(out, sp.lo+i)
-		}
-	}
-	return out, nil
+	return out
 }
 
 // RandomSelection draws a selection covering approximately frac of the

@@ -3,7 +3,7 @@
 // around it. The backend answers typed requests from one open store —
 // batches of cell/row reads (a lone read is a batch of one), each read one
 // reconstruction from the compressed form, batches of aggregates through
-// the scan-sharing query engine, axis-label
+// the query engine, axis-label
 // addressing, NDJSON bulk appends into an ingestion tier — and charges
 // every reconstruction to the request's cost ledger, so the paper's
 // one-access-per-cell claim is verifiable live under load.
@@ -331,11 +331,10 @@ func (h *Handler) queryOptions(ctx context.Context) query.Options {
 	return query.Options{Workers: h.queryWorkers, Ctx: ctx}
 }
 
-// AggregateBatch evaluates the queries through the scan-sharing batch
-// engine: the union of the selections' U rows is fetched once and shared
-// across all queries, so overlapping dashboards pay for each disk row once
-// instead of once per panel; a lone aggregate is a batch of one, which
-// shares nothing and costs what the query costs. With b.Partial every
+// AggregateBatch evaluates the queries in order through the batch engine,
+// each answered and charged as it is alone, so a batch costs the sum of its
+// queries and a lone aggregate, a batch of one, costs what the query
+// costs. With b.Partial every
 // result carries the mergeable partial state instead of a value (the
 // scatter/gather form used between proxy and store nodes).
 func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.AggregateResult, error) {

@@ -26,7 +26,10 @@ import (
 // before plain-SVD stores loaded as delta-free SVDD stores, so it pins
 // that a served plain store answers, charges and reports exactly as the
 // plain-SVD path did: the same bits, disk accesses and pages touched, and
-// no svdd metrics section. Regenerate only for an intended wire change:
+// no svdd metrics section. The two batch lines' disk accesses and pages
+// were re-recorded once a batch charged each item as a lone query (their
+// rows read and bodies did not move). Regenerate only for an intended wire
+// change:
 //
 //	go test ./internal/server -run TestServedPlainSVDGolden -update-golden
 func TestServedPlainSVDGolden(t *testing.T) {

@@ -72,12 +72,10 @@ type BatchValue struct {
 	Err   error
 }
 
-// AggregateBatch evaluates several aggregates in one pass. Selections
-// that overlap share their U-row reads: the engine fetches the union of
-// the queries' selected rows once and serves every query from it, so a
-// dashboard's worth of related aggregates costs roughly the union's disk
-// accesses rather than the sum of each query's. Results are bit-identical
-// to evaluating each query alone with the same options. A query that
+// AggregateBatch evaluates several aggregates in one call, in order, on
+// one pooled evaluation state. Each result, and each query's disk
+// accesses, is what evaluating the query alone with the same options gives
+// (bit-identical), so a batch costs the sum of its queries. A query that
 // fails validation reports its error in its own BatchValue without
 // affecting the others; the call-level error is reserved for ctx firing.
 func (st *Store) AggregateBatch(ctx context.Context, queries []BatchQuery, opts AggOptions) ([]BatchValue, error) {
@@ -140,7 +138,8 @@ func Range(lo, hi int) []int {
 // indices and half-open lo:hi ranges, mixed freely ("3,17,0:10") — used by
 // the CLI and HTTP query front ends. An empty spec selects all of [0, n).
 // Negative indices and inverted ranges are rejected at parse time with a
-// clear error rather than surfacing later as validation failures.
+// clear error, and an index ≥ n with ErrOutOfRange, before any index is
+// allocated.
 //
 // Duplicate indices (explicit repeats or overlapping ranges) are
 // intentionally preserved: a selection is a multiset, so a duplicated row

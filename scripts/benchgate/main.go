@@ -210,7 +210,7 @@ func measure(bins [2]string, tmp, workload, parent string, pairs, firstSeed int,
 // hotSymbols are the functions whose placement the compression, set-up and
 // aggregate metrics are sensitive to: the Gram kernel, the top-γ selection,
 // the pass-2 row scorer, the reconstruction kernels, the engine's U-row
-// loop, the projected engine's row bound and row projection, the factored
+// loop, the projected engine's row projection, the factored
 // moments' staged kernel and the exact add behind it, the column walk of
 // the delta corrections, the extremum index's walk, and the point read.
 var hotSymbols = []string{
@@ -219,7 +219,6 @@ var hotSymbols = []string{
 	"seqstore/internal/core.(*pass2State).row",
 	"seqstore/internal/linalg.Dot",
 	"seqstore/internal/linalg.DotRows",
-	"seqstore/internal/linalg.DotBounds",
 	"seqstore/internal/linalg.Axpy",
 	"seqstore/internal/query.(*evalState).readURows",
 	"seqstore/internal/query.(*evalWorker).project",
