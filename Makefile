@@ -50,6 +50,10 @@ race:
 # and b = 4 SVDD stores and row slices of them (the row walk and the column
 # walk of the delta corrections each give the sum and sumSq registers of a
 # per-delta fold with a U read and a Dot, and probe what they should),
+# FuzzSpecSplit on fuzzed index specs (ranges, lone indices, repeats,
+# descending, abutting and empty pieces) over fuzzed shard ranges (the
+# proxy's split of a spec's runs renders, for every shard, the bytes the
+# per-row split of its listed rows rendered, and refuses the same row),
 # FuzzExtremaIndex on fuzzed row runs, repeats and column lists over stores
 # with zero ties, §6.2 zero rows, NaN and ±Inf cells, their row slices and a
 # b = 4 file (a min or max through the extremum index, lone, batched and as
@@ -76,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run FuzzScaledTerms -fuzz FuzzScaledTerms -fuzztime 10s ./internal/exact
 	$(GO) test -run FuzzDeltaWalks -fuzz FuzzDeltaWalks -fuzztime 10s ./internal/query
 	$(GO) test -run FuzzExtremaIndex -fuzz FuzzExtremaIndex -fuzztime 10s ./internal/query
+	$(GO) test -run FuzzSpecSplit -fuzz FuzzSpecSplit -fuzztime 10s ./internal/query
 	$(GO) test -run FuzzChannelFrame -fuzz FuzzChannelFrame -fuzztime 10s ./internal/api
 	$(GO) test -run FuzzFoldBound -fuzz FuzzFoldBound -fuzztime 10s ./internal/ingest
 

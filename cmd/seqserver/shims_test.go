@@ -10,26 +10,28 @@ import (
 	"testing"
 )
 
-// planCacheShims are the names left of the query-plan cache: documented
+// planCacheShims are the names kept only because the benchmark module
+// still calls them: what is left of the query-plan cache, documented
 // no-ops (query.NewPlanCache, query.PlanCache and its Stats,
-// query.PlanCacheStats, server.DefaultPlanCacheSize) that remain only
-// because the benchmark module still calls them. query.Options.Plans, the
-// field they fed, is checked separately: it is a field name, not a
-// declaration.
+// query.PlanCacheStats, server.DefaultPlanCacheSize), and
+// query.SplitSelection, the per-row split the proxy replaced by splitting a
+// spec's runs. query.Options.Plans, the field the cache shims fed, is
+// checked separately: it is a field name, not a declaration.
 var planCacheShims = map[string]bool{
 	"NewPlanCache":         true,
 	"PlanCache":            true,
 	"PlanCacheStats":       true,
 	"DefaultPlanCacheSize": true,
+	"SplitSelection":       true,
 }
 
 // TestPlanCacheShimsOnlyForBench fails if a non-test file outside bench/
-// uses a plan-cache shim or sets or reads an Options.Plans field. Their own
+// uses a shim or sets or reads an Options.Plans field. Their own
 // declarations are the one place the names may appear.
 func TestPlanCacheShimsOnlyForBench(t *testing.T) {
 	walkNonTest(t, func(fset *token.FileSet, f *ast.File) {
 		for _, use := range shimUses(f) {
-			t.Errorf("%s: %s is a deprecated plan-cache shim kept for bench/ only", fset.Position(use.Pos()), use.Name)
+			t.Errorf("%s: %s is a deprecated shim kept for bench/ only", fset.Position(use.Pos()), use.Name)
 		}
 	})
 }

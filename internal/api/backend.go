@@ -58,19 +58,20 @@ type CellRequest struct {
 func (c CellRequest) ByLabel() bool { return c.Row != "" || c.Col != "" }
 
 // AggregateQuery is one parsed aggregate: F is the canonical function name
-// echoed in responses, Sel is validated against Backend.Dims.
+// echoed in responses, Rows × Cols the selection as the specs parsed
+// against Backend.Dims — runs, never a list of every row.
 type AggregateQuery struct {
-	F       string
-	Agg     query.Aggregate
-	Sel     query.Selection
-	Partial bool
-	Explain bool
+	F          string
+	Agg        query.Aggregate
+	Rows, Cols query.IndexSpec
+	Partial    bool
+	Explain    bool
 }
 
 // Response starts the query's answer: the echoed fields filled in, the
 // result left to the backend.
 func (q AggregateQuery) Response() AggregateResponse {
-	return AggregateResponse{F: q.F, Rows: len(q.Sel.Rows), Cols: len(q.Sel.Cols)}
+	return AggregateResponse{F: q.F, Rows: q.Rows.Len(), Cols: q.Cols.Len()}
 }
 
 // AggregateResult is one query's outcome from Backend.AggregateBatch: its

@@ -465,9 +465,11 @@ func (h *Handler) rows(r *http.Request) (interface{}, error) {
 // --- Aggregates ------------------------------------------------------------
 
 // parseAggQuery resolves an AggregateRequest's (f, rows, cols) against the
-// n×m shape and validates the selection. F defaults to "avg"; empty specs
-// select full axes. A malformed request is an Invalid; an out-of-range or
-// empty selection keeps its own class.
+// n×m shape. F defaults to "avg"; empty specs select full axes. Scanning a
+// spec refuses every index outside its axis, so what is left to check is
+// that the selection lists a cell; nothing is listed row by row. A
+// malformed request is an Invalid; an out-of-range or empty selection keeps
+// its own class.
 func parseAggQuery(req AggregateRequest, n, m int) (AggregateQuery, error) {
 	f := req.F
 	if f == "" {
@@ -477,22 +479,21 @@ func parseAggQuery(req AggregateRequest, n, m int) (AggregateQuery, error) {
 	if err != nil {
 		return AggregateQuery{}, Invalid("%v", err)
 	}
-	rows, err := query.ParseIndexSpec(req.Rows, n)
+	rows, err := query.ScanIndexSpec(req.Rows, n)
 	if err != nil {
 		return AggregateQuery{}, specError("rows", err)
 	}
-	cols, err := query.ParseIndexSpec(req.Cols, m)
+	cols, err := query.ScanIndexSpec(req.Cols, m)
 	if err != nil {
 		return AggregateQuery{}, specError("cols", err)
 	}
-	q := AggregateQuery{
-		F: f, Agg: agg, Sel: query.Selection{Rows: rows, Cols: cols},
+	if rows.Len() == 0 || cols.Len() == 0 {
+		return AggregateQuery{}, query.ErrEmptySelection
+	}
+	return AggregateQuery{
+		F: f, Agg: agg, Rows: rows, Cols: cols,
 		Partial: req.Partial, Explain: req.Explain,
-	}
-	if err := q.Sel.Validate(n, m); err != nil {
-		return AggregateQuery{}, err
-	}
-	return q, nil
+	}, nil
 }
 
 // specError names the parameter of an index spec that failed to parse: an

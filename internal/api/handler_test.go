@@ -146,7 +146,7 @@ func TestHandlerParsesIntoTypedRequests(t *testing.T) {
 	if len(fb.batch.Queries) != 1 {
 		t.Fatalf("aggregate: backend saw %+v", fb.batch)
 	}
-	if q := fb.batch.Queries[0]; w.Code != 200 || q.F != "avg" || len(q.Sel.Rows) != 3 || len(q.Sel.Cols) != 4 ||
+	if q := fb.batch.Queries[0]; w.Code != 200 || q.F != "avg" || q.Rows.Len() != 3 || q.Cols.Len() != 4 ||
 		!q.Explain || !q.Partial || !fb.batch.Partial {
 		t.Fatalf("aggregate: %d, backend saw %+v", w.Code, fb.batch)
 	}

@@ -16,30 +16,6 @@ import (
 	"seqstore/internal/trace"
 )
 
-// renderSpec renders shard-local row/column indices back into the
-// index-spec wire syntax, packing consecutive runs into lo:hi ranges.
-// Order and duplicates survive the round trip, so the fragment a store
-// node parses is exactly the multiset SplitSelection produced.
-func renderSpec(idx []int) string {
-	var b strings.Builder
-	for run := 0; run < len(idx); {
-		end := run + 1
-		for end < len(idx) && idx[end] == idx[end-1]+1 {
-			end++
-		}
-		if b.Len() > 0 {
-			b.WriteByte(',')
-		}
-		if end-run >= 2 {
-			fmt.Fprintf(&b, "%d:%d", idx[run], idx[end-1]+1)
-		} else {
-			fmt.Fprintf(&b, "%d", idx[run])
-		}
-		run = end
-	}
-	return b.String()
-}
-
 // decodePartial decodes a store node's SQP1 partial frame.
 func decodePartial(raw []byte) (*query.Partial, error) {
 	p := new(query.Partial)
@@ -346,7 +322,7 @@ func (p *Proxy) Rows(ctx context.Context, idx []int) ([]api.RowResponse, error) 
 	out := make([]api.RowResponse, len(idx))
 	err := p.fanOut(idx, func(c *shardClient, lo int, local, pos []int) error {
 		var body api.RowsResponse
-		if err := c.exchange(ctx, http.MethodGet, "/v1/rows?i="+renderSpec(local), nil, &body, true); err != nil {
+		if err := c.exchange(ctx, http.MethodGet, "/v1/rows?i="+query.SpecOf(local).String(), nil, &body, true); err != nil {
 			return err
 		}
 		if len(body.Rows) != len(pos) {
@@ -439,19 +415,20 @@ func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.Agg
 		if q.Agg == query.Count {
 			continue // selection arithmetic: answered without a shard
 		}
-		frags, err := query.SplitSelection(q.Sel, ranges)
+		frags, err := q.Rows.Split(ranges)
 		if err != nil {
 			out[qi].Err = err
 			continue
 		}
+		cols := q.Cols.String()
 		for s := range frags {
-			if len(frags[s].Rows) == 0 {
+			if frags[s].Len() == 0 {
 				continue
 			}
 			batches[s].queries = append(batches[s].queries, api.AggregateRequest{
 				F:       q.F,
-				Rows:    renderSpec(frags[s].Rows),
-				Cols:    renderSpec(frags[s].Cols),
+				Rows:    frags[s].String(),
+				Cols:    cols,
 				Explain: q.Explain,
 			})
 			batches[s].qi = append(batches[s].qi, qi)
@@ -522,10 +499,11 @@ func (p *Proxy) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.Agg
 		}
 		resp := q.Response()
 		if q.Agg == query.Count {
-			resp.Value, resp.Nonfinite = api.Float(float64(q.Sel.NumCells()))
+			cells := int64(q.Rows.Len()) * int64(q.Cols.Len())
+			resp.Value, resp.Nonfinite = api.Float(float64(cells))
 			if q.Explain {
 				cost := trace.LedgerFrom(ctx).Snapshot()
-				resp.Explain = &api.Explain{Plan: query.PlanCount, Cells: int64(q.Sel.NumCells()), Cost: cost}
+				resp.Explain = &api.Explain{Plan: query.PlanCount, Cells: cells, Cost: cost}
 			}
 			out[qi].Response = resp
 			continue

@@ -957,8 +957,9 @@ func TestProxyReloadFile(t *testing.T) {
 	}
 }
 
-// TestRenderSpec pins the fragment re-rendering round trip: parse ∘
-// render is the identity on the multiset, order included.
+// TestRenderSpec pins the row-list rendering the proxy sends a shard's
+// /v1/rows: parse ∘ render is the identity on the multiset, order
+// included.
 func TestRenderSpec(t *testing.T) {
 	cases := [][]int{
 		{0},
@@ -968,7 +969,7 @@ func TestRenderSpec(t *testing.T) {
 		{7, 6, 5},
 	}
 	for _, idx := range cases {
-		spec := renderSpec(idx)
+		spec := query.SpecOf(idx).String()
 		back, err := query.ParseIndexSpec(spec, 1000)
 		if err != nil {
 			t.Fatalf("render %v -> %q failed to parse: %v", idx, spec, err)

@@ -6,7 +6,7 @@
 // Point reads (/v1/cell, /v1/row, /v1/rows, /v1/cells) route by row-range
 // lookup against a static topology file (hot-reloadable on SIGHUP).
 // Aggregates scatter the selection — split by shard row ranges with
-// query.SplitSelection — evaluate remotely in partial (mergeable) form,
+// query.IndexSpec.Split — evaluate remotely in partial (mergeable) form,
 // and gather with query.MergePartials in deterministic shard order. The
 // partials carry exact accumulators, so the gathered result is
 // bit-identical to evaluating the whole selection on one node, for every
@@ -116,7 +116,7 @@ func (t *Topology) Locate(i int) int {
 	return -1
 }
 
-// Ranges returns the shard ranges in query.SplitSelection's form.
+// Ranges returns the shard ranges in query.IndexSpec.Split's form.
 func (t *Topology) Ranges() []query.RowRange {
 	out := make([]query.RowRange, len(t.Shards))
 	for s, sh := range t.Shards {

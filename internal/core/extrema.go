@@ -29,7 +29,7 @@ const extremaMinRows = 2 * ExtremaDepth
 // linalg.DotRows, plus δ on a delta cell — so it is bit-equal to what a
 // query reads; equal values keep row order. Rows whose every cell is +0 —
 // §6.2 zero rows, and any all-zero U row without deltas, which is what an
-// all-zero sequence compresses to — are kept apart as a bitset (ZeroRow)
+// all-zero sequence compresses to — are kept apart as a bitset (AnyZeroRow)
 // and left out of the lists, which their ties would otherwise fill.
 //
 // A min over a selection R × C then needs no U row: the first entry of a
@@ -211,9 +211,17 @@ func (e *Extrema) High(j int) ([]float64, []uint32) {
 	return e.highV[at : at+int(e.n[j])], e.highR[at : at+int(e.n[j])]
 }
 
-// ZeroRow reports whether every cell of row i is +0; such a row is in no
-// list.
-func (e *Extrema) ZeroRow(i int) bool { return e.zeroRows[i/64]&(1<<(i%64)) != 0 }
+// AnyZeroRow reports whether a row whose bit is set in mark, a bitset over
+// the store's rows, has every cell +0 — such a row is in no list — a word
+// at a time.
+func (e *Extrema) AnyZeroRow(mark []uint64) bool {
+	for w, z := range e.zeroRows[:min(len(e.zeroRows), len(mark))] {
+		if z&mark[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Unordered reports whether column j holds a cell whose place in a fold
 // decides the bits of a min or max over it: a NaN, which every comparison

@@ -56,8 +56,10 @@ func TestExtremaListsMatchSort(t *testing.T) {
 		for _, v := range row {
 			zero = zero && math.Float64bits(v) == 0
 		}
-		if e.ZeroRow(i) != zero {
-			t.Fatalf("row %d: ZeroRow %v, all +0 %v", i, e.ZeroRow(i), zero)
+		mark := make([]uint64, (n+63)/64)
+		mark[i/64] = 1 << (i % 64)
+		if e.AnyZeroRow(mark) != zero {
+			t.Fatalf("row %d: AnyZeroRow %v, all +0 %v", i, e.AnyZeroRow(mark), zero)
 		}
 		if s.IsZeroRow(i) && !zero {
 			t.Fatalf("§6.2 zero row %d reconstructs to a nonzero cell", i)

@@ -11,10 +11,42 @@ import "seqstore/internal/store"
 // indexes leave too little overlap between them to pay for sharing
 // (DESIGN.md §14).
 
-// BatchItem is one aggregate request inside an EvaluateBatch call.
+// BatchItem is one aggregate request inside an EvaluateBatch call. Its
+// selection is Rows × Cols when Rows is a parsed spec (ScanIndexSpec,
+// Split or SpecOf) — the form the HTTP door and the proxy carry, whose
+// runs become the plan's schedule without a row list — and Sel otherwise.
 type BatchItem struct {
-	Agg Aggregate
-	Sel Selection
+	Agg        Aggregate
+	Sel        Selection
+	Rows, Cols IndexSpec
+}
+
+// specs reports whether the item's selection is its specs: Rows came from
+// ScanIndexSpec, Split or SpecOf, which always keep a run list, rather than
+// being the zero IndexSpec.
+func (it *BatchItem) specs() bool { return it.Rows.runs != nil }
+
+// validate checks the item's selection against an n×m store: non-empty,
+// and every index in range. A spec is checked run by run.
+func (it *BatchItem) validate(n, m int) error {
+	if !it.specs() {
+		return it.Sel.Validate(n, m)
+	}
+	if it.Rows.Len() == 0 || it.Cols.Len() == 0 {
+		return ErrEmptySelection
+	}
+	if err := it.Rows.check(n, "row"); err != nil {
+		return err
+	}
+	return it.Cols.check(m, "column")
+}
+
+// numCells is |R|·|C|, repeats included.
+func (it *BatchItem) numCells() int64 {
+	if it.specs() {
+		return int64(it.Rows.Len()) * int64(it.Cols.Len())
+	}
+	return int64(it.Sel.NumCells())
 }
 
 // BatchResult is one item's outcome. Err is the item-scoped error
@@ -54,7 +86,7 @@ func evaluateBatch(s store.Store, items []BatchItem, opts Options, emit func(idx
 		if err := env.ctx.Err(); err != nil {
 			return err
 		}
-		emit(idx, st, st.evaluate(env, s, items[idx].Agg, items[idx].Sel))
+		emit(idx, st, st.evaluate(env, s, &items[idx]))
 	}
 	return nil
 }

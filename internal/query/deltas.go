@@ -39,7 +39,8 @@ type selDigest struct {
 // buildDigest fills the plan's selection digest. Strictly ascending rows —
 // every range, every sorted list — are their own digest: each scan run is a
 // row run of multiplicity 1. Any other multiset (duplicates, descending,
-// interleaved) is sorted and counted.
+// interleaved) is swept: the runs' first rows and ends, each sorted, mark
+// where a row's multiplicity changes, in O(runs log runs).
 func (p *plan) buildDigest() *selDigest {
 	d := &p.digest
 	_, m := p.fac.Dims()
@@ -65,26 +66,44 @@ func (p *plan) buildDigest() *selDigest {
 	d.rowRuns = d.rowRuns[:0]
 	if p.ascending {
 		for _, run := range p.runs {
-			lo := p.rows[run.lo]
-			d.rowRuns = append(d.rowRuns, rowRun{lo: lo, hi: lo + run.hi - run.lo, mult: 1})
+			d.rowRuns = append(d.rowRuns, rowRun{lo: run.first, hi: run.end(), mult: 1})
 		}
 		return d
 	}
-	p.sorted = append(p.sorted[:0], p.rows...)
-	slices.Sort(p.sorted)
-	sorted := p.sorted
-	for a := 0; a < len(sorted); {
-		b := a + 1
-		for b < len(sorted) && sorted[b] == sorted[a] {
-			b++
+	starts, ends := slices.Grow(p.starts[:0], len(p.runs)), slices.Grow(p.ends[:0], len(p.runs))
+	for _, run := range p.runs {
+		starts, ends = append(starts, run.first), append(ends, run.end())
+	}
+	slices.Sort(starts)
+	slices.Sort(ends)
+	p.starts, p.ends = starts, ends
+	// Every start precedes its end, so the ends are the last events: rows
+	// [x, next) between two event positions share the multiplicity mult,
+	// and abutting stretches of one multiplicity merge into one row run.
+	mult := 0
+	for a, b := 0, 0; b < len(ends); {
+		x := ends[b]
+		if a < len(starts) && starts[a] < x {
+			x = starts[a]
 		}
-		i, mult := sorted[a], b-a
-		if last := len(d.rowRuns) - 1; last >= 0 && d.rowRuns[last].hi == i && d.rowRuns[last].mult == mult {
-			d.rowRuns[last].hi++
+		for ; a < len(starts) && starts[a] == x; a++ {
+			mult++
+		}
+		for ; b < len(ends) && ends[b] == x; b++ {
+			mult--
+		}
+		if mult == 0 {
+			continue
+		}
+		next := ends[b]
+		if a < len(starts) && starts[a] < next {
+			next = starts[a]
+		}
+		if last := len(d.rowRuns) - 1; last >= 0 && d.rowRuns[last].hi == x && d.rowRuns[last].mult == mult {
+			d.rowRuns[last].hi = next
 		} else {
-			d.rowRuns = append(d.rowRuns, rowRun{lo: i, hi: i + 1, mult: mult})
+			d.rowRuns = append(d.rowRuns, rowRun{lo: x, hi: next, mult: mult})
 		}
-		a = b
 	}
 	return d
 }

@@ -102,7 +102,7 @@ func (st *evalState) rowWork() int {
 	case st.factored:
 		return k
 	default:
-		return k * len(st.sel.Cols)
+		return k * len(st.pl.cols)
 	}
 }
 
@@ -133,12 +133,12 @@ const minScanRun = 4
 //     per-query V panel instead of the O(k·M) full reconstruction.
 //
 // A value is the merge of one partial: this is evaluate + value, where
-// EvaluatePartial is evaluate + export and MergePartials is merge + the
+// EvaluatePartial is evaluate + partial and MergePartials is merge + the
 // same value.
 func EvaluateOpts(s store.Store, agg Aggregate, sel Selection, opts Options) (float64, error) {
 	st := getState()
 	defer st.release()
-	if err := st.evaluate(opts.env(), s, agg, sel); err != nil {
+	if err := st.evaluate(opts.env(), s, &BatchItem{Agg: agg, Sel: sel}); err != nil {
 		return 0, err
 	}
 	return st.value(agg)
@@ -176,7 +176,6 @@ type evalState struct {
 type evalJob struct {
 	env     evalEnv
 	s       store.Store
-	sel     Selection
 	dg      *selDigest // projected overlay on SVDD: the columns' positions
 	wantMax bool       // projected: the aggregate is Max, not Min
 }
@@ -200,27 +199,28 @@ func (st *evalState) clear() {
 	st.cells.reset()
 }
 
-// evaluate fills the state with the exact result of (agg, sel) over s:
+// evaluate fills the state with the exact result of the item over s:
 // validate → ctx → count → plan → factored moments or cells. It is the
 // only dispatch; every entry point differs solely in what it does with
 // the filled state.
-func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Selection) error {
+func (st *evalState) evaluate(env evalEnv, s store.Store, it *BatchItem) error {
 	n, m := s.Dims()
-	if err := sel.Validate(n, m); err != nil {
+	if err := it.validate(n, m); err != nil {
 		return err
 	}
 	if err := env.ctx.Err(); err != nil {
 		return err
 	}
+	agg := it.Agg
 	st.clear()
-	st.numCells = int64(sel.NumCells())
+	st.numCells = it.numCells()
 	if agg == Count {
 		st.cells.n = st.numCells
 		return nil
 	}
-	st.evalJob = evalJob{env: env, s: s, sel: sel, wantMax: agg == Max}
+	st.evalJob = evalJob{env: env, s: s, wantMax: agg == Max}
 	pl := &st.pl
-	pl.reset(s, sel)
+	pl.reset(s, it, m)
 	st.factored = pl.fac != nil && (agg == Sum || agg == Avg || agg == StdDev)
 	if pl.fac != nil && !st.factored {
 		if err := pl.lookup(st.wantMax); err != nil {
@@ -231,12 +231,11 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 			st.cells.setExtremum(pl.best, st.wantMax)
 			return nil
 		}
-		st.sel.Cols = pl.cols
 	}
 
 	k, wantSq := len(pl.sigma), agg == StdDev
-	chunk := evalChunkSize(len(sel.Rows), env.workers)
-	nw := evalWorkers(len(sel.Rows), chunk, env.workers, st.rowWork())
+	chunk := evalChunkSize(pl.nrows, env.workers)
+	nw := evalWorkers(pl.nrows, chunk, env.workers, st.rowWork())
 	for len(st.workers) < nw {
 		st.workers = append(st.workers, &evalWorker{st: st})
 	}
@@ -261,7 +260,7 @@ func (st *evalState) evaluate(env evalEnv, s store.Store, agg Aggregate, sel Sel
 		if st.factored {
 			w.um.reset(k, wantSq)
 		} else {
-			w.vals = ensureFloats(w.vals, len(st.sel.Cols))
+			w.vals = ensureFloats(w.vals, len(pl.cols))
 		}
 	}
 	if err := st.runSharded(chunk); err != nil {
@@ -348,7 +347,7 @@ func (st *evalState) runSharded(chunk int) error {
 // chunks, so a fired ctx stops the evaluation within one chunk's worth of
 // rows and surfaces as ctx.Err().
 func (st *evalState) runWorker(w, chunk int) error {
-	n := len(st.sel.Rows)
+	n := st.pl.nrows
 	for lo := w * chunk; lo < n; lo += len(st.active) * chunk {
 		if err := st.env.ctx.Err(); err != nil {
 			return err
@@ -435,19 +434,22 @@ func (st *evalState) uRows(start, end int, scratch *[]float64) ([]float64, error
 }
 
 // genericRows is the fallback for stores without a U/V factorization:
-// reconstruct each selected row in full and pick the selected columns.
+// reconstruct each selected row of positions [lo, hi) in full, walking the
+// plan's pieces, and pick the selected columns.
 func (st *evalState) genericRows(w *evalWorker, lo, hi int) error {
-	led := st.env.led
-	for _, i := range st.sel.Rows[lo:hi] {
-		got, err := st.s.Row(i, w.row)
-		if err != nil {
-			return fmt.Errorf("query: row %d: %w", i, err)
-		}
-		led.AddRowsRead(1)
-		led.AddDiskAccesses(1)
-		led.AddPagesTouched(1)
-		for _, j := range st.sel.Cols {
-			w.acc.add(got[j])
+	led, cols := st.env.led, st.pl.cols
+	for it := st.pl.pieces(lo, hi); it.next(); {
+		for i := it.start; i < it.end; i++ {
+			got, err := st.s.Row(i, w.row)
+			if err != nil {
+				return fmt.Errorf("query: row %d: %w", i, err)
+			}
+			led.AddRowsRead(1)
+			led.AddDiskAccesses(1)
+			led.AddPagesTouched(1)
+			for _, j := range cols {
+				w.acc.add(got[j])
+			}
 		}
 	}
 	return nil
@@ -510,7 +512,7 @@ var zeroCell = []float64{0}
 // the all-zero U row leaves the factored moments untouched. Folding 0 into
 // an extremum is idempotent, so |C| zero cells are one fold and a count.
 func (w *evalWorker) zeroRow() {
-	if n := len(w.st.sel.Cols); !w.st.factored && n > 0 {
+	if n := len(w.st.pl.cols); !w.st.factored && n > 0 {
 		w.fold(zeroCell)
 		w.acc.n += int64(n - 1)
 	}

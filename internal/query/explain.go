@@ -63,27 +63,34 @@ type Explain struct {
 // way evaluate builds it, in a pooled state, so explaining a query charges
 // no ledger.
 func ExplainQuery(s store.Store, agg Aggregate, sel Selection, opts Options) (*Explain, error) {
-	st := getState()
-	defer st.release()
-	return st.explain(s, agg, sel, opts.env().workers)
+	return ExplainItem(s, BatchItem{Agg: agg, Sel: sel}, opts)
 }
 
-// explain is ExplainQuery on a state the caller holds.
-func (st *evalState) explain(s store.Store, agg Aggregate, sel Selection, workers int) (*Explain, error) {
+// ExplainItem is ExplainQuery for a batch item, whose selection may be its
+// specs.
+func ExplainItem(s store.Store, it BatchItem, opts Options) (*Explain, error) {
+	st := getState()
+	defer st.release()
+	return st.explain(s, &it, opts.env().workers)
+}
+
+// explain is ExplainItem on a state the caller holds.
+func (st *evalState) explain(s store.Store, it *BatchItem, workers int) (*Explain, error) {
 	n, m := s.Dims()
-	if err := sel.Validate(n, m); err != nil {
+	if err := it.validate(n, m); err != nil {
 		return nil, err
 	}
+	agg := it.Agg
 	ex := &Explain{
 		Workers: workers,
-		Cells:   int64(sel.NumCells()),
+		Cells:   it.numCells(),
 	}
 	if agg == Count {
 		ex.Plan = PlanCount
 		return ex, nil
 	}
 	p := &st.pl
-	p.reset(s, sel)
+	p.reset(s, it, m)
 	switch {
 	case p.fac == nil:
 		ex.Plan = PlanGeneric
@@ -94,7 +101,7 @@ func (st *evalState) explain(s store.Store, agg Aggregate, sel Selection, worker
 	}
 	ex.Runs = len(p.runs)
 
-	nrows := len(p.rows)
+	nrows := p.nrows
 	ex.ChunkRows = evalChunkSize(nrows, ex.Workers)
 	ex.Chunks = (nrows + ex.ChunkRows - 1) / ex.ChunkRows
 
@@ -141,8 +148,8 @@ func (st *evalState) explain(s store.Store, agg Aggregate, sel Selection, worker
 // plan.reads' runs of rows: each a row read per row, and, but for a
 // zero-flagged row, one access per row plus the pages spanned.
 func (ex *Explain) replay(pl *plan, agg Aggregate) {
-	for lo := 0; lo < len(pl.rows); lo += ex.ChunkRows {
-		for it := pl.pieces(lo, min(lo+ex.ChunkRows, len(pl.rows))); it.next(); {
+	for lo := 0; lo < pl.nrows; lo += ex.ChunkRows {
+		for it := pl.pieces(lo, min(lo+ex.ChunkRows, pl.nrows)); it.next(); {
 			if it.scan {
 				ex.CoalescedScans++
 				ex.ScanRows += it.end - it.start

@@ -16,8 +16,8 @@ import "math"
 // whatever order they are folded in. Where a selected column holds either
 // (core.Extrema.Unordered), the fold's order decides the bits — the last
 // NaN it meets, or whichever zero comes first — and the whole selection is
-// projected in the engine's order. A row whose cells are all +0
-// is in no list (core.Extrema.ZeroRow): selecting one selects a +0 in every
+// projected in the engine's order. A row whose cells are all +0 is in no
+// list (core.Extrema.AnyZeroRow): selecting one selects a +0 in every
 // column.
 
 // lookup consults the extremum index for a Min or Max (wantMax) over the
@@ -46,11 +46,11 @@ func (p *plan) lookup(wantMax bool) error {
 	// in every selected column.
 	n, m := p.fac.Dims()
 	p.rowMark = zeroedUint64s(p.rowMark, (n+63)/64)
-	for _, i := range p.rows {
-		p.rowMark[i/64] |= 1 << (i % 64)
-		if ix.ZeroRow(i) && beats(0, best, wantMax) {
-			best = 0
-		}
+	for _, run := range p.runs {
+		markBits(p.rowMark, run.first, run.end())
+	}
+	if ix.AnyZeroRow(p.rowMark) {
+		best = 0
 	}
 	p.colMark = zeroedUint64s(p.colMark, (m+63)/64)
 	p.unresolved = p.unresolved[:0]
@@ -90,6 +90,16 @@ func (p *plan) lookup(wantMax bool) error {
 	}
 	p.indexed, p.best, p.unresolved, p.cols = true, best, open, open
 	return nil
+}
+
+// markBits sets bits [lo, hi) of mark, a word at a time.
+func markBits(mark []uint64, lo, hi int) {
+	for lo < hi {
+		b := lo % 64
+		n := min(64-b, hi-lo)
+		mark[lo/64] |= (^uint64(0) >> (64 - n)) << b
+		lo += n
+	}
 }
 
 // beats reports whether x would replace the running extremum y: for Max

@@ -79,7 +79,8 @@ func extremaSelections(n, m int) map[string]Selection {
 func indexOutcome(s store.Store, agg Aggregate, sel Selection) (indexed bool, open int, err error) {
 	st := getState()
 	defer st.release()
-	st.pl.reset(s, sel)
+	_, m := s.Dims()
+	st.pl.reset(s, &BatchItem{Sel: sel}, m)
 	if st.pl.fac == nil {
 		return false, 0, nil
 	}

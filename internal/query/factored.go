@@ -86,7 +86,7 @@ func (st *evalState) finalizeFactoredStdDev() float64 {
 // addBlock adds a whole indexed block of rows to the same bins. Only the
 // workers' moments and the column pass stage rows; merge flushes the
 // moments it folds in and evaluate flushes the column pass, so the
-// moments export and value read are always fully flushed — the very
+// moments partial and value read are always fully flushed — the very
 // registers a per-term Sum.Add fold builds.
 type uMoments struct {
 	k      int

@@ -123,10 +123,11 @@ func TestDuplicateIndicesWeightCells(t *testing.T) {
 	}
 }
 
-// TestParseAndSplitAllocateOnce: a range spec and a shard split allocate
-// their indices once, at their final length — the proxy parses and splits
-// every aggregate's selection, and appended one by one a range of thousands
-// of rows allocated several times its size.
+// TestParseAndSplitAllocateOnce: parsing a row spec and splitting it
+// across shards — what the proxy does to every aggregate — allocates per
+// run and per shard, never per row: "0:500" and "0:50000" cost the same
+// allocations, and ParseIndexSpec, which lists the rows, allocates them
+// once, at their final length.
 func TestParseAndSplitAllocateOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun budgets only hold without -race")
@@ -139,19 +140,24 @@ func TestParseAndSplitAllocateOnce(t *testing.T) {
 	if got := testing.AllocsPerRun(20, func() { _, _ = ParseIndexSpec("0:5000, 7 ,10:20", 5000) }); got > 3 {
 		t.Errorf("ParseIndexSpec: %.0f allocations, want at most 3", got)
 	}
-	sel := Selection{Rows: seq(0, 20000), Cols: []int{1}}
-	ranges := []RowRange{{Lo: 0, Hi: 12000}, {Lo: 12000, Hi: -1}}
-	frags, err := SplitSelection(sel, ranges)
-	if err != nil {
-		t.Fatal(err)
+	ranges := []RowRange{{Lo: 0, Hi: 100}, {Lo: 100, Hi: 400}, {Lo: 400, Hi: -1}}
+	allocs := func(spec string) float64 {
+		return testing.AllocsPerRun(20, func() {
+			sp, err := ScanIndexSpec(spec, 60000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sp.Split(ranges); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	for s, f := range frags {
-		if cap(f.Rows) != len(f.Rows) {
-			t.Errorf("fragment %d: %d rows at capacity %d", s, len(f.Rows), cap(f.Rows))
-		}
+	small, large := allocs("0:500"), allocs("0:50000")
+	if small != large {
+		t.Errorf("scan and split: %.0f allocations for 0:500, %.0f for 0:50000", small, large)
 	}
-	// The counts, the fragments and each fragment's rows.
-	if got := testing.AllocsPerRun(20, func() { _, _ = SplitSelection(sel, ranges) }); got > 4 {
-		t.Errorf("SplitSelection: %.0f allocations, want at most 4", got)
+	// The part list, the parsed parts, the specs and one run per shard.
+	if large > 6 {
+		t.Errorf("scan and split of 0:50000 over three shards: %.0f allocations, want at most 6", large)
 	}
 }

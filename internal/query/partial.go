@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"seqstore/internal/exact"
 	"seqstore/internal/seqerr"
@@ -34,47 +35,63 @@ func (r RowRange) Contains(i int) bool {
 	return i >= r.Lo && (r.Hi < 0 || i < r.Hi)
 }
 
-// SplitSelection partitions sel across contiguous shard row ranges,
-// translating each row to its shard-local index (global − Lo). Row order
-// — and therefore multiset duplicate weighting — is preserved within each
-// shard. Columns are not sharded: every non-empty fragment carries the
-// full column list (aliasing sel.Cols). A row covered by no range is an
-// out-of-range error; shards with no selected rows get an empty fragment.
-func SplitSelection(sel Selection, ranges []RowRange) ([]Selection, error) {
-	// Two passes over the rows: the first finds each row's range and
-	// counts, so every fragment is allocated once, at its final length.
-	counts := make([]int, len(ranges))
-	last := 0 // range memo: selections cluster into runs
-	shardOf := func(i int) int {
-		if last < len(ranges) && ranges[last].Contains(i) {
-			return last
-		}
-		for ri := range ranges {
-			if ranges[ri].Contains(i) {
-				last = ri
-				return ri
-			}
-		}
-		return -1
+// Split partitions the spec's rows across contiguous, non-overlapping
+// shard row ranges: one spec per range, each run cut at the range bounds
+// and shifted to shard-local indices (global − Lo). Run order — and
+// therefore multiset duplicate weighting — is kept within each shard, so
+// each piece lists exactly the rows a per-row split would hand its shard,
+// in the same order. A row covered by no range is an out-of-range error;
+// a shard the spec does not reach gets a spec of length 0. It costs
+// O(runs + shards) when consecutive runs share a shard (a run that misses
+// the last range used scans the ranges), and never looks at a row.
+func (sp IndexSpec) Split(ranges []RowRange) ([]IndexSpec, error) {
+	// Two walks: the first counts each shard's pieces, so every piece list
+	// is allocated once, at its final length.
+	out := make([]IndexSpec, len(ranges))
+	if err := sp.pieces(ranges, func(s, lo, n int) { out[s].total++ }); err != nil {
+		return nil, err
 	}
-	for _, i := range sel.Rows {
-		s := shardOf(i)
-		if s < 0 {
-			return nil, fmt.Errorf("query: row %d not covered by any shard range (%w)", i, seqerr.ErrOutOfRange)
-		}
-		counts[s]++
-	}
-	out := make([]Selection, len(ranges))
-	for s, c := range counts {
-		if c > 0 {
-			out[s] = Selection{Rows: make([]int, 0, c), Cols: sel.Cols}
+	for s := range out {
+		if out[s].total > 0 {
+			out[s] = IndexSpec{runs: make([]indexRun, 0, out[s].total)}
 		}
 	}
-	for _, i := range sel.Rows {
-		s := shardOf(i)
-		out[s].Rows = append(out[s].Rows, i-ranges[s].Lo)
-	}
+	_ = sp.pieces(ranges, func(s, lo, n int) { // the first walk placed every row
+		out[s].runs = append(out[s].runs, indexRun{lo - ranges[s].Lo, n})
+		out[s].total += n
+	})
 	return out, nil
+}
+
+// pieces hands fn each run of the spec cut at the range bounds, in order:
+// the range s holding it and its global rows [lo, lo+n).
+func (sp IndexSpec) pieces(ranges []RowRange, fn func(s, lo, n int)) error {
+	last := 0 // range memo: runs cluster by shard
+	for _, r := range sp.runs {
+		for lo, hi := r.lo, r.lo+r.n; lo < hi; {
+			s := last
+			if s >= len(ranges) || !ranges[s].Contains(lo) {
+				s = -1
+				for ri := range ranges {
+					if ranges[ri].Contains(lo) {
+						s = ri
+						break
+					}
+				}
+				if s < 0 {
+					return fmt.Errorf("query: row %d not covered by any shard range (%w)", lo, seqerr.ErrOutOfRange)
+				}
+				last = s
+			}
+			end := hi
+			if h := ranges[s].Hi; h >= 0 && h < end {
+				end = h
+			}
+			fn(s, lo, end-lo)
+			lo = end
+		}
+	}
+	return nil
 }
 
 // Partial is the exact, mergeable state of one selection fragment's
@@ -121,46 +138,53 @@ type Partial struct {
 func EvaluatePartial(s store.Store, agg Aggregate, sel Selection, opts Options) (*Partial, error) {
 	st := getState()
 	defer st.release()
-	if err := st.evaluate(opts.env(), s, agg, sel); err != nil {
+	if err := st.evaluate(opts.env(), s, &BatchItem{Agg: agg, Sel: sel}); err != nil {
 		return nil, err
 	}
-	return st.export(agg), nil
+	p := st.partial(agg)
+	if p.Factored {
+		p.RowSum, p.ColSum = slices.Clone(p.RowSum), slices.Clone(p.ColSum)
+		p.RowG, p.ColG = slices.Clone(p.RowG), slices.Clone(p.ColG)
+		p.Sigma = slices.Clone(p.Sigma)
+	}
+	return &p, nil
 }
 
-// export copies the state's result into a Partial the caller owns.
-func (st *evalState) export(agg Aggregate) *Partial {
-	p := &Partial{Agg: agg, Factored: st.factored, NumCells: st.numCells}
+// partial is the state's result as a Partial whose slices alias the
+// state's registers: valid until the state evaluates again.
+func (st *evalState) partial(agg Aggregate) Partial {
+	p := Partial{Agg: agg, Factored: st.factored, NumCells: st.numCells}
 	if !st.factored {
 		p.N, p.Sum, p.SumSq, p.Min, p.Max = st.cells.n, st.cells.sum, st.cells.sumSq, st.cells.min, st.cells.max
 		return p
 	}
 	p.K, p.WantSq, p.HasCorr = st.rowM.k, st.rowM.wantSq, st.hasCorr
-	p.RowSum = append([]exact.Sum(nil), st.rowM.acc...)
-	p.ColSum = append([]exact.Sum(nil), st.colM.acc...)
+	p.RowSum, p.ColSum, p.Sigma = st.rowM.acc, st.colM.acc, st.sigma
 	if p.WantSq {
-		p.RowG = append([]exact.Sum(nil), st.rowM.g...)
-		p.ColG = append([]exact.Sum(nil), st.colM.g...)
+		p.RowG, p.ColG = st.rowM.g, st.colM.g
 	}
-	p.Sigma = append([]float64(nil), st.sigma...)
 	p.CorrSum, p.CorrSumSq = st.corr.sum, st.corr.sumSq
 	return p
 }
 
-// PartialResult is one item's outcome in EvaluateBatchPartial; items fail
-// independently like BatchResult.
+// PartialResult is one item's outcome in EvaluateBatchPartial: its
+// Partial's SQP1 encoding (Partial.MarshalBinary), or the error that
+// failed it alone, like BatchResult.
 type PartialResult struct {
-	Partial *Partial
-	Err     error
+	Bytes []byte
+	Err   error
 }
 
-// EvaluateBatchPartial is EvaluateBatch exporting each item's state
-// instead of rounding it: same loop, same charges, so each Partial is
-// bit-identical to an independent EvaluatePartial call.
+// EvaluateBatchPartial is EvaluateBatch encoding each item's state instead
+// of rounding it: same loop, same charges, so each item's bytes are those
+// of an independent EvaluatePartial call's Partial. Each item is encoded
+// straight from the state's registers, with no copy of its own.
 func EvaluateBatchPartial(s store.Store, items []BatchItem, opts Options) ([]PartialResult, error) {
 	results := make([]PartialResult, len(items))
 	err := evaluateBatch(s, items, opts, func(idx int, st *evalState, err error) {
 		if err == nil {
-			results[idx].Partial = st.export(items[idx].Agg)
+			p := st.partial(items[idx].Agg)
+			results[idx].Bytes, err = p.MarshalBinary()
 		}
 		results[idx].Err = err
 	})

@@ -389,7 +389,11 @@ func TestEvaluateBatchPartialMatchesIndependent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := MergePartials(items[idx].Agg, []*Partial{r.Partial})
+			var got Partial
+			if err := got.UnmarshalBinary(r.Bytes); err != nil {
+				t.Fatal(err)
+			}
+			g, err := MergePartials(items[idx].Agg, []*Partial{&got})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"slices"
+
 	"seqstore/internal/core"
 	"seqstore/internal/exact"
 	"seqstore/internal/store"
@@ -13,24 +15,35 @@ import (
 // overlay reads (deltas.go). The paper's query is ad hoc: nothing is known
 // of it in advance, so nothing is keyed on it or kept past it. The plan
 // lives in the pooled evalState and is rebuilt for every evaluation into
-// buffers the state already owns — O(|R|+|C|), the order of reading the
-// selection once — so in steady state building it allocates nothing.
+// buffers the state already owns, so in steady state building it allocates
+// nothing. The schedule is the plan's only form of the rows: a selection
+// given as specs becomes it in O(runs) and is never listed row by row; a
+// row list costs O(|R|) to read once.
 
-// scanRun is one maximal run of consecutive ascending selected rows,
-// stored as a half-open position interval [lo, hi) into sel.Rows. Runs
-// clipped to a worker chunk reproduce exactly the runs the unclipped
-// serial loop would find inside that chunk, because consecutiveness is a
-// local property — so a single global schedule serves every worker count.
+// scanRun is one maximal run of consecutive ascending selected rows: the
+// half-open position interval [lo, hi) of the selection, holding rows
+// [first, first+hi−lo). Runs clipped to a worker chunk reproduce exactly
+// the runs the unclipped serial loop would find inside that chunk, because
+// consecutiveness is a local property — so a single global schedule serves
+// every worker count.
 type scanRun struct {
 	lo, hi int
+	first  int
 }
+
+// end is one past the run's last row.
+func (r scanRun) end() int { return r.first + r.hi - r.lo }
 
 // plan is one evaluation's derived state. reset points it at a store and a
 // selection and builds the run schedule; the panel and the digest are
 // built by the paths that read them. Everything but the store and the
 // selection is a buffer the plan owns and reuses.
 type plan struct {
-	rows, cols []int // the selection, aliased for the evaluation
+	nrows int   // |R|: the schedule's positions, repeats included
+	cols  []int // the selected columns: the caller's list or colBuf
+	// colBuf holds a column spec's indices, at most M of them: a multiset
+	// listing more gets a buffer of its own, which the pool does not keep.
+	colBuf []int
 
 	fac *core.Store // the factored store: non-nil on the projected/factored paths
 	// overlay: fac is SVDD, so its deltas and zero-row flags overlay the
@@ -46,10 +59,10 @@ type plan struct {
 	// panel is the projection panel, |C|×k row-major: the V rows of the
 	// selected columns (buildPanel). Factored plans never build it.
 	panel []float64
-	// digest is the selection digest (buildDigest); sorted is its scratch
-	// copy of a selection that is not ascending.
-	digest selDigest
-	sorted []int
+	// digest is the selection digest (buildDigest); starts and ends are
+	// its sweep of the run endpoints of a selection that is not ascending.
+	digest       selDigest
+	starts, ends []int
 
 	// The extremum index's answer to a min or max (lookup): indexed when
 	// the index decides it, best the extremum of the cells its lists found,
@@ -61,11 +74,25 @@ type plan struct {
 	rowMark, colMark []uint64
 }
 
-// reset points the plan at (s, sel), a validated selection, and builds its
-// run schedule.
-func (p *plan) reset(s store.Store, sel Selection) {
-	p.rows, p.cols = sel.Rows, sel.Cols
-	p.runs, p.ascending = buildRuns(p.runs[:0], sel.Rows)
+// reset points the plan at s and the item's selection, validated against
+// an n×m store, and builds its run schedule.
+func (p *plan) reset(s store.Store, it *BatchItem, m int) {
+	if it.specs() {
+		p.runs, p.ascending = specRuns(p.runs[:0], it.Rows)
+		if it.Cols.Len() <= m {
+			p.colBuf = it.Cols.appendIndices(p.colBuf[:0])
+			p.cols = p.colBuf
+		} else {
+			p.cols = it.Cols.Indices()
+		}
+	} else {
+		p.runs, p.ascending = buildRuns(p.runs[:0], it.Sel.Rows)
+		p.cols = it.Sel.Cols
+	}
+	p.nrows = 0
+	if len(p.runs) > 0 {
+		p.nrows = p.runs[len(p.runs)-1].hi
+	}
 	p.fac, p.overlay, p.sigma, p.indexed = factored(s), false, nil, false
 	if p.fac != nil {
 		p.overlay = p.fac.Method() == store.MethodSVDD
@@ -76,7 +103,7 @@ func (p *plan) reset(s store.Store, sel Selection) {
 // unref drops the plan's references to the store and the selection, so a
 // pooled state pins neither; the buffers stay for the next evaluation.
 func (p *plan) unref() {
-	p.rows, p.cols, p.fac, p.sigma = nil, nil, nil, nil
+	p.cols, p.fac, p.sigma = nil, nil, nil
 }
 
 // factored returns s as the factored store the projected and factored
@@ -114,8 +141,35 @@ func buildRuns(runs []scanRun, rows []int) (_ []scanRun, ascending bool) {
 		for q < len(rows) && rows[q] == rows[q-1]+1 {
 			q++
 		}
-		runs = append(runs, scanRun{lo: p, hi: q})
+		runs = append(runs, scanRun{lo: p, hi: q, first: rows[p]})
 		p = q
+	}
+	return runs, ascending
+}
+
+// specRuns is buildRuns over a spec's runs, never its rows: empty runs
+// dropped and abutting ones merged, so the schedule is the one buildRuns
+// builds from the spec's Indices, in O(runs).
+func specRuns(runs []scanRun, sp IndexSpec) (_ []scanRun, ascending bool) {
+	runs = slices.Grow(runs, len(sp.runs))
+	ascending = true
+	pos := 0
+	for _, r := range sp.runs {
+		if r.n == 0 {
+			continue
+		}
+		if k := len(runs) - 1; k >= 0 {
+			switch end := runs[k].end(); {
+			case r.lo == end:
+				runs[k].hi += r.n
+				pos += r.n
+				continue
+			case r.lo < end:
+				ascending = false
+			}
+		}
+		runs = append(runs, scanRun{lo: pos, hi: pos + r.n, first: r.lo})
+		pos += r.n
 	}
 	return runs, ascending
 }
@@ -165,11 +219,12 @@ func (it *pieceIter) next() bool {
 	if it.pos == it.pl.runs[it.ri].hi {
 		it.ri++
 	}
-	n := min(it.pl.runs[it.ri].hi, it.hi) - it.pos
+	run := it.pl.runs[it.ri]
+	n := min(run.hi, it.hi) - it.pos
 	if it.scan = n >= minScanRun; !it.scan {
 		n = 1
 	}
-	it.start = it.pl.rows[it.pos]
+	it.start = run.first + it.pos - run.lo
 	it.end = it.start + n
 	it.pos += n
 	return true
@@ -212,8 +267,7 @@ func (p *plan) segments(it *pieceIter, factored bool) segIter {
 	sg := segIter{at: it.start, stop: it.end}
 	if factored {
 		run := p.runs[it.ri]
-		sg.idx, sg.rs = p.fac.Base().RowMoments(), p.rows[run.lo]
-		sg.re = sg.rs + run.hi - run.lo
+		sg.idx, sg.rs, sg.re = p.fac.Base().RowMoments(), run.first, run.end()
 	}
 	return sg
 }
@@ -269,8 +323,8 @@ func (p *plan) reads(agg Aggregate, chunk int, fn func(start, end int, zero bool
 		return
 	}
 	factored := agg == Sum || agg == Avg || agg == StdDev
-	for lo := 0; lo < len(p.rows); lo += chunk {
-		for it := p.pieces(lo, min(lo+chunk, len(p.rows))); it.next(); {
+	for lo := 0; lo < p.nrows; lo += chunk {
+		for it := p.pieces(lo, min(lo+chunk, p.nrows)); it.next(); {
 			for sg := p.segments(&it, factored); sg.next(); {
 				if !sg.staged && !sg.skip {
 					fn(sg.start, sg.end, it.zeroFlagged())

@@ -25,7 +25,7 @@ func evalOn(t *testing.T, st *evalState, s store.Store, agg Aggregate, sel Selec
 	t.Helper()
 	tr := trace.New("t", "/test")
 	env := Options{Workers: workers, Ctx: trace.NewContext(context.Background(), tr)}.env()
-	if err := st.evaluate(env, s, agg, sel); err != nil {
+	if err := st.evaluate(env, s, &BatchItem{Agg: agg, Sel: sel}); err != nil {
 		t.Fatalf("%v: %v", agg, err)
 	}
 	v, err := st.value(agg)
@@ -254,11 +254,11 @@ func TestPooledPlanMatchesFresh(t *testing.T) {
 							t.Errorf("%s/store %d/%s/%v/w%d: pooled %016x %+v, fresh %016x %+v",
 								phase, si, selName, agg, workers, got, gotLed, want, wantLed)
 						}
-						gotEx, err := st.explain(s, agg, sel, workers)
+						gotEx, err := st.explain(s, &BatchItem{Agg: agg, Sel: sel}, workers)
 						if err != nil {
 							t.Fatal(err)
 						}
-						wantEx, err := new(evalState).explain(s, agg, sel, workers)
+						wantEx, err := new(evalState).explain(s, &BatchItem{Agg: agg, Sel: sel}, workers)
 						if err != nil {
 							t.Fatal(err)
 						}

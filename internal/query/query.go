@@ -143,8 +143,10 @@ func ParseIndexSpec(spec string, n int) ([]int, error) {
 }
 
 // IndexSpec is a parsed index spec whose indices are not yet allocated:
-// its runs of consecutive indices, each inside the axis it was parsed
-// against. The empty spec keeps no runs: it lists [0, total).
+// its runs of consecutive indices, in spec order, each inside the axis it
+// was parsed against. The empty spec is the one run [0, total). A selection
+// carried as specs — from the HTTP door through the proxy's split to the
+// engine's run schedule — costs what its text costs, never what it lists.
 type IndexSpec struct {
 	runs  []indexRun
 	total int
@@ -159,11 +161,12 @@ type indexRun struct{ lo, n int }
 // allocated, and the count of indices is added up without overflow.
 func ScanIndexSpec(spec string, n int) (IndexSpec, error) {
 	if strings.TrimSpace(spec) == "" {
-		return IndexSpec{total: n}, nil
+		return IndexSpec{runs: []indexRun{{0, n}}, total: n}, nil
 	}
-	parts := strings.Split(spec, ",")
-	sp := IndexSpec{runs: make([]indexRun, 0, len(parts))}
-	for _, part := range parts {
+	sp := IndexSpec{runs: make([]indexRun, 0, strings.Count(spec, ",")+1)}
+	for rest, more := spec, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		part = strings.TrimSpace(part)
 		var a, b int
 		if lo, hi, ok := strings.Cut(part, ":"); ok {
@@ -205,6 +208,20 @@ func ScanIndexSpec(spec string, n int) (IndexSpec, error) {
 	return sp, nil
 }
 
+// SpecOf is the spec listing idx in order, consecutive indices as one run.
+func SpecOf(idx []int) IndexSpec {
+	sp := IndexSpec{runs: []indexRun{}, total: len(idx)}
+	for p := 0; p < len(idx); {
+		q := p + 1
+		for q < len(idx) && idx[q] == idx[q-1]+1 {
+			q++
+		}
+		sp.runs = append(sp.runs, indexRun{idx[p], q - p})
+		p = q
+	}
+	return sp
+}
+
 func indexOutOfRange(i, n int) error {
 	return fmt.Errorf("query: index %d out of range %d (%w)", i, n, seqerr.ErrOutOfRange)
 }
@@ -218,16 +235,64 @@ func (sp IndexSpec) Indices() []int {
 	if sp.total == 0 {
 		return nil
 	}
-	if sp.runs == nil {
-		return All(sp.total)
-	}
-	out := make([]int, 0, sp.total)
+	return sp.appendIndices(make([]int, 0, sp.total))
+}
+
+// appendIndices appends the spec's indices to dst.
+func (sp IndexSpec) appendIndices(dst []int) []int {
 	for _, r := range sp.runs {
 		for i := 0; i < r.n; i++ {
-			out = append(out, r.lo+i)
+			dst = append(dst, r.lo+i)
 		}
 	}
-	return out
+	return dst
+}
+
+// check refuses a spec that lists an index outside an axis of n, naming
+// the first such index as Validate names it, in O(runs).
+func (sp IndexSpec) check(n int, axis string) error {
+	for _, r := range sp.runs {
+		if r.n > 0 && r.lo+r.n > n {
+			return fmt.Errorf("query: %s %d out of range %d (%w)", axis, max(r.lo, n), n, seqerr.ErrOutOfRange)
+		}
+	}
+	return nil
+}
+
+// String renders the spec in ParseIndexSpec's syntax, abutting runs merged
+// and empty ones dropped: a run of two or more indices as "lo:hi", a lone
+// index as itself. Order and repeats survive, so parsing the text gives
+// back the same list of indices, and the text is a function of that list
+// alone. A spec that lists nothing renders as "" (which would parse as the
+// whole axis: callers send no such spec).
+func (sp IndexSpec) String() string {
+	var b strings.Builder
+	lo, end := 0, -1 // the merged run [lo, end) being rendered; end < 0: none
+	flush := func() {
+		if end < 0 {
+			return
+		}
+		if b.Len() > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(lo))
+		if end-lo >= 2 {
+			b.WriteByte(':')
+			b.WriteString(strconv.Itoa(end))
+		}
+	}
+	for _, r := range sp.runs {
+		switch {
+		case r.n == 0:
+		case r.lo == end:
+			end += r.n
+		default:
+			flush()
+			lo, end = r.lo, r.lo+r.n
+		}
+	}
+	flush()
+	return b.String()
 }
 
 // RandomSelection draws a selection covering approximately frac of the

@@ -130,7 +130,8 @@ func checkDeltaWalks(t *testing.T, s *core.Store, sel Selection) {
 		t.Fatal(err)
 	}
 	st := new(evalState)
-	st.pl.reset(s, sel)
+	_, m := s.Dims()
+	st.pl.reset(s, &BatchItem{Sel: sel}, m)
 	dg := st.pl.buildDigest()
 	var rowCost, search int64
 	for _, run := range dg.rowRuns {

@@ -340,7 +340,7 @@ func (h *Handler) queryOptions(ctx context.Context) query.Options {
 func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.AggregateResult, error) {
 	items := make([]query.BatchItem, len(b.Queries))
 	for qi, q := range b.Queries {
-		items[qi] = query.BatchItem{Agg: q.Agg, Sel: q.Sel}
+		items[qi] = query.BatchItem{Agg: q.Agg, Rows: q.Rows, Cols: q.Cols}
 	}
 	sp := trace.StartSpan(ctx, "evaluate")
 	sp.SetAttr("queries", len(items))
@@ -365,9 +365,7 @@ func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.A
 	for qi, q := range b.Queries {
 		resp := q.Response()
 		if b.Partial {
-			if err = partials[qi].Err; err == nil {
-				resp.Partial, err = partials[qi].Partial.MarshalBinary()
-			}
+			resp.Partial, err = partials[qi].Bytes, partials[qi].Err
 		} else if err = values[qi].Err; err == nil {
 			resp.Value, resp.Nonfinite = api.Float(values[qi].Value)
 		}
@@ -387,7 +385,7 @@ func (h *Handler) AggregateBatch(ctx context.Context, b api.BatchQuery) ([]api.A
 // plan derivation from query.ExplainQuery (in-memory only — no store
 // reads) joined with the request's executed ledger.
 func (h *Handler) explainBody(ctx context.Context, q api.AggregateQuery) *api.Explain {
-	ex, err := query.ExplainQuery(h.st, q.Agg, q.Sel, h.queryOptions(ctx))
+	ex, err := query.ExplainItem(h.st, query.BatchItem{Agg: q.Agg, Rows: q.Rows, Cols: q.Cols}, h.queryOptions(ctx))
 	if err != nil {
 		// The selection validated when the evaluation ran; a failure here
 		// means the store changed shape mid-request — drop the block rather
